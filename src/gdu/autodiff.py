@@ -239,9 +239,13 @@ def _unary(a, fwd, da):
     if not isinstance(a, Tensor):
         return fwd(np.asarray(a, dtype=np.float64))
     out = Tensor(fwd(a.data), (a,))
+    # The closure must not reference ``out`` itself: out -> _backward -> bw
+    # -> out would be a reference cycle that keeps every graph alive until
+    # the cyclic garbage collector runs.
+    out_data = out.data
 
     def bw(g):
-        a._accumulate(da(g, a.data, out.data))
+        a._accumulate(da(g, a.data, out_data))
 
     out._backward = bw
     return out
@@ -435,7 +439,8 @@ def concatenate(parts, axis=0):
 def spectral_norm_sym(x):
     """Largest absolute eigenvalue of a symmetric matrix.
 
-    Forward uses a dense symmetric eigendecomposition; the gradient is
+    The value comes from a dense symmetric eigendecomposition, for plain
+    arrays (returned as a float) and tensors alike. The gradient is
     ``sign(lambda*) u u^T`` for the dominant eigenpair, which is exact
     whenever the dominant eigenvalue is simple.
     """

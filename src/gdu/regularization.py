@@ -4,13 +4,15 @@
   feature map by the gate-weighted basis embeddings (kernel-trick expansion).
 * ``omega_orth`` - orthogonality penalties on the basis Gram matrix:
   soft orthogonality ``SO = ||K - I||_F^2``, spectral restricted isometry
-  ``SRIP = ||K - I||_2`` (power iteration), and mutual coherence
-  ``MC = max_{i != j} |K_ij|``.
+  ``SRIP = ||K - I||_2`` (exact, from a dense symmetric eigensolver), and
+  mutual coherence ``MC = max_{i != j} |K_ij|``.
 * ``omega_l1``   - batch-mean L1 norm of the gating coefficients.
 
 ``omega_total`` combines them per gating mode: geometry modes use
 ``lambda_ols * OLS + lambda_l1 * L1``; projection mode uses
-``lambda_ols * OLS + lambda_orth * ORTH``.
+``lambda_ols * OLS + lambda_orth * ORTH``. The training objective adds the
+same combination through ``_add_regularizers``, reusing the gate's inner
+products instead of recomputing kernel blocks.
 """
 
 from __future__ import annotations
@@ -36,17 +38,11 @@ __all__ = [
     "omega_orth",
     "omega_l1",
     "omega_total",
-    "srip_power_iteration",
 ]
 
 ORTH_VARIANTS = ("SO", "SRIP", "MC")
 
 _OLS_CLAMP_TOL = 1e-10
-# Basis Gram matrices routinely have near-tied leading eigenvalues, where
-# power iteration converges slowly; the cap and threshold are sized so the
-# estimate agrees with a dense eigensolver to well below 1e-8 on M <= 10.
-_SRIP_MAX_ITER = 20_000
-_SRIP_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -84,6 +80,18 @@ def _omega_ols_from_stats(a, k_bases, beta):
     return raw
 
 
+def _checked_inners(X, beta, layer: GduLayer):
+    """``a[i, j] = <phi(x_i), mu_j>`` for a batch that ``beta`` must match."""
+    bshape = ad.value_of(beta).shape
+    b = ad.value_of(X).shape[0]
+    if bshape != (b, layer.num_bases):
+        raise ValueError(
+            f"beta shape {bshape} does not match batch {b} x {layer.num_bases}"
+        )
+    a, _ = _basis_inners(X, layer)
+    return a
+
+
 def omega_ols(X, beta, layer: GduLayer):
     """Mean squared RKHS reconstruction error over the batch.
 
@@ -92,45 +100,8 @@ def omega_ols(X, beta, layer: GduLayer):
     + sum_{j,l} beta_ij beta_il <mu_j, mu_l>`` with ``k(x, x) = 1``.
     """
     beta = _as_beta_array(beta)
-    bshape = ad.value_of(beta).shape
-    b = ad.value_of(X).shape[0]
-    if bshape != (b, layer.num_bases):
-        raise ValueError(
-            f"beta shape {bshape} does not match batch {b} x {layer.num_bases}"
-        )
-    a, _ = _basis_inners(X, layer)
-    return _omega_ols_from_stats(a, gram_bases(layer), beta)
-
-
-def srip_power_iteration(A: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix by power iteration.
-
-    Iterates simultaneously from deterministic starts (normalized all-ones
-    plus every coordinate axis, since the all-ones vector can be orthogonal
-    to the dominant eigenvector) and returns the largest estimate
-    ``||A u||``, which is robust to sign-symmetric spectra where the
-    iterate itself oscillates. Stops when every start's estimate has
-    stabilized to relative changes below 1e-13, or after 20,000 iterations.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    m = A.shape[0]
-    U = np.concatenate([np.full((m, 1), 1.0 / np.sqrt(m)), np.eye(m)], axis=1)
-    estimates = np.linalg.norm(A @ U, axis=0)
-    for _ in range(_SRIP_MAX_ITER):
-        V = A @ U
-        norms = np.linalg.norm(V, axis=0)
-        alive = norms > 0.0
-        if not alive.any():
-            break
-        U = np.where(alive, V / np.where(alive, norms, 1.0), U)
-        new_estimates = np.linalg.norm(A @ U, axis=0)
-        done = np.abs(new_estimates - estimates) <= _SRIP_REL_TOL * np.maximum(
-            new_estimates, 1e-300
-        )
-        estimates = new_estimates
-        if done.all():
-            break
-    return float(estimates.max())
+    a = _checked_inners(X, beta, layer)
+    return _omega_ols_from_stats(a, basis_gram_matrix(layer), beta)
 
 
 def omega_orth(K, variant: str):
@@ -146,12 +117,7 @@ def omega_orth(K, variant: str):
         diff = K - eye
         return ad.summation(diff * diff)
     if variant == "SRIP":
-        if ad.is_tensor(K):
-            # Differentiable path: dense eigendecomposition with the exact
-            # dominant-eigenpair gradient. Agrees with power iteration to
-            # well below 1e-8 on the matrices arising here.
-            return ad.spectral_norm_sym(K - eye)
-        return srip_power_iteration(np.asarray(K, dtype=np.float64) - eye)
+        return ad.spectral_norm_sym(K - eye)
     # MC: largest absolute off-diagonal entry.
     if m == 1:
         return 0.0
@@ -165,17 +131,29 @@ def omega_l1(beta):
     return ad.mean(ad.summation(ad.absolute(beta), axis=1))
 
 
+def _add_regularizers(obj, a, beta, layer: GduLayer, cfg: RegConfig):
+    """``obj`` plus the mode-appropriate weighted regularization terms.
+
+    ``a`` holds the inner products ``<phi(x_i), mu_j>`` that produced
+    ``beta`` and is read only by OLS. The basis Gram matrix is built once,
+    and only when OLS or projection-mode ORTH needs it. Each present term is
+    added to ``obj`` in turn, so absent terms put no node on a tape.
+    """
+    geometry = layer.mode in GEOMETRY_MODES
+    use_orth = not geometry and cfg.lambda_orth > 0.0
+    if cfg.lambda_ols > 0.0 or use_orth:
+        k_bases = basis_gram_matrix(layer)
+        if cfg.lambda_ols > 0.0:
+            obj = obj + cfg.lambda_ols * _omega_ols_from_stats(a, k_bases, beta)
+        if use_orth:
+            obj = obj + cfg.lambda_orth * omega_orth(k_bases, cfg.orth_variant)
+    if geometry and cfg.lambda_l1 > 0.0:
+        obj = obj + cfg.lambda_l1 * omega_l1(beta)
+    return obj
+
+
 def omega_total(X, beta, layer: GduLayer, cfg: RegConfig):
     """Mode-appropriate combination of the regularization terms."""
-    total = 0.0
-    if cfg.lambda_ols > 0.0:
-        total = total + cfg.lambda_ols * omega_ols(X, beta, layer)
-    if layer.mode in GEOMETRY_MODES:
-        if cfg.lambda_l1 > 0.0:
-            total = total + cfg.lambda_l1 * omega_l1(beta)
-    else:
-        if cfg.lambda_orth > 0.0:
-            total = total + cfg.lambda_orth * omega_orth(
-                gram_bases(layer), cfg.orth_variant
-            )
-    return total
+    beta = _as_beta_array(beta)
+    a = _checked_inners(X, beta, layer) if cfg.lambda_ols > 0.0 else None
+    return _add_regularizers(0.0, a, beta, layer, cfg)

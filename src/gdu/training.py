@@ -22,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .layer import (
     ACTIVATIONS,
-    GEOMETRY_MODES,
     DomainBasis,
     GduLayer,
     LearningMachine,
@@ -30,14 +29,12 @@ from .layer import (
     _gate_from_inners,
     basis_gram_matrix,
     forward_batch,
-    gate_matrix,
 )
 from .regularization import (
     RegConfig,
+    _add_regularizers,
     _omega_ols_from_stats,
-    gram_bases,
     omega_l1,
-    omega_ols,
     omega_orth,
 )
 
@@ -358,22 +355,11 @@ def _build_objective(model, X, y, reg: RegConfig, train_mode: str):
     feats = _graph_fe(model, params_t, X, train_mode)
     if isinstance(model, GduModel):
         layer_t = _graph_layer(model, params_t)
-        # Gating stats and the basis Gram matrix are shared between the
-        # gate, the reconstruction term, and the orthogonality term; this
-        # mirrors omega_total without recomputing kernel blocks.
+        # The gate's inner products are shared with the reconstruction term.
         a, norms = _basis_inners(feats, layer_t)
         beta = _gate_from_inners(a, norms, layer_t.mode, layer_t.kappa)
         logits = forward_batch(feats, layer_t, beta=beta)
-        obj = cross_entropy_mean(logits, y)
-        geometry = layer_t.mode in GEOMETRY_MODES
-        if reg.lambda_ols > 0.0 or (not geometry and reg.lambda_orth > 0.0):
-            k_bases = basis_gram_matrix(layer_t)
-            if reg.lambda_ols > 0.0:
-                obj = obj + reg.lambda_ols * _omega_ols_from_stats(a, k_bases, beta)
-            if not geometry and reg.lambda_orth > 0.0:
-                obj = obj + reg.lambda_orth * omega_orth(k_bases, reg.orth_variant)
-        if geometry and reg.lambda_l1 > 0.0:
-            obj = obj + reg.lambda_l1 * omega_l1(beta)
+        obj = _add_regularizers(cross_entropy_mean(logits, y), a, beta, layer_t, reg)
     else:
         heads_t = [
             LearningMachine(
@@ -403,14 +389,22 @@ def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
     obj, params_t = _build_objective(
         model, np.asarray(X, dtype=np.float64), y, reg, train_mode
     )
-    if not isinstance(obj, ad.Tensor):
-        return {name: np.zeros_like(t.data) for name, t in params_t.items()}
-    obj.backward()
+    return _backprop(obj, params_t)
+
+
+def _backprop(obj, params_t: dict, where: str = "") -> dict:
+    """Backpropagate ``obj`` and return each block's gradient, checked finite.
+
+    Blocks the objective does not reach get zeros; ``where`` is appended to
+    the error message that names a non-finite block.
+    """
+    if isinstance(obj, ad.Tensor):
+        obj.backward()
     grads = {}
     for name, t in params_t.items():
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in block {name!r}")
+            raise NonFiniteGradientError(f"non-finite gradient in block {name!r}{where}")
         grads[name] = g
     return grads
 
@@ -468,11 +462,14 @@ class _Sgd:
 def _epoch_metrics(model, feats_train, y_train, reg: RegConfig, track_srip: bool):
     """Task loss and raw regularizer values on the (extracted) training set."""
     if isinstance(model, GduModel):
-        beta = gate_matrix(feats_train, model.layer)
-        logits = np.asarray(forward_batch(feats_train, model.layer, beta=beta))
+        # One pass of kernel statistics feeds the gate and every regularizer.
+        layer = model.layer
+        a, norms = _basis_inners(feats_train, layer)
+        beta = _gate_from_inners(a, norms, layer.mode, layer.kappa)
+        logits = np.asarray(forward_batch(feats_train, layer, beta=beta))
         ce = float(ad.value_of(cross_entropy_mean(logits, y_train)))
-        k_bases = np.asarray(gram_bases(model.layer))
-        ols = float(ad.value_of(omega_ols(feats_train, beta, model.layer)))
+        k_bases = np.asarray(basis_gram_matrix(layer))
+        ols = float(ad.value_of(_omega_ols_from_stats(a, k_bases, beta)))
         orth = float(omega_orth(k_bases, reg.orth_variant))
         l1 = float(omega_l1(beta))
         srip = float(omega_orth(k_bases, "SRIP")) if track_srip else None
@@ -524,16 +521,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
             if not np.isfinite(float(ad.value_of(obj))):
                 raise TrainingDivergedError(epoch)
             if isinstance(obj, ad.Tensor):
-                obj.backward()
-                grads = {}
-                for name, t in params_t.items():
-                    g = t.grad if t.grad is not None else np.zeros_like(t.data)
-                    if not np.all(np.isfinite(g)):
-                        raise NonFiniteGradientError(
-                            f"non-finite gradient in block {name!r} at epoch {epoch}"
-                        )
-                    grads[name] = g
-                opt.step(params, grads)
+                opt.step(params, _backprop(obj, params_t, f" at epoch {epoch}"))
 
         feats_train = (
             feats_train_const if frozen_fe else np.asarray(fe_forward(train_x, model.fe))

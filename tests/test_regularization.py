@@ -14,10 +14,9 @@ from gdu.regularization import (
     omega_ols,
     omega_orth,
     omega_total,
-    srip_power_iteration,
 )
 
-from oracles import omega_ols_brute
+from oracles import omega_ols_brute, srip_power_iteration
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -147,13 +146,18 @@ def test_orth_so_strictly_positive_off_identity():
 
 
 def test_srip_power_iteration_matches_dense_eig():
+    # The power-iteration oracle agrees with a dense eigensolver, and so does
+    # omega_orth's exact SRIP on the same 180 random basis Gram matrices.
     rng = np.random.default_rng(6)
     for m in range(2, 11):
         for _ in range(20):
             layer = random_layer(rng, m=m, n=3, e=2)
-            a = np.asarray(gram_bases(layer)) - np.eye(m)
+            k = np.asarray(gram_bases(layer))
+            a = k - np.eye(m)
             dense = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-            assert srip_power_iteration(a) == pytest.approx(dense, abs=1e-8)
+            oracle = srip_power_iteration(a)
+            assert oracle == pytest.approx(dense, abs=1e-8)
+            assert omega_orth(k, "SRIP") == pytest.approx(oracle, abs=1e-8)
 
 
 def test_srip_sign_symmetric_spectrum():
@@ -161,6 +165,7 @@ def test_srip_sign_symmetric_spectrum():
     # even though the power iterate never settles.
     a = np.array([[0.0, 0.5], [0.5, 0.0]])
     assert srip_power_iteration(a) == pytest.approx(0.5, abs=1e-12)
+    assert omega_orth(a + np.eye(2), "SRIP") == pytest.approx(0.5, abs=1e-12)
 
 
 def test_orth_rejects_bad_input():

@@ -1,13 +1,21 @@
 """Feature extractor, losses, gradients, and the training loop."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from gdu.kernel import KernelConfig
-from gdu.layer import init_layer
-from gdu.regularization import RegConfig, gram_bases, omega_total
+from gdu.layer import gate_matrix, init_layer
+from gdu.regularization import (
+    RegConfig,
+    gram_bases,
+    omega_l1,
+    omega_ols,
+    omega_orth,
+    omega_total,
+)
 from gdu.training import (
     DatasetSplits,
     ErmModel,
@@ -177,6 +185,20 @@ def test_ft_mode_excludes_extractor_blocks():
     assert any(name.startswith("fe.") for name in grads_e2e)
 
 
+def test_gradients_leave_no_cyclic_garbage():
+    # Tape nodes must not reference themselves, or every graph (with its
+    # gradients) outlives the step until the cyclic collector runs.
+    model, X, y = build_small_gdu(0, "CS")
+    reg = RegConfig(lambda_ols=0.5, lambda_l1=0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        gradients((X, y), model, reg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_erm_model_gradients_match_fd():
     rng = np.random.default_rng(6)
     model = init_erm_model([4, 4], 3, n_heads=3, seed=8, nonlinearity="tanh")
@@ -292,10 +314,32 @@ def test_srip_tracking_and_trace_csv_columns():
     assert text.splitlines()[0] == "epoch,loss,val_acc,srip,omega_ols,omega_orth,omega_l1"
     assert all(r.srip is not None for r in trace.rows)
     # SRIP column reflects the spectral penalty on the basis Gram matrix.
-    from gdu.regularization import omega_orth
-
     expected = float(omega_orth(np.asarray(gram_bases(model.layer)), "SRIP"))
     assert trace.rows[-1].srip == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
+@pytest.mark.parametrize("variant", ["SO", "SRIP", "MC"])
+def test_trace_regularizer_columns_match_standalone_terms(mode, variant):
+    # One epoch: the restored best snapshot is the epoch-0 parameters that
+    # the trace row was computed from.
+    data = separable_splits(9)
+    model = small_gdu_for_training(9, mode=mode, m=3)
+    reg = RegConfig(
+        lambda_ols=1e-3, lambda_orth=1e-3, lambda_l1=1e-3, orth_variant=variant
+    )
+    config = TrainConfig(max_epochs=1, patience=1, seed=11, reg=reg)
+    _, trace = train(data, config, model)
+    feats = np.asarray(fe_forward(data.train_x, model.fe))
+    beta = gate_matrix(feats, model.layer)
+    row = trace.rows[0]
+    assert row.omega_ols == pytest.approx(
+        float(omega_ols(feats, beta, model.layer)), abs=1e-12
+    )
+    assert row.omega_orth == pytest.approx(
+        float(omega_orth(gram_bases(model.layer), variant)), abs=1e-12
+    )
+    assert row.omega_l1 == pytest.approx(float(omega_l1(beta)), abs=1e-12)
 
 
 def test_config_validation():
