@@ -10,6 +10,10 @@ All module-level functions (``exp``, ``summation``, ``matmul_`` via ``@``,
 evaluate eagerly and return numpy results. This lets the same numerical
 code serve both inference (arrays in, arrays out) and training (tensors
 in, gradients out).
+
+Only tensors are differentiated. A numpy array or scalar operand of a
+tensor operation is a constant: it is not recorded on the tape, and no
+gradient is computed for it.
 """
 
 from __future__ import annotations
@@ -81,8 +85,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # An owned copy: ``g`` may be a view shared with other nodes.
+            self.grad = np.empty(self.data.shape)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def detach(self):
         return Tensor(self.data)
@@ -206,6 +213,11 @@ def detach(x):
     return x.detach() if isinstance(x, Tensor) else x
 
 
+def _tensors(parts):
+    """The tape parents among ``parts``: its tensors, in order."""
+    return tuple(p for p in parts if isinstance(p, Tensor))
+
+
 def _unbroadcast(g, shape):
     """Reduce gradient ``g`` to ``shape`` by summing broadcast axes."""
     g = np.asarray(g)
@@ -221,15 +233,17 @@ def _unbroadcast(g, shape):
 
 
 def _binary(a, b, fwd, da, db):
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
+    a_t, b_t = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not a_t and not b_t:
         return fwd(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    at = a if isinstance(a, Tensor) else Tensor(a)
-    bt = b if isinstance(b, Tensor) else Tensor(b)
-    out = Tensor(fwd(at.data, bt.data), (at, bt))
+    av, bv = value_of(a), value_of(b)
+    out = Tensor(fwd(av, bv), _tensors((a, b)))
 
     def bw(g):
-        at._accumulate(_unbroadcast(da(g, at.data, bt.data), at.data.shape))
-        bt._accumulate(_unbroadcast(db(g, at.data, bt.data), bt.data.shape))
+        if a_t:
+            a._accumulate(_unbroadcast(da(g, av, bv), av.shape))
+        if b_t:
+            b._accumulate(_unbroadcast(db(g, av, bv), bv.shape))
 
     out._backward = bw
     return out
@@ -252,28 +266,21 @@ def _unary(a, fwd, da):
 
 
 def _matmul(a, b):
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    at = a if isinstance(a, Tensor) else Tensor(a)
-    bt = b if isinstance(b, Tensor) else Tensor(b)
-    if at.data.ndim > 2 or bt.data.ndim > 2:
+    a_t, b_t = isinstance(a, Tensor), isinstance(b, Tensor)
+    av, bv = value_of(a), value_of(b)
+    if not a_t and not b_t:
+        return av @ bv
+    if av.ndim > 2 or bv.ndim > 2:
         raise ValueError("matmul supports 1-D and 2-D operands only")
-    out = Tensor(at.data @ bt.data, (at, bt))
+    out = Tensor(av @ bv, _tensors((a, b)))
 
+    # A 1-D operand contributes an outer product; for a dot product ``g`` is
+    # 0-d and the outer product reduces to ``g * v``.
     def bw(g):
-        av, bv = at.data, bt.data
-        if av.ndim == 1 and bv.ndim == 2:  # (k,) @ (k,n) -> (n,)
-            at._accumulate(g @ bv.T)
-            bt._accumulate(np.outer(av, g))
-        elif av.ndim == 2 and bv.ndim == 1:  # (m,k) @ (k,) -> (m,)
-            at._accumulate(np.outer(g, bv))
-            bt._accumulate(av.T @ g)
-        elif av.ndim == 1 and bv.ndim == 1:  # dot product
-            at._accumulate(g * bv)
-            bt._accumulate(g * av)
-        else:  # (m,k) @ (k,n)
-            at._accumulate(g @ bv.T)
-            bt._accumulate(av.T @ g)
+        if a_t:
+            a._accumulate(g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv))
+        if b_t:
+            b._accumulate(av.T @ g if av.ndim == 2 else np.multiply.outer(av, g))
 
     out._backward = bw
     return out
@@ -399,34 +406,37 @@ def transpose(x):
 
 
 def stack(parts, axis=0):
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.stack([np.asarray(p, dtype=np.float64) for p in parts], axis=axis)
-    ts = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
-    out = Tensor(np.stack([t.data for t in ts], axis=axis), tuple(ts))
+    data = np.stack([value_of(p) for p in parts], axis=axis)
+    parents = _tensors(parts)
+    if not parents:
+        return data
+    out = Tensor(data, parents)
 
     def bw(g):
-        for i, t in enumerate(ts):
-            t._accumulate(np.take(g, i, axis=axis))
+        for i, p in enumerate(parts):
+            if isinstance(p, Tensor):
+                p._accumulate(np.take(g, i, axis=axis))
 
     out._backward = bw
     return out
 
 
 def concatenate(parts, axis=0):
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.concatenate(
-            [np.asarray(p, dtype=np.float64) for p in parts], axis=axis
-        )
-    ts = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis), tuple(ts))
-    sizes = [t.data.shape[axis] for t in ts]
+    values = [value_of(p) for p in parts]
+    data = np.concatenate(values, axis=axis)
+    parents = _tensors(parts)
+    if not parents:
+        return data
+    out = Tensor(data, parents)
+    sizes = [v.shape[axis] for v in values]
 
     def bw(g):
         offset = 0
-        for t, size in zip(ts, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offset, offset + size)
-            t._accumulate(g[tuple(sl)])
+        for p, size in zip(parts, sizes):
+            if isinstance(p, Tensor):
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(offset, offset + size)
+                p._accumulate(g[tuple(sl)])
             offset += size
 
     out._backward = bw

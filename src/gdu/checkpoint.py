@@ -39,25 +39,21 @@ class CheckpointError(ValueError):
     """Raised for malformed or incompatible checkpoint contents."""
 
 
-def _encode_float(x: float) -> str:
-    return float(x).hex()
-
-
 def _field_token(value) -> str:
     if value is None:
         return "-"
     if isinstance(value, str):
         return value
-    return _encode_float(value)
+    return float(value).hex()
 
 
 def _emit_block(lines: list, key: str, array: np.ndarray):
     array = np.asarray(array, dtype=np.float64)
     dims = " ".join(str(d) for d in array.shape)
     lines.append(f"block {key} {array.ndim} {dims} {array.size}".rstrip())
-    flat = array.ravel()
-    for start in range(0, flat.size, _VALUES_PER_LINE):
-        lines.append(" ".join(_encode_float(v) for v in flat[start : start + _VALUES_PER_LINE]))
+    flat = array.ravel().tolist()
+    for start in range(0, len(flat), _VALUES_PER_LINE):
+        lines.append(" ".join(map(float.hex, flat[start : start + _VALUES_PER_LINE])))
 
 
 class _Reader:
@@ -103,7 +99,11 @@ class _Reader:
             raise CheckpointError(
                 f"block {key!r} declares {count} values for shape {shape}"
             )
-        values = [float.fromhex(self.next()) for _ in range(count)]
+        end = self.pos + count
+        if end > len(self.tokens):
+            raise CheckpointError("unexpected end of checkpoint")
+        values = list(map(float.fromhex, self.tokens[self.pos : end]))
+        self.pos = end
         return np.array(values, dtype=np.float64).reshape(shape)
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import squared_distances
+
 __all__ = [
     "ClusteringResult",
     "ScoreRow",
@@ -40,14 +42,6 @@ class ScoreRow:
     k: int
     mean_db: float
     std_db: float
-
-
-def _squared_distances_to(X, centroids):
-    return (
-        np.sum(X**2, axis=1, keepdims=True)
-        + np.sum(centroids**2, axis=1)
-        - 2.0 * X @ centroids.T
-    )
 
 
 def _kmeans_pp_init(X, k, rng):
@@ -82,7 +76,7 @@ def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResu
     assignments = np.full(n, -1)
     last_inertia = np.inf
     for _ in range(_MAX_LLOYD_ITER):
-        d2 = np.maximum(_squared_distances_to(X, centroids), 0.0)
+        d2 = squared_distances(X, centroids)
         new_assignments = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), new_assignments].sum())
         if check_monotone:
@@ -99,7 +93,7 @@ def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResu
                 assignments[farthest] = j
             else:
                 centroids[j] = members.mean(axis=0)
-    d2 = np.maximum(_squared_distances_to(X, centroids), 0.0)
+    d2 = squared_distances(X, centroids)
     inertia = float(d2[np.arange(n), assignments].sum())
     return ClusteringResult(assignments, centroids, inertia)
 
@@ -120,9 +114,7 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
         spreads[j] = np.mean(
             np.sqrt(np.sum((members - result.centroids[j]) ** 2, axis=1))
         )
-    separations = np.sqrt(
-        np.maximum(_squared_distances_to(result.centroids, result.centroids), 0.0)
-    )
+    separations = np.sqrt(squared_distances(result.centroids, result.centroids))
     worst = np.zeros(k)
     for i in range(k):
         ratios = [

@@ -62,26 +62,59 @@ def gaussian_kernel(x, y, cfg: KernelConfig) -> float:
 
 
 def squared_distances(X, Y):
-    """Pairwise squared Euclidean distances between rows of X and rows of Y."""
-    xx = ad.summation(X * X, axis=1, keepdims=True)
-    yy = ad.summation(Y * Y, axis=1, keepdims=True)
-    cross = X @ ad.transpose(Y)
-    d2 = xx + ad.transpose(yy) - 2.0 * cross
-    # Floating-point cancellation can leave tiny negatives on the diagonal.
-    return ad.maximum(d2, 0.0)
+    """Pairwise squared Euclidean distances between rows of X and rows of Y.
+
+    Computed as ``||x||^2 + ||y||^2 - 2 x.y`` and clamped at zero, because
+    floating-point cancellation can leave tiny negatives where rows nearly
+    coincide. Arrays only.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    xx = np.sum(X * X, axis=1, keepdims=True)
+    yy = np.sum(Y * Y, axis=1, keepdims=True)
+    return np.maximum(xx + yy.T - 2.0 * (X @ Y.T), 0.0)
 
 
 def gram(X, Y, cfg: KernelConfig):
     """Kernel matrix ``G[i, j] = k(X_i, Y_j)``.
 
-    Accepts numpy arrays or autodiff tensors; the result type follows the
-    inputs.
+    Arrays in give an array out. If either input is a tensor, the result is
+    one tape node whose backward is closed-form: with ``W = g * G / sigma^2``
+    for the output gradient ``g``,
+
+        dX = W Y - diag(W 1) X,    dY = W^T X - diag(W^T 1) Y,
+
+    since ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2``. Where the distance
+    clamp fires the two rows coincide up to rounding, so ``y - x`` is
+    already ~0 there and no clamp mask is needed. Only tensor inputs get a
+    gradient.
     """
-    xs, ys = ad.value_of(X).shape, ad.value_of(Y).shape
-    if len(xs) != 2 or len(ys) != 2:
+    Xv, Yv = ad.value_of(X), ad.value_of(Y)
+    if Xv.ndim != 2 or Yv.ndim != 2:
         raise ValueError("gram expects 2-D row matrices")
-    _check_feature_dims("X", xs[1], "Y", ys[1])
-    return ad.exp(squared_distances(X, Y) / (-2.0 * cfg.sigma**2))
+    _check_feature_dims("X", Xv.shape[1], "Y", Yv.shape[1])
+    G = np.exp(squared_distances(Xv, Yv) / (-2.0 * cfg.sigma**2))
+    x_t, y_t = ad.is_tensor(X), ad.is_tensor(Y)
+    if not x_t and not y_t:
+        return G
+    inv_s2 = 1.0 / cfg.sigma**2
+    same = X is Y
+
+    def bw(g):
+        W = g * G
+        W *= inv_s2
+        if same:  # both terms land on X: dX = S X - diag(S 1) X, S = W + W^T
+            W = W + W.T
+        if x_t:
+            dX = W @ Yv
+            dX -= W.sum(axis=1, keepdims=True) * Xv
+            X._accumulate(dX)
+        if y_t and not same:
+            dY = W.T @ Xv
+            dY -= W.sum(axis=0)[:, None] * Yv
+            Y._accumulate(dY)
+
+    return ad.Tensor(G, tuple(t for t in (X, Y) if ad.is_tensor(t)), bw)
 
 
 def median_heuristic(X) -> float:
@@ -97,7 +130,7 @@ def median_heuristic(X) -> float:
     n = X.shape[0]
     if n < 2:
         raise ValueError(f"median_heuristic needs at least two rows, got {n}")
-    d2 = np.asarray(squared_distances(X, X))
+    d2 = squared_distances(X, X)
     pairs = d2[np.triu_indices(n, k=1)]
     med = float(np.median(pairs))
     if med <= 0.0:

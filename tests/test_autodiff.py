@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from gdu import autodiff as ad
+from gdu.regularization import RegConfig
+from gdu.training import gradients, trainable_arrays
 
+from helpers import build_small_gdu
 from oracles import fd_gradient, max_relative_error
 
 
@@ -151,3 +154,54 @@ def test_numpy_left_operand_defers_to_tensor():
     assert ad.is_tensor(out)
     ad.summation(out).backward()
     np.testing.assert_allclose(x.grad, np.ones((2, 2)))
+
+
+def test_constant_operands_are_not_tape_parents():
+    rng = np.random.default_rng(8)
+    x = ad.tensor(rng.normal(size=(3, 3)))
+    c = rng.normal(size=(3, 3))
+    for out in (x + c, c + x, x * c, c * x, x @ c, c @ x, 2.0 * x, x - 1.0):
+        assert out._parents == (x,)
+    parts = [c, x]
+    assert ad.stack(parts)._parents == (x,)
+    assert ad.concatenate(parts)._parents == (x,)
+
+    # The constant side gets no gradient; the tensor side still does.
+    out = ad.summation(c @ x) + ad.summation(ad.concatenate(parts) ** 2)
+    out.backward()
+    expected = c.T @ np.ones((3, 3)) + 2.0 * x.data
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-12)
+
+
+def test_first_gradient_is_an_owned_copy():
+    # ``+`` hands the same output gradient to both operands; each leaf must
+    # still own its gradient, or a later contribution to one would leak
+    # into the other.
+    for x_last in (False, True):
+        x, y = ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3)))
+        terms = [ad.summation(x + y), ad.summation(x * 3.0)]
+        out = terms[1] + terms[0] if x_last else terms[0] + terms[1]
+        out.backward()
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
+        np.testing.assert_array_equal(y.grad, np.ones((2, 3)))
+
+
+def test_gradient_blocks_do_not_alias():
+    model, X, y = build_small_gdu(3, "CS")
+    reg = RegConfig(lambda_ols=0.5, lambda_l1=0.5)
+    grads = gradients((X, y), model, reg)
+    params = trainable_arrays(model, "E2E")
+    for name, g in grads.items():
+        assert not any(np.shares_memory(g, p) for p in params.values())
+        assert not any(np.shares_memory(g, h) for k, h in grads.items() if k != name)
+    grads_before = {k: g.copy() for k, g in grads.items()}
+    params_before = {k: p.copy() for k, p in params.items()}
+    for name in grads:
+        grads[name][...] = np.nan
+        for other, g in grads.items():
+            if other != name:
+                np.testing.assert_array_equal(g, grads_before[other])
+        for pname, p in params.items():
+            np.testing.assert_array_equal(p, params_before[pname])
+        grads[name][...] = grads_before[name]

@@ -48,6 +48,16 @@ def test_layer_text_stable_across_round_trips():
     assert layer_to_text(layer_from_text(text)) == text
 
 
+def test_block_text_matches_the_v1_layout():
+    layer = awkward_layer()
+    layer.bases[0].vectors[1, 1] = -0.0
+    flat = [float(v) for v in layer.bases[0].vectors.ravel()]  # 4 x 5
+    lines = ["block basis0 2 4 5 20"] + [
+        " ".join(v.hex() for v in flat[i : i + 8]) for i in range(0, 20, 8)
+    ]
+    assert "\n" + "\n".join(lines) + "\n" in layer_to_text(layer)
+
+
 def test_gdu_model_round_trip(tmp_path):
     fe = init_feature_extractor([4, 6, 5], seed=3, nonlinearity="tanh")
     layer = init_layer(2, 3, 5, 3, seed=4, mode="MMD", kernel=KernelConfig(2.0), kappa=2.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gdu import autodiff as ad
 from gdu.kernel import (
     DegenerateDataError,
     DimensionMismatchError,
@@ -13,6 +14,8 @@ from gdu.kernel import (
     gram,
     median_heuristic,
 )
+
+from oracles import fd_gradient, max_relative_error
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -88,6 +91,70 @@ def test_gram_positive_semidefinite_up_to_n50():
 def test_gram_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         gram(np.zeros((2, 3)), np.zeros((2, 4)), CFG)
+
+
+def _check_gram_gradient(arrays, operands, sigma, tol=5e-6):
+    """Central-FD check of ``sum(R * gram(X, Y))`` for a fixed random R.
+
+    ``operands(ts)`` picks the two gram inputs from ``ts``, a dict of leaf
+    tensors built from ``arrays`` (or ``arrays`` itself when finite
+    differencing); it may return a plain array as a constant operand.
+    Returns the leaf tensors after backward.
+    """
+    cfg = KernelConfig(sigma)
+    R = np.random.default_rng(99).normal(size=gram(*operands(arrays), cfg).shape)
+
+    def value(ts):
+        return ad.summation(gram(*operands(ts), cfg) * R)
+
+    ts = {k: ad.tensor(v) for k, v in arrays.items()}
+    value(ts).backward()
+    analytic = {k: t.grad for k, t in ts.items()}
+    numeric = fd_gradient(lambda: float(value(arrays)), arrays)
+    assert max_relative_error(analytic, numeric) < tol
+    return ts
+
+
+def test_gram_gradient_two_tensors():
+    rng = np.random.default_rng(10)
+    arrays = {"X": rng.normal(size=(5, 3)), "Y": rng.normal(size=(4, 3))}
+    for sigma in (0.7, 1.5):
+        _check_gram_gradient(arrays, lambda t: (t["X"], t["Y"]), sigma)
+
+
+def test_gram_gradient_same_tensor_both_sides():
+    rng = np.random.default_rng(11)
+    arrays = {"X": rng.normal(size=(6, 3))}
+    _check_gram_gradient(arrays, lambda t: (t["X"], t["X"]), 1.2)
+
+
+def test_gram_gradient_with_plain_array_operand():
+    rng = np.random.default_rng(12)
+    arrays = {"X": rng.normal(size=(5, 3))}
+    Y = rng.normal(size=(4, 3))
+    for operands in (lambda t: (t["X"], Y), lambda t: (Y, t["X"])):
+        ts = _check_gram_gradient(arrays, operands, 1.1)
+        assert gram(*operands(ts), CFG)._parents == (ts["X"],)
+
+
+def test_gram_gradient_where_the_distance_clamp_fires():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(5, 3)) * 3 + 1
+    X[3], X[4] = X[1], X[0]
+    xx = np.sum(X * X, axis=1, keepdims=True)
+    assert np.any(xx + xx.T - 2.0 * (X @ X.T) < 0.0)  # the clamp fires
+    _check_gram_gradient({"X": X}, lambda t: (t["X"], t["X"]), 1.3)
+    arrays = {"X": X, "Y": X.copy()}
+    _check_gram_gradient(arrays, lambda t: (t["X"], t["Y"]), 1.3)
+
+
+def test_gram_is_one_tape_node():
+    rng = np.random.default_rng(13)
+    x, y = ad.tensor(rng.normal(size=(3, 2))), ad.tensor(rng.normal(size=(4, 2)))
+    G = gram(x, y, CFG)
+    assert G._parents == (x, y)
+    np.testing.assert_array_equal(G.data, gram(x.data, y.data, CFG))
+    assert isinstance(gram(x.data, y.data, CFG), np.ndarray)
 
 
 def test_median_heuristic_hand_enumeration():
