@@ -3,6 +3,12 @@
 The kernel is fixed to the Gaussian ``k(x, y) = exp(-||x - y||^2 / (2 sigma^2))``,
 matching the squared-bandwidth convention of the median heuristic
 ``sigma^2 = median{||x_i - x_j||^2}``.
+
+Empirical kernel mean embeddings reduce to block means of a Gram matrix:
+``<mu_p, mu_q>`` is the mean of the (p, q) block. :func:`gram_block_means`
+gives all of them at once and :func:`gram_diagonal_block_means` only the
+squared norms ``||mu_p||^2``; each is one autodiff tape node with a
+closed-form backward, and :func:`gram` is the one-row-block case.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ __all__ = [
     "DegenerateDataError",
     "gaussian_kernel",
     "gram",
+    "gram_block_means",
+    "gram_diagonal_block_means",
     "median_heuristic",
 ]
 
@@ -66,13 +74,14 @@ def squared_distances(X, Y):
 
     Computed as ``||x||^2 + ||y||^2 - 2 x.y`` and clamped at zero, because
     floating-point cancellation can leave tiny negatives where rows nearly
-    coincide. Arrays only.
+    coincide. Leading axes batch: (..., n, e) and (..., m, e) give
+    (..., n, m). Arrays only.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    xx = np.sum(X * X, axis=1, keepdims=True)
-    yy = np.sum(Y * Y, axis=1, keepdims=True)
-    return np.maximum(xx + yy.T - 2.0 * (X @ Y.T), 0.0)
+    xx = np.sum(X * X, axis=-1)[..., :, None]
+    yy = np.sum(Y * Y, axis=-1)[..., None, :]
+    return np.maximum(xx + yy - 2.0 * (X @ np.swapaxes(Y, -1, -2)), 0.0)
 
 
 def gram(X, Y, cfg: KernelConfig):
@@ -87,24 +96,53 @@ def gram(X, Y, cfg: KernelConfig):
     since ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2``. Where the distance
     clamp fires the two rows coincide up to rounding, so ``y - x`` is
     already ~0 there and no clamp mask is needed. Only tensor inputs get a
-    gradient.
+    gradient. This is :func:`gram_block_means` with blocks of one row.
+    """
+    return gram_block_means(X, Y, cfg, 1, 1)
+
+
+def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
+    """Block means of ``gram(X, Y)``, shape (rows(X) / n_x, rows(Y) / n_y).
+
+    ``K[p, q]`` is the mean of the (p, q) block, whose rows are the p-th run
+    of ``n_x`` rows of X and whose columns are the q-th run of ``n_y`` rows
+    of Y. When the runs are the point sets of empirical kernel mean
+    embeddings, ``K[p, q] = <mu_p, mu_q>``; ``n_x = 1`` gives the inner
+    products ``<phi(x_i), mu_q>``.
+
+    Arrays in give an array out; otherwise the result is one tape node. The
+    forward reduces in the order of ``mean(mean(reshape(gram), 3), 1)``, so
+    it is bit-identical to that chain. The backward expands the small
+    gradient ``g``, scaled by ``1 / (n_x n_y sigma^2)``, over the blocks to
+    ``W = G * E(g)`` and applies the closed form of :func:`gram`. With one
+    tensor on both sides G is exactly symmetric, so both terms land on X as
+    ``dX = S X - diag(S 1) X`` with ``S = W + W^T = G * E(g + g^T)``.
     """
     Xv, Yv = ad.value_of(X), ad.value_of(Y)
     if Xv.ndim != 2 or Yv.ndim != 2:
         raise ValueError("gram expects 2-D row matrices")
     _check_feature_dims("X", Xv.shape[1], "Y", Yv.shape[1])
     G = np.exp(squared_distances(Xv, Yv) / (-2.0 * cfg.sigma**2))
+    rows_x, rows_y = G.shape
+    if n_x < 1 or n_y < 1 or rows_x % n_x or rows_y % n_y:
+        raise ValueError(
+            f"blocks of {n_x} x {n_y} rows do not tile a {rows_x} x {rows_y} gram"
+        )
+    p, q = rows_x // n_x, rows_y // n_y
+    blocks = G.reshape(p, n_x, q, n_y)
+    K = blocks.sum(axis=3) / n_y
+    K = K.sum(axis=1) / n_x
     x_t, y_t = ad.is_tensor(X), ad.is_tensor(Y)
     if not x_t and not y_t:
-        return G
-    inv_s2 = 1.0 / cfg.sigma**2
-    same = X is Y
+        return K
+    scale = 1.0 / (n_x * n_y * cfg.sigma**2)
+    same = X is Y and n_x == n_y
 
     def bw(g):
-        W = g * G
-        W *= inv_s2
-        if same:  # both terms land on X: dX = S X - diag(S 1) X, S = W + W^T
-            W = W + W.T
+        s = g * scale
+        if same:
+            s = s + s.T
+        W = (blocks * s[:, None, :, None]).reshape(rows_x, rows_y)
         if x_t:
             dX = W @ Yv
             dX -= W.sum(axis=1, keepdims=True) * Xv
@@ -114,7 +152,41 @@ def gram(X, Y, cfg: KernelConfig):
             dY -= W.sum(axis=0)[:, None] * Yv
             Y._accumulate(dY)
 
-    return ad.Tensor(G, tuple(t for t in (X, Y) if ad.is_tensor(t)), bw)
+    return ad.Tensor(K, tuple(t for t in (X, Y) if ad.is_tensor(t)), bw)
+
+
+def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
+    """Means of the diagonal blocks of ``gram(X, X)``, shape (rows(X) / n,).
+
+    ``K[p]`` is the mean of ``gram(X_p, X_p)`` for the p-th run ``X_p`` of
+    ``n`` rows, i.e. the squared norm ``||mu_p||^2`` of its kernel mean
+    embedding. One batched pipeline evaluates only the M diagonal (n, n)
+    blocks, bit-identical to M separate ``mean(gram(X_p, X_p))`` calls.
+
+    Arrays in give an array out; a tensor gives one tape node. Each block
+    has one tensor on both sides, so its backward is
+    ``dX_p = S_p X_p - diag(S_p 1) X_p`` with ``S_p = 2 g_p G_p / (n^2 sigma^2)``.
+    """
+    Xv = ad.value_of(X)
+    if Xv.ndim != 2:
+        raise ValueError("gram_diagonal_block_means expects a 2-D row matrix")
+    rows, e = Xv.shape
+    if n < 1 or rows % n:
+        raise ValueError(f"blocks of {n} rows do not tile {rows} rows")
+    Xb = Xv.reshape(rows // n, n, e)
+    G = np.exp(squared_distances(Xb, Xb) / (-2.0 * cfg.sigma**2))
+    K = G.reshape(rows // n, n * n).sum(axis=1) / float(n * n)
+    if not ad.is_tensor(X):
+        return K
+    scale = 2.0 / (n * n * cfg.sigma**2)
+
+    def bw(g):
+        S = G * (g * scale)[:, None, None]
+        dX = S @ Xb
+        dX -= S.sum(axis=2)[:, :, None] * Xb
+        X._accumulate(dX.reshape(rows, e))
+
+    return ad.Tensor(K, (X,), bw)
 
 
 def median_heuristic(X) -> float:
@@ -130,9 +202,17 @@ def median_heuristic(X) -> float:
     n = X.shape[0]
     if n < 2:
         raise ValueError(f"median_heuristic needs at least two rows, got {n}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("median_heuristic needs finite rows")
     d2 = squared_distances(X, X)
-    pairs = d2[np.triu_indices(n, k=1)]
-    med = float(np.median(pairs))
+    # np.median's result, from one in-place partition of the pair values.
+    pairs = np.concatenate([d2[i, i + 1 :] for i in range(n - 1)])
+    k = pairs.size // 2
+    pairs.partition(k)
+    if pairs.size % 2:
+        med = float(pairs[k])
+    else:
+        med = float(np.mean([pairs[:k].max(), pairs[k]]))
     if med <= 0.0:
         raise DegenerateDataError("degenerate data, zero bandwidth")
     return math.sqrt(med)

@@ -10,7 +10,12 @@ sample's feature map against each basis embedding:
 * ``PROJECTION`` - closed-form projection coefficients
   ``beta_j = <phi(x), mu_j> / ||mu_j||^2`` (no normalization, signs free).
 
-The forward pass is the gate-weighted ensemble of the machines' outputs.
+Every kernel statistic the gate and the regularizers read is a block mean
+of one Gaussian Gram over the stacked basis vectors, and each is one tape
+node (:func:`gdu.kernel.gram_block_means`,
+:func:`gdu.kernel.gram_diagonal_block_means`). The forward pass is the
+gate-weighted ensemble of the machines' outputs, run as one matmul over the
+concatenated machine weights. The machines of a layer share one activation.
 All computations accept numpy arrays or autodiff tensors, so the same code
 serves inference and gradient-based training.
 """
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .kernel import KernelConfig, gram
+from .kernel import KernelConfig, gram_block_means, gram_diagonal_block_means
 
 __all__ = [
     "GATING_MODES",
@@ -117,6 +122,9 @@ class GduLayer:
         }
         if len(mdims) != 1:
             raise ValueError("all machines must share weight/bias shapes")
+        acts = {m.activation for m in self.machines}
+        if len(acts) != 1:
+            raise ValueError(f"all machines must share one activation, got {sorted(acts)}")
         ((wshape, _),) = mdims
         if wshape[0] != self.feature_dim:
             raise ValueError(
@@ -160,34 +168,35 @@ def _as_beta_array(beta):
     return beta
 
 
+def _stacked_bases(layer: GduLayer):
+    """All basis vectors as one (M*N, e) matrix, basis after basis."""
+    return ad.concatenate([b.vectors for b in layer.bases], axis=0)
+
+
 def basis_gram_matrix(layer: GduLayer):
     """Pairwise basis-embedding inner products, shape (M, M).
 
-    One kernel matrix over the stacked basis vectors, block-averaged:
-    ``K[i, j] = <mu_i, mu_j> = mean of the (i, j) block``.
+    ``K[i, j] = <mu_i, mu_j>``, the mean of the (i, j) block of the kernel
+    matrix over the stacked basis vectors.
     """
-    all_vectors = ad.concatenate([b.vectors for b in layer.bases], axis=0)
-    m, n = layer.num_bases, layer.basis_size
-    big = gram(all_vectors, all_vectors, layer.kernel)  # (M*N, M*N)
-    blocks = ad.reshape(big, (m, n, m, n))
-    return ad.mean(ad.mean(blocks, axis=3), axis=1)
+    vectors = _stacked_bases(layer)
+    n = layer.basis_size
+    return gram_block_means(vectors, vectors, layer.kernel, n, n)
 
 
 def _basis_inners(X, layer: GduLayer):
     """Per-sample embedding inner products against every basis.
 
     Returns ``(a, norms)`` with ``a[i, j] = <phi(x_i), mu_j>`` of shape
-    (b, M) and ``norms[j] = ||mu_j||^2`` of shape (M,).
+    (b, M) and ``norms[j] = ||mu_j||^2`` of shape (M,). The norms come from
+    the M diagonal (N, N) blocks only, not from the diagonal of
+    :func:`basis_gram_matrix`, which would cost (M*N)^2 kernel entries on
+    every gate evaluation.
     """
-    all_vectors = ad.concatenate([b.vectors for b in layer.bases], axis=0)
+    vectors = _stacked_bases(layer)
     n = layer.basis_size
-    big = gram(X, all_vectors, layer.kernel)  # (b, M*N)
-    b = ad.value_of(X).shape[0]
-    a = ad.mean(ad.reshape(big, (b, layer.num_bases, n)), axis=2)
-    norms = ad.stack(
-        [ad.mean(gram(bs.vectors, bs.vectors, layer.kernel)) for bs in layer.bases]
-    )
-    return a, norms
+    a = gram_block_means(X, vectors, layer.kernel, 1, n)
+    return a, gram_diagonal_block_means(vectors, layer.kernel, n)
 
 
 def _gate_from_inners(a, norms, mode, kappa):
@@ -243,7 +252,7 @@ def gate_batch(X, layer: GduLayer):
     a_batch = ad.mean(a, axis=0, keepdims=True)  # <mu_batch, mu_j>
     if layer.mode == "PROJECTION":
         return ad.reshape(a_batch / ad.reshape(norms, (1, -1)), (-1,))
-    self_norm = ad.mean(gram(X, X, layer.kernel))
+    self_norm = gram_diagonal_block_means(X, layer.kernel, ad.value_of(X).shape[0])
     h = _similarity(a_batch, norms, self_norm, layer.mode)
     return ad.reshape(_kernel_softmax(h, layer.kappa), (-1,))
 
@@ -252,16 +261,22 @@ def forward_batch(X, layer: GduLayer, beta=None):
     """Ensemble prediction for a feature batch, shape (b, C).
 
     ``beta`` overrides the gate (e.g. constant 1/M rows reproduce a uniform
-    ensemble); by default per-sample gating is used.
+    ensemble); by default per-sample gating is used. All M machines run as
+    one matmul against their weights concatenated to (e, M*C); the (b, M, C)
+    outputs are then summed with weights ``beta``.
     """
     if beta is None:
         beta = gate_matrix(X, layer)
     beta = _as_beta_array(beta)
-    out = None
-    for j, machine in enumerate(layer.machines):
-        term = ad.reshape(beta[:, j], (-1, 1)) * machine(X)
-        out = term if out is None else out + term
-    return out
+    machines = layer.machines
+    weights = ad.concatenate([m.weights for m in machines], axis=1)
+    bias = ad.concatenate([m.bias for m in machines], axis=0)
+    out = X @ weights + bias
+    if machines[0].activation == "tanh":
+        out = ad.tanh(out)
+    b = ad.value_of(X).shape[0]
+    out = ad.reshape(out, (b, layer.num_bases, layer.n_outputs))
+    return ad.summation(ad.reshape(beta, (b, layer.num_bases, 1)) * out, axis=1)
 
 
 def forward(x, layer: GduLayer, beta=None):

@@ -127,6 +127,9 @@ class ErmModel:
     def __post_init__(self):
         if not self.heads:
             raise ValueError("ErmModel needs at least one head")
+        acts = {h.activation for h in self.heads}
+        if len(acts) != 1:
+            raise ValueError(f"all heads must share one activation, got {sorted(acts)}")
 
 
 @dataclass

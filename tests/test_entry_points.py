@@ -1,10 +1,14 @@
-"""Every entry point that pyproject.toml declares must resolve."""
+"""Every entry point that pyproject.toml declares must resolve, and so must
+every function the benchmark's tracer wraps."""
 
 import importlib
+import importlib.util
 import tomllib
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_declared_scripts_import():
@@ -13,3 +17,15 @@ def test_declared_scripts_import():
         module_name, _, attr = target.partition(":")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr)), f"script {name!r} -> {target!r}"
+
+
+def test_traced_spans_resolve():
+    # A renamed function would silently drop its per-layer metrics.
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for span, module_name, attr in tracer.SPANS:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), f"span {span!r} -> {module_name}.{attr}"

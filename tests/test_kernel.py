@@ -12,6 +12,8 @@ from gdu.kernel import (
     KernelConfig,
     gaussian_kernel,
     gram,
+    gram_block_means,
+    gram_diagonal_block_means,
     median_heuristic,
 )
 
@@ -93,19 +95,19 @@ def test_gram_dimension_mismatch():
         gram(np.zeros((2, 3)), np.zeros((2, 4)), CFG)
 
 
-def _check_gram_gradient(arrays, operands, sigma, tol=5e-6):
-    """Central-FD check of ``sum(R * gram(X, Y))`` for a fixed random R.
+def _check_gram_gradient(arrays, operands, sigma, tol=5e-6, op=gram):
+    """Central-FD check of ``sum(R * op(X, Y))`` for a fixed random R.
 
-    ``operands(ts)`` picks the two gram inputs from ``ts``, a dict of leaf
-    tensors built from ``arrays`` (or ``arrays`` itself when finite
-    differencing); it may return a plain array as a constant operand.
+    ``operands(ts)`` picks the inputs of ``op(*operands, cfg)`` from ``ts``, a
+    dict of leaf tensors built from ``arrays`` (or ``arrays`` itself when
+    finite differencing); it may return a plain array as a constant operand.
     Returns the leaf tensors after backward.
     """
     cfg = KernelConfig(sigma)
-    R = np.random.default_rng(99).normal(size=gram(*operands(arrays), cfg).shape)
+    R = np.random.default_rng(99).normal(size=op(*operands(arrays), cfg).shape)
 
     def value(ts):
-        return ad.summation(gram(*operands(ts), cfg) * R)
+        return ad.summation(op(*operands(ts), cfg) * R)
 
     ts = {k: ad.tensor(v) for k, v in arrays.items()}
     value(ts).backward()
@@ -155,6 +157,102 @@ def test_gram_is_one_tape_node():
     assert G._parents == (x, y)
     np.testing.assert_array_equal(G.data, gram(x.data, y.data, CFG))
     assert isinstance(gram(x.data, y.data, CFG), np.ndarray)
+
+
+def _block_means(n_x, n_y):
+    return lambda X, Y, cfg: gram_block_means(X, Y, cfg, n_x, n_y)
+
+
+def test_gram_block_means_gradient_two_tensors():
+    rng = np.random.default_rng(20)
+    arrays = {"X": rng.normal(size=(6, 3)), "Y": rng.normal(size=(8, 3))}
+    for n_x, n_y in ((1, 4), (3, 4), (2, 2), (6, 8)):
+        _check_gram_gradient(arrays, lambda t: (t["X"], t["Y"]), 1.3, op=_block_means(n_x, n_y))
+
+
+def test_gram_block_means_gradient_same_tensor_both_sides():
+    rng = np.random.default_rng(21)
+    arrays = {"X": rng.normal(size=(8, 3))}
+    for n in (1, 2, 4):
+        _check_gram_gradient(arrays, lambda t: (t["X"], t["X"]), 1.2, op=_block_means(n, n))
+    # Unequal blocks on one tensor take the two-operand path.
+    _check_gram_gradient(arrays, lambda t: (t["X"], t["X"]), 1.2, op=_block_means(1, 4))
+
+
+def test_gram_block_means_gradient_with_plain_array_operand():
+    rng = np.random.default_rng(22)
+    arrays = {"X": rng.normal(size=(6, 3))}
+    Y = rng.normal(size=(4, 3))
+    for n_x in (1, 3):
+        op = _block_means(n_x, 2)
+        for operands in (lambda t: (t["X"], Y), lambda t: (Y[:3], t["X"][:4])):
+            ts = _check_gram_gradient(arrays, operands, 0.9, op=op)
+        assert op(ts["X"], Y, CFG)._parents == (ts["X"],)
+
+
+def test_gram_block_means_is_one_node_and_bit_identical_to_mean_chain():
+    rng = np.random.default_rng(23)
+    X, Y = rng.normal(size=(6, 4)), rng.normal(size=(15, 4))
+    for n_x, n_y in ((1, 5), (2, 3), (3, 5)):
+        G = gram(X, Y, CFG)
+        blocks = G.reshape(6 // n_x, n_x, 15 // n_y, n_y)
+        chain = ad.mean(ad.mean(blocks, axis=3), axis=1)
+        got = gram_block_means(X, Y, CFG, n_x, n_y)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, chain)
+        x, y = ad.tensor(X), ad.tensor(Y)
+        node = gram_block_means(x, y, CFG, n_x, n_y)
+        assert node._parents == (x, y)
+        np.testing.assert_array_equal(node.data, chain)
+
+
+def test_gram_block_means_rejects_untiled_blocks():
+    X = np.zeros((6, 2))
+    for n_x, n_y in ((4, 1), (1, 4), (0, 2)):
+        with pytest.raises(ValueError, match="tile"):
+            gram_block_means(X, X, CFG, n_x, n_y)
+
+
+def test_gram_diagonal_block_means_gradient():
+    rng = np.random.default_rng(24)
+    arrays = {"X": rng.normal(size=(12, 3))}
+    for n in (1, 3, 4, 12):
+        op = lambda X, cfg, n=n: gram_diagonal_block_means(X, cfg, n)
+        _check_gram_gradient(arrays, lambda t: (t["X"],), 1.4, op=op)
+
+
+def test_gram_diagonal_block_means_matches_per_block_mean():
+    rng = np.random.default_rng(25)
+    X = rng.normal(size=(12, 3))
+    for n in (1, 3, 4, 12):
+        expected = [np.mean(gram(X[i : i + n], X[i : i + n], CFG)) for i in range(0, 12, n)]
+        got = gram_diagonal_block_means(X, CFG, n)
+        np.testing.assert_array_equal(got, expected)
+        # Summed in another order, so equal only up to rounding.
+        np.testing.assert_allclose(
+            got, np.diag(gram_block_means(X, X, CFG, n, n)), rtol=1e-14
+        )
+    x = ad.tensor(X)
+    assert gram_diagonal_block_means(x, CFG, 3)._parents == (x,)
+    with pytest.raises(ValueError, match="tile"):
+        gram_diagonal_block_means(X, CFG, 5)
+
+
+def test_median_heuristic_matches_np_median_for_odd_and_even_pair_counts():
+    rng = np.random.default_rng(26)
+    for n in (2, 3, 4, 5, 8, 50, 51):  # pair counts 1, 3, 6, 10, 28, 1225, 1275
+        X = rng.normal(size=(n, 3))
+        xx = np.sum(X * X, axis=1)
+        d2 = np.maximum(xx[:, None] + xx[None, :] - 2.0 * (X @ X.T), 0.0)
+        expected = math.sqrt(float(np.median(d2[np.triu_indices(n, k=1)])))
+        assert median_heuristic(X) == expected
+
+
+def test_median_heuristic_rejects_non_finite_rows():
+    X = np.ones((3, 2))
+    X[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        median_heuristic(X)
 
 
 def test_median_heuristic_hand_enumeration():

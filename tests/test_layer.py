@@ -10,6 +10,8 @@ from gdu.layer import (
     DomainBasis,
     GduLayer,
     LearningMachine,
+    _basis_inners,
+    basis_gram_matrix,
     basis_init_scale,
     forward,
     forward_batch,
@@ -19,6 +21,8 @@ from gdu.layer import (
     init_layer,
 )
 from gdu.rkhs import EmpiricalKme, kme_inner, kme_norm_sq
+
+from oracles import kme_inner_brute
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -222,6 +226,45 @@ def test_forward_batch_with_constant_gate_override():
     uniform = np.full((6, 4), 0.25)
     expected = np.mean([np.asarray(m(X)) for m in layer.machines], axis=0)
     np.testing.assert_allclose(forward_batch(X, layer, beta=uniform), expected, atol=1e-12)
+
+
+def test_kernel_statistics_match_brute_force_block_by_block():
+    rng = np.random.default_rng(12)
+    for mode in ("CS", "PROJECTION"):
+        layer = random_layer(rng, mode, m=3, n=4, e=3, sigma=1.3)
+        X = rng.normal(size=(5, 3))
+        a, norms = _basis_inners(X, layer)
+        K = basis_gram_matrix(layer)
+        sigma = layer.kernel.sigma
+        vecs = [b.vectors for b in layer.bases]
+        for j, vj in enumerate(vecs):
+            assert norms[j] == pytest.approx(kme_inner_brute(vj, vj, sigma), abs=1e-12)
+            for i in range(5):
+                assert a[i, j] == pytest.approx(kme_inner_brute(X[i : i + 1], vj, sigma), abs=1e-12)
+            for l, vl in enumerate(vecs):
+                assert K[j, l] == pytest.approx(kme_inner_brute(vj, vl, sigma), abs=1e-12)
+
+
+def test_forward_batch_matches_per_machine_loop():
+    rng = np.random.default_rng(13)
+    for activation in ("identity", "tanh"):
+        layer = init_layer(4, 3, 3, 2, 5, "MMD", CFG, kappa=2.0, activation=activation)
+        for machine in layer.machines:
+            machine.bias += rng.normal(size=2)
+        X = rng.normal(size=(6, 3))
+        beta = gate_matrix(X, layer)
+        expected = sum(beta[:, j : j + 1] * np.asarray(m(X)) for j, m in enumerate(layer.machines))
+        np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)
+
+
+def test_layer_rejects_mixed_machine_activations():
+    rng = np.random.default_rng(14)
+    mixed = [
+        LearningMachine(rng.normal(size=(2, 2)), np.zeros(2), act)
+        for act in ("tanh", "identity")
+    ]
+    with pytest.raises(ValueError, match="activation"):
+        make_layer([[[0.0, 0.0]], [[1.0, 1.0]]], "CS", kappa=2.0, machines=mixed)
 
 
 def test_init_layer_deterministic():

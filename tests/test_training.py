@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gdu.kernel import KernelConfig
-from gdu.layer import gate_matrix, init_layer
+from gdu.layer import LearningMachine, gate_matrix, init_layer
 from gdu.regularization import (
     RegConfig,
     gram_bases,
@@ -23,6 +23,7 @@ from gdu.training import (
     GduModel,
     TrainConfig,
     TrainingDivergedError,
+    _build_objective,
     accuracy,
     cross_entropy_mean,
     fe_forward,
@@ -36,7 +37,7 @@ from gdu.training import (
     trainable_arrays,
 )
 
-from helpers import build_small_gdu, gradient_max_rel_error, reg_toggles
+from helpers import SMALL_DIMS, build_small_gdu, gradient_max_rel_error, reg_toggles
 from oracles import mlp_forward_brute
 
 
@@ -197,6 +198,37 @@ def test_gradients_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _op_nodes(obj, params_t):
+    """Tape nodes reachable from ``obj``, not counting the parameter leaves."""
+    seen, todo = {id(obj)}, [obj]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen - {id(t) for t in params_t.values()})
+
+
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
+def test_objective_tape_size_does_not_grow_with_num_bases(mode):
+    counts = set()
+    for m in (2, 10):
+        model, X, y = build_small_gdu(6, mode, dims={**SMALL_DIMS, "m": m})
+        obj, params_t = _build_objective(model, X, y, reg_toggles(mode)[-1], "E2E")
+        counts.add(_op_nodes(obj, params_t))
+    assert len(counts) == 1, counts
+
+
+def test_erm_model_rejects_mixed_head_activations():
+    rng = np.random.default_rng(15)
+    heads = [
+        LearningMachine(rng.normal(size=(3, 2)), np.zeros(2), act)
+        for act in ("tanh", "identity")
+    ]
+    with pytest.raises(ValueError, match="activation"):
+        ErmModel(None, heads)
 
 
 def test_erm_model_gradients_match_fd():
