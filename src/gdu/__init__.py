@@ -3,9 +3,7 @@
 from .kernel import KernelConfig, gaussian_kernel, gram, median_heuristic
 from .rkhs import EmpiricalKme, kme_inner, kme_norm_sq, mmd_sq, rkhs_cosine
 from .layer import (
-    DomainBasis,
     GduLayer,
-    GatingWeights,
     LearningMachine,
     forward,
     forward_batch,
@@ -16,7 +14,6 @@ from .layer import (
 )
 from .regularization import (
     RegConfig,
-    gram_bases,
     omega_l1,
     omega_ols,
     omega_orth,

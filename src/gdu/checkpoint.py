@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import KernelConfig
-from .layer import DomainBasis, GduLayer, LearningMachine
+from .layer import GduLayer, LearningMachine
 from .training import ErmModel, FeatureExtractor, GduModel
 
 __all__ = [
@@ -107,17 +107,26 @@ class _Reader:
         return np.array(values, dtype=np.float64).reshape(shape)
 
 
+def _stack_blocks(blocks: list, kind: str, axis: int = 0) -> np.ndarray:
+    """Stack the per-basis blocks of one kind; they must exist and share a shape."""
+    shapes = sorted({b.shape for b in blocks})
+    if len(shapes) != 1:
+        raise CheckpointError(f"{kind} blocks must share one shape, found {shapes}")
+    return np.stack(blocks, axis=axis)
+
+
 def _emit_layer(lines: list, layer: GduLayer):
     lines.append(f"field mode {layer.mode}")
     lines.append(f"field sigma {_field_token(layer.kernel.sigma)}")
     lines.append(f"field kappa {_field_token(layer.kappa)}")
-    lines.append(f"field activation {layer.machines[0].activation}")
+    lines.append(f"field activation {layer.activation}")
     lines.append(f"field num_bases {layer.num_bases}")
-    for j, basis in enumerate(layer.bases):
-        _emit_block(lines, f"basis{j}", basis.vectors)
-    for j, machine in enumerate(layer.machines):
-        _emit_block(lines, f"mach_w{j}", machine.weights)
-        _emit_block(lines, f"mach_b{j}", machine.bias)
+    # Format v1 stores one block per basis and per machine.
+    for j in range(layer.num_bases):
+        _emit_block(lines, f"basis{j}", layer.bases[j])
+    for j in range(layer.num_bases):
+        _emit_block(lines, f"mach_w{j}", layer.weights[:, j])
+        _emit_block(lines, f"mach_b{j}", layer.bias[j])
 
 
 def _read_layer(reader: _Reader) -> GduLayer:
@@ -126,13 +135,20 @@ def _read_layer(reader: _Reader) -> GduLayer:
     kappa = reader.read_float_field("kappa")
     activation = reader.read_field("activation")
     num_bases = int(reader.read_field("num_bases"))
-    bases = [DomainBasis(reader.read_block(f"basis{j}")) for j in range(num_bases)]
-    machines = []
+    bases = [reader.read_block(f"basis{j}") for j in range(num_bases)]
+    weights, bias = [], []
     for j in range(num_bases):
-        w = reader.read_block(f"mach_w{j}")
-        b = reader.read_block(f"mach_b{j}")
-        machines.append(LearningMachine(w, b, activation))
-    return GduLayer(bases, machines, KernelConfig(sigma), mode, kappa)
+        weights.append(reader.read_block(f"mach_w{j}"))
+        bias.append(reader.read_block(f"mach_b{j}"))
+    return GduLayer(
+        _stack_blocks(bases, "basis"),
+        _stack_blocks(weights, "mach_w", axis=1),
+        _stack_blocks(bias, "mach_b"),
+        KernelConfig(sigma),
+        mode,
+        kappa,
+        activation,
+    )
 
 
 def _emit_fe(lines: list, fe: FeatureExtractor | None):

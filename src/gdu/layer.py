@@ -2,8 +2,10 @@
 
 A layer holds M elementary domain bases (each a set of N vectors whose
 empirical kernel mean embedding stands in for one latent elementary
-distribution), M learning machines, and a gating rule. Gating compares a
-sample's feature map against each basis embedding:
+distribution), M learning machines, and a gating rule. The bases and the
+machines are stored as stacked arrays, one per parameter kind (see
+:class:`GduLayer`). Gating compares a sample's feature map against each basis
+embedding:
 
 * ``CS``   - RKHS cosine similarity, passed through a kernel softmax,
 * ``MMD``  - negative squared RKHS distance, passed through a kernel softmax,
@@ -15,7 +17,8 @@ of one Gaussian Gram over the stacked basis vectors, and each is one tape
 node (:func:`gdu.kernel.gram_block_means`,
 :func:`gdu.kernel.gram_diagonal_block_means`). The forward pass is the
 gate-weighted ensemble of the machines' outputs, run as one matmul over the
-concatenated machine weights. The machines of a layer share one activation.
+stacked machine weights viewed as one (e, M*C) matrix. The machines of a
+layer share one activation.
 All computations accept numpy arrays or autodiff tensors, so the same code
 serves inference and gradient-based training.
 """
@@ -23,7 +26,7 @@ serves inference and gradient-based training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +37,8 @@ __all__ = [
     "GATING_MODES",
     "GEOMETRY_MODES",
     "ACTIVATIONS",
-    "DomainBasis",
     "LearningMachine",
     "GduLayer",
-    "GatingWeights",
     "gate",
     "gate_batch",
     "gate_matrix",
@@ -54,20 +55,6 @@ ACTIVATIONS = ("identity", "tanh")
 # so freshly initialized embeddings start close to mutually orthogonal.
 _INIT_KERNEL_TARGET = 0.1
 _INIT_SPREAD_MARGIN = 1.25
-
-
-@dataclass
-class DomainBasis:
-    """The N x e matrix of vectors defining one elementary domain basis."""
-
-    vectors: object
-
-    def __post_init__(self):
-        v = ad.value_of(self.vectors)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError(f"basis vectors must form an (N, e) matrix, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("basis vectors must be finite")
 
 
 @dataclass
@@ -97,38 +84,46 @@ class LearningMachine:
 
 @dataclass
 class GduLayer:
-    """M domain bases, M learning machines, and the gating configuration."""
+    """M domain bases, M learning machines, and the gating configuration.
 
-    bases: list
-    machines: list
+    The parameters are three stacked arrays (numpy arrays or autodiff
+    tensors):
+
+    * ``bases``, shape (M, N, e): ``bases[j]`` holds the N vectors of basis j;
+    * ``weights``, shape (e, M, C): machine j computes
+      ``act(x @ weights[:, j] + bias[j])``. With this axis order
+      ``reshape(weights, (e, M*C))`` is a view whose column blocks are the
+      machines' weight matrices side by side;
+    * ``bias``, shape (M, C).
+
+    All machines share ``activation``.
+    """
+
+    bases: object
+    weights: object
+    bias: object
     kernel: KernelConfig
     mode: str
     kappa: float | None = None
+    activation: str = "identity"
 
     def __post_init__(self):
         if self.mode not in GATING_MODES:
             raise ValueError(f"unknown gating mode {self.mode!r}")
-        if len(self.bases) < 1 or len(self.bases) != len(self.machines):
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        v = ad.value_of(self.bases)
+        if v.ndim != 3 or min(v.shape) < 1:
+            raise ValueError(f"bases must form a nonempty (M, N, e) array, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("basis vectors must be finite")
+        m, _, e = v.shape
+        w = ad.value_of(self.weights).shape
+        b = ad.value_of(self.bias).shape
+        if len(b) != 2 or b[0] != m or w != (e, m, b[1]):
             raise ValueError(
-                f"need matching nonempty bases/machines, got "
-                f"{len(self.bases)}/{len(self.machines)}"
-            )
-        dims = {ad.value_of(b.vectors).shape for b in self.bases}
-        if len(dims) != 1:
-            raise ValueError(f"all bases must share (N, e), got {sorted(dims)}")
-        mdims = {
-            (ad.value_of(m.weights).shape, ad.value_of(m.bias).shape[0])
-            for m in self.machines
-        }
-        if len(mdims) != 1:
-            raise ValueError("all machines must share weight/bias shapes")
-        acts = {m.activation for m in self.machines}
-        if len(acts) != 1:
-            raise ValueError(f"all machines must share one activation, got {sorted(acts)}")
-        ((wshape, _),) = mdims
-        if wshape[0] != self.feature_dim:
-            raise ValueError(
-                f"machine input dim {wshape[0]} != basis feature dim {self.feature_dim}"
+                f"for {m} bases of feature dim {e}, weights must be (e, M, C) = "
+                f"({e}, {m}, C) and bias (M, C); got weights {w}, bias {b}"
             )
         if self.mode in GEOMETRY_MODES:
             if self.kappa is None or not self.kappa > 0:
@@ -136,41 +131,30 @@ class GduLayer:
 
     @property
     def num_bases(self) -> int:
-        return len(self.bases)
+        return ad.value_of(self.bases).shape[0]
 
     @property
     def basis_size(self) -> int:
-        return ad.value_of(self.bases[0].vectors).shape[0]
+        return ad.value_of(self.bases).shape[1]
 
     @property
     def feature_dim(self) -> int:
-        return ad.value_of(self.bases[0].vectors).shape[1]
+        return ad.value_of(self.bases).shape[2]
 
     @property
     def n_outputs(self) -> int:
-        return ad.value_of(self.machines[0].bias).shape[0]
+        return ad.value_of(self.bias).shape[1]
 
+    @property
+    def machines(self) -> tuple:
+        """The M machines, whose weights and bias are views into the layer.
 
-@dataclass
-class GatingWeights:
-    """Per-sample gating rows, shape (b, M)."""
-
-    beta: object
-
-    def __post_init__(self):
-        if ad.value_of(self.beta).ndim != 2:
-            raise ValueError("beta must be a (b, M) matrix")
-
-
-def _as_beta_array(beta):
-    if isinstance(beta, GatingWeights):
-        beta = beta.beta
-    return beta
-
-
-def _stacked_bases(layer: GduLayer):
-    """All basis vectors as one (M*N, e) matrix, basis after basis."""
-    return ad.concatenate([b.vectors for b in layer.bases], axis=0)
+        Writing into a machine's arrays in place writes into the layer.
+        """
+        return tuple(
+            LearningMachine(self.weights[:, j], self.bias[j], self.activation)
+            for j in range(self.num_bases)
+        )
 
 
 def basis_gram_matrix(layer: GduLayer):
@@ -179,7 +163,7 @@ def basis_gram_matrix(layer: GduLayer):
     ``K[i, j] = <mu_i, mu_j>``, the mean of the (i, j) block of the kernel
     matrix over the stacked basis vectors.
     """
-    vectors = _stacked_bases(layer)
+    vectors = ad.reshape(layer.bases, (-1, layer.feature_dim))
     n = layer.basis_size
     return gram_block_means(vectors, vectors, layer.kernel, n, n)
 
@@ -193,7 +177,7 @@ def _basis_inners(X, layer: GduLayer):
     :func:`basis_gram_matrix`, which would cost (M*N)^2 kernel entries on
     every gate evaluation.
     """
-    vectors = _stacked_bases(layer)
+    vectors = ad.reshape(layer.bases, (-1, layer.feature_dim))
     n = layer.basis_size
     a = gram_block_means(X, vectors, layer.kernel, 1, n)
     return a, gram_diagonal_block_means(vectors, layer.kernel, n)
@@ -262,17 +246,14 @@ def forward_batch(X, layer: GduLayer, beta=None):
 
     ``beta`` overrides the gate (e.g. constant 1/M rows reproduce a uniform
     ensemble); by default per-sample gating is used. All M machines run as
-    one matmul against their weights concatenated to (e, M*C); the (b, M, C)
+    one matmul against their weights viewed as (e, M*C); the (b, M, C)
     outputs are then summed with weights ``beta``.
     """
     if beta is None:
         beta = gate_matrix(X, layer)
-    beta = _as_beta_array(beta)
-    machines = layer.machines
-    weights = ad.concatenate([m.weights for m in machines], axis=1)
-    bias = ad.concatenate([m.bias for m in machines], axis=0)
-    out = X @ weights + bias
-    if machines[0].activation == "tanh":
+    weights = ad.reshape(layer.weights, (layer.feature_dim, -1))
+    out = X @ weights + ad.reshape(layer.bias, (-1,))
+    if layer.activation == "tanh":
         out = ad.tanh(out)
     b = ad.value_of(X).shape[0]
     out = ad.reshape(out, (b, layer.num_bases, layer.n_outputs))
@@ -283,7 +264,7 @@ def forward(x, layer: GduLayer, beta=None):
     """Ensemble prediction for a single feature vector, shape (C,)."""
     X = ad.reshape(x, (1, -1))
     if beta is not None:
-        beta = ad.reshape(_as_beta_array(beta), (1, -1))
+        beta = ad.reshape(beta, (1, -1))
     return ad.reshape(forward_batch(X, layer, beta=beta), (-1,))
 
 
@@ -319,17 +300,10 @@ def init_layer(
         raise ValueError("all layer dimensions must be positive")
     rng = np.random.default_rng(seed)
     scale = basis_init_scale(feature_dim, kernel.sigma)
-    bases = [
-        DomainBasis(rng.normal(0.0, scale, size=(basis_size, feature_dim)))
-        for _ in range(num_bases)
-    ]
+    bases = rng.normal(0.0, scale, size=(num_bases, basis_size, feature_dim))
     bound = 1.0 / math.sqrt(feature_dim)
-    machines = [
-        LearningMachine(
-            rng.uniform(-bound, bound, size=(feature_dim, n_outputs)),
-            np.zeros(n_outputs),
-            activation,
-        )
-        for _ in range(num_bases)
-    ]
-    return GduLayer(bases, machines, kernel, mode, kappa)
+    # Drawn machine after machine, then stored with the machine axis second.
+    weights = rng.uniform(-bound, bound, size=(num_bases, feature_dim, n_outputs))
+    weights = np.ascontiguousarray(weights.transpose(1, 0, 2))
+    bias = np.zeros((num_bases, n_outputs))
+    return GduLayer(bases, weights, bias, kernel, mode, kappa, activation)

@@ -22,19 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .layer import (
-    GEOMETRY_MODES,
-    GduLayer,
-    _as_beta_array,
-    _basis_inners,
-    basis_gram_matrix,
-)
+from .layer import GEOMETRY_MODES, GduLayer, _basis_inners, basis_gram_matrix
 
 __all__ = [
     "ORTH_VARIANTS",
     "RegConfig",
     "omega_ols",
-    "gram_bases",
     "omega_orth",
     "omega_l1",
     "omega_total",
@@ -60,11 +53,6 @@ class RegConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.orth_variant not in ORTH_VARIANTS:
             raise ValueError(f"unknown orthogonality variant {self.orth_variant!r}")
-
-
-def gram_bases(layer: GduLayer):
-    """Gram matrix of the basis embeddings, ``K[i, j] = <mu_i, mu_j>``."""
-    return basis_gram_matrix(layer)
 
 
 def _omega_ols_from_stats(a, k_bases, beta):
@@ -99,7 +87,6 @@ def omega_ols(X, beta, layer: GduLayer):
     ``k(x_i, x_i) - 2 sum_j beta_ij <phi(x_i), mu_j>
     + sum_{j,l} beta_ij beta_il <mu_j, mu_l>`` with ``k(x, x) = 1``.
     """
-    beta = _as_beta_array(beta)
     a = _checked_inners(X, beta, layer)
     return _omega_ols_from_stats(a, basis_gram_matrix(layer), beta)
 
@@ -127,7 +114,6 @@ def omega_orth(K, variant: str):
 
 def omega_l1(beta):
     """Batch-mean L1 norm of the gating coefficients."""
-    beta = _as_beta_array(beta)
     return ad.mean(ad.summation(ad.absolute(beta), axis=1))
 
 
@@ -154,6 +140,5 @@ def _add_regularizers(obj, a, beta, layer: GduLayer, cfg: RegConfig):
 
 def omega_total(X, beta, layer: GduLayer, cfg: RegConfig):
     """Mode-appropriate combination of the regularization terms."""
-    beta = _as_beta_array(beta)
     a = _checked_inners(X, beta, layer) if cfg.lambda_ols > 0.0 else None
     return _add_regularizers(0.0, a, beta, layer, cfg)

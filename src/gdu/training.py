@@ -15,14 +15,13 @@ extractor, so features are extracted once and only layer parameters move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .layer import (
     ACTIVATIONS,
-    DomainBasis,
     GduLayer,
     LearningMachine,
     _basis_inners,
@@ -309,11 +308,9 @@ def trainable_arrays(model, train_mode: str) -> dict:
             params[f"fe.w{i}"] = model.fe.weights[i]
             params[f"fe.b{i}"] = model.fe.biases[i]
     if isinstance(model, GduModel):
-        for j, basis in enumerate(model.layer.bases):
-            params[f"layer.basis{j}"] = basis.vectors
-        for j, machine in enumerate(model.layer.machines):
-            params[f"layer.mach_w{j}"] = machine.weights
-            params[f"layer.mach_b{j}"] = machine.bias
+        params["layer.bases"] = model.layer.bases
+        params["layer.weights"] = model.layer.weights
+        params["layer.bias"] = model.layer.bias
     else:
         for j, head in enumerate(model.heads):
             params[f"head.w{j}"] = head.weights
@@ -335,19 +332,12 @@ def _graph_fe(model, params_t, X, train_mode):
 
 
 def _graph_layer(model: GduModel, params_t) -> GduLayer:
-    layer = model.layer
-    bases = [
-        DomainBasis(params_t[f"layer.basis{j}"]) for j in range(layer.num_bases)
-    ]
-    machines = [
-        LearningMachine(
-            params_t[f"layer.mach_w{j}"],
-            params_t[f"layer.mach_b{j}"],
-            layer.machines[j].activation,
-        )
-        for j in range(layer.num_bases)
-    ]
-    return GduLayer(bases, machines, layer.kernel, layer.mode, layer.kappa)
+    return replace(
+        model.layer,
+        bases=params_t["layer.bases"],
+        weights=params_t["layer.weights"],
+        bias=params_t["layer.bias"],
+    )
 
 
 def _build_objective(model, X, y, reg: RegConfig, train_mode: str):
@@ -503,7 +493,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         # The extractor never changes in FT mode: extract features once.
         feats_train_const = np.asarray(fe_forward(train_x, model.fe))
         feats_val_const = np.asarray(fe_forward(data.val_x, model.fe))
-        batch_model = _feature_space_view(model)
+        batch_model = replace(model, fe=None)
     else:
         feats_train_const = feats_val_const = None
         batch_model = model
@@ -553,10 +543,3 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         for name, arr in params.items():
             arr[...] = best_snapshot[name]
     return model, trace
-
-
-def _feature_space_view(model):
-    """A view of ``model`` whose inputs are already extracted features."""
-    if isinstance(model, GduModel):
-        return GduModel(None, model.layer)
-    return ErmModel(None, model.heads)

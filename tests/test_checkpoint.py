@@ -13,8 +13,63 @@ from gdu.checkpoint import (
     save_model,
 )
 from gdu.kernel import KernelConfig
-from gdu.layer import init_layer
+from gdu.layer import GduLayer, init_layer
 from gdu.training import ErmModel, GduModel, init_erm_model, init_feature_extractor
+
+
+# Format v1 text of a tiny layer (M=2, N=2, e=3, C=2, tanh, PROJECTION), as
+# the per-basis layer classes that preceded the stacked arrays wrote it: one
+# block per basis and one weight and bias block per machine.
+V1_LAYER_TEXT = """gdu-checkpoint 1
+field kind layer
+field mode PROJECTION
+field sigma 0x1.8000000000000p+0
+field kappa -
+field activation tanh
+field num_bases 2
+block basis0 2 2 3 6
+-0x1.0000000000000p-1 -0x1.8000000000000p-2 -0x1.0000000000000p-2 -0x1.0000000000000p-3 0x0.0p+0 0x1.0000000000000p-3
+block basis1 2 2 3 6
+0x1.0000000000000p-2 0x1.8000000000000p-2 0x1.0000000000000p-1 0x1.4000000000000p-1 0x1.8000000000000p-1 0x1.c000000000000p-1
+block mach_w0 2 3 2 6
+-0x1.0000000000000p-2 -0x1.8000000000000p-3 0x0.0p+0 0x1.0000000000000p-4 0x1.0000000000000p-2 0x1.4000000000000p-2
+block mach_b0 1 2 2
+0x1.0000000000000p-2 -0x1.0000000000000p-1
+block mach_w1 2 3 2 6
+-0x1.0000000000000p-3 -0x1.0000000000000p-4 0x1.0000000000000p-3 0x1.8000000000000p-3 0x1.8000000000000p-2 0x1.c000000000000p-2
+block mach_b1 1 2 2
+0x1.0000000000000p+0 -0x1.0000000000000p-3
+end
+"""
+V1_BASES = np.arange(12.0).reshape(2, 2, 3) / 8.0 - 0.5  # (M, N, e)
+V1_WEIGHTS = np.arange(12.0).reshape(3, 2, 2) / 16.0 - 0.25  # (e, M, C)
+V1_BIAS = np.array([[0.25, -0.5], [1.0, -0.125]])  # (M, C)
+
+
+def test_v1_text_loads_to_the_stacked_arrays_and_writes_back_unchanged():
+    layer = layer_from_text(V1_LAYER_TEXT)
+    assert (layer.mode, layer.kernel.sigma, layer.kappa) == ("PROJECTION", 1.5, None)
+    assert layer.activation == "tanh"
+    np.testing.assert_array_equal(layer.bases, V1_BASES)
+    np.testing.assert_array_equal(layer.weights, V1_WEIGHTS)
+    np.testing.assert_array_equal(layer.bias, V1_BIAS)
+    assert layer_to_text(layer) == V1_LAYER_TEXT
+    built = GduLayer(
+        V1_BASES, V1_WEIGHTS, V1_BIAS, KernelConfig(1.5), "PROJECTION", activation="tanh"
+    )
+    assert layer_to_text(built) == V1_LAYER_TEXT
+
+
+def test_rejects_per_basis_blocks_of_different_shapes():
+    text = V1_LAYER_TEXT.replace("block basis1 2 2 3 6", "block basis1 2 3 2 6")
+    with pytest.raises(CheckpointError, match="basis blocks"):
+        layer_from_text(text)
+    text = V1_LAYER_TEXT.replace("block mach_b1 1 2 2", "block mach_b1 2 1 2 2")
+    with pytest.raises(CheckpointError, match="mach_b blocks"):
+        layer_from_text(text)
+    head, _, _ = V1_LAYER_TEXT.partition("block basis0")
+    with pytest.raises(CheckpointError, match="basis blocks"):
+        layer_from_text(head.replace("num_bases 2", "num_bases 0") + "end\n")
 
 
 def awkward_layer():
@@ -22,8 +77,8 @@ def awkward_layer():
         3, 4, 5, 2, seed=11, mode="PROJECTION", kernel=KernelConfig(sigma=7.5)
     )
     # Values that expose lossy decimal formatting.
-    layer.bases[0].vectors[0, 0] = 1.0 / 3.0
-    layer.bases[1].vectors[2, 3] = 1e-300
+    layer.bases[0][0, 0] = 1.0 / 3.0
+    layer.bases[1][2, 3] = 1e-300
     layer.machines[0].weights[0, 0] = -0.1
     return layer
 
@@ -35,7 +90,7 @@ def test_layer_round_trip_bit_exact():
     assert restored.kernel == layer.kernel
     assert restored.kappa is None
     for a, b in zip(layer.bases, restored.bases):
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(a, b)
     for a, b in zip(layer.machines, restored.machines):
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
@@ -50,8 +105,8 @@ def test_layer_text_stable_across_round_trips():
 
 def test_block_text_matches_the_v1_layout():
     layer = awkward_layer()
-    layer.bases[0].vectors[1, 1] = -0.0
-    flat = [float(v) for v in layer.bases[0].vectors.ravel()]  # 4 x 5
+    layer.bases[0][1, 1] = -0.0
+    flat = [float(v) for v in layer.bases[0].ravel()]  # 4 x 5
     lines = ["block basis0 2 4 5 20"] + [
         " ".join(v.hex() for v in flat[i : i + 8]) for i in range(0, 20, 8)
     ]
@@ -70,7 +125,7 @@ def test_gdu_model_round_trip(tmp_path):
     for a, b in zip(model.fe.weights, restored.fe.weights):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
-        model.layer.bases[1].vectors, restored.layer.bases[1].vectors
+        model.layer.bases[1], restored.layer.bases[1]
     )
     assert restored.layer.kappa == 2.0
 

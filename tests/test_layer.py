@@ -7,7 +7,6 @@ import pytest
 
 from gdu.kernel import KernelConfig
 from gdu.layer import (
-    DomainBasis,
     GduLayer,
     LearningMachine,
     _basis_inners,
@@ -28,15 +27,17 @@ CFG = KernelConfig(sigma=1.0)
 
 
 def make_layer(bases, mode, kappa=None, machines=None, cfg=CFG, n_outputs=2):
-    bases = [DomainBasis(np.asarray(b, dtype=float)) for b in bases]
-    e = bases[0].vectors.shape[1]
+    bases = np.asarray(bases, dtype=float)
+    e = bases.shape[2]
     if machines is None:
         rng = np.random.default_rng(99)
         machines = [
             LearningMachine(rng.normal(size=(e, n_outputs)), rng.normal(size=n_outputs))
             for _ in bases
         ]
-    return GduLayer(bases, machines, cfg, mode, kappa)
+    weights = np.stack([m.weights for m in machines], axis=1)
+    bias = np.stack([m.bias for m in machines])
+    return GduLayer(bases, weights, bias, cfg, mode, kappa)
 
 
 def random_layer(rng, mode, m=3, n=4, e=3, c=2, kappa=2.0, sigma=1.0):
@@ -114,7 +115,7 @@ def test_projection_matches_closed_form_inner_products():
     beta = gate(x, layer)
     phi = EmpiricalKme(x.reshape(1, -1), layer.kernel)
     for j, basis in enumerate(layer.bases):
-        emb = EmpiricalKme(basis.vectors, layer.kernel)
+        emb = EmpiricalKme(basis, layer.kernel)
         expected = kme_inner(phi, emb) / kme_norm_sq(emb)
         assert beta[j] == pytest.approx(expected, abs=1e-12)
 
@@ -134,7 +135,7 @@ def test_projection_matches_grid_search_on_orthogonalized_bases():
         phi = EmpiricalKme(x.reshape(1, -1), layer.kernel)
         grid = np.arange(-2.0, 2.0 + 1e-9, 1e-3)
         for j, basis in enumerate(layer.bases):
-            emb = EmpiricalKme(basis.vectors, layer.kernel)
+            emb = EmpiricalKme(basis, layer.kernel)
             inner = kme_inner(phi, emb)
             norm_sq = kme_norm_sq(emb)
             objective = norm_sq * grid**2 - 2.0 * inner * grid
@@ -154,7 +155,7 @@ def test_gate_batch_consistency_with_single_sample():
 
 def test_gate_batch_on_basis_vectors_projection():
     layer = make_layer([[[0.3, 0.1], [0.5, -0.2]]], "PROJECTION")
-    beta = gate_batch(layer.bases[0].vectors, layer)
+    beta = gate_batch(layer.bases[0], layer)
     np.testing.assert_allclose(beta, [1.0], atol=1e-14)
 
 
@@ -212,8 +213,8 @@ def test_forward_affine_in_machine_outputs():
     x = rng.normal(size=3)
     beta = gate(x, layer)
     base = forward(x, layer, beta=beta)
-    layer.machines[0].weights = layer.machines[0].weights * 2.0
-    layer.machines[0].bias = layer.machines[0].bias * 2.0
+    layer.weights[:, 0] *= 2.0
+    layer.bias[0] *= 2.0
     doubled = forward(x, layer, beta=beta)
     contribution = base - beta[0] * np.asarray(layer.machines[0](x)) / 2.0
     np.testing.assert_allclose(doubled, contribution + beta[0] * np.asarray(layer.machines[0](x)), atol=1e-12)
@@ -236,7 +237,7 @@ def test_kernel_statistics_match_brute_force_block_by_block():
         a, norms = _basis_inners(X, layer)
         K = basis_gram_matrix(layer)
         sigma = layer.kernel.sigma
-        vecs = [b.vectors for b in layer.bases]
+        vecs = list(layer.bases)
         for j, vj in enumerate(vecs):
             assert norms[j] == pytest.approx(kme_inner_brute(vj, vj, sigma), abs=1e-12)
             for i in range(5):
@@ -257,46 +258,75 @@ def test_forward_batch_matches_per_machine_loop():
         np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)
 
 
-def test_layer_rejects_mixed_machine_activations():
-    rng = np.random.default_rng(14)
-    mixed = [
-        LearningMachine(rng.normal(size=(2, 2)), np.zeros(2), act)
-        for act in ("tanh", "identity")
-    ]
+def test_layer_rejects_unknown_activation():
     with pytest.raises(ValueError, match="activation"):
-        make_layer([[[0.0, 0.0]], [[1.0, 1.0]]], "CS", kappa=2.0, machines=mixed)
+        GduLayer(
+            np.zeros((2, 1, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2)), CFG, "CS", 2.0, "relu"
+        )
+    with pytest.raises(ValueError, match="activation"):
+        init_layer(2, 1, 2, 2, 0, "CS", CFG, kappa=2.0, activation="relu")
 
 
 def test_init_layer_deterministic():
     a = init_layer(3, 4, 5, 2, seed=42, mode="MMD", kernel=CFG, kappa=2.0)
     b = init_layer(3, 4, 5, 2, seed=42, mode="MMD", kernel=CFG, kappa=2.0)
     for ba, bb in zip(a.bases, b.bases):
-        np.testing.assert_array_equal(ba.vectors, bb.vectors)
+        np.testing.assert_array_equal(ba, bb)
     for ma, mb in zip(a.machines, b.machines):
         np.testing.assert_array_equal(ma.weights, mb.weights)
         np.testing.assert_array_equal(ma.bias, mb.bias)
 
 
+def test_init_layer_keeps_the_per_basis_random_stream():
+    # Initial models, and so trained ones, stay those of the per-basis draws:
+    # each basis's (N, e) normals in turn, then each machine's (e, C) uniforms.
+    m, n, e, c, seed = 3, 4, 5, 2, 17
+    layer = init_layer(m, n, e, c, seed, "MMD", CFG, kappa=2.0)
+    rng = np.random.default_rng(seed)
+    scale = basis_init_scale(e, CFG.sigma)
+    bases = [rng.normal(0.0, scale, size=(n, e)) for _ in range(m)]
+    bound = 1.0 / math.sqrt(e)
+    weights = [rng.uniform(-bound, bound, size=(e, c)) for _ in range(m)]
+    for j in range(m):
+        np.testing.assert_array_equal(layer.bases[j], bases[j])
+        np.testing.assert_array_equal(layer.weights[:, j], weights[j])
+    np.testing.assert_array_equal(layer.bias, np.zeros((m, c)))
+    assert layer.weights.flags.c_contiguous
+
+
+def test_layer_rejects_bad_stacked_arrays():
+    rng = np.random.default_rng(18)
+    w, b = rng.normal(size=(3, 2, 2)), np.zeros((2, 2))
+    GduLayer(np.zeros((2, 4, 3)), w, b, CFG, "PROJECTION")
+    for bases in (np.zeros((4, 3)), np.zeros((2, 0, 3)), np.full((2, 4, 3), np.nan)):
+        with pytest.raises(ValueError, match="bas"):
+            GduLayer(bases, w, b, CFG, "PROJECTION")
+    for weights, bias in (
+        (rng.normal(size=(2, 3, 2)), b),  # (M, e, C) instead of (e, M, C)
+        (rng.normal(size=(3, 2, 2)), np.zeros((3, 2))),
+        (rng.normal(size=(3, 2, 2)), np.zeros(2)),
+        (rng.normal(size=(3, 2, 3)), b),
+    ):
+        with pytest.raises(ValueError, match="weights"):
+            GduLayer(np.zeros((2, 4, 3)), weights, bias, CFG, "PROJECTION")
+
+
 def test_init_layer_cross_basis_kernel_target():
     # Monte-Carlo check of the init target: mean off-diagonal entry of the
     # basis Gram matrix stays below 0.1 for M=5, N=10, e=20, sigma=4.
-    from gdu.regularization import gram_bases
-
     cfg = KernelConfig(sigma=4.0)
     vals = []
     for seed in range(100):
         layer = init_layer(5, 10, 20, 2, seed=seed, mode="MMD", kernel=cfg, kappa=2.0)
-        k = np.asarray(gram_bases(layer))
+        k = np.asarray(basis_gram_matrix(layer))
         off = k[~np.eye(5, dtype=bool)]
         vals.append(off.mean())
     assert float(np.mean(vals)) < 0.1
 
 
 def test_init_layer_gram_diagonal_lower_bound():
-    from gdu.regularization import gram_bases
-
     layer = init_layer(4, 10, 6, 2, seed=1, mode="CS", kernel=CFG, kappa=2.0)
-    diag = np.diag(np.asarray(gram_bases(layer)))
+    diag = np.diag(np.asarray(basis_gram_matrix(layer)))
     assert (diag >= 1.0 / 10 - 1e-15).all()
 
 
@@ -318,11 +348,9 @@ def test_layer_validation():
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError):
         GduLayer(
-            [DomainBasis(np.zeros((2, 3))), DomainBasis(np.zeros((2, 4)))],
-            [
-                LearningMachine(rng.normal(size=(3, 2)), np.zeros(2)),
-                LearningMachine(rng.normal(size=(3, 2)), np.zeros(2)),
-            ],
+            np.zeros((2, 2, 4)),
+            rng.normal(size=(3, 2, 2)),
+            np.zeros((2, 2)),
             CFG,
             "MMD",
             kappa=1.0,

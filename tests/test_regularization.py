@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from gdu.kernel import KernelConfig
-from gdu.layer import DomainBasis, GduLayer, LearningMachine, gate_matrix
+from gdu.layer import GduLayer, basis_gram_matrix, gate_matrix
 from gdu.regularization import (
     RegConfig,
-    gram_bases,
     omega_l1,
     omega_ols,
     omega_orth,
@@ -22,13 +21,11 @@ CFG = KernelConfig(sigma=1.0)
 
 
 def layer_from_bases(bases, mode="PROJECTION", kappa=None, cfg=CFG):
-    bases = [DomainBasis(np.asarray(b, dtype=float)) for b in bases]
-    e = bases[0].vectors.shape[1]
+    bases = np.asarray(bases, dtype=float)
+    m, _, e = bases.shape
     rng = np.random.default_rng(0)
-    machines = [
-        LearningMachine(rng.normal(size=(e, 2)), np.zeros(2)) for _ in bases
-    ]
-    return GduLayer(bases, machines, cfg, mode, kappa)
+    weights = np.stack([rng.normal(size=(e, 2)) for _ in range(m)], axis=1)
+    return GduLayer(bases, weights, np.zeros((m, 2)), cfg, mode, kappa)
 
 
 def random_layer(rng, m, n, e, mode="MMD", kappa=2.0):
@@ -72,7 +69,7 @@ def test_ols_matches_brute_force_expansion():
         X = rng.normal(size=(b, e))
         beta = rng.normal(size=(b, m))
         expected = omega_ols_brute(
-            X, beta, [ba.vectors for ba in layer.bases], CFG.sigma
+            X, beta, list(layer.bases), CFG.sigma
         )
         assert omega_ols(X, beta, layer) == pytest.approx(expected, abs=1e-10)
 
@@ -84,26 +81,26 @@ def test_ols_shape_mismatch():
         omega_ols(rng.normal(size=(4, 2)), np.zeros((3, 2)), layer)
 
 
-# -- gram_bases ---------------------------------------------------------------
+# -- basis_gram_matrix --------------------------------------------------------
 
 
 def test_gram_bases_identical_bases_all_equal():
     basis = [[0.1, 0.2], [0.3, -0.5]]
     layer = layer_from_bases([basis, basis, basis])
-    k = np.asarray(gram_bases(layer))
+    k = np.asarray(basis_gram_matrix(layer))
     assert np.allclose(k, k[0, 0])
 
 
 def test_gram_bases_symmetric():
     rng = np.random.default_rng(4)
     layer = random_layer(rng, m=4, n=3, e=2)
-    k = np.asarray(gram_bases(layer))
+    k = np.asarray(basis_gram_matrix(layer))
     np.testing.assert_allclose(k, k.T, atol=1e-15)
 
 
 def test_gram_bases_two_singleton_bases():
     layer = layer_from_bases([[[0.0]], [[2.0]]])
-    k = np.asarray(gram_bases(layer))
+    k = np.asarray(basis_gram_matrix(layer))
     e2 = math.exp(-2.0)
     np.testing.assert_allclose(k, [[1.0, e2], [e2, 1.0]], atol=1e-15)
 
@@ -152,7 +149,7 @@ def test_srip_power_iteration_matches_dense_eig():
     for m in range(2, 11):
         for _ in range(20):
             layer = random_layer(rng, m=m, n=3, e=2)
-            k = np.asarray(gram_bases(layer))
+            k = np.asarray(basis_gram_matrix(layer))
             a = k - np.eye(m)
             dense = float(np.max(np.abs(np.linalg.eigvalsh(a))))
             oracle = srip_power_iteration(a)
@@ -219,7 +216,7 @@ def test_total_projection_combines_ols_and_srip():
     beta = gate_matrix(X, layer)
     cfg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3, orth_variant="SRIP")
     expected = 1e-3 * float(omega_ols(X, beta, layer)) + 1e-3 * float(
-        omega_orth(np.asarray(gram_bases(layer)), "SRIP")
+        omega_orth(np.asarray(basis_gram_matrix(layer)), "SRIP")
     )
     assert omega_total(X, beta, layer, cfg) == pytest.approx(expected, abs=1e-15)
 

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from gdu.kernel import KernelConfig
-from gdu.layer import LearningMachine, gate_matrix, init_layer
+from gdu.layer import (
+    LearningMachine,
+    basis_gram_matrix,
+    forward_batch,
+    gate_matrix,
+    init_layer,
+)
 from gdu.regularization import (
     RegConfig,
-    gram_bases,
     omega_l1,
     omega_ols,
     omega_orth,
@@ -186,6 +191,26 @@ def test_ft_mode_excludes_extractor_blocks():
     assert any(name.startswith("fe.") for name in grads_e2e)
 
 
+def test_machine_views_write_through_to_the_layer():
+    # build_small_gdu and the benchmark's gradient probe perturb the biases
+    # through ``layer.machines``; copies would leave the layer unchanged.
+    rng = np.random.default_rng(16)
+    layer = init_layer(3, 2, 4, 3, 8, "CS", KernelConfig(1.5), kappa=2.0)
+    model = GduModel(None, layer)
+    X = rng.normal(size=(5, 4))
+    y = rng.integers(0, 3, size=5)
+    for machine in layer.machines:
+        assert np.shares_memory(machine.bias, layer.bias)
+        assert np.shares_memory(machine.weights, layer.weights)
+    logits = np.asarray(forward_batch(X, layer))
+    grad = gradients((X, y), model, RegConfig())["layer.bias"]
+    for machine in layer.machines:
+        machine.bias += rng.normal(scale=0.3, size=3)
+    assert np.all(layer.bias != 0.0)
+    assert not np.allclose(np.asarray(forward_batch(X, layer)), logits)
+    assert not np.allclose(gradients((X, y), model, RegConfig())["layer.bias"], grad)
+
+
 def test_gradients_leave_no_cyclic_garbage():
     # Tape nodes must not reference themselves, or every graph (with its
     # gradients) outlives the step until the cyclic collector runs.
@@ -346,7 +371,7 @@ def test_srip_tracking_and_trace_csv_columns():
     assert text.splitlines()[0] == "epoch,loss,val_acc,srip,omega_ols,omega_orth,omega_l1"
     assert all(r.srip is not None for r in trace.rows)
     # SRIP column reflects the spectral penalty on the basis Gram matrix.
-    expected = float(omega_orth(np.asarray(gram_bases(model.layer)), "SRIP"))
+    expected = float(omega_orth(np.asarray(basis_gram_matrix(model.layer)), "SRIP"))
     assert trace.rows[-1].srip == pytest.approx(expected, rel=1e-6)
 
 
@@ -369,7 +394,7 @@ def test_trace_regularizer_columns_match_standalone_terms(mode, variant):
         float(omega_ols(feats, beta, model.layer)), abs=1e-12
     )
     assert row.omega_orth == pytest.approx(
-        float(omega_orth(gram_bases(model.layer), variant)), abs=1e-12
+        float(omega_orth(basis_gram_matrix(model.layer), variant)), abs=1e-12
     )
     assert row.omega_l1 == pytest.approx(float(omega_l1(beta)), abs=1e-12)
 
