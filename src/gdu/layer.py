@@ -15,10 +15,14 @@ embedding:
 Every kernel statistic the gate and the regularizers read is a block mean
 of one Gaussian Gram over the stacked basis vectors, and each is one tape
 node (:func:`gdu.kernel.gram_block_means`,
-:func:`gdu.kernel.gram_diagonal_block_means`). The forward pass is the
-gate-weighted ensemble of the machines' outputs, run as one matmul over the
-stacked machine weights viewed as one (e, M*C) matrix. The machines of a
-layer share one activation.
+:func:`gdu.kernel.gram_diagonal_block_means`). The gate, from those inner
+products through the similarity and the kernel softmax, is one more node
+(``_gate_from_inners``). The forward pass is the gate-weighted ensemble of
+the machines' outputs, run as one matmul over the stacked machine weights
+viewed as one (e, M*C) matrix, and is one node too (:func:`forward_batch`).
+Each of these nodes has a closed-form backward, and its forward runs the
+same numpy operations for arrays and tensors. The machines of a layer share
+one activation.
 All computations accept numpy arrays or autodiff tensors, so the same code
 serves inference and gradient-based training.
 """
@@ -183,28 +187,66 @@ def _basis_inners(X, layer: GduLayer):
     return a, gram_diagonal_block_means(vectors, layer.kernel, n)
 
 
-def _gate_from_inners(a, norms, mode, kappa):
-    """Gating rows from precomputed embedding inner products."""
+def _gate_from_inners(a, norms, mode, kappa, self_norm=1.0):
+    """Gating rows from embedding inner products, as one tape node.
+
+    ``a[i, j] = <psi_i, mu_j>`` (b, M) and ``norms[j] = ||mu_j||^2`` (M,),
+    where ``psi_i`` is the gated embedding, with ``||psi_i||^2 = self_norm``
+    (a scalar or a one-element array): 1 for the feature map of one sample
+    under the Gaussian kernel. The rows are
+
+    * ``PROJECTION``: ``a / norms``;
+    * ``CS``: the kappa-softmax of ``H = a / sqrt(self_norm * norms)``;
+    * ``MMD``: the kappa-softmax of ``H = -(self_norm - 2 a + norms)``;
+
+    where the row-wise softmax subtracts each row's maximum first. The
+    forward runs these numpy operations in this order for arrays and tensors
+    alike. Arrays in give an array out; a tensor operand gives one node. Its
+    backward takes the output gradient ``g`` to ``gH = kappa * beta * (g -
+    <beta, g>)`` per row, then to the operands: for CS ``ga = gH / sqrt(
+    self_norm * norms)`` and ``-sum(gH * H) / (2 x)`` for ``x`` = each norm
+    (summed over rows) and the self norm (summed over all); for MMD
+    ``ga = 2 gH`` and ``-sum(gH)`` likewise.
+    """
+    av, nv, sv = ad.value_of(a), ad.value_of(norms), ad.value_of(self_norm)
+    n_row = nv.reshape(1, -1)
     if mode == "PROJECTION":
-        return a / ad.reshape(norms, (1, -1))
-    h = _similarity(a, norms, 1.0, mode)
-    return _kernel_softmax(h, kappa)
+        out = av / n_row
+    else:
+        if mode == "CS":
+            denom = np.sqrt(sv * n_row)
+            h = av / denom
+        else:
+            h = -(sv - 2.0 * av + n_row)
+        z = h * kappa
+        z = z - np.max(z, axis=1, keepdims=True)
+        e = np.exp(z)
+        out = e / np.sum(e, axis=1, keepdims=True)
+    parents = tuple(t for t in (a, norms, self_norm) if ad.is_tensor(t))
+    if not parents:
+        return out
 
+    def bw(g):
+        if mode == "PROJECTION":
+            ga = g / n_row
+            gn, gs = -np.sum(ga * out, axis=0), None
+        else:
+            gh = kappa * out * (g - np.sum(out * g, axis=1, keepdims=True))
+            if mode == "CS":
+                ga = gh / denom
+                t = gh * h
+                gn, gs = -np.sum(t, axis=0) / (2.0 * nv), -np.sum(t) / (2.0 * sv)
+            else:
+                ga = 2.0 * gh
+                gn, gs = -np.sum(gh, axis=0), -np.sum(gh)
+        if ad.is_tensor(a):
+            a._accumulate(ga)
+        if ad.is_tensor(norms):
+            norms._accumulate(gn)
+        if ad.is_tensor(self_norm):
+            self_norm._accumulate(np.reshape(gs, sv.shape))
 
-def _kernel_softmax(scores, kappa):
-    """Row-wise softmax of ``kappa * scores`` with max-subtraction."""
-    z = scores * kappa
-    z = z - ad.detach(ad.amax(z, axis=1, keepdims=True))
-    e = ad.exp(z)
-    return e / ad.summation(e, axis=1, keepdims=True)
-
-
-def _similarity(a, norms, self_norm_sq, mode):
-    """Similarity scores H between embeddings and each basis embedding."""
-    if mode == "CS":
-        return a / ad.sqrt(self_norm_sq * ad.reshape(norms, (1, -1)))
-    # MMD: negative squared RKHS distance.
-    return -(self_norm_sq - 2.0 * a + ad.reshape(norms, (1, -1)))
+    return ad.Tensor(out, parents, bw)
 
 
 def gate_matrix(X, layer: GduLayer):
@@ -228,17 +270,19 @@ def gate_batch(X, layer: GduLayer):
     """One shared gating row for a whole batch, via the batch mean embedding.
 
     Replaces the single feature map with ``mu = (1/b) sum_l phi(x_l)`` in the
-    similarity (geometry modes) or in the projection numerator.
+    similarity (geometry modes, with its squared norm as the self norm) or in
+    the projection numerator.
     """
-    if ad.value_of(X).shape[0] < 1:
+    b = ad.value_of(X).shape[0]
+    if b < 1:
         raise ValueError("gate_batch needs a nonempty batch")
     a, norms = _basis_inners(X, layer)
     a_batch = ad.mean(a, axis=0, keepdims=True)  # <mu_batch, mu_j>
-    if layer.mode == "PROJECTION":
-        return ad.reshape(a_batch / ad.reshape(norms, (1, -1)), (-1,))
-    self_norm = gram_diagonal_block_means(X, layer.kernel, ad.value_of(X).shape[0])
-    h = _similarity(a_batch, norms, self_norm, layer.mode)
-    return ad.reshape(_kernel_softmax(h, layer.kappa), (-1,))
+    self_norm = 1.0
+    if layer.mode in GEOMETRY_MODES:
+        self_norm = gram_diagonal_block_means(X, layer.kernel, b)
+    beta = _gate_from_inners(a_batch, norms, layer.mode, layer.kappa, self_norm)
+    return ad.reshape(beta, (-1,))
 
 
 def forward_batch(X, layer: GduLayer, beta=None):
@@ -246,18 +290,50 @@ def forward_batch(X, layer: GduLayer, beta=None):
 
     ``beta`` overrides the gate (e.g. constant 1/M rows reproduce a uniform
     ensemble); by default per-sample gating is used. All M machines run as
-    one matmul against their weights viewed as (e, M*C); the (b, M, C)
-    outputs are then summed with weights ``beta``.
+    one matmul against their weights viewed as (e, M*C), plus the bias and
+    the activation; the (b, M, C) outputs ``O`` are then summed with weights
+    ``beta``.
+
+    Arrays in give an array out; a tensor among ``X``, the layer's weights
+    and bias, and ``beta`` gives one tape node. Its backward, for the output
+    gradient ``g``: ``g_beta[i, j] = <O[i, j], g[i]>``, and the
+    pre-activation gradient ``P = beta[i, j] * g[i]`` (times ``1 - O^2``
+    under tanh) gives ``X^T P``, ``sum_i P`` and ``P W^T`` for the weights,
+    the bias and ``X``.
     """
     if beta is None:
         beta = gate_matrix(X, layer)
-    weights = ad.reshape(layer.weights, (layer.feature_dim, -1))
-    out = X @ weights + ad.reshape(layer.bias, (-1,))
-    if layer.activation == "tanh":
-        out = ad.tanh(out)
-    b = ad.value_of(X).shape[0]
-    out = ad.reshape(out, (b, layer.num_bases, layer.n_outputs))
-    return ad.summation(ad.reshape(beta, (b, layer.num_bases, 1)) * out, axis=1)
+    weights, bias = layer.weights, layer.bias
+    Xv, Wv, bv, beta_v = (ad.value_of(t) for t in (X, weights, bias, beta))
+    W = Wv.reshape(layer.feature_dim, -1)
+    out = Xv @ W + bv.reshape(-1)
+    tanh = layer.activation == "tanh"
+    if tanh:
+        out = np.tanh(out)
+    b, m = Xv.shape[0], layer.num_bases
+    out = out.reshape(b, m, layer.n_outputs)
+    beta_col = beta_v.reshape(b, m, 1)
+    y = np.sum(beta_col * out, axis=1)
+    parents = tuple(t for t in (X, weights, bias, beta) if ad.is_tensor(t))
+    if not parents:
+        return y
+
+    def bw(g):
+        g_row = g[:, None, :]
+        if ad.is_tensor(beta):
+            beta._accumulate(np.sum(out * g_row, axis=2).reshape(beta_v.shape))
+        P = beta_col * g_row
+        if tanh:
+            P = P * (1.0 - out * out)
+        P = P.reshape(b, -1)
+        if ad.is_tensor(weights):
+            weights._accumulate((Xv.T @ P).reshape(Wv.shape))
+        if ad.is_tensor(bias):
+            bias._accumulate(np.sum(P, axis=0).reshape(bv.shape))
+        if ad.is_tensor(X):
+            X._accumulate(P @ W.T)
+
+    return ad.Tensor(y, parents, bw)
 
 
 def forward(x, layer: GduLayer, beta=None):

@@ -10,10 +10,18 @@ Gradients come from the in-repo reverse-mode tape (:mod:`gdu.autodiff`);
 their binding contract is agreement with central finite differences.
 Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
 extractor, so features are extracted once and only layer parameters move.
+
+:func:`train` keeps the trained blocks in one contiguous float64 vector: it
+rebinds each trained parameter attribute of the model (``fe.weights[i]``,
+``fe.biases[i]``, ``layer.bases``/``weights``/``bias``, ``head.weights``/
+``bias``) to a view of that vector, so the optimizer step, the best-epoch
+snapshot and its restore are single vector operations. An array taken from
+the model before ``train`` is no longer the model's parameter afterwards.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -145,6 +153,10 @@ class DatasetSplits:
             raise ValueError("train and validation splits must be nonempty")
         if len(self.train_x) != len(self.train_y) or len(self.val_x) != len(self.val_y):
             raise ValueError("features and labels must have matching lengths")
+        for name in ("train_y", "val_y"):
+            labels = np.asarray(getattr(self, name))
+            if labels.ndim != 1 or np.any(labels < 0) or np.any(labels != np.floor(labels)):
+                raise ValueError(f"{name} must be a 1-D array of nonnegative integer labels")
 
 
 @dataclass(frozen=True)
@@ -287,81 +299,147 @@ def loss_ce(logits, label: int):
     return ad.log(ad.summation(ad.exp(z))) - z[label]
 
 
+def _checked_labels(labels, b: int, c: int) -> np.ndarray:
+    """``labels`` as b int64 class indices in ``[0, c)``, or a ValueError."""
+    labels = np.asarray(labels)
+    if labels.shape != (b,):
+        raise ValueError(f"expected {b} labels, got shape {labels.shape}")
+    labels = labels.astype(np.int64)
+    if b and (labels.min() < 0 or labels.max() >= c):
+        bad = labels[(labels < 0) | (labels >= c)][0]
+        raise ValueError(f"label {bad} out of range for C={c}")
+    return labels
+
+
 def cross_entropy_mean(logits, labels):
-    """Mean categorical cross-entropy over a batch of logits rows."""
-    labels = np.asarray(labels, dtype=np.int64)
-    b = ad.value_of(logits).shape[0]
-    z = logits - ad.detach(ad.amax(logits, axis=1, keepdims=True))
-    lse = ad.log(ad.summation(ad.exp(z), axis=1))
-    picked = z[np.arange(b), labels]
-    return ad.mean(lse - picked)
+    """Mean categorical cross-entropy over a (b, C) batch of logits rows.
+
+    ``labels`` must be b integers in ``[0, C)``. The forward subtracts each
+    row's maximum and takes ``log sum exp`` minus the picked entry, with the
+    same numpy operations for arrays and tensors. Arrays in give a float
+    out; tensor logits give one tape node whose backward is
+    ``(softmax(logits) - onehot(labels)) * g / b``.
+    """
+    vals = ad.value_of(logits)
+    if vals.ndim != 2:
+        raise ValueError(f"expected (b, C) logits, got shape {vals.shape}")
+    b, c = vals.shape
+    labels = _checked_labels(labels, b, c)
+    rows = np.arange(b)
+    z = vals - np.max(vals, axis=1, keepdims=True)
+    e = np.exp(z)
+    total = np.sum(e, axis=1)
+    loss = np.sum(np.log(total) - z[rows, labels]) / float(b)
+    if not ad.is_tensor(logits):
+        return loss
+
+    def bw(g):
+        d = e / total[:, None]
+        d[rows, labels] -= 1.0
+        logits._accumulate(d * (g / b))
+
+    return ad.Tensor(loss, (logits,), bw)
 
 
 # -- objective graph ---------------------------------------------------------
 
 
-def trainable_arrays(model, train_mode: str) -> dict:
-    """Name -> live parameter array for every tensor trained in this mode."""
-    params: dict = {}
+def _parameter_slots(model, train_mode: str) -> list:
+    """``(name, owner, key)`` for every block trained in this mode, in order.
+
+    The block is ``owner[key]`` for an integer key (the extractor's lists)
+    and the attribute ``key`` of ``owner`` otherwise.
+    """
+    slots = []
     if model.fe is not None and train_mode == "E2E":
         for i in range(len(model.fe.weights)):
-            params[f"fe.w{i}"] = model.fe.weights[i]
-            params[f"fe.b{i}"] = model.fe.biases[i]
+            slots += [(f"fe.w{i}", model.fe.weights, i), (f"fe.b{i}", model.fe.biases, i)]
     if isinstance(model, GduModel):
-        params["layer.bases"] = model.layer.bases
-        params["layer.weights"] = model.layer.weights
-        params["layer.bias"] = model.layer.bias
+        slots += [(f"layer.{key}", model.layer, key) for key in ("bases", "weights", "bias")]
     else:
         for j, head in enumerate(model.heads):
-            params[f"head.w{j}"] = head.weights
-            params[f"head.b{j}"] = head.bias
-    return params
+            slots += [(f"head.w{j}", head, "weights"), (f"head.b{j}", head, "bias")]
+    return slots
 
 
-def _graph_fe(model, params_t, X, train_mode):
-    if model.fe is None:
-        return X
-    if train_mode == "E2E":
-        fe_t = FeatureExtractor(
-            [params_t[f"fe.w{i}"] for i in range(len(model.fe.weights))],
-            [params_t[f"fe.b{i}"] for i in range(len(model.fe.biases))],
-            model.fe.nonlinearity,
-        )
-        return fe_forward(X, fe_t)
-    return fe_forward(X, model.fe)
+def _get_slot(owner, key):
+    return owner[key] if isinstance(key, int) else getattr(owner, key)
 
 
-def _graph_layer(model: GduModel, params_t) -> GduLayer:
-    return replace(
-        model.layer,
-        bases=params_t["layer.bases"],
-        weights=params_t["layer.weights"],
-        bias=params_t["layer.bias"],
-    )
+def _set_slot(owner, key, value):
+    if isinstance(key, int):
+        owner[key] = value
+    else:
+        setattr(owner, key, value)
+
+
+def trainable_arrays(model, train_mode: str) -> dict:
+    """Name -> live parameter array for every tensor trained in this mode."""
+    return {
+        name: _get_slot(owner, key) for name, owner, key in _parameter_slots(model, train_mode)
+    }
+
+
+def _block_views(flat, shapes) -> list:
+    """Consecutive views of the vector ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _pack_parameters(model, train_mode: str):
+    """Move the blocks trained in this mode into one float64 vector.
+
+    Copies the blocks, in :func:`trainable_arrays` order, into a new
+    contiguous vector and rebinds each parameter attribute of ``model`` to
+    its view of it; returns the vector.
+    """
+    slots = _parameter_slots(model, train_mode)
+    arrays = [_get_slot(owner, key) for _, owner, key in slots]
+    flat = np.concatenate([np.ravel(arr) for arr in arrays], dtype=np.float64)
+    for (_, owner, key), view in zip(slots, _block_views(flat, [np.shape(a) for a in arrays])):
+        _set_slot(owner, key, view)
+    return flat
+
+
+def _graph_model(model, train_mode: str):
+    """A copy of ``model`` whose trained blocks are fresh tape leaves.
+
+    Only the objects that hold a trained block are copied, shallowly; their
+    other fields, already validated on ``model``, are shared. Returns the
+    copy and its leaves by name.
+    """
+    graph = copy.copy(model)
+    if graph.fe is not None:
+        graph.fe = copy.copy(graph.fe)
+        graph.fe.weights, graph.fe.biases = list(graph.fe.weights), list(graph.fe.biases)
+    if isinstance(graph, GduModel):
+        graph.layer = copy.copy(graph.layer)
+    else:
+        graph.heads = [copy.copy(head) for head in graph.heads]
+    params_t = {}
+    for name, owner, key in _parameter_slots(graph, train_mode):
+        params_t[name] = ad.tensor(_get_slot(owner, key))
+        _set_slot(owner, key, params_t[name])
+    return graph, params_t
 
 
 def _build_objective(model, X, y, reg: RegConfig, train_mode: str):
     """Build the objective graph; returns (objective node, param tensors)."""
-    params_t = {
-        name: ad.tensor(arr) for name, arr in trainable_arrays(model, train_mode).items()
-    }
-    feats = _graph_fe(model, params_t, X, train_mode)
-    if isinstance(model, GduModel):
-        layer_t = _graph_layer(model, params_t)
+    graph, params_t = _graph_model(model, train_mode)
+    feats = fe_forward(X, graph.fe)
+    if isinstance(graph, GduModel):
+        layer_t = graph.layer
         # The gate's inner products are shared with the reconstruction term.
         a, norms = _basis_inners(feats, layer_t)
         beta = _gate_from_inners(a, norms, layer_t.mode, layer_t.kappa)
         logits = forward_batch(feats, layer_t, beta=beta)
         obj = _add_regularizers(cross_entropy_mean(logits, y), a, beta, layer_t, reg)
     else:
-        heads_t = [
-            LearningMachine(
-                params_t[f"head.w{j}"], params_t[f"head.b{j}"], head.activation
-            )
-            for j, head in enumerate(model.heads)
-        ]
-        logits = _heads_mean(heads_t, feats)
-        obj = cross_entropy_mean(logits, y)
+        obj = cross_entropy_mean(_heads_mean(graph.heads, feats), y)
     return obj, params_t
 
 
@@ -382,24 +460,26 @@ def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
     obj, params_t = _build_objective(
         model, np.asarray(X, dtype=np.float64), y, reg, train_mode
     )
-    return _backprop(obj, params_t)
+    grad = _backprop(obj, params_t)
+    return dict(zip(params_t, _block_views(grad, [t.shape for t in params_t.values()])))
 
 
-def _backprop(obj, params_t: dict, where: str = "") -> dict:
-    """Backpropagate ``obj`` and return each block's gradient, checked finite.
+def _backprop(obj, params_t: dict, where: str = "") -> np.ndarray:
+    """Backpropagate ``obj``; return the blocks' gradients as one vector.
 
-    Blocks the objective does not reach get zeros; ``where`` is appended to
-    the error message that names a non-finite block.
+    The blocks lie in the order of ``params_t``, as in the parameter vector
+    of :func:`_pack_parameters`. Blocks the objective does not reach get
+    zeros. A non-finite entry raises, naming the first block that holds
+    one, with ``where`` appended to the message.
     """
     if isinstance(obj, ad.Tensor):
         obj.backward()
-    grads = {}
-    for name, t in params_t.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in block {name!r}{where}")
-        grads[name] = g
-    return grads
+    blocks = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in params_t.values()]
+    grad = np.concatenate([np.ravel(g) for g in blocks])
+    if not np.all(np.isfinite(grad)):
+        name = next(n for n, g in zip(params_t, blocks) if not np.all(np.isfinite(g)))
+        raise NonFiniteGradientError(f"non-finite gradient in block {name!r}{where}")
+    return grad
 
 
 # -- prediction ---------------------------------------------------------------
@@ -415,38 +495,41 @@ def predict_logits(model, X) -> np.ndarray:
 
 
 def accuracy(model, X, y) -> float:
-    preds = np.argmax(predict_logits(model, X), axis=1)
-    return float(np.mean(preds == np.asarray(y)))
+    logits = predict_logits(model, X)
+    y = _checked_labels(y, *logits.shape)
+    return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
 # -- optimizers ---------------------------------------------------------------
 
 
 class _Adam:
-    def __init__(self, params: dict, cfg: TrainConfig):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    """Adam on one parameter vector, updated in place."""
+
+    def __init__(self, params: np.ndarray, cfg: TrainConfig):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
         self.cfg = cfg
 
-    def step(self, params: dict, grads: dict):
+    def step(self, params: np.ndarray, grad: np.ndarray):
         c = self.cfg
         self.t += 1
-        for name, g in grads.items():
-            self.m[name] = c.adam_beta1 * self.m[name] + (1 - c.adam_beta1) * g
-            self.v[name] = c.adam_beta2 * self.v[name] + (1 - c.adam_beta2) * g * g
-            m_hat = self.m[name] / (1 - c.adam_beta1**self.t)
-            v_hat = self.v[name] / (1 - c.adam_beta2**self.t)
-            params[name] -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+        self.m = c.adam_beta1 * self.m + (1 - c.adam_beta1) * grad
+        self.v = c.adam_beta2 * self.v + (1 - c.adam_beta2) * grad * grad
+        m_hat = self.m / (1 - c.adam_beta1**self.t)
+        v_hat = self.v / (1 - c.adam_beta2**self.t)
+        params -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
 
 
 class _Sgd:
-    def __init__(self, params: dict, cfg: TrainConfig):
+    """Plain gradient descent on one parameter vector, updated in place."""
+
+    def __init__(self, params: np.ndarray, cfg: TrainConfig):
         self.cfg = cfg
 
-    def step(self, params: dict, grads: dict):
-        for name, g in grads.items():
-            params[name] -= self.cfg.learning_rate * g
+    def step(self, params: np.ndarray, grad: np.ndarray):
+        params -= self.cfg.learning_rate * grad
 
 
 # -- the training loop ---------------------------------------------------------
@@ -480,8 +563,13 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     Deterministic given the config seed. Early stopping keeps the first
     parameter snapshot attaining the highest validation accuracy and stops
     after ``patience`` epochs without improvement.
+
+    The trained parameter attributes of ``model`` are rebound to views of
+    one new vector (see the module docstring), so arrays taken from the
+    model before the call no longer follow it. In FT mode the extractor is
+    left as it is.
     """
-    params = trainable_arrays(model, config.mode)
+    params = _pack_parameters(model, config.mode)
     opt = _Adam(params, config) if config.optimizer == "ADAM" else _Sgd(params, config)
     rng = np.random.default_rng(config.seed)
     n = len(data.train_x)
@@ -532,7 +620,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
 
         if val_acc > best_val:
             best_val = val_acc
-            best_snapshot = {name: arr.copy() for name, arr in params.items()}
+            best_snapshot = params.copy()
             stale_epochs = 0
         else:
             stale_epochs += 1
@@ -540,6 +628,5 @@ def train(data: DatasetSplits, config: TrainConfig, model):
                 break
 
     if best_snapshot is not None:
-        for name, arr in params.items():
-            arr[...] = best_snapshot[name]
+        params[...] = best_snapshot
     return model, trace

@@ -1,13 +1,19 @@
 """Brute-force oracles for the test suite.
 
-Everything here is written with explicit Python loops and scalar math,
+Most of this is written with explicit Python loops and scalar math,
 independent of the package's vectorized code paths, so tests can compare
-two genuinely different routes to the same quantity.
+two genuinely different routes to the same quantity. The ``*_chain``
+functions are the exception: they are the per-op autodiff chains that the
+package's fused tape nodes replaced, kept as references. On arrays they run
+the numpy operations of the fused forwards in the same order, so the two
+must agree bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from gdu import autodiff as ad
 
 
 def kernel_value(x, y, sigma):
@@ -159,3 +165,49 @@ def srip_power_iteration(A):
         if done.all():
             break
     return float(estimates.max())
+
+
+# -- op chains replaced by fused tape nodes ------------------------------------
+
+
+def cross_entropy_chain(logits, labels):
+    """Mean cross-entropy of (b, C) logits rows, one op per tape node."""
+    labels = np.asarray(labels, dtype=np.int64)
+    b = ad.value_of(logits).shape[0]
+    z = logits - ad.detach(ad.amax(logits, axis=1, keepdims=True))
+    lse = ad.log(ad.summation(ad.exp(z), axis=1))
+    picked = z[np.arange(b), labels]
+    return ad.mean(lse - picked)
+
+
+def kernel_softmax_chain(scores, kappa):
+    """Row-wise softmax of ``kappa * scores`` with max-subtraction."""
+    z = scores * kappa
+    z = z - ad.detach(ad.amax(z, axis=1, keepdims=True))
+    e = ad.exp(z)
+    return e / ad.summation(e, axis=1, keepdims=True)
+
+
+def similarity_chain(a, norms, self_norm_sq, mode):
+    """CS or MMD similarity scores between embeddings and each basis."""
+    if mode == "CS":
+        return a / ad.sqrt(self_norm_sq * ad.reshape(norms, (1, -1)))
+    return -(self_norm_sq - 2.0 * a + ad.reshape(norms, (1, -1)))
+
+
+def gate_chain(a, norms, mode, kappa, self_norm_sq=1.0):
+    """Gating rows from embedding inner products (see ``_gate_from_inners``)."""
+    if mode == "PROJECTION":
+        return a / ad.reshape(norms, (1, -1))
+    return kernel_softmax_chain(similarity_chain(a, norms, self_norm_sq, mode), kappa)
+
+
+def ensemble_chain(X, weights, bias, beta, activation):
+    """Gate-weighted sum of the machines' outputs (see ``forward_batch``)."""
+    e, m, c = ad.value_of(weights).shape
+    b = ad.value_of(X).shape[0]
+    out = X @ ad.reshape(weights, (e, -1)) + ad.reshape(bias, (-1,))
+    if activation == "tanh":
+        out = ad.tanh(out)
+    out = ad.reshape(out, (b, m, c))
+    return ad.summation(ad.reshape(beta, (b, m, 1)) * out, axis=1)

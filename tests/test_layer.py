@@ -89,13 +89,17 @@ def test_geometry_rows_sum_to_one_and_positive():
 
 def test_gate_softmax_shift_invariance():
     # Injecting a constant shift into the similarity scores must not change
-    # the kernel softmax output.
-    from gdu.layer import _kernel_softmax
+    # the kernel softmax output. The self norm enters every MMD score of a
+    # row with the same sign, so changing it shifts the row by a constant.
+    from gdu.layer import _gate_from_inners
 
     rng = np.random.default_rng(1)
-    h = rng.normal(size=(5, 4))
+    a = rng.normal(size=(5, 4))
+    norms = rng.uniform(0.5, 1.5, size=4)
     np.testing.assert_allclose(
-        _kernel_softmax(h, 2.0), _kernel_softmax(h + 7.3, 2.0), atol=1e-12
+        _gate_from_inners(a, norms, "MMD", 2.0),
+        _gate_from_inners(a, norms, "MMD", 2.0, self_norm=1.0 + 7.3),
+        atol=1e-12,
     )
 
 

@@ -2,10 +2,13 @@
 
 import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gdu import autodiff as ad
+from gdu.checkpoint import model_from_text, model_to_text
 from gdu.kernel import KernelConfig
 from gdu.layer import (
     LearningMachine,
@@ -26,6 +29,7 @@ from gdu.training import (
     ErmModel,
     FeatureExtractor,
     GduModel,
+    NonFiniteGradientError,
     TrainConfig,
     TrainingDivergedError,
     _build_objective,
@@ -236,6 +240,11 @@ def _op_nodes(obj, params_t):
     return len(seen - {id(t) for t in params_t.values()})
 
 
+# Non-leaf tape nodes of an E2E step with every regularizer on, one-layer
+# extractor: cross-entropy, the gate and the ensemble are one node each.
+TAPE_NODE_CAP = {"CS": 30, "MMD": 30, "PROJECTION": 28}
+
+
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
 def test_objective_tape_size_does_not_grow_with_num_bases(mode):
     counts = set()
@@ -244,6 +253,7 @@ def test_objective_tape_size_does_not_grow_with_num_bases(mode):
         obj, params_t = _build_objective(model, X, y, reg_toggles(mode)[-1], "E2E")
         counts.add(_op_nodes(obj, params_t))
     assert len(counts) == 1, counts
+    assert counts.pop() <= TAPE_NODE_CAP[mode]
 
 
 def test_erm_model_rejects_mixed_head_activations():
@@ -303,9 +313,44 @@ def test_train_reaches_high_accuracy_on_separable_data():
 def test_train_is_deterministic():
     data = separable_splits(1)
     config = TrainConfig(max_epochs=8, patience=8, batch_size=16, seed=3)
-    _, trace_a = train(data, config, small_gdu_for_training(2))
-    _, trace_b = train(data, config, small_gdu_for_training(2))
+    model_a, trace_a = train(data, config, small_gdu_for_training(2))
+    model_b, trace_b = train(data, config, small_gdu_for_training(2))
     assert trace_a.to_csv_text() == trace_b.to_csv_text()
+    assert model_to_text(model_a) == model_to_text(model_b)
+
+
+@pytest.mark.parametrize("train_mode", ["E2E", "FT"])
+@pytest.mark.parametrize("kind", ["GDU", "ERM"])
+def test_trained_blocks_are_views_of_one_buffer(train_mode, kind):
+    data = separable_splits(10)
+    if kind == "GDU":
+        model = small_gdu_for_training(10)
+    else:
+        model = init_erm_model([2, 6, 4], 2, n_heads=2, seed=10)
+    fe_before = [arr.copy() for arr in model.fe.weights + model.fe.biases]
+    config = TrainConfig(mode=train_mode, max_epochs=3, patience=3, batch_size=16, seed=12)
+    model, _ = train(data, config, model)
+    blocks = list(trainable_arrays(model, train_mode).values())
+    buffer = blocks[0].base
+    assert buffer is not None and buffer.ndim == 1
+    assert all(block.base is buffer for block in blocks)
+    assert buffer.size == sum(block.size for block in blocks)
+    if train_mode == "FT":
+        for before, after in zip(fe_before, model.fe.weights + model.fe.biases):
+            assert not np.shares_memory(after, buffer)
+            np.testing.assert_array_equal(after, before)
+    if kind == "GDU":
+        logits = predict_logits(model, data.val_x)
+        bias_before = model.layer.bias.copy()
+        machine = model.layer.machines[1]
+        assert np.shares_memory(machine.bias, buffer)
+        machine.bias += 0.5
+        np.testing.assert_array_equal(model.layer.bias[1], bias_before[1] + 0.5)
+        assert not np.array_equal(predict_logits(model, data.val_x), logits)
+    back = model_from_text(model_to_text(model))
+    np.testing.assert_array_equal(
+        predict_logits(back, data.val_x), predict_logits(model, data.val_x)
+    )
 
 
 def test_train_restores_best_validation_snapshot():
@@ -314,6 +359,20 @@ def test_train_restores_best_validation_snapshot():
     model, trace = train(data, config, small_gdu_for_training(3))
     best = max(r.val_acc for r in trace.rows)
     assert accuracy(model, data.val_x, data.val_y) == pytest.approx(best)
+
+
+def test_train_restores_the_first_best_epoch_exactly():
+    # A run that stops right after the first best epoch ends with the very
+    # parameters that the longer run must restore from its snapshot.
+    data = separable_splits(15, gap=2.0)
+    config = TrainConfig(max_epochs=8, patience=8, batch_size=16, seed=14)
+    model, trace = train(data, config, small_gdu_for_training(13))
+    accs = [r.val_acc for r in trace.rows]
+    best = accs.index(max(accs))
+    assert best < len(accs) - 1 and accs[-1] < accs[best]
+    short = replace(config, max_epochs=best + 1, patience=best + 1)
+    model_best, _ = train(data, short, small_gdu_for_training(13))
+    assert model_to_text(model) == model_to_text(model_best)
 
 
 def test_train_early_stopping_halts_before_max_epochs():
@@ -357,6 +416,45 @@ def test_train_diverges_on_nonfinite_parameters():
     with pytest.raises(TrainingDivergedError) as err:
         train(data, config, model)
     assert err.value.epoch == 0
+
+
+def test_nonfinite_gradient_names_its_block(monkeypatch):
+    # The derivative of sqrt at zero is infinite: adding 0 * sum(sqrt(bias -
+    # bias)) keeps the objective finite but makes only the bias gradient NaN.
+    import gdu.training as training_module
+
+    def forward_with_nan_bias_gradient(X, layer, beta=None):
+        nan_grad = ad.summation(ad.sqrt(layer.bias - layer.bias)) * 0.0
+        return forward_batch(X, layer, beta=beta) + nan_grad
+
+    monkeypatch.setattr(training_module, "forward_batch", forward_with_nan_bias_gradient)
+    model, X, y = build_small_gdu(12, "CS")
+    data = separable_splits(11)
+    config = TrainConfig(max_epochs=2, patience=2, seed=13)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.isfinite(objective((X, y), model, RegConfig()))
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in block 'layer.bias'$"):
+            gradients((X, y), model, RegConfig())
+        with pytest.raises(NonFiniteGradientError, match=r"block 'layer.bias' at epoch 0$"):
+            train(data, config, small_gdu_for_training(11, mode="CS"))
+
+
+def test_labels_are_validated():
+    data = separable_splits(12)
+    for bad in ([-1, 7], [[0], [1]], [0.5, 1.0]):
+        with pytest.raises(ValueError, match="train_y"):
+            DatasetSplits(data.train_x[:2], bad, data.val_x, data.val_y)
+    with pytest.raises(ValueError, match="val_y"):
+        DatasetSplits(data.train_x, data.train_y, data.val_x[:1], [-1])
+    # Labels beyond the model's classes are caught by the loss and, on the
+    # validation split, by the accuracy.
+    config = TrainConfig(max_epochs=1, patience=1)
+    too_large = DatasetSplits(data.train_x, data.train_y + 5, data.val_x, data.val_y)
+    with pytest.raises(ValueError, match="label [56] out of range for C=2"):
+        train(too_large, config, small_gdu_for_training(12))
+    too_large = DatasetSplits(data.train_x, data.train_y, data.val_x, data.val_y + 5)
+    with pytest.raises(ValueError, match="label [56] out of range for C=2"):
+        train(too_large, config, small_gdu_for_training(12))
 
 
 def test_srip_tracking_and_trace_csv_columns():
