@@ -21,7 +21,6 @@ from .regularization import (
 )
 from .training import (
     DatasetSplits,
-    ErmModel,
     FeatureExtractor,
     GduModel,
     TrainConfig,

@@ -8,6 +8,11 @@ key-length-value blocks, then ``end``.
 * ``block <key> <ndim> <dim...> <count>`` - a matrix block, followed by
   ``count`` whitespace-separated hex floats (wrapped across lines).
 
+A model is written as kind ``gdu-model``, or as kind ``erm-model`` when its
+layer is UNIFORM: an ERM model stores no bases and no kernel, only its
+heads' activation and one weight and one bias block per head. A UNIFORM
+layer on its own has no layer checkpoint.
+
 Readers reject unknown versions and truncated or malformed blocks.
 """
 
@@ -16,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import KernelConfig
-from .layer import GduLayer, LearningMachine
-from .training import ErmModel, FeatureExtractor, GduModel
+from .layer import UNIFORM, GduLayer
+from .training import FeatureExtractor, GduModel
 
 __all__ = [
     "CheckpointError",
@@ -108,7 +113,7 @@ class _Reader:
 
 
 def _stack_blocks(blocks: list, kind: str, axis: int = 0) -> np.ndarray:
-    """Stack the per-basis blocks of one kind; they must exist and share a shape."""
+    """Stack the per-basis or per-head blocks of one kind; they must exist and share a shape."""
     shapes = sorted({b.shape for b in blocks})
     if len(shapes) != 1:
         raise CheckpointError(f"{kind} blocks must share one shape, found {shapes}")
@@ -116,6 +121,8 @@ def _stack_blocks(blocks: list, kind: str, axis: int = 0) -> np.ndarray:
 
 
 def _emit_layer(lines: list, layer: GduLayer):
+    if layer.mode == UNIFORM:
+        raise CheckpointError("a UNIFORM layer is saved only as part of an erm-model")
     lines.append(f"field mode {layer.mode}")
     lines.append(f"field sigma {_field_token(layer.kernel.sigma)}")
     lines.append(f"field kappa {_field_token(layer.kappa)}")
@@ -124,9 +131,22 @@ def _emit_layer(lines: list, layer: GduLayer):
     # Format v1 stores one block per basis and per machine.
     for j in range(layer.num_bases):
         _emit_block(lines, f"basis{j}", layer.bases[j])
+    _emit_machines(lines, layer, "mach")
+
+
+def _emit_machines(lines: list, layer: GduLayer, prefix: str):
     for j in range(layer.num_bases):
-        _emit_block(lines, f"mach_w{j}", layer.weights[:, j])
-        _emit_block(lines, f"mach_b{j}", layer.bias[j])
+        _emit_block(lines, f"{prefix}_w{j}", layer.weights[:, j])
+        _emit_block(lines, f"{prefix}_b{j}", layer.bias[j])
+
+
+def _read_machines(reader: _Reader, prefix: str, count: int) -> tuple:
+    """The stacked weights (e, M, C) and bias (M, C) of ``count`` machines."""
+    weights, bias = [], []
+    for j in range(count):
+        weights.append(reader.read_block(f"{prefix}_w{j}"))
+        bias.append(reader.read_block(f"{prefix}_b{j}"))
+    return _stack_blocks(weights, f"{prefix}_w", axis=1), _stack_blocks(bias, f"{prefix}_b")
 
 
 def _read_layer(reader: _Reader) -> GduLayer:
@@ -135,20 +155,9 @@ def _read_layer(reader: _Reader) -> GduLayer:
     kappa = reader.read_float_field("kappa")
     activation = reader.read_field("activation")
     num_bases = int(reader.read_field("num_bases"))
-    bases = [reader.read_block(f"basis{j}") for j in range(num_bases)]
-    weights, bias = [], []
-    for j in range(num_bases):
-        weights.append(reader.read_block(f"mach_w{j}"))
-        bias.append(reader.read_block(f"mach_b{j}"))
-    return GduLayer(
-        _stack_blocks(bases, "basis"),
-        _stack_blocks(weights, "mach_w", axis=1),
-        _stack_blocks(bias, "mach_b"),
-        KernelConfig(sigma),
-        mode,
-        kappa,
-        activation,
-    )
+    bases = _stack_blocks([reader.read_block(f"basis{j}") for j in range(num_bases)], "basis")
+    weights, bias = _read_machines(reader, "mach", num_bases)
+    return GduLayer(bases, weights, bias, KernelConfig(sigma), mode, kappa, activation)
 
 
 def _emit_fe(lines: list, fe: FeatureExtractor | None):
@@ -181,22 +190,18 @@ def layer_to_text(layer: GduLayer) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_to_text(model) -> str:
-    lines = [f"gdu-checkpoint {FORMAT_VERSION}"]
-    if isinstance(model, GduModel):
-        lines.append("field kind gdu-model")
-        _emit_fe(lines, model.fe)
-        _emit_layer(lines, model.layer)
-    elif isinstance(model, ErmModel):
-        lines.append("field kind erm-model")
-        _emit_fe(lines, model.fe)
-        lines.append(f"field activation {model.heads[0].activation}")
-        lines.append(f"field num_heads {len(model.heads)}")
-        for j, head in enumerate(model.heads):
-            _emit_block(lines, f"head_w{j}", head.weights)
-            _emit_block(lines, f"head_b{j}", head.bias)
+def model_to_text(model: GduModel) -> str:
+    layer = model.layer
+    erm = layer.mode == UNIFORM
+    kind = "erm-model" if erm else "gdu-model"
+    lines = [f"gdu-checkpoint {FORMAT_VERSION}", f"field kind {kind}"]
+    _emit_fe(lines, model.fe)
+    if erm:
+        lines.append(f"field activation {layer.activation}")
+        lines.append(f"field num_heads {layer.num_bases}")
+        _emit_machines(lines, layer, "head")
     else:
-        raise CheckpointError(f"cannot serialize object of type {type(model).__name__}")
+        _emit_layer(lines, layer)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -220,25 +225,21 @@ def layer_from_text(text: str) -> GduLayer:
     return layer
 
 
-def model_from_text(text: str):
+def _read_erm_layer(reader: _Reader) -> GduLayer:
+    activation = reader.read_field("activation")
+    weights, bias = _read_machines(reader, "head", int(reader.read_field("num_heads")))
+    return GduLayer(None, weights, bias, None, UNIFORM, activation=activation)
+
+
+def model_from_text(text: str) -> GduModel:
     reader, kind = _open_reader(text)
-    if kind == "gdu-model":
-        fe = _read_fe(reader)
-        layer = _read_layer(reader)
-        reader.expect("end")
-        return GduModel(fe, layer)
-    if kind == "erm-model":
-        fe = _read_fe(reader)
-        activation = reader.read_field("activation")
-        num_heads = int(reader.read_field("num_heads"))
-        heads = []
-        for j in range(num_heads):
-            w = reader.read_block(f"head_w{j}")
-            b = reader.read_block(f"head_b{j}")
-            heads.append(LearningMachine(w, b, activation))
-        reader.expect("end")
-        return ErmModel(fe, heads)
-    raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    read_layer = {"gdu-model": _read_layer, "erm-model": _read_erm_layer}.get(kind)
+    if read_layer is None:
+        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
+    fe = _read_fe(reader)
+    layer = read_layer(reader)
+    reader.expect("end")
+    return GduModel(fe, layer)
 
 
 def save_layer(path, layer: GduLayer):

@@ -10,7 +10,9 @@ embedding:
 * ``CS``   - RKHS cosine similarity, passed through a kernel softmax,
 * ``MMD``  - negative squared RKHS distance, passed through a kernel softmax,
 * ``PROJECTION`` - closed-form projection coefficients
-  ``beta_j = <phi(x), mu_j> / ||mu_j||^2`` (no normalization, signs free).
+  ``beta_j = <phi(x), mu_j> / ||mu_j||^2`` (no normalization, signs free);
+* ``UNIFORM`` - the constant row 1/M, for a layer without bases. This is
+  ERM with M heads: the ensemble with its gating ablated.
 
 Every kernel statistic the gate and the regularizers read is a block mean
 of one Gaussian Gram over the stacked basis vectors, and each is one tape
@@ -21,8 +23,8 @@ products through the similarity and the kernel softmax, is one more node
 the machines' outputs, run as one matmul over the stacked machine weights
 viewed as one (e, M*C) matrix, and is one node too (:func:`forward_batch`).
 Each of these nodes has a closed-form backward, and its forward runs the
-same numpy operations for arrays and tensors. The machines of a layer share
-one activation.
+same numpy operations for arrays and tensors. The UNIFORM gate is a constant
+array and never a tape node. The machines of a layer share one activation.
 All computations accept numpy arrays or autodiff tensors, so the same code
 serves inference and gradient-based training.
 """
@@ -39,6 +41,7 @@ from .kernel import KernelConfig, gram_block_means, gram_diagonal_block_means
 
 __all__ = [
     "GATING_MODES",
+    "UNIFORM",
     "GEOMETRY_MODES",
     "ACTIVATIONS",
     "LearningMachine",
@@ -53,6 +56,7 @@ __all__ = [
 
 GEOMETRY_MODES = ("CS", "MMD")
 GATING_MODES = GEOMETRY_MODES + ("PROJECTION",)
+UNIFORM = "UNIFORM"  # the constant 1/M gate; not in GATING_MODES, whose gates read bases
 ACTIVATIONS = ("identity", "tanh")
 
 # Basis init targets a mean cross-basis kernel value comfortably below 0.1
@@ -93,7 +97,8 @@ class GduLayer:
     The parameters are three stacked arrays (numpy arrays or autodiff
     tensors):
 
-    * ``bases``, shape (M, N, e): ``bases[j]`` holds the N vectors of basis j;
+    * ``bases``, shape (M, N, e): ``bases[j]`` holds the N vectors of basis j.
+      A ``UNIFORM`` layer has none (``bases=None``) and needs no kernel;
     * ``weights``, shape (e, M, C): machine j computes
       ``act(x @ weights[:, j] + bias[j])``. With this axis order
       ``reshape(weights, (e, M*C))`` is a view whose column blocks are the
@@ -106,28 +111,35 @@ class GduLayer:
     bases: object
     weights: object
     bias: object
-    kernel: KernelConfig
+    kernel: KernelConfig | None
     mode: str
     kappa: float | None = None
     activation: str = "identity"
 
     def __post_init__(self):
-        if self.mode not in GATING_MODES:
+        if self.mode not in GATING_MODES + (UNIFORM,):
             raise ValueError(f"unknown gating mode {self.mode!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        w, b = ad.value_of(self.weights).shape, ad.value_of(self.bias).shape
+        if len(w) != 3 or min(w) < 1 or b != w[1:]:
+            raise ValueError(
+                f"weights must be a nonempty (e, M, C) array and bias (M, C); "
+                f"got weights {w}, bias {b}"
+            )
+        e, m, _ = w
+        if self.mode == UNIFORM:
+            if self.bases is not None:
+                raise ValueError("a UNIFORM layer has no bases; pass bases=None")
+            return
         v = ad.value_of(self.bases)
         if v.ndim != 3 or min(v.shape) < 1:
             raise ValueError(f"bases must form a nonempty (M, N, e) array, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("basis vectors must be finite")
-        m, _, e = v.shape
-        w = ad.value_of(self.weights).shape
-        b = ad.value_of(self.bias).shape
-        if len(b) != 2 or b[0] != m or w != (e, m, b[1]):
+        if (v.shape[0], v.shape[2]) != (m, e):
             raise ValueError(
-                f"for {m} bases of feature dim {e}, weights must be (e, M, C) = "
-                f"({e}, {m}, C) and bias (M, C); got weights {w}, bias {b}"
+                f"for weights {w}, bases must be (M, N, e) = ({m}, N, {e}); got {v.shape}"
             )
         if self.mode in GEOMETRY_MODES:
             if self.kappa is None or not self.kappa > 0:
@@ -135,7 +147,7 @@ class GduLayer:
 
     @property
     def num_bases(self) -> int:
-        return ad.value_of(self.bases).shape[0]
+        return ad.value_of(self.weights).shape[1]
 
     @property
     def basis_size(self) -> int:
@@ -143,7 +155,7 @@ class GduLayer:
 
     @property
     def feature_dim(self) -> int:
-        return ad.value_of(self.bases).shape[2]
+        return ad.value_of(self.weights).shape[0]
 
     @property
     def n_outputs(self) -> int:
@@ -249,15 +261,26 @@ def _gate_from_inners(a, norms, mode, kappa, self_norm=1.0):
     return ad.Tensor(out, parents, bw)
 
 
+def _inners_and_gate(X, layer: GduLayer):
+    """``(a, beta)``: the inner products of :func:`_basis_inners` and the gate.
+
+    For a UNIFORM layer ``a`` is None and ``beta`` the constant array of 1/M rows.
+    """
+    if layer.mode == UNIFORM:
+        m = layer.num_bases
+        return None, np.full((ad.value_of(X).shape[0], m), 1.0 / m)
+    a, norms = _basis_inners(X, layer)
+    return a, _gate_from_inners(a, norms, layer.mode, layer.kappa)
+
+
 def gate_matrix(X, layer: GduLayer):
     """Per-sample gating weights for a feature batch, shape (b, M).
 
-    Geometry modes produce positive rows summing to one; projection mode
-    returns raw projection coefficients. ``||phi(x)||^2 = k(x, x) = 1``
-    for the Gaussian kernel, so no per-sample norm is needed.
+    Geometry and UNIFORM modes produce positive rows summing to one;
+    projection mode returns raw projection coefficients. ``||phi(x)||^2 =
+    k(x, x) = 1`` for the Gaussian kernel, so no per-sample norm is needed.
     """
-    a, norms = _basis_inners(X, layer)
-    return _gate_from_inners(a, norms, layer.mode, layer.kappa)
+    return _inners_and_gate(X, layer)[1]
 
 
 def gate(x, layer: GduLayer):
@@ -271,11 +294,13 @@ def gate_batch(X, layer: GduLayer):
 
     Replaces the single feature map with ``mu = (1/b) sum_l phi(x_l)`` in the
     similarity (geometry modes, with its squared norm as the self norm) or in
-    the projection numerator.
+    the projection numerator. A UNIFORM layer gives its constant 1/M row.
     """
     b = ad.value_of(X).shape[0]
     if b < 1:
         raise ValueError("gate_batch needs a nonempty batch")
+    if layer.mode == UNIFORM:
+        return gate_matrix(X, layer)[0]
     a, norms = _basis_inners(X, layer)
     a_batch = ad.mean(a, axis=0, keepdims=True)  # <mu_batch, mu_j>
     self_norm = 1.0
@@ -288,7 +313,7 @@ def gate_batch(X, layer: GduLayer):
 def forward_batch(X, layer: GduLayer, beta=None):
     """Ensemble prediction for a feature batch, shape (b, C).
 
-    ``beta`` overrides the gate (e.g. constant 1/M rows reproduce a uniform
+    ``beta`` overrides the gate (e.g. constant 1/M rows give the UNIFORM
     ensemble); by default per-sample gating is used. All M machines run as
     one matmul against their weights viewed as (e, M*C), plus the bias and
     the activation; the (b, M, C) outputs ``O`` are then summed with weights
@@ -377,9 +402,12 @@ def init_layer(
     rng = np.random.default_rng(seed)
     scale = basis_init_scale(feature_dim, kernel.sigma)
     bases = rng.normal(0.0, scale, size=(num_bases, basis_size, feature_dim))
-    bound = 1.0 / math.sqrt(feature_dim)
-    # Drawn machine after machine, then stored with the machine axis second.
-    weights = rng.uniform(-bound, bound, size=(num_bases, feature_dim, n_outputs))
-    weights = np.ascontiguousarray(weights.transpose(1, 0, 2))
-    bias = np.zeros((num_bases, n_outputs))
+    weights, bias = _init_machines(rng, num_bases, feature_dim, n_outputs)
     return GduLayer(bases, weights, bias, kernel, mode, kappa, activation)
+
+
+def _init_machines(rng, m: int, e: int, c: int) -> tuple:
+    """Fan-in uniform weights (e, M, C), drawn machine by machine, and zero biases (M, C)."""
+    bound = 1.0 / math.sqrt(e)
+    weights = rng.uniform(-bound, bound, size=(m, e, c))
+    return np.ascontiguousarray(weights.transpose(1, 0, 2)), np.zeros((m, c))

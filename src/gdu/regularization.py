@@ -10,19 +10,21 @@
 
 ``omega_total`` combines them per gating mode: geometry modes use
 ``lambda_ols * OLS + lambda_l1 * L1``; projection mode uses
-``lambda_ols * OLS + lambda_orth * ORTH``. The training objective adds the
-same combination through ``_add_regularizers``, reusing the gate's inner
-products instead of recomputing kernel blocks.
+``lambda_ols * OLS + lambda_orth * ORTH``. A UNIFORM layer has no bases
+and takes no regularizer: a nonzero weight for it raises. The training
+objective adds the same combination through ``_add_regularizers``, reusing
+the gate's inner products instead of recomputing kernel blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .layer import GEOMETRY_MODES, GduLayer, _basis_inners, basis_gram_matrix
+from .layer import GEOMETRY_MODES, UNIFORM, GduLayer, _basis_inners, basis_gram_matrix
 
 __all__ = [
     "ORTH_VARIANTS",
@@ -36,11 +38,12 @@ __all__ = [
 ORTH_VARIANTS = ("SO", "SRIP", "MC")
 
 _OLS_CLAMP_TOL = 1e-10
+_WEIGHTS = ("lambda_ols", "lambda_orth", "lambda_l1")
 
 
 @dataclass(frozen=True)
 class RegConfig:
-    """Weights for the regularization terms; all must be nonnegative."""
+    """Weights for the regularization terms; all must be finite and nonnegative."""
 
     lambda_ols: float = 0.0
     lambda_orth: float = 0.0
@@ -48,9 +51,10 @@ class RegConfig:
     orth_variant: str = "SRIP"
 
     def __post_init__(self):
-        for name in ("lambda_ols", "lambda_orth", "lambda_l1"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for name in _WEIGHTS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.orth_variant not in ORTH_VARIANTS:
             raise ValueError(f"unknown orthogonality variant {self.orth_variant!r}")
 
@@ -123,8 +127,15 @@ def _add_regularizers(obj, a, beta, layer: GduLayer, cfg: RegConfig):
     ``a`` holds the inner products ``<phi(x_i), mu_j>`` that produced
     ``beta`` and is read only by OLS. The basis Gram matrix is built once,
     and only when OLS or projection-mode ORTH needs it. Each present term is
-    added to ``obj`` in turn, so absent terms put no node on a tape.
+    added to ``obj`` in turn, so absent terms put no node on a tape. A
+    UNIFORM layer has no bases, so any nonzero weight raises a ValueError
+    that names it.
     """
+    if layer.mode == UNIFORM:
+        nonzero = [f"{name}={getattr(cfg, name)}" for name in _WEIGHTS if getattr(cfg, name)]
+        if nonzero:
+            raise ValueError(f"a UNIFORM layer takes no regularizer; got {', '.join(nonzero)}")
+        return obj
     geometry = layer.mode in GEOMETRY_MODES
     use_orth = not geometry and cfg.lambda_orth > 0.0
     if cfg.lambda_ols > 0.0 or use_orth:
@@ -140,5 +151,6 @@ def _add_regularizers(obj, a, beta, layer: GduLayer, cfg: RegConfig):
 
 def omega_total(X, beta, layer: GduLayer, cfg: RegConfig):
     """Mode-appropriate combination of the regularization terms."""
-    a = _checked_inners(X, beta, layer) if cfg.lambda_ols > 0.0 else None
+    needs_a = cfg.lambda_ols > 0.0 and layer.mode != UNIFORM
+    a = _checked_inners(X, beta, layer) if needs_a else None
     return _add_regularizers(0.0, a, beta, layer, cfg)

@@ -1,10 +1,10 @@
 """Model training: feature extractor, losses, gradients, and the train loop.
 
-Two trainable model shapes share one loop:
-
-* :class:`GduModel` - feature extractor followed by a gated domain layer;
-* :class:`ErmModel` - feature extractor followed by one or more affine
-  heads whose outputs are averaged (the single-head case is plain ERM).
+Every model is a :class:`GduModel`: a feature extractor (or none) followed
+by a gated domain layer. ERM with K heads is the layer in ``UNIFORM`` mode,
+whose gate is the constant row 1/K and which has no bases
+(:func:`init_erm_model`); the single-head case is plain ERM. One objective,
+one prediction path and one loop serve every gating mode.
 
 Gradients come from the in-repo reverse-mode tape (:mod:`gdu.autodiff`);
 their binding contract is agreement with central finite differences.
@@ -13,10 +13,11 @@ extractor, so features are extracted once and only layer parameters move.
 
 :func:`train` keeps the trained blocks in one contiguous float64 vector: it
 rebinds each trained parameter attribute of the model (``fe.weights[i]``,
-``fe.biases[i]``, ``layer.bases``/``weights``/``bias``, ``head.weights``/
-``bias``) to a view of that vector, so the optimizer step, the best-epoch
-snapshot and its restore are single vector operations. An array taken from
-the model before ``train`` is no longer the model's parameter afterwards.
+``fe.biases[i]``, and ``layer.bases`` when present, ``layer.weights`` and
+``layer.bias``) to a view of that vector, so the optimizer step, the
+best-epoch snapshot and its restore are single vector operations. An array
+taken from the model before ``train`` is no longer the model's parameter
+afterwards.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .layer import (
-    ACTIVATIONS,
+    UNIFORM,
     GduLayer,
-    LearningMachine,
-    _basis_inners,
-    _gate_from_inners,
+    _init_machines,
+    _inners_and_gate,
     basis_gram_matrix,
     forward_batch,
 )
@@ -48,7 +48,6 @@ from .regularization import (
 __all__ = [
     "FeatureExtractor",
     "GduModel",
-    "ErmModel",
     "DatasetSplits",
     "TrainConfig",
     "TraceRow",
@@ -111,10 +110,6 @@ class FeatureExtractor:
         sizes += [ad.value_of(w).shape[1] for w in self.weights]
         return sizes
 
-    @property
-    def output_dim(self) -> int:
-        return ad.value_of(self.weights[-1]).shape[1]
-
 
 @dataclass
 class GduModel:
@@ -122,21 +117,6 @@ class GduModel:
 
     fe: FeatureExtractor | None
     layer: GduLayer
-
-
-@dataclass
-class ErmModel:
-    """Feature extractor plus uniformly averaged affine heads."""
-
-    fe: FeatureExtractor | None
-    heads: list
-
-    def __post_init__(self):
-        if not self.heads:
-            raise ValueError("ErmModel needs at least one head")
-        acts = {h.activation for h in self.heads}
-        if len(acts) != 1:
-            raise ValueError(f"all heads must share one activation, got {sorted(acts)}")
 
 
 @dataclass
@@ -179,8 +159,16 @@ class TrainConfig:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("learning_rate, batch_size, max_epochs must be positive")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("batch_size and max_epochs must be positive")
+        for name in ("learning_rate", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {value}")
         if not (1 <= self.patience <= self.max_epochs):
             raise ValueError("patience must satisfy 1 <= patience <= max_epochs")
 
@@ -246,22 +234,15 @@ def init_erm_model(
     seed: int,
     nonlinearity: str = "relu",
     activation: str = "identity",
-) -> ErmModel:
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+) -> GduModel:
+    """ERM with ``n_heads`` heads: an extractor plus a UNIFORM layer.
+
+    The heads are drawn as :func:`gdu.layer.init_layer` draws machines, from seed + 1.
+    """
     fe = init_feature_extractor(layer_sizes, seed, nonlinearity)
     rng = np.random.default_rng(seed + 1)
-    e = layer_sizes[-1]
-    bound = 1.0 / math.sqrt(e)
-    heads = [
-        LearningMachine(
-            rng.uniform(-bound, bound, size=(e, n_outputs)),
-            np.zeros(n_outputs),
-            activation,
-        )
-        for _ in range(n_heads)
-    ]
-    return ErmModel(fe, heads)
+    weights, bias = _init_machines(rng, n_heads, layer_sizes[-1], n_outputs)
+    return GduModel(fe, GduLayer(None, weights, bias, None, UNIFORM, activation=activation))
 
 
 # -- forward passes ----------------------------------------------------------
@@ -278,14 +259,6 @@ def fe_forward(x, fe: FeatureExtractor | None):
         if i < last:
             out = ad.relu(out) if fe.nonlinearity == "relu" else ad.tanh(out)
     return out
-
-
-def _heads_mean(heads, feats):
-    out = None
-    for head in heads:
-        term = head(feats)
-        out = term if out is None else out + term
-    return out / float(len(heads))
 
 
 def loss_ce(logits, label: int):
@@ -354,11 +327,9 @@ def _parameter_slots(model, train_mode: str) -> list:
     if model.fe is not None and train_mode == "E2E":
         for i in range(len(model.fe.weights)):
             slots += [(f"fe.w{i}", model.fe.weights, i), (f"fe.b{i}", model.fe.biases, i)]
-    if isinstance(model, GduModel):
-        slots += [(f"layer.{key}", model.layer, key) for key in ("bases", "weights", "bias")]
-    else:
-        for j, head in enumerate(model.heads):
-            slots += [(f"head.w{j}", head, "weights"), (f"head.b{j}", head, "bias")]
+    for key in ("bases", "weights", "bias"):
+        if getattr(model.layer, key) is not None:
+            slots.append((f"layer.{key}", model.layer, key))
     return slots
 
 
@@ -416,10 +387,7 @@ def _graph_model(model, train_mode: str):
     if graph.fe is not None:
         graph.fe = copy.copy(graph.fe)
         graph.fe.weights, graph.fe.biases = list(graph.fe.weights), list(graph.fe.biases)
-    if isinstance(graph, GduModel):
-        graph.layer = copy.copy(graph.layer)
-    else:
-        graph.heads = [copy.copy(head) for head in graph.heads]
+    graph.layer = copy.copy(graph.layer)
     params_t = {}
     for name, owner, key in _parameter_slots(graph, train_mode):
         params_t[name] = ad.tensor(_get_slot(owner, key))
@@ -431,15 +399,10 @@ def _build_objective(model, X, y, reg: RegConfig, train_mode: str):
     """Build the objective graph; returns (objective node, param tensors)."""
     graph, params_t = _graph_model(model, train_mode)
     feats = fe_forward(X, graph.fe)
-    if isinstance(graph, GduModel):
-        layer_t = graph.layer
-        # The gate's inner products are shared with the reconstruction term.
-        a, norms = _basis_inners(feats, layer_t)
-        beta = _gate_from_inners(a, norms, layer_t.mode, layer_t.kappa)
-        logits = forward_batch(feats, layer_t, beta=beta)
-        obj = _add_regularizers(cross_entropy_mean(logits, y), a, beta, layer_t, reg)
-    else:
-        obj = cross_entropy_mean(_heads_mean(graph.heads, feats), y)
+    # The gate's inner products are shared with the reconstruction term.
+    a, beta = _inners_and_gate(feats, graph.layer)
+    logits = forward_batch(feats, graph.layer, beta=beta)
+    obj = _add_regularizers(cross_entropy_mean(logits, y), a, beta, graph.layer, reg)
     return obj, params_t
 
 
@@ -488,10 +451,7 @@ def _backprop(obj, params_t: dict, where: str = "") -> np.ndarray:
 def predict_logits(model, X) -> np.ndarray:
     """Model logits for raw inputs (value path, per-sample gating)."""
     X = np.asarray(X, dtype=np.float64)
-    feats = fe_forward(X, model.fe)
-    if isinstance(model, GduModel):
-        return np.asarray(forward_batch(feats, model.layer))
-    return np.asarray(_heads_mean(model.heads, feats))
+    return np.asarray(forward_batch(fe_forward(X, model.fe), model.layer))
 
 
 def accuracy(model, X, y) -> float:
@@ -536,24 +496,22 @@ class _Sgd:
 
 
 def _epoch_metrics(model, feats_train, y_train, reg: RegConfig, track_srip: bool):
-    """Task loss and raw regularizer values on the (extracted) training set."""
-    if isinstance(model, GduModel):
-        # One pass of kernel statistics feeds the gate and every regularizer.
-        layer = model.layer
-        a, norms = _basis_inners(feats_train, layer)
-        beta = _gate_from_inners(a, norms, layer.mode, layer.kappa)
-        logits = np.asarray(forward_batch(feats_train, layer, beta=beta))
-        ce = float(ad.value_of(cross_entropy_mean(logits, y_train)))
-        k_bases = np.asarray(basis_gram_matrix(layer))
-        ols = float(ad.value_of(_omega_ols_from_stats(a, k_bases, beta)))
-        orth = float(omega_orth(k_bases, reg.orth_variant))
-        l1 = float(omega_l1(beta))
-        srip = float(omega_orth(k_bases, "SRIP")) if track_srip else None
-    else:
-        logits = np.asarray(_heads_mean(model.heads, feats_train))
-        ce = float(ad.value_of(cross_entropy_mean(logits, y_train)))
-        ols = orth = l1 = 0.0
-        srip = None
+    """Task loss and raw regularizer values on the (extracted) training set.
+
+    A UNIFORM layer has no bases: it reports 0 for each term and no SRIP.
+    """
+    layer = model.layer
+    # One pass of kernel statistics feeds the gate and every regularizer.
+    a, beta = _inners_and_gate(feats_train, layer)
+    logits = np.asarray(forward_batch(feats_train, layer, beta=beta))
+    ce = float(ad.value_of(cross_entropy_mean(logits, y_train)))
+    if layer.mode == UNIFORM:
+        return ce, 0.0, 0.0, 0.0, None
+    k_bases = np.asarray(basis_gram_matrix(layer))
+    ols = float(ad.value_of(_omega_ols_from_stats(a, k_bases, beta)))
+    orth = float(omega_orth(k_bases, reg.orth_variant))
+    l1 = float(omega_l1(beta))
+    srip = float(omega_orth(k_bases, "SRIP")) if track_srip else None
     return ce, ols, orth, l1, srip
 
 

@@ -14,7 +14,12 @@ from gdu.checkpoint import (
 )
 from gdu.kernel import KernelConfig
 from gdu.layer import GduLayer, init_layer
-from gdu.training import ErmModel, GduModel, init_erm_model, init_feature_extractor
+from gdu.training import (
+    GduModel,
+    init_erm_model,
+    init_feature_extractor,
+    predict_logits,
+)
 
 
 # Format v1 text of a tiny layer (M=2, N=2, e=3, C=2, tanh, PROJECTION), as
@@ -58,6 +63,54 @@ def test_v1_text_loads_to_the_stacked_arrays_and_writes_back_unchanged():
         V1_BASES, V1_WEIGHTS, V1_BIAS, KernelConfig(1.5), "PROJECTION", activation="tanh"
     )
     assert layer_to_text(built) == V1_LAYER_TEXT
+
+
+# Format v1 text of a tiny ERM model (a one-layer extractor 3 -> 2 and K=2
+# tanh heads with C=2), as the per-head ERM model class wrote it: one weight
+# and bias block per head.
+V1_ERM_TEXT = """gdu-checkpoint 1
+field kind erm-model
+field fe_layers 1
+field fe_nonlinearity relu
+block fe_w0 2 3 2 6
+-0x1.0000000000000p-1 -0x1.0000000000000p-2 0x0.0p+0 0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.8000000000000p-1
+block fe_b0 1 2 2
+0x1.0000000000000p-3 -0x1.0000000000000p-2
+field activation tanh
+field num_heads 2
+block head_w0 2 2 2 4
+-0x1.8000000000000p-2 -0x1.0000000000000p-2 0x1.0000000000000p-3 0x1.0000000000000p-2
+block head_b0 1 2 2
+0x1.0000000000000p-1 -0x1.8000000000000p-1
+block head_w1 2 2 2 4
+-0x1.0000000000000p-3 0x0.0p+0 0x1.8000000000000p-2 0x1.0000000000000p-1
+block head_b1 1 2 2
+0x1.0000000000000p-4 0x1.0000000000000p+0
+end
+"""
+V1_ERM_FE_W = np.arange(6.0).reshape(3, 2) / 4.0 - 0.5
+V1_ERM_FE_B = np.array([0.125, -0.25])
+V1_ERM_WEIGHTS = np.arange(8.0).reshape(2, 2, 2) / 8.0 - 0.375  # (e, K, C)
+V1_ERM_BIAS = np.array([[0.5, -0.75], [0.0625, 1.0]])  # (K, C)
+
+
+def test_v1_erm_text_loads_and_writes_back_unchanged():
+    model = model_from_text(V1_ERM_TEXT)
+    assert model.fe.nonlinearity == "relu"
+    layer = model.layer
+    assert (layer.mode, layer.bases, layer.activation) == ("UNIFORM", None, "tanh")
+    np.testing.assert_array_equal(layer.weights, V1_ERM_WEIGHTS)
+    np.testing.assert_array_equal(layer.bias, V1_ERM_BIAS)
+    np.testing.assert_array_equal(model.fe.weights[0], V1_ERM_FE_W)
+    np.testing.assert_array_equal(model.fe.biases[0], V1_ERM_FE_B)
+    # The heads' mean, computed head by head from the expected arrays.
+    X = np.random.default_rng(19).normal(size=(5, 3))
+    feats = X @ V1_ERM_FE_W + V1_ERM_FE_B
+    heads = [np.tanh(feats @ V1_ERM_WEIGHTS[:, j] + V1_ERM_BIAS[j]) for j in range(2)]
+    np.testing.assert_allclose(
+        predict_logits(model, X), (heads[0] + heads[1]) / 2.0, rtol=1e-15, atol=0.0
+    )
+    assert model_to_text(model) == V1_ERM_TEXT
 
 
 def test_rejects_per_basis_blocks_of_different_shapes():
@@ -132,12 +185,24 @@ def test_gdu_model_round_trip(tmp_path):
 
 def test_erm_model_round_trip():
     model = init_erm_model([3, 4], 2, n_heads=3, seed=9, activation="tanh")
-    restored = model_from_text(model_to_text(model))
-    assert isinstance(restored, ErmModel)
-    assert len(restored.heads) == 3
-    for a, b in zip(model.heads, restored.heads):
-        np.testing.assert_array_equal(a.weights, b.weights)
-        assert b.activation == "tanh"
+    model.layer.bias += np.arange(6.0).reshape(3, 2) / 3.0
+    text = model_to_text(model)
+    assert "field kind erm-model" in text and "field num_heads 3" in text
+    restored = model_from_text(text)
+    assert (restored.layer.mode, restored.layer.bases) == ("UNIFORM", None)
+    assert restored.layer.activation == "tanh"
+    np.testing.assert_array_equal(restored.layer.weights, model.layer.weights)
+    np.testing.assert_array_equal(restored.layer.bias, model.layer.bias)
+    assert model_to_text(restored) == text
+
+
+def test_uniform_layer_has_no_layer_checkpoint():
+    layer = init_erm_model([3, 4], 2, n_heads=2, seed=9).layer
+    with pytest.raises(CheckpointError, match="erm-model"):
+        layer_to_text(layer)
+    head, _, _ = V1_ERM_TEXT.partition("block head_w0")
+    with pytest.raises(CheckpointError, match="head_w blocks"):
+        model_from_text(head.replace("num_heads 2", "num_heads 0") + "end\n")
 
 
 def test_rejects_bad_version_and_truncation():

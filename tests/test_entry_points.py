@@ -1,5 +1,6 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
-every function the benchmark's tracer wraps."""
+every function the benchmark's tracer wraps; the package's exports are
+pinned."""
 
 import importlib
 import importlib.util
@@ -29,3 +30,47 @@ def test_traced_spans_resolve():
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"span {span!r} -> {module_name}.{attr}"
+
+
+def test_public_surface_is_pinned():
+    # Any change to the package's exports has to show up here as a diff.
+    # ``__all__`` lists every public name of the package namespace, so the
+    # submodules that ``gdu/__init__.py`` imports are in it too.
+    import gdu
+
+    assert gdu.__all__ == [
+        "DatasetSplits",
+        "EmpiricalKme",
+        "FeatureExtractor",
+        "GduLayer",
+        "GduModel",
+        "KernelConfig",
+        "LearningMachine",
+        "RegConfig",
+        "TrainConfig",
+        "TrainTrace",
+        "autodiff",
+        "forward",
+        "forward_batch",
+        "gate",
+        "gate_batch",
+        "gate_matrix",
+        "gaussian_kernel",
+        "gram",
+        "init_layer",
+        "kernel",
+        "kme_inner",
+        "kme_norm_sq",
+        "layer",
+        "median_heuristic",
+        "mmd_sq",
+        "omega_l1",
+        "omega_ols",
+        "omega_orth",
+        "omega_total",
+        "regularization",
+        "rkhs",
+        "rkhs_cosine",
+        "train",
+        "training",
+    ]

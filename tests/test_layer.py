@@ -7,6 +7,8 @@ import pytest
 
 from gdu.kernel import KernelConfig
 from gdu.layer import (
+    GATING_MODES,
+    UNIFORM,
     GduLayer,
     LearningMachine,
     _basis_inners,
@@ -359,3 +361,30 @@ def test_layer_validation():
             "MMD",
             kappa=1.0,
         )
+
+
+def test_uniform_layer_gates_every_row_at_one_over_m():
+    rng = np.random.default_rng(25)
+    for activation in ("identity", "tanh"):
+        weights, bias = rng.normal(size=(3, 4, 2)), rng.normal(size=(4, 2))
+        layer = GduLayer(None, weights, bias, None, UNIFORM, activation=activation)
+        assert (layer.num_bases, layer.feature_dim, layer.n_outputs) == (4, 3, 2)
+        X = rng.normal(size=(5, 3))
+        beta = gate_matrix(X, layer)
+        assert isinstance(beta, np.ndarray)
+        np.testing.assert_array_equal(beta, np.full((5, 4), 0.25))
+        np.testing.assert_array_equal(gate_batch(X, layer), np.full(4, 0.25))
+        np.testing.assert_array_equal(gate(X[0], layer), np.full(4, 0.25))
+        mean = sum(np.asarray(m(X)) for m in layer.machines) / 4.0
+        np.testing.assert_allclose(forward_batch(X, layer), mean, rtol=1e-13, atol=1e-14)
+
+
+def test_uniform_layer_takes_no_bases_and_kernel_gates_need_them():
+    w, b = np.zeros((3, 2, 2)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="UNIFORM layer has no bases"):
+        GduLayer(np.zeros((2, 4, 3)), w, b, CFG, UNIFORM)
+    for mode in GATING_MODES:
+        with pytest.raises(ValueError, match="bases must form a nonempty"):
+            GduLayer(None, w, b, CFG, mode, kappa=1.0)
+    with pytest.raises(ValueError, match="weights"):
+        GduLayer(None, np.zeros((3, 0, 2)), np.zeros((0, 2)), None, UNIFORM)

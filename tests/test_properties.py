@@ -1,12 +1,23 @@
-"""Property tests over random layer sizes, gating modes and activations."""
+"""Property tests over random layer sizes, gating modes, activations and seeds."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdu.checkpoint import layer_from_text, layer_to_text
+from gdu.checkpoint import layer_from_text, layer_to_text, model_to_text
 from gdu.kernel import KernelConfig
 from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
+from gdu.regularization import RegConfig, omega_ols
+from gdu.rkhs import EmpiricalKme, mmd_sq
+from gdu.training import (
+    DatasetSplits,
+    GduModel,
+    TrainConfig,
+    init_erm_model,
+    init_feature_extractor,
+    train,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=20)
 
@@ -62,3 +73,55 @@ def test_forward_batch_equals_the_per_machine_loop(case):
         for j, machine in enumerate(layer.machines)
     )
     np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)
+
+
+SEEDS = st.integers(0, 2**31 - 1)
+
+
+@SETTINGS
+@given(layers_and_batches(), SEEDS, st.sampled_from((0.1, 1.0, 3.0)))
+def test_ols_is_nonnegative_for_any_gate_rows(case, seed, scale):
+    # A squared RKHS norm: nonnegative for any real gate rows, not only the
+    # layer's own.
+    layer, X = case
+    beta = np.random.default_rng(seed).normal(scale=scale, size=(len(X), layer.num_bases))
+    assert float(omega_ols(X, beta, layer)) >= 0.0
+    assert float(omega_ols(X, gate_matrix(X, layer), layer)) >= 0.0
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.sampled_from((0.5, 1.5, 4.0)), SEEDS)
+def test_mmd_sq_is_symmetric(n_a, n_b, e, sigma, seed):
+    rng = np.random.default_rng(seed)
+    cfg = KernelConfig(sigma)
+    a = EmpiricalKme(rng.normal(size=(n_a, e)), cfg)
+    b = EmpiricalKme(rng.normal(size=(n_b, e)), cfg)
+    assert float(mmd_sq(a, b)) == pytest.approx(float(mmd_sq(b, a)), rel=1e-12, abs=1e-15)
+
+
+def _tiny_run(mode, seed):
+    """Train a small CS or UNIFORM model; return its checkpoint and trace text."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(48, 2))
+    y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
+    data = DatasetSplits(X[:36], y[:36], X[36:], y[36:])
+    if mode == "UNIFORM":
+        model = init_erm_model([2, 4], 2, n_heads=2, seed=seed, activation="tanh")
+        reg, srip = RegConfig(), False
+    else:
+        fe = init_feature_extractor([2, 4], seed, "tanh")
+        layer = init_layer(2, 3, 4, 2, seed + 1, mode, KernelConfig(2.0), kappa=2.0)
+        model = GduModel(fe, layer)
+        reg, srip = RegConfig(lambda_ols=1e-2, lambda_l1=1e-2), True
+    config = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3,
+                         seed=seed, reg=reg, track_srip=srip)
+    model, trace = train(data, config, model)
+    return model_to_text(model), trace.to_csv_text()
+
+
+@pytest.mark.parametrize("mode", ["CS", "UNIFORM"])
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(seed=SEEDS)
+def test_training_is_deterministic_in_its_seed(mode, seed):
+    assert _tiny_run(mode, seed) == _tiny_run(mode, seed)

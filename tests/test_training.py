@@ -11,7 +11,6 @@ from gdu import autodiff as ad
 from gdu.checkpoint import model_from_text, model_to_text
 from gdu.kernel import KernelConfig
 from gdu.layer import (
-    LearningMachine,
     basis_gram_matrix,
     forward_batch,
     gate_matrix,
@@ -26,7 +25,6 @@ from gdu.regularization import (
 )
 from gdu.training import (
     DatasetSplits,
-    ErmModel,
     FeatureExtractor,
     GduModel,
     NonFiniteGradientError,
@@ -256,23 +254,50 @@ def test_objective_tape_size_does_not_grow_with_num_bases(mode):
     assert counts.pop() <= TAPE_NODE_CAP[mode]
 
 
-def test_erm_model_rejects_mixed_head_activations():
-    rng = np.random.default_rng(15)
-    heads = [
-        LearningMachine(rng.normal(size=(3, 2)), np.zeros(2), act)
-        for act in ("tanh", "identity")
-    ]
-    with pytest.raises(ValueError, match="activation"):
-        ErmModel(None, heads)
-
-
 def test_erm_model_gradients_match_fd():
     rng = np.random.default_rng(6)
     model = init_erm_model([4, 4], 3, n_heads=3, seed=8, nonlinearity="tanh")
+    model.layer.bias += rng.normal(scale=0.3, size=(3, 3))
     X = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, size=5)
+    names = ["fe.w0", "fe.b0", "layer.weights", "layer.bias"]
+    assert list(trainable_arrays(model, "E2E")) == names
     err = gradient_max_rel_error(model, X, y, RegConfig(), "E2E")
     assert err < 1e-4
+
+
+def test_erm_model_is_the_uniform_ensemble_of_its_heads():
+    # init_erm_model keeps the per-head random stream: the extractor, then
+    # each head's (e, C) uniforms in turn from a generator seeded seed + 1.
+    model = init_erm_model([3, 4], 2, n_heads=3, seed=21, activation="tanh")
+    assert (model.layer.mode, model.layer.bases, model.layer.kernel) == ("UNIFORM", None, None)
+    rng = np.random.default_rng(22)
+    heads = [rng.uniform(-0.5, 0.5, size=(4, 2)) for _ in range(3)]
+    for j, head in enumerate(heads):
+        np.testing.assert_array_equal(model.layer.weights[:, j], head)
+    np.testing.assert_array_equal(model.layer.bias, np.zeros((3, 2)))
+    X = np.random.default_rng(23).normal(size=(6, 3))
+    feats = fe_forward(X, model.fe)
+    expected = sum(np.tanh(feats @ head) for head in heads) / 3.0
+    np.testing.assert_allclose(predict_logits(model, X), expected, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["lambda_ols", "lambda_orth", "lambda_l1"])
+def test_uniform_layer_rejects_regularizer_weights(name):
+    rng = np.random.default_rng(24)
+    model = init_erm_model([4, 4], 3, n_heads=2, seed=8)
+    X, y = rng.normal(size=(5, 4)), rng.integers(0, 3, size=5)
+    reg = RegConfig(**{name: 0.1})
+    match = f"UNIFORM layer takes no regularizer; got {name}=0.1"
+    with pytest.raises(ValueError, match=match):
+        objective((X, y), model, reg)
+    beta = gate_matrix(X, model.layer)
+    with pytest.raises(ValueError, match=match):
+        omega_total(X, beta, model.layer, reg)
+    assert omega_total(X, beta, model.layer, RegConfig()) == 0.0
+    config = TrainConfig(max_epochs=1, patience=1, reg=reg)
+    with pytest.raises(ValueError, match=match):
+        train(separable_splits(16), config, init_erm_model([2, 4], 2, n_heads=2, seed=8))
 
 
 # -- the training loop -----------------------------------------------------------------
@@ -339,14 +364,13 @@ def test_trained_blocks_are_views_of_one_buffer(train_mode, kind):
         for before, after in zip(fe_before, model.fe.weights + model.fe.biases):
             assert not np.shares_memory(after, buffer)
             np.testing.assert_array_equal(after, before)
-    if kind == "GDU":
-        logits = predict_logits(model, data.val_x)
-        bias_before = model.layer.bias.copy()
-        machine = model.layer.machines[1]
-        assert np.shares_memory(machine.bias, buffer)
-        machine.bias += 0.5
-        np.testing.assert_array_equal(model.layer.bias[1], bias_before[1] + 0.5)
-        assert not np.array_equal(predict_logits(model, data.val_x), logits)
+    logits = predict_logits(model, data.val_x)
+    bias_before = model.layer.bias.copy()
+    machine = model.layer.machines[1]
+    assert np.shares_memory(machine.bias, buffer)
+    machine.bias += 0.5
+    np.testing.assert_array_equal(model.layer.bias[1], bias_before[1] + 0.5)
+    assert not np.array_equal(predict_logits(model, data.val_x), logits)
     back = model_from_text(model_to_text(model))
     np.testing.assert_array_equal(
         predict_logits(back, data.val_x), predict_logits(model, data.val_x)
@@ -506,6 +530,22 @@ def test_config_validation():
         TrainConfig(mode="WARMUP")
     with pytest.raises(ValueError):
         TrainConfig(optimizer="LBFGS")
+
+
+_BAD_CONFIG_VALUES = (
+    [(RegConfig, name, v) for name in ("lambda_ols", "lambda_orth", "lambda_l1")
+     for v in (math.nan, math.inf, -1.0)]
+    + [(TrainConfig, "learning_rate", v) for v in (math.nan, math.inf, 0.0, -1.0)]
+    + [(TrainConfig, "adam_beta1", v) for v in (1.0, -0.1, math.nan)]
+    + [(TrainConfig, "adam_beta2", v) for v in (1.0, math.inf)]
+    + [(TrainConfig, "adam_eps", v) for v in (-1.0, 0.0, math.nan, math.inf)]
+)
+
+
+@pytest.mark.parametrize("config, name, value", _BAD_CONFIG_VALUES)
+def test_configs_reject_nonfinite_and_out_of_range_values(config, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must .*, got {value}$"):
+        config(**{name: value})
 
 
 def test_sgd_optimizer_runs():
