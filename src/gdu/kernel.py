@@ -9,6 +9,21 @@ Empirical kernel mean embeddings reduce to block means of a Gram matrix:
 gives all of them at once and :func:`gram_diagonal_block_means` only the
 squared norms ``||mu_p||^2``; each is one autodiff tape node with a
 closed-form backward, and :func:`gram` is the one-row-block case.
+
+Both build their Gram blocks with one matmul of augmented rows: with
+``c = 1 / (2 sigma^2)``,
+
+    [x, 1, -c ||x||^2] . [2c y, -c ||y||^2, 1] = -c ||x - y||^2,
+
+the kernel's exponent, which is then clamped at 0 and exponentiated in
+place (:func:`_gaussian_gram`). Floating-point cancellation can leave the
+exponent slightly above 0 where two rows nearly coincide; the clamp keeps
+every kernel value in [0, 1]. The products ``x_k (2c y_k)`` round
+differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
+to rounding (~1e-16). :func:`squared_distances` keeps the explicit
+``||x||^2 + ||y||^2 - 2 x.y`` form for its callers that need distances,
+not kernel values: :func:`median_heuristic` and the k-means and
+Davies-Bouldin code of :mod:`gdu.heuristics`.
 """
 
 from __future__ import annotations
@@ -84,6 +99,44 @@ def squared_distances(X, Y):
     return np.maximum(xx + yy - 2.0 * (X @ np.swapaxes(Y, -1, -2)), 0.0)
 
 
+def _augmented(A, *columns):
+    """A with ``columns`` (scalars, or one value per row) appended on its last axis.
+
+    ``W @ _augmented(A, 1.0)`` gives ``W @ A`` and the row sums of W from
+    one matmul.
+    """
+    e = A.shape[-1]
+    out = np.empty(A.shape[:-1] + (e + len(columns),))
+    out[..., :e] = A
+    for k, column in enumerate(columns, start=e):
+        out[..., k] = column
+    return out
+
+
+def _gaussian_exponent(X, Y, sigma):
+    """``-||x - y||^2 / (2 sigma^2)`` for rows of X and Y, before the clamp.
+
+    One matmul of rows augmented to ``[x, 1, -c ||x||^2]`` and
+    ``[2c y, -c ||y||^2, 1]`` with ``c = 1 / (2 sigma^2)``. Leading axes
+    batch as in :func:`squared_distances`. Arrays only.
+    """
+    c = 0.5 / sigma**2
+    xa = _augmented(X, 1.0, -c * np.sum(X * X, axis=-1))
+    ya = _augmented(2.0 * c * Y, -c * np.sum(Y * Y, axis=-1), 1.0)
+    return xa @ np.swapaxes(ya, -1, -2)
+
+
+def _gaussian_gram(X, Y, sigma):
+    """Gaussian Gram ``exp(min(exponent, 0))`` of :func:`_gaussian_exponent`.
+
+    The clamp and the exp run in place on the matmul's output, so the
+    (..., n, m) result is the only full-size array made.
+    """
+    G = _gaussian_exponent(X, Y, sigma)
+    np.minimum(G, 0.0, out=G)
+    return np.exp(G, out=G)
+
+
 def gram(X, Y, cfg: KernelConfig):
     """Kernel matrix ``G[i, j] = k(X_i, Y_j)``.
 
@@ -93,7 +146,7 @@ def gram(X, Y, cfg: KernelConfig):
 
         dX = W Y - diag(W 1) X,    dY = W^T X - diag(W^T 1) Y,
 
-    since ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2``. Where the distance
+    since ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2``. Where the exponent
     clamp fires the two rows coincide up to rounding, so ``y - x`` is
     already ~0 there and no clamp mask is needed. Only tensor inputs get a
     gradient. This is :func:`gram_block_means` with blocks of one row.
@@ -112,17 +165,19 @@ def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
 
     Arrays in give an array out; otherwise the result is one tape node. The
     forward reduces in the order of ``mean(mean(reshape(gram), 3), 1)``, so
-    it is bit-identical to that chain. The backward expands the small
-    gradient ``g``, scaled by ``1 / (n_x n_y sigma^2)``, over the blocks to
-    ``W = G * E(g)`` and applies the closed form of :func:`gram`. With one
-    tensor on both sides G is exactly symmetric, so both terms land on X as
-    ``dX = S X - diag(S 1) X`` with ``S = W + W^T = G * E(g + g^T)``.
+    it is bit-identical to that chain over the same G. The backward expands
+    the small gradient ``g``, scaled by ``1 / (n_x n_y sigma^2)``, over the
+    blocks to ``W = G * E(g)`` and applies the closed form of :func:`gram`,
+    with ``W Y`` and the row sums ``W 1`` from one matmul ``W [Y | 1]``.
+    With one tensor on both sides G is symmetric up to rounding, and both
+    terms land on X as ``dX = S X - diag(S 1) X`` with
+    ``S = W + W^T = G * E(g + g^T)``.
     """
     Xv, Yv = ad.value_of(X), ad.value_of(Y)
     if Xv.ndim != 2 or Yv.ndim != 2:
         raise ValueError("gram expects 2-D row matrices")
     _check_feature_dims("X", Xv.shape[1], "Y", Yv.shape[1])
-    G = np.exp(squared_distances(Xv, Yv) / (-2.0 * cfg.sigma**2))
+    G = _gaussian_gram(Xv, Yv, cfg.sigma)
     rows_x, rows_y = G.shape
     if n_x < 1 or n_y < 1 or rows_x % n_x or rows_y % n_y:
         raise ValueError(
@@ -144,13 +199,11 @@ def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
             s = s + s.T
         W = (blocks * s[:, None, :, None]).reshape(rows_x, rows_y)
         if x_t:
-            dX = W @ Yv
-            dX -= W.sum(axis=1, keepdims=True) * Xv
-            X._accumulate(dX)
+            WY = W @ _augmented(Yv, 1.0)
+            X._accumulate(WY[:, :-1] - WY[:, -1:] * Xv)
         if y_t and not same:
-            dY = W.T @ Xv
-            dY -= W.sum(axis=0)[:, None] * Yv
-            Y._accumulate(dY)
+            WX = W.T @ _augmented(Xv, 1.0)
+            Y._accumulate(WX[:, :-1] - WX[:, -1:] * Yv)
 
     return ad.Tensor(K, tuple(t for t in (X, Y) if ad.is_tensor(t)), bw)
 
@@ -160,12 +213,13 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
 
     ``K[p]`` is the mean of ``gram(X_p, X_p)`` for the p-th run ``X_p`` of
     ``n`` rows, i.e. the squared norm ``||mu_p||^2`` of its kernel mean
-    embedding. One batched pipeline evaluates only the M diagonal (n, n)
+    embedding. One batched matmul evaluates only the M diagonal (n, n)
     blocks, bit-identical to M separate ``mean(gram(X_p, X_p))`` calls.
 
     Arrays in give an array out; a tensor gives one tape node. Each block
     has one tensor on both sides, so its backward is
-    ``dX_p = S_p X_p - diag(S_p 1) X_p`` with ``S_p = 2 g_p G_p / (n^2 sigma^2)``.
+    ``dX_p = S_p X_p - diag(S_p 1) X_p`` with ``S_p = 2 g_p G_p / (n^2 sigma^2)``,
+    both terms from one batched matmul ``S_p [X_p | 1]``.
     """
     Xv = ad.value_of(X)
     if Xv.ndim != 2:
@@ -174,7 +228,7 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
     if n < 1 or rows % n:
         raise ValueError(f"blocks of {n} rows do not tile {rows} rows")
     Xb = Xv.reshape(rows // n, n, e)
-    G = np.exp(squared_distances(Xb, Xb) / (-2.0 * cfg.sigma**2))
+    G = _gaussian_gram(Xb, Xb, cfg.sigma)
     K = G.reshape(rows // n, n * n).sum(axis=1) / float(n * n)
     if not ad.is_tensor(X):
         return K
@@ -182,9 +236,8 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
 
     def bw(g):
         S = G * (g * scale)[:, None, None]
-        dX = S @ Xb
-        dX -= S.sum(axis=2)[:, :, None] * Xb
-        X._accumulate(dX.reshape(rows, e))
+        SX = S @ _augmented(Xb, 1.0)
+        X._accumulate((SX[..., :-1] - SX[..., -1:] * Xb).reshape(rows, e))
 
     return ad.Tensor(K, (X,), bw)
 

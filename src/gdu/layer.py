@@ -173,14 +173,20 @@ class GduLayer:
         )
 
 
+def _stacked_bases(layer: GduLayer):
+    """The (M*N, e) stacked basis vectors and N; a UNIFORM layer raises."""
+    if layer.bases is None:
+        raise ValueError(f"a {layer.mode} layer has no bases to embed")
+    return ad.reshape(layer.bases, (-1, layer.feature_dim)), layer.basis_size
+
+
 def basis_gram_matrix(layer: GduLayer):
     """Pairwise basis-embedding inner products, shape (M, M).
 
     ``K[i, j] = <mu_i, mu_j>``, the mean of the (i, j) block of the kernel
     matrix over the stacked basis vectors.
     """
-    vectors = ad.reshape(layer.bases, (-1, layer.feature_dim))
-    n = layer.basis_size
+    vectors, n = _stacked_bases(layer)
     return gram_block_means(vectors, vectors, layer.kernel, n, n)
 
 
@@ -193,8 +199,7 @@ def _basis_inners(X, layer: GduLayer):
     :func:`basis_gram_matrix`, which would cost (M*N)^2 kernel entries on
     every gate evaluation.
     """
-    vectors = ad.reshape(layer.bases, (-1, layer.feature_dim))
-    n = layer.basis_size
+    vectors, n = _stacked_bases(layer)
     a = gram_block_means(X, vectors, layer.kernel, 1, n)
     return a, gram_diagonal_block_means(vectors, layer.kernel, n)
 
@@ -317,7 +322,7 @@ def forward_batch(X, layer: GduLayer, beta=None):
     ensemble); by default per-sample gating is used. All M machines run as
     one matmul against their weights viewed as (e, M*C), plus the bias and
     the activation; the (b, M, C) outputs ``O`` are then summed with weights
-    ``beta``.
+    ``beta`` by one ``einsum`` over the machine axis.
 
     Arrays in give an array out; a tensor among ``X``, the layer's weights
     and bias, and ``beta`` gives one tape node. Its backward, for the output
@@ -337,8 +342,7 @@ def forward_batch(X, layer: GduLayer, beta=None):
         out = np.tanh(out)
     b, m = Xv.shape[0], layer.num_bases
     out = out.reshape(b, m, layer.n_outputs)
-    beta_col = beta_v.reshape(b, m, 1)
-    y = np.sum(beta_col * out, axis=1)
+    y = np.einsum("bm,bmc->bc", beta_v.reshape(b, m), out)
     parents = tuple(t for t in (X, weights, bias, beta) if ad.is_tensor(t))
     if not parents:
         return y
@@ -347,7 +351,7 @@ def forward_batch(X, layer: GduLayer, beta=None):
         g_row = g[:, None, :]
         if ad.is_tensor(beta):
             beta._accumulate(np.sum(out * g_row, axis=2).reshape(beta_v.shape))
-        P = beta_col * g_row
+        P = beta_v.reshape(b, m, 1) * g_row
         if tanh:
             P = P * (1.0 - out * out)
         P = P.reshape(b, -1)

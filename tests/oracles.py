@@ -6,7 +6,9 @@ two genuinely different routes to the same quantity. The ``*_chain``
 functions are the exception: they are the per-op autodiff chains that the
 package's fused tape nodes replaced, kept as references. On arrays they run
 the numpy operations of the fused forwards in the same order, so the two
-must agree bit for bit.
+must agree bit for bit. ``gaussian_gram_chain`` is the one chain that
+agrees only up to rounding: the package builds the Gram from another
+arithmetic route (one matmul of augmented rows).
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from gdu import autodiff as ad
+from gdu.kernel import squared_distances
 
 
 def kernel_value(x, y, sigma):
@@ -168,6 +171,11 @@ def srip_power_iteration(A):
 
 
 # -- op chains replaced by fused tape nodes ------------------------------------
+
+
+def gaussian_gram_chain(X, Y, sigma):
+    """Gaussian Gram from explicit squared distances, one full-size array per op."""
+    return np.exp(squared_distances(X, Y) / (-2.0 * sigma**2))
 
 
 def cross_entropy_chain(logits, labels):

@@ -21,7 +21,9 @@ from gdu.layer import (
     gate_matrix,
     init_layer,
 )
+from gdu.regularization import omega_ols
 from gdu.rkhs import EmpiricalKme, kme_inner, kme_norm_sq
+from gdu.training import init_erm_model
 
 from oracles import kme_inner_brute
 
@@ -388,3 +390,15 @@ def test_uniform_layer_takes_no_bases_and_kernel_gates_need_them():
             GduLayer(None, w, b, CFG, mode, kappa=1.0)
     with pytest.raises(ValueError, match="weights"):
         GduLayer(None, np.zeros((3, 0, 2)), np.zeros((0, 2)), None, UNIFORM)
+
+
+def test_uniform_layer_kernel_statistics_raise_a_named_error():
+    layer = init_erm_model([3, 4], 2, 2, 0).layer
+    X = np.random.default_rng(26).normal(size=(5, 4))
+    for stat in (
+        lambda: basis_gram_matrix(layer),
+        lambda: _basis_inners(X, layer),
+        lambda: omega_ols(X, gate_matrix(X, layer), layer),
+    ):
+        with pytest.raises(ValueError, match="UNIFORM layer has no bases to embed"):
+            stat()

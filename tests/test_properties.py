@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdu.checkpoint import layer_from_text, layer_to_text, model_to_text
-from gdu.kernel import KernelConfig
+from gdu.kernel import KernelConfig, gram, gram_block_means, gram_diagonal_block_means
 from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
 from gdu.regularization import RegConfig, omega_ols
 from gdu.rkhs import EmpiricalKme, mmd_sq
@@ -18,6 +18,8 @@ from gdu.training import (
     init_feature_extractor,
     train,
 )
+
+from oracles import gaussian_gram_chain
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=20)
 
@@ -98,6 +100,55 @@ def test_mmd_sq_is_symmetric(n_a, n_b, e, sigma, seed):
     a = EmpiricalKme(rng.normal(size=(n_a, e)), cfg)
     b = EmpiricalKme(rng.normal(size=(n_b, e)), cfg)
     assert float(mmd_sq(a, b)) == pytest.approx(float(mmd_sq(b, a)), rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def kernel_blocks(draw):
+    """Row blocks ``(X, Y, sigma, n_x, n_y)`` with norms up to 10 sigma.
+
+    Some rows of Y, and the second row of X, repeat earlier rows of X, so
+    the exponent clamp can fire.
+    """
+    e = draw(st.integers(1, 5))
+    sigma = draw(st.sampled_from((0.3, 1.0, 4.0)))
+    n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+
+    def rows(k):
+        directions = rng.normal(size=(k, e))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        return directions * rng.uniform(0.0, 10.0 * sigma, size=(k, 1))
+
+    X, Y = rows(p * n_x), rows(q * n_y)
+    k = draw(st.integers(0, min(len(X), len(Y))))
+    Y[:k] = X[:k]
+    if len(X) > 1 and draw(st.booleans()):
+        X[1] = X[0]
+    return X, Y, sigma, n_x, n_y
+
+
+def _chain_block_means(X, Y, sigma, n_x, n_y):
+    G = gaussian_gram_chain(X, Y, sigma)
+    return G.reshape(len(X) // n_x, n_x, len(Y) // n_y, n_y).mean(axis=(1, 3))
+
+
+@SETTINGS
+@given(kernel_blocks())
+def test_gram_blocks_match_the_distance_chain_and_lie_in_unit_interval(case):
+    X, Y, sigma, n_x, n_y = case
+    cfg = KernelConfig(sigma)
+    for A, B, n_a, n_b in ((X, Y, n_x, n_y), (X, X, n_x, n_x), (Y, X, n_y, n_x)):
+        G = gram(A, B, cfg)
+        assert np.all((G >= 0.0) & (G <= 1.0))
+        np.testing.assert_allclose(
+            gram_block_means(A, B, cfg, n_a, n_b),
+            _chain_block_means(A, B, sigma, n_a, n_b), rtol=0.0, atol=1e-12,
+        )
+    diag = gram_diagonal_block_means(X, cfg, n_x)
+    expected = np.diag(_chain_block_means(X, X, sigma, n_x, n_x))
+    np.testing.assert_allclose(diag, expected, rtol=0.0, atol=1e-12)
+    assert np.all((diag >= 0.0) & (diag <= 1.0))
 
 
 def _tiny_run(mode, seed):
