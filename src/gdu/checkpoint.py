@@ -1,4 +1,4 @@
-"""Versioned text checkpoints for layers and full models.
+"""Versioned text checkpoints for models.
 
 Format: a header line ``gdu-checkpoint <version>``, then a sequence of
 key-length-value blocks, then ``end``.
@@ -10,8 +10,9 @@ key-length-value blocks, then ``end``.
 
 A model is written as kind ``gdu-model``, or as kind ``erm-model`` when its
 layer is UNIFORM: an ERM model stores no bases and no kernel, only its
-heads' activation and one weight and one bias block per head. A UNIFORM
-layer on its own has no layer checkpoint.
+heads' activation and one weight and one bias block per head. Both kinds
+start with the extractor (``field fe_layers 0`` when there is none), so a
+layer on its own is saved as the model ``GduModel(None, layer)``.
 
 Readers reject unknown versions and truncated or malformed blocks.
 """
@@ -26,14 +27,10 @@ from .training import FeatureExtractor, GduModel
 
 __all__ = [
     "CheckpointError",
-    "save_layer",
-    "load_layer",
     "save_model",
     "load_model",
     "model_to_text",
     "model_from_text",
-    "layer_to_text",
-    "layer_from_text",
 ]
 
 FORMAT_VERSION = 1
@@ -121,8 +118,6 @@ def _stack_blocks(blocks: list, kind: str, axis: int = 0) -> np.ndarray:
 
 
 def _emit_layer(lines: list, layer: GduLayer):
-    if layer.mode == UNIFORM:
-        raise CheckpointError("a UNIFORM layer is saved only as part of an erm-model")
     lines.append(f"field mode {layer.mode}")
     lines.append(f"field sigma {_field_token(layer.kernel.sigma)}")
     lines.append(f"field kappa {_field_token(layer.kappa)}")
@@ -183,13 +178,6 @@ def _read_fe(reader: _Reader) -> FeatureExtractor | None:
     return FeatureExtractor(weights, biases, nonlinearity)
 
 
-def layer_to_text(layer: GduLayer) -> str:
-    lines = [f"gdu-checkpoint {FORMAT_VERSION}", "field kind layer"]
-    _emit_layer(lines, layer)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
 def model_to_text(model: GduModel) -> str:
     layer = model.layer
     erm = layer.mode == UNIFORM
@@ -216,15 +204,6 @@ def _open_reader(text: str) -> tuple:
     return reader, kind
 
 
-def layer_from_text(text: str) -> GduLayer:
-    reader, kind = _open_reader(text)
-    if kind != "layer":
-        raise CheckpointError(f"expected a layer checkpoint, found {kind!r}")
-    layer = _read_layer(reader)
-    reader.expect("end")
-    return layer
-
-
 def _read_erm_layer(reader: _Reader) -> GduLayer:
     activation = reader.read_field("activation")
     weights, bias = _read_machines(reader, "head", int(reader.read_field("num_heads")))
@@ -240,16 +219,6 @@ def model_from_text(text: str) -> GduModel:
     layer = read_layer(reader)
     reader.expect("end")
     return GduModel(fe, layer)
-
-
-def save_layer(path, layer: GduLayer):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(layer_to_text(layer))
-
-
-def load_layer(path) -> GduLayer:
-    with open(path) as fh:
-        return layer_from_text(fh.read())
 
 
 def save_model(path, model):

@@ -27,6 +27,10 @@ same numpy operations for arrays and tensors. The UNIFORM gate is a constant
 array and never a tape node. The machines of a layer share one activation.
 All computations accept numpy arrays or autodiff tensors, so the same code
 serves inference and gradient-based training.
+
+There is one path in: :func:`gate_matrix` gates a (b, e) feature batch
+sample by sample, and :func:`forward_batch` runs the ensemble on it. A
+single sample is a batch of one row.
 """
 
 from __future__ import annotations
@@ -46,10 +50,7 @@ __all__ = [
     "ACTIVATIONS",
     "LearningMachine",
     "GduLayer",
-    "gate",
-    "gate_batch",
     "gate_matrix",
-    "forward",
     "forward_batch",
     "init_layer",
 ]
@@ -129,9 +130,13 @@ class GduLayer:
             )
         e, m, _ = w
         if self.mode == UNIFORM:
-            if self.bases is not None:
-                raise ValueError("a UNIFORM layer has no bases; pass bases=None")
+            if self.bases is not None or self.kernel is not None:
+                raise ValueError(
+                    "a UNIFORM layer has no bases and no kernel; pass bases=None, kernel=None"
+                )
             return
+        if self.kernel is None:
+            raise ValueError(f"a {self.mode} layer needs a kernel, got kernel=None")
         v = ad.value_of(self.bases)
         if v.ndim != 3 or min(v.shape) < 1:
             raise ValueError(f"bases must form a nonempty (M, N, e) array, got {v.shape}")
@@ -142,8 +147,8 @@ class GduLayer:
                 f"for weights {w}, bases must be (M, N, e) = ({m}, N, {e}); got {v.shape}"
             )
         if self.mode in GEOMETRY_MODES:
-            if self.kappa is None or not self.kappa > 0:
-                raise ValueError(f"geometry modes need kappa > 0, got {self.kappa}")
+            if self.kappa is None or not (math.isfinite(self.kappa) and self.kappa > 0):
+                raise ValueError(f"geometry modes need a finite kappa > 0, got {self.kappa}")
 
     @property
     def num_bases(self) -> int:
@@ -204,64 +209,58 @@ def _basis_inners(X, layer: GduLayer):
     return a, gram_diagonal_block_means(vectors, layer.kernel, n)
 
 
-def _gate_from_inners(a, norms, mode, kappa, self_norm=1.0):
+def _gate_from_inners(a, norms, mode, kappa):
     """Gating rows from embedding inner products, as one tape node.
 
-    ``a[i, j] = <psi_i, mu_j>`` (b, M) and ``norms[j] = ||mu_j||^2`` (M,),
-    where ``psi_i`` is the gated embedding, with ``||psi_i||^2 = self_norm``
-    (a scalar or a one-element array): 1 for the feature map of one sample
-    under the Gaussian kernel. The rows are
+    ``a[i, j] = <phi(x_i), mu_j>`` (b, M) and ``norms[j] = ||mu_j||^2`` (M,);
+    ``||phi(x_i)||^2 = k(x_i, x_i) = 1`` under the Gaussian kernel. The rows are
 
     * ``PROJECTION``: ``a / norms``;
-    * ``CS``: the kappa-softmax of ``H = a / sqrt(self_norm * norms)``;
-    * ``MMD``: the kappa-softmax of ``H = -(self_norm - 2 a + norms)``;
+    * ``CS``: the kappa-softmax of ``H = a / sqrt(norms)``;
+    * ``MMD``: the kappa-softmax of ``H = -(1 - 2 a + norms)``;
 
     where the row-wise softmax subtracts each row's maximum first. The
     forward runs these numpy operations in this order for arrays and tensors
     alike. Arrays in give an array out; a tensor operand gives one node. Its
     backward takes the output gradient ``g`` to ``gH = kappa * beta * (g -
-    <beta, g>)`` per row, then to the operands: for CS ``ga = gH / sqrt(
-    self_norm * norms)`` and ``-sum(gH * H) / (2 x)`` for ``x`` = each norm
-    (summed over rows) and the self norm (summed over all); for MMD
-    ``ga = 2 gH`` and ``-sum(gH)`` likewise.
+    <beta, g>)`` per row, then to the operands: for CS ``ga = gH /
+    sqrt(norms)`` and ``gn = -sum_i(gH * H) / (2 norms)``; for MMD ``ga =
+    2 gH`` and ``gn = -sum_i(gH)``.
     """
-    av, nv, sv = ad.value_of(a), ad.value_of(norms), ad.value_of(self_norm)
+    av, nv = ad.value_of(a), ad.value_of(norms)
     n_row = nv.reshape(1, -1)
     if mode == "PROJECTION":
         out = av / n_row
     else:
         if mode == "CS":
-            denom = np.sqrt(sv * n_row)
+            denom = np.sqrt(n_row)
             h = av / denom
         else:
-            h = -(sv - 2.0 * av + n_row)
+            h = -(1.0 - 2.0 * av + n_row)
         z = h * kappa
         z = z - np.max(z, axis=1, keepdims=True)
         e = np.exp(z)
         out = e / np.sum(e, axis=1, keepdims=True)
-    parents = tuple(t for t in (a, norms, self_norm) if ad.is_tensor(t))
+    parents = tuple(t for t in (a, norms) if ad.is_tensor(t))
     if not parents:
         return out
 
     def bw(g):
         if mode == "PROJECTION":
             ga = g / n_row
-            gn, gs = -np.sum(ga * out, axis=0), None
+            gn = -np.sum(ga * out, axis=0)
         else:
             gh = kappa * out * (g - np.sum(out * g, axis=1, keepdims=True))
             if mode == "CS":
                 ga = gh / denom
-                t = gh * h
-                gn, gs = -np.sum(t, axis=0) / (2.0 * nv), -np.sum(t) / (2.0 * sv)
+                gn = -np.sum(gh * h, axis=0) / (2.0 * nv)
             else:
                 ga = 2.0 * gh
-                gn, gs = -np.sum(gh, axis=0), -np.sum(gh)
+                gn = -np.sum(gh, axis=0)
         if ad.is_tensor(a):
             a._accumulate(ga)
         if ad.is_tensor(norms):
             norms._accumulate(gn)
-        if ad.is_tensor(self_norm):
-            self_norm._accumulate(np.reshape(gs, sv.shape))
 
     return ad.Tensor(out, parents, bw)
 
@@ -286,33 +285,6 @@ def gate_matrix(X, layer: GduLayer):
     k(x, x) = 1`` for the Gaussian kernel, so no per-sample norm is needed.
     """
     return _inners_and_gate(X, layer)[1]
-
-
-def gate(x, layer: GduLayer):
-    """Gating weights for a single feature vector, shape (M,)."""
-    X = ad.reshape(x, (1, -1))
-    return ad.reshape(gate_matrix(X, layer), (-1,))
-
-
-def gate_batch(X, layer: GduLayer):
-    """One shared gating row for a whole batch, via the batch mean embedding.
-
-    Replaces the single feature map with ``mu = (1/b) sum_l phi(x_l)`` in the
-    similarity (geometry modes, with its squared norm as the self norm) or in
-    the projection numerator. A UNIFORM layer gives its constant 1/M row.
-    """
-    b = ad.value_of(X).shape[0]
-    if b < 1:
-        raise ValueError("gate_batch needs a nonempty batch")
-    if layer.mode == UNIFORM:
-        return gate_matrix(X, layer)[0]
-    a, norms = _basis_inners(X, layer)
-    a_batch = ad.mean(a, axis=0, keepdims=True)  # <mu_batch, mu_j>
-    self_norm = 1.0
-    if layer.mode in GEOMETRY_MODES:
-        self_norm = gram_diagonal_block_means(X, layer.kernel, b)
-    beta = _gate_from_inners(a_batch, norms, layer.mode, layer.kappa, self_norm)
-    return ad.reshape(beta, (-1,))
 
 
 def forward_batch(X, layer: GduLayer, beta=None):
@@ -363,14 +335,6 @@ def forward_batch(X, layer: GduLayer, beta=None):
             X._accumulate(P @ W.T)
 
     return ad.Tensor(y, parents, bw)
-
-
-def forward(x, layer: GduLayer, beta=None):
-    """Ensemble prediction for a single feature vector, shape (C,)."""
-    X = ad.reshape(x, (1, -1))
-    if beta is not None:
-        beta = ad.reshape(beta, (1, -1))
-    return ad.reshape(forward_batch(X, layer, beta=beta), (-1,))
 
 
 def basis_init_scale(feature_dim: int, sigma: float) -> float:

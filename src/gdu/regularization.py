@@ -8,12 +8,21 @@
   mutual coherence ``MC = max_{i != j} |K_ij|``.
 * ``omega_l1``   - batch-mean L1 norm of the gating coefficients.
 
-``omega_total`` combines them per gating mode: geometry modes use
-``lambda_ols * OLS + lambda_l1 * L1``; projection mode uses
-``lambda_ols * OLS + lambda_orth * ORTH``. A UNIFORM layer has no bases
-and takes no regularizer: a nonzero weight for it raises. The training
-objective adds the same combination through ``_add_regularizers``, reusing
-the gate's inner products instead of recomputing kernel blocks.
+``omega_total`` adds the weighted terms a gating mode takes:
+
+==============  ==============================
+mode            weights
+==============  ==============================
+CS, MMD         ``lambda_ols``, ``lambda_l1``
+PROJECTION      ``lambda_ols``, ``lambda_orth``
+UNIFORM         none (the layer has no bases)
+==============  ==============================
+
+A nonzero weight outside its mode's row raises a ValueError that names the
+weight and the mode. The training objective adds the same combination
+through ``_add_regularizers``, reusing the gate's inner products instead of
+recomputing kernel blocks. The training trace still reports all three raw
+terms for every mode with bases.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .layer import GEOMETRY_MODES, UNIFORM, GduLayer, _basis_inners, basis_gram_matrix
+from .layer import UNIFORM, GduLayer, _basis_inners, basis_gram_matrix
 
 __all__ = [
     "ORTH_VARIANTS",
@@ -39,6 +48,13 @@ ORTH_VARIANTS = ("SO", "SRIP", "MC")
 
 _OLS_CLAMP_TOL = 1e-10
 _WEIGHTS = ("lambda_ols", "lambda_orth", "lambda_l1")
+# The weights each gating mode takes (see the module docstring).
+_MODE_WEIGHTS = {
+    "CS": ("lambda_ols", "lambda_l1"),
+    "MMD": ("lambda_ols", "lambda_l1"),
+    "PROJECTION": ("lambda_ols", "lambda_orth"),
+    UNIFORM: (),
+}
 
 
 @dataclass(frozen=True)
@@ -121,30 +137,32 @@ def omega_l1(beta):
     return ad.mean(ad.summation(ad.absolute(beta), axis=1))
 
 
+def _check_mode_weights(mode: str, cfg: RegConfig):
+    """Raise a ValueError naming every nonzero weight that ``mode`` does not take."""
+    allowed = _MODE_WEIGHTS[mode]
+    bad = [f"{n}={getattr(cfg, n)}" for n in _WEIGHTS if n not in allowed and getattr(cfg, n)]
+    if bad:
+        takes = " and ".join(allowed) if allowed else "no regularizer"
+        raise ValueError(f"a {mode} layer takes {takes}; got {', '.join(bad)}")
+
+
 def _add_regularizers(obj, a, beta, layer: GduLayer, cfg: RegConfig):
-    """``obj`` plus the mode-appropriate weighted regularization terms.
+    """``obj`` plus the mode's weighted regularization terms.
 
     ``a`` holds the inner products ``<phi(x_i), mu_j>`` that produced
     ``beta`` and is read only by OLS. The basis Gram matrix is built once,
-    and only when OLS or projection-mode ORTH needs it. Each present term is
-    added to ``obj`` in turn, so absent terms put no node on a tape. A
-    UNIFORM layer has no bases, so any nonzero weight raises a ValueError
-    that names it.
+    and only when OLS or ORTH needs it. Each present term is added to
+    ``obj`` in turn, so absent terms put no node on a tape. A nonzero weight
+    the mode does not take raises a ValueError that names it.
     """
-    if layer.mode == UNIFORM:
-        nonzero = [f"{name}={getattr(cfg, name)}" for name in _WEIGHTS if getattr(cfg, name)]
-        if nonzero:
-            raise ValueError(f"a UNIFORM layer takes no regularizer; got {', '.join(nonzero)}")
-        return obj
-    geometry = layer.mode in GEOMETRY_MODES
-    use_orth = not geometry and cfg.lambda_orth > 0.0
-    if cfg.lambda_ols > 0.0 or use_orth:
+    _check_mode_weights(layer.mode, cfg)
+    if cfg.lambda_ols > 0.0 or cfg.lambda_orth > 0.0:
         k_bases = basis_gram_matrix(layer)
         if cfg.lambda_ols > 0.0:
             obj = obj + cfg.lambda_ols * _omega_ols_from_stats(a, k_bases, beta)
-        if use_orth:
+        if cfg.lambda_orth > 0.0:
             obj = obj + cfg.lambda_orth * omega_orth(k_bases, cfg.orth_variant)
-    if geometry and cfg.lambda_l1 > 0.0:
+    if cfg.lambda_l1 > 0.0:
         obj = obj + cfg.lambda_l1 * omega_l1(beta)
     return obj
 

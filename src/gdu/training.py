@@ -1,10 +1,13 @@
-"""Model training: feature extractor, losses, gradients, and the train loop.
+"""Model training: feature extractor, loss, gradients, and the train loop.
 
 Every model is a :class:`GduModel`: a feature extractor (or none) followed
 by a gated domain layer. ERM with K heads is the layer in ``UNIFORM`` mode,
 whose gate is the constant row 1/K and which has no bases
 (:func:`init_erm_model`); the single-head case is plain ERM. One objective,
-one prediction path and one loop serve every gating mode.
+one prediction path and one loop serve every gating mode: the loss is the
+batch cross-entropy node :func:`cross_entropy_mean`, prediction is
+:func:`predict_logits` on a batch (a single input is a batch of one row),
+and the optimizer is Adam.
 
 Gradients come from the in-repo reverse-mode tape (:mod:`gdu.autodiff`);
 their binding contract is agreement with central finite differences.
@@ -57,7 +60,6 @@ __all__ = [
     "init_feature_extractor",
     "init_erm_model",
     "fe_forward",
-    "loss_ce",
     "objective",
     "gradients",
     "predict_logits",
@@ -67,7 +69,6 @@ __all__ = [
 
 FE_NONLINEARITIES = ("relu", "tanh")
 TRAIN_MODES = ("FT", "E2E")
-OPTIMIZERS = ("SGD", "ADAM")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -99,10 +100,16 @@ class FeatureExtractor:
             raise ValueError("need one bias per weight matrix")
         if self.nonlinearity not in FE_NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        for w, b in zip(self.weights, self.biases):
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             wv, bv = ad.value_of(w), ad.value_of(b)
             if wv.ndim != 2 or bv.shape != (wv.shape[1],):
                 raise ValueError("inconsistent extractor layer shapes")
+            if i and wv.shape[0] != d_out:
+                raise ValueError(
+                    f"extractor layer {i} takes {wv.shape[0]} inputs, "
+                    f"but layer {i - 1} gives {d_out}"
+                )
+            d_out = wv.shape[1]
 
     @property
     def layer_sizes(self) -> list:
@@ -117,6 +124,13 @@ class GduModel:
 
     fe: FeatureExtractor | None
     layer: GduLayer
+
+    def __post_init__(self):
+        if self.fe is not None and self.fe.layer_sizes[-1] != self.layer.feature_dim:
+            raise ValueError(
+                f"extractor output size {self.fe.layer_sizes[-1]} does not match "
+                f"layer feature_dim {self.layer.feature_dim}"
+            )
 
 
 @dataclass
@@ -147,7 +161,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 50
     seed: int = 0
-    optimizer: str = "ADAM"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -157,8 +170,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
         for name in ("learning_rate", "adam_eps"):
@@ -261,17 +272,6 @@ def fe_forward(x, fe: FeatureExtractor | None):
     return out
 
 
-def loss_ce(logits, label: int):
-    """Categorical cross-entropy ``-log softmax(logits)[label]``."""
-    vals = ad.value_of(logits)
-    if vals.ndim != 1 or vals.shape[0] < 2:
-        raise ValueError("loss_ce expects a logits vector with C >= 2")
-    if not 0 <= label < vals.shape[0]:
-        raise ValueError(f"label {label} out of range for C={vals.shape[0]}")
-    z = logits - ad.detach(ad.amax(logits))
-    return ad.log(ad.summation(ad.exp(z))) - z[label]
-
-
 def _checked_labels(labels, b: int, c: int) -> np.ndarray:
     """``labels`` as b int64 class indices in ``[0, c)``, or a ValueError."""
     labels = np.asarray(labels)
@@ -294,8 +294,8 @@ def cross_entropy_mean(logits, labels):
     ``(softmax(logits) - onehot(labels)) * g / b``.
     """
     vals = ad.value_of(logits)
-    if vals.ndim != 2:
-        raise ValueError(f"expected (b, C) logits, got shape {vals.shape}")
+    if vals.ndim != 2 or vals.shape[1] < 2:
+        raise ValueError(f"expected (b, C) logits with C >= 2, got shape {vals.shape}")
     b, c = vals.shape
     labels = _checked_labels(labels, b, c)
     rows = np.arange(b)
@@ -460,7 +460,7 @@ def accuracy(model, X, y) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
-# -- optimizers ---------------------------------------------------------------
+# -- the optimizer ------------------------------------------------------------
 
 
 class _Adam:
@@ -480,16 +480,6 @@ class _Adam:
         m_hat = self.m / (1 - c.adam_beta1**self.t)
         v_hat = self.v / (1 - c.adam_beta2**self.t)
         params -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
-
-
-class _Sgd:
-    """Plain gradient descent on one parameter vector, updated in place."""
-
-    def __init__(self, params: np.ndarray, cfg: TrainConfig):
-        self.cfg = cfg
-
-    def step(self, params: np.ndarray, grad: np.ndarray):
-        params -= self.cfg.learning_rate * grad
 
 
 # -- the training loop ---------------------------------------------------------
@@ -528,7 +518,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     left as it is.
     """
     params = _pack_parameters(model, config.mode)
-    opt = _Adam(params, config) if config.optimizer == "ADAM" else _Sgd(params, config)
+    opt = _Adam(params, config)
     rng = np.random.default_rng(config.seed)
     n = len(data.train_x)
     train_x = np.asarray(data.train_x, dtype=np.float64)

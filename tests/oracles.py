@@ -196,18 +196,18 @@ def kernel_softmax_chain(scores, kappa):
     return e / ad.summation(e, axis=1, keepdims=True)
 
 
-def similarity_chain(a, norms, self_norm_sq, mode):
-    """CS or MMD similarity scores between embeddings and each basis."""
+def similarity_chain(a, norms, mode):
+    """CS or MMD similarity scores between unit-norm feature maps and each basis."""
     if mode == "CS":
-        return a / ad.sqrt(self_norm_sq * ad.reshape(norms, (1, -1)))
-    return -(self_norm_sq - 2.0 * a + ad.reshape(norms, (1, -1)))
+        return a / ad.sqrt(ad.reshape(norms, (1, -1)))
+    return -(1.0 - 2.0 * a + ad.reshape(norms, (1, -1)))
 
 
-def gate_chain(a, norms, mode, kappa, self_norm_sq=1.0):
+def gate_chain(a, norms, mode, kappa):
     """Gating rows from embedding inner products (see ``_gate_from_inners``)."""
     if mode == "PROJECTION":
         return a / ad.reshape(norms, (1, -1))
-    return kernel_softmax_chain(similarity_chain(a, norms, self_norm_sq, mode), kappa)
+    return kernel_softmax_chain(similarity_chain(a, norms, mode), kappa)
 
 
 def ensemble_chain(X, weights, bias, beta, activation):

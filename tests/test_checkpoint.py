@@ -5,8 +5,6 @@ import pytest
 
 from gdu.checkpoint import (
     CheckpointError,
-    layer_from_text,
-    layer_to_text,
     load_model,
     model_from_text,
     model_to_text,
@@ -22,11 +20,13 @@ from gdu.training import (
 )
 
 
-# Format v1 text of a tiny layer (M=2, N=2, e=3, C=2, tanh, PROJECTION), as
-# the per-basis layer classes that preceded the stacked arrays wrote it: one
-# block per basis and one weight and bias block per machine.
-V1_LAYER_TEXT = """gdu-checkpoint 1
-field kind layer
+# Format v1 text of a tiny model with no extractor and a layer (M=2, N=2,
+# e=3, C=2, tanh, PROJECTION), as the per-basis layer classes that preceded
+# the stacked arrays wrote it: one block per basis and one weight and bias
+# block per machine.
+V1_GDU_TEXT = """gdu-checkpoint 1
+field kind gdu-model
+field fe_layers 0
 field mode PROJECTION
 field sigma 0x1.8000000000000p+0
 field kappa -
@@ -52,17 +52,19 @@ V1_BIAS = np.array([[0.25, -0.5], [1.0, -0.125]])  # (M, C)
 
 
 def test_v1_text_loads_to_the_stacked_arrays_and_writes_back_unchanged():
-    layer = layer_from_text(V1_LAYER_TEXT)
+    model = model_from_text(V1_GDU_TEXT)
+    assert model.fe is None
+    layer = model.layer
     assert (layer.mode, layer.kernel.sigma, layer.kappa) == ("PROJECTION", 1.5, None)
     assert layer.activation == "tanh"
     np.testing.assert_array_equal(layer.bases, V1_BASES)
     np.testing.assert_array_equal(layer.weights, V1_WEIGHTS)
     np.testing.assert_array_equal(layer.bias, V1_BIAS)
-    assert layer_to_text(layer) == V1_LAYER_TEXT
+    assert model_to_text(model) == V1_GDU_TEXT
     built = GduLayer(
         V1_BASES, V1_WEIGHTS, V1_BIAS, KernelConfig(1.5), "PROJECTION", activation="tanh"
     )
-    assert layer_to_text(built) == V1_LAYER_TEXT
+    assert model_to_text(GduModel(None, built)) == V1_GDU_TEXT
 
 
 # Format v1 text of a tiny ERM model (a one-layer extractor 3 -> 2 and K=2
@@ -114,15 +116,26 @@ def test_v1_erm_text_loads_and_writes_back_unchanged():
 
 
 def test_rejects_per_basis_blocks_of_different_shapes():
-    text = V1_LAYER_TEXT.replace("block basis1 2 2 3 6", "block basis1 2 3 2 6")
+    text = V1_GDU_TEXT.replace("block basis1 2 2 3 6", "block basis1 2 3 2 6")
     with pytest.raises(CheckpointError, match="basis blocks"):
-        layer_from_text(text)
-    text = V1_LAYER_TEXT.replace("block mach_b1 1 2 2", "block mach_b1 2 1 2 2")
+        model_from_text(text)
+    text = V1_GDU_TEXT.replace("block mach_b1 1 2 2", "block mach_b1 2 1 2 2")
     with pytest.raises(CheckpointError, match="mach_b blocks"):
-        layer_from_text(text)
-    head, _, _ = V1_LAYER_TEXT.partition("block basis0")
+        model_from_text(text)
+    head, _, _ = V1_GDU_TEXT.partition("block basis0")
     with pytest.raises(CheckpointError, match="basis blocks"):
-        layer_from_text(head.replace("num_bases 2", "num_bases 0") + "end\n")
+        model_from_text(head.replace("num_bases 2", "num_bases 0") + "end\n")
+    head, _, _ = V1_ERM_TEXT.partition("block head_w0")
+    with pytest.raises(CheckpointError, match="head_w blocks"):
+        model_from_text(head.replace("num_heads 2", "num_heads 0") + "end\n")
+
+
+def test_rejects_an_extractor_that_does_not_feed_the_layer():
+    # The 3 -> 2 extractor of the ERM fixture ahead of the e=3 layer.
+    fe_lines = V1_ERM_TEXT.splitlines()[2:8]
+    text = V1_GDU_TEXT.replace("field fe_layers 0", "\n".join(fe_lines))
+    with pytest.raises(ValueError, match="extractor output size 2 does not match"):
+        model_from_text(text)
 
 
 def awkward_layer():
@@ -138,7 +151,7 @@ def awkward_layer():
 
 def test_layer_round_trip_bit_exact():
     layer = awkward_layer()
-    restored = layer_from_text(layer_to_text(layer))
+    restored = model_from_text(model_to_text(GduModel(None, layer))).layer
     assert restored.mode == layer.mode
     assert restored.kernel == layer.kernel
     assert restored.kappa is None
@@ -151,9 +164,8 @@ def test_layer_round_trip_bit_exact():
 
 
 def test_layer_text_stable_across_round_trips():
-    layer = awkward_layer()
-    text = layer_to_text(layer)
-    assert layer_to_text(layer_from_text(text)) == text
+    text = model_to_text(GduModel(None, awkward_layer()))
+    assert model_to_text(model_from_text(text)) == text
 
 
 def test_block_text_matches_the_v1_layout():
@@ -163,7 +175,7 @@ def test_block_text_matches_the_v1_layout():
     lines = ["block basis0 2 4 5 20"] + [
         " ".join(v.hex() for v in flat[i : i + 8]) for i in range(0, 20, 8)
     ]
-    assert "\n" + "\n".join(lines) + "\n" in layer_to_text(layer)
+    assert "\n" + "\n".join(lines) + "\n" in model_to_text(GduModel(None, layer))
 
 
 def test_gdu_model_round_trip(tmp_path):
@@ -196,21 +208,13 @@ def test_erm_model_round_trip():
     assert model_to_text(restored) == text
 
 
-def test_uniform_layer_has_no_layer_checkpoint():
-    layer = init_erm_model([3, 4], 2, n_heads=2, seed=9).layer
-    with pytest.raises(CheckpointError, match="erm-model"):
-        layer_to_text(layer)
-    head, _, _ = V1_ERM_TEXT.partition("block head_w0")
-    with pytest.raises(CheckpointError, match="head_w blocks"):
-        model_from_text(head.replace("num_heads 2", "num_heads 0") + "end\n")
-
-
 def test_rejects_bad_version_and_truncation():
-    layer = awkward_layer()
-    text = layer_to_text(layer)
+    text = model_to_text(GduModel(None, awkward_layer()))
     with pytest.raises(CheckpointError, match="version"):
-        layer_from_text(text.replace("gdu-checkpoint 1", "gdu-checkpoint 99", 1))
+        model_from_text(text.replace("gdu-checkpoint 1", "gdu-checkpoint 99", 1))
     with pytest.raises(CheckpointError):
-        layer_from_text(text[: len(text) // 2])
+        model_from_text(text[: len(text) // 2])
     with pytest.raises(CheckpointError, match="kind"):
-        model_from_text(text.replace("field kind layer", "field kind mystery", 1))
+        model_from_text(text.replace("field kind gdu-model", "field kind mystery", 1))
+    with pytest.raises(CheckpointError, match="kind 'layer'"):
+        model_from_text(text.replace("field kind gdu-model", "field kind layer", 1))

@@ -1,6 +1,6 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
-every function the benchmark's tracer wraps; the package's exports are
-pinned."""
+every function the benchmark's tracer wraps and every name a module
+exports; the package's exports are pinned."""
 
 import importlib
 import importlib.util
@@ -32,6 +32,20 @@ def test_traced_spans_resolve():
         assert callable(target), f"span {span!r} -> {module_name}.{attr}"
 
 
+def test_every_module_export_resolves():
+    # A name left in ``__all__`` after its definition is gone breaks
+    # ``from gdu.<module> import *``.
+    import gdu
+
+    modules = sorted(p.stem for p in Path(gdu.__file__).parent.glob("*.py"))
+    modules.remove("__init__")
+    assert len(modules) == 9
+    for module_name in modules:
+        module = importlib.import_module(f"gdu.{module_name}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"gdu.{module_name}.__all__ lists undefined {missing}"
+
+
 def test_public_surface_is_pinned():
     # Any change to the package's exports has to show up here as a diff.
     # ``__all__`` lists every public name of the package namespace, so the
@@ -50,10 +64,7 @@ def test_public_surface_is_pinned():
         "TrainConfig",
         "TrainTrace",
         "autodiff",
-        "forward",
         "forward_batch",
-        "gate",
-        "gate_batch",
         "gate_matrix",
         "gaussian_kernel",
         "gram",

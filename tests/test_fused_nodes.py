@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from gdu import autodiff as ad
-from gdu.kernel import KernelConfig, gram_diagonal_block_means
-from gdu.layer import _basis_inners, _gate_from_inners, forward_batch, gate_batch, init_layer
+from gdu.kernel import KernelConfig
+from gdu.layer import _gate_from_inners, forward_batch, init_layer
 from gdu.training import cross_entropy_mean
 
 from oracles import (
@@ -109,27 +109,20 @@ def test_cross_entropy_rejects_non_matrix_logits():
 # -- the gate ----------------------------------------------------------------------
 
 
-def gate_inputs(rng, b=6, m=4, self_norm=None):
-    inputs = {"a": rng.uniform(0.05, 0.9, size=(b, m)), "norms": rng.uniform(0.2, 1.0, size=m)}
-    if self_norm is not None:
-        inputs["self_norm"] = np.array([self_norm])
-    return inputs
+def gate_inputs(rng, b=6, m=4):
+    return {"a": rng.uniform(0.05, 0.9, size=(b, m)), "norms": rng.uniform(0.2, 1.0, size=m)}
 
 
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
 def test_gate_forward_is_bit_identical_to_the_chain(mode):
     rng = np.random.default_rng(2)
     kappa = None if mode == "PROJECTION" else 3.0
-    for self_norm in (None, 0.37):
-        inputs = gate_inputs(rng, self_norm=self_norm)
-        node = lambda **kw: _gate_from_inners(mode=mode, kappa=kappa, **kw)
-        chain_args = [inputs["a"], inputs["norms"], mode, kappa]
-        if self_norm is not None:
-            chain_args.append(inputs["self_norm"])
-        out = node(**inputs)
-        assert isinstance(out, np.ndarray)
-        np.testing.assert_array_equal(out, gate_chain(*chain_args))
-        assert_tensor_forward_equal(node, inputs)
+    inputs = gate_inputs(rng)
+    node = lambda **kw: _gate_from_inners(mode=mode, kappa=kappa, **kw)
+    out = node(**inputs)
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_array_equal(out, gate_chain(inputs["a"], inputs["norms"], mode, kappa))
+    assert_tensor_forward_equal(node, inputs)
 
 
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
@@ -140,27 +133,6 @@ def test_gate_backward_matches_finite_differences(mode):
     for wrt in ({"a"}, {"norms"}, {"a", "norms"}):
         err = backward_error(node, gate_inputs(rng), wrt)
         assert err < FD_TOL, (wrt, err)
-    if mode != "PROJECTION":
-        for wrt in ({"self_norm"}, {"a", "norms", "self_norm"}):
-            err = backward_error(node, gate_inputs(rng, self_norm=0.37), wrt)
-            assert err < FD_TOL, (wrt, err)
-
-
-@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
-def test_gate_batch_matches_the_chain_and_finite_differences(mode):
-    rng = np.random.default_rng(4)
-    layer = init_layer(3, 4, 3, 2, 5, mode, KernelConfig(1.3),
-                       None if mode == "PROJECTION" else 2.0)
-    X = rng.normal(size=(6, 3))
-    a, norms = _basis_inners(X, layer)
-    self_norm = 1.0
-    if mode != "PROJECTION":
-        self_norm = gram_diagonal_block_means(X, layer.kernel, 6)
-    expected = gate_chain(np.mean(a, axis=0, keepdims=True), norms, mode, layer.kappa, self_norm)
-    np.testing.assert_array_equal(gate_batch(X, layer), expected.ravel())
-    # X is a tensor: the gradient reaches the batch self norm as well.
-    err = backward_error(lambda X: gate_batch(X, layer), {"X": X}, {"X"}, one_node=False)
-    assert err < FD_TOL, err
 
 
 # -- the ensemble ----------------------------------------------------------------------

@@ -14,10 +14,7 @@ from gdu.layer import (
     _basis_inners,
     basis_gram_matrix,
     basis_init_scale,
-    forward,
     forward_batch,
-    gate,
-    gate_batch,
     gate_matrix,
     init_layer,
 )
@@ -50,7 +47,7 @@ def random_layer(rng, mode, m=3, n=4, e=3, c=2, kappa=2.0, sigma=1.0):
 
 def test_singleton_geometry_gate_is_one():
     layer = make_layer([[[0.0, 1.0]]], "CS", kappa=2.0)
-    np.testing.assert_allclose(gate(np.array([3.0, -1.0]), layer), [1.0])
+    np.testing.assert_allclose(gate_matrix(np.array([[3.0, -1.0]]), layer)[0], [1.0])
 
 
 def test_identical_bases_gate_uniformly():
@@ -58,13 +55,13 @@ def test_identical_bases_gate_uniformly():
     for mode in ("CS", "MMD"):
         layer = make_layer([basis, basis, basis], mode, kappa=2.0)
         np.testing.assert_allclose(
-            gate(np.array([0.1, 0.2]), layer), np.full(3, 1.0 / 3.0), atol=1e-12
+            gate_matrix(np.array([[0.1, 0.2]]), layer)[0], np.full(3, 1.0 / 3.0), atol=1e-12
         )
 
 
 def test_projection_gate_on_own_basis_vector():
     layer = make_layer([[[0.7, -0.4]]], "PROJECTION")
-    beta = gate(np.array([0.7, -0.4]), layer)
+    beta = gate_matrix(np.array([[0.7, -0.4]]), layer)[0]
     np.testing.assert_allclose(beta, [1.0], atol=1e-14)
 
 
@@ -72,7 +69,7 @@ def test_mmd_gate_hand_computed():
     # 1-D, sigma=1, kappa=2, bases {0} and {2}, sample at 0:
     # H1 = 0, H2 = -(2 - 2 e^-2); brute-force kernel softmax gives beta_1.
     layer = make_layer([[[0.0]], [[2.0]]], "MMD", kappa=2.0)
-    beta = gate(np.array([0.0]), layer)
+    beta = gate_matrix(np.array([[0.0]]), layer)[0]
     h2 = -(2.0 - 2.0 * math.exp(-2.0))
     expected = 1.0 / (1.0 + math.exp(2.0 * h2))
     assert expected == pytest.approx(0.969488320030073, abs=1e-12)
@@ -93,16 +90,17 @@ def test_geometry_rows_sum_to_one_and_positive():
 
 def test_gate_softmax_shift_invariance():
     # Injecting a constant shift into the similarity scores must not change
-    # the kernel softmax output. The self norm enters every MMD score of a
-    # row with the same sign, so changing it shifts the row by a constant.
+    # the kernel softmax output. The MMD score is -(1 - 2 a + norms), so
+    # adding c/2 to every inner product of a row shifts that row by c.
     from gdu.layer import _gate_from_inners
 
     rng = np.random.default_rng(1)
     a = rng.normal(size=(5, 4))
     norms = rng.uniform(0.5, 1.5, size=4)
+    c = np.array([[7.3], [-7.3], [0.5], [3.0], [-1.25]])
     np.testing.assert_allclose(
         _gate_from_inners(a, norms, "MMD", 2.0),
-        _gate_from_inners(a, norms, "MMD", 2.0, self_norm=1.0 + 7.3),
+        _gate_from_inners(a + c / 2.0, norms, "MMD", 2.0),
         atol=1e-12,
     )
 
@@ -120,7 +118,7 @@ def test_projection_matches_closed_form_inner_products():
     rng = np.random.default_rng(3)
     layer = random_layer(rng, "PROJECTION", m=3, n=4, e=3)
     x = rng.normal(size=3)
-    beta = gate(x, layer)
+    beta = gate_matrix(x[None], layer)[0]
     phi = EmpiricalKme(x.reshape(1, -1), layer.kernel)
     for j, basis in enumerate(layer.bases):
         emb = EmpiricalKme(basis, layer.kernel)
@@ -139,7 +137,7 @@ def test_projection_matches_grid_search_on_orthogonalized_bases():
         bases = [centers[j] + rng.normal(0, 0.5, size=(3, e)) for j in range(m)]
         layer = make_layer(bases, "PROJECTION")
         x = bases[0][0] + rng.normal(0, 0.3, size=e)
-        beta = gate(x, layer)
+        beta = gate_matrix(x[None], layer)[0]
         phi = EmpiricalKme(x.reshape(1, -1), layer.kernel)
         grid = np.arange(-2.0, 2.0 + 1e-9, 1e-3)
         for j, basis in enumerate(layer.bases):
@@ -151,43 +149,12 @@ def test_projection_matches_grid_search_on_orthogonalized_bases():
             assert abs(beta[j] - best) < 2e-3
 
 
-def test_gate_batch_consistency_with_single_sample():
-    rng = np.random.default_rng(5)
-    for mode in ("CS", "MMD", "PROJECTION"):
-        layer = random_layer(rng, mode)
-        x = rng.normal(size=3)
-        np.testing.assert_allclose(
-            gate_batch(x.reshape(1, -1), layer), gate(x, layer), atol=1e-12
-        )
-
-
-def test_gate_batch_on_basis_vectors_projection():
-    layer = make_layer([[[0.3, 0.1], [0.5, -0.2]]], "PROJECTION")
-    beta = gate_batch(layer.bases[0], layer)
-    np.testing.assert_allclose(beta, [1.0], atol=1e-14)
-
-
-def test_gate_batch_geometry_sums_to_one():
-    rng = np.random.default_rng(6)
-    for mode in ("CS", "MMD"):
-        layer = random_layer(rng, mode)
-        beta = gate_batch(rng.normal(size=(7, 3)), layer)
-        assert beta.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (beta > 0).all()
-
-
-def test_gate_batch_rejects_empty():
-    layer = make_layer([[[0.0]]], "CS", kappa=1.0)
-    with pytest.raises(ValueError):
-        gate_batch(np.zeros((0, 1)), layer)
-
-
 def test_forward_single_machine_equals_machine_output():
     rng = np.random.default_rng(7)
     layer = random_layer(rng, "CS", m=1)
     x = rng.normal(size=3)
     np.testing.assert_allclose(
-        forward(x, layer), np.asarray(layer.machines[0](x)), atol=1e-12
+        forward_batch(x[None], layer)[0], np.asarray(layer.machines[0](x)), atol=1e-12
     )
 
 
@@ -202,16 +169,20 @@ def test_forward_identical_machines_in_geometry_mode():
         n_outputs=3,
     )
     x = rng.normal(size=2)
-    np.testing.assert_allclose(forward(x, layer), np.asarray(machine(x)), atol=1e-12)
+    np.testing.assert_allclose(
+        forward_batch(x[None], layer)[0], np.asarray(machine(x)), atol=1e-12
+    )
 
 
 def test_forward_composes_gate_with_machine_outputs():
     layer = make_layer([[[0.0]], [[2.0]]], "MMD", kappa=2.0, n_outputs=2)
     x = np.array([0.0])
-    beta = gate(x, layer)
+    beta = gate_matrix(x[None], layer)[0]
     o1 = np.asarray(layer.machines[0](x))
     o2 = np.asarray(layer.machines[1](x))
-    np.testing.assert_allclose(forward(x, layer), beta[0] * o1 + beta[1] * o2, atol=1e-12)
+    np.testing.assert_allclose(
+        forward_batch(x[None], layer)[0], beta[0] * o1 + beta[1] * o2, atol=1e-12
+    )
 
 
 def test_forward_affine_in_machine_outputs():
@@ -219,13 +190,13 @@ def test_forward_affine_in_machine_outputs():
     rng = np.random.default_rng(9)
     layer = random_layer(rng, "CS", m=2)
     x = rng.normal(size=3)
-    beta = gate(x, layer)
-    base = forward(x, layer, beta=beta)
+    beta = gate_matrix(x[None], layer)
+    base = forward_batch(x[None], layer, beta=beta)[0]
     layer.weights[:, 0] *= 2.0
     layer.bias[0] *= 2.0
-    doubled = forward(x, layer, beta=beta)
-    contribution = base - beta[0] * np.asarray(layer.machines[0](x)) / 2.0
-    np.testing.assert_allclose(doubled, contribution + beta[0] * np.asarray(layer.machines[0](x)), atol=1e-12)
+    doubled = forward_batch(x[None], layer, beta=beta)[0]
+    share = beta[0, 0] * np.asarray(layer.machines[0](x))
+    np.testing.assert_allclose(doubled, base - share / 2.0 + share, atol=1e-12)
 
 
 def test_forward_batch_with_constant_gate_override():
@@ -375,8 +346,7 @@ def test_uniform_layer_gates_every_row_at_one_over_m():
         beta = gate_matrix(X, layer)
         assert isinstance(beta, np.ndarray)
         np.testing.assert_array_equal(beta, np.full((5, 4), 0.25))
-        np.testing.assert_array_equal(gate_batch(X, layer), np.full(4, 0.25))
-        np.testing.assert_array_equal(gate(X[0], layer), np.full(4, 0.25))
+        np.testing.assert_array_equal(gate_matrix(X[:1], layer)[0], np.full(4, 0.25))
         mean = sum(np.asarray(m(X)) for m in layer.machines) / 4.0
         np.testing.assert_allclose(forward_batch(X, layer), mean, rtol=1e-13, atol=1e-14)
 
@@ -390,6 +360,26 @@ def test_uniform_layer_takes_no_bases_and_kernel_gates_need_them():
             GduLayer(None, w, b, CFG, mode, kappa=1.0)
     with pytest.raises(ValueError, match="weights"):
         GduLayer(None, np.zeros((3, 0, 2)), np.zeros((0, 2)), None, UNIFORM)
+
+
+def test_kernel_gates_need_a_kernel():
+    w, b = np.zeros((3, 2, 2)), np.zeros((2, 2))
+    for mode in GATING_MODES:
+        with pytest.raises(ValueError, match=f"a {mode} layer needs a kernel"):
+            GduLayer(np.zeros((2, 4, 3)), w, b, None, mode, kappa=1.0)
+
+
+def test_uniform_layer_takes_no_kernel():
+    w, b = np.zeros((3, 2, 2)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="UNIFORM layer has no bases and no kernel"):
+        GduLayer(None, w, b, CFG, UNIFORM)
+
+
+def test_geometry_kappa_must_be_finite():
+    for mode in ("CS", "MMD"):
+        for kappa in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="finite kappa > 0"):
+                make_layer([[[0.0]], [[2.0]]], mode, kappa=kappa)
 
 
 def test_uniform_layer_kernel_statistics_raise_a_named_error():

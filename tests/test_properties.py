@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdu.checkpoint import layer_from_text, layer_to_text, model_to_text
+from gdu.checkpoint import model_from_text, model_to_text
 from gdu.kernel import KernelConfig, gram, gram_block_means, gram_diagonal_block_means
 from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
 from gdu.regularization import RegConfig, omega_ols
@@ -44,15 +44,15 @@ def layers_and_batches(draw, modes=GATING_MODES):
 @given(layers_and_batches())
 def test_checkpoint_round_trip_is_bit_exact(case):
     layer, _ = case
-    text = layer_to_text(layer)
-    back = layer_from_text(text)
+    text = model_to_text(GduModel(None, layer))
+    back = model_from_text(text).layer
     np.testing.assert_array_equal(back.bases, layer.bases)
     np.testing.assert_array_equal(back.weights, layer.weights)
     np.testing.assert_array_equal(back.bias, layer.bias)
     assert (back.mode, back.kernel, back.kappa, back.activation) == (
         layer.mode, layer.kernel, layer.kappa, layer.activation,
     )
-    assert layer_to_text(back) == text
+    assert model_to_text(GduModel(None, back)) == text
 
 
 @SETTINGS

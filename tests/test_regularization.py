@@ -1,6 +1,7 @@
 """Regularizer values against hand expansions and brute-force oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from gdu.regularization import (
     omega_total,
 )
 
+from gdu.training import objective
+
+from helpers import build_small_gdu
 from oracles import omega_ols_brute, srip_power_iteration
 
 CFG = KernelConfig(sigma=1.0)
@@ -200,14 +204,27 @@ def test_total_zero_when_all_lambdas_zero():
 
 
 def test_total_geometry_uses_l1_not_orth():
+    # A weight outside the mode's row raises instead of being dropped.
     rng = np.random.default_rng(9)
     layer = random_layer(rng, m=3, n=3, e=2, mode="MMD", kappa=2.0)
     X = rng.normal(size=(5, 2))
     beta = gate_matrix(X, layer)
     cfg = RegConfig(lambda_ols=0.0, lambda_l1=1.0, lambda_orth=123.0)
-    assert omega_total(X, beta, layer, cfg) == pytest.approx(
+    with pytest.raises(ValueError, match="a MMD layer takes .*; got lambda_orth=123.0$"):
+        omega_total(X, beta, layer, cfg)
+    assert omega_total(X, beta, layer, replace(cfg, lambda_orth=0.0)) == pytest.approx(
         float(omega_l1(beta)), abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "mode, weight", [("CS", "lambda_orth"), ("MMD", "lambda_orth"), ("PROJECTION", "lambda_l1")]
+)
+def test_weights_outside_the_mode_table_raise(mode, weight):
+    # The weight used to be dropped silently: the objective did not change.
+    model, X, y = build_small_gdu(0, mode)
+    with pytest.raises(ValueError, match=f"a {mode} layer takes .*; got {weight}=5.0$"):
+        objective((X, y), model, RegConfig(**{weight: 5.0}))
 
 
 def test_total_projection_combines_ols_and_srip():

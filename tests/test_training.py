@@ -1,4 +1,4 @@
-"""Feature extractor, losses, gradients, and the training loop."""
+"""Feature extractor, loss, gradients, and the training loop."""
 
 import gc
 import math
@@ -37,7 +37,6 @@ from gdu.training import (
     gradients,
     init_erm_model,
     init_feature_extractor,
-    loss_ce,
     objective,
     predict_logits,
     train,
@@ -90,37 +89,55 @@ def test_fe_validation():
         FeatureExtractor([np.eye(2)], [np.zeros(2)], "sigmoid")
 
 
-# -- cross-entropy ---------------------------------------------------------------
+def test_fe_rejects_layer_sizes_that_do_not_chain():
+    weights = [np.zeros((3, 4)), np.zeros((5, 2))]
+    with pytest.raises(ValueError, match="layer 1 takes 5 inputs, but layer 0 gives 4"):
+        FeatureExtractor(weights, [np.zeros(4), np.zeros(2)])
+
+
+def test_model_rejects_an_extractor_that_does_not_feed_the_layer():
+    fe = init_feature_extractor([3, 5], seed=0)
+    layer = init_layer(2, 3, 4, 2, 1, "CS", KernelConfig(1.0), kappa=2.0)
+    with pytest.raises(ValueError, match="extractor output size 5 does not match"):
+        GduModel(fe, layer)
+    GduModel(None, layer)
+
+
+# -- cross-entropy, on 1-row batches ----------------------------------------------
 
 
 def test_loss_ce_uniform_logits():
-    assert loss_ce(np.zeros(10), 3) == pytest.approx(math.log(10.0), abs=1e-12)
+    assert cross_entropy_mean(np.zeros((1, 10)), [3]) == pytest.approx(
+        math.log(10.0), abs=1e-12
+    )
 
 
 def test_loss_ce_saturated_favoring_true_class():
-    logits = np.zeros(4)
-    logits[2] = 1000.0
-    assert loss_ce(logits, 2) == pytest.approx(0.0, abs=1e-12)
+    logits = np.zeros((1, 4))
+    logits[0, 2] = 1000.0
+    assert cross_entropy_mean(logits, [2]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_ce_two_class_closed_form():
-    assert loss_ce(np.array([1.0, 0.0]), 0) == pytest.approx(
+    assert cross_entropy_mean(np.array([[1.0, 0.0]]), [0]) == pytest.approx(
         0.3132616875182228, abs=1e-12
     )
 
 
 def test_loss_ce_validation():
-    with pytest.raises(ValueError):
-        loss_ce(np.array([1.0]), 0)
-    with pytest.raises(ValueError):
-        loss_ce(np.zeros(3), 5)
+    with pytest.raises(ValueError, match="C >= 2"):
+        cross_entropy_mean(np.array([[1.0]]), [0])
+    with pytest.raises(ValueError, match="label 5"):
+        cross_entropy_mean(np.zeros((1, 3)), [5])
 
 
 def test_cross_entropy_mean_matches_loss_ce():
+    # The batch mean equals the mean of the 1-row losses.
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(7, 4))
     labels = rng.integers(0, 4, size=7)
-    expected = np.mean([loss_ce(logits[i], labels[i]) for i in range(7)])
+    expected = np.mean([cross_entropy_mean(logits[i : i + 1], labels[i : i + 1])
+                        for i in range(7)])
     assert float(cross_entropy_mean(logits, labels)) == pytest.approx(
         expected, abs=1e-12
     )
@@ -504,9 +521,9 @@ def test_trace_regularizer_columns_match_standalone_terms(mode, variant):
     # the trace row was computed from.
     data = separable_splits(9)
     model = small_gdu_for_training(9, mode=mode, m=3)
-    reg = RegConfig(
-        lambda_ols=1e-3, lambda_orth=1e-3, lambda_l1=1e-3, orth_variant=variant
-    )
+    # The weights the mode takes; the trace reports all three raw terms.
+    extra = {"lambda_orth": 1e-3} if mode == "PROJECTION" else {"lambda_l1": 1e-3}
+    reg = RegConfig(lambda_ols=1e-3, orth_variant=variant, **extra)
     config = TrainConfig(max_epochs=1, patience=1, seed=11, reg=reg)
     _, trace = train(data, config, model)
     feats = np.asarray(fe_forward(data.train_x, model.fe))
@@ -528,8 +545,6 @@ def test_config_validation():
         TrainConfig(patience=10, max_epochs=5)
     with pytest.raises(ValueError):
         TrainConfig(mode="WARMUP")
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="LBFGS")
 
 
 _BAD_CONFIG_VALUES = (
@@ -547,11 +562,3 @@ def test_configs_reject_nonfinite_and_out_of_range_values(config, name, value):
     with pytest.raises(ValueError, match=f"^{name} must .*, got {value}$"):
         config(**{name: value})
 
-
-def test_sgd_optimizer_runs():
-    data = separable_splits(8)
-    config = TrainConfig(
-        optimizer="SGD", learning_rate=0.05, max_epochs=25, patience=25, seed=10
-    )
-    _, trace = train(data, config, small_gdu_for_training(8))
-    assert trace.best_val_acc() >= 0.9
