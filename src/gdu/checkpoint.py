@@ -14,7 +14,10 @@ heads' activation and one weight and one bias block per head. Both kinds
 start with the extractor (``field fe_layers 0`` when there is none), so a
 layer on its own is saved as the model ``GduModel(None, layer)``.
 
-Readers reject unknown versions and truncated or malformed blocks.
+Readers reject unknown versions and truncated or malformed blocks, each
+with a :class:`CheckpointError`. A token that is not a hex float or a
+count names its field or block; model parts that do not fit together
+(shapes, sizes) carry the constructor's ``ValueError`` as the cause.
 """
 
 from __future__ import annotations
@@ -58,6 +61,23 @@ def _emit_block(lines: list, key: str, array: np.ndarray):
         lines.append(" ".join(map(float.hex, flat[start : start + _VALUES_PER_LINE])))
 
 
+def _count(token: str, what: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise CheckpointError(f"{what}: expected a non-negative integer, found {token!r}")
+    return value
+
+
+def _hex_floats(tokens: list, what: str) -> list:
+    try:
+        return list(map(float.fromhex, tokens))
+    except ValueError as err:
+        raise CheckpointError(f"{what}: {err}") from err
+
+
 class _Reader:
     def __init__(self, text: str):
         self.tokens = text.split()
@@ -82,20 +102,24 @@ class _Reader:
             raise CheckpointError(f"expected field {key!r}, found {got!r}")
         return self.next()
 
-    def read_float_field(self, key: str):
+    def read_float_field(self, key: str, optional: bool = False):
         tok = self.read_field(key)
-        if tok == "-":
+        if optional and tok == "-":
             return None
-        return float.fromhex(tok)
+        return _hex_floats([tok], f"field {key!r}")[0]
+
+    def read_count_field(self, key: str) -> int:
+        return _count(self.read_field(key), f"field {key!r}")
 
     def read_block(self, key: str) -> np.ndarray:
         self.expect("block")
         got = self.next()
         if got != key:
             raise CheckpointError(f"expected block {key!r}, found {got!r}")
-        ndim = int(self.next())
-        shape = tuple(int(self.next()) for _ in range(ndim))
-        count = int(self.next())
+        what = f"block {key!r}"
+        ndim = _count(self.next(), what)
+        shape = tuple(_count(self.next(), what) for _ in range(ndim))
+        count = _count(self.next(), what)
         expected = int(np.prod(shape)) if shape else 1
         if count != expected:
             raise CheckpointError(
@@ -104,7 +128,7 @@ class _Reader:
         end = self.pos + count
         if end > len(self.tokens):
             raise CheckpointError("unexpected end of checkpoint")
-        values = list(map(float.fromhex, self.tokens[self.pos : end]))
+        values = _hex_floats(self.tokens[self.pos : end], what)
         self.pos = end
         return np.array(values, dtype=np.float64).reshape(shape)
 
@@ -147,9 +171,9 @@ def _read_machines(reader: _Reader, prefix: str, count: int) -> tuple:
 def _read_layer(reader: _Reader) -> GduLayer:
     mode = reader.read_field("mode")
     sigma = reader.read_float_field("sigma")
-    kappa = reader.read_float_field("kappa")
+    kappa = reader.read_float_field("kappa", optional=True)
     activation = reader.read_field("activation")
-    num_bases = int(reader.read_field("num_bases"))
+    num_bases = reader.read_count_field("num_bases")
     bases = _stack_blocks([reader.read_block(f"basis{j}") for j in range(num_bases)], "basis")
     weights, bias = _read_machines(reader, "mach", num_bases)
     return GduLayer(bases, weights, bias, KernelConfig(sigma), mode, kappa, activation)
@@ -167,7 +191,7 @@ def _emit_fe(lines: list, fe: FeatureExtractor | None):
 
 
 def _read_fe(reader: _Reader) -> FeatureExtractor | None:
-    n_layers = int(reader.read_field("fe_layers"))
+    n_layers = reader.read_count_field("fe_layers")
     if n_layers == 0:
         return None
     nonlinearity = reader.read_field("fe_nonlinearity")
@@ -197,7 +221,7 @@ def model_to_text(model: GduModel) -> str:
 def _open_reader(text: str) -> tuple:
     reader = _Reader(text)
     reader.expect("gdu-checkpoint")
-    version = int(reader.next())
+    version = _count(reader.next(), "version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     kind = reader.read_field("kind")
@@ -206,7 +230,7 @@ def _open_reader(text: str) -> tuple:
 
 def _read_erm_layer(reader: _Reader) -> GduLayer:
     activation = reader.read_field("activation")
-    weights, bias = _read_machines(reader, "head", int(reader.read_field("num_heads")))
+    weights, bias = _read_machines(reader, "head", reader.read_count_field("num_heads"))
     return GduLayer(None, weights, bias, None, UNIFORM, activation=activation)
 
 
@@ -215,10 +239,15 @@ def model_from_text(text: str) -> GduModel:
     read_layer = {"gdu-model": _read_layer, "erm-model": _read_erm_layer}.get(kind)
     if read_layer is None:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    fe = _read_fe(reader)
-    layer = read_layer(reader)
-    reader.expect("end")
-    return GduModel(fe, layer)
+    try:
+        fe = _read_fe(reader)
+        layer = read_layer(reader)
+        reader.expect("end")
+        return GduModel(fe, layer)
+    except CheckpointError:
+        raise
+    except ValueError as err:
+        raise CheckpointError(f"invalid {kind} checkpoint: {err}") from err
 
 
 def save_model(path, model):

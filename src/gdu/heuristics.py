@@ -4,6 +4,20 @@ scoring to pick the number of elementary domains.
 Features are clustered for a range of candidate counts; the candidate with
 the lowest mean Davies-Bouldin score across repeated runs wins, with ties
 broken toward the smaller count (smaller ensembles cost less).
+
+:func:`kmeans` is bit-identical to the plain Lloyd loop with one mask and
+one mean per cluster, kept as ``kmeans_loop`` in ``tests/oracles.py``: the
+same assignments, centroids, inertia and iteration count. Its distances
+are the operations of :func:`gdu.kernel.squared_distances` in the same
+order, laid out transposed. Each centroid is its members' sum in row order
+divided by their count, the value ``X[assignments == j].mean(axis=0)``
+gives. That row-order invariant rules out two faster-looking reductions:
+``np.add.reduceat`` sums pairwise and a one-hot matmul sums in the BLAS's
+blocked order, and either moves centroids by ~1e-15, which can flip a
+later assignment. A weighted ``np.bincount`` and ``np.add.reduce`` over
+the rows keep the order. For one-column rows the mean itself sums
+pairwise, so there only ``np.add.reduce`` over the gathered members
+matches it.
 """
 
 from __future__ import annotations
@@ -59,6 +73,77 @@ def _kmeans_pp_init(X, k, rng):
     return centroids
 
 
+# From 2 columns up to this width, per-column weighted bincounts form the
+# cluster sums faster than gathering the rows by cluster and reducing them;
+# the two are even at 32 columns and the gather wins at 64 (timed at
+# n = 1200 and 4000). At one column only the gather matches the mean.
+_BINCOUNT_MAX_WIDTH = 31
+
+
+def _check_rows(X, who: str) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"{who} expects an (n, e) matrix, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{who} needs finite rows")
+    return X
+
+
+def _distances_to(X, xx, centroids, G, twice_g, out):
+    """``squared_distances(X, centroids).T`` into ``out`` (k, n), bit for bit.
+
+    The same operations in the same order, ``max((xx + yy) - 2 X C^T, 0)``,
+    with ``xx`` the rows' squared norms, computed once per :func:`kmeans`
+    call. ``G`` (n, k) and ``twice_g`` (k, n) are work buffers; doubling
+    is exact, so doubling while transposing changes no value.
+    """
+    np.matmul(X, centroids.T, out=G)
+    np.multiply(G.T, 2.0, out=twice_g)
+    np.add(xx, np.sum(centroids * centroids, axis=-1)[:, None], out=out)
+    np.subtract(out, twice_g, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _nearest(D):
+    """``np.argmin(D, axis=0)`` for distances D (k, n), in k vectorized passes.
+
+    The first minimum of a column sits after the leading run of entries
+    strictly above it, so the index is that run's length. ``argmin`` makes
+    one short call per column, which costs more at k <= 10.
+    """
+    best = np.minimum.reduce(D, axis=0)
+    if np.isnan(best).any():
+        return np.argmin(D, axis=0)  # it picks the first NaN
+    above = D > best
+    for j in range(1, len(D)):
+        np.logical_and(above[j - 1], above[j], out=above[j])
+    return np.add.reduce(above, axis=0, dtype=np.intp)
+
+
+def _cluster_means(X, columns, assignments, counts, out):
+    """``out[j] = X[assignments == j].mean(axis=0)`` bit for bit; no cluster empty.
+
+    A mean over rows of two or more columns adds the rows in order, one at
+    a time, and so do both routes here: a weighted ``bincount`` per row of
+    ``columns`` (X transposed, contiguous; None selects the other route),
+    or a stable sort of the rows by cluster and ``np.add.reduce`` over each
+    cluster's run, which is the same reduction as the mean's over the same
+    (m, e) layout, one column or many.
+    """
+    k = len(out)
+    if columns is not None:
+        for c, column in enumerate(columns):
+            out[:, c] = np.bincount(assignments, weights=column, minlength=k)
+    else:
+        keys = assignments.astype(np.min_scalar_type(k - 1))
+        members = X[np.argsort(keys, kind="stable")]
+        start = 0
+        for j, end in enumerate(np.cumsum(counts).tolist()):
+            np.add.reduce(members[start:end], axis=0, out=out[j])
+            start = end
+    out /= counts[:, None]
+
+
 def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResult:
     """Lloyd's algorithm with k-means++ seeding; deterministic given seed.
 
@@ -66,35 +151,53 @@ def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResu
     re-seeded from the point farthest from its assigned centroid. With
     ``check_monotone`` the non-increasing inertia invariant is asserted
     every iteration.
+
+    Each centroid is its members' sum in row order over their count, the
+    value of ``X[assignments == j].mean(axis=0)``, formed without a mask per
+    cluster (see :func:`_cluster_means`). Summing in any other order, as
+    ``np.add.reduceat`` or a one-hot matmul would, changes the centroids in
+    the last bits. An iteration that leaves a cluster empty takes the
+    per-cluster loop: its re-seeds move rows between clusters while the
+    means are formed, so the loop's order decides which means see a move.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_rows(X, "kmeans")
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n rows, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(X, k, rng)
+    xx = np.sum(X * X, axis=-1)
+    columns = np.ascontiguousarray(X.T) if 2 <= X.shape[1] <= _BINCOUNT_MAX_WIDTH else None
+    G, twice_g, D = np.empty((n, k)), np.empty((k, n)), np.empty((k, n))
+    rows = np.arange(n)
     assignments = np.full(n, -1)
     last_inertia = np.inf
     for _ in range(_MAX_LLOYD_ITER):
-        d2 = squared_distances(X, centroids)
-        new_assignments = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), new_assignments].sum())
+        _distances_to(X, xx, centroids, G, twice_g, D)
+        new_assignments = _nearest(D)
         if check_monotone:
+            inertia = float(D[new_assignments, rows].sum())
             assert inertia <= last_inertia + 1e-9, "inertia increased"
-        last_inertia = inertia
+            last_inertia = inertia
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
+        counts = np.bincount(assignments, minlength=k)
+        if counts.all():
+            _cluster_means(X, columns, assignments, counts, centroids)
+            continue
         for j in range(k):
             members = X[assignments == j]
             if len(members) == 0:
-                farthest = int(np.argmax(d2[np.arange(n), assignments]))
+                farthest = int(np.argmax(D[assignments, rows]))
                 centroids[j] = X[farthest]
                 assignments[farthest] = j
             else:
                 centroids[j] = members.mean(axis=0)
-    d2 = squared_distances(X, centroids)
-    inertia = float(d2[np.arange(n), assignments].sum())
+    else:
+        _distances_to(X, xx, centroids, G, twice_g, D)
+    # At the fixpoint D already holds the final centroids' distances.
+    inertia = float(D[assignments, rows].sum())
     return ClusteringResult(assignments, centroids, inertia)
 
 
@@ -102,7 +205,7 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
     """Davies-Bouldin score: mean over clusters of the worst ratio
     ``(s_i + s_j) / d_ij``, with ``s`` the mean distance to the centroid
     and ``d`` the centroid separation. Lower is better."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_rows(X, "davies_bouldin")
     k = result.k
     if k < 2:
         raise ValueError(f"Davies-Bouldin needs at least 2 clusters, got {k}")
@@ -133,7 +236,7 @@ def select_m(X, k_range, seeds: int, seed0: int):
     clustered ``seeds`` times with seeds ``seed0, seed0+1, ...``; returns
     ``(chosen_k, [ScoreRow])`` with ties broken toward smaller k.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_rows(X, "select_m")
     lo, hi = int(k_range[0]), int(k_range[1])
     if not 2 <= lo <= hi <= X.shape[0]:
         raise ValueError(f"invalid k range [{lo}, {hi}] for n={X.shape[0]}")

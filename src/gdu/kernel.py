@@ -22,8 +22,10 @@ every kernel value in [0, 1]. The products ``x_k (2c y_k)`` round
 differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
 to rounding (~1e-16). :func:`squared_distances` keeps the explicit
 ``||x||^2 + ||y||^2 - 2 x.y`` form for its callers that need distances,
-not kernel values: :func:`median_heuristic` and the k-means and
-Davies-Bouldin code of :mod:`gdu.heuristics`.
+not kernel values: :func:`median_heuristic` and
+:func:`gdu.heuristics.davies_bouldin`. :func:`gdu.heuristics.kmeans`
+runs the same operations in the same order into reused, transposed
+buffers, so its distances equal ``squared_distances(X, C).T`` bit for bit.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ def gram(X, Y, cfg: KernelConfig):
     since ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2``. Where the exponent
     clamp fires the two rows coincide up to rounding, so ``y - x`` is
     already ~0 there and no clamp mask is needed. Only tensor inputs get a
-    gradient. This is :func:`gram_block_means` with blocks of one row.
+    gradient. This is :func:`gram_block_means` with blocks of one row, whose
+    means are G itself, so no reduction runs.
     """
     return gram_block_means(X, Y, cfg, 1, 1)
 
@@ -185,9 +188,14 @@ def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
         )
     p, q = rows_x // n_x, rows_y // n_y
     blocks = G.reshape(p, n_x, q, n_y)
-    K = blocks.sum(axis=3) / n_y
-    K = K.sum(axis=1) / n_x
     x_t, y_t = ad.is_tensor(X), ad.is_tensor(Y)
+    if n_x == n_y == 1:
+        # Means of one value each, exactly G; the backward reads G, so a
+        # tensor gets a copy that the caller may change.
+        K = G.copy() if x_t or y_t else G
+    else:
+        K = blocks.sum(axis=3) / n_y
+        K = K.sum(axis=1) / n_x
     if not x_t and not y_t:
         return K
     scale = 1.0 / (n_x * n_y * cfg.sigma**2)

@@ -8,7 +8,9 @@ package's fused tape nodes replaced, kept as references. On arrays they run
 the numpy operations of the fused forwards in the same order, so the two
 must agree bit for bit. ``gaussian_gram_chain`` is the one chain that
 agrees only up to rounding: the package builds the Gram from another
-arithmetic route (one matmul of augmented rows).
+arithmetic route (one matmul of augmented rows). ``kmeans_loop`` is the
+plain Lloyd loop that ``gdu.heuristics.kmeans`` replaced, kept as its
+bit-exact reference.
 """
 
 import math
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from gdu import autodiff as ad
+from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _kmeans_pp_init
 from gdu.kernel import squared_distances
 
 
@@ -219,3 +222,53 @@ def ensemble_chain(X, weights, bias, beta, activation):
         out = ad.tanh(out)
     out = ad.reshape(out, (b, m, c))
     return ad.summation(ad.reshape(beta, (b, m, 1)) * out, axis=1)
+
+
+# -- loops replaced by vectorized code -----------------------------------------
+
+
+def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
+    """Lloyd's loop with k-means++ seeding, one mask and one mean per cluster.
+
+    The bit-exact reference for ``gdu.heuristics.kmeans``: for the same
+    arguments both return the same assignments, centroids and inertia bit
+    for bit, after the same number of iterations. A ``trace`` dict receives
+    ``iterations`` (loop passes, the last one included), ``converged``
+    (whether the assignments reached a fixpoint) and ``reseeds`` (empty
+    clusters re-seeded from the farthest point).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n rows, got k={k}, n={n}")
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_pp_init(X, k, rng)
+    assignments = np.full(n, -1)
+    last_inertia = np.inf
+    iterations, converged, reseeds = 0, False, 0
+    for _ in range(_MAX_LLOYD_ITER):
+        iterations += 1
+        d2 = squared_distances(X, centroids)
+        new_assignments = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(n), new_assignments].sum())
+        if check_monotone:
+            assert inertia <= last_inertia + 1e-9, "inertia increased"
+        last_inertia = inertia
+        if np.array_equal(new_assignments, assignments):
+            converged = True
+            break
+        assignments = new_assignments
+        for j in range(k):
+            members = X[assignments == j]
+            if len(members) == 0:
+                farthest = int(np.argmax(d2[np.arange(n), assignments]))
+                centroids[j] = X[farthest]
+                assignments[farthest] = j
+                reseeds += 1
+            else:
+                centroids[j] = members.mean(axis=0)
+    d2 = squared_distances(X, centroids)
+    inertia = float(d2[np.arange(n), assignments].sum())
+    if trace is not None:
+        trace.update(iterations=iterations, converged=converged, reseeds=reseeds)
+    return ClusteringResult(assignments, centroids, inertia)

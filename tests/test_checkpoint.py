@@ -134,8 +134,51 @@ def test_rejects_an_extractor_that_does_not_feed_the_layer():
     # The 3 -> 2 extractor of the ERM fixture ahead of the e=3 layer.
     fe_lines = V1_ERM_TEXT.splitlines()[2:8]
     text = V1_GDU_TEXT.replace("field fe_layers 0", "\n".join(fe_lines))
-    with pytest.raises(ValueError, match="extractor output size 2 does not match"):
+    with pytest.raises(CheckpointError, match="extractor output size 2 does not match") as info:
         model_from_text(text)
+    assert type(info.value.__cause__) is ValueError
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("0x1.0000000000000p-2 0x1.8000000000000p-2 0x1.0000000000000p-1",
+         "0x1.0000000000000p-2 0xzz 0x1.0000000000000p-1", "block 'basis1'"),
+        ("field sigma 0x1.8000000000000p+0", "field sigma 1.5x", "field 'sigma'"),
+        ("field sigma 0x1.8000000000000p+0", "field sigma -", "field 'sigma'"),
+        ("block mach_w0 2 3 2 6", "block mach_w0 two 3 2 6", "block 'mach_w0'"),
+        ("block mach_w0 2 3 2 6", "block mach_w0 2 3 -2 6", "block 'mach_w0'"),
+        ("block mach_b0 1 2 2", "block mach_b0 1 2 2.0", "block 'mach_b0'"),
+        ("field num_bases 2", "field num_bases two", "field 'num_bases'"),
+        ("field fe_layers 0", "field fe_layers x", "field 'fe_layers'"),
+        ("gdu-checkpoint 1", "gdu-checkpoint v1", "version"),
+    ],
+)
+def test_malformed_tokens_raise_checkpoint_errors_that_name_the_place(old, new, message):
+    assert old in V1_GDU_TEXT
+    with pytest.raises(CheckpointError, match=message):
+        model_from_text(V1_GDU_TEXT.replace(old, new, 1))
+
+
+def test_malformed_erm_tokens_raise_checkpoint_errors():
+    bad_count = V1_ERM_TEXT.replace("field num_heads 2", "field num_heads 2.5")
+    with pytest.raises(CheckpointError, match="field 'num_heads'"):
+        model_from_text(bad_count)
+    bad_value = V1_ERM_TEXT.replace("0x1.0000000000000p-4 0x1.0000000000000p+0", "0x1.0p-4 nan?")
+    with pytest.raises(CheckpointError, match="block 'head_b1'"):
+        model_from_text(bad_value)
+
+
+def test_parts_that_do_not_fit_raise_checkpoint_errors():
+    # Bases of width 6 ahead of machines that take 3 features.
+    wide = V1_GDU_TEXT.replace("block basis0 2 2 3 6", "block basis0 2 1 6 6")
+    wide = wide.replace("block basis1 2 2 3 6", "block basis1 2 1 6 6")
+    with pytest.raises(CheckpointError, match="invalid gdu-model checkpoint") as info:
+        model_from_text(wide)
+    assert type(info.value.__cause__) is ValueError
+    # A kernel mode the layer does not know.
+    with pytest.raises(CheckpointError, match="invalid gdu-model checkpoint"):
+        model_from_text(V1_GDU_TEXT.replace("field mode PROJECTION", "field mode BOGUS"))
 
 
 def awkward_layer():

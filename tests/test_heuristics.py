@@ -1,8 +1,11 @@
 """k-means, Davies-Bouldin, and basis-count selection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from gdu import heuristics
 from gdu.heuristics import (
     ClusteringResult,
     davies_bouldin,
@@ -10,6 +13,8 @@ from gdu.heuristics import (
     select_m,
     write_score_table,
 )
+
+from oracles import kmeans_loop
 
 
 def blobs(rng, centers, n_per, spread=0.1):
@@ -150,6 +155,53 @@ def test_select_m_validation():
         select_m(np.zeros((5, 1)), (2, 9), seeds=1, seed0=0)
     with pytest.raises(ValueError):
         select_m(np.zeros((5, 2)), (2, 3), seeds=0, seed0=0)
+
+
+def test_select_m_equals_select_m_on_the_loop_oracle():
+    rng = np.random.default_rng(8)
+    centers = rng.normal(scale=4.0, size=(4, 16))
+    X = centers[rng.integers(4, size=400)] + rng.normal(size=(400, 16))
+    got = select_m(X, (2, 7), seeds=2, seed0=3)
+    with mock.patch.object(heuristics, "kmeans", kmeans_loop):
+        expected = select_m(X, (2, 7), seeds=2, seed0=3)
+    assert got == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clustering_rejects_non_finite_rows(bad):
+    X = np.random.default_rng(9).normal(size=(12, 2))
+    X[5, 1] = bad
+    result = ClusteringResult(np.arange(12) % 2, np.zeros((2, 2)), 0.0)
+    with pytest.raises(ValueError, match="kmeans needs finite rows"):
+        kmeans(X, 2, seed=0)
+    with pytest.raises(ValueError, match="davies_bouldin needs finite rows"):
+        davies_bouldin(X, result)
+    with pytest.raises(ValueError, match="select_m needs finite rows"):
+        select_m(X, (2, 3), seeds=1, seed0=0)
+
+
+@pytest.mark.parametrize("shape", [(12,), (2, 3, 2)])
+def test_clustering_rejects_rows_that_are_not_a_matrix(shape):
+    X = np.zeros(shape)
+    result = ClusteringResult(np.zeros(2, dtype=int), np.zeros((2, 1)), 0.0)
+    with pytest.raises(ValueError, match=r"kmeans expects an \(n, e\) matrix"):
+        kmeans(X, 2, seed=0)
+    with pytest.raises(ValueError, match=r"davies_bouldin expects an \(n, e\) matrix"):
+        davies_bouldin(X, result)
+    with pytest.raises(ValueError, match=r"select_m expects an \(n, e\) matrix"):
+        select_m(X, (2, 3), seeds=1, seed0=0)
+
+
+def test_kmeans_equals_the_loop_oracle_where_distances_are_nan():
+    # Finite rows near 1e155: their squared norms overflow, so every
+    # distance is inf - inf = NaN and argmin picks the first NaN.
+    X = 1e155 * (1.0 + 1e-3 * np.random.default_rng(10).normal(size=(20, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = kmeans_loop(X, 3, seed=0)
+        got = kmeans(X, 3, seed=0)
+    np.testing.assert_array_equal(got.assignments, expected.assignments)
+    assert got.centroids.tobytes() == expected.centroids.tobytes()
+    assert np.isnan(got.inertia) and np.isnan(expected.inertia)
 
 
 def test_write_score_table(tmp_path):

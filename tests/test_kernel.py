@@ -159,6 +159,22 @@ def test_gram_is_one_tape_node():
     assert isinstance(gram(x.data, y.data, CFG), np.ndarray)
 
 
+def test_gram_node_value_is_not_the_array_its_backward_reads():
+    rng = np.random.default_rng(14)
+    X, Y = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+
+    def x_grad(overwrite_value):
+        x = ad.tensor(X)
+        G = gram(x, Y, CFG)
+        if overwrite_value:
+            G.data[...] = 0.0
+        ad.summation(G).backward()
+        return x.grad
+
+    np.testing.assert_array_equal(x_grad(True), x_grad(False))
+    assert np.any(x_grad(False) != 0.0)
+
+
 def _block_means(n_x, n_y):
     return lambda X, Y, cfg: gram_block_means(X, Y, cfg, n_x, n_y)
 

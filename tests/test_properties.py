@@ -1,10 +1,13 @@
 """Property tests over random layer sizes, gating modes, activations and seeds."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdu import heuristics
 from gdu.checkpoint import model_from_text, model_to_text
 from gdu.kernel import KernelConfig, gram, gram_block_means, gram_diagonal_block_means
 from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
@@ -19,7 +22,7 @@ from gdu.training import (
     train,
 )
 
-from oracles import gaussian_gram_chain
+from oracles import gaussian_gram_chain, kmeans_loop
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=20)
 
@@ -176,3 +179,55 @@ def _tiny_run(mode, seed):
 @given(seed=SEEDS)
 def test_training_is_deterministic_in_its_seed(mode, seed):
     assert _tiny_run(mode, seed) == _tiny_run(mode, seed)
+
+
+@st.composite
+def clustering_cases(draw, e):
+    """Rows ``X`` (n <= 300, e columns), a cluster count ``k <= min(n, 10)``
+    and a seed.
+
+    Half the cases repeat a few distinct rows, at most k of them, so that
+    k-means++ picks repeated centroids and Lloyd's loop re-seeds empty
+    clusters.
+    """
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(k, 300))
+    rng = np.random.default_rng(draw(SEEDS))
+    if draw(st.booleans()):
+        distinct = rng.normal(size=(draw(st.integers(1, k)), e))
+        X = distinct[rng.integers(len(distinct), size=n)]
+    else:
+        centers = rng.normal(scale=4.0, size=(draw(st.integers(1, 6)), e))
+        X = centers[rng.integers(len(centers), size=n)] + rng.normal(size=(n, e))
+    return X, k, draw(SEEDS)
+
+
+# Widths 31 and 32 sit on the two sides of the switch between the two
+# centroid-sum routes of ``kmeans``; one column is the width where a mean
+# sums pairwise, not in row order.
+@pytest.mark.parametrize("e", [1, 2, 16, 31, 32, 64])
+def test_kmeans_equals_the_loop_oracle_bit_for_bit(e):
+    reseeds = []
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(clustering_cases(e))
+    def check(case):
+        X, k, seed = case
+        trace = {}
+        expected = kmeans_loop(X, k, seed, trace=trace)
+        reseeds.append(trace["reseeds"])
+        for monotone in (False, True):
+            with mock.patch.object(
+                heuristics, "_distances_to", wraps=heuristics._distances_to
+            ) as passes:
+                got = heuristics.kmeans(X, k, seed, check_monotone=monotone)
+            assert got.assignments.dtype == expected.assignments.dtype
+            np.testing.assert_array_equal(got.assignments, expected.assignments)
+            assert got.centroids.tobytes() == expected.centroids.tobytes()
+            assert got.inertia == expected.inertia
+            # One distance pass per iteration, and one more for the final
+            # inertia when the loop ran out before a fixpoint.
+            assert passes.call_count == trace["iterations"] + (not trace["converged"])
+
+    check()
+    assert sum(reseeds) > 0, "no example re-seeded an empty cluster"
