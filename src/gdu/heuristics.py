@@ -80,13 +80,30 @@ def _kmeans_pp_init(X, k, rng):
 _BINCOUNT_MAX_WIDTH = 31
 
 
-def _check_rows(X, who: str) -> np.ndarray:
+# A quarter of the largest float: rows whose squared norms stay below it
+# keep every squared distance ``xx + yy - 2 x.y`` between rows, or between
+# rows and means of rows, finite.
+_MAX_SQ_NORM = np.finfo(np.float64).max / 4.0
+
+
+def _check_rows(X, who: str):
+    """``(X, xx)``: X as a float64 (n, e) matrix and its rows' squared norms.
+
+    Raises a ValueError naming ``who`` for a non-matrix, for non-finite
+    rows, and for rows whose squared norms reach ``_MAX_SQ_NORM``.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"{who} expects an (n, e) matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{who} needs finite rows")
-    return X
+    xx = np.sum(X * X, axis=-1)
+    largest = np.max(xx, initial=0.0)
+    if not np.isfinite(4.0 * largest):
+        if not np.all(np.isfinite(X)):
+            raise ValueError(f"{who} needs finite rows")
+        raise ValueError(
+            f"{who} needs rows with squared norms below {_MAX_SQ_NORM:.4g}, got {largest:.4g}"
+        )
+    return X, xx
 
 
 def _distances_to(X, xx, centroids, G, twice_g, out):
@@ -112,8 +129,6 @@ def _nearest(D):
     one short call per column, which costs more at k <= 10.
     """
     best = np.minimum.reduce(D, axis=0)
-    if np.isnan(best).any():
-        return np.argmin(D, axis=0)  # it picks the first NaN
     above = D > best
     for j in range(1, len(D)):
         np.logical_and(above[j - 1], above[j], out=above[j])
@@ -148,7 +163,10 @@ def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResu
     """Lloyd's algorithm with k-means++ seeding; deterministic given seed.
 
     Runs to an assignment fixpoint or 300 iterations. Empty clusters are
-    re-seeded from the point farthest from its assigned centroid. With
+    re-seeded from the point farthest from its assigned centroid; X with
+    fewer than k distinct rows, which leaves a cluster empty however it is
+    re-seeded, raises a ValueError. So do rows whose squared norms would
+    overflow a distance. With
     ``check_monotone`` the non-increasing inertia invariant is asserted
     every iteration.
 
@@ -160,13 +178,12 @@ def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResu
     per-cluster loop: its re-seeds move rows between clusters while the
     means are formed, so the loop's order decides which means see a move.
     """
-    X = _check_rows(X, "kmeans")
+    X, xx = _check_rows(X, "kmeans")
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n rows, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(X, k, rng)
-    xx = np.sum(X * X, axis=-1)
     columns = np.ascontiguousarray(X.T) if 2 <= X.shape[1] <= _BINCOUNT_MAX_WIDTH else None
     G, twice_g, D = np.empty((n, k)), np.empty((k, n)), np.empty((k, n))
     rows = np.arange(n)
@@ -186,6 +203,13 @@ def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResu
         if counts.all():
             _cluster_means(X, columns, assignments, counts, centroids)
             continue
+        # Identical rows share a cluster, so with fewer than k distinct rows
+        # some cluster is empty on every pass and no re-seed can fill it.
+        # (The distance of a row to its own copy can round to ~1e-15, so the
+        # rows are compared, not the distances.)
+        distinct = len(np.unique(X, axis=0))
+        if distinct < k:
+            raise ValueError(f"kmeans needs at least k={k} distinct rows, got {distinct}")
         for j in range(k):
             members = X[assignments == j]
             if len(members) == 0:
@@ -205,7 +229,7 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
     """Davies-Bouldin score: mean over clusters of the worst ratio
     ``(s_i + s_j) / d_ij``, with ``s`` the mean distance to the centroid
     and ``d`` the centroid separation. Lower is better."""
-    X = _check_rows(X, "davies_bouldin")
+    X, _ = _check_rows(X, "davies_bouldin")
     k = result.k
     if k < 2:
         raise ValueError(f"Davies-Bouldin needs at least 2 clusters, got {k}")
@@ -236,7 +260,7 @@ def select_m(X, k_range, seeds: int, seed0: int):
     clustered ``seeds`` times with seeds ``seed0, seed0+1, ...``; returns
     ``(chosen_k, [ScoreRow])`` with ties broken toward smaller k.
     """
-    X = _check_rows(X, "select_m")
+    X, _ = _check_rows(X, "select_m")
     lo, hi = int(k_range[0]), int(k_range[1])
     if not 2 <= lo <= hi <= X.shape[0]:
         raise ValueError(f"invalid k range [{lo}, {hi}] for n={X.shape[0]}")

@@ -8,7 +8,10 @@ Empirical kernel mean embeddings reduce to block means of a Gram matrix:
 ``<mu_p, mu_q>`` is the mean of the (p, q) block. :func:`gram_block_means`
 gives all of them at once and :func:`gram_diagonal_block_means` only the
 squared norms ``||mu_p||^2``; each is one autodiff tape node with a
-closed-form backward, and :func:`gram` is the one-row-block case.
+closed-form backward, and :func:`gram` is the one-row-block case. Both
+take the rows of a point set on its last axis, so an (M, N, e) stack of
+bases is read as it is, as M*N rows, and its gradient lands in the
+stack's own shape.
 
 Both build their Gram blocks with one matmul of augmented rows: with
 ``c = 1 / (2 sigma^2)``,
@@ -139,6 +142,14 @@ def _gaussian_gram(X, Y, sigma):
     return np.exp(G, out=G)
 
 
+def _rows(X):
+    """The value of X, which must be a row matrix or a stack of them."""
+    Xv = ad.value_of(X)
+    if Xv.ndim not in (2, 3):
+        raise ValueError(f"expected (n, e) rows or an (M, N, e) stack, got shape {Xv.shape}")
+    return Xv
+
+
 def gram(X, Y, cfg: KernelConfig):
     """Kernel matrix ``G[i, j] = k(X_i, Y_j)``.
 
@@ -160,9 +171,10 @@ def gram(X, Y, cfg: KernelConfig):
 def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
     """Block means of ``gram(X, Y)``, shape (rows(X) / n_x, rows(Y) / n_y).
 
-    ``K[p, q]`` is the mean of the (p, q) block, whose rows are the p-th run
-    of ``n_x`` rows of X and whose columns are the q-th run of ``n_y`` rows
-    of Y. When the runs are the point sets of empirical kernel mean
+    X and Y are row matrices or stacks of them, such as (M, N, e) bases,
+    whose rows are read in order. ``K[p, q]`` is the mean of the (p, q)
+    block, whose rows are the p-th run of ``n_x`` rows of X and whose
+    columns are the q-th run of ``n_y`` rows of Y. When the runs are the point sets of empirical kernel mean
     embeddings, ``K[p, q] = <mu_p, mu_q>``; ``n_x = 1`` gives the inner
     products ``<phi(x_i), mu_q>``.
 
@@ -176,10 +188,9 @@ def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
     terms land on X as ``dX = S X - diag(S 1) X`` with
     ``S = W + W^T = G * E(g + g^T)``.
     """
-    Xv, Yv = ad.value_of(X), ad.value_of(Y)
-    if Xv.ndim != 2 or Yv.ndim != 2:
-        raise ValueError("gram expects 2-D row matrices")
-    _check_feature_dims("X", Xv.shape[1], "Y", Yv.shape[1])
+    Xs, Ys = _rows(X), _rows(Y)
+    _check_feature_dims("X", Xs.shape[-1], "Y", Ys.shape[-1])
+    Xv, Yv = Xs.reshape(-1, Xs.shape[-1]), Ys.reshape(-1, Ys.shape[-1])
     G = _gaussian_gram(Xv, Yv, cfg.sigma)
     rows_x, rows_y = G.shape
     if n_x < 1 or n_y < 1 or rows_x % n_x or rows_y % n_y:
@@ -208,10 +219,10 @@ def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
         W = (blocks * s[:, None, :, None]).reshape(rows_x, rows_y)
         if x_t:
             WY = W @ _augmented(Yv, 1.0)
-            X._accumulate(WY[:, :-1] - WY[:, -1:] * Xv)
+            X._accumulate((WY[:, :-1] - WY[:, -1:] * Xv).reshape(Xs.shape))
         if y_t and not same:
             WX = W.T @ _augmented(Xv, 1.0)
-            Y._accumulate(WX[:, :-1] - WX[:, -1:] * Yv)
+            Y._accumulate((WX[:, :-1] - WX[:, -1:] * Yv).reshape(Ys.shape))
 
     return ad.Tensor(K, tuple(t for t in (X, Y) if ad.is_tensor(t)), bw)
 
@@ -220,7 +231,8 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
     """Means of the diagonal blocks of ``gram(X, X)``, shape (rows(X) / n,).
 
     ``K[p]`` is the mean of ``gram(X_p, X_p)`` for the p-th run ``X_p`` of
-    ``n`` rows, i.e. the squared norm ``||mu_p||^2`` of its kernel mean
+    ``n`` rows of X, a row matrix or a stack of them such as (M, N, e)
+    bases, i.e. the squared norm ``||mu_p||^2`` of its kernel mean
     embedding. One batched matmul evaluates only the M diagonal (n, n)
     blocks, bit-identical to M separate ``mean(gram(X_p, X_p))`` calls.
 
@@ -229,13 +241,11 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
     ``dX_p = S_p X_p - diag(S_p 1) X_p`` with ``S_p = 2 g_p G_p / (n^2 sigma^2)``,
     both terms from one batched matmul ``S_p [X_p | 1]``.
     """
-    Xv = ad.value_of(X)
-    if Xv.ndim != 2:
-        raise ValueError("gram_diagonal_block_means expects a 2-D row matrix")
-    rows, e = Xv.shape
+    Xs = _rows(X)
+    rows, e = math.prod(Xs.shape[:-1]), Xs.shape[-1]
     if n < 1 or rows % n:
         raise ValueError(f"blocks of {n} rows do not tile {rows} rows")
-    Xb = Xv.reshape(rows // n, n, e)
+    Xb = Xs.reshape(rows // n, n, e)
     G = _gaussian_gram(Xb, Xb, cfg.sigma)
     K = G.reshape(rows // n, n * n).sum(axis=1) / float(n * n)
     if not ad.is_tensor(X):
@@ -245,7 +255,7 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
     def bw(g):
         S = G * (g * scale)[:, None, None]
         SX = S @ _augmented(Xb, 1.0)
-        X._accumulate((SX[..., :-1] - SX[..., -1:] * Xb).reshape(rows, e))
+        X._accumulate((SX[..., :-1] - SX[..., -1:] * Xb).reshape(Xs.shape))
 
     return ad.Tensor(K, (X,), bw)
 

@@ -15,18 +15,20 @@ embedding:
   ERM with M heads: the ensemble with its gating ablated.
 
 Every kernel statistic the gate and the regularizers read is a block mean
-of one Gaussian Gram over the stacked basis vectors, and each is one tape
-node (:func:`gdu.kernel.gram_block_means`,
-:func:`gdu.kernel.gram_diagonal_block_means`). The gate, from those inner
-products through the similarity and the kernel softmax, is one more node
-(``_gate_from_inners``). The forward pass is the gate-weighted ensemble of
+of one Gaussian Gram over the basis vectors, and each is one tape node
+(:func:`gdu.kernel.gram_block_means`,
+:func:`gdu.kernel.gram_diagonal_block_means`) that reads the (M, N, e)
+bases as they are and hands their gradient back in that shape. The gate,
+from those inner products through the similarity and the kernel softmax,
+is one more node (``_gate_from_inners``). The forward pass is the gate-weighted ensemble of
 the machines' outputs, run as one matmul over the stacked machine weights
 viewed as one (e, M*C) matrix, and is one node too (:func:`forward_batch`).
 Each of these nodes has a closed-form backward, and its forward runs the
 same numpy operations for arrays and tensors. The UNIFORM gate is a constant
 array and never a tape node. The machines of a layer share one activation.
-All computations accept numpy arrays or autodiff tensors, so the same code
-serves inference and gradient-based training.
+These functions accept numpy arrays or autodiff tensors, so the same code
+serves inference and gradient-based training; :class:`LearningMachine`
+views are for arrays only.
 
 There is one path in: :func:`gate_matrix` gates a (b, e) feature batch
 sample by sample, and :func:`forward_batch` runs the ensemble on it. A
@@ -85,9 +87,10 @@ class LearningMachine:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     def __call__(self, x):
+        """The head's output for arrays; the tape runs the layer as one node."""
         out = x @ self.weights + self.bias
         if self.activation == "tanh":
-            out = ad.tanh(out)
+            out = np.tanh(out)
         return out
 
 
@@ -179,10 +182,13 @@ class GduLayer:
 
 
 def _stacked_bases(layer: GduLayer):
-    """The (M*N, e) stacked basis vectors and N; a UNIFORM layer raises."""
+    """The (M, N, e) bases, read by the kernel as M*N rows, and N.
+
+    A UNIFORM layer raises.
+    """
     if layer.bases is None:
         raise ValueError(f"a {layer.mode} layer has no bases to embed")
-    return ad.reshape(layer.bases, (-1, layer.feature_dim)), layer.basis_size
+    return layer.bases, layer.basis_size
 
 
 def basis_gram_matrix(layer: GduLayer):

@@ -23,6 +23,10 @@ weight and the mode. The training objective adds the same combination
 through ``_add_regularizers``, reusing the gate's inner products instead of
 recomputing kernel blocks. The training trace still reports all three raw
 terms for every mode with bases.
+
+On arrays each term is a float. On tensors each is one tape node with a
+closed-form backward, and its forward runs the same numpy operations as
+on arrays; the weighted sum of the objective's terms is one more node.
 """
 
 from __future__ import annotations
@@ -76,16 +80,39 @@ class RegConfig:
 
 
 def _omega_ols_from_stats(a, k_bases, beta):
-    """Reconstruction error from precomputed embedding inner products."""
-    cross = ad.mean(ad.summation(beta * a, axis=1))
-    quad = ad.mean(ad.summation((beta @ k_bases) * beta, axis=1))
-    raw = 1.0 - 2.0 * cross + quad
-    val = float(ad.value_of(raw))
+    """Reconstruction error from precomputed embedding inner products.
+
+    ``1 - 2 mean_i <beta_i, a_i> + mean_i beta_i K beta_i^T`` over the b rows,
+    clamped at 0 against roundoff; below ``-1e-10`` it raises. Arrays in
+    give a float; a tensor among ``a``, ``k_bases`` and ``beta`` gives one
+    node whose backward is ``-2 beta / b`` for a, ``(beta (K + K^T) - 2 a) / b``
+    for beta and ``beta^T beta / b`` for K, and zero where the clamp fires.
+    """
+    av, kv, bv = (ad.value_of(t) for t in (a, k_bases, beta))
+    b = float(bv.shape[0])
+    bk = bv @ kv
+    cross = np.sum(np.sum(bv * av, axis=1)) / b
+    quad = np.sum(np.sum(bk * bv, axis=1)) / b
+    val = float(1.0 - 2.0 * cross + quad)
     if val < -_OLS_CLAMP_TOL:
         raise ValueError(f"reconstruction error evaluated to {val}; expected >= 0")
-    if val < 0.0:
-        return ad.maximum(raw, 0.0)
-    return raw
+    clamped = val < 0.0
+    if clamped:
+        val = 0.0
+    parents = tuple(t for t in (a, k_bases, beta) if ad.is_tensor(t))
+    if not parents:
+        return val
+
+    def bw(g):
+        s = 0.0 if clamped else g / b
+        if ad.is_tensor(a):
+            a._accumulate(bv * (-2.0 * s))
+        if ad.is_tensor(k_bases):
+            k_bases._accumulate(bv.T @ (bv * s))
+        if ad.is_tensor(beta):
+            beta._accumulate((bk + bv @ kv.T - 2.0 * av) * s)
+
+    return ad.Tensor(val, parents, bw)
 
 
 def _checked_inners(X, beta, layer: GduLayer):
@@ -112,29 +139,55 @@ def omega_ols(X, beta, layer: GduLayer):
 
 
 def omega_orth(K, variant: str):
-    """Orthogonality penalty on a basis Gram matrix."""
+    """Orthogonality penalty on a basis Gram matrix.
+
+    Arrays in give a float; a tensor gives one node whose backward is, for
+    the output gradient g, g times ``2 (K - I)`` for SO, ``sign(lambda*) u u^T``
+    for SRIP (the dominant eigenpair of ``K - I``, exact when the dominant
+    eigenvalue is simple) and, for MC, ``sign(K)`` on the off-diagonal
+    maxima, split evenly across ties.
+    """
     if variant not in ORTH_VARIANTS:
         raise ValueError(f"unknown orthogonality variant {variant!r}")
-    shape = ad.value_of(K).shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected a square Gram matrix, got shape {shape}")
-    m = shape[0]
+    kv = ad.value_of(K)
+    if kv.ndim != 2 or kv.shape[0] != kv.shape[1]:
+        raise ValueError(f"expected a square Gram matrix, got shape {kv.shape}")
+    m = kv.shape[0]
     eye = np.eye(m)
     if variant == "SO":
-        diff = K - eye
-        return ad.summation(diff * diff)
-    if variant == "SRIP":
-        return ad.spectral_norm_sym(K - eye)
-    # MC: largest absolute off-diagonal entry.
-    if m == 1:
-        return 0.0
-    off = ad.absolute(K) * (1.0 - eye)
-    return ad.amax(off)
+        diff = kv - eye
+        val, dk = np.sum(diff * diff), 2.0 * diff
+    elif variant == "SRIP":
+        eigvals, eigvecs = np.linalg.eigh(kv - eye)
+        i = int(np.argmax(np.abs(eigvals)))
+        u = eigvecs[:, i]
+        val, dk = abs(eigvals[i]), (1.0 if eigvals[i] >= 0 else -1.0) * np.outer(u, u)
+    elif m == 1:
+        return 0.0  # MC: a single basis has no off-diagonal entry.
+    else:
+        # MC: the largest absolute off-diagonal entry.
+        off_diag = 1.0 - eye
+        off = np.abs(kv) * off_diag
+        val = np.max(off)
+        ties = (off == val) * off_diag
+        dk = np.sign(kv) * ties / np.sum(ties)
+    if not ad.is_tensor(K):
+        return float(val)
+    return ad.Tensor(val, (K,), lambda g: K._accumulate(g * dk))
 
 
 def omega_l1(beta):
-    """Batch-mean L1 norm of the gating coefficients."""
-    return ad.mean(ad.summation(ad.absolute(beta), axis=1))
+    """Batch-mean L1 norm of the gating coefficients.
+
+    Arrays in give a float; a tensor gives one node with backward
+    ``sign(beta) / b``.
+    """
+    bv = ad.value_of(beta)
+    b = float(bv.shape[0])
+    val = np.sum(np.sum(np.abs(bv), axis=1)) / b
+    if not ad.is_tensor(beta):
+        return float(val)
+    return ad.Tensor(val, (beta,), lambda g: beta._accumulate(np.sign(bv) * (g / b)))
 
 
 def _check_mode_weights(mode: str, cfg: RegConfig):
@@ -147,24 +200,43 @@ def _check_mode_weights(mode: str, cfg: RegConfig):
 
 
 def _add_regularizers(obj, a, beta, layer: GduLayer, cfg: RegConfig):
-    """``obj`` plus the mode's weighted regularization terms.
+    """``obj`` plus the mode's weighted regularization terms, as one node.
 
     ``a`` holds the inner products ``<phi(x_i), mu_j>`` that produced
     ``beta`` and is read only by OLS. The basis Gram matrix is built once,
-    and only when OLS or ORTH needs it. Each present term is added to
-    ``obj`` in turn, so absent terms put no node on a tape. A nonzero weight
+    and only when OLS or ORTH needs it. The sum runs left to right,
+    ``obj + w1 t1 + w2 t2``, and its backward hands ``g`` to ``obj`` and
+    ``w g`` to each term; with no term present ``obj`` comes back as it is,
+    and with no tensor among the parts the sum is a float. A nonzero weight
     the mode does not take raises a ValueError that names it.
     """
     _check_mode_weights(layer.mode, cfg)
+    terms = []
     if cfg.lambda_ols > 0.0 or cfg.lambda_orth > 0.0:
         k_bases = basis_gram_matrix(layer)
         if cfg.lambda_ols > 0.0:
-            obj = obj + cfg.lambda_ols * _omega_ols_from_stats(a, k_bases, beta)
+            terms.append((cfg.lambda_ols, _omega_ols_from_stats(a, k_bases, beta)))
         if cfg.lambda_orth > 0.0:
-            obj = obj + cfg.lambda_orth * omega_orth(k_bases, cfg.orth_variant)
+            terms.append((cfg.lambda_orth, omega_orth(k_bases, cfg.orth_variant)))
     if cfg.lambda_l1 > 0.0:
-        obj = obj + cfg.lambda_l1 * omega_l1(beta)
-    return obj
+        terms.append((cfg.lambda_l1, omega_l1(beta)))
+    if not terms:
+        return obj
+    total = ad.value_of(obj)
+    for weight, term in terms:
+        total = total + weight * ad.value_of(term)
+    parents = tuple(t for t in (obj, *(term for _, term in terms)) if ad.is_tensor(t))
+    if not parents:
+        return float(total)
+
+    def bw(g):
+        if ad.is_tensor(obj):
+            obj._accumulate(g)
+        for weight, term in terms:
+            if ad.is_tensor(term):
+                term._accumulate(g * weight)
+
+    return ad.Tensor(total, parents, bw)
 
 
 def omega_total(X, beta, layer: GduLayer, cfg: RegConfig):

@@ -4,16 +4,18 @@ An :class:`EmpiricalKme` represents ``mu = (1/n) sum_i k(p_i, .)`` for a set
 of points. Inner products, norms, squared MMD, and RKHS cosine similarity
 all reduce to means over kernel Gram blocks. A single observation is the
 ``n = 1`` case, so one code path serves samples, batch embeddings, and
-domain bases alike.
+domain bases alike. These functions take and return arrays only; the
+training objective reads the same statistics from the fused kernel nodes
+of :mod:`gdu.kernel`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .kernel import DimensionMismatchError, KernelConfig, gram
 
 __all__ = [
@@ -37,17 +39,17 @@ class ConfigMismatchError(ValueError):
 class EmpiricalKme:
     """Points (n, e) whose mean feature map defines the embedding."""
 
-    points: object  # (n, e) array or autodiff tensor
+    points: np.ndarray  # (n, e)
     cfg: KernelConfig
 
     def __post_init__(self):
-        shape = ad.value_of(self.points).shape
+        shape = np.shape(self.points)
         if len(shape) != 2 or shape[0] < 1:
             raise ValueError(f"points must be a nonempty (n, e) matrix, got {shape}")
 
     @property
     def dim(self) -> int:
-        return ad.value_of(self.points).shape[1]
+        return np.shape(self.points)[1]
 
 
 def _check_compatible(a: EmpiricalKme, b: EmpiricalKme):
@@ -64,7 +66,7 @@ def _check_compatible(a: EmpiricalKme, b: EmpiricalKme):
 def kme_inner(a: EmpiricalKme, b: EmpiricalKme):
     """RKHS inner product: the mean of the cross Gram block."""
     _check_compatible(a, b)
-    return ad.mean(gram(a.points, b.points, a.cfg))
+    return np.mean(gram(a.points, b.points, a.cfg))
 
 
 def kme_norm_sq(a: EmpiricalKme):
@@ -79,12 +81,9 @@ def mmd_sq(a: EmpiricalKme, b: EmpiricalKme):
     below ``-1e-12`` raises because a squared norm cannot be negative.
     """
     raw = kme_inner(a, a) - 2.0 * kme_inner(a, b) + kme_inner(b, b)
-    val = float(ad.value_of(raw))
-    if val < -_MMD_CLAMP_TOL:
-        raise ValueError(f"squared MMD evaluated to {val}, below roundoff tolerance")
-    if val < 0.0:
-        return ad.maximum(raw, 0.0)
-    return raw
+    if raw < -_MMD_CLAMP_TOL:
+        raise ValueError(f"squared MMD evaluated to {raw}, below roundoff tolerance")
+    return max(raw, 0.0)
 
 
 def rkhs_cosine(a: EmpiricalKme, b: EmpiricalKme):
@@ -94,4 +93,4 @@ def rkhs_cosine(a: EmpiricalKme, b: EmpiricalKme):
     coincide.
     """
     inner = kme_inner(a, b)
-    return inner / ad.sqrt(kme_norm_sq(a) * kme_norm_sq(b))
+    return inner / math.sqrt(kme_norm_sq(a) * kme_norm_sq(b))

@@ -10,7 +10,14 @@ batch cross-entropy node :func:`cross_entropy_mean`, prediction is
 and the optimizer is Adam.
 
 Gradients come from the in-repo reverse-mode tape (:mod:`gdu.autodiff`);
-their binding contract is agreement with central finite differences.
+their binding contract is agreement with central finite differences. Every
+term of the objective is one tape node with a closed-form backward: the
+extractor (:func:`fe_forward`, however many layers), the kernel statistics,
+the gate and the ensemble (:mod:`gdu.layer`), the loss
+(:func:`cross_entropy_mean`), and each regularizer plus their weighted sum
+(:mod:`gdu.regularization`). Without regularizers a GDU step's tape has
+six nodes and an ERM step's three; in FT mode the frozen extractor is a
+constant and no node.
 Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
 extractor, so features are extracted once and only layer parameters move.
 
@@ -260,16 +267,48 @@ def init_erm_model(
 
 
 def fe_forward(x, fe: FeatureExtractor | None):
-    """Extractor forward pass for a single vector or a batch."""
+    """Extractor forward pass for a batch (or, on arrays, a single vector).
+
+    Each layer computes ``out @ w + b``, then the nonlinearity between
+    layers, with the same numpy operations for arrays and tensors. Arrays
+    in give an array out. A tensor among the weights, the biases and ``x``
+    gives one node for the whole extractor; from the output gradient it
+    runs the layers backwards: through the nonlinearity, ``* (out > 0)`` or
+    ``* (1 - out^2)``, then ``a^T g`` for the weight, ``sum_i g`` for the
+    bias and ``g w^T`` for the layer's input ``a``.
+    """
     if fe is None:
         return x
-    out = x
-    last = len(fe.weights) - 1
-    for i, (w, b) in enumerate(zip(fe.weights, fe.biases)):
-        out = out @ w + b
+    weights, biases = fe.weights, fe.biases
+    last = len(weights) - 1
+    relu = fe.nonlinearity == "relu"
+    acts = [ad.value_of(x)]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        out = acts[-1] @ ad.value_of(w) + ad.value_of(b)
         if i < last:
-            out = ad.relu(out) if fe.nonlinearity == "relu" else ad.tanh(out)
-    return out
+            out = np.maximum(out, 0.0) if relu else np.tanh(out)
+        acts.append(out)
+    parents = tuple(t for t in (x, *weights, *biases) if ad.is_tensor(t))
+    if not parents:
+        return out
+    if acts[0].ndim != 2:
+        raise ValueError(f"the tape needs a (b, d) batch, got shape {acts[0].shape}")
+
+    def bw(g):
+        for i in range(last, -1, -1):
+            if i < last:
+                out = acts[i + 1]
+                g = g * (out > 0.0) if relu else g * (1.0 - out * out)
+            if ad.is_tensor(biases[i]):
+                biases[i]._accumulate(g.sum(axis=0))
+            if ad.is_tensor(weights[i]):
+                weights[i]._accumulate(acts[i].T @ g)
+            if i or ad.is_tensor(x):
+                g = g @ ad.value_of(weights[i]).T
+        if ad.is_tensor(x):
+            x._accumulate(g)
+
+    return ad.Tensor(out, parents, bw)
 
 
 def _checked_labels(labels, b: int, c: int) -> np.ndarray:
@@ -494,14 +533,14 @@ def _epoch_metrics(model, feats_train, y_train, reg: RegConfig, track_srip: bool
     # One pass of kernel statistics feeds the gate and every regularizer.
     a, beta = _inners_and_gate(feats_train, layer)
     logits = np.asarray(forward_batch(feats_train, layer, beta=beta))
-    ce = float(ad.value_of(cross_entropy_mean(logits, y_train)))
+    ce = float(cross_entropy_mean(logits, y_train))
     if layer.mode == UNIFORM:
         return ce, 0.0, 0.0, 0.0, None
-    k_bases = np.asarray(basis_gram_matrix(layer))
-    ols = float(ad.value_of(_omega_ols_from_stats(a, k_bases, beta)))
-    orth = float(omega_orth(k_bases, reg.orth_variant))
-    l1 = float(omega_l1(beta))
-    srip = float(omega_orth(k_bases, "SRIP")) if track_srip else None
+    k_bases = basis_gram_matrix(layer)
+    ols = _omega_ols_from_stats(a, k_bases, beta)
+    orth = omega_orth(k_bases, reg.orth_variant)
+    l1 = omega_l1(beta)
+    srip = omega_orth(k_bases, "SRIP") if track_srip else None
     return ce, ols, orth, l1, srip
 
 

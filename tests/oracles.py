@@ -4,9 +4,14 @@ Most of this is written with explicit Python loops and scalar math,
 independent of the package's vectorized code paths, so tests can compare
 two genuinely different routes to the same quantity. The ``*_chain``
 functions are the exception: they are the per-op autodiff chains that the
-package's fused tape nodes replaced, kept as references. On arrays they run
-the numpy operations of the fused forwards in the same order, so the two
-must agree bit for bit. ``gaussian_gram_chain`` is the one chain that
+package's fused tape nodes replaced, kept as references, from the loss, the
+gate and the ensemble to the extractor (``mlp_chain``) and the regularizers
+(``ols_chain``, ``l1_chain``, ``orth_chain``). They are built from the
+generic reverse-mode ops (``add``, ``mul``, ``summation``, ``amax``,
+``spectral_norm_sym``, ...), which live here since no package code needs
+them: ``gdu.autodiff`` keeps only the tape. On arrays the chains run the
+numpy operations of the fused forwards in the same order, so the two must
+agree bit for bit. ``gaussian_gram_chain`` is the one chain that
 agrees only up to rounding: the package builds the Gram from another
 arithmetic route (one matmul of augmented rows). ``kmeans_loop`` is the
 plain Lloyd loop that ``gdu.heuristics.kmeans`` replaced, kept as its
@@ -17,7 +22,7 @@ import math
 
 import numpy as np
 
-from gdu import autodiff as ad
+from gdu.autodiff import Tensor, is_tensor, value_of
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _kmeans_pp_init
 from gdu.kernel import squared_distances
 
@@ -173,6 +178,192 @@ def srip_power_iteration(A):
     return float(estimates.max())
 
 
+# -- the generic reverse-mode ops -------------------------------------------------
+#
+# The per-op library that the package's fused nodes replaced. Each function
+# takes arrays, scalars or ``gdu.autodiff.Tensor`` operands; with no tensor
+# among them it evaluates eagerly and returns numpy values, otherwise it
+# records one tape node whose backward is the op's own derivative. Binary
+# ops broadcast, and ``_unbroadcast`` sums a gradient back to its operand's
+# shape.
+
+
+def _unbroadcast(g, shape):
+    """Reduce gradient ``g`` to ``shape`` by summing broadcast axes."""
+    g = np.asarray(g)
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def _binary(a, b, fwd, da, db):
+    a_t, b_t = is_tensor(a), is_tensor(b)
+    av, bv = value_of(a), value_of(b)
+    if not a_t and not b_t:
+        return fwd(av, bv)
+
+    def bw(g):
+        if a_t:
+            a._accumulate(_unbroadcast(da(g, av, bv), av.shape))
+        if b_t:
+            b._accumulate(_unbroadcast(db(g, av, bv), bv.shape))
+
+    return Tensor(fwd(av, bv), tuple(t for t in (a, b) if is_tensor(t)), bw)
+
+
+def _unary(a, fwd, da):
+    if not is_tensor(a):
+        return fwd(value_of(a))
+    out_data = fwd(a.data)
+    return Tensor(out_data, (a,), lambda g: a._accumulate(da(g, a.data, out_data)))
+
+
+def add(a, b):
+    return _binary(a, b, lambda a, b: a + b, lambda g, a, b: g, lambda g, a, b: g)
+
+
+def sub(a, b):
+    return _binary(a, b, lambda a, b: a - b, lambda g, a, b: g, lambda g, a, b: -g)
+
+
+def mul(a, b):
+    return _binary(a, b, lambda a, b: a * b, lambda g, a, b: g * b, lambda g, a, b: g * a)
+
+
+def div(a, b):
+    return _binary(
+        a, b, lambda a, b: a / b, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)
+    )
+
+
+def neg(a):
+    return _unary(a, lambda a: -a, lambda g, a, out: -g)
+
+
+def matmul(a, b):
+    """Matrix product of 1-D or 2-D operands."""
+    a_t, b_t = is_tensor(a), is_tensor(b)
+    av, bv = value_of(a), value_of(b)
+    if not a_t and not b_t:
+        return av @ bv
+
+    # A 1-D operand contributes an outer product; for a dot product ``g`` is
+    # 0-d and the outer product reduces to ``g * v``.
+    def bw(g):
+        if a_t:
+            a._accumulate(g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv))
+        if b_t:
+            b._accumulate(av.T @ g if av.ndim == 2 else np.multiply.outer(av, g))
+
+    return Tensor(av @ bv, tuple(t for t in (a, b) if is_tensor(t)), bw)
+
+
+def exp(x):
+    return _unary(x, np.exp, lambda g, a, out: g * out)
+
+
+def log(x):
+    return _unary(x, np.log, lambda g, a, out: g / a)
+
+
+def sqrt(x):
+    return _unary(x, np.sqrt, lambda g, a, out: g * 0.5 / out)
+
+
+def tanh(x):
+    return _unary(x, np.tanh, lambda g, a, out: g * (1.0 - out * out))
+
+
+def relu(x):
+    return _unary(x, lambda a: np.maximum(a, 0.0), lambda g, a, out: g * (a > 0.0))
+
+
+def absolute(x):
+    return _unary(x, np.abs, lambda g, a, out: g * np.sign(a))
+
+
+def maximum(a, b):
+    """Elementwise maximum; the gradient splits evenly on exact ties."""
+
+    def da(g, av, bv):
+        return g * np.where(av > bv, 1.0, np.where(av == bv, 0.5, 0.0))
+
+    def db(g, av, bv):
+        return g * np.where(bv > av, 1.0, np.where(av == bv, 0.5, 0.0))
+
+    return _binary(a, b, np.maximum, da, db)
+
+
+def _expand_reduced(g, in_shape, axis, keepdims):
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, in_shape)
+
+
+def summation(x, axis=None, keepdims=False):
+    out = np.sum(value_of(x), axis=axis, keepdims=keepdims)
+    if not is_tensor(x):
+        return out
+    return Tensor(
+        out, (x,), lambda g: x._accumulate(_expand_reduced(g, x.data.shape, axis, keepdims))
+    )
+
+
+def mean(x, axis=None, keepdims=False):
+    shape = value_of(x).shape
+    count = math.prod(shape) if axis is None else shape[axis]
+    return div(summation(x, axis=axis, keepdims=keepdims), float(count))
+
+
+def amax(x, axis=None, keepdims=False):
+    """Maximum reduction; the gradient splits evenly across tied maxima."""
+    out_data = np.max(value_of(x), axis=axis, keepdims=keepdims)
+    if not is_tensor(x):
+        return out_data
+
+    def bw(g):
+        full_max = _expand_reduced(out_data, x.data.shape, axis, keepdims)
+        mask = (x.data == full_max).astype(np.float64)
+        counts = _expand_reduced(
+            np.sum(mask, axis=axis, keepdims=keepdims), x.data.shape, axis, keepdims
+        )
+        x._accumulate(_expand_reduced(g, x.data.shape, axis, keepdims) * mask / counts)
+
+    return Tensor(out_data, (x,), bw)
+
+
+def reshape(x, shape):
+    if not is_tensor(x):
+        return np.reshape(value_of(x), shape)
+    return Tensor(x.data.reshape(shape), (x,), lambda g: x._accumulate(g.reshape(x.data.shape)))
+
+
+def detach(x):
+    return Tensor(x.data) if is_tensor(x) else x
+
+
+def spectral_norm_sym(x):
+    """Largest absolute eigenvalue of a symmetric matrix, from ``eigh``.
+
+    The gradient is ``sign(lambda*) u u^T`` for the dominant eigenpair,
+    exact whenever the dominant eigenvalue is simple.
+    """
+    eigvals, eigvecs = np.linalg.eigh(value_of(x))
+    i = int(np.argmax(np.abs(eigvals)))
+    val = abs(float(eigvals[i]))
+    if not is_tensor(x):
+        return val
+    u = eigvecs[:, i]
+    sign = 1.0 if eigvals[i] >= 0 else -1.0
+    return Tensor(val, (x,), lambda g: x._accumulate(g * sign * np.outer(u, u)))
+
+
 # -- op chains replaced by fused tape nodes ------------------------------------
 
 
@@ -182,46 +373,78 @@ def gaussian_gram_chain(X, Y, sigma):
 
 
 def cross_entropy_chain(logits, labels):
-    """Mean cross-entropy of (b, C) logits rows, one op per tape node."""
+    """Mean cross-entropy of (b, C) logits rows (arrays), one op per step."""
     labels = np.asarray(labels, dtype=np.int64)
-    b = ad.value_of(logits).shape[0]
-    z = logits - ad.detach(ad.amax(logits, axis=1, keepdims=True))
-    lse = ad.log(ad.summation(ad.exp(z), axis=1))
-    picked = z[np.arange(b), labels]
-    return ad.mean(lse - picked)
+    z = sub(logits, amax(logits, axis=1, keepdims=True))
+    lse = log(summation(exp(z), axis=1))
+    return mean(sub(lse, z[np.arange(len(z)), labels]))
 
 
 def kernel_softmax_chain(scores, kappa):
     """Row-wise softmax of ``kappa * scores`` with max-subtraction."""
-    z = scores * kappa
-    z = z - ad.detach(ad.amax(z, axis=1, keepdims=True))
-    e = ad.exp(z)
-    return e / ad.summation(e, axis=1, keepdims=True)
+    z = mul(scores, kappa)
+    z = sub(z, detach(amax(z, axis=1, keepdims=True)))
+    e = exp(z)
+    return div(e, summation(e, axis=1, keepdims=True))
 
 
 def similarity_chain(a, norms, mode):
     """CS or MMD similarity scores between unit-norm feature maps and each basis."""
     if mode == "CS":
-        return a / ad.sqrt(ad.reshape(norms, (1, -1)))
-    return -(1.0 - 2.0 * a + ad.reshape(norms, (1, -1)))
+        return div(a, sqrt(reshape(norms, (1, -1))))
+    return neg(add(sub(1.0, mul(2.0, a)), reshape(norms, (1, -1))))
 
 
 def gate_chain(a, norms, mode, kappa):
     """Gating rows from embedding inner products (see ``_gate_from_inners``)."""
     if mode == "PROJECTION":
-        return a / ad.reshape(norms, (1, -1))
+        return div(a, reshape(norms, (1, -1)))
     return kernel_softmax_chain(similarity_chain(a, norms, mode), kappa)
 
 
 def ensemble_chain(X, weights, bias, beta, activation):
     """Gate-weighted sum of the machines' outputs (see ``forward_batch``)."""
-    e, m, c = ad.value_of(weights).shape
-    b = ad.value_of(X).shape[0]
-    out = X @ ad.reshape(weights, (e, -1)) + ad.reshape(bias, (-1,))
+    e, m, c = value_of(weights).shape
+    b = value_of(X).shape[0]
+    out = add(matmul(X, reshape(weights, (e, -1))), reshape(bias, (-1,)))
     if activation == "tanh":
-        out = ad.tanh(out)
-    out = ad.reshape(out, (b, m, c))
-    return ad.summation(ad.reshape(beta, (b, m, 1)) * out, axis=1)
+        out = tanh(out)
+    out = reshape(out, (b, m, c))
+    return summation(mul(reshape(beta, (b, m, 1)), out), axis=1)
+
+
+def mlp_chain(X, weights, biases, nonlinearity):
+    """Extractor forward, three nodes per hidden layer (see ``fe_forward``)."""
+    out = X
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        out = add(matmul(out, w), b)
+        if i < len(weights) - 1:
+            out = relu(out) if nonlinearity == "relu" else tanh(out)
+    return out
+
+
+def ols_chain(a, k_bases, beta):
+    """Reconstruction error from embedding inner products (see ``_omega_ols_from_stats``)."""
+    cross = mean(summation(mul(beta, a), axis=1))
+    quad = mean(summation(mul(matmul(beta, k_bases), beta), axis=1))
+    raw = add(sub(1.0, mul(2.0, cross)), quad)
+    return maximum(raw, 0.0) if value_of(raw) < 0.0 else raw
+
+
+def l1_chain(beta):
+    """Batch-mean L1 norm of the gating coefficients (see ``omega_l1``)."""
+    return mean(summation(absolute(beta), axis=1))
+
+
+def orth_chain(K, variant):
+    """Orthogonality penalty on a basis Gram matrix (see ``omega_orth``)."""
+    eye = np.eye(value_of(K).shape[0])
+    if variant == "SO":
+        diff = sub(K, eye)
+        return summation(mul(diff, diff))
+    if variant == "SRIP":
+        return spectral_norm_sym(sub(K, eye))
+    return amax(mul(absolute(K), 1.0 - eye))
 
 
 # -- loops replaced by vectorized code -----------------------------------------

@@ -1,7 +1,9 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
-every function the benchmark's tracer wraps and every name a module
-exports; the package's exports are pinned."""
+every function the benchmark's tracer wraps, every name a module exports
+and every ``gdu.autodiff`` attribute a module reads; the exports of the
+package and of ``gdu.autodiff`` are pinned."""
 
+import ast
 import importlib
 import importlib.util
 import tomllib
@@ -85,3 +87,39 @@ def test_public_surface_is_pinned():
         "train",
         "training",
     ]
+
+
+def test_autodiff_surface_is_pinned():
+    # The tape only: every training term builds its own node. The generic
+    # ops live in tests/oracles.py.
+    from gdu import autodiff
+
+    assert autodiff.__all__ == ["Tensor", "tensor", "value_of", "is_tensor"]
+
+
+def _autodiff_reads(tree):
+    """``(line, name)`` for every ``gdu.autodiff`` attribute a module reads."""
+    aliases, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "gdu"):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+        elif isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "gdu.autodiff"):
+            reads += [(node.lineno, a.name) for a in node.names]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                reads.append((node.lineno, node.attr))
+    return reads
+
+
+def test_every_autodiff_name_a_module_reads_exists():
+    # A path no test runs would otherwise fail only in use once an op it
+    # reads has left gdu.autodiff.
+    import gdu
+    from gdu import autodiff
+
+    for path in sorted(Path(gdu.__file__).parent.glob("*.py")):
+        for line, name in _autodiff_reads(ast.parse(path.read_text())):
+            assert hasattr(autodiff, name), f"{path.name}:{line} reads autodiff.{name}"
+    reads = _autodiff_reads(ast.parse("from . import autodiff as ad\nad.exp(ad.Tensor)"))
+    assert sorted(reads) == [(2, "Tensor"), (2, "exp")]

@@ -1,9 +1,11 @@
 """The fused tape nodes against the op chains they replaced.
 
-Cross-entropy, the gate and the ensemble are each one tape node. On arrays
+The extractor, cross-entropy, the gate, the ensemble and each regularizer
+(OLS, L1 and the three ORTH variants) are each one tape node. On arrays
 each must equal its chain in ``oracles.py`` bit for bit, a tensor operand
 must not change the forward value, and each backward must agree with
-central finite differences.
+central finite differences and, where the chain is differentiable, with
+the chain's gradient.
 """
 
 from dataclasses import replace
@@ -13,19 +15,30 @@ import pytest
 
 from gdu import autodiff as ad
 from gdu.kernel import KernelConfig
-from gdu.layer import _gate_from_inners, forward_batch, init_layer
-from gdu.training import cross_entropy_mean
+from gdu.layer import _basis_inners, _gate_from_inners, basis_gram_matrix, forward_batch, init_layer
+from gdu.regularization import _omega_ols_from_stats, omega_l1, omega_orth
+from gdu.training import FeatureExtractor, cross_entropy_mean, fe_forward
 
 from oracles import (
+    add,
     cross_entropy_chain,
     ensemble_chain,
     fd_gradient,
     gate_chain,
+    l1_chain,
+    matmul,
     max_relative_error,
+    mlp_chain,
+    ols_chain,
+    orth_chain,
+    reshape,
+    mul,
+    summation,
 )
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
+CHAIN_TOL = 1e-12
 
 
 def backward_error(node, inputs, wrt, one_node=True, seed=0):
@@ -40,12 +53,37 @@ def backward_error(node, inputs, wrt, one_node=True, seed=0):
     out = node(**tensors)
     if one_node:
         assert {id(t) for t in out._parents} == {id(tensors[k]) for k in wrt}
-    ad.summation(out * weights).backward()
+    summation(mul(out, weights)).backward()
     analytic = {k: tensors[k].grad for k in wrt}
     numeric = fd_gradient(
         lambda: float(np.sum(node(**inputs) * weights)), {k: inputs[k] for k in wrt}, FD_STEP
     )
     return max_relative_error(analytic, numeric)
+
+
+def node_and_chain_gradients(node, chain, inputs, wrt, seed=0):
+    """The gradients of ``node`` and of ``chain`` for the same contraction."""
+    weights = np.random.default_rng(seed).normal(size=np.shape(node(**inputs)))
+    grads = []
+    for fn in (node, chain):
+        tensors = {k: ad.tensor(v) if k in wrt else v for k, v in inputs.items()}
+        summation(mul(fn(**tensors), weights)).backward()
+        grads.append({k: tensors[k].grad for k in wrt})
+    return grads
+
+
+def chain_gradient_error(node, chain, inputs, wrt):
+    """Worst relative disagreement between the node's and the chain's gradients."""
+    return max_relative_error(*node_and_chain_gradients(node, chain, inputs, wrt))
+
+
+def assert_forward_equals_chain(node, chain, inputs):
+    """Arrays in: the node's value is the chain's bit for bit, also via tensors."""
+    expected = chain(**inputs)
+    got = node(**inputs)
+    assert not ad.is_tensor(got)
+    np.testing.assert_array_equal(got, expected)
+    assert_tensor_forward_equal(node, inputs)
 
 
 def assert_tensor_forward_equal(node, inputs):
@@ -172,3 +210,173 @@ def test_ensemble_backward_matches_finite_differences(activation):
     for wrt in ({"X", "weights", "bias"}, {"X", "weights", "bias", "beta"}, {"beta"}):
         err = backward_error(node, ensemble_inputs(rng), wrt)
         assert err < FD_TOL, (wrt, err)
+
+
+# -- the extractor ---------------------------------------------------------------
+
+
+def mlp_inputs(rng, sizes=(4, 6, 5, 3), b=7):
+    inputs = {"X": rng.normal(size=(b, sizes[0]))}
+    for i, (d_in, d_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        inputs[f"w{i}"] = rng.normal(scale=0.8, size=(d_in, d_out))
+        inputs[f"b{i}"] = rng.normal(scale=0.5, size=d_out)
+    return inputs
+
+
+def mlp_params(params):
+    n = len(params) // 2
+    return [params[f"w{i}"] for i in range(n)], [params[f"b{i}"] for i in range(n)]
+
+
+def mlp_node(nonlinearity):
+    def node(X, **params):
+        weights, biases = mlp_params(params)
+        return fe_forward(X, FeatureExtractor(weights, biases, nonlinearity))
+
+    return node
+
+
+def mlp_reference(nonlinearity):
+    def chain(X, **params):
+        return mlp_chain(X, *mlp_params(params), nonlinearity)
+
+    return chain
+
+
+@pytest.mark.parametrize("nonlinearity", ["relu", "tanh"])
+def test_extractor_forward_is_bit_identical_to_the_chain(nonlinearity):
+    rng = np.random.default_rng(30)
+    for sizes in ((4, 3), (4, 6, 5, 3), (10, 32, 16)):
+        inputs = mlp_inputs(rng, sizes)
+        assert_forward_equals_chain(mlp_node(nonlinearity), mlp_reference(nonlinearity), inputs)
+
+
+@pytest.mark.parametrize("nonlinearity", ["relu", "tanh"])
+def test_extractor_backward_matches_finite_differences_and_the_chain(nonlinearity):
+    rng = np.random.default_rng(31)
+    node, chain = mlp_node(nonlinearity), mlp_reference(nonlinearity)
+    inputs = mlp_inputs(rng)
+    params = set(inputs) - {"X"}
+    for wrt in (params, params | {"X"}, {"w1"}, {"b2"}):
+        assert backward_error(node, inputs, wrt) < FD_TOL, wrt
+        assert chain_gradient_error(node, chain, inputs, wrt) < CHAIN_TOL, wrt
+
+
+def test_extractor_backward_is_bit_identical_to_the_chain():
+    # The same products in the same order, so the gradients agree bit for bit.
+    inputs = mlp_inputs(np.random.default_rng(32), (10, 32, 16))
+    wrt = set(inputs) - {"X"}
+    for nonlinearity in ("relu", "tanh"):
+        node, chain = node_and_chain_gradients(
+            mlp_node(nonlinearity), mlp_reference(nonlinearity), inputs, wrt
+        )
+        for name in wrt:
+            np.testing.assert_array_equal(node[name], chain[name])
+
+
+# -- the regularizers ----------------------------------------------------------------
+
+
+def kernel_stats(seed, m=3, n=4, e=3, b=6):
+    """Embedding inner products, basis Gram and a gate from a random layer."""
+    rng = np.random.default_rng(seed)
+    layer = init_layer(m, n, e, 2, seed, "CS", KernelConfig(1.3), 2.0)
+    X = rng.normal(size=(b, e))
+    a, _ = _basis_inners(X, layer)
+    beta = rng.normal(size=(b, m))
+    return {"a": a, "k_bases": basis_gram_matrix(layer), "beta": beta}
+
+
+def test_ols_node_against_the_chain_and_finite_differences():
+    inputs = kernel_stats(40)
+    assert_forward_equals_chain(_omega_ols_from_stats, ols_chain, inputs)
+    assert isinstance(_omega_ols_from_stats(**inputs), float)
+    for wrt in ({"a"}, {"k_bases"}, {"beta"}, {"a", "k_bases", "beta"}):
+        assert backward_error(_omega_ols_from_stats, inputs, wrt) < FD_TOL, wrt
+        assert chain_gradient_error(_omega_ols_from_stats, ols_chain, inputs, wrt) < CHAIN_TOL
+
+
+def test_ols_node_gradient_is_zero_where_the_clamp_fires():
+    # 1 - 2 * 1 + (1 - 1e-12): a roundoff-sized negative error, clamped to 0.
+    inputs = {"a": np.ones((2, 1)), "k_bases": np.array([[1.0 - 1e-12]]), "beta": np.ones((2, 1))}
+    assert_forward_equals_chain(_omega_ols_from_stats, ols_chain, inputs)
+    assert _omega_ols_from_stats(**inputs) == 0.0
+    wrt = set(inputs)
+    node, chain = node_and_chain_gradients(_omega_ols_from_stats, ols_chain, inputs, wrt)
+    for name in wrt:
+        np.testing.assert_array_equal(node[name], np.zeros_like(inputs[name]))
+        np.testing.assert_array_equal(chain[name], node[name])
+    inputs["k_bases"] = np.array([[1.0 - 1e-9]])
+    with pytest.raises(ValueError, match="reconstruction error evaluated to"):
+        _omega_ols_from_stats(**{k: ad.tensor(v) for k, v in inputs.items()})
+
+
+def test_l1_node_against_the_chain_and_finite_differences():
+    beta = kernel_stats(41)["beta"]
+    node = lambda beta: omega_l1(beta)
+    chain = lambda beta: l1_chain(beta)
+    assert_forward_equals_chain(node, chain, {"beta": beta})
+    assert isinstance(omega_l1(beta), float)
+    assert backward_error(node, {"beta": beta}, {"beta"}) < FD_TOL
+    assert chain_gradient_error(node, chain, {"beta": beta}, {"beta"}) < CHAIN_TOL
+
+
+def orth_node(variant):
+    return lambda K: omega_orth(K, variant)
+
+
+def orth_reference(variant):
+    return lambda K: orth_chain(K, variant)
+
+
+@pytest.mark.parametrize("variant", ["SO", "SRIP", "MC"])
+def test_orth_node_against_the_chain_and_finite_differences(variant):
+    for seed in (42, 43):
+        K = kernel_stats(seed, m=4)["k_bases"]
+        if variant != "SRIP":
+            # A Gram matrix is symmetric up to rounding, so its two largest
+            # off-diagonal entries are a near-tie that central differences
+            # cannot resolve; asymmetric noise separates them. (SRIP reads
+            # one triangle: see the test below.)
+            K = K + np.random.default_rng(seed).normal(scale=1e-3, size=K.shape)
+        node, chain = orth_node(variant), orth_reference(variant)
+        assert_forward_equals_chain(node, chain, {"K": K})
+        assert isinstance(node(K), float)
+        assert chain_gradient_error(node, chain, {"K": K}, {"K"}) < CHAIN_TOL
+        if variant != "SRIP":
+            assert backward_error(node, {"K": K}, {"K"}) < FD_TOL
+
+
+def symmetric_from(S, v):
+    """``S + v v^T`` as a tape chain, so that one coordinate moves both triangles."""
+    m = len(S)
+    return add(S, matmul(reshape(v, (m, 1)), reshape(v, (1, m))))
+
+
+@pytest.mark.parametrize("dominant", ["positive", "negative"])
+def test_srip_node_backward_through_a_symmetric_matrix(dominant):
+    # eigh reads one triangle, so finite differences run over a symmetric
+    # parameterization. Basis Gram matrices of far-apart bases have small
+    # entries, and then the dominant eigenvalue of K - I is negative.
+    rng = np.random.default_rng(44)
+    scale = 1.5 if dominant == "positive" else 0.3
+    S = np.diag(rng.uniform(0.1, 0.4, size=4))
+    v = rng.normal(scale=scale, size=4)
+    eigvals = np.linalg.eigvalsh(S + np.outer(v, v) - np.eye(4))
+    assert (eigvals[np.argmax(np.abs(eigvals))] > 0) == (dominant == "positive")
+    node = lambda v: omega_orth(symmetric_from(S, v), "SRIP")
+    assert backward_error(node, {"v": v}, {"v"}, one_node=False) < FD_TOL
+    K = S + np.outer(v, v)
+    assert chain_gradient_error(orth_node("SRIP"), orth_reference("SRIP"), {"K": K}, {"K"}) < CHAIN_TOL
+
+
+def test_mc_node_splits_the_gradient_across_tied_maxima():
+    K = np.array([[1.0, -0.5, 0.5], [-0.5, 1.0, 0.25], [0.5, 0.25, 1.0]])
+    assert omega_orth(K, "MC") == 0.5
+    node, chain = node_and_chain_gradients(orth_node("MC"), orth_reference("MC"), {"K": K}, {"K"})
+    weight = np.random.default_rng(0).normal()
+    expected = weight * np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) / 4.0
+    np.testing.assert_array_equal(node["K"], expected)
+    np.testing.assert_allclose(chain["K"], expected, rtol=CHAIN_TOL)
+    x = ad.tensor(np.ones((1, 1)))
+    assert omega_orth(x, "MC") == 0.0  # one basis has no off-diagonal entry

@@ -192,16 +192,28 @@ def test_clustering_rejects_rows_that_are_not_a_matrix(shape):
         select_m(X, (2, 3), seeds=1, seed0=0)
 
 
-def test_kmeans_equals_the_loop_oracle_where_distances_are_nan():
+def test_clustering_rejects_rows_whose_squared_norms_overflow():
     # Finite rows near 1e155: their squared norms overflow, so every
-    # distance is inf - inf = NaN and argmin picks the first NaN.
+    # distance would be inf - inf = NaN. Rows at 1e153 still pass.
     X = 1e155 * (1.0 + 1e-3 * np.random.default_rng(10).normal(size=(20, 2)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = kmeans_loop(X, 3, seed=0)
-        got = kmeans(X, 3, seed=0)
-    np.testing.assert_array_equal(got.assignments, expected.assignments)
-    assert got.centroids.tobytes() == expected.centroids.tobytes()
-    assert np.isnan(got.inertia) and np.isnan(expected.inertia)
+    result = ClusteringResult(np.arange(20) % 2, np.zeros((2, 2)), 0.0)
+    with np.errstate(over="ignore"):
+        for who, call in (("kmeans", lambda: kmeans(X, 3, seed=0)),
+                          ("davies_bouldin", lambda: davies_bouldin(X, result)),
+                          ("select_m", lambda: select_m(X, (2, 3), seeds=1, seed0=0))):
+            with pytest.raises(ValueError, match=f"{who} needs rows with squared norms below"):
+                call()
+    assert np.isfinite(kmeans(X / 100.0, 3, seed=0).inertia)
+
+
+def test_kmeans_rejects_fewer_distinct_rows_than_clusters():
+    # Two distinct rows, ten copies each: every re-seed used to take row 0
+    # and the next assignment moved it back, for all 300 iterations.
+    X = np.repeat(np.array([[0.0, 1.0], [2.0, 3.0]]), 10, axis=0)
+    for k in (3, 4):
+        with pytest.raises(ValueError, match=f"kmeans needs at least k={k} distinct rows"):
+            kmeans(X, k, seed=0)
+    assert sorted(np.bincount(kmeans(X, 2, seed=0).assignments)) == [10, 10]
 
 
 def test_write_score_table(tmp_path):

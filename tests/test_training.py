@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gdu import autodiff as ad
 from gdu.checkpoint import model_from_text, model_to_text
 from gdu.kernel import KernelConfig
 from gdu.layer import (
@@ -17,6 +16,7 @@ from gdu.layer import (
     init_layer,
 )
 from gdu.regularization import (
+    ORTH_VARIANTS,
     RegConfig,
     omega_l1,
     omega_ols,
@@ -44,7 +44,7 @@ from gdu.training import (
 )
 
 from helpers import SMALL_DIMS, build_small_gdu, gradient_max_rel_error, reg_toggles
-from oracles import mlp_forward_brute
+from oracles import add, mlp_forward_brute, sqrt, sub, summation
 
 
 # -- feature extractor ---------------------------------------------------------
@@ -233,13 +233,15 @@ def test_machine_views_write_through_to_the_layer():
 def test_gradients_leave_no_cyclic_garbage():
     # Tape nodes must not reference themselves, or every graph (with its
     # gradients) outlives the step until the cyclic collector runs.
-    model, X, y = build_small_gdu(0, "CS")
-    reg = RegConfig(lambda_ols=0.5, lambda_l1=0.5)
     gc.collect()
     gc.disable()
     try:
-        gradients((X, y), model, reg)
-        assert gc.collect() == 0
+        for mode in ("CS", "MMD", "PROJECTION"):
+            model, X, y = build_small_gdu(0, mode)
+            model.fe = init_feature_extractor([4, 5, 4], 1)
+            for reg in reg_toggles(mode):
+                gradients((X, y), model, reg)
+                assert gc.collect() == 0, (mode, reg)
     finally:
         gc.enable()
 
@@ -256,8 +258,8 @@ def _op_nodes(obj, params_t):
 
 
 # Non-leaf tape nodes of an E2E step with every regularizer on, one-layer
-# extractor: cross-entropy, the gate and the ensemble are one node each.
-TAPE_NODE_CAP = {"CS": 30, "MMD": 30, "PROJECTION": 28}
+# extractor: every term is one node (see test_tape_shape_is_pinned).
+TAPE_NODE_CAP = {"CS": 10, "MMD": 10, "PROJECTION": 10}
 
 
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
@@ -269,6 +271,28 @@ def test_objective_tape_size_does_not_grow_with_num_bases(mode):
         counts.add(_op_nodes(obj, params_t))
     assert len(counts) == 1, counts
     assert counts.pop() <= TAPE_NODE_CAP[mode]
+
+
+def test_tape_shape_is_pinned():
+    # One node each: the extractor (whatever its depth), the inner products
+    # and the basis norms, the gate, the ensemble and the loss; with
+    # regularizers, the basis Gram, each term and their weighted sum.
+    def nodes(model, X, y, reg=RegConfig()):
+        return _op_nodes(*_build_objective(model, X, y, reg, "E2E"))
+
+    model, X, y = build_small_gdu(0, "CS")
+    assert nodes(model, X, y) == 6
+    rng = np.random.default_rng(0)
+    X10, y3 = rng.normal(size=(64, 10)), rng.integers(0, 3, size=64)
+    deep = GduModel(init_feature_extractor([10, 32, 16], 0),
+                    init_layer(4, 10, 16, 3, 1, "CS", KernelConfig(3.0), 20.0))
+    assert nodes(deep, X10, y3) == 6
+    assert nodes(init_erm_model([4, 6, 3], 3, 1, 0), X, y) == 3
+    assert nodes(model, X, y, RegConfig(lambda_ols=0.5, lambda_l1=0.5)) == 10
+    projection, X, y = build_small_gdu(0, "PROJECTION")
+    for variant in ORTH_VARIANTS:
+        reg = RegConfig(lambda_ols=0.5, lambda_orth=0.5, orth_variant=variant)
+        assert nodes(projection, X, y, reg) == 10, variant
 
 
 def test_erm_model_gradients_match_fd():
@@ -465,8 +489,8 @@ def test_nonfinite_gradient_names_its_block(monkeypatch):
     import gdu.training as training_module
 
     def forward_with_nan_bias_gradient(X, layer, beta=None):
-        nan_grad = ad.summation(ad.sqrt(layer.bias - layer.bias)) * 0.0
-        return forward_batch(X, layer, beta=beta) + nan_grad
+        nan_grad = summation(sqrt(sub(layer.bias, layer.bias))) * 0.0
+        return add(forward_batch(X, layer, beta=beta), nan_grad)
 
     monkeypatch.setattr(training_module, "forward_batch", forward_with_nan_bias_gradient)
     model, X, y = build_small_gdu(12, "CS")
