@@ -6,7 +6,13 @@ key-length-value blocks, then ``end``.
 * ``field <key> <token>`` - one scalar or string field (floats are hex
   encoded so round-trips are bit-exact; ``-`` encodes None).
 * ``block <key> <ndim> <dim...> <count>`` - a matrix block, followed by
-  ``count`` whitespace-separated hex floats (wrapped across lines).
+  ``count`` hex floats, eight to a line and separated by single spaces.
+
+Every float is written as ``float.hex`` writes it, byte for byte, and all
+of a block's values are encoded at once: a few numpy passes over their
+bits fill one fixed-width ASCII row per value (sign, ``0x1.`` or
+``0x0.``, 13 hex fraction digits, exponent, separator), and one mask
+drops the rows' NUL padding. Nothing may follow ``end``.
 
 A model is written as kind ``gdu-model``, or as kind ``erm-model`` when its
 layer is UNIFORM: an ERM model stores no bases and no kernel, only its
@@ -14,10 +20,11 @@ heads' activation and one weight and one bias block per head. Both kinds
 start with the extractor (``field fe_layers 0`` when there is none), so a
 layer on its own is saved as the model ``GduModel(None, layer)``.
 
-Readers reject unknown versions and truncated or malformed blocks, each
-with a :class:`CheckpointError`. A token that is not a hex float or a
-count names its field or block; model parts that do not fit together
-(shapes, sizes) carry the constructor's ``ValueError`` as the cause.
+Readers reject unknown versions, truncated or malformed blocks and any
+token after ``end``, each with a :class:`CheckpointError`. A token that
+is not a hex float or a count names its field or block; model parts that
+do not fit together (shapes, sizes) carry the constructor's
+``ValueError`` as the cause.
 """
 
 from __future__ import annotations
@@ -49,16 +56,73 @@ def _field_token(value) -> str:
         return "-"
     if isinstance(value, str):
         return value
-    return float(value).hex()
+    return _hex_text(value)
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+# ``_hex_text`` writes each value into one row of ``_ROW_BYTES`` bytes, NUL
+# wherever its token is shorter than the row:
+#   0      the sign, '-' or NUL
+#   1:5    '0x1.', or '0x0.' below the normal range
+#   5:18   the 52-bit fraction as 13 hex digits
+#   18:24  'p', the exponent's sign and its 1-4 decimal digits
+#   24     ' ' or '\n' after the value, NUL after the last one
+#   25     NUL, so that a row holds whole 2-byte hex pairs
+_ROW_BYTES = 26
+_HEX_DIGITS = _ascii("0123456789abcdef")
+# The two hex digits of each byte value, read as one uint16.
+_HEX_PAIRS = np.frombuffer(b"".join(b"%02x" % v for v in range(256)), dtype=np.uint16)
+# Bytes 18:24 for each biased exponent: 'p-1022' for subnormals (0) and
+# 'p+<e - 1023>' above; zeros, infinities and NaNs are patched after.
+_EXPONENTS = np.frombuffer(
+    b"".join(b"%-6s" % (b"p%+d" % (max(e, 1) - 1023)) for e in range(2048)).replace(b" ", b"\0"),
+    dtype=np.uint8,
+).reshape(2048, 6)
+
+
+def _hex_text(array) -> str:
+    """The values of ``array`` in C order as ``float.hex`` tokens, byte for byte.
+
+    ``_VALUES_PER_LINE`` tokens per line, separated by ``' '``, with no
+    newline after the last. Each value's bits (little-endian) fill one row
+    of fixed layout (see ``_ROW_BYTES``) in a few vectorized passes, and
+    one mask drops the NUL padding of all rows at once.
+    """
+    raw = np.ascontiguousarray(array, dtype="<f8").reshape(-1).view(np.uint8).reshape(-1, 8)
+    biased = ((raw[:, 7] & 0x7F).astype(np.uint16) << 4) | (raw[:, 6] >> 4)
+    rows = np.zeros((len(raw), _ROW_BYTES), dtype=np.uint8)
+    rows[:, 0] = (raw[:, 7] >> 7) * ord("-")
+    rows[:, 1:5] = _ascii("0x1.")
+    rows[:, 5] = _HEX_DIGITS[raw[:, 6] & 0xF]
+    rows.view(np.uint16)[:, 3:9] = _HEX_PAIRS.take(raw[:, 5::-1])
+    rows[:, 18:24] = _EXPONENTS.take(biased, axis=0)
+    rows[:, 24] = ord(" ")
+    rows[_VALUES_PER_LINE - 1 :: _VALUES_PER_LINE, 24] = ord("\n")
+    rows[-1:, 24] = 0
+    low, high = biased == 0, biased == 0x7FF
+    if low.any() or high.any():
+        fraction = raw[:, :6].any(axis=1) | (raw[:, 6] & 0xF).astype(bool)
+        rows[low, 3] = ord("0")
+        zero = low & ~fraction
+        rows[zero, 6:24] = 0
+        rows[zero, 18:21] = _ascii("p+0")
+        rows[high, 1:24] = 0
+        rows[high & ~fraction, 1:4] = _ascii("inf")
+        nan = high & fraction
+        rows[nan, 0] = 0
+        rows[nan, 1:4] = _ascii("nan")
+    return rows[rows != 0].tobytes().decode("ascii")
 
 
 def _emit_block(lines: list, key: str, array: np.ndarray):
     array = np.asarray(array, dtype=np.float64)
     dims = " ".join(str(d) for d in array.shape)
     lines.append(f"block {key} {array.ndim} {dims} {array.size}".rstrip())
-    flat = array.ravel().tolist()
-    for start in range(0, len(flat), _VALUES_PER_LINE):
-        lines.append(" ".join(map(float.hex, flat[start : start + _VALUES_PER_LINE])))
+    if array.size:
+        lines.append(_hex_text(array))
 
 
 def _count(token: str, what: str) -> int:
@@ -243,6 +307,8 @@ def model_from_text(text: str) -> GduModel:
         fe = _read_fe(reader)
         layer = read_layer(reader)
         reader.expect("end")
+        if reader.pos < len(reader.tokens):
+            raise CheckpointError(f"unexpected {reader.tokens[reader.pos]!r} after 'end'")
         return GduModel(fe, layer)
     except CheckpointError:
         raise

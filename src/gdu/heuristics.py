@@ -58,18 +58,35 @@ class ScoreRow:
     std_db: float
 
 
-def _kmeans_pp_init(X, k, rng):
+def _distances_to_row(X, xx, c, twice_g, out):
+    """``max((xx + ||c||^2) - 2 X c, 0)`` into ``out`` (n,): the operations of
+    :func:`_distances_to` for one centroid. ``twice_g`` (n,) is a work buffer.
+    """
+    np.matmul(X, c, out=twice_g)
+    twice_g *= 2.0
+    np.add(xx, np.dot(c, c), out=out)
+    np.subtract(out, twice_g, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _kmeans_pp_init(X, xx, k, rng):
+    """k-means++ seeding of k centroids; ``xx`` holds the rows' squared norms.
+
+    Each row's D^2 to a new centroid takes one matrix-vector product and a
+    few vector passes into reused buffers (:func:`_distances_to_row`).
+    """
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    closest = np.sum((X - centroids[0]) ** 2, axis=1)
+    twice_g, d2 = np.empty(n), np.empty(n)
+    closest = _distances_to_row(X, xx, centroids[0], twice_g, np.empty(n))
     for i in range(1, k):
         total = closest.sum()
         if total <= 0.0:
             centroids[i] = X[rng.integers(n)]
             continue
         centroids[i] = X[rng.choice(n, p=closest / total)]
-        closest = np.minimum(closest, np.sum((X - centroids[i]) ** 2, axis=1))
+        np.minimum(closest, _distances_to_row(X, xx, centroids[i], twice_g, d2), out=closest)
     return centroids
 
 
@@ -183,7 +200,7 @@ def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResu
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n rows, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(X, k, rng)
+    centroids = _kmeans_pp_init(X, xx, k, rng)
     columns = np.ascontiguousarray(X.T) if 2 <= X.shape[1] <= _BINCOUNT_MAX_WIDTH else None
     G, twice_g, D = np.empty((n, k)), np.empty((k, n)), np.empty((k, n))
     rows = np.arange(n)

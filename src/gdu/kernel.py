@@ -24,11 +24,14 @@ exponent slightly above 0 where two rows nearly coincide; the clamp keeps
 every kernel value in [0, 1]. The products ``x_k (2c y_k)`` round
 differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
 to rounding (~1e-16). :func:`squared_distances` keeps the explicit
-``||x||^2 + ||y||^2 - 2 x.y`` form for its callers that need distances,
-not kernel values: :func:`median_heuristic` and
-:func:`gdu.heuristics.davies_bouldin`. :func:`gdu.heuristics.kmeans`
-runs the same operations in the same order into reused, transposed
-buffers, so its distances equal ``squared_distances(X, C).T`` bit for bit.
+``||x||^2 + ||y||^2 - 2 x.y`` form for :func:`gdu.heuristics.davies_bouldin`,
+which needs distances, not kernel values. Two callers run the same
+operations in the same order without building the full (n, m) matrix of
+temporaries, so their distances equal its entries bit for bit:
+:func:`median_heuristic` evaluates only the pairs ``i < j`` of
+``squared_distances(X, X)``, in place and in row blocks, and
+:func:`gdu.heuristics.kmeans` writes ``squared_distances(X, C).T`` into
+reused, transposed buffers.
 """
 
 from __future__ import annotations
@@ -205,8 +208,9 @@ def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
         # tensor gets a copy that the caller may change.
         K = G.copy() if x_t or y_t else G
     else:
-        K = blocks.sum(axis=3) / n_y
-        K = K.sum(axis=1) / n_x
+        # A side of one row has means of one value each: no reduction runs.
+        K = blocks.sum(axis=3) / n_y if n_y > 1 else blocks[..., 0]
+        K = K.sum(axis=1) / n_x if n_x > 1 else K[:, 0]
     if not x_t and not y_t:
         return K
     scale = 1.0 / (n_x * n_y * cfg.sigma**2)
@@ -260,12 +264,58 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
     return ad.Tensor(K, (X,), bw)
 
 
+# Row-block height of :func:`_upper_squared_distances`. Its temporaries
+# are one (_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS) square and that square's
+# upper triangle, and a block's pairs stay in cache between their passes;
+# 64 rows were fastest at 2000 x 64 (timed against 32, 128 and 256).
+_PAIR_BLOCK_ROWS = 64
+# The pairs j > i of a square block; its (h, h) corner serves a shorter last block.
+_UPPER_PAIRS = np.triu(np.ones((_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS), dtype=bool), 1)
+
+
+def _upper_squared_distances(X):
+    """The squared distances ``squared_distances(X, X)[i, j]`` for ``i < j``, bit for bit.
+
+    Each is ``max((xx_i + xx_j) - 2 G_ij, 0)`` over ``G = X @ X.T`` (one
+    symmetric matmul), as in :func:`squared_distances`, evaluated in place
+    in one (n (n - 1) / 2,) vector. Rows are taken in blocks: the
+    rectangle of a block's rows against all later rows is written straight
+    into the vector, and the block's own upper triangle is picked out of a
+    small square. The pairs are therefore not in row-major order, which
+    the median, an order statistic, does not see.
+    """
+    n = X.shape[0]
+    xx = np.sum(X * X, axis=-1)
+    G = X @ X.T
+    pairs = np.empty(n * (n - 1) // 2)
+    start = 0
+    for lo in range(0, n, _PAIR_BLOCK_ROWS):
+        hi = min(lo + _PAIR_BLOCK_ROWS, n)
+        h = hi - lo
+        twice_g = G[lo:hi, lo:]
+        twice_g *= 2.0
+        square = np.add(xx[lo:hi, None], xx[None, lo:hi])
+        square -= twice_g[:, :h]
+        upper = square[_UPPER_PAIRS[:h, :h]]
+        block = pairs[start : start + upper.size + h * (n - hi)]
+        block[: upper.size] = upper
+        rect = block[upper.size :].reshape(h, n - hi)
+        np.add(xx[lo:hi, None], xx[None, hi:], out=rect)
+        rect -= twice_g[:, h:]
+        np.maximum(block, 0.0, out=block)
+        start += block.size
+    return pairs
+
+
 def median_heuristic(X) -> float:
     """Bandwidth from the median of squared pairwise distances.
 
     Uses distinct unordered pairs ``i < j`` and returns
     ``sigma = sqrt(median)``. Even-length medians are the arithmetic mean of
-    the two central values.
+    the two central values. The pair values are those of
+    :func:`squared_distances` bit for bit (see
+    :func:`_upper_squared_distances`), so sigma equals
+    ``sqrt(np.median(squared_distances(X, X)[np.triu_indices(n, 1)]))``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -275,9 +325,8 @@ def median_heuristic(X) -> float:
         raise ValueError(f"median_heuristic needs at least two rows, got {n}")
     if not np.all(np.isfinite(X)):
         raise ValueError("median_heuristic needs finite rows")
-    d2 = squared_distances(X, X)
+    pairs = _upper_squared_distances(X)
     # np.median's result, from one in-place partition of the pair values.
-    pairs = np.concatenate([d2[i, i + 1 :] for i in range(n - 1)])
     k = pairs.size // 2
     pairs.partition(k)
     if pairs.size % 2:

@@ -465,7 +465,7 @@ def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n rows, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(X, k, rng)
+    centroids = _kmeans_pp_init(X, np.sum(X * X, axis=-1), k, rng)
     assignments = np.full(n, -1)
     last_inertia = np.inf
     iterations, converged, reseeds = 0, False, 0

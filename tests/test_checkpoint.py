@@ -261,3 +261,28 @@ def test_rejects_bad_version_and_truncation():
         model_from_text(text.replace("field kind gdu-model", "field kind mystery", 1))
     with pytest.raises(CheckpointError, match="kind 'layer'"):
         model_from_text(text.replace("field kind gdu-model", "field kind layer", 1))
+
+
+def test_tokens_after_end_raise_checkpoint_errors():
+    with pytest.raises(CheckpointError, match="'gdu-checkpoint' after 'end'"):
+        model_from_text(V1_GDU_TEXT + V1_ERM_TEXT)
+    with pytest.raises(CheckpointError, match="'garbage' after 'end'"):
+        model_from_text(V1_ERM_TEXT + "garbage 1 2 3\n")
+    # Trailing whitespace is not a token.
+    assert model_to_text(model_from_text(V1_GDU_TEXT + "\n  \n")) == V1_GDU_TEXT
+
+
+def test_non_finite_and_signed_zero_machine_weights_round_trip():
+    layer = awkward_layer()
+    layer.weights[0, 0, 0] = np.nan
+    layer.weights[1, 2, 1] = -np.inf
+    layer.weights[2, 1, 0] = np.inf
+    layer.bias[1, 0] = -0.0
+    layer.bias[2, 1] = 5e-324
+    text = model_to_text(GduModel(None, layer))
+    tokens = set(text.split())
+    assert {"nan", "inf", "-inf", "-0x0.0p+0", "0x0.0000000000001p-1022"} <= tokens
+    restored = model_from_text(text).layer
+    np.testing.assert_array_equal(restored.weights, layer.weights)
+    assert np.signbit(restored.bias[1, 0]) and restored.bias[2, 1] == 5e-324
+    assert model_to_text(GduModel(None, restored)) == text

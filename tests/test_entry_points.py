@@ -1,11 +1,13 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
 every function the benchmark's tracer wraps, every name a module exports
 and every ``gdu.autodiff`` attribute a module reads; the exports of the
-package and of ``gdu.autodiff`` are pinned."""
+package and of ``gdu.autodiff`` are pinned, and the package imports
+nothing beyond the standard library and numpy."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 import tomllib
 from pathlib import Path
 
@@ -123,3 +125,31 @@ def test_every_autodiff_name_a_module_reads_exists():
             assert hasattr(autodiff, name), f"{path.name}:{line} reads autodiff.{name}"
     reads = _autodiff_reads(ast.parse("from . import autodiff as ad\nad.exp(ad.Tensor)"))
     assert sorted(reads) == [(2, "Tensor"), (2, "exp")]
+
+
+def _foreign_imports(tree):
+    """``(line, module)`` for every absolute import outside the stdlib, numpy and gdu."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gdu"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.partition(".")[0] not in allowed]
+    return found
+
+
+def test_the_package_imports_only_the_stdlib_and_numpy():
+    # gdu is numpy-only; scipy and the test tools being installed would
+    # otherwise hide a slip until the package runs where they are not.
+    import gdu
+
+    for path in sorted(Path(gdu.__file__).parent.glob("*.py")):
+        foreign = _foreign_imports(ast.parse(path.read_text()))
+        assert not foreign, f"{path.name} imports {foreign}"
+    snippet = "import os, scipy.linalg\nfrom numpy import linalg\nfrom . import kernel\n"
+    snippet += "def f():\n    from hypothesis import given\n"
+    assert _foreign_imports(ast.parse(snippet)) == [(1, "scipy.linalg"), (5, "hypothesis")]

@@ -9,13 +9,16 @@ from gdu import autodiff as ad
 from gdu.kernel import (
     DegenerateDataError,
     DimensionMismatchError,
+    _PAIR_BLOCK_ROWS,
     KernelConfig,
     _gaussian_exponent,
+    _upper_squared_distances,
     gaussian_kernel,
     gram,
     gram_block_means,
     gram_diagonal_block_means,
     median_heuristic,
+    squared_distances,
 )
 
 from oracles import fd_gradient, max_relative_error, mean, mul, summation
@@ -256,14 +259,36 @@ def test_gram_diagonal_block_means_matches_per_block_mean():
         gram_diagonal_block_means(X, CFG, 5)
 
 
+def median_heuristic_cases(rng):
+    """(n, e) rows: odd and even pair counts, and sizes that span several
+    row blocks of the pair loop (one more or less than a multiple of its
+    height), with e in {1, 3, 16} and some rows repeated."""
+    for n in (2, 3, 4, 5, 8, 50, 51):  # pair counts 1, 3, 6, 10, 28, 1225, 1275
+        yield rng.normal(size=(n, 3))
+    b = _PAIR_BLOCK_ROWS
+    for n in (b - 1, b, b + 1, 3 * b + 7):
+        for e in (1, 3, 16):
+            X = rng.normal(size=(n, e))
+            X[n // 2 :: 5] = X[1]
+            yield X
+
+
 def test_median_heuristic_matches_np_median_for_odd_and_even_pair_counts():
     rng = np.random.default_rng(26)
-    for n in (2, 3, 4, 5, 8, 50, 51):  # pair counts 1, 3, 6, 10, 28, 1225, 1275
-        X = rng.normal(size=(n, 3))
+    for X in median_heuristic_cases(rng):
+        n = len(X)
         xx = np.sum(X * X, axis=1)
         d2 = np.maximum(xx[:, None] + xx[None, :] - 2.0 * (X @ X.T), 0.0)
         expected = math.sqrt(float(np.median(d2[np.triu_indices(n, k=1)])))
         assert median_heuristic(X) == expected
+
+
+def test_median_pairs_are_the_upper_triangle_of_squared_distances_bit_for_bit():
+    rng = np.random.default_rng(27)
+    for X in median_heuristic_cases(rng):
+        pairs = _upper_squared_distances(X)
+        upper = squared_distances(X, X)[np.triu_indices(len(X), k=1)]
+        np.testing.assert_array_equal(np.sort(pairs), np.sort(upper))
 
 
 def test_median_heuristic_rejects_non_finite_rows():

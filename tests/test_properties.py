@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdu import heuristics
-from gdu.checkpoint import model_from_text, model_to_text
+from gdu.checkpoint import _VALUES_PER_LINE, _emit_block, model_from_text, model_to_text
 from gdu.kernel import KernelConfig, gram, gram_block_means, gram_diagonal_block_means
 from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
 from gdu.regularization import RegConfig, omega_ols
@@ -41,6 +41,37 @@ def layers_and_batches(draw, modes=GATING_MODES):
     layer.bias += rng.normal(size=(m, c))
     X = rng.normal(size=(draw(st.integers(1, 6)), e))
     return layer, X
+
+
+# Bit patterns of the float64 classes the encoder treats apart: signed
+# zeros, subnormals, the normal range's ends, infinities and NaNs with
+# either sign and any payload.
+EDGE_BITS = [
+    0, 1 << 63, 1, (1 << 52) - 1, 1 << 52, 0x7FEFFFFFFFFFFFFF, 0x3FF0000000000000,
+    0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+]
+float_bits = st.one_of(st.sampled_from(EDGE_BITS), st.integers(0, 2**64 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(float_bits, max_size=40), st.sampled_from(["flat", "0-d", "rows"]))
+def test_block_encoder_writes_float_hex_lines(bits, layout):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    if layout == "0-d" and values.size:
+        values = values[:1].reshape(())
+    elif layout == "rows":
+        # A transposed view: the encoder must read it in C order.
+        values = values[: values.size // 2 * 2].reshape(2, -1).T
+    lines = []
+    _emit_block(lines, "x", values)
+    flat = [float(v) for v in values.ravel()]
+    expected = [
+        " ".join(map(float.hex, flat[i : i + _VALUES_PER_LINE]))
+        for i in range(0, len(flat), _VALUES_PER_LINE)
+    ]
+    assert lines[0].endswith(f" {values.size}")
+    assert lines[1:] == (["\n".join(expected)] if expected else [])
 
 
 @SETTINGS
