@@ -1,6 +1,6 @@
 """Gated domain units: kernel mean embedding ensembles for domain generalization."""
 
-from .kernel import KernelConfig, gaussian_kernel, gram, median_heuristic
+from .kernel import KernelConfig, gram, median_heuristic
 from .rkhs import EmpiricalKme, kme_inner, kme_norm_sq, mmd_sq, rkhs_cosine
 from .layer import GduLayer, LearningMachine, forward_batch, gate_matrix, init_layer
 from .regularization import (

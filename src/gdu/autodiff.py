@@ -5,19 +5,19 @@ output gradient to its parents. Calling ``backward()`` on a scalar output
 walks the tape in reverse topological order and accumulates ``grad`` on
 every reachable tensor.
 
-There is no library of ops here. Each term of the training objective (the
-extractor, the kernel statistics, the gate, the ensemble, the loss and each
-regularizer) is one node that its own module builds with a closed-form
+There is no library of ops here, and a tensor has no arithmetic
+operators. Each term of the training objective (the extractor, the kernel
+statistics, the gate, the ensemble, the loss, each regularizer and their
+weighted sum) is one node that its own module builds with a closed-form
 backward, and whose forward runs the same numpy operations for arrays and
-tensors. The only operators a tensor has are ``+`` and multiplication by a
-scalar, enough to add up weighted terms. ``tests/oracles.py`` keeps the
-generic per-op functions that reference chains and tests still use.
+tensors. ``tests/oracles.py`` keeps the generic per-op functions that
+reference chains and tests still use.
 
-Only tensors are differentiated. A numpy array or scalar operand of a
-tensor operation is a constant: it is not recorded on the tape, and no
-gradient is computed for it. A closure must not reference the node it is
-the backward of: that reference cycle would keep every graph alive until
-the cyclic garbage collector runs.
+Only tensors are differentiated. A node records only its tensor operands
+as parents; a numpy array or scalar operand is a constant, and no gradient
+is computed for it. A closure must not reference the node it is the
+backward of: that reference cycle would keep every graph alive until the
+cyclic garbage collector runs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    # Make numpy defer binary operations to our reflected operators.
+    # Numpy defers a binary operation with a tensor to the tensor, which
+    # has no operators, so mixing the two raises TypeError.
     __array_ufunc__ = None
 
     def __init__(self, data, parents=(), backward=None):
@@ -81,35 +82,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def __add__(self, other):
-        """Sum with a tensor or constant; a tensor operand must not broadcast."""
-        out = self.data + value_of(other)
-        parents = tuple(t for t in (self, other) if isinstance(t, Tensor))
-        for t in parents:
-            if t.data.shape != out.shape:
-                raise ValueError(f"+ does not broadcast a tensor of shape {t.data.shape}")
-
-        def bw(g):
-            for t in parents:
-                t._accumulate(g)
-
-        return Tensor(out, parents, bw)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        """Product with a scalar constant."""
-        if isinstance(scalar, Tensor) or np.ndim(scalar) != 0:
-            return NotImplemented
-        parent = self
-
-        def bw(g):
-            parent._accumulate(g * scalar)
-
-        return Tensor(self.data * scalar, (parent,), bw)
-
-    __rmul__ = __mul__
 
 
 def tensor(data):

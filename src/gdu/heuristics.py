@@ -176,16 +176,15 @@ def _cluster_means(X, columns, assignments, counts, out):
     out /= counts[:, None]
 
 
-def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResult:
+def kmeans(X, k: int, seed: int) -> ClusteringResult:
     """Lloyd's algorithm with k-means++ seeding; deterministic given seed.
 
     Runs to an assignment fixpoint or 300 iterations. Empty clusters are
     re-seeded from the point farthest from its assigned centroid; X with
     fewer than k distinct rows, which leaves a cluster empty however it is
     re-seeded, raises a ValueError. So do rows whose squared norms would
-    overflow a distance. With
-    ``check_monotone`` the non-increasing inertia invariant is asserted
-    every iteration.
+    overflow a distance. The inertia never increases from one iteration to
+    the next; the ``kmeans_loop`` oracle can assert that as it runs.
 
     Each centroid is its members' sum in row order over their count, the
     value of ``X[assignments == j].mean(axis=0)``, formed without a mask per
@@ -205,14 +204,9 @@ def kmeans(X, k: int, seed: int, check_monotone: bool = False) -> ClusteringResu
     G, twice_g, D = np.empty((n, k)), np.empty((k, n)), np.empty((k, n))
     rows = np.arange(n)
     assignments = np.full(n, -1)
-    last_inertia = np.inf
     for _ in range(_MAX_LLOYD_ITER):
         _distances_to(X, xx, centroids, G, twice_g, D)
         new_assignments = _nearest(D)
-        if check_monotone:
-            inertia = float(D[new_assignments, rows].sum())
-            assert inertia <= last_inertia + 1e-9, "inertia increased"
-            last_inertia = inertia
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments

@@ -47,7 +47,6 @@ __all__ = [
     "KernelConfig",
     "DimensionMismatchError",
     "DegenerateDataError",
-    "gaussian_kernel",
     "gram",
     "gram_block_means",
     "gram_diagonal_block_means",
@@ -79,17 +78,6 @@ def _check_feature_dims(name_a, dim_a, name_b, dim_b):
         raise DimensionMismatchError(
             f"{name_a} has dimension {dim_a} but {name_b} has dimension {dim_b}"
         )
-
-
-def gaussian_kernel(x, y, cfg: KernelConfig) -> float:
-    """Evaluate ``k(x, y)`` for two vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("gaussian_kernel expects 1-D vectors")
-    _check_feature_dims("x", x.shape[0], "y", y.shape[0])
-    d2 = float(np.sum((x - y) ** 2))
-    return math.exp(-d2 / (2.0 * cfg.sigma**2))
 
 
 def squared_distances(X, Y):

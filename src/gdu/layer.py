@@ -125,6 +125,8 @@ class GduLayer:
             raise ValueError(f"unknown gating mode {self.mode!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.kappa is not None and self.mode not in GEOMETRY_MODES:
+            raise ValueError(f"a {self.mode} layer takes no kappa, got kappa={self.kappa}")
         w, b = ad.value_of(self.weights).shape, ad.value_of(self.bias).shape
         if len(w) != 3 or min(w) < 1 or b != w[1:]:
             raise ValueError(

@@ -16,10 +16,10 @@ extractor (:func:`fe_forward`, however many layers), the kernel statistics,
 the gate and the ensemble (:mod:`gdu.layer`), the loss
 (:func:`cross_entropy_mean`), and each regularizer plus their weighted sum
 (:mod:`gdu.regularization`). Without regularizers a GDU step's tape has
-six nodes and an ERM step's three; in FT mode the frozen extractor is a
-constant and no node.
+six nodes and an ERM step's three.
 Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
-extractor, so features are extracted once and only layer parameters move.
+extractor. :func:`_trained_part` alone tells them apart: FT trains the
+model without its extractor on features extracted once.
 
 :func:`train` keeps the trained blocks in one contiguous float64 vector: it
 rebinds each trained parameter attribute of the model (``fe.weights[i]``,
@@ -154,6 +154,10 @@ class DatasetSplits:
             raise ValueError("train and validation splits must be nonempty")
         if len(self.train_x) != len(self.train_y) or len(self.val_x) != len(self.val_y):
             raise ValueError("features and labels must have matching lengths")
+        for name in ("train_x", "val_x"):
+            x = np.asarray(getattr(self, name), dtype=np.float64)
+            if x.ndim != 2 or not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} must be a finite 2-D array, got shape {x.shape}")
         for name in ("train_y", "val_y"):
             labels = np.asarray(getattr(self, name))
             if labels.ndim != 1 or np.any(labels < 0) or np.any(labels != np.floor(labels)):
@@ -168,25 +172,16 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 50
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     reg: RegConfig = field(default_factory=RegConfig)
-    track_srip: bool = False
 
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
-        for name in ("learning_rate", "adam_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {value}")
+        lr = self.learning_rate
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {lr}")
         if not (1 <= self.patience <= self.max_epochs):
             raise ValueError("patience must satisfy 1 <= patience <= max_epochs")
 
@@ -356,14 +351,29 @@ def cross_entropy_mean(logits, labels):
 # -- objective graph ---------------------------------------------------------
 
 
-def _parameter_slots(model, train_mode: str) -> list:
-    """``(name, owner, key)`` for every block trained in this mode, in order.
+def _trained_part(model, train_mode: str, *inputs) -> tuple:
+    """The part of ``model`` that ``train_mode`` trains, then the inputs it reads.
+
+    E2E trains the whole model on the raw inputs, which come back as they
+    are. FT freezes the extractor: the part is the model without it (the
+    layer is shared, not copied), and each input is replaced by its
+    extractor features, computed here once.
+    """
+    if train_mode not in TRAIN_MODES:
+        raise ValueError(f"unknown training mode {train_mode!r}")
+    if train_mode == "E2E":
+        return (model, *inputs)
+    return (replace(model, fe=None), *(np.asarray(fe_forward(x, model.fe)) for x in inputs))
+
+
+def _parameter_slots(model) -> list:
+    """``(name, owner, key)`` for every block of ``model``, in order.
 
     The block is ``owner[key]`` for an integer key (the extractor's lists)
     and the attribute ``key`` of ``owner`` otherwise.
     """
     slots = []
-    if model.fe is not None and train_mode == "E2E":
+    if model.fe is not None:
         for i in range(len(model.fe.weights)):
             slots += [(f"fe.w{i}", model.fe.weights, i), (f"fe.b{i}", model.fe.biases, i)]
     for key in ("bases", "weights", "bias"):
@@ -385,9 +395,8 @@ def _set_slot(owner, key, value):
 
 def trainable_arrays(model, train_mode: str) -> dict:
     """Name -> live parameter array for every tensor trained in this mode."""
-    return {
-        name: _get_slot(owner, key) for name, owner, key in _parameter_slots(model, train_mode)
-    }
+    (part,) = _trained_part(model, train_mode)
+    return {name: _get_slot(owner, key) for name, owner, key in _parameter_slots(part)}
 
 
 def _block_views(flat, shapes) -> list:
@@ -400,14 +409,14 @@ def _block_views(flat, shapes) -> list:
     return views
 
 
-def _pack_parameters(model, train_mode: str):
-    """Move the blocks trained in this mode into one float64 vector.
+def _pack_parameters(model):
+    """Move the blocks of ``model`` into one float64 vector.
 
     Copies the blocks, in :func:`trainable_arrays` order, into a new
     contiguous vector and rebinds each parameter attribute of ``model`` to
     its view of it; returns the vector.
     """
-    slots = _parameter_slots(model, train_mode)
+    slots = _parameter_slots(model)
     arrays = [_get_slot(owner, key) for _, owner, key in slots]
     flat = np.concatenate([np.ravel(arr) for arr in arrays], dtype=np.float64)
     for (_, owner, key), view in zip(slots, _block_views(flat, [np.shape(a) for a in arrays])):
@@ -415,8 +424,8 @@ def _pack_parameters(model, train_mode: str):
     return flat
 
 
-def _graph_model(model, train_mode: str):
-    """A copy of ``model`` whose trained blocks are fresh tape leaves.
+def _graph_model(model):
+    """A copy of ``model`` whose blocks are fresh tape leaves.
 
     Only the objects that hold a trained block are copied, shallowly; their
     other fields, already validated on ``model``, are shared. Returns the
@@ -428,15 +437,15 @@ def _graph_model(model, train_mode: str):
         graph.fe.weights, graph.fe.biases = list(graph.fe.weights), list(graph.fe.biases)
     graph.layer = copy.copy(graph.layer)
     params_t = {}
-    for name, owner, key in _parameter_slots(graph, train_mode):
+    for name, owner, key in _parameter_slots(graph):
         params_t[name] = ad.tensor(_get_slot(owner, key))
         _set_slot(owner, key, params_t[name])
     return graph, params_t
 
 
-def _build_objective(model, X, y, reg: RegConfig, train_mode: str):
+def _build_objective(model, X, y, reg: RegConfig):
     """Build the objective graph; returns (objective node, param tensors)."""
-    graph, params_t = _graph_model(model, train_mode)
+    graph, params_t = _graph_model(model)
     feats = fe_forward(X, graph.fe)
     # The gate's inner products are shared with the reconstruction term.
     a, beta = _inners_and_gate(feats, graph.layer)
@@ -448,8 +457,8 @@ def _build_objective(model, X, y, reg: RegConfig, train_mode: str):
 def objective(batch, model, reg: RegConfig) -> float:
     """Value of the training objective on ``batch = (X, y)``."""
     X, y = batch
-    obj, _ = _build_objective(model, np.asarray(X, dtype=np.float64), y, reg, "E2E")
-    return float(ad.value_of(obj))
+    obj, _ = _build_objective(model, np.asarray(X, dtype=np.float64), y, reg)
+    return float(obj.data)
 
 
 def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
@@ -459,9 +468,8 @@ def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
     result. Non-finite entries raise, naming the offending block.
     """
     X, y = batch
-    obj, params_t = _build_objective(
-        model, np.asarray(X, dtype=np.float64), y, reg, train_mode
-    )
+    part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
+    obj, params_t = _build_objective(part, X, y, reg)
     grad = _backprop(obj, params_t)
     return dict(zip(params_t, _block_views(grad, [t.shape for t in params_t.values()])))
 
@@ -470,13 +478,13 @@ def _backprop(obj, params_t: dict, where: str = "") -> np.ndarray:
     """Backpropagate ``obj``; return the blocks' gradients as one vector.
 
     The blocks lie in the order of ``params_t``, as in the parameter vector
-    of :func:`_pack_parameters`. Blocks the objective does not reach get
-    zeros. A non-finite entry raises, naming the first block that holds
-    one, with ``where`` appended to the message.
+    of :func:`_pack_parameters`; every node of the objective hands a
+    gradient to each of its parents, so each block has one. A non-finite
+    entry raises, naming the first block that holds one, with ``where``
+    appended to the message.
     """
-    if isinstance(obj, ad.Tensor):
-        obj.backward()
-    blocks = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in params_t.values()]
+    obj.backward()
+    blocks = [t.grad for t in params_t.values()]
     grad = np.concatenate([np.ravel(g) for g in blocks])
     if not np.all(np.isfinite(grad)):
         name = next(n for n, g in zip(params_t, blocks) if not np.all(np.isfinite(g)))
@@ -501,33 +509,36 @@ def accuracy(model, X, y) -> float:
 
 # -- the optimizer ------------------------------------------------------------
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba, arXiv:1412.6980).
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class _Adam:
     """Adam on one parameter vector, updated in place."""
 
-    def __init__(self, params: np.ndarray, cfg: TrainConfig):
+    def __init__(self, params: np.ndarray, learning_rate: float):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
-        self.cfg = cfg
+        self.learning_rate = learning_rate
 
     def step(self, params: np.ndarray, grad: np.ndarray):
-        c = self.cfg
         self.t += 1
-        self.m = c.adam_beta1 * self.m + (1 - c.adam_beta1) * grad
-        self.v = c.adam_beta2 * self.v + (1 - c.adam_beta2) * grad * grad
-        m_hat = self.m / (1 - c.adam_beta1**self.t)
-        v_hat = self.v / (1 - c.adam_beta2**self.t)
-        params -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+        self.m = _ADAM_BETA1 * self.m + (1 - _ADAM_BETA1) * grad
+        self.v = _ADAM_BETA2 * self.v + (1 - _ADAM_BETA2) * grad * grad
+        m_hat = self.m / (1 - _ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - _ADAM_BETA2**self.t)
+        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 # -- the training loop ---------------------------------------------------------
 
 
-def _epoch_metrics(model, feats_train, y_train, reg: RegConfig, track_srip: bool):
+def _epoch_metrics(model, feats_train, y_train, reg: RegConfig):
     """Task loss and raw regularizer values on the (extracted) training set.
 
-    A UNIFORM layer has no bases: it reports 0 for each term and no SRIP.
+    SRIP is always reported (it is ORTH under the default variant). A
+    UNIFORM layer has no bases: it reports 0 for each term and no SRIP.
     """
     layer = model.layer
     # One pass of kernel statistics feeds the gate and every regularizer.
@@ -540,7 +551,7 @@ def _epoch_metrics(model, feats_train, y_train, reg: RegConfig, track_srip: bool
     ols = _omega_ols_from_stats(a, k_bases, beta)
     orth = omega_orth(k_bases, reg.orth_variant)
     l1 = omega_l1(beta)
-    srip = omega_orth(k_bases, "SRIP") if track_srip else None
+    srip = orth if reg.orth_variant == "SRIP" else omega_orth(k_bases, "SRIP")
     return ce, ols, orth, l1, srip
 
 
@@ -556,22 +567,14 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     model before the call no longer follow it. In FT mode the extractor is
     left as it is.
     """
-    params = _pack_parameters(model, config.mode)
-    opt = _Adam(params, config)
+    part, train_x, val_x = _trained_part(
+        model, config.mode, np.asarray(data.train_x, dtype=np.float64), data.val_x
+    )
+    params = _pack_parameters(part)
+    opt = _Adam(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    n = len(data.train_x)
-    train_x = np.asarray(data.train_x, dtype=np.float64)
+    n = len(train_x)
     train_y = np.asarray(data.train_y, dtype=np.int64)
-
-    frozen_fe = config.mode == "FT" and model.fe is not None
-    if frozen_fe:
-        # The extractor never changes in FT mode: extract features once.
-        feats_train_const = np.asarray(fe_forward(train_x, model.fe))
-        feats_val_const = np.asarray(fe_forward(data.val_x, model.fe))
-        batch_model = replace(model, fe=None)
-    else:
-        feats_train_const = feats_val_const = None
-        batch_model = model
 
     trace = TrainTrace()
     best_val = -math.inf
@@ -581,28 +584,16 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            bx = feats_train_const[idx] if frozen_fe else train_x[idx]
-            by = train_y[idx]
-            obj, params_t = _build_objective(
-                batch_model, bx, by, config.reg, "E2E" if frozen_fe else config.mode
-            )
-            if not np.isfinite(float(ad.value_of(obj))):
+            obj, params_t = _build_objective(part, train_x[idx], train_y[idx], config.reg)
+            if not np.isfinite(float(obj.data)):
                 raise TrainingDivergedError(epoch)
-            if isinstance(obj, ad.Tensor):
-                opt.step(params, _backprop(obj, params_t, f" at epoch {epoch}"))
+            opt.step(params, _backprop(obj, params_t, f" at epoch {epoch}"))
 
-        feats_train = (
-            feats_train_const if frozen_fe else np.asarray(fe_forward(train_x, model.fe))
-        )
-        ce, ols, orth, l1, srip = _epoch_metrics(
-            model, feats_train, train_y, config.reg, config.track_srip
-        )
+        feats_train = np.asarray(fe_forward(train_x, part.fe))
+        ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y, config.reg)
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)
-        if frozen_fe:
-            val_acc = accuracy(batch_model, feats_val_const, data.val_y)
-        else:
-            val_acc = accuracy(model, data.val_x, data.val_y)
+        val_acc = accuracy(part, val_x, data.val_y)
         trace.append(TraceRow(epoch, ce, val_acc, srip, ols, orth, l1))
 
         if val_acc > best_val:

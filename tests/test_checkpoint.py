@@ -181,6 +181,14 @@ def test_parts_that_do_not_fit_raise_checkpoint_errors():
         model_from_text(V1_GDU_TEXT.replace("field mode PROJECTION", "field mode BOGUS"))
 
 
+def test_a_kappa_on_a_projection_layer_raises_a_checkpoint_error():
+    text = V1_GDU_TEXT.replace("field kappa -", "field kappa 0x1.9000000000000p+5")
+    match = "invalid gdu-model checkpoint: a PROJECTION layer takes no kappa, got kappa=50.0"
+    with pytest.raises(CheckpointError, match=match) as info:
+        model_from_text(text)
+    assert type(info.value.__cause__) is ValueError
+
+
 def awkward_layer():
     layer = init_layer(
         3, 4, 5, 2, seed=11, mode="PROJECTION", kernel=KernelConfig(sigma=7.5)

@@ -70,7 +70,6 @@ def test_public_surface_is_pinned():
         "autodiff",
         "forward_batch",
         "gate_matrix",
-        "gaussian_kernel",
         "gram",
         "init_layer",
         "kernel",

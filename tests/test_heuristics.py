@@ -52,10 +52,14 @@ def test_kmeans_separates_two_blobs():
 def test_kmeans_deterministic_and_monotone():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(50, 4))
-    a = kmeans(X, 5, seed=7, check_monotone=True)
+    a = kmeans(X, 5, seed=7)
     b = kmeans(X, 5, seed=7)
     np.testing.assert_array_equal(a.assignments, b.assignments)
     np.testing.assert_array_equal(a.centroids, b.centroids)
+    # The loop oracle is bit-identical to kmeans and asserts, every
+    # iteration, that the inertia does not increase.
+    oracle = kmeans_loop(X, 5, seed=7, check_monotone=True)
+    np.testing.assert_array_equal(oracle.centroids, a.centroids)
 
 
 def test_kmeans_rejects_bad_k():

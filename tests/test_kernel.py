@@ -13,7 +13,6 @@ from gdu.kernel import (
     KernelConfig,
     _gaussian_exponent,
     _upper_squared_distances,
-    gaussian_kernel,
     gram,
     gram_block_means,
     gram_diagonal_block_means,
@@ -21,7 +20,7 @@ from gdu.kernel import (
     squared_distances,
 )
 
-from oracles import fd_gradient, max_relative_error, mean, mul, summation
+from oracles import fd_gradient, kernel_value, max_relative_error, mean, mul, summation
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -32,11 +31,18 @@ def test_config_rejects_bad_sigma():
             KernelConfig(sigma=bad)
 
 
+def k(x, y, cfg=CFG) -> float:
+    """``k(x, y)`` for two vectors: the gram of two one-row inputs."""
+    G = gram(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), cfg)
+    assert G.shape == (1, 1)
+    return float(G[0, 0])
+
+
 def test_kernel_identity_is_one():
     rng = np.random.default_rng(0)
     for sigma in (0.3, 1.0, 7.5):
         x = rng.normal(size=5)
-        assert gaussian_kernel(x, x, KernelConfig(sigma)) == 1.0
+        assert k(x, x, KernelConfig(sigma)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_kernel_at_two_sigma_squared_distance():
@@ -44,23 +50,23 @@ def test_kernel_at_two_sigma_squared_distance():
     sigma = 1.7
     x = np.zeros(1)
     y = np.array([math.sqrt(2.0) * sigma])
-    assert gaussian_kernel(x, y, KernelConfig(sigma)) == pytest.approx(
-        math.exp(-1.0), abs=1e-15
-    )
+    assert k(x, y, KernelConfig(sigma)) == pytest.approx(math.exp(-1.0), abs=1e-15)
 
 
 def test_kernel_symmetry_and_range():
+    # The augmented matmul rounds x.(2c y) and y.(2c x) differently, so
+    # k(x, y) and k(y, x) agree up to rounding only.
     rng = np.random.default_rng(1)
     for _ in range(50):
         x, y = rng.normal(size=4), rng.normal(size=4)
-        kxy = gaussian_kernel(x, y, CFG)
-        assert kxy == gaussian_kernel(y, x, CFG)
+        kxy = k(x, y)
+        assert kxy == pytest.approx(k(y, x), rel=1e-14, abs=1e-16)
         assert 0.0 < kxy <= 1.0
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(DimensionMismatchError, match="3.*2|2.*3"):
-        gaussian_kernel(np.zeros(3), np.zeros(2), CFG)
+        k(np.zeros(3), np.zeros(2))
 
 
 def test_gram_matches_pairwise_kernel():
@@ -69,7 +75,7 @@ def test_gram_matches_pairwise_kernel():
     G = gram(X, Y, CFG)
     for i in range(4):
         for j in range(5):
-            assert G[i, j] == pytest.approx(gaussian_kernel(X[i], Y[j], CFG), abs=1e-14)
+            assert G[i, j] == pytest.approx(kernel_value(X[i], Y[j], CFG.sigma), abs=1e-14)
 
 
 def test_gram_unit_diagonal_and_transpose_symmetry():

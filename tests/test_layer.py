@@ -8,6 +8,7 @@ import pytest
 from gdu.kernel import KernelConfig
 from gdu.layer import (
     GATING_MODES,
+    GEOMETRY_MODES,
     UNIFORM,
     GduLayer,
     LearningMachine,
@@ -42,6 +43,8 @@ def make_layer(bases, mode, kappa=None, machines=None, cfg=CFG, n_outputs=2):
 
 
 def random_layer(rng, mode, m=3, n=4, e=3, c=2, kappa=2.0, sigma=1.0):
+    """A random layer; ``kappa`` applies to the geometry modes only."""
+    kappa = kappa if mode in GEOMETRY_MODES else None
     return init_layer(m, n, e, c, int(rng.integers(1 << 30)), mode, KernelConfig(sigma), kappa)
 
 
@@ -356,8 +359,9 @@ def test_uniform_layer_takes_no_bases_and_kernel_gates_need_them():
     with pytest.raises(ValueError, match="UNIFORM layer has no bases"):
         GduLayer(np.zeros((2, 4, 3)), w, b, CFG, UNIFORM)
     for mode in GATING_MODES:
+        kappa = 1.0 if mode in GEOMETRY_MODES else None
         with pytest.raises(ValueError, match="bases must form a nonempty"):
-            GduLayer(None, w, b, CFG, mode, kappa=1.0)
+            GduLayer(None, w, b, CFG, mode, kappa=kappa)
     with pytest.raises(ValueError, match="weights"):
         GduLayer(None, np.zeros((3, 0, 2)), np.zeros((0, 2)), None, UNIFORM)
 
@@ -365,14 +369,27 @@ def test_uniform_layer_takes_no_bases_and_kernel_gates_need_them():
 def test_kernel_gates_need_a_kernel():
     w, b = np.zeros((3, 2, 2)), np.zeros((2, 2))
     for mode in GATING_MODES:
+        kappa = 1.0 if mode in GEOMETRY_MODES else None
         with pytest.raises(ValueError, match=f"a {mode} layer needs a kernel"):
-            GduLayer(np.zeros((2, 4, 3)), w, b, None, mode, kappa=1.0)
+            GduLayer(np.zeros((2, 4, 3)), w, b, None, mode, kappa=kappa)
 
 
 def test_uniform_layer_takes_no_kernel():
     w, b = np.zeros((3, 2, 2)), np.zeros((2, 2))
     with pytest.raises(ValueError, match="UNIFORM layer has no bases and no kernel"):
         GduLayer(None, w, b, CFG, UNIFORM)
+
+
+def test_kappa_is_for_the_geometry_modes_only():
+    # The PROJECTION and UNIFORM gates never read kappa, so passing one is a mistake.
+    w, b = np.zeros((3, 2, 2)), np.zeros((2, 2))
+    for kappa in (50.0, 0.0):
+        with pytest.raises(ValueError, match=f"a PROJECTION layer takes no kappa, got kappa={kappa}"):
+            init_layer(2, 4, 3, 2, 0, "PROJECTION", CFG, kappa=kappa)
+        with pytest.raises(ValueError, match=f"a UNIFORM layer takes no kappa, got kappa={kappa}"):
+            GduLayer(None, w, b, None, UNIFORM, kappa=kappa)
+    assert init_layer(2, 4, 3, 2, 0, "PROJECTION", CFG).kappa is None
+    assert GduLayer(None, w, b, None, UNIFORM).kappa is None
 
 
 def test_geometry_kappa_must_be_finite():

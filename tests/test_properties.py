@@ -193,14 +193,14 @@ def _tiny_run(mode, seed):
     data = DatasetSplits(X[:36], y[:36], X[36:], y[36:])
     if mode == "UNIFORM":
         model = init_erm_model([2, 4], 2, n_heads=2, seed=seed, activation="tanh")
-        reg, srip = RegConfig(), False
+        reg = RegConfig()
     else:
         fe = init_feature_extractor([2, 4], seed, "tanh")
         layer = init_layer(2, 3, 4, 2, seed + 1, mode, KernelConfig(2.0), kappa=2.0)
         model = GduModel(fe, layer)
-        reg, srip = RegConfig(lambda_ols=1e-2, lambda_l1=1e-2), True
+        reg = RegConfig(lambda_ols=1e-2, lambda_l1=1e-2)
     config = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=3, patience=3,
-                         seed=seed, reg=reg, track_srip=srip)
+                         seed=seed, reg=reg)
     model, trace = train(data, config, model)
     return model_to_text(model), trace.to_csv_text()
 
@@ -251,19 +251,18 @@ def test_kmeans_equals_the_loop_oracle_bit_for_bit(e):
             too_few_rows.append(case)
             return
         trace = {}
-        expected = kmeans_loop(X, k, seed, trace=trace)
-        for monotone in (False, True):
-            with mock.patch.object(
-                heuristics, "_distances_to", wraps=heuristics._distances_to
-            ) as passes:
-                got = heuristics.kmeans(X, k, seed, check_monotone=monotone)
-            assert got.assignments.dtype == expected.assignments.dtype
-            np.testing.assert_array_equal(got.assignments, expected.assignments)
-            assert got.centroids.tobytes() == expected.centroids.tobytes()
-            assert got.inertia == expected.inertia
-            # One distance pass per iteration, and one more for the final
-            # inertia when the loop ran out before a fixpoint.
-            assert passes.call_count == trace["iterations"] + (not trace["converged"])
+        expected = kmeans_loop(X, k, seed, check_monotone=True, trace=trace)
+        with mock.patch.object(
+            heuristics, "_distances_to", wraps=heuristics._distances_to
+        ) as passes:
+            got = heuristics.kmeans(X, k, seed)
+        assert got.assignments.dtype == expected.assignments.dtype
+        np.testing.assert_array_equal(got.assignments, expected.assignments)
+        assert got.centroids.tobytes() == expected.centroids.tobytes()
+        assert got.inertia == expected.inertia
+        # One distance pass per iteration, and one more for the final
+        # inertia when the loop ran out before a fixpoint.
+        assert passes.call_count == trace["iterations"] + (not trace["converged"])
 
     check()
     assert too_few_rows, "no example had fewer distinct rows than clusters"

@@ -44,7 +44,7 @@ from gdu.training import (
 )
 
 from helpers import SMALL_DIMS, build_small_gdu, gradient_max_rel_error, reg_toggles
-from oracles import add, mlp_forward_brute, sqrt, sub, summation
+from oracles import add, mlp_forward_brute, mul, sqrt, sub, summation
 
 
 # -- feature extractor ---------------------------------------------------------
@@ -210,6 +210,15 @@ def test_ft_mode_excludes_extractor_blocks():
     assert any(name.startswith("fe.") for name in grads_e2e)
 
 
+def test_unknown_train_mode_is_rejected():
+    model, X, y = build_small_gdu(4, "MMD")
+    for bad in ("e2e", "ft", "", "WARMUP"):
+        with pytest.raises(ValueError, match=f"unknown training mode '{bad}'"):
+            gradients((X, y), model, RegConfig(), bad)
+        with pytest.raises(ValueError, match=f"unknown training mode '{bad}'"):
+            trainable_arrays(model, bad)
+
+
 def test_machine_views_write_through_to_the_layer():
     # build_small_gdu and the benchmark's gradient probe perturb the biases
     # through ``layer.machines``; copies would leave the layer unchanged.
@@ -267,7 +276,7 @@ def test_objective_tape_size_does_not_grow_with_num_bases(mode):
     counts = set()
     for m in (2, 10):
         model, X, y = build_small_gdu(6, mode, dims={**SMALL_DIMS, "m": m})
-        obj, params_t = _build_objective(model, X, y, reg_toggles(mode)[-1], "E2E")
+        obj, params_t = _build_objective(model, X, y, reg_toggles(mode)[-1])
         counts.add(_op_nodes(obj, params_t))
     assert len(counts) == 1, counts
     assert counts.pop() <= TAPE_NODE_CAP[mode]
@@ -278,7 +287,7 @@ def test_tape_shape_is_pinned():
     # and the basis norms, the gate, the ensemble and the loss; with
     # regularizers, the basis Gram, each term and their weighted sum.
     def nodes(model, X, y, reg=RegConfig()):
-        return _op_nodes(*_build_objective(model, X, y, reg, "E2E"))
+        return _op_nodes(*_build_objective(model, X, y, reg))
 
     model, X, y = build_small_gdu(0, "CS")
     assert nodes(model, X, y) == 6
@@ -462,6 +471,39 @@ def test_ft_mode_never_touches_extractor():
         np.testing.assert_array_equal(before, after)
 
 
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION", "UNIFORM"])
+def test_ft_training_is_e2e_training_of_the_layer_on_extracted_features(mode):
+    # FT trains the model without its extractor on the extractor's features:
+    # the same layer, trace and checkpoint text, byte for byte.
+    data = separable_splits(16)
+
+    def fresh():
+        if mode == "UNIFORM":
+            return init_erm_model([2, 6, 4], 2, n_heads=2, seed=16), RegConfig()
+        model = small_gdu_for_training(16, mode=mode, m=3)
+        extra = {"lambda_orth": 0.1} if mode == "PROJECTION" else {"lambda_l1": 0.1}
+        return model, RegConfig(lambda_ols=0.1, **extra)
+
+    model, reg = fresh()
+    fe_blocks = model.fe.weights + model.fe.biases
+    fe_bytes = [block.tobytes() for block in fe_blocks]
+    config = TrainConfig(mode="FT", max_epochs=4, patience=4, batch_size=16, seed=17, reg=reg)
+    model, trace = train(data, config, model)
+    after = model.fe.weights + model.fe.biases
+    assert all(a is b for a, b in zip(after, fe_blocks))
+    assert [block.tobytes() for block in after] == fe_bytes
+
+    reference, _ = fresh()
+    feats = DatasetSplits(
+        np.asarray(fe_forward(data.train_x, reference.fe)), data.train_y,
+        np.asarray(fe_forward(data.val_x, reference.fe)), data.val_y,
+    )
+    layer_only, ref_trace = train(feats, replace(config, mode="E2E"),
+                                  GduModel(None, reference.layer))
+    assert ref_trace.to_csv_text() == trace.to_csv_text()
+    assert model_to_text(layer_only) == model_to_text(GduModel(None, model.layer))
+
+
 def test_train_erm_models():
     data = separable_splits(5)
     config = TrainConfig(max_epochs=50, patience=50, batch_size=16, seed=7)
@@ -489,7 +531,7 @@ def test_nonfinite_gradient_names_its_block(monkeypatch):
     import gdu.training as training_module
 
     def forward_with_nan_bias_gradient(X, layer, beta=None):
-        nan_grad = summation(sqrt(sub(layer.bias, layer.bias))) * 0.0
+        nan_grad = mul(summation(sqrt(sub(layer.bias, layer.bias))), 0.0)
         return add(forward_batch(X, layer, beta=beta), nan_grad)
 
     monkeypatch.setattr(training_module, "forward_batch", forward_with_nan_bias_gradient)
@@ -502,6 +544,27 @@ def test_nonfinite_gradient_names_its_block(monkeypatch):
             gradients((X, y), model, RegConfig())
         with pytest.raises(NonFiniteGradientError, match=r"block 'layer.bias' at epoch 0$"):
             train(data, config, small_gdu_for_training(11, mode="CS"))
+
+
+def test_features_are_validated():
+    data = separable_splits(12)
+    tx, ty, vx, vy = data.train_x, data.train_y, data.val_x, data.val_y
+    message = "^{} must be a finite 2-D array, got shape \\({}\\)$"
+    with pytest.raises(ValueError, match=message.format("train_x", "90,")):
+        DatasetSplits(tx[:, 0], ty, vx, vy)
+    with pytest.raises(ValueError, match=message.format("val_x", "30, 2, 1")):
+        DatasetSplits(tx, ty, vx[:, :, None], vy)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = vx.copy()
+        broken[3, 1] = bad
+        with pytest.raises(ValueError, match=message.format("val_x", "30, 2")):
+            DatasetSplits(tx, ty, broken, vy)
+        broken = tx.copy()
+        broken[0, 0] = bad
+        with pytest.raises(ValueError, match=message.format("train_x", "90, 2")):
+            DatasetSplits(broken, ty, vx, vy)
+    # Lists of rows are features too.
+    DatasetSplits(tx.tolist(), ty, vx.tolist(), vy)
 
 
 def test_labels_are_validated():
@@ -523,19 +586,27 @@ def test_labels_are_validated():
 
 
 def test_srip_tracking_and_trace_csv_columns():
+    # SRIP is reported for every layer with bases, whatever the ORTH variant;
+    # under the default SRIP variant it is the ORTH column itself.
     data = separable_splits(7)
-    model = small_gdu_for_training(7, mode="PROJECTION")
-    config = TrainConfig(
-        max_epochs=3, patience=3, seed=9,
-        reg=RegConfig(lambda_ols=1e-3, lambda_orth=1e-3), track_srip=True,
-    )
-    _, trace = train(data, config, model)
-    text = trace.to_csv_text()
-    assert text.splitlines()[0] == "epoch,loss,val_acc,srip,omega_ols,omega_orth,omega_l1"
-    assert all(r.srip is not None for r in trace.rows)
-    # SRIP column reflects the spectral penalty on the basis Gram matrix.
-    expected = float(omega_orth(np.asarray(basis_gram_matrix(model.layer)), "SRIP"))
-    assert trace.rows[-1].srip == pytest.approx(expected, rel=1e-6)
+    header = "epoch,loss,val_acc,srip,omega_ols,omega_orth,omega_l1"
+    for variant in ORTH_VARIANTS:
+        model = small_gdu_for_training(7, mode="PROJECTION")
+        reg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3, orth_variant=variant)
+        _, trace = train(data, TrainConfig(max_epochs=3, patience=3, seed=9, reg=reg), model)
+        assert trace.to_csv_text().splitlines()[0] == header
+        assert all(r.srip is not None for r in trace.rows)
+        # The restored snapshot is the first best epoch's: its SRIP column
+        # is the spectral penalty on the trained basis Gram matrix.
+        best = max(trace.rows, key=lambda r: r.val_acc)
+        assert best.srip == omega_orth(np.asarray(basis_gram_matrix(model.layer)), "SRIP")
+        if variant == "SRIP":
+            assert all(r.srip == r.omega_orth for r in trace.rows)
+    # A UNIFORM layer has no bases: its SRIP column stays empty.
+    erm = init_erm_model([2, 6, 4], 2, n_heads=2, seed=7)
+    _, trace = train(data, TrainConfig(max_epochs=2, patience=2, seed=9), erm)
+    assert all(r.srip is None for r in trace.rows)
+    assert [line.split(",")[3] for line in trace.to_csv_text().splitlines()[1:]] == ["", ""]
 
 
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
@@ -575,9 +646,6 @@ _BAD_CONFIG_VALUES = (
     [(RegConfig, name, v) for name in ("lambda_ols", "lambda_orth", "lambda_l1")
      for v in (math.nan, math.inf, -1.0)]
     + [(TrainConfig, "learning_rate", v) for v in (math.nan, math.inf, 0.0, -1.0)]
-    + [(TrainConfig, "adam_beta1", v) for v in (1.0, -0.1, math.nan)]
-    + [(TrainConfig, "adam_beta2", v) for v in (1.0, math.inf)]
-    + [(TrainConfig, "adam_eps", v) for v in (-1.0, 0.0, math.nan, math.inf)]
 )
 
 
