@@ -135,9 +135,9 @@ def _count(token: str, what: str) -> int:
     return value
 
 
-def _hex_floats(tokens: list, what: str) -> list:
+def _hex_floats(tokens: list, what: str) -> np.ndarray:
     try:
-        return list(map(float.fromhex, tokens))
+        return np.fromiter(map(float.fromhex, tokens), np.float64, len(tokens))
     except ValueError as err:
         raise CheckpointError(f"{what}: {err}") from err
 
@@ -170,7 +170,7 @@ class _Reader:
         tok = self.read_field(key)
         if optional and tok == "-":
             return None
-        return _hex_floats([tok], f"field {key!r}")[0]
+        return float(_hex_floats([tok], f"field {key!r}")[0])
 
     def read_count_field(self, key: str) -> int:
         return _count(self.read_field(key), f"field {key!r}")
@@ -194,7 +194,7 @@ class _Reader:
             raise CheckpointError("unexpected end of checkpoint")
         values = _hex_floats(self.tokens[self.pos : end], what)
         self.pos = end
-        return np.array(values, dtype=np.float64).reshape(shape)
+        return values.reshape(shape)
 
 
 def _stack_blocks(blocks: list, kind: str, axis: int = 0) -> np.ndarray:

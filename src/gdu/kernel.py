@@ -29,9 +29,10 @@ which needs distances, not kernel values. Two callers run the same
 operations in the same order without building the full (n, m) matrix of
 temporaries, so their distances equal its entries bit for bit:
 :func:`median_heuristic` evaluates only the pairs ``i < j`` of
-``squared_distances(X, X)``, in place and in row blocks, and
-:func:`gdu.heuristics.kmeans` writes ``squared_distances(X, C).T`` into
-reused, transposed buffers.
+``squared_distances(X, X)``, in row blocks, and keeps them in the leading
+slots of the (n, n) buffer of ``X @ X.T`` itself, so the Gram is the only
+full-size array it makes; :func:`gdu.heuristics.kmeans` writes
+``squared_distances(X, C).T`` into reused, transposed buffers.
 """
 
 from __future__ import annotations
@@ -253,9 +254,10 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
 
 
 # Row-block height of :func:`_upper_squared_distances`. Its temporaries
-# are one (_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS) square and that square's
-# upper triangle, and a block's pairs stay in cache between their passes;
-# 64 rows were fastest at 2000 x 64 (timed against 32, 128 and 256).
+# are one (_PAIR_BLOCK_ROWS, n) buffer for a block's rows of the Gram,
+# doubled, one (_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS) square and that
+# square's upper triangle, and a block's pairs stay in cache between their
+# passes; 64 rows were fastest at 2000 x 64 (timed against 32, 128 and 256).
 _PAIR_BLOCK_ROWS = 64
 # The pairs j > i of a square block; its (h, h) corner serves a shorter last block.
 _UPPER_PAIRS = np.triu(np.ones((_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS), dtype=bool), 1)
@@ -265,23 +267,29 @@ def _upper_squared_distances(X):
     """The squared distances ``squared_distances(X, X)[i, j]`` for ``i < j``, bit for bit.
 
     Each is ``max((xx_i + xx_j) - 2 G_ij, 0)`` over ``G = X @ X.T`` (one
-    symmetric matmul), as in :func:`squared_distances`, evaluated in place
-    in one (n (n - 1) / 2,) vector. Rows are taken in blocks: the
-    rectangle of a block's rows against all later rows is written straight
-    into the vector, and the block's own upper triangle is picked out of a
-    small square. The pairs are therefore not in row-major order, which
-    the median, an order statistic, does not see.
+    symmetric matmul), as in :func:`squared_distances`. The result is a
+    view of the first n (n - 1) / 2 slots of G's own C-contiguous buffer,
+    so no second buffer of that size is made. Rows are taken in blocks:
+    a block first copies its rows of G from the diagonal on, doubled, into
+    one reused (_PAIR_BLOCK_ROWS, n) buffer. The rectangle of its rows
+    against all later rows is then written at the running offset, and its
+    own upper triangle is picked out of a small square. Writing never
+    overtakes reading: the rows before ``hi`` hold
+    ``hi n - hi (hi + 1) / 2 <= hi n`` pairs, so a block that ends at row
+    ``hi`` writes only into rows of G that are already copied. The pairs
+    are not in row-major order, which the median, an order statistic,
+    does not see.
     """
     n = X.shape[0]
     xx = np.sum(X * X, axis=-1)
     G = X @ X.T
-    pairs = np.empty(n * (n - 1) // 2)
+    pairs = G.reshape(-1)[: n * (n - 1) // 2]
+    rows = np.empty((min(_PAIR_BLOCK_ROWS, n), n))
     start = 0
     for lo in range(0, n, _PAIR_BLOCK_ROWS):
         hi = min(lo + _PAIR_BLOCK_ROWS, n)
         h = hi - lo
-        twice_g = G[lo:hi, lo:]
-        twice_g *= 2.0
+        twice_g = np.multiply(G[lo:hi, lo:], 2.0, out=rows[:h, : n - lo])
         square = np.add(xx[lo:hi, None], xx[None, lo:hi])
         square -= twice_g[:, :h]
         upper = square[_UPPER_PAIRS[:h, :h]]
@@ -304,6 +312,8 @@ def median_heuristic(X) -> float:
     :func:`squared_distances` bit for bit (see
     :func:`_upper_squared_distances`), so sigma equals
     ``sqrt(np.median(squared_distances(X, X)[np.triu_indices(n, 1)]))``.
+    The pairs sit in the leading slots of the (n, n) Gram's buffer and are
+    partitioned there in place, so the Gram is the one full-size array.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:

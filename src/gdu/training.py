@@ -154,10 +154,14 @@ class DatasetSplits:
             raise ValueError("train and validation splits must be nonempty")
         if len(self.train_x) != len(self.train_y) or len(self.val_x) != len(self.val_y):
             raise ValueError("features and labels must have matching lengths")
+        widths = []
         for name in ("train_x", "val_x"):
             x = np.asarray(getattr(self, name), dtype=np.float64)
             if x.ndim != 2 or not np.all(np.isfinite(x)):
                 raise ValueError(f"{name} must be a finite 2-D array, got shape {x.shape}")
+            widths.append(x.shape[1])
+        if widths[0] != widths[1]:
+            raise ValueError(f"train_x has {widths[0]} columns but val_x has {widths[1]}")
         for name in ("train_y", "val_y"):
             labels = np.asarray(getattr(self, name))
             if labels.ndim != 1 or np.any(labels < 0) or np.any(labels != np.floor(labels)):
@@ -177,6 +181,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
+        for name in ("batch_size", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
         lr = self.learning_rate

@@ -1,5 +1,7 @@
 """Shared fixtures for training and acceptance tests."""
 
+import tracemalloc
+
 import numpy as np
 
 from gdu.kernel import KernelConfig
@@ -67,3 +69,19 @@ def gradient_max_rel_error(model, X, y, reg, train_mode, step=1e-5):
     numeric = fd_gradient(lambda: objective((X, y), model, reg), arrays, step)
     assert set(analytic) == set(arrays)
     return max_relative_error(analytic, numeric)
+
+
+def traced_peak_bytes(fn, *args):
+    """``fn(*args)`` and the peak of traced allocations above the start, in bytes.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts every
+    temporary array that ``fn`` makes, whether or not it outlives the call.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

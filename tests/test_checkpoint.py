@@ -144,6 +144,8 @@ def test_rejects_an_extractor_that_does_not_feed_the_layer():
     [
         ("0x1.0000000000000p-2 0x1.8000000000000p-2 0x1.0000000000000p-1",
          "0x1.0000000000000p-2 0xzz 0x1.0000000000000p-1", "block 'basis1'"),
+        ("0x1.8000000000000p-1 0x1.c000000000000p-1\nblock mach_w0",
+         "0x1.8000000000000p-1 0x1.cp-1z\nblock mach_w0", "block 'basis1'"),
         ("field sigma 0x1.8000000000000p+0", "field sigma 1.5x", "field 'sigma'"),
         ("field sigma 0x1.8000000000000p+0", "field sigma -", "field 'sigma'"),
         ("block mach_w0 2 3 2 6", "block mach_w0 two 3 2 6", "block 'mach_w0'"),

@@ -20,6 +20,7 @@ from gdu.kernel import (
     squared_distances,
 )
 
+from helpers import traced_peak_bytes
 from oracles import fd_gradient, kernel_value, max_relative_error, mean, mul, summation
 
 CFG = KernelConfig(sigma=1.0)
@@ -295,6 +296,16 @@ def test_median_pairs_are_the_upper_triangle_of_squared_distances_bit_for_bit():
         pairs = _upper_squared_distances(X)
         upper = squared_distances(X, X)[np.triu_indices(len(X), k=1)]
         np.testing.assert_array_equal(np.sort(pairs), np.sort(upper))
+
+
+def test_median_heuristic_needs_one_n_by_n_buffer():
+    # The pairs live in the Gram's own buffer; a second n (n - 1) / 2
+    # vector of them would add 16 MB at this size.
+    n = 2000
+    X = np.random.default_rng(28).normal(size=(n, 16))
+    sigma, peak = traced_peak_bytes(median_heuristic, X)
+    assert sigma > 0
+    assert peak < n * n * 8 + 2 * 2**20
 
 
 def test_median_heuristic_rejects_non_finite_rows():

@@ -563,6 +563,8 @@ def test_features_are_validated():
         broken[0, 0] = bad
         with pytest.raises(ValueError, match=message.format("train_x", "90, 2")):
             DatasetSplits(broken, ty, vx, vy)
+    with pytest.raises(ValueError, match="^train_x has 2 columns but val_x has 1$"):
+        DatasetSplits(tx, ty, vx[:, :1], vy)
     # Lists of rows are features too.
     DatasetSplits(tx.tolist(), ty, vx.tolist(), vy)
 
@@ -640,12 +642,16 @@ def test_config_validation():
         TrainConfig(patience=10, max_epochs=5)
     with pytest.raises(ValueError):
         TrainConfig(mode="WARMUP")
+    # numpy integers are integers.
+    TrainConfig(batch_size=np.int64(8), max_epochs=np.int32(3), patience=3)
 
 
 _BAD_CONFIG_VALUES = (
     [(RegConfig, name, v) for name in ("lambda_ols", "lambda_orth", "lambda_l1")
      for v in (math.nan, math.inf, -1.0)]
     + [(TrainConfig, "learning_rate", v) for v in (math.nan, math.inf, 0.0, -1.0)]
+    + [(TrainConfig, name, v) for name in ("batch_size", "max_epochs", "patience")
+       for v in (8.0, True, np.float64(3.0))]
 )
 
 
