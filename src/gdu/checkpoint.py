@@ -29,6 +29,8 @@ do not fit together (shapes, sizes) carry the constructor's
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .kernel import KernelConfig
@@ -184,8 +186,7 @@ class _Reader:
         ndim = _count(self.next(), what)
         shape = tuple(_count(self.next(), what) for _ in range(ndim))
         count = _count(self.next(), what)
-        expected = int(np.prod(shape)) if shape else 1
-        if count != expected:
+        if count != math.prod(shape):
             raise CheckpointError(
                 f"block {key!r} declares {count} values for shape {shape}"
             )

@@ -8,16 +8,16 @@ domains get mixing weights concentrated away from the sources, producing a
 mixture-component shift at test time while the components themselves stay
 literally invariant.
 
-Datasets serialize to CSV with header ``domain_id,label,tag,f0..f{e-1}``;
-the ``tag`` column records the true component for diagnostics only and must
-never be fed to training. Generator arguments round-trip through a flat
-``key = value`` spec file.
+A benchmark is a function of :func:`make_benchmark`'s arguments and seed,
+from which :func:`materialize` redraws every domain bit for bit: they are a
+run's only record of its data. Each sample's ``tags`` (its true component)
+are for diagnostics only and must never be fed to training.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,6 @@ __all__ = [
     "sample_domain",
     "make_benchmark",
     "materialize",
-    "write_dataset_csv",
-    "read_dataset_csv",
-    "write_benchmark_meta",
-    "read_benchmark_meta",
 ]
 
 ROLES = ("source", "validation", "target")
@@ -101,7 +97,6 @@ class SyntheticBenchmark:
     elementary: ElementarySpec
     domains: list
     seed: int
-    params: dict = field(default_factory=dict)  # generator args, for round-trips
 
     def __post_init__(self):
         roles = [d.role for d in self.domains]
@@ -183,21 +178,6 @@ def make_benchmark(
     tilts each component's label distribution toward one class (the
     conditional-shift knob); zero keeps labels uniform.
     """
-    params = dict(
-        n_components=n_components,
-        n_classes=n_classes,
-        input_dim=input_dim,
-        n_sources=n_sources,
-        seed=seed,
-        separation=separation,
-        class_offset=class_offset,
-        n_train=n_train,
-        n_val=n_val,
-        n_target=n_target,
-        alpha_concentration=alpha_concentration,
-        target_weight=target_weight,
-        label_skew=label_skew,
-    )
     if n_components < 1 or n_classes < 2 or n_sources < 2:
         raise ValueError("need n_components >= 1, n_classes >= 2, n_sources >= 2")
     rng = np.random.default_rng(seed)
@@ -226,7 +206,7 @@ def make_benchmark(
     domains = [DomainSpec(alpha, n_train, "source") for alpha in alphas]
     domains += [DomainSpec(alpha, n_val, "validation") for alpha in alphas]
     domains.append(DomainSpec(target_alpha, n_target, "target"))
-    return SyntheticBenchmark(elem, domains, seed, params)
+    return SyntheticBenchmark(elem, domains, seed)
 
 
 def materialize(benchmark: SyntheticBenchmark) -> list:
@@ -239,91 +219,3 @@ def materialize(benchmark: SyntheticBenchmark) -> list:
         for spec, state in zip(benchmark.domains, states)
     ]
 
-
-# -- files -------------------------------------------------------------------
-
-
-def write_dataset_csv(path, samples):
-    """One row per sample across domains: domain_id,label,tag,f0..f{e-1}."""
-    dim = samples[0].x.shape[1]
-    header = "domain_id,label,tag," + ",".join(f"f{i}" for i in range(dim))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for domain_id, sample in enumerate(samples):
-            for xi, yi, ti in zip(sample.x, sample.y, sample.tags):
-                feats = ",".join(repr(float(v)) for v in xi)
-                fh.write(f"{domain_id},{yi},{ti},{feats}\n")
-
-
-def read_dataset_csv(path):
-    """Parse a dataset CSV back into per-domain :class:`DomainSample`."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["domain_id", "label", "tag"]:
-            raise ValueError(f"unexpected dataset header {header[:3]}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ValueError("dataset file contains no samples")
-    domain_ids = np.array([int(r[0]) for r in rows])
-    labels = np.array([int(r[1]) for r in rows])
-    tags = np.array([int(r[2]) for r in rows])
-    feats = np.array([[float(v) for v in r[3:]] for r in rows])
-    samples = []
-    for domain_id in range(domain_ids.max() + 1):
-        mask = domain_ids == domain_id
-        if not mask.any():
-            raise ValueError(f"dataset is missing domain {domain_id}")
-        samples.append(DomainSample(feats[mask], labels[mask], tags[mask]))
-    return samples
-
-
-def write_benchmark_meta(path, benchmark: SyntheticBenchmark):
-    """Flat key=value file: generator arguments plus per-domain roles."""
-    lines = ["format = gdu-benchmark-1"]
-    for key, value in benchmark.params.items():
-        lines.append(f"{key} = {value}")
-    lines.append(f"domain_count = {len(benchmark.domains)}")
-    for i, d in enumerate(benchmark.domains):
-        alpha = " ".join(repr(float(a)) for a in d.alpha)
-        lines.append(f"domain_{i}_role = {d.role}")
-        lines.append(f"domain_{i}_n = {d.n_samples}")
-        lines.append(f"domain_{i}_alpha = {alpha}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_flat_mapping(text: str) -> dict:
-    mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    return mapping
-
-
-def read_benchmark_meta(path) -> SyntheticBenchmark:
-    """Rebuild the benchmark from its meta file (regenerates the specs)."""
-    with open(path) as fh:
-        mapping = _parse_flat_mapping(fh.read())
-    if mapping.get("format") != "gdu-benchmark-1":
-        raise ValueError(f"not a benchmark meta file: format={mapping.get('format')!r}")
-    kwargs = dict(
-        n_components=int(mapping["n_components"]),
-        n_classes=int(mapping["n_classes"]),
-        input_dim=int(mapping["input_dim"]),
-        n_sources=int(mapping["n_sources"]),
-        seed=int(mapping["seed"]),
-        separation=float(mapping["separation"]),
-        class_offset=float(mapping["class_offset"]),
-        n_train=int(mapping["n_train"]),
-        n_val=int(mapping["n_val"]),
-        n_target=int(mapping["n_target"]),
-        alpha_concentration=float(mapping["alpha_concentration"]),
-        target_weight=float(mapping["target_weight"]),
-        label_skew=float(mapping["label_skew"]),
-    )
-    return make_benchmark(**kwargs)

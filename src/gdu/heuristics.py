@@ -34,7 +34,6 @@ __all__ = [
     "kmeans",
     "davies_bouldin",
     "select_m",
-    "write_score_table",
 ]
 
 _MAX_LLOYD_ITER = 300
@@ -123,6 +122,12 @@ def _check_rows(X, who: str):
     return X, xx
 
 
+def _check_int(name: str, value):
+    """Raise unless ``value`` is a Python or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def _distances_to(X, xx, centroids, G, twice_g, out):
     """``squared_distances(X, centroids).T`` into ``out`` (k, n), bit for bit.
 
@@ -194,6 +199,7 @@ def kmeans(X, k: int, seed: int) -> ClusteringResult:
     per-cluster loop: its re-seeds move rows between clusters while the
     means are formed, so the loop's order decides which means see a move.
     """
+    _check_int("k", k)
     X, xx = _check_rows(X, "kmeans")
     n = X.shape[0]
     if not 1 <= k <= n:
@@ -241,6 +247,8 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
     ``(s_i + s_j) / d_ij``, with ``s`` the mean distance to the centroid
     and ``d`` the centroid separation. Lower is better."""
     X, _ = _check_rows(X, "davies_bouldin")
+    if len(result.assignments) != len(X):
+        raise ValueError(f"davies_bouldin got {len(result.assignments)} assignments for {len(X)} rows")
     k = result.k
     if k < 2:
         raise ValueError(f"Davies-Bouldin needs at least 2 clusters, got {k}")
@@ -271,8 +279,10 @@ def select_m(X, k_range, seeds: int, seed0: int):
     clustered ``seeds`` times with seeds ``seed0, seed0+1, ...``; returns
     ``(chosen_k, [ScoreRow])`` with ties broken toward smaller k.
     """
+    lo, hi = k_range
+    for name, value in (("k_range[0]", lo), ("k_range[1]", hi), ("seeds", seeds), ("seed0", seed0)):
+        _check_int(name, value)
     X, _ = _check_rows(X, "select_m")
-    lo, hi = int(k_range[0]), int(k_range[1])
     if not 2 <= lo <= hi <= X.shape[0]:
         raise ValueError(f"invalid k range [{lo}, {hi}] for n={X.shape[0]}")
     if seeds < 1:
@@ -286,9 +296,3 @@ def select_m(X, k_range, seeds: int, seed0: int):
     best = min(table, key=lambda row: (row.mean_db, row.k))
     return best.k, table
 
-
-def write_score_table(path, table):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,mean_db,std_db\n")
-        for row in table:
-            fh.write(f"{row.k},{row.mean_db!r},{row.std_db!r}\n")

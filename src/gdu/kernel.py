@@ -60,7 +60,9 @@ class DimensionMismatchError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """Raised when data admits no usable bandwidth (all rows identical)."""
+    """Raised when the median squared distance over pairs of rows is zero, so
+    no bandwidth fits: more than half the pairs at distance zero suffice, as
+    with 10 zero rows and 3 rows of ones; not all rows need be identical."""
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,9 @@ def median_heuristic(X) -> float:
     :func:`_upper_squared_distances`), so sigma equals
     ``sqrt(np.median(squared_distances(X, X)[np.triu_indices(n, 1)]))``.
     The pairs sit in the leading slots of the (n, n) Gram's buffer and are
-    partitioned there in place, so the Gram is the one full-size array.
+    partitioned there in place, so the Gram is the one full-size array. A
+    zero median, from more than half the pairs at distance zero and not only
+    from all rows identical, raises :class:`DegenerateDataError`.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:

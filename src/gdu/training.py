@@ -6,7 +6,7 @@ whose gate is the constant row 1/K and which has no bases
 (:func:`init_erm_model`); the single-head case is plain ERM. One objective,
 one prediction path and one loop serve every gating mode: the loss is the
 batch cross-entropy node :func:`cross_entropy_mean`, prediction is
-:func:`predict_logits` on a batch (a single input is a batch of one row),
+:func:`predict_logits` on a (b, d) batch (a single input x is ``x[None]``),
 and the optimizer is Adam.
 
 Gradients come from the in-repo reverse-mode tape (:mod:`gdu.autodiff`);
@@ -504,13 +504,20 @@ def _backprop(obj, params_t: dict, where: str = "") -> np.ndarray:
 
 
 def predict_logits(model, X) -> np.ndarray:
-    """Model logits for raw inputs (value path, per-sample gating)."""
+    """Model logits for a (b, d) batch of raw inputs (value path, per-sample gating)."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(
+            f"predict_logits expects a (b, d) batch, got shape {X.shape}; "
+            "pass a single input x as x[None]"
+        )
     return np.asarray(forward_batch(fe_forward(X, model.fe), model.layer))
 
 
 def accuracy(model, X, y) -> float:
     logits = predict_logits(model, X)
+    if len(logits) == 0:
+        raise ValueError("accuracy needs at least one row, got 0")
     y = _checked_labels(y, *logits.shape)
     return float(np.mean(np.argmax(logits, axis=1) == y))
 

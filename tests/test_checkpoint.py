@@ -151,6 +151,8 @@ def test_rejects_an_extractor_that_does_not_feed_the_layer():
         ("block mach_w0 2 3 2 6", "block mach_w0 two 3 2 6", "block 'mach_w0'"),
         ("block mach_w0 2 3 2 6", "block mach_w0 2 3 -2 6", "block 'mach_w0'"),
         ("block mach_b0 1 2 2", "block mach_b0 1 2 2.0", "block 'mach_b0'"),
+        # 2^32 * 2^32 values wrap to 0 in int64.
+        ("block mach_b0 1 2 2", "block mach_b0 2 4294967296 4294967296 0", "block 'mach_b0'"),
         ("field num_bases 2", "field num_bases two", "field 'num_bases'"),
         ("field fe_layers 0", "field fe_layers x", "field 'fe_layers'"),
         ("gdu-checkpoint 1", "gdu-checkpoint v1", "version"),

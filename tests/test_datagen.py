@@ -1,4 +1,5 @@
-"""Synthetic benchmark construction, invariance checks, and file formats."""
+"""Synthetic benchmark construction, invariance checks, and reproduction from
+the generator's arguments."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,7 @@ from gdu.datagen import (
     SyntheticBenchmark,
     make_benchmark,
     materialize,
-    read_benchmark_meta,
-    read_dataset_csv,
     sample_domain,
-    write_benchmark_meta,
-    write_dataset_csv,
 )
 from gdu.kernel import KernelConfig, median_heuristic
 from gdu.rkhs import EmpiricalKme, mmd_sq
@@ -179,34 +176,26 @@ def test_target_differs_from_sources_by_permutation_mmd():
         assert observed > threshold
 
 
-def test_dataset_csv_round_trip(tmp_path):
-    bench = make_benchmark(2, 2, 5, 2, seed=4, n_train=30, n_val=10, n_target=20)
-    samples = materialize(bench)
-    path = tmp_path / "data.csv"
-    write_dataset_csv(path, samples)
-    header = path.read_text().splitlines()[0]
-    assert header == "domain_id,label,tag," + ",".join(f"f{i}" for i in range(5))
-    restored = read_dataset_csv(path)
-    assert len(restored) == len(samples)
-    for orig, back in zip(samples, restored):
-        np.testing.assert_array_equal(orig.x, back.x)
-        np.testing.assert_array_equal(orig.y, back.y)
-        np.testing.assert_array_equal(orig.tags, back.tags)
-
-
-def test_benchmark_meta_round_trip(tmp_path):
-    bench = make_benchmark(3, 2, 6, 3, seed=9, label_skew=0.25)
-    path = tmp_path / "bench.meta"
-    write_benchmark_meta(path, bench)
-    rebuilt = read_benchmark_meta(path)
-    assert rebuilt.params == bench.params
-    for a, b in zip(bench.domains, rebuilt.domains):
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-        assert a.role == b.role and a.n_samples == b.n_samples
-    np.testing.assert_array_equal(
-        bench.elementary.class_means, rebuilt.elementary.class_means
+def test_make_benchmark_and_materialize_repeat_from_their_arguments():
+    # The generator's arguments and seed are the only record of a run's data.
+    args = dict(
+        separation=3.0, label_skew=0.25, alpha_concentration=0.5, target_weight=0.6,
+        n_train=30, n_val=10, n_target=20,
     )
-    # Regenerated samples are identical too.
-    sa = materialize(bench)
-    sb = materialize(rebuilt)
-    np.testing.assert_array_equal(sa[0].x, sb[0].x)
+    first, second = (make_benchmark(3, 2, 6, 3, seed=9, **args) for _ in range(2))
+    assert [d.n_samples for d in first.domains] == [30] * 3 + [10] * 3 + [20]
+    for a, b in zip(first.domains, second.domains, strict=True):
+        assert (a.role, a.n_samples) == (b.role, b.n_samples)
+        np.testing.assert_array_equal(a.alpha, b.alpha)
+    for name in ("class_means", "cov_diag", "label_dist"):
+        np.testing.assert_array_equal(
+            getattr(first.elementary, name), getattr(second.elementary, name)
+        )
+    samples = materialize(first)
+    assert len(samples) == len(first.domains)
+    for sa, sb in zip(samples, materialize(second), strict=True):
+        np.testing.assert_array_equal(sa.x, sb.x)
+        np.testing.assert_array_equal(sa.y, sb.y)
+        np.testing.assert_array_equal(sa.tags, sb.tags)
+    other = materialize(make_benchmark(3, 2, 6, 3, seed=10, **args))
+    assert not np.array_equal(samples[0].x, other[0].x)

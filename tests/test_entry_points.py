@@ -1,7 +1,7 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
 every function the benchmark's tracer wraps, every name a module exports
 and every ``gdu.autodiff`` attribute a module reads; the exports of the
-package and of ``gdu.autodiff`` are pinned, and the package imports
+package and of each of its modules are pinned, and the package imports
 nothing beyond the standard library and numpy."""
 
 import ast
@@ -88,6 +88,75 @@ def test_public_surface_is_pinned():
         "train",
         "training",
     ]
+
+
+MODULE_EXPORTS = {
+    "autodiff": ["Tensor", "tensor", "value_of", "is_tensor"],
+    "checkpoint": ["CheckpointError", "save_model", "load_model", "model_to_text", "model_from_text"],
+    "datagen": [
+        "ElementarySpec",
+        "DomainSpec",
+        "DomainSample",
+        "SyntheticBenchmark",
+        "sample_domain",
+        "make_benchmark",
+        "materialize",
+    ],
+    "heuristics": ["ClusteringResult", "ScoreRow", "kmeans", "davies_bouldin", "select_m"],
+    "kernel": [
+        "KernelConfig",
+        "DimensionMismatchError",
+        "DegenerateDataError",
+        "gram",
+        "gram_block_means",
+        "gram_diagonal_block_means",
+        "median_heuristic",
+    ],
+    "layer": [
+        "GATING_MODES",
+        "UNIFORM",
+        "GEOMETRY_MODES",
+        "ACTIVATIONS",
+        "LearningMachine",
+        "GduLayer",
+        "gate_matrix",
+        "forward_batch",
+        "init_layer",
+    ],
+    "regularization": ["ORTH_VARIANTS", "RegConfig", "omega_ols", "omega_orth", "omega_l1", "omega_total"],
+    "rkhs": ["EmpiricalKme", "ConfigMismatchError", "kme_inner", "kme_norm_sq", "mmd_sq", "rkhs_cosine"],
+    "training": [
+        "FeatureExtractor",
+        "GduModel",
+        "DatasetSplits",
+        "TrainConfig",
+        "TraceRow",
+        "TrainTrace",
+        "TrainingDivergedError",
+        "NonFiniteGradientError",
+        "init_feature_extractor",
+        "init_erm_model",
+        "fe_forward",
+        "objective",
+        "gradients",
+        "predict_logits",
+        "accuracy",
+        "train",
+    ],
+}
+
+
+def test_module_exports_are_pinned():
+    # A public name that leaves a module, or comes back, has to show up
+    # here as a diff.
+    import gdu
+
+    modules = sorted(p.stem for p in Path(gdu.__file__).parent.glob("*.py"))
+    modules.remove("__init__")
+    assert modules == sorted(MODULE_EXPORTS)
+    for module_name, exports in MODULE_EXPORTS.items():
+        module = importlib.import_module(f"gdu.{module_name}")
+        assert module.__all__ == exports, f"gdu.{module_name}.__all__"
 
 
 def test_autodiff_surface_is_pinned():

@@ -11,7 +11,6 @@ from gdu.heuristics import (
     davies_bouldin,
     kmeans,
     select_m,
-    write_score_table,
 )
 
 from oracles import kmeans_loop
@@ -65,6 +64,11 @@ def test_kmeans_deterministic_and_monotone():
 def test_kmeans_rejects_bad_k():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 1)), 4, seed=0)
+    X = np.arange(6.0).reshape(3, 2)
+    for bad in (2.0, np.float64(2.0), True):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {bad}$"):
+            kmeans(X, bad, seed=0)
+    assert kmeans(X, np.int64(2), seed=0).k == 2
 
 
 def test_davies_bouldin_singleton_clusters_score_zero():
@@ -102,6 +106,11 @@ def test_davies_bouldin_validation():
         davies_bouldin(
             X, ClusteringResult(np.zeros(3, dtype=int), np.zeros((2, 1)), 0.0)
         )
+    # Assignments for other rows than X's name both lengths.
+    rng = np.random.default_rng(3)
+    Y = blobs(rng, [np.zeros(2), np.full(2, 5.0), np.full(2, -5.0)], 20)
+    with pytest.raises(ValueError, match="^davies_bouldin got 60 assignments for 40 rows$"):
+        davies_bouldin(Y[:40], kmeans(Y, 3, 0))
 
 
 def test_select_m_recovers_three_planted_clusters():
@@ -159,6 +168,21 @@ def test_select_m_validation():
         select_m(np.zeros((5, 1)), (2, 9), seeds=1, seed0=0)
     with pytest.raises(ValueError):
         select_m(np.zeros((5, 2)), (2, 3), seeds=0, seed0=0)
+    # Counts and seeds are integers; a float is not truncated to one.
+    X = np.arange(12.0).reshape(6, 2)
+    for k_range, seeds, seed0, name, bad in (
+        ((2.5, 4), 1, 0, r"k_range\[0\]", 2.5),
+        ((2, 4.0), 1, 0, r"k_range\[1\]", 4.0),
+        ((2, True), 1, 0, r"k_range\[1\]", True),
+        ((2, 3), 1.0, 0, "seeds", 1.0),
+        ((2, 3), np.float64(2.0), 0, "seeds", 2.0),
+        ((2, 3), 1, 0.5, "seed0", 0.5),
+        ((2, 3), 1, False, "seed0", False),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+            select_m(X, k_range, seeds=seeds, seed0=seed0)
+    _, table = select_m(X, (np.int32(2), np.int64(3)), seeds=np.int64(1), seed0=np.int8(0))
+    assert [row.k for row in table] == [2, 3]
 
 
 def test_select_m_equals_select_m_on_the_loop_oracle():
@@ -219,14 +243,3 @@ def test_kmeans_rejects_fewer_distinct_rows_than_clusters():
             kmeans(X, k, seed=0)
     assert sorted(np.bincount(kmeans(X, 2, seed=0).assignments)) == [10, 10]
 
-
-def test_write_score_table(tmp_path):
-    rng = np.random.default_rng(7)
-    X = blobs(rng, [np.zeros(2), np.full(2, 8.0)], 20)
-    _, table = select_m(X, (2, 4), seeds=2, seed0=0)
-    path = tmp_path / "scores.csv"
-    write_score_table(path, table)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,mean_db,std_db"
-    assert len(lines) == 4
-    assert lines[1].startswith("2,")

@@ -569,6 +569,21 @@ def test_features_are_validated():
     DatasetSplits(tx.tolist(), ty, vx.tolist(), vy)
 
 
+def test_prediction_needs_a_batch_of_rows():
+    # A single input x is the batch x[None]; a 1-D array is not read as one.
+    message = r"^predict_logits expects a \(b, d\) batch, got shape \({}\); pass .* x\[None\]$"
+    gdu, erm = small_gdu_for_training(4, mode="CS"), init_erm_model([3, 2], 2, 2, 0)
+    for model, width in ((gdu, 2), (erm, 3)):
+        x = np.ones(width)
+        assert predict_logits(model, x[None]).shape == (1, 2)
+        with pytest.raises(ValueError, match=message.format(f"{width},")):
+            predict_logits(model, x)
+        with pytest.raises(ValueError, match=message.format(f"1, 1, {width}")):
+            predict_logits(model, x[None, None])
+        with pytest.raises(ValueError, match="^accuracy needs at least one row, got 0$"):
+            accuracy(model, np.ones((0, width)), np.zeros(0, dtype=int))
+
+
 def test_labels_are_validated():
     data = separable_splits(12)
     for bad in ([-1, 7], [[0], [1]], [0.5, 1.0]):
