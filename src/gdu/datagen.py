@@ -176,8 +176,15 @@ def make_benchmark(
     ``target_weight`` on the component the sources care about least, and is
     redrawn until it clears the distinctness requirement. ``label_skew``
     tilts each component's label distribution toward one class (the
-    conditional-shift knob); zero keeps labels uniform.
+    conditional-shift knob); zero keeps labels uniform. The counts, sizes
+    and ``seed`` must be Python or numpy integers, not bools.
     """
+    integers = dict(n_components=n_components, n_classes=n_classes, input_dim=input_dim,
+                    n_sources=n_sources, n_train=n_train, n_val=n_val, n_target=n_target,
+                    seed=seed)
+    for name, value in integers.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value}")
     if n_components < 1 or n_classes < 2 or n_sources < 2:
         raise ValueError("need n_components >= 1, n_classes >= 2, n_sources >= 2")
     rng = np.random.default_rng(seed)

@@ -200,6 +200,7 @@ def kmeans(X, k: int, seed: int) -> ClusteringResult:
     means are formed, so the loop's order decides which means see a move.
     """
     _check_int("k", k)
+    _check_int("seed", seed)
     X, xx = _check_rows(X, "kmeans")
     n = X.shape[0]
     if not 1 <= k <= n:

@@ -24,8 +24,11 @@ is one more node (``_gate_from_inners``). The forward pass is the gate-weighted 
 the machines' outputs, run as one matmul over the stacked machine weights
 viewed as one (e, M*C) matrix, and is one node too (:func:`forward_batch`).
 Each of these nodes has a closed-form backward, and its forward runs the
-same numpy operations for arrays and tensors. The UNIFORM gate is a constant
-array and never a tape node. The machines of a layer share one activation.
+same numpy operations for arrays and tensors. Reductions over a row of M
+gates or C classes run column by column (:func:`_row_max`,
+:func:`_row_sum`), bit for bit numpy's own and many times faster on rows
+this short. The UNIFORM gate is a constant array and never a tape node.
+The machines of a layer share one activation.
 These functions accept numpy arrays or autodiff tensors, so the same code
 serves inference and gradient-based training; :class:`LearningMachine`
 views are for arrays only.
@@ -66,6 +69,42 @@ ACTIVATIONS = ("identity", "tanh")
 # so freshly initialized embeddings start close to mutually orthogonal.
 _INIT_KERNEL_TARGET = 0.1
 _INIT_SPREAD_MARGIN = 1.25
+
+# numpy's pairwise summation adds fewer than 8 terms left to right from +0.0
+# and from 8 on splits them over 8 accumulators. This is numpy's boundary,
+# not a tuning knob: below it a column-by-column sum is bit-identical.
+_NUMPY_PAIRWISE_BLOCK = 8
+
+
+def _row_max(a):
+    """``np.max(a, axis=-1, keepdims=True)``, bit for bit, as a fold over columns.
+
+    ``np.max`` over a short last axis costs many times a pass per column.
+    ``np.maximum`` is exact at any width and gives NaN where ``np.max`` does.
+    Where +0.0 and -0.0 tie for a row's maximum, ``np.max`` on a row wider
+    than one SIMD register may return the other zero; subtracting either
+    leaves every exp, and so the softmax and the loss, unchanged.
+    """
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j], out=out)
+    return out[..., None]
+
+
+def _row_sum(a):
+    """``np.sum(a, axis=-1, keepdims=True)``, bit for bit, column by column.
+
+    Below ``_NUMPY_PAIRWISE_BLOCK`` terms numpy sums left to right from +0.0;
+    starting from ``a[..., 0] + 0.0`` keeps the sign of a zero sum as numpy
+    has it. Wider rows go to ``np.sum``. Neither fixes which NaN a row with
+    several sums to.
+    """
+    if a.shape[-1] >= _NUMPY_PAIRWISE_BLOCK:
+        return np.sum(a, axis=-1, keepdims=True)
+    out = a[..., 0] + 0.0
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out[..., None]
 
 
 @dataclass
@@ -229,11 +268,12 @@ def _gate_from_inners(a, norms, mode, kappa):
 
     where the row-wise softmax subtracts each row's maximum first. The
     forward runs these numpy operations in this order for arrays and tensors
-    alike. Arrays in give an array out; a tensor operand gives one node. Its
-    backward takes the output gradient ``g`` to ``gH = kappa * beta * (g -
-    <beta, g>)`` per row, then to the operands: for CS ``ga = gH /
-    sqrt(norms)`` and ``gn = -sum_i(gH * H) / (2 norms)``; for MMD ``ga =
-    2 gH`` and ``gn = -sum_i(gH)``.
+    alike; the softmax's row maximum and row sum run column by column,
+    bit-identical to numpy's. Arrays in give an array out; a tensor operand
+    gives one node. Its backward takes the output gradient ``g`` to ``gH =
+    kappa * beta * (g - <beta, g>)`` per row, then to the operands: for CS
+    ``ga = gH / sqrt(norms)`` and ``gn = -sum_i(gH * H) / (2 norms)``; for
+    MMD ``ga = 2 gH`` and ``gn = -sum_i(gH)``.
     """
     av, nv = ad.value_of(a), ad.value_of(norms)
     n_row = nv.reshape(1, -1)
@@ -246,9 +286,9 @@ def _gate_from_inners(a, norms, mode, kappa):
         else:
             h = -(1.0 - 2.0 * av + n_row)
         z = h * kappa
-        z = z - np.max(z, axis=1, keepdims=True)
+        z = z - _row_max(z)
         e = np.exp(z)
-        out = e / np.sum(e, axis=1, keepdims=True)
+        out = e / _row_sum(e)
     parents = tuple(t for t in (a, norms) if ad.is_tensor(t))
     if not parents:
         return out
@@ -258,7 +298,7 @@ def _gate_from_inners(a, norms, mode, kappa):
             ga = g / n_row
             gn = -np.sum(ga * out, axis=0)
         else:
-            gh = kappa * out * (g - np.sum(out * g, axis=1, keepdims=True))
+            gh = kappa * out * (g - _row_sum(out * g))
             if mode == "CS":
                 ga = gh / denom
                 gn = -np.sum(gh * h, axis=0) / (2.0 * nv)
@@ -302,7 +342,8 @@ def forward_batch(X, layer: GduLayer, beta=None):
     ensemble); by default per-sample gating is used. All M machines run as
     one matmul against their weights viewed as (e, M*C), plus the bias and
     the activation; the (b, M, C) outputs ``O`` are then summed with weights
-    ``beta`` by one ``einsum`` over the machine axis.
+    ``beta`` by one ``einsum`` over the machine axis. The backward's sums
+    over the C outputs run column by column, bit-identical to numpy's.
 
     Arrays in give an array out; a tensor among ``X``, the layer's weights
     and bias, and ``beta`` gives one tape node. Its backward, for the output
@@ -330,7 +371,7 @@ def forward_batch(X, layer: GduLayer, beta=None):
     def bw(g):
         g_row = g[:, None, :]
         if ad.is_tensor(beta):
-            beta._accumulate(np.sum(out * g_row, axis=2).reshape(beta_v.shape))
+            beta._accumulate(_row_sum(out * g_row).reshape(beta_v.shape))
         P = beta_v.reshape(b, m, 1) * g_row
         if tanh:
             P = P * (1.0 - out * out)

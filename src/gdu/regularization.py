@@ -26,7 +26,9 @@ terms for every mode with bases.
 
 On arrays each term is a float. On tensors each is one tape node with a
 closed-form backward, and its forward runs the same numpy operations as
-on arrays; the weighted sum of the objective's terms is one more node.
+on arrays. Their sums over a row of M gates run column by column,
+bit-identical to numpy's (``gdu.layer._row_sum``). The weighted sum of the
+objective's terms is one more node.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .layer import UNIFORM, GduLayer, _basis_inners, basis_gram_matrix
+from .layer import UNIFORM, GduLayer, _basis_inners, _row_sum, basis_gram_matrix
 
 __all__ = [
     "ORTH_VARIANTS",
@@ -87,12 +89,13 @@ def _omega_ols_from_stats(a, k_bases, beta):
     give a float; a tensor among ``a``, ``k_bases`` and ``beta`` gives one
     node whose backward is ``-2 beta / b`` for a, ``(beta (K + K^T) - 2 a) / b``
     for beta and ``beta^T beta / b`` for K, and zero where the clamp fires.
+    The per-row sums run column by column, bit-identical to numpy's.
     """
     av, kv, bv = (ad.value_of(t) for t in (a, k_bases, beta))
     b = float(bv.shape[0])
     bk = bv @ kv
-    cross = np.sum(np.sum(bv * av, axis=1)) / b
-    quad = np.sum(np.sum(bk * bv, axis=1)) / b
+    cross = np.sum(_row_sum(bv * av)) / b
+    quad = np.sum(_row_sum(bk * bv)) / b
     val = float(1.0 - 2.0 * cross + quad)
     if val < -_OLS_CLAMP_TOL:
         raise ValueError(f"reconstruction error evaluated to {val}; expected >= 0")
@@ -180,11 +183,12 @@ def omega_l1(beta):
     """Batch-mean L1 norm of the gating coefficients.
 
     Arrays in give a float; a tensor gives one node with backward
-    ``sign(beta) / b``.
+    ``sign(beta) / b``. The per-row sums run column by column, bit-identical
+    to numpy's.
     """
     bv = ad.value_of(beta)
     b = float(bv.shape[0])
-    val = np.sum(np.sum(np.abs(bv), axis=1)) / b
+    val = np.sum(_row_sum(np.abs(bv))) / b
     if not ad.is_tensor(beta):
         return float(val)
     return ad.Tensor(val, (beta,), lambda g: beta._accumulate(np.sign(bv) * (g / b)))

@@ -44,6 +44,8 @@ from .layer import (
     GduLayer,
     _init_machines,
     _inners_and_gate,
+    _row_max,
+    _row_sum,
     basis_gram_matrix,
     forward_batch,
 )
@@ -331,8 +333,9 @@ def cross_entropy_mean(logits, labels):
 
     ``labels`` must be b integers in ``[0, C)``. The forward subtracts each
     row's maximum and takes ``log sum exp`` minus the picked entry, with the
-    same numpy operations for arrays and tensors. Arrays in give a float
-    out; tensor logits give one tape node whose backward is
+    same numpy operations for arrays and tensors; the row maximum and row
+    sum run column by column, bit-identical to numpy's. Arrays in give a
+    float out; tensor logits give one tape node whose backward is
     ``(softmax(logits) - onehot(labels)) * g / b``.
     """
     vals = ad.value_of(logits)
@@ -341,9 +344,9 @@ def cross_entropy_mean(logits, labels):
     b, c = vals.shape
     labels = _checked_labels(labels, b, c)
     rows = np.arange(b)
-    z = vals - np.max(vals, axis=1, keepdims=True)
+    z = vals - _row_max(vals)
     e = np.exp(z)
-    total = np.sum(e, axis=1)
+    total = _row_sum(e)[:, 0]
     loss = np.sum(np.log(total) - z[rows, labels]) / float(b)
     if not ad.is_tensor(logits):
         return loss

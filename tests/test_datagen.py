@@ -106,6 +106,23 @@ def test_make_benchmark_rejects_small_input_dim():
         make_benchmark(4, 2, 5, 3, seed=0)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("n_train", 30.0), ("n_val", np.float64(5.0)), ("n_target", True), ("seed", 1.5),
+    ("seed", False), ("n_components", 3.0), ("n_classes", 2.0), ("input_dim", 6.0),
+    ("n_sources", np.float32(3.0)),
+])
+def test_make_benchmark_requires_integer_counts_and_seed(name, bad):
+    # A float size used to pass here and fail only in materialize, with
+    # numpy's unnamed TypeError; a float seed failed inside SeedSequence.
+    good = dict(n_components=3, n_classes=2, input_dim=6, n_sources=3, seed=1,
+                n_train=30, n_val=5, n_target=7)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+        make_benchmark(**{**good, name: bad})
+    # numpy integers are integers.
+    bench = make_benchmark(**{**good, name: np.int32(good[name])})
+    assert [len(s.x) for s in materialize(bench)] == [30, 30, 30, 5, 5, 5, 7]
+
+
 def test_benchmark_invariant_validation():
     elem = small_elem()
     domains = [

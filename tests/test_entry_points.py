@@ -1,8 +1,9 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
 every function the benchmark's tracer wraps, every name a module exports
 and every ``gdu.autodiff`` attribute a module reads; the exports of the
-package and of each of its modules are pinned, and the package imports
-nothing beyond the standard library and numpy."""
+package and of each of its modules are pinned, the package imports
+nothing beyond the standard library and numpy, and the training path
+reduces short rows only through its column helpers."""
 
 import ast
 import importlib
@@ -193,6 +194,69 @@ def test_every_autodiff_name_a_module_reads_exists():
             assert hasattr(autodiff, name), f"{path.name}:{line} reads autodiff.{name}"
     reads = _autodiff_reads(ast.parse("from . import autodiff as ad\nad.exp(ad.Tensor)"))
     assert sorted(reads) == [(2, "Tensor"), (2, "exp")]
+
+
+# Modules whose row reductions must go through the column helpers; kernel.py
+# is left out, as its block sums must keep numpy's pairwise order.
+ROW_REDUCING_MODULES = ("layer.py", "regularization.py", "training.py")
+_ROW_HELPERS = ("_row_max", "_row_sum")
+_ROW_AXES = {1, 2, -1}
+
+
+def _row_reductions(tree):
+    """``(line, call)`` for every ``max``/``sum`` call along axis 1, 2 or -1.
+
+    Calls inside ``_row_max`` and ``_row_sum`` are skipped. An axis that is
+    not a literal counts as a row axis.
+    """
+    inside = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in _ROW_HELPERS
+        for n in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Attribute) and func.attr in ("max", "sum")):
+            continue
+        axis = [kw.value for kw in node.keywords if kw.arg == "axis"]
+        # np.sum(a, 1) takes the axis second, a.sum(1) first.
+        position = 1 if isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy") else 0
+        if not axis and len(node.args) > position:
+            axis = [node.args[position]]
+        if not axis:
+            continue
+        try:
+            value = ast.literal_eval(axis[0])
+        except ValueError:
+            value = -1
+        if set(value if isinstance(value, tuple) else (value,)) & _ROW_AXES:
+            found.append((node.lineno, ast.unparse(func)))
+    return found
+
+
+def test_short_row_reductions_go_through_the_column_helpers():
+    # numpy reduces a row of M gates or C classes 10-20 times slower than a
+    # pass per column; a plain np.max(z, axis=1) in these modules would bring
+    # that cost back unnoticed.
+    import gdu
+
+    root = Path(gdu.__file__).parent
+    for name in ROW_REDUCING_MODULES:
+        found = _row_reductions(ast.parse((root / name).read_text()))
+        assert not found, f"{name} reduces rows with {found}; use _row_max or _row_sum"
+    snippet = (
+        "import numpy as np\n"
+        "def _row_sum(a):\n    return np.sum(a, axis=-1)\n"
+        "np.max(z, axis=1); z.sum(-1); np.sum(z, 2); x.max(axis=(0, 2)); z.sum(axis=k)\n"
+        "np.sum(z, axis=0); z.max(0); np.max(z); np.sum(z)\n"
+    )
+    assert _row_reductions(ast.parse(snippet)) == [
+        (4, "np.max"), (4, "z.sum"), (4, "np.sum"), (4, "x.max"), (4, "z.sum"),
+    ]
 
 
 def _foreign_imports(tree):

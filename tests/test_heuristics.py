@@ -69,6 +69,11 @@ def test_kmeans_rejects_bad_k():
         with pytest.raises(ValueError, match=f"^k must be an integer, got {bad}$"):
             kmeans(X, bad, seed=0)
     assert kmeans(X, np.int64(2), seed=0).k == 2
+    # A float seed used to fail inside default_rng with an unnamed error.
+    for bad in (0.5, np.float64(1.0), True):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad}$"):
+            kmeans(X, 2, bad)
+    assert kmeans(X, 2, np.int64(0)).k == 2
 
 
 def test_davies_bouldin_singleton_clusters_score_zero():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdu.kernel import KernelConfig
 from gdu.layer import (
@@ -12,7 +14,10 @@ from gdu.layer import (
     UNIFORM,
     GduLayer,
     LearningMachine,
+    _NUMPY_PAIRWISE_BLOCK,
     _basis_inners,
+    _row_max,
+    _row_sum,
     basis_gram_matrix,
     basis_init_scale,
     forward_batch,
@@ -409,3 +414,98 @@ def test_uniform_layer_kernel_statistics_raise_a_named_error():
     ):
         with pytest.raises(ValueError, match="UNIFORM layer has no bases to embed"):
             stat()
+
+
+# -- the per-row reductions ------------------------------------------------------------
+
+# Signed zeros, infinities, NaN and both ends of the magnitude range.
+_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300, 1e300, -1e300)
+_EDGE = np.array(_EDGE_VALUES)
+_row_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.builds(lambda m, p: m * 10.0**p, st.floats(-9.9, 9.9), st.integers(-300, 299)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# Zero, one and many rows, as (b, width) gates and (b, M, width) machine outputs.
+_LEADING_SHAPES = ((0,), (1,), (9,), (0, 3), (1, 4), (5, 3))
+
+
+@st.composite
+def row_arrays(draw, max_width, min_width=1):
+    """An array whose last axis is ``min_width`` to ``max_width`` wide, edge values included.
+
+    A drawn list fills a small array; a drawn seed fills a 200-row one from a
+    mix of edge values and magnitudes from 1e-300 to 1e300.
+    """
+    width = draw(st.integers(min_width, max_width))
+    if draw(st.booleans()):
+        shape = draw(st.sampled_from(_LEADING_SHAPES)) + (width,)
+        n = math.prod(shape)
+        return np.array(draw(st.lists(_row_values, min_size=n, max_size=n))).reshape(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (200, width) if draw(st.booleans()) else (50, 4, width)
+    a = rng.choice((-1.0, 1.0), size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    edge = rng.random(shape) < draw(st.sampled_from((0.0, 0.05, 0.5)))
+    a[edge] = rng.choice(_EDGE, size=int(edge.sum()))
+    return a
+
+
+def assert_same_bits(got, want, unsigned=None):
+    """Equal values, NaN where ``want`` has NaN, and equal sign bits.
+
+    The sign of a NaN is left out: numpy does not fix which NaN a row with
+    several comes to. So are the places ``unsigned`` marks.
+    """
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    signed = ~np.isnan(want) if unsigned is None else ~np.isnan(want) & ~unsigned
+    np.testing.assert_array_equal(np.signbit(got)[signed], np.signbit(want)[signed])
+
+
+REDUCE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+@REDUCE_SETTINGS
+@given(row_arrays(max_width=_NUMPY_PAIRWISE_BLOCK - 1))
+def test_row_sum_is_numpys_sum_bit_for_bit(a):
+    with np.errstate(all="ignore"):
+        assert_same_bits(_row_sum(a), np.sum(a, axis=-1, keepdims=True))
+
+
+@REDUCE_SETTINGS
+@given(row_arrays(max_width=3 * _NUMPY_PAIRWISE_BLOCK))
+def test_row_max_is_numpys_max_bit_for_bit(a):
+    # Where +0.0 and -0.0 tie for a row's maximum, np.max's vectorized path
+    # (rows wider than one SIMD register) may return the other zero.
+    # Subtracting either zero gives the same exp.
+    want = np.max(a, axis=-1, keepdims=True)
+    zeros = a == 0.0
+    tie = (want == 0.0) & np.any(zeros & np.signbit(a), axis=-1, keepdims=True)
+    tie &= np.any(zeros & ~np.signbit(a), axis=-1, keepdims=True)
+    assert_same_bits(_row_max(a), want, unsigned=tie)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(row_arrays(max_width=3 * _NUMPY_PAIRWISE_BLOCK, min_width=_NUMPY_PAIRWISE_BLOCK))
+def test_wide_row_sum_is_numpys_sum(a):
+    # From 8 terms on numpy sums over 8 accumulators; the helper hands wide
+    # rows to np.sum.
+    with np.errstate(all="ignore"):
+        assert_same_bits(_row_sum(a), np.sum(a, axis=-1, keepdims=True))
+
+
+def test_the_pairwise_block_is_numpys_boundary():
+    # Each +1 after 1e16 rounds away in a left-to-right sum; numpy's 8
+    # accumulators add the ones among themselves first. Below 8 terms the
+    # two orders agree.
+    def left_to_right(row):
+        total = 0.0
+        for value in row:
+            total += value
+        return total
+
+    for width in (_NUMPY_PAIRWISE_BLOCK - 1, _NUMPY_PAIRWISE_BLOCK):
+        row = np.array([[1e16] + [1.0] * (width - 1)])
+        numpy_sum = np.sum(row, axis=-1)[0]
+        assert (numpy_sum == left_to_right(row[0])) == (width < _NUMPY_PAIRWISE_BLOCK)
+        assert _row_sum(row)[0, 0] == numpy_sum

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gdu
 from gdu.checkpoint import model_from_text, model_to_text
 from gdu.kernel import KernelConfig
 from gdu.layer import (
@@ -502,6 +503,51 @@ def test_ft_training_is_e2e_training_of_the_layer_on_extracted_features(mode):
                                   GduModel(None, reference.layer))
     assert ref_trace.to_csv_text() == trace.to_csv_text()
     assert model_to_text(layer_only) == model_to_text(GduModel(None, model.layer))
+
+
+# Every regularizer each mode takes; ERM's UNIFORM layer takes none.
+_ALL_REGULARIZERS = {
+    "CS": RegConfig(lambda_ols=0.1, lambda_l1=0.1),
+    "MMD": RegConfig(lambda_ols=0.1, lambda_l1=0.1),
+    "PROJECTION": RegConfig(lambda_ols=0.1, lambda_orth=0.1),
+    "ERM": RegConfig(),
+}
+
+
+@pytest.mark.parametrize("mode", list(_ALL_REGULARIZERS))
+def test_column_reductions_change_no_number_of_a_run(mode, monkeypatch):
+    # The gate, the loss and the regularizers reduce short rows column by
+    # column; numpy's own reductions must give the same run to the last bit.
+    data = separable_splits(13)
+    config = TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=4,
+                         reg=_ALL_REGULARIZERS[mode])
+
+    def fresh():
+        if mode == "ERM":
+            return init_erm_model([2, 6, 4], 2, n_heads=3, seed=5)
+        return small_gdu_for_training(5, mode=mode, m=3)
+
+    def run():
+        model, trace = train(data, config, fresh())
+        return model_to_text(model), trace.to_csv_text()
+
+    columns = run()
+    calls = {"max": 0, "sum": 0}
+
+    def numpy_max(a):
+        calls["max"] += 1
+        return np.max(a, axis=-1, keepdims=True)
+
+    def numpy_sum(a):
+        calls["sum"] += 1
+        return np.sum(a, axis=-1, keepdims=True)
+
+    for module in (gdu.layer, gdu.regularization, gdu.training):
+        for name, reduction in (("_row_max", numpy_max), ("_row_sum", numpy_sum)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, reduction)
+    assert run() == columns
+    assert calls["max"] and calls["sum"]
 
 
 def test_train_erm_models():
