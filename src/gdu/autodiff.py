@@ -18,6 +18,11 @@ as parents; a numpy array or scalar operand is a constant, and no gradient
 is computed for it. A closure must not reference the node it is the
 backward of: that reference cycle would keep every graph alive until the
 cyclic garbage collector runs.
+
+A leaf may outlive the graphs built on it: ``gdu.training.train`` makes its
+parameter leaves once per call, over views of its parameter vector, and
+sets their ``grad`` back to None before each backward, so that each step's
+gradients start afresh.
 """
 
 from __future__ import annotations

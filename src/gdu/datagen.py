@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import _check_int
+
 __all__ = [
     "ElementarySpec",
     "DomainSpec",
@@ -183,8 +185,7 @@ def make_benchmark(
                     n_sources=n_sources, n_train=n_train, n_val=n_val, n_target=n_target,
                     seed=seed)
     for name, value in integers.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value}")
+        _check_int(name, value)
     if n_components < 1 or n_classes < 2 or n_sources < 2:
         raise ValueError("need n_components >= 1, n_classes >= 2, n_sources >= 2")
     rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import squared_distances
+from .kernel import _check_int, squared_distances
 
 __all__ = [
     "ClusteringResult",
@@ -120,12 +120,6 @@ def _check_rows(X, who: str):
             f"{who} needs rows with squared norms below {_MAX_SQ_NORM:.4g}, got {largest:.4g}"
         )
     return X, xx
-
-
-def _check_int(name: str, value):
-    """Raise unless ``value`` is a Python or numpy integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def _distances_to(X, xx, centroids, G, twice_g, out):

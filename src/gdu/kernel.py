@@ -76,6 +76,12 @@ class KernelConfig:
             raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
 
 
+def _check_int(name: str, value):
+    """Raise unless ``value`` is a Python or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def _check_feature_dims(name_a, dim_a, name_b, dim_b):
     if dim_a != dim_b:
         raise DimensionMismatchError(

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .kernel import KernelConfig, gram_block_means, gram_diagonal_block_means
+from .kernel import KernelConfig, _check_int, gram_block_means, gram_diagonal_block_means
 
 __all__ = [
     "GATING_MODES",
@@ -414,6 +414,10 @@ def init_layer(
     spread from :func:`basis_init_scale`; machine weights are symmetric
     uniform with fan-in scaling and zero biases.
     """
+    sizes = dict(num_bases=num_bases, basis_size=basis_size, feature_dim=feature_dim,
+                 n_outputs=n_outputs, seed=seed)
+    for name, value in sizes.items():
+        _check_int(name, value)
     if min(num_bases, basis_size, feature_dim, n_outputs) < 1:
         raise ValueError("all layer dimensions must be positive")
     rng = np.random.default_rng(seed)

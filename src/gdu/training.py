@@ -27,7 +27,12 @@ rebinds each trained parameter attribute of the model (``fe.weights[i]``,
 ``layer.bias``) to a view of that vector, so the optimizer step, the
 best-epoch snapshot and its restore are single vector operations. An array
 taken from the model before ``train`` is no longer the model's parameter
-afterwards.
+afterwards. What does not depend on the batch is made once per call: the
+tape leaves (:func:`_graph_model`), whose ``data`` are those views, so
+Adam's in-place update shows in them; one gradient vector in the same
+layout, into which :func:`_backprop` copies the leaves' gradients after
+resetting them for each backward; and Adam's moments and work vectors,
+which each step updates in place.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from .kernel import _check_int
 from .layer import (
     UNIFORM,
     GduLayer,
@@ -183,12 +189,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
-        for name in ("batch_size", "max_epochs", "patience"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value}")
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            _check_int(name, getattr(self, name))
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         lr = self.learning_rate
         if not (math.isfinite(lr) and lr > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {lr}")
@@ -241,6 +247,11 @@ def init_feature_extractor(layer_sizes, seed, nonlinearity="relu") -> FeatureExt
     """Symmetric-uniform fan-in initialization, deterministic in ``seed``."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
+    for i, size in enumerate(layer_sizes):
+        _check_int(f"layer_sizes[{i}]", size)
+        if size < 1:
+            raise ValueError(f"layer_sizes[{i}] must be positive, got {size}")
+    _check_int("seed", seed)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -262,6 +273,8 @@ def init_erm_model(
 
     The heads are drawn as :func:`gdu.layer.init_layer` draws machines, from seed + 1.
     """
+    _check_int("n_outputs", n_outputs)
+    _check_int("n_heads", n_heads)
     fe = init_feature_extractor(layer_sizes, seed, nonlinearity)
     rng = np.random.default_rng(seed + 1)
     weights, bias = _init_machines(rng, n_heads, layer_sizes[-1], n_outputs)
@@ -436,40 +449,39 @@ def _pack_parameters(model):
 
 
 def _graph_model(model):
-    """A copy of ``model`` whose blocks are fresh tape leaves.
+    """A copy of ``model`` whose blocks are tape leaves on the model's arrays.
 
     Only the objects that hold a trained block are copied, shallowly; their
-    other fields, already validated on ``model``, are shared. Returns the
-    copy and its leaves by name.
+    other fields, already validated on ``model``, are shared. Each leaf's
+    ``data`` is the model's block itself, not a copy, so an in-place update
+    of the block shows in the leaf. Returns the copy and its leaves by name.
     """
     graph = copy.copy(model)
     if graph.fe is not None:
         graph.fe = copy.copy(graph.fe)
         graph.fe.weights, graph.fe.biases = list(graph.fe.weights), list(graph.fe.biases)
     graph.layer = copy.copy(graph.layer)
-    params_t = {}
+    leaves = {}
     for name, owner, key in _parameter_slots(graph):
-        params_t[name] = ad.tensor(_get_slot(owner, key))
-        _set_slot(owner, key, params_t[name])
-    return graph, params_t
+        leaves[name] = ad.tensor(_get_slot(owner, key))
+        _set_slot(owner, key, leaves[name])
+    return graph, leaves
 
 
-def _build_objective(model, X, y, reg: RegConfig):
-    """Build the objective graph; returns (objective node, param tensors)."""
-    graph, params_t = _graph_model(model)
+def _build_objective(graph, X, y, reg: RegConfig):
+    """The objective node on the batch ``(X, y)`` for a :func:`_graph_model` copy."""
     feats = fe_forward(X, graph.fe)
     # The gate's inner products are shared with the reconstruction term.
     a, beta = _inners_and_gate(feats, graph.layer)
     logits = forward_batch(feats, graph.layer, beta=beta)
-    obj = _add_regularizers(cross_entropy_mean(logits, y), a, beta, graph.layer, reg)
-    return obj, params_t
+    return _add_regularizers(cross_entropy_mean(logits, y), a, beta, graph.layer, reg)
 
 
 def objective(batch, model, reg: RegConfig) -> float:
     """Value of the training objective on ``batch = (X, y)``."""
     X, y = batch
-    obj, _ = _build_objective(model, np.asarray(X, dtype=np.float64), y, reg)
-    return float(obj.data)
+    graph, _ = _graph_model(model)
+    return float(_build_objective(graph, np.asarray(X, dtype=np.float64), y, reg).data)
 
 
 def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
@@ -480,27 +492,40 @@ def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
     """
     X, y = batch
     part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
-    obj, params_t = _build_objective(part, X, y, reg)
-    grad = _backprop(obj, params_t)
-    return dict(zip(params_t, _block_views(grad, [t.shape for t in params_t.values()])))
+    graph, leaves = _graph_model(part)
+    grad, blocks = _gradient_vector(leaves)
+    _backprop(_build_objective(graph, X, y, reg), leaves, grad, blocks)
+    return dict(zip(leaves, blocks))
 
 
-def _backprop(obj, params_t: dict, where: str = "") -> np.ndarray:
-    """Backpropagate ``obj``; return the blocks' gradients as one vector.
+def _gradient_vector(leaves: dict) -> tuple:
+    """An empty vector for the leaves' gradients, and its view per leaf.
 
-    The blocks lie in the order of ``params_t``, as in the parameter vector
-    of :func:`_pack_parameters`; every node of the objective hands a
-    gradient to each of its parents, so each block has one. A non-finite
-    entry raises, naming the first block that holds one, with ``where``
-    appended to the message.
+    The views lie in the order of ``leaves``, as :func:`_pack_parameters`
+    lays out the blocks.
     """
+    grad = np.empty(sum(t.data.size for t in leaves.values()))
+    return grad, _block_views(grad, [t.shape for t in leaves.values()])
+
+
+def _backprop(obj, leaves: dict, grad: np.ndarray, blocks: list, where: str = ""):
+    """Backpropagate ``obj`` and copy each leaf's gradient into ``grad``.
+
+    ``blocks`` are the views of ``grad`` from :func:`_gradient_vector`.
+    Every leaf's gradient is reset first, so leaves reused across steps
+    start each backward from none; every node of the objective hands a
+    gradient to each of its parents, so each leaf ends with one. A
+    non-finite entry raises, naming the first block that holds one, with
+    ``where`` appended to the message.
+    """
+    for t in leaves.values():
+        t.grad = None
     obj.backward()
-    blocks = [t.grad for t in params_t.values()]
-    grad = np.concatenate([np.ravel(g) for g in blocks])
+    for t, block in zip(leaves.values(), blocks):
+        block[...] = t.grad
     if not np.all(np.isfinite(grad)):
-        name = next(n for n, g in zip(params_t, blocks) if not np.all(np.isfinite(g)))
+        name = next(n for n, g in zip(leaves, blocks) if not np.all(np.isfinite(g)))
         raise NonFiniteGradientError(f"non-finite gradient in block {name!r}{where}")
-    return grad
 
 
 # -- prediction ---------------------------------------------------------------
@@ -532,21 +557,41 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class _Adam:
-    """Adam on one parameter vector, updated in place."""
+    """Adam on one parameter vector, updated in place.
+
+    The moments and two work vectors are allocated once. Each step runs the
+    textbook update's operations in its order, ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + ((1 - b2) g) g``, ``m_hat = m / (1 - b1^t)``, ``v_hat = v
+    / (1 - b2^t)`` and ``params -= (lr m_hat) / (sqrt(v_hat) + eps)``, each
+    into one of these vectors, so every entry rounds as the out-of-place
+    expressions round it.
+    """
 
     def __init__(self, params: np.ndarray, learning_rate: float):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._work = (np.empty_like(params), np.empty_like(params))
         self.t = 0
         self.learning_rate = learning_rate
 
     def step(self, params: np.ndarray, grad: np.ndarray):
         self.t += 1
-        self.m = _ADAM_BETA1 * self.m + (1 - _ADAM_BETA1) * grad
-        self.v = _ADAM_BETA2 * self.v + (1 - _ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1 - _ADAM_BETA1**self.t)
-        v_hat = self.v / (1 - _ADAM_BETA2**self.t)
-        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        m, v = self.m, self.v
+        step, denom = self._work
+        m *= _ADAM_BETA1
+        np.multiply(grad, 1 - _ADAM_BETA1, out=step)
+        m += step
+        v *= _ADAM_BETA2
+        np.multiply(grad, 1 - _ADAM_BETA2, out=step)
+        step *= grad
+        v += step
+        np.divide(m, 1 - _ADAM_BETA1**self.t, out=step)
+        np.divide(v, 1 - _ADAM_BETA2**self.t, out=denom)
+        step *= self.learning_rate
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step /= denom
+        params -= step
 
 
 # -- the training loop ---------------------------------------------------------
@@ -589,6 +634,8 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         model, config.mode, np.asarray(data.train_x, dtype=np.float64), data.val_x
     )
     params = _pack_parameters(part)
+    graph, leaves = _graph_model(part)
+    grad, grad_blocks = _gradient_vector(leaves)
     opt = _Adam(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n = len(train_x)
@@ -602,10 +649,11 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            obj, params_t = _build_objective(part, train_x[idx], train_y[idx], config.reg)
+            obj = _build_objective(graph, train_x[idx], train_y[idx], config.reg)
             if not np.isfinite(float(obj.data)):
                 raise TrainingDivergedError(epoch)
-            opt.step(params, _backprop(obj, params_t, f" at epoch {epoch}"))
+            _backprop(obj, leaves, grad, grad_blocks, f" at epoch {epoch}")
+            opt.step(params, grad)
 
         feats_train = np.asarray(fe_forward(train_x, part.fe))
         ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y, config.reg)

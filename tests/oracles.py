@@ -15,7 +15,9 @@ agree bit for bit. ``gaussian_gram_chain`` is the one chain that
 agrees only up to rounding: the package builds the Gram from another
 arithmetic route (one matmul of augmented rows). ``kmeans_loop`` is the
 plain Lloyd loop that ``gdu.heuristics.kmeans`` replaced, kept as its
-bit-exact reference.
+bit-exact reference, and ``train_loop`` the training loop that made its
+state fresh on every step, kept as the bit-exact reference of
+``gdu.training.train``.
 """
 
 import math
@@ -25,6 +27,22 @@ import numpy as np
 from gdu.autodiff import Tensor, is_tensor, value_of
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _kmeans_pp_init
 from gdu.kernel import squared_distances
+from gdu.training import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
+    NonFiniteGradientError,
+    TraceRow,
+    TrainingDivergedError,
+    TrainTrace,
+    _build_objective,
+    _epoch_metrics,
+    _graph_model,
+    _pack_parameters,
+    _trained_part,
+    accuracy,
+    fe_forward,
+)
 
 
 def kernel_value(x, y, sigma):
@@ -495,3 +513,62 @@ def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
     if trace is not None:
         trace.update(iterations=iterations, converged=converged, reseeds=reseeds)
     return ClusteringResult(assignments, centroids, inertia)
+
+
+def train_loop(data, config, model):
+    """The training loop with fresh state on every step.
+
+    Each step makes new tape leaves (``_graph_model``), concatenates the
+    leaves' gradients into a new vector and runs Adam's update out of
+    place. Everything else is ``gdu.training.train``'s: the same batches,
+    epoch metrics, early stopping and snapshot. For the same arguments both
+    return the same parameters and trace bit for bit.
+    """
+    part, train_x, val_x = _trained_part(
+        model, config.mode, np.asarray(data.train_x, dtype=np.float64), data.val_x
+    )
+    params = _pack_parameters(part)
+    m, v, t = np.zeros_like(params), np.zeros_like(params), 0
+    rng = np.random.default_rng(config.seed)
+    n = len(train_x)
+    train_y = np.asarray(data.train_y, dtype=np.int64)
+    trace = TrainTrace()
+    best_val, best_snapshot, stale_epochs = -math.inf, None, 0
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            graph, leaves = _graph_model(part)
+            obj = _build_objective(graph, train_x[idx], train_y[idx], config.reg)
+            if not np.isfinite(float(obj.data)):
+                raise TrainingDivergedError(epoch)
+            obj.backward()
+            blocks = [leaf.grad for leaf in leaves.values()]
+            grad = np.concatenate([np.ravel(g) for g in blocks])
+            if not np.all(np.isfinite(grad)):
+                name = next(k for k, g in zip(leaves, blocks) if not np.all(np.isfinite(g)))
+                raise NonFiniteGradientError(
+                    f"non-finite gradient in block {name!r} at epoch {epoch}"
+                )
+            t += 1
+            m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
+            v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
+            m_hat = m / (1 - _ADAM_BETA1**t)
+            v_hat = v / (1 - _ADAM_BETA2**t)
+            params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+
+        feats_train = np.asarray(fe_forward(train_x, part.fe))
+        ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y, config.reg)
+        if not np.isfinite(ce):
+            raise TrainingDivergedError(epoch)
+        val_acc = accuracy(part, val_x, data.val_y)
+        trace.append(TraceRow(epoch, ce, val_acc, srip, ols, orth, l1))
+        if val_acc > best_val:
+            best_val, best_snapshot, stale_epochs = val_acc, params.copy(), 0
+        else:
+            stale_epochs += 1
+            if stale_epochs >= config.patience:
+                break
+    if best_snapshot is not None:
+        params[...] = best_snapshot
+    return model, trace

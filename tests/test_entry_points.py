@@ -1,6 +1,7 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
 every function the benchmark's tracer wraps, every name a module exports
-and every ``gdu.autodiff`` attribute a module reads; the exports of the
+and every ``gdu.autodiff`` attribute a module reads; a training step calls
+each traced per-step function once; the exports of the
 package and of each of its modules are pinned, the package imports
 nothing beyond the standard library and numpy, and the training path
 reduces short rows only through its column helpers."""
@@ -25,16 +26,49 @@ def test_declared_scripts_import():
         assert callable(getattr(module, attr)), f"script {name!r} -> {target!r}"
 
 
-def test_traced_spans_resolve():
-    # A renamed function would silently drop its per-layer metrics.
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_spans_resolve():
+    # A renamed function would silently drop its per-layer metrics.
+    tracer = _load_tracer()
     for span, module_name, attr in tracer.SPANS:
         target = importlib.import_module(module_name)
         for part in attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"span {span!r} -> {module_name}.{attr}"
+
+
+def test_traced_training_spans_run_once_per_step():
+    # The benchmark divides its per-step counts by the objective builds. A
+    # train loop that stopped calling a traced name on every step, or
+    # changed what one step puts on the tape, would skew them silently.
+    import numpy as np
+
+    from gdu.kernel import KernelConfig
+    from gdu.layer import init_layer
+    from gdu.training import DatasetSplits, GduModel, TrainConfig, init_feature_extractor, train
+
+    rng = np.random.default_rng(0)
+    data = DatasetSplits(rng.normal(size=(40, 4)), rng.integers(0, 3, size=40),
+                         rng.normal(size=(10, 4)), rng.integers(0, 3, size=10))
+    model = GduModel(init_feature_extractor([4, 6, 4], 0),
+                     init_layer(3, 5, 4, 3, 1, "CS", KernelConfig(2.0), 20.0))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        train(data, TrainConfig(max_epochs=2, patience=2, batch_size=16), model)
+    finally:
+        tracer.uninstall()
+    steps = 2 * 3  # 2 epochs of 3 batches of at most 16 rows
+    for span in ("training.build_objective", "autodiff.backward", "training.optimizer_step"):
+        assert tracer.calls(span) == steps, span
+    # Six operation nodes and seven parameter leaves per step.
+    assert tracer.counts["tape_nodes"] == 13 * steps
 
 
 def test_every_module_export_resolves():

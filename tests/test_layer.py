@@ -325,6 +325,18 @@ def test_basis_init_scale_formula():
         assert expected_kernel < 0.1
 
 
+@pytest.mark.parametrize("index, name", list(enumerate(
+    ["num_bases", "basis_size", "feature_dim", "n_outputs", "seed"])))
+@pytest.mark.parametrize("bad", [2.0, True, np.float64(3.0)])
+def test_init_layer_requires_integer_sizes_and_seed(index, name, bad):
+    args = [2, 3, 4, 2, 0]
+    args[index] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+        init_layer(*args, "CS", CFG, kappa=2.0)
+    args[index] = np.int64(2)
+    init_layer(*args, "CS", CFG, kappa=2.0)
+
+
 def test_layer_validation():
     with pytest.raises(ValueError, match="kappa"):
         make_layer([[[0.0]]], "CS", kappa=None)

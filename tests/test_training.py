@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from gdu.training import (
     TrainConfig,
     TrainingDivergedError,
     _build_objective,
+    _graph_model,
     accuracy,
     cross_entropy_mean,
     fe_forward,
@@ -45,7 +47,7 @@ from gdu.training import (
 )
 
 from helpers import SMALL_DIMS, build_small_gdu, gradient_max_rel_error, reg_toggles
-from oracles import add, mlp_forward_brute, mul, sqrt, sub, summation
+from oracles import add, mlp_forward_brute, mul, sqrt, sub, summation, train_loop
 
 
 # -- feature extractor ---------------------------------------------------------
@@ -256,7 +258,18 @@ def test_gradients_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def _op_nodes(obj, params_t):
+def test_gradients_of_two_calls_share_no_memory():
+    model, X, y = build_small_gdu(1, "CS")
+    first = gradients((X, y), model, reg_toggles("CS")[-1])
+    second = gradients((X, y), model, reg_toggles("CS")[-1])
+    params = list(trainable_arrays(model, "E2E").values())
+    for name, block in first.items():
+        np.testing.assert_array_equal(block, second[name])
+        assert not any(np.shares_memory(block, other) for other in second.values()), name
+        assert not any(np.shares_memory(block, param) for param in params), name
+
+
+def _op_nodes(obj, leaves):
     """Tape nodes reachable from ``obj``, not counting the parameter leaves."""
     seen, todo = {id(obj)}, [obj]
     while todo:
@@ -264,7 +277,7 @@ def _op_nodes(obj, params_t):
             if id(parent) not in seen:
                 seen.add(id(parent))
                 todo.append(parent)
-    return len(seen - {id(t) for t in params_t.values()})
+    return len(seen - {id(t) for t in leaves.values()})
 
 
 # Non-leaf tape nodes of an E2E step with every regularizer on, one-layer
@@ -277,8 +290,8 @@ def test_objective_tape_size_does_not_grow_with_num_bases(mode):
     counts = set()
     for m in (2, 10):
         model, X, y = build_small_gdu(6, mode, dims={**SMALL_DIMS, "m": m})
-        obj, params_t = _build_objective(model, X, y, reg_toggles(mode)[-1])
-        counts.add(_op_nodes(obj, params_t))
+        graph, leaves = _graph_model(model)
+        counts.add(_op_nodes(_build_objective(graph, X, y, reg_toggles(mode)[-1]), leaves))
     assert len(counts) == 1, counts
     assert counts.pop() <= TAPE_NODE_CAP[mode]
 
@@ -288,7 +301,8 @@ def test_tape_shape_is_pinned():
     # and the basis norms, the gate, the ensemble and the loss; with
     # regularizers, the basis Gram, each term and their weighted sum.
     def nodes(model, X, y, reg=RegConfig()):
-        return _op_nodes(*_build_objective(model, X, y, reg))
+        graph, leaves = _graph_model(model)
+        return _op_nodes(_build_objective(graph, X, y, reg), leaves)
 
     model, X, y = build_small_gdu(0, "CS")
     assert nodes(model, X, y) == 6
@@ -514,6 +528,50 @@ _ALL_REGULARIZERS = {
 }
 
 
+def _fresh_model(mode, seed):
+    """A model for ``mode``: GDU with M=3, or ERM with 3 heads."""
+    if mode == "ERM":
+        return init_erm_model([2, 6, 4], 2, n_heads=3, seed=seed)
+    return small_gdu_for_training(seed, mode=mode, m=3)
+
+
+@pytest.mark.parametrize("train_mode", ["E2E", "FT"])
+@pytest.mark.parametrize("mode", list(_ALL_REGULARIZERS))
+def test_train_matches_the_reference_loop(mode, train_mode):
+    # train keeps its tape leaves, gradient vector and Adam buffers for the
+    # whole call; the loop that makes them fresh on every step must give
+    # the same run to the last bit. Patience 2 of 6 epochs stops early.
+    data = separable_splits(18)
+    config = TrainConfig(mode=train_mode, max_epochs=6, patience=2, batch_size=16,
+                         seed=19, learning_rate=0.05, reg=_ALL_REGULARIZERS[mode])
+
+    def run(loop):
+        model, trace = loop(data, config, _fresh_model(mode, 18))
+        return model_to_text(model), trace.to_csv_text()
+
+    reference = run(train_loop)
+    assert run(train) == reference
+    # No leaf gradient or Adam moment of the first call reaches the second.
+    assert run(train) == reference
+
+
+@pytest.mark.parametrize("train_mode", ["E2E", "FT"])
+def test_train_leaves_no_cyclic_garbage(train_mode):
+    # The leaves and buffers that train keeps across steps must not tie a
+    # step's graph into a cycle, or every step's graph outlives the call.
+    data = separable_splits(20)
+    gc.collect()
+    gc.disable()
+    try:
+        for mode, reg in _ALL_REGULARIZERS.items():
+            config = TrainConfig(mode=train_mode, max_epochs=2, patience=2, batch_size=16,
+                                 seed=21, reg=reg)
+            train(data, config, _fresh_model(mode, 20))
+            assert gc.collect() == 0, mode
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("mode", list(_ALL_REGULARIZERS))
 def test_column_reductions_change_no_number_of_a_run(mode, monkeypatch):
     # The gate, the loss and the regularizers reduce short rows column by
@@ -522,13 +580,8 @@ def test_column_reductions_change_no_number_of_a_run(mode, monkeypatch):
     config = TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=4,
                          reg=_ALL_REGULARIZERS[mode])
 
-    def fresh():
-        if mode == "ERM":
-            return init_erm_model([2, 6, 4], 2, n_heads=3, seed=5)
-        return small_gdu_for_training(5, mode=mode, m=3)
-
     def run():
-        model, trace = train(data, config, fresh())
+        model, trace = train(data, config, _fresh_model(mode, 5))
         return model_to_text(model), trace.to_csv_text()
 
     columns = run()
@@ -704,16 +757,43 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(mode="WARMUP")
     # numpy integers are integers.
-    TrainConfig(batch_size=np.int64(8), max_epochs=np.int32(3), patience=3)
+    TrainConfig(batch_size=np.int64(8), max_epochs=np.int32(3), patience=3, seed=np.int64(2))
 
 
 _BAD_CONFIG_VALUES = (
     [(RegConfig, name, v) for name in ("lambda_ols", "lambda_orth", "lambda_l1")
      for v in (math.nan, math.inf, -1.0)]
     + [(TrainConfig, "learning_rate", v) for v in (math.nan, math.inf, 0.0, -1.0)]
-    + [(TrainConfig, name, v) for name in ("batch_size", "max_epochs", "patience")
+    + [(TrainConfig, name, v) for name in ("batch_size", "max_epochs", "patience", "seed")
        for v in (8.0, True, np.float64(3.0))]
+    + [(TrainConfig, "seed", v) for v in (1.5, -1)]
 )
+
+
+_BAD_INIT_ARGUMENTS = [
+    (init_feature_extractor, ([4, 5.0, 3], 0), "layer_sizes[1]", "5.0"),
+    (init_feature_extractor, ([True, 5, 3], 0), "layer_sizes[0]", "True"),
+    (init_feature_extractor, ([4, 5, 3], 1.5), "seed", "1.5"),
+    (init_feature_extractor, ([4, 5, 3], np.float64(2.0)), "seed", "2.0"),
+    (init_erm_model, ([4, 5, 3], 2, 2.0, 0), "n_heads", "2.0"),
+    (init_erm_model, ([4, 5, 3], 2.0, 2, 0), "n_outputs", "2.0"),
+    (init_erm_model, ([4, 5, 3], 2, 2, 1.5), "seed", "1.5"),
+    (init_erm_model, ([4, 5, 3], 2, True, 0), "n_heads", "True"),
+]
+
+
+@pytest.mark.parametrize("init, args, name, shown", _BAD_INIT_ARGUMENTS)
+def test_initializers_require_integer_sizes_and_seed(init, args, name, shown):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got {shown}$"):
+        init(*args)
+
+
+def test_extractor_sizes_must_be_positive():
+    with pytest.raises(ValueError, match=r"^layer_sizes\[1\] must be positive, got 0$"):
+        init_feature_extractor([4, 0, 3], 0)
+    # numpy integers are integers.
+    init_feature_extractor(np.array([4, 5, 3]), np.int64(0))
+    init_erm_model([4, 5, 3], np.int64(2), np.int32(2), np.int64(0))
 
 
 @pytest.mark.parametrize("config, name, value", _BAD_CONFIG_VALUES)
