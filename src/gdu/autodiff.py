@@ -17,7 +17,8 @@ Only tensors are differentiated. A node records only its tensor operands
 as parents; a numpy array or scalar operand is a constant, and no gradient
 is computed for it. A closure must not reference the node it is the
 backward of: that reference cycle would keep every graph alive until the
-cyclic garbage collector runs.
+cyclic garbage collector runs. A node with several outputs hands them out
+as the parts of :meth:`Tensor.split`, whose gradients add into its own.
 
 A leaf may outlive the graphs built on it: ``gdu.training.train`` makes its
 parameter leaves once per call, over views of its parameter vector, and
@@ -26,6 +27,8 @@ gradients start afresh.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,6 +56,26 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor({self.data!r})"
+
+    def split(self, *shapes):
+        """Tensors over consecutive parts of this node's flat value, one per shape.
+
+        A node with several outputs packs them into one vector and hands out
+        its parts. Each part's ``grad`` is a view of this node's ``grad``,
+        which starts here at zero, so every consumer of a part adds into the
+        one packed gradient in place. A part has no backward and this node
+        as its one parent, so the tape runs this node's backward once, after
+        the consumers of every part.
+        """
+        self.grad = np.zeros(self.data.shape)
+        parts, start = [], 0
+        for shape in shapes:
+            stop = start + math.prod(shape)
+            part = Tensor(self.data[start:stop].reshape(shape), (self,))
+            part.grad = self.grad[start:stop].reshape(shape)
+            parts.append(part)
+            start = stop
+        return parts
 
     def _accumulate(self, g):
         if self.grad is None:

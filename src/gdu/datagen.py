@@ -8,6 +8,10 @@ domains get mixing weights concentrated away from the sources, producing a
 mixture-component shift at test time while the components themselves stay
 literally invariant.
 
+:func:`bayes_accuracy` scores the Bayes classifier, which knows the
+components, on drawn rows: the ceiling any model's accuracy on those rows
+is measured against.
+
 A benchmark is a function of :func:`make_benchmark`'s arguments and seed,
 from which :func:`materialize` redraws every domain bit for bit: they are a
 run's only record of its data. Each sample's ``tags`` (its true component)
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_int
+from .kernel import _check_int, _check_seed
 
 __all__ = [
     "ElementarySpec",
@@ -31,6 +35,7 @@ __all__ = [
     "sample_domain",
     "make_benchmark",
     "materialize",
+    "bayes_accuracy",
 ]
 
 ROLES = ("source", "validation", "target")
@@ -179,13 +184,14 @@ def make_benchmark(
     redrawn until it clears the distinctness requirement. ``label_skew``
     tilts each component's label distribution toward one class (the
     conditional-shift knob); zero keeps labels uniform. The counts, sizes
-    and ``seed`` must be Python or numpy integers, not bools.
+    and ``seed`` must be Python or numpy integers, not bools, and ``seed``
+    nonnegative.
     """
     integers = dict(n_components=n_components, n_classes=n_classes, input_dim=input_dim,
-                    n_sources=n_sources, n_train=n_train, n_val=n_val, n_target=n_target,
-                    seed=seed)
+                    n_sources=n_sources, n_train=n_train, n_val=n_val, n_target=n_target)
     for name, value in integers.items():
         _check_int(name, value)
+    _check_seed("seed", seed)
     if n_components < 1 or n_classes < 2 or n_sources < 2:
         raise ValueError("need n_components >= 1, n_classes >= 2, n_sources >= 2")
     rng = np.random.default_rng(seed)
@@ -227,3 +233,47 @@ def materialize(benchmark: SyntheticBenchmark) -> list:
         for spec, state in zip(benchmark.domains, states)
     ]
 
+
+
+def bayes_accuracy(benchmark: SyntheticBenchmark, sample: DomainSample, alpha) -> float:
+    """Accuracy on ``sample`` of the Bayes classifier for mixing weights ``alpha``.
+
+    The classifier knows the benchmark's diagonal-Gaussian components, their
+    label distributions and the weights ``alpha`` over the K components. It
+    predicts the class ``y`` of largest log joint density,
+    ``logsumexp_j [log alpha_j + log p_j(y) + log N(x; m_jy, diag(s_j))]``,
+    the log-sum-exp taken over components after subtracting their maximum;
+    ties go to the smaller class. ``alpha`` must lie on the probability
+    simplex and have one weight per component; a zero weight drops its
+    component. With the target's own ``alpha`` this is the target ceiling;
+    with the mean source ``alpha`` it is the ceiling of a model that knows
+    only the sources' weights.
+    """
+    elem = benchmark.elementary
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (elem.n_components,):
+        raise ValueError(
+            f"alpha must hold {elem.n_components} weights, one per component; "
+            f"got shape {alpha.shape}"
+        )
+    if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= _SIMPLEX_TOL):
+        raise ValueError(f"alpha must lie on the probability simplex, got {alpha.tolist()}")
+    x = np.asarray(sample.x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != elem.input_dim or len(x) == 0:
+        raise ValueError(
+            f"sample rows must form a nonempty (n, {elem.input_dim}) array, got {x.shape}"
+        )
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(alpha)[:, None] + np.log(elem.label_dist)  # (K, C)
+    # (K, n, C): each component's log joint density of every row and class.
+    log_joint = np.empty((elem.n_components, len(x), elem.n_classes))
+    for j in range(elem.n_components):
+        var = elem.cov_diag[j]
+        diff = x[:, None, :] - elem.class_means[j][None, :, :]
+        quad = np.sum(diff * diff / var, axis=-1)
+        log_norm = -0.5 * (np.sum(np.log(var)) + elem.input_dim * math.log(2.0 * math.pi))
+        log_joint[j] = log_prior[j] + log_norm - 0.5 * quad
+    top = np.max(log_joint, axis=0)
+    scores = top + np.log(np.sum(np.exp(log_joint - top), axis=0))
+    predicted = np.argmax(scores, axis=1)
+    return float(np.mean(predicted == np.asarray(sample.y)))

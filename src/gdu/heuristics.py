@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_int, squared_distances
+from .kernel import _check_int, _check_seed, squared_distances
 
 __all__ = [
     "ClusteringResult",
@@ -194,7 +194,7 @@ def kmeans(X, k: int, seed: int) -> ClusteringResult:
     means are formed, so the loop's order decides which means see a move.
     """
     _check_int("k", k)
-    _check_int("seed", seed)
+    _check_seed("seed", seed)
     X, xx = _check_rows(X, "kmeans")
     n = X.shape[0]
     if not 1 <= k <= n:
@@ -275,8 +275,9 @@ def select_m(X, k_range, seeds: int, seed0: int):
     ``(chosen_k, [ScoreRow])`` with ties broken toward smaller k.
     """
     lo, hi = k_range
-    for name, value in (("k_range[0]", lo), ("k_range[1]", hi), ("seeds", seeds), ("seed0", seed0)):
+    for name, value in (("k_range[0]", lo), ("k_range[1]", hi), ("seeds", seeds)):
         _check_int(name, value)
+    _check_seed("seed0", seed0)
     X, _ = _check_rows(X, "select_m")
     if not 2 <= lo <= hi <= X.shape[0]:
         raise ValueError(f"invalid k range [{lo}, {hi}] for n={X.shape[0]}")

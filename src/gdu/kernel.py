@@ -4,16 +4,19 @@ The kernel is fixed to the Gaussian ``k(x, y) = exp(-||x - y||^2 / (2 sigma^2))`
 matching the squared-bandwidth convention of the median heuristic
 ``sigma^2 = median{||x_i - x_j||^2}``.
 
-Empirical kernel mean embeddings reduce to block means of a Gram matrix:
-``<mu_p, mu_q>`` is the mean of the (p, q) block. :func:`gram_block_means`
-gives all of them at once and :func:`gram_diagonal_block_means` only the
-squared norms ``||mu_p||^2``; each is one autodiff tape node with a
-closed-form backward, and :func:`gram` is the one-row-block case. Both
-take the rows of a point set on its last axis, so an (M, N, e) stack of
-bases is read as it is, as M*N rows, and its gradient lands in the
-stack's own shape.
+Empirical kernel mean embeddings reduce to block means of a Gram matrix
+(Muandet et al., arXiv:1605.09522): ``<mu_p, mu_q>`` is the mean of the
+(p, q) block. :func:`gram_block_means` gives all of them at once and
+:func:`gram_diagonal_block_means` only the squared norms ``||mu_p||^2``;
+on tensors each is one autodiff tape node with a closed-form backward, and
+:func:`gram` is the one-row-block case. A training step that also reads
+the bases' own Gram gets the inner products of a batch with the bases,
+their norms and that Gram from one node over one Gram
+(:func:`_inners_norms_gram`). All take the rows of a point set on their
+last axis, so an (M, N, e) stack of bases is read as it is, as M*N rows,
+and its gradient lands in the stack's own shape.
 
-Both build their Gram blocks with one matmul of augmented rows: with
+Each builds its Gram blocks with one matmul of augmented rows: with
 ``c = 1 / (2 sigma^2)``,
 
     [x, 1, -c ||x||^2] . [2c y, -c ||y||^2, 1] = -c ||x - y||^2,
@@ -80,6 +83,16 @@ def _check_int(name: str, value):
     """Raise unless ``value`` is a Python or numpy integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value}")
+
+
+def _check_seed(name: str, value):
+    """Raise unless ``value`` is an integer (see :func:`_check_int`) and nonnegative.
+
+    Names the argument where ``np.random.default_rng`` would fail without it.
+    """
+    _check_int(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _check_feature_dims(name_a, dim_a, name_b, dim_b):
@@ -184,9 +197,7 @@ def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
     the small gradient ``g``, scaled by ``1 / (n_x n_y sigma^2)``, over the
     blocks to ``W = G * E(g)`` and applies the closed form of :func:`gram`,
     with ``W Y`` and the row sums ``W 1`` from one matmul ``W [Y | 1]``.
-    With one tensor on both sides G is symmetric up to rounding, and both
-    terms land on X as ``dX = S X - diag(S 1) X`` with
-    ``S = W + W^T = G * E(g + g^T)``.
+    One tensor on both sides gets both terms.
     """
     Xs, Ys = _rows(X), _rows(Y)
     _check_feature_dims("X", Xs.shape[-1], "Y", Ys.shape[-1])
@@ -211,17 +222,13 @@ def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
     if not x_t and not y_t:
         return K
     scale = 1.0 / (n_x * n_y * cfg.sigma**2)
-    same = X is Y and n_x == n_y
 
     def bw(g):
-        s = g * scale
-        if same:
-            s = s + s.T
-        W = (blocks * s[:, None, :, None]).reshape(rows_x, rows_y)
+        W = (blocks * (g * scale)[:, None, :, None]).reshape(rows_x, rows_y)
         if x_t:
             WY = W @ _augmented(Yv, 1.0)
             X._accumulate((WY[:, :-1] - WY[:, -1:] * Xv).reshape(Xs.shape))
-        if y_t and not same:
+        if y_t:
             WX = W.T @ _augmented(Xv, 1.0)
             Y._accumulate((WX[:, :-1] - WX[:, -1:] * Yv).reshape(Ys.shape))
 
@@ -259,6 +266,77 @@ def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
         X._accumulate((SX[..., :-1] - SX[..., -1:] * Xb).reshape(Xs.shape))
 
     return ad.Tensor(K, (X,), bw)
+
+
+def _inners_norms_gram(X, V, cfg: KernelConfig, n: int):
+    """Three block-mean statistics of rows X against V from one Gaussian Gram.
+
+    V is a stack of M runs of ``n`` rows, such as (M, N, e) bases. Returns
+    ``(a, norms, K)``, the values of ``gram_block_means(X, V, cfg, 1, n)``
+    (b, M), ``gram_diagonal_block_means(V, cfg, n)`` (M,) and
+    ``gram_block_means(V, V, cfg, n, n)`` (M, M), all block means of
+    ``G = gram(R, V)`` over the stacked rows ``R = [X; V]``. The norms sum
+    G's M diagonal (n, n) blocks in the order of
+    :func:`gram_diagonal_block_means`; each statistic reduces in the order
+    of its own function, so it differs from that function's value only
+    where the one matmul rounds an entry of G differently.
+
+    Arrays in give arrays out. A tensor among X and V gives one tape node
+    whose three outputs are the parts of :meth:`gdu.autodiff.Tensor.split`,
+    so their gradients reach the backward together, packed. It folds the
+    norms' gradient into the diagonal of K's gradient, since each norm is
+    the mean of a diagonal block of K, expands the (b, M) and (M, M)
+    gradients over their blocks and applies the closed form of
+    :func:`gram_block_means`, with V on both sides of its Gram as its own
+    symmetric term. The rows' gradients then come from the matmuls
+    ``W^T [R | 1]`` for V and, when X is a tensor, ``W_x [V | 1]`` for X,
+    with ``W = G * E(g)`` and ``W_x`` its first b rows.
+    """
+    Xv, Vs = _rows(X), _rows(V)
+    e = Vs.shape[-1]
+    _check_feature_dims("X", Xv.shape[-1], "V", e)
+    Vv = Vs.reshape(-1, e)
+    rows = Vv.shape[0]
+    if Xv.ndim != 2 or n < 1 or rows % n:
+        raise ValueError(f"expected (b, e) rows and runs of {n} rows that tile {rows} rows")
+    b, m = Xv.shape[0], rows // n
+    R = np.concatenate((Xv, Vv))
+    G = _gaussian_gram(R, Vv, cfg.sigma)
+    G_x, G_v = G[:b].reshape(b, m, n), G[b:].reshape(m, n, m, n)
+    a = G_x.sum(axis=2) / n
+    on_diagonal = np.arange(m)
+    norms = G_v[on_diagonal, :, on_diagonal].reshape(m, n * n).sum(axis=1) / float(n * n)
+    K = G_v.sum(axis=3) / n
+    K = K.sum(axis=1) / n
+    x_t, v_t = ad.is_tensor(X), ad.is_tensor(V)
+    if not x_t and not v_t:
+        return a, norms, K
+    scale = 1.0 / cfg.sigma**2
+
+    def bw(g):
+        nonlocal G
+        if G is None:
+            raise RuntimeError("a kernel statistics node is backpropagated only once")
+        ga, gn, gk = g[: b * m].reshape(b, m), g[b * m : b * m + m], g[b * m + m :].reshape(m, m)
+        s = gk.copy()
+        s[on_diagonal, on_diagonal] += gn
+        s = (s + s.T) * (scale / (n * n))
+        # W overwrites G: the backward is G's last reader.
+        np.multiply(G_x, (ga * (scale / n))[:, :, None], out=G_x)
+        np.multiply(G_v, s[:, None, :, None], out=G_v)
+        W, G = G, None
+        RA = _augmented(R, 1.0)
+        if v_t:
+            # (RA^T W)^T, as numpy's BLAS runs it faster than W^T RA.
+            WR = (RA.T @ W).T
+            V._accumulate((WR[:, :-1] - WR[:, -1:] * Vv).reshape(Vs.shape))
+        if x_t:
+            WV = W[:b] @ RA[b:]
+            X._accumulate(WV[:, :-1] - WV[:, -1:] * Xv)
+
+    packed = np.concatenate((a.reshape(-1), norms, K.reshape(-1)))
+    node = ad.Tensor(packed, tuple(t for t in (X, V) if ad.is_tensor(t)), bw)
+    return tuple(node.split((b, m), (m,), (m, m)))
 
 
 # Row-block height of :func:`_upper_squared_distances`. Its temporaries

@@ -15,9 +15,13 @@ embedding:
   ERM with M heads: the ensemble with its gating ablated.
 
 Every kernel statistic the gate and the regularizers read is a block mean
-of one Gaussian Gram over the basis vectors, and each is one tape node
-(:func:`gdu.kernel.gram_block_means`,
-:func:`gdu.kernel.gram_diagonal_block_means`) that reads the (M, N, e)
+of a Gaussian Gram against the basis vectors (:func:`_basis_inners`). The
+gate alone reads two tape nodes: the inner products
+(:func:`gdu.kernel.gram_block_means`) and the basis norms
+(:func:`gdu.kernel.gram_diagonal_block_means`), which evaluate only the
+M diagonal (N, N) blocks of the bases' Gram. A training step whose
+regularizers read the basis Gram gets all three from one node over one
+Gram (:func:`gdu.kernel._inners_norms_gram`). Each reads the (M, N, e)
 bases as they are and hands their gradient back in that shape. The gate,
 from those inner products through the similarity and the kernel softmax,
 is one more node (``_gate_from_inners``). The forward pass is the gate-weighted ensemble of
@@ -46,7 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .kernel import KernelConfig, _check_int, gram_block_means, gram_diagonal_block_means
+from .kernel import (
+    KernelConfig,
+    _check_int,
+    _check_seed,
+    _inners_norms_gram,
+    gram_block_means,
+    gram_diagonal_block_means,
+)
 
 __all__ = [
     "GATING_MODES",
@@ -242,18 +253,23 @@ def basis_gram_matrix(layer: GduLayer):
     return gram_block_means(vectors, vectors, layer.kernel, n, n)
 
 
-def _basis_inners(X, layer: GduLayer):
-    """Per-sample embedding inner products against every basis.
+def _basis_inners(X, layer: GduLayer, gram: bool = False):
+    """Per-sample embedding inner products against every basis, and the norms.
 
-    Returns ``(a, norms)`` with ``a[i, j] = <phi(x_i), mu_j>`` of shape
-    (b, M) and ``norms[j] = ||mu_j||^2`` of shape (M,). The norms come from
-    the M diagonal (N, N) blocks only, not from the diagonal of
+    Returns ``(a, norms, k_bases)`` with ``a[i, j] = <phi(x_i), mu_j>`` of
+    shape (b, M) and ``norms[j] = ||mu_j||^2`` of shape (M,). The norms come
+    from the M diagonal (N, N) blocks only, not from the diagonal of
     :func:`basis_gram_matrix`, which would cost (M*N)^2 kernel entries on
-    every gate evaluation.
+    every gate evaluation; ``k_bases`` is None. With ``gram`` a step that
+    reads the basis Gram gets all three, ``k_bases`` as
+    :func:`basis_gram_matrix`, from one Gaussian Gram
+    (:func:`gdu.kernel._inners_norms_gram`).
     """
     vectors, n = _stacked_bases(layer)
+    if gram:
+        return _inners_norms_gram(X, vectors, layer.kernel, n)
     a = gram_block_means(X, vectors, layer.kernel, 1, n)
-    return a, gram_diagonal_block_means(vectors, layer.kernel, n)
+    return a, gram_diagonal_block_means(vectors, layer.kernel, n), None
 
 
 def _gate_from_inners(a, norms, mode, kappa):
@@ -313,16 +329,18 @@ def _gate_from_inners(a, norms, mode, kappa):
     return ad.Tensor(out, parents, bw)
 
 
-def _inners_and_gate(X, layer: GduLayer):
-    """``(a, beta)``: the inner products of :func:`_basis_inners` and the gate.
+def _inners_and_gate(X, layer: GduLayer, gram: bool = False):
+    """``(a, beta, k_bases)``: the statistics of :func:`_basis_inners` and the gate.
 
-    For a UNIFORM layer ``a`` is None and ``beta`` the constant array of 1/M rows.
+    ``k_bases`` is the basis Gram with ``gram`` and None otherwise. For a
+    UNIFORM layer ``a`` and ``k_bases`` are None and ``beta`` the constant
+    array of 1/M rows.
     """
     if layer.mode == UNIFORM:
         m = layer.num_bases
-        return None, np.full((ad.value_of(X).shape[0], m), 1.0 / m)
-    a, norms = _basis_inners(X, layer)
-    return a, _gate_from_inners(a, norms, layer.mode, layer.kappa)
+        return None, np.full((ad.value_of(X).shape[0], m), 1.0 / m), None
+    a, norms, k_bases = _basis_inners(X, layer, gram)
+    return a, _gate_from_inners(a, norms, layer.mode, layer.kappa), k_bases
 
 
 def gate_matrix(X, layer: GduLayer):
@@ -415,9 +433,10 @@ def init_layer(
     uniform with fan-in scaling and zero biases.
     """
     sizes = dict(num_bases=num_bases, basis_size=basis_size, feature_dim=feature_dim,
-                 n_outputs=n_outputs, seed=seed)
+                 n_outputs=n_outputs)
     for name, value in sizes.items():
         _check_int(name, value)
+    _check_seed("seed", seed)
     if min(num_bases, basis_size, feature_dim, n_outputs) < 1:
         raise ValueError("all layer dimensions must be positive")
     rng = np.random.default_rng(seed)

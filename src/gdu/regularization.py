@@ -20,9 +20,10 @@ UNIFORM         none (the layer has no bases)
 
 A nonzero weight outside its mode's row raises a ValueError that names the
 weight and the mode. The training objective adds the same combination
-through ``_add_regularizers``, reusing the gate's inner products instead of
-recomputing kernel blocks. The training trace still reports all three raw
-terms for every mode with bases.
+through ``_add_regularizers``; it reads the gate's inner products and, when
+OLS or ORTH is on, the basis Gram from the one kernel node that also
+gives the gate its statistics, so no kernel block is evaluated twice. The
+training trace still reports all three raw terms for every mode with bases.
 
 On arrays each term is a float. On tensors each is one tape node with a
 closed-form backward, and its forward runs the same numpy operations as
@@ -126,8 +127,7 @@ def _checked_inners(X, beta, layer: GduLayer):
         raise ValueError(
             f"beta shape {bshape} does not match batch {b} x {layer.num_bases}"
         )
-    a, _ = _basis_inners(X, layer)
-    return a
+    return _basis_inners(X, layer)[0]
 
 
 def omega_ols(X, beta, layer: GduLayer):
@@ -203,25 +203,33 @@ def _check_mode_weights(mode: str, cfg: RegConfig):
         raise ValueError(f"a {mode} layer takes {takes}; got {', '.join(bad)}")
 
 
-def _add_regularizers(obj, a, beta, layer: GduLayer, cfg: RegConfig):
-    """``obj`` plus the mode's weighted regularization terms, as one node.
+def _reads_basis_gram(mode: str, cfg: RegConfig) -> bool:
+    """Whether the weighted terms read the basis Gram: OLS or ORTH is on.
 
+    A nonzero weight the mode does not take raises a ValueError that names it.
+    """
+    _check_mode_weights(mode, cfg)
+    return cfg.lambda_ols > 0.0 or cfg.lambda_orth > 0.0
+
+
+def _add_regularizers(obj, a, beta, k_bases, cfg: RegConfig):
+    """``obj`` plus the weighted regularization terms, as one node.
+
+    ``cfg`` must have passed :func:`_reads_basis_gram` for the layer's mode.
     ``a`` holds the inner products ``<phi(x_i), mu_j>`` that produced
-    ``beta`` and is read only by OLS. The basis Gram matrix is built once,
-    and only when OLS or ORTH needs it. The sum runs left to right,
+    ``beta`` and is read only by OLS; ``k_bases`` is the basis Gram, read by
+    OLS and ORTH and None when neither is on. The training step takes both
+    from the node that made the gate's statistics, so one Gaussian Gram
+    serves the gate and every term. The sum runs left to right,
     ``obj + w1 t1 + w2 t2``, and its backward hands ``g`` to ``obj`` and
     ``w g`` to each term; with no term present ``obj`` comes back as it is,
-    and with no tensor among the parts the sum is a float. A nonzero weight
-    the mode does not take raises a ValueError that names it.
+    and with no tensor among the parts the sum is a float.
     """
-    _check_mode_weights(layer.mode, cfg)
     terms = []
-    if cfg.lambda_ols > 0.0 or cfg.lambda_orth > 0.0:
-        k_bases = basis_gram_matrix(layer)
-        if cfg.lambda_ols > 0.0:
-            terms.append((cfg.lambda_ols, _omega_ols_from_stats(a, k_bases, beta)))
-        if cfg.lambda_orth > 0.0:
-            terms.append((cfg.lambda_orth, omega_orth(k_bases, cfg.orth_variant)))
+    if cfg.lambda_ols > 0.0:
+        terms.append((cfg.lambda_ols, _omega_ols_from_stats(a, k_bases, beta)))
+    if cfg.lambda_orth > 0.0:
+        terms.append((cfg.lambda_orth, omega_orth(k_bases, cfg.orth_variant)))
     if cfg.lambda_l1 > 0.0:
         terms.append((cfg.lambda_l1, omega_l1(beta)))
     if not terms:
@@ -245,6 +253,7 @@ def _add_regularizers(obj, a, beta, layer: GduLayer, cfg: RegConfig):
 
 def omega_total(X, beta, layer: GduLayer, cfg: RegConfig):
     """Mode-appropriate combination of the regularization terms."""
-    needs_a = cfg.lambda_ols > 0.0 and layer.mode != UNIFORM
-    a = _checked_inners(X, beta, layer) if needs_a else None
-    return _add_regularizers(0.0, a, beta, layer, cfg)
+    reads_gram = _reads_basis_gram(layer.mode, cfg)
+    a = _checked_inners(X, beta, layer) if cfg.lambda_ols > 0.0 else None
+    k_bases = basis_gram_matrix(layer) if reads_gram else None
+    return _add_regularizers(0.0, a, beta, k_bases, cfg)

@@ -16,7 +16,12 @@ extractor (:func:`fe_forward`, however many layers), the kernel statistics,
 the gate and the ensemble (:mod:`gdu.layer`), the loss
 (:func:`cross_entropy_mean`), and each regularizer plus their weighted sum
 (:mod:`gdu.regularization`). Without regularizers a GDU step's tape has
-six nodes and an ERM step's three.
+six nodes and an ERM step's three. A step whose regularizers read the
+basis Gram (OLS or ORTH on) takes the gate's inner products, the basis
+norms and the basis Gram from one kernel node over one Gaussian Gram,
+whose three outputs are parts of it (:meth:`gdu.autodiff.Tensor.split`);
+every other step, and inference, evaluate only the inner products and the
+norms, with the arithmetic of :func:`gdu.layer.gate_matrix`.
 Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
 extractor. :func:`_trained_part` alone tells them apart: FT trains the
 model without its extractor on features extracted once.
@@ -44,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .kernel import _check_int
+from .kernel import _check_int, _check_seed
 from .layer import (
     UNIFORM,
     GduLayer,
@@ -59,6 +64,7 @@ from .regularization import (
     RegConfig,
     _add_regularizers,
     _omega_ols_from_stats,
+    _reads_basis_gram,
     omega_l1,
     omega_orth,
 )
@@ -189,12 +195,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
-        for name in ("batch_size", "max_epochs", "patience", "seed"):
+        for name in ("batch_size", "max_epochs", "patience"):
             _check_int(name, getattr(self, name))
+        _check_seed("seed", self.seed)
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         lr = self.learning_rate
         if not (math.isfinite(lr) and lr > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {lr}")
@@ -251,7 +256,7 @@ def init_feature_extractor(layer_sizes, seed, nonlinearity="relu") -> FeatureExt
         _check_int(f"layer_sizes[{i}]", size)
         if size < 1:
             raise ValueError(f"layer_sizes[{i}] must be positive, got {size}")
-    _check_int("seed", seed)
+    _check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -470,11 +475,13 @@ def _graph_model(model):
 
 def _build_objective(graph, X, y, reg: RegConfig):
     """The objective node on the batch ``(X, y)`` for a :func:`_graph_model` copy."""
+    layer = graph.layer
     feats = fe_forward(X, graph.fe)
-    # The gate's inner products are shared with the reconstruction term.
-    a, beta = _inners_and_gate(feats, graph.layer)
-    logits = forward_batch(feats, graph.layer, beta=beta)
-    return _add_regularizers(cross_entropy_mean(logits, y), a, beta, graph.layer, reg)
+    # The gate's statistics, and the basis Gram when a term reads it, come
+    # from one kernel node and are shared with the regularizers.
+    a, beta, k_bases = _inners_and_gate(feats, layer, _reads_basis_gram(layer.mode, reg))
+    logits = forward_batch(feats, layer, beta=beta)
+    return _add_regularizers(cross_entropy_mean(logits, y), a, beta, k_bases, reg)
 
 
 def objective(batch, model, reg: RegConfig) -> float:
@@ -605,7 +612,7 @@ def _epoch_metrics(model, feats_train, y_train, reg: RegConfig):
     """
     layer = model.layer
     # One pass of kernel statistics feeds the gate and every regularizer.
-    a, beta = _inners_and_gate(feats_train, layer)
+    a, beta, _ = _inners_and_gate(feats_train, layer)
     logits = np.asarray(forward_batch(feats_train, layer, beta=beta))
     ce = float(cross_entropy_mean(logits, y_train))
     if layer.mode == UNIFORM:

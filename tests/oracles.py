@@ -17,7 +17,11 @@ arithmetic route (one matmul of augmented rows). ``kmeans_loop`` is the
 plain Lloyd loop that ``gdu.heuristics.kmeans`` replaced, kept as its
 bit-exact reference, and ``train_loop`` the training loop that made its
 state fresh on every step, kept as the bit-exact reference of
-``gdu.training.train``.
+``gdu.training.train``. ``three_node_gradients`` builds the objective with
+a separate kernel node for the gate's inner products, the basis norms and
+the basis Gram, as the package did before one node over one Gram gave all
+three to a step that reads the basis Gram. ``bayes_accuracy_loop`` scores
+the Bayes classifier row by row in scalar math.
 """
 
 import math
@@ -26,7 +30,9 @@ import numpy as np
 
 from gdu.autodiff import Tensor, is_tensor, value_of
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _kmeans_pp_init
-from gdu.kernel import squared_distances
+from gdu.kernel import gram_block_means, gram_diagonal_block_means, squared_distances
+from gdu.layer import UNIFORM, _gate_from_inners, forward_batch
+from gdu.regularization import _add_regularizers, _reads_basis_gram
 from gdu.training import (
     _ADAM_BETA1,
     _ADAM_BETA2,
@@ -41,6 +47,7 @@ from gdu.training import (
     _pack_parameters,
     _trained_part,
     accuracy,
+    cross_entropy_mean,
     fe_forward,
 )
 
@@ -572,3 +579,55 @@ def train_loop(data, config, model):
     if best_snapshot is not None:
         params[...] = best_snapshot
     return model, trace
+
+
+def three_node_gradients(batch, model, reg, train_mode):
+    """``gdu.training.gradients`` with one kernel node per statistic.
+
+    The gate reads ``gram_block_means(feats, V, 1, N)`` and
+    ``gram_diagonal_block_means(V, N)``, and a step whose regularizers read
+    the basis Gram builds it as ``gram_block_means(V, V, N, N)``, a third
+    node with its own Gram. Everything else is the package's. Returns the
+    leaves' gradients by name.
+    """
+    X, y = batch
+    part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
+    graph, leaves = _graph_model(part)
+    layer = graph.layer
+    feats = fe_forward(X, graph.fe)
+    a = k_bases = None
+    if layer.mode == UNIFORM:
+        beta = np.full((len(X), layer.num_bases), 1.0 / layer.num_bases)
+    else:
+        V, n, cfg = layer.bases, layer.basis_size, layer.kernel
+        a = gram_block_means(feats, V, cfg, 1, n)
+        beta = _gate_from_inners(a, gram_diagonal_block_means(V, cfg, n), layer.mode, layer.kappa)
+    if _reads_basis_gram(layer.mode, reg):
+        k_bases = gram_block_means(V, V, cfg, n, n)
+    logits = forward_batch(feats, layer, beta=beta)
+    obj = _add_regularizers(cross_entropy_mean(logits, y), a, beta, k_bases, reg)
+    obj.backward()
+    return {name: leaf.grad for name, leaf in leaves.items()}
+
+
+def bayes_accuracy_loop(benchmark, sample, alpha):
+    """``gdu.datagen.bayes_accuracy``, one row, class and component at a time."""
+    elem = benchmark.elementary
+    correct = 0
+    for x, label in zip(sample.x, sample.y):
+        scores = []
+        for c in range(elem.n_classes):
+            terms = []
+            for j in range(elem.n_components):
+                if alpha[j] == 0.0:
+                    continue
+                log_density = 0.0
+                for d in range(elem.input_dim):
+                    var = float(elem.cov_diag[j, d])
+                    diff = float(x[d]) - float(elem.class_means[j, c, d])
+                    log_density -= 0.5 * (diff * diff / var + math.log(2.0 * math.pi * var))
+                terms.append(math.log(alpha[j]) + math.log(elem.label_dist[j, c]) + log_density)
+            top = max(terms)
+            scores.append(top + math.log(sum(math.exp(t - top) for t in terms)))
+        correct += scores.index(max(scores)) == label
+    return correct / len(sample.y)

@@ -1,19 +1,23 @@
-"""Synthetic benchmark construction, invariance checks, and reproduction from
-the generator's arguments."""
+"""Synthetic benchmark construction, invariance checks, reproduction from
+the generator's arguments, and the Bayes classifier's accuracy."""
 
 import numpy as np
 import pytest
 
 from gdu.datagen import (
+    DomainSample,
     DomainSpec,
     ElementarySpec,
     SyntheticBenchmark,
+    bayes_accuracy,
     make_benchmark,
     materialize,
     sample_domain,
 )
 from gdu.kernel import KernelConfig, median_heuristic
 from gdu.rkhs import EmpiricalKme, mmd_sq
+
+from oracles import bayes_accuracy_loop
 
 
 def small_elem():
@@ -216,3 +220,42 @@ def test_make_benchmark_and_materialize_repeat_from_their_arguments():
         np.testing.assert_array_equal(sa.tags, sb.tags)
     other = materialize(make_benchmark(3, 2, 6, 3, seed=10, **args))
     assert not np.array_equal(samples[0].x, other[0].x)
+
+
+def _target(bench):
+    """The target domain's sample and mixing weights."""
+    (i,) = [i for i, d in enumerate(bench.domains) if d.role == "target"]
+    return materialize(bench)[i], bench.domains[i].alpha
+
+
+def test_bayes_accuracy_equals_the_row_loop():
+    bench = make_benchmark(3, 3, 6, 3, seed=4, separation=3.0, label_skew=0.5, n_target=150)
+    sample, alpha = _target(bench)
+    sources = np.mean([d.alpha for d in bench.domains if d.role == "source"], axis=0)
+    for weights in (alpha, sources, np.array([0.0, 0.25, 0.75])):
+        got = bayes_accuracy(bench, sample, weights)
+        assert got == bayes_accuracy_loop(bench, sample, weights)
+        assert 0.0 < got < 1.0
+
+
+def test_bayes_accuracy_rejects_bad_weights_and_rows():
+    bench = make_benchmark(3, 2, 6, 3, seed=1, n_target=20)
+    sample, alpha = _target(bench)
+    for bad in ([0.5, 0.5], [0.2, 0.2, 0.2, 0.4], [[0.2, 0.3, 0.5]]):
+        with pytest.raises(ValueError, match="^alpha must hold 3 weights, one per component"):
+            bayes_accuracy(bench, sample, bad)
+    for bad in ([0.5, 0.5, 0.5], [1.2, -0.1, -0.1], [np.nan, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="^alpha must lie on the probability simplex"):
+            bayes_accuracy(bench, sample, bad)
+    short = DomainSample(sample.x[:, :5], sample.y, sample.tags)
+    with pytest.raises(ValueError, match=r"^sample rows must form a nonempty \(n, 6\) array"):
+        bayes_accuracy(bench, short, alpha)
+
+
+def test_bayes_accuracy_is_near_one_when_components_and_classes_separate():
+    # At separation 50 the components no longer overlap, but a class offset of
+    # 2 still leaves the classes within one component overlapping (the
+    # ceiling stays near 0.92); an offset of 12 separates them as well.
+    bench = make_benchmark(4, 3, 10, 3, seed=0, separation=50.0, class_offset=12.0)
+    sample, alpha = _target(bench)
+    assert bayes_accuracy(bench, sample, alpha) >= 0.99

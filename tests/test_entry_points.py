@@ -1,8 +1,9 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
 every function the benchmark's tracer wraps, every name a module exports
 and every ``gdu.autodiff`` attribute a module reads; a training step calls
-each traced per-step function once; the exports of the
-package and of each of its modules are pinned, the package imports
+each traced per-step function once, and the benchmark's gradient probe
+passes; every function that takes a seed names a negative one; the exports
+of the package and of each of its modules are pinned, the package imports
 nothing beyond the standard library and numpy, and the training path
 reduces short rows only through its column helpers."""
 
@@ -13,9 +14,13 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 TRACER = ROOT / "bench" / "tracer.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def test_declared_scripts_import():
@@ -33,6 +38,64 @@ def _load_tracer():
     return tracer
 
 
+def _load_workloads():
+    """``bench/workloads.py``, read as it is.
+
+    It imports the tracer as ``tracer``, and its dataclasses look their
+    module up in ``sys.modules``; both entries are there only while it loads.
+    """
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    entries = {"tracer": _load_tracer(), spec.name: workloads}
+    saved = {name: sys.modules.get(name) for name in entries}
+    sys.modules.update(entries)
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                del sys.modules[name]
+            else:
+                sys.modules[name] = module
+    return workloads
+
+
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
+def test_benchmark_gradient_probe_passes(mode):
+    # The benchmark checks gradients against central differences only after
+    # its timed passes; a kernel rewrite that failed that check would lower
+    # its ok_frac. Here the same check takes about a second.
+    workloads = _load_workloads()
+    assert workloads.gradient_probe(mode) < 1e-4
+
+
+def _negative_seed_calls():
+    from gdu.datagen import make_benchmark
+    from gdu.heuristics import kmeans, select_m
+    from gdu.kernel import KernelConfig
+    from gdu.layer import init_layer
+    from gdu.training import init_erm_model, init_feature_extractor
+
+    X = np.arange(12.0).reshape(6, 2)
+    return {
+        "make_benchmark": (lambda: make_benchmark(3, 2, 6, 3, seed=-1), "seed"),
+        "init_layer": (lambda: init_layer(2, 3, 4, 2, -1, "CS", KernelConfig(1.0), 2.0), "seed"),
+        "init_feature_extractor": (lambda: init_feature_extractor([3, 4], -1), "seed"),
+        "init_erm_model": (lambda: init_erm_model([3, 4], 2, 1, -1), "seed"),
+        "kmeans": (lambda: kmeans(X, 2, -1), "seed"),
+        "select_m": (lambda: select_m(X, (2, 3), seeds=1, seed0=-1), "seed0"),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_negative_seed_calls()))
+def test_negative_seeds_are_named(entry):
+    # np.random.default_rng rejects a negative seed with an unnamed
+    # "expected non-negative integer".
+    call, name = _negative_seed_calls()[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+        call()
+
+
 def test_traced_spans_resolve():
     # A renamed function would silently drop its per-layer metrics.
     tracer = _load_tracer()
@@ -47,8 +110,6 @@ def test_traced_training_spans_run_once_per_step():
     # The benchmark divides its per-step counts by the objective builds. A
     # train loop that stopped calling a traced name on every step, or
     # changed what one step puts on the tape, would skew them silently.
-    import numpy as np
-
     from gdu.kernel import KernelConfig
     from gdu.layer import init_layer
     from gdu.training import DatasetSplits, GduModel, TrainConfig, init_feature_extractor, train
@@ -136,6 +197,7 @@ MODULE_EXPORTS = {
         "sample_domain",
         "make_benchmark",
         "materialize",
+        "bayes_accuracy",
     ],
     "heuristics": ["ClusteringResult", "ScoreRow", "kmeans", "davies_bouldin", "select_m"],
     "kernel": [

@@ -282,7 +282,7 @@ def kernel_stats(seed, m=3, n=4, e=3, b=6):
     rng = np.random.default_rng(seed)
     layer = init_layer(m, n, e, 2, seed, "CS", KernelConfig(1.3), 2.0)
     X = rng.normal(size=(b, e))
-    a, _ = _basis_inners(X, layer)
+    a = _basis_inners(X, layer)[0]
     beta = rng.normal(size=(b, m))
     return {"a": a, "k_bases": basis_gram_matrix(layer), "beta": beta}
 

@@ -12,6 +12,7 @@ from gdu.kernel import (
     _PAIR_BLOCK_ROWS,
     KernelConfig,
     _gaussian_exponent,
+    _inners_norms_gram,
     _upper_squared_distances,
     gram,
     gram_block_means,
@@ -21,7 +22,7 @@ from gdu.kernel import (
 )
 
 from helpers import traced_peak_bytes
-from oracles import fd_gradient, kernel_value, max_relative_error, mean, mul, summation
+from oracles import add, fd_gradient, kernel_value, max_relative_error, mean, mul, summation
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -201,7 +202,7 @@ def test_gram_block_means_gradient_same_tensor_both_sides():
     arrays = {"X": rng.normal(size=(8, 3))}
     for n in (1, 2, 4):
         _check_gram_gradient(arrays, lambda t: (t["X"], t["X"]), 1.2, op=_block_means(n, n))
-    # Unequal blocks on one tensor take the two-operand path.
+    # Unequal blocks on one tensor.
     _check_gram_gradient(arrays, lambda t: (t["X"], t["X"]), 1.2, op=_block_means(1, 4))
 
 
@@ -264,6 +265,49 @@ def test_gram_diagonal_block_means_matches_per_block_mean():
     assert gram_diagonal_block_means(x, CFG, 3)._parents == (x,)
     with pytest.raises(ValueError, match="tile"):
         gram_diagonal_block_means(X, CFG, 5)
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (1, 4), (3, 1)])
+def test_inners_norms_gram_is_one_node_over_the_three_statistics(m, n):
+    rng = np.random.default_rng(26)
+    arrays = {"X": rng.normal(size=(5, 3)), "V": rng.normal(size=(m, n, 3))}
+    cfg = KernelConfig(1.1)
+    expected = (
+        gram_block_means(arrays["X"], arrays["V"], cfg, 1, n),
+        gram_diagonal_block_means(arrays["V"], cfg, n),
+        gram_block_means(arrays["V"], arrays["V"], cfg, n, n),
+    )
+    for got, want in zip(_inners_norms_gram(arrays["X"], arrays["V"], cfg, n), expected):
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+    weights = [rng.normal(size=np.shape(w)) for w in expected]
+
+    def weighted(parts):
+        a, norms, K = (summation(mul(p, w)) for p, w in zip(parts, weights))
+        return add(add(a, norms), K)
+
+    numeric = fd_gradient(
+        lambda: float(weighted(_inners_norms_gram(arrays["X"], arrays["V"], cfg, n))), arrays
+    )
+    for constant in (None, "X"):
+        ts = {k: v if k == constant else ad.tensor(v) for k, v in arrays.items()}
+        parts = _inners_norms_gram(ts["X"], ts["V"], cfg, n)
+        node = parts[0]._parents[0]
+        assert all(p._parents == (node,) for p in parts)
+        assert node._parents == tuple(t for t in ts.values() if ad.is_tensor(t))
+        weighted(parts).backward()
+        analytic = {k: t.grad for k, t in ts.items() if ad.is_tensor(t)}
+        assert max_relative_error(analytic, {k: numeric[k] for k in analytic}) < 5e-6
+        # The backward overwrites the Gram it reads, so it runs once.
+        with pytest.raises(RuntimeError, match="backpropagated only once"):
+            node._backward(node.grad)
+
+
+def test_inners_norms_gram_rejects_untiled_runs():
+    with pytest.raises(ValueError, match="runs of 4 rows that tile 6 rows"):
+        _inners_norms_gram(np.zeros((2, 3)), np.zeros((6, 3)), CFG, 4)
+    with pytest.raises(DimensionMismatchError):
+        _inners_norms_gram(np.zeros((2, 2)), np.zeros((6, 3)), CFG, 3)
 
 
 def median_heuristic_cases(rng):

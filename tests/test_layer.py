@@ -221,16 +221,18 @@ def test_kernel_statistics_match_brute_force_block_by_block():
     for mode in ("CS", "PROJECTION"):
         layer = random_layer(rng, mode, m=3, n=4, e=3, sigma=1.3)
         X = rng.normal(size=(5, 3))
-        a, norms = _basis_inners(X, layer)
-        K = basis_gram_matrix(layer)
-        sigma = layer.kernel.sigma
-        vecs = list(layer.bases)
-        for j, vj in enumerate(vecs):
-            assert norms[j] == pytest.approx(kme_inner_brute(vj, vj, sigma), abs=1e-12)
-            for i in range(5):
-                assert a[i, j] == pytest.approx(kme_inner_brute(X[i : i + 1], vj, sigma), abs=1e-12)
-            for l, vl in enumerate(vecs):
-                assert K[j, l] == pytest.approx(kme_inner_brute(vj, vl, sigma), abs=1e-12)
+        a, norms, none = _basis_inners(X, layer)
+        assert none is None
+        # One Gram gives the same statistics with the basis Gram.
+        for a, norms, K in ((a, norms, basis_gram_matrix(layer)), _basis_inners(X, layer, True)):
+            sigma = layer.kernel.sigma
+            vecs = list(layer.bases)
+            for j, vj in enumerate(vecs):
+                assert norms[j] == pytest.approx(kme_inner_brute(vj, vj, sigma), abs=1e-12)
+                for i in range(5):
+                    assert a[i, j] == pytest.approx(kme_inner_brute(X[i : i + 1], vj, sigma), abs=1e-12)
+                for l, vl in enumerate(vecs):
+                    assert K[j, l] == pytest.approx(kme_inner_brute(vj, vl, sigma), abs=1e-12)
 
 
 def test_forward_batch_matches_per_machine_loop():

@@ -47,7 +47,16 @@ from gdu.training import (
 )
 
 from helpers import SMALL_DIMS, build_small_gdu, gradient_max_rel_error, reg_toggles
-from oracles import add, mlp_forward_brute, mul, sqrt, sub, summation, train_loop
+from oracles import (
+    add,
+    mlp_forward_brute,
+    mul,
+    sqrt,
+    sub,
+    summation,
+    three_node_gradients,
+    train_loop,
+)
 
 
 # -- feature extractor ---------------------------------------------------------
@@ -190,6 +199,88 @@ def test_gradients_match_finite_differences(mode, train_mode):
             assert err < 1e-4, f"mode={mode} {train_mode} reg={reg} err={err:.2e}"
 
 
+# Every regularizer combination that reads the basis Gram, per mode.
+_GRAM_REGS = {
+    "CS": [RegConfig(lambda_ols=0.5), RegConfig(lambda_ols=0.5, lambda_l1=0.5)],
+    "MMD": [RegConfig(lambda_ols=0.5), RegConfig(lambda_ols=0.5, lambda_l1=0.5)],
+    "PROJECTION": [RegConfig(lambda_ols=0.5)]
+    + [RegConfig(lambda_orth=0.5, orth_variant=v) for v in ORTH_VARIANTS]
+    + [RegConfig(lambda_ols=0.5, lambda_orth=0.5, orth_variant=v) for v in ORTH_VARIANTS],
+}
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (1, 3), (2, 1)])
+@pytest.mark.parametrize("train_mode", ["E2E", "FT"])
+@pytest.mark.parametrize(
+    "mode, reg", [(mode, reg) for mode, regs in _GRAM_REGS.items() for reg in regs]
+)
+def test_basis_gram_steps_match_finite_differences_and_three_kernel_nodes(
+    mode, reg, train_mode, m, n
+):
+    # One kernel node gives such a step the gate's inner products, the basis
+    # norms and the basis Gram; one node per statistic is the reference,
+    # equal up to the rounding of one matmul against three.
+    model, X, y = build_small_gdu(31, mode, dims={**SMALL_DIMS, "m": m, "n": n})
+    assert gradient_max_rel_error(model, X, y, reg, train_mode) < 1e-4
+    got = gradients((X, y), model, reg, train_mode)
+    expected = three_node_gradients((X, y), model, reg, train_mode)
+    assert list(got) == list(expected)
+    for name, block in expected.items():
+        np.testing.assert_allclose(got[name], block, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("train_mode", ["E2E", "FT"])
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION", "ERM"])
+def test_steps_without_the_basis_gram_keep_three_kernel_nodes_exactly(mode, train_mode):
+    if mode == "ERM":
+        model = init_erm_model([4, 4], 3, n_heads=3, seed=8, nonlinearity="tanh")
+        X, y = np.random.default_rng(32).normal(size=(5, 4)), np.array([0, 2, 1, 1, 0])
+    else:
+        model, X, y = build_small_gdu(32, mode)
+    regs = [RegConfig()] + ([RegConfig(lambda_l1=0.5)] if mode in ("CS", "MMD") else [])
+    for reg in regs:
+        got = gradients((X, y), model, reg, train_mode)
+        expected = three_node_gradients((X, y), model, reg, train_mode)
+        assert list(got) == list(expected)
+        for name, block in expected.items():
+            np.testing.assert_array_equal(got[name], block, err_msg=name)
+
+
+def test_one_gaussian_gram_per_step_and_none_of_the_bases_in_inference(monkeypatch):
+    # A step whose regularizers read the basis Gram evaluates one Gram, of
+    # the batch and the M*N basis vectors against the basis vectors. Every
+    # other step, and inference, evaluate only the batch against the basis
+    # vectors and the M diagonal (N, N) blocks, never an (M*N, M*N) block:
+    # on a wide layer that would almost double the kernel work of serving.
+    import gdu.kernel as kernel_module
+
+    shapes = []
+    real = kernel_module._gaussian_gram
+
+    def spy(X, Y, sigma):
+        G = real(X, Y, sigma)
+        shapes.append(G.shape)
+        return G
+
+    monkeypatch.setattr(kernel_module, "_gaussian_gram", spy)
+    b, m, n = 7, 3, 4
+    inference = [(b, m * n), (m, n, n)]
+    for mode, reg in (("CS", RegConfig(lambda_ols=0.5, lambda_l1=0.5)),
+                      ("PROJECTION", RegConfig(lambda_ols=0.5, lambda_orth=0.5))):
+        model, X, y = build_small_gdu(33, mode, dims=dict(e=4, m=m, n=n, c=3, b=b))
+        for train_mode in ("E2E", "FT"):
+            shapes.clear()
+            gradients((X, y), model, reg, train_mode)
+            assert shapes == [(b + m * n, m * n)], (mode, train_mode)
+            shapes.clear()
+            gradients((X, y), model, RegConfig(), train_mode)
+            assert shapes == inference, (mode, train_mode)
+        shapes.clear()
+        predict_logits(model, X)
+        gate_matrix(fe_forward(X, model.fe), model.layer)
+        assert shapes == inference * 2, mode
+
+
 def test_gradients_with_tanh_machines():
     model, X, y = build_small_gdu(77, "MMD", activation="tanh")
     err = gradient_max_rel_error(model, X, y, RegConfig(lambda_ols=0.5), "E2E")
@@ -282,7 +373,7 @@ def _op_nodes(obj, leaves):
 
 # Non-leaf tape nodes of an E2E step with every regularizer on, one-layer
 # extractor: every term is one node (see test_tape_shape_is_pinned).
-TAPE_NODE_CAP = {"CS": 10, "MMD": 10, "PROJECTION": 10}
+TAPE_NODE_CAP = {"CS": 11, "MMD": 11, "PROJECTION": 11}
 
 
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
@@ -299,7 +390,9 @@ def test_objective_tape_size_does_not_grow_with_num_bases(mode):
 def test_tape_shape_is_pinned():
     # One node each: the extractor (whatever its depth), the inner products
     # and the basis norms, the gate, the ensemble and the loss; with
-    # regularizers, the basis Gram, each term and their weighted sum.
+    # regularizers, each term and their weighted sum. With a term that reads
+    # the basis Gram, one kernel node and its three output parts stand in
+    # for the inner products and the norms.
     def nodes(model, X, y, reg=RegConfig()):
         graph, leaves = _graph_model(model)
         return _op_nodes(_build_objective(graph, X, y, reg), leaves)
@@ -312,11 +405,12 @@ def test_tape_shape_is_pinned():
                     init_layer(4, 10, 16, 3, 1, "CS", KernelConfig(3.0), 20.0))
     assert nodes(deep, X10, y3) == 6
     assert nodes(init_erm_model([4, 6, 3], 3, 1, 0), X, y) == 3
-    assert nodes(model, X, y, RegConfig(lambda_ols=0.5, lambda_l1=0.5)) == 10
+    assert nodes(model, X, y, RegConfig(lambda_l1=0.5)) == 8
+    assert nodes(model, X, y, RegConfig(lambda_ols=0.5, lambda_l1=0.5)) == 11
     projection, X, y = build_small_gdu(0, "PROJECTION")
     for variant in ORTH_VARIANTS:
         reg = RegConfig(lambda_ols=0.5, lambda_orth=0.5, orth_variant=variant)
-        assert nodes(projection, X, y, reg) == 10, variant
+        assert nodes(projection, X, y, reg) == 11, variant
 
 
 def test_erm_model_gradients_match_fd():
