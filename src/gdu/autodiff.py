@@ -21,9 +21,10 @@ cyclic garbage collector runs. A node with several outputs hands them out
 as the parts of :meth:`Tensor.split`, whose gradients add into its own.
 
 A leaf may outlive the graphs built on it: ``gdu.training.train`` makes its
-parameter leaves once per call, over views of its parameter vector, and
-sets their ``grad`` back to None before each backward, so that each step's
-gradients start afresh.
+parameter leaves once per call, over views of its parameter vector. Their
+``grad`` are views of one gradient vector, which it zeroes before each
+backward, so that each step's gradients start afresh and add straight into
+that vector.
 """
 
 from __future__ import annotations

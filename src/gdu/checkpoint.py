@@ -14,17 +14,20 @@ bits fill one fixed-width ASCII row per value (sign, ``0x1.`` or
 ``0x0.``, 13 hex fraction digits, exponent, separator), and one mask
 drops the rows' NUL padding. Nothing may follow ``end``.
 
-A model is written as kind ``gdu-model``, or as kind ``erm-model`` when its
-layer is UNIFORM: an ERM model stores no bases and no kernel, only its
-heads' activation and one weight and one bias block per head. Both kinds
-start with the extractor (``field fe_layers 0`` when there is none), so a
-layer on its own is saved as the model ``GduModel(None, layer)``.
+Every model is written as it sits in memory. First the extractor:
+``field fe_layers`` (0 when there is none), then its nonlinearity and one
+weight and one bias block per layer. Then the layer: the fields ``mode``,
+``sigma`` (``-`` for a UNIFORM layer, which has no kernel), ``kappa`` and
+``activation``, and its three stacked arrays as the blocks ``bases``
+(M, N, e), absent exactly when the mode is UNIFORM, ``weights`` (e, M, C)
+and ``bias`` (M, C). An ERM model with K heads is the UNIFORM layer with
+M = K; a layer on its own is saved as the model ``GduModel(None, layer)``.
 
 Readers reject unknown versions, truncated or malformed blocks and any
 token after ``end``, each with a :class:`CheckpointError`. A token that
 is not a hex float or a count names its field or block; model parts that
-do not fit together (shapes, sizes) carry the constructor's
-``ValueError`` as the cause.
+do not fit together (shapes, sizes, a kernel the mode does not take)
+carry the constructor's ``ValueError`` as the cause.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ __all__ = [
     "model_from_text",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _VALUES_PER_LINE = 8
 
 
@@ -168,9 +171,10 @@ class _Reader:
             raise CheckpointError(f"expected field {key!r}, found {got!r}")
         return self.next()
 
-    def read_float_field(self, key: str, optional: bool = False):
+    def read_float_field(self, key: str):
+        """A float field; ``-`` reads as None."""
         tok = self.read_field(key)
-        if optional and tok == "-":
+        if tok == "-":
             return None
         return float(_hex_floats([tok], f"field {key!r}")[0])
 
@@ -198,50 +202,27 @@ class _Reader:
         return values.reshape(shape)
 
 
-def _stack_blocks(blocks: list, kind: str, axis: int = 0) -> np.ndarray:
-    """Stack the per-basis or per-head blocks of one kind; they must exist and share a shape."""
-    shapes = sorted({b.shape for b in blocks})
-    if len(shapes) != 1:
-        raise CheckpointError(f"{kind} blocks must share one shape, found {shapes}")
-    return np.stack(blocks, axis=axis)
-
-
 def _emit_layer(lines: list, layer: GduLayer):
+    sigma = None if layer.kernel is None else layer.kernel.sigma
     lines.append(f"field mode {layer.mode}")
-    lines.append(f"field sigma {_field_token(layer.kernel.sigma)}")
+    lines.append(f"field sigma {_field_token(sigma)}")
     lines.append(f"field kappa {_field_token(layer.kappa)}")
     lines.append(f"field activation {layer.activation}")
-    lines.append(f"field num_bases {layer.num_bases}")
-    # Format v1 stores one block per basis and per machine.
-    for j in range(layer.num_bases):
-        _emit_block(lines, f"basis{j}", layer.bases[j])
-    _emit_machines(lines, layer, "mach")
-
-
-def _emit_machines(lines: list, layer: GduLayer, prefix: str):
-    for j in range(layer.num_bases):
-        _emit_block(lines, f"{prefix}_w{j}", layer.weights[:, j])
-        _emit_block(lines, f"{prefix}_b{j}", layer.bias[j])
-
-
-def _read_machines(reader: _Reader, prefix: str, count: int) -> tuple:
-    """The stacked weights (e, M, C) and bias (M, C) of ``count`` machines."""
-    weights, bias = [], []
-    for j in range(count):
-        weights.append(reader.read_block(f"{prefix}_w{j}"))
-        bias.append(reader.read_block(f"{prefix}_b{j}"))
-    return _stack_blocks(weights, f"{prefix}_w", axis=1), _stack_blocks(bias, f"{prefix}_b")
+    if layer.bases is not None:
+        _emit_block(lines, "bases", layer.bases)
+    _emit_block(lines, "weights", layer.weights)
+    _emit_block(lines, "bias", layer.bias)
 
 
 def _read_layer(reader: _Reader) -> GduLayer:
     mode = reader.read_field("mode")
     sigma = reader.read_float_field("sigma")
-    kappa = reader.read_float_field("kappa", optional=True)
+    kappa = reader.read_float_field("kappa")
     activation = reader.read_field("activation")
-    num_bases = reader.read_count_field("num_bases")
-    bases = _stack_blocks([reader.read_block(f"basis{j}") for j in range(num_bases)], "basis")
-    weights, bias = _read_machines(reader, "mach", num_bases)
-    return GduLayer(bases, weights, bias, KernelConfig(sigma), mode, kappa, activation)
+    bases = None if mode == UNIFORM else reader.read_block("bases")
+    weights, bias = reader.read_block("weights"), reader.read_block("bias")
+    kernel = None if sigma is None else KernelConfig(sigma)
+    return GduLayer(bases, weights, bias, kernel, mode, kappa, activation)
 
 
 def _emit_fe(lines: list, fe: FeatureExtractor | None):
@@ -268,45 +249,22 @@ def _read_fe(reader: _Reader) -> FeatureExtractor | None:
 
 
 def model_to_text(model: GduModel) -> str:
-    layer = model.layer
-    erm = layer.mode == UNIFORM
-    kind = "erm-model" if erm else "gdu-model"
-    lines = [f"gdu-checkpoint {FORMAT_VERSION}", f"field kind {kind}"]
+    lines = [f"gdu-checkpoint {FORMAT_VERSION}"]
     _emit_fe(lines, model.fe)
-    if erm:
-        lines.append(f"field activation {layer.activation}")
-        lines.append(f"field num_heads {layer.num_bases}")
-        _emit_machines(lines, layer, "head")
-    else:
-        _emit_layer(lines, layer)
+    _emit_layer(lines, model.layer)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
-def _open_reader(text: str) -> tuple:
+def model_from_text(text: str) -> GduModel:
     reader = _Reader(text)
     reader.expect("gdu-checkpoint")
     version = _count(reader.next(), "version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    kind = reader.read_field("kind")
-    return reader, kind
-
-
-def _read_erm_layer(reader: _Reader) -> GduLayer:
-    activation = reader.read_field("activation")
-    weights, bias = _read_machines(reader, "head", reader.read_count_field("num_heads"))
-    return GduLayer(None, weights, bias, None, UNIFORM, activation=activation)
-
-
-def model_from_text(text: str) -> GduModel:
-    reader, kind = _open_reader(text)
-    read_layer = {"gdu-model": _read_layer, "erm-model": _read_erm_layer}.get(kind)
-    if read_layer is None:
-        raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     try:
         fe = _read_fe(reader)
-        layer = read_layer(reader)
+        layer = _read_layer(reader)
         reader.expect("end")
         if reader.pos < len(reader.tokens):
             raise CheckpointError(f"unexpected {reader.tokens[reader.pos]!r} after 'end'")
@@ -314,7 +272,7 @@ def model_from_text(text: str) -> GduModel:
     except CheckpointError:
         raise
     except ValueError as err:
-        raise CheckpointError(f"invalid {kind} checkpoint: {err}") from err
+        raise CheckpointError(f"invalid checkpoint: {err}") from err
 
 
 def save_model(path, model):

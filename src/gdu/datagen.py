@@ -44,6 +44,16 @@ _SIMPLEX_TOL = 1e-12
 _MIN_TARGET_L1_GAP = 0.1
 
 
+def _check_simplex(name: str, p: np.ndarray):
+    """Raise unless every row of ``p`` lies on the probability simplex.
+
+    A NaN entry fails both comparisons, so it is rejected by name here, not
+    by numpy's sampler later.
+    """
+    if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= _SIMPLEX_TOL)):
+        raise ValueError(f"{name} must lie on the probability simplex, got {p.tolist()}")
+
+
 @dataclass
 class ElementarySpec:
     """K invariant components: per-component class means, diagonal
@@ -59,9 +69,7 @@ class ElementarySpec:
             raise ValueError("inconsistent elementary component shapes")
         if not (self.cov_diag > 0).all():
             raise ValueError("covariance entries must be positive")
-        rows = self.label_dist
-        if (rows < 0).any() or np.abs(rows.sum(axis=1) - 1.0).max() > _SIMPLEX_TOL:
-            raise ValueError("label distributions must lie on the simplex")
+        _check_simplex("label_dist", self.label_dist)
 
     @property
     def n_components(self) -> int:
@@ -86,10 +94,10 @@ class DomainSpec:
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         if self.role not in ROLES:
             raise ValueError(f"unknown domain role {self.role!r}")
+        _check_int("n_samples", self.n_samples)
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if (self.alpha < 0).any() or abs(self.alpha.sum() - 1.0) > _SIMPLEX_TOL:
-            raise ValueError("alpha must lie on the probability simplex")
+        _check_simplex("alpha", self.alpha)
 
 
 @dataclass
@@ -256,8 +264,7 @@ def bayes_accuracy(benchmark: SyntheticBenchmark, sample: DomainSample, alpha) -
             f"alpha must hold {elem.n_components} weights, one per component; "
             f"got shape {alpha.shape}"
         )
-    if not (np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= _SIMPLEX_TOL):
-        raise ValueError(f"alpha must lie on the probability simplex, got {alpha.tolist()}")
+    _check_simplex("alpha", alpha)
     x = np.asarray(sample.x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != elem.input_dim or len(x) == 0:
         raise ValueError(

@@ -439,6 +439,8 @@ def init_layer(
     _check_seed("seed", seed)
     if min(num_bases, basis_size, feature_dim, n_outputs) < 1:
         raise ValueError("all layer dimensions must be positive")
+    if kernel is None:
+        raise ValueError("init_layer scales the bases to the kernel, got kernel=None")
     rng = np.random.default_rng(seed)
     scale = basis_init_scale(feature_dim, kernel.sigma)
     bases = rng.normal(0.0, scale, size=(num_bases, basis_size, feature_dim))

@@ -35,9 +35,9 @@ taken from the model before ``train`` is no longer the model's parameter
 afterwards. What does not depend on the batch is made once per call: the
 tape leaves (:func:`_graph_model`), whose ``data`` are those views, so
 Adam's in-place update shows in them; one gradient vector in the same
-layout, into which :func:`_backprop` copies the leaves' gradients after
-resetting them for each backward; and Adam's moments and work vectors,
-which each step updates in place.
+layout, whose views are the leaves' ``grad``, so that each backward adds
+the leaves' gradients straight into it after :func:`_backprop` zeroes it;
+and Adam's moments and work vectors, which each step updates in place.
 """
 
 from __future__ import annotations
@@ -506,30 +506,30 @@ def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
 
 
 def _gradient_vector(leaves: dict) -> tuple:
-    """An empty vector for the leaves' gradients, and its view per leaf.
+    """A vector for the leaves' gradients, and its view per leaf.
 
     The views lie in the order of ``leaves``, as :func:`_pack_parameters`
-    lays out the blocks.
+    lays out the blocks. Each leaf's ``grad`` is its view, so a backward
+    adds every leaf's gradient straight into the vector.
     """
     grad = np.empty(sum(t.data.size for t in leaves.values()))
-    return grad, _block_views(grad, [t.shape for t in leaves.values()])
+    blocks = _block_views(grad, [t.shape for t in leaves.values()])
+    for t, block in zip(leaves.values(), blocks):
+        t.grad = block
+    return grad, blocks
 
 
 def _backprop(obj, leaves: dict, grad: np.ndarray, blocks: list, where: str = ""):
-    """Backpropagate ``obj`` and copy each leaf's gradient into ``grad``.
+    """Backpropagate ``obj`` into ``grad``, the leaves' gradient vector.
 
-    ``blocks`` are the views of ``grad`` from :func:`_gradient_vector`.
-    Every leaf's gradient is reset first, so leaves reused across steps
-    start each backward from none; every node of the objective hands a
-    gradient to each of its parents, so each leaf ends with one. A
-    non-finite entry raises, naming the first block that holds one, with
-    ``where`` appended to the message.
+    ``blocks`` are the views of ``grad`` from :func:`_gradient_vector`,
+    which are the leaves' ``grad``. The vector is zeroed first, so leaves
+    reused across steps start each backward from zero. A non-finite entry
+    raises, naming the first block that holds one, with ``where`` appended
+    to the message.
     """
-    for t in leaves.values():
-        t.grad = None
+    grad[...] = 0.0
     obj.backward()
-    for t, block in zip(leaves.values(), blocks):
-        block[...] = t.grad
     if not np.all(np.isfinite(grad)):
         name = next(n for n, g in zip(leaves, blocks) if not np.all(np.isfinite(g)))
         raise NonFiniteGradientError(f"non-finite gradient in block {name!r}{where}")

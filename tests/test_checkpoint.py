@@ -13,6 +13,7 @@ from gdu.checkpoint import (
 from gdu.kernel import KernelConfig
 from gdu.layer import GduLayer, init_layer
 from gdu.training import (
+    FeatureExtractor,
     GduModel,
     init_erm_model,
     init_feature_extractor,
@@ -20,10 +21,103 @@ from gdu.training import (
 )
 
 
-# Format v1 text of a tiny model with no extractor and a layer (M=2, N=2,
-# e=3, C=2, tanh, PROJECTION), as the per-basis layer classes that preceded
-# the stacked arrays wrote it: one block per basis and one weight and bias
-# block per machine.
+# Format v2 text of a tiny GDU model: a one-layer relu extractor 2 -> 3 and
+# a CS layer (M=2, N=2, e=3, C=2, sigma 1.5, kappa 20, tanh), its three
+# stacked arrays one block each.
+GDU_TEXT = """gdu-checkpoint 2
+field fe_layers 1
+field fe_nonlinearity relu
+block fe_w0 2 2 3 6
+-0x1.0000000000000p-1 -0x1.0000000000000p-2 0x0.0p+0 0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.8000000000000p-1
+block fe_b0 1 3 3
+0x1.0000000000000p-3 -0x1.0000000000000p-2 0x1.0000000000000p-1
+field mode CS
+field sigma 0x1.8000000000000p+0
+field kappa 0x1.4000000000000p+4
+field activation tanh
+block bases 3 2 2 3 12
+-0x1.0000000000000p-1 -0x1.8000000000000p-2 -0x1.0000000000000p-2 -0x1.0000000000000p-3 0x0.0p+0 0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.8000000000000p-2
+0x1.0000000000000p-1 0x1.4000000000000p-1 0x1.8000000000000p-1 0x1.c000000000000p-1
+block weights 3 3 2 2 12
+-0x1.0000000000000p-2 -0x1.8000000000000p-3 -0x1.0000000000000p-3 -0x1.0000000000000p-4 0x0.0p+0 0x1.0000000000000p-4 0x1.0000000000000p-3 0x1.8000000000000p-3
+0x1.0000000000000p-2 0x1.4000000000000p-2 0x1.8000000000000p-2 0x1.c000000000000p-2
+block bias 2 2 2 4
+0x1.0000000000000p-2 -0x1.0000000000000p-1 0x1.0000000000000p+0 -0x1.0000000000000p-3
+end
+"""
+GDU_FE_W = np.arange(6.0).reshape(2, 3) / 4.0 - 0.5
+GDU_FE_B = np.array([0.125, -0.25, 0.5])
+GDU_BASES = np.arange(12.0).reshape(2, 2, 3) / 8.0 - 0.5  # (M, N, e)
+GDU_WEIGHTS = np.arange(12.0).reshape(3, 2, 2) / 16.0 - 0.25  # (e, M, C)
+GDU_BIAS = np.array([[0.25, -0.5], [1.0, -0.125]])  # (M, C)
+BASES_BLOCK = GDU_TEXT[GDU_TEXT.index("block bases") : GDU_TEXT.index("block weights")]
+
+
+def test_gdu_text_loads_to_the_stacked_arrays_and_writes_back_unchanged():
+    model = model_from_text(GDU_TEXT)
+    assert model.fe.nonlinearity == "relu"
+    np.testing.assert_array_equal(model.fe.weights[0], GDU_FE_W)
+    np.testing.assert_array_equal(model.fe.biases[0], GDU_FE_B)
+    layer = model.layer
+    assert (layer.mode, layer.kernel.sigma, layer.kappa) == ("CS", 1.5, 20.0)
+    assert layer.activation == "tanh"
+    np.testing.assert_array_equal(layer.bases, GDU_BASES)
+    np.testing.assert_array_equal(layer.weights, GDU_WEIGHTS)
+    np.testing.assert_array_equal(layer.bias, GDU_BIAS)
+    assert model_to_text(model) == GDU_TEXT
+    fe = FeatureExtractor([GDU_FE_W], [GDU_FE_B], "relu")
+    built = GduLayer(GDU_BASES, GDU_WEIGHTS, GDU_BIAS, KernelConfig(1.5), "CS", 20.0, "tanh")
+    assert model_to_text(GduModel(fe, built)) == GDU_TEXT
+
+
+# Format v2 text of a tiny ERM model: a one-layer relu extractor 3 -> 2 and
+# K=2 tanh heads with C=2, the UNIFORM layer with no bases and no kernel.
+ERM_TEXT = """gdu-checkpoint 2
+field fe_layers 1
+field fe_nonlinearity relu
+block fe_w0 2 3 2 6
+-0x1.0000000000000p-1 -0x1.0000000000000p-2 0x0.0p+0 0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.8000000000000p-1
+block fe_b0 1 2 2
+0x1.0000000000000p-3 -0x1.0000000000000p-2
+field mode UNIFORM
+field sigma -
+field kappa -
+field activation tanh
+block weights 3 2 2 2 8
+-0x1.8000000000000p-2 -0x1.0000000000000p-2 -0x1.0000000000000p-3 0x0.0p+0 0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.8000000000000p-2 0x1.0000000000000p-1
+block bias 2 2 2 4
+0x1.0000000000000p-1 -0x1.8000000000000p-1 0x1.0000000000000p-4 0x1.0000000000000p+0
+end
+"""
+ERM_FE_W = np.arange(6.0).reshape(3, 2) / 4.0 - 0.5
+ERM_FE_B = np.array([0.125, -0.25])
+ERM_WEIGHTS = np.arange(8.0).reshape(2, 2, 2) / 8.0 - 0.375  # (e, K, C)
+ERM_BIAS = np.array([[0.5, -0.75], [0.0625, 1.0]])  # (K, C)
+
+
+def test_erm_text_loads_and_writes_back_unchanged():
+    model = model_from_text(ERM_TEXT)
+    assert model.fe.nonlinearity == "relu"
+    layer = model.layer
+    assert (layer.mode, layer.bases, layer.kernel) == ("UNIFORM", None, None)
+    assert (layer.kappa, layer.activation) == (None, "tanh")
+    np.testing.assert_array_equal(layer.weights, ERM_WEIGHTS)
+    np.testing.assert_array_equal(layer.bias, ERM_BIAS)
+    np.testing.assert_array_equal(model.fe.weights[0], ERM_FE_W)
+    np.testing.assert_array_equal(model.fe.biases[0], ERM_FE_B)
+    # The heads' mean, computed head by head from the expected arrays.
+    X = np.random.default_rng(19).normal(size=(5, 3))
+    feats = X @ ERM_FE_W + ERM_FE_B  # no nonlinearity after the last layer
+    heads = [np.tanh(feats @ ERM_WEIGHTS[:, j] + ERM_BIAS[j]) for j in range(2)]
+    np.testing.assert_allclose(
+        predict_logits(model, X), (heads[0] + heads[1]) / 2.0, rtol=1e-15, atol=0.0
+    )
+    assert model_to_text(model) == ERM_TEXT
+
+
+# Format v1 texts of the same shapes: one block per basis and one weight and
+# bias block per machine or head, under a ``kind`` field. Version 2 replaced
+# that layout, and no v1 reader is kept.
 V1_GDU_TEXT = """gdu-checkpoint 1
 field kind gdu-model
 field fe_layers 0
@@ -46,30 +140,6 @@ block mach_b1 1 2 2
 0x1.0000000000000p+0 -0x1.0000000000000p-3
 end
 """
-V1_BASES = np.arange(12.0).reshape(2, 2, 3) / 8.0 - 0.5  # (M, N, e)
-V1_WEIGHTS = np.arange(12.0).reshape(3, 2, 2) / 16.0 - 0.25  # (e, M, C)
-V1_BIAS = np.array([[0.25, -0.5], [1.0, -0.125]])  # (M, C)
-
-
-def test_v1_text_loads_to_the_stacked_arrays_and_writes_back_unchanged():
-    model = model_from_text(V1_GDU_TEXT)
-    assert model.fe is None
-    layer = model.layer
-    assert (layer.mode, layer.kernel.sigma, layer.kappa) == ("PROJECTION", 1.5, None)
-    assert layer.activation == "tanh"
-    np.testing.assert_array_equal(layer.bases, V1_BASES)
-    np.testing.assert_array_equal(layer.weights, V1_WEIGHTS)
-    np.testing.assert_array_equal(layer.bias, V1_BIAS)
-    assert model_to_text(model) == V1_GDU_TEXT
-    built = GduLayer(
-        V1_BASES, V1_WEIGHTS, V1_BIAS, KernelConfig(1.5), "PROJECTION", activation="tanh"
-    )
-    assert model_to_text(GduModel(None, built)) == V1_GDU_TEXT
-
-
-# Format v1 text of a tiny ERM model (a one-layer extractor 3 -> 2 and K=2
-# tanh heads with C=2), as the per-head ERM model class wrote it: one weight
-# and bias block per head.
 V1_ERM_TEXT = """gdu-checkpoint 1
 field kind erm-model
 field fe_layers 1
@@ -90,107 +160,106 @@ block head_b1 1 2 2
 0x1.0000000000000p-4 0x1.0000000000000p+0
 end
 """
-V1_ERM_FE_W = np.arange(6.0).reshape(3, 2) / 4.0 - 0.5
-V1_ERM_FE_B = np.array([0.125, -0.25])
-V1_ERM_WEIGHTS = np.arange(8.0).reshape(2, 2, 2) / 8.0 - 0.375  # (e, K, C)
-V1_ERM_BIAS = np.array([[0.5, -0.75], [0.0625, 1.0]])  # (K, C)
 
 
-def test_v1_erm_text_loads_and_writes_back_unchanged():
-    model = model_from_text(V1_ERM_TEXT)
-    assert model.fe.nonlinearity == "relu"
-    layer = model.layer
-    assert (layer.mode, layer.bases, layer.activation) == ("UNIFORM", None, "tanh")
-    np.testing.assert_array_equal(layer.weights, V1_ERM_WEIGHTS)
-    np.testing.assert_array_equal(layer.bias, V1_ERM_BIAS)
-    np.testing.assert_array_equal(model.fe.weights[0], V1_ERM_FE_W)
-    np.testing.assert_array_equal(model.fe.biases[0], V1_ERM_FE_B)
-    # The heads' mean, computed head by head from the expected arrays.
-    X = np.random.default_rng(19).normal(size=(5, 3))
-    feats = X @ V1_ERM_FE_W + V1_ERM_FE_B
-    heads = [np.tanh(feats @ V1_ERM_WEIGHTS[:, j] + V1_ERM_BIAS[j]) for j in range(2)]
-    np.testing.assert_allclose(
-        predict_logits(model, X), (heads[0] + heads[1]) / 2.0, rtol=1e-15, atol=0.0
+@pytest.mark.parametrize("text", [V1_GDU_TEXT, V1_ERM_TEXT], ids=["gdu", "erm"])
+def test_v1_texts_are_unsupported(text):
+    with pytest.raises(CheckpointError, match="^unsupported checkpoint version 1$"):
+        model_from_text(text)
+
+
+def _invalid(text):
+    """The ``CheckpointError`` that ``text`` raises, carrying the constructor's ``ValueError``."""
+    with pytest.raises(CheckpointError, match="^invalid checkpoint: ") as info:
+        model_from_text(text)
+    assert type(info.value.__cause__) is ValueError
+    return str(info.value.__cause__)
+
+
+def test_rejects_blocks_whose_shapes_do_not_fit():
+    # Each block is read whole, so only the constructor checks how they fit.
+    assert "bases must form" in _invalid(
+        GDU_TEXT.replace("block bases 3 2 2 3 12", "block bases 2 4 3 12")
     )
-    assert model_to_text(model) == V1_ERM_TEXT
-
-
-def test_rejects_per_basis_blocks_of_different_shapes():
-    text = V1_GDU_TEXT.replace("block basis1 2 2 3 6", "block basis1 2 3 2 6")
-    with pytest.raises(CheckpointError, match="basis blocks"):
-        model_from_text(text)
-    text = V1_GDU_TEXT.replace("block mach_b1 1 2 2", "block mach_b1 2 1 2 2")
-    with pytest.raises(CheckpointError, match="mach_b blocks"):
-        model_from_text(text)
-    head, _, _ = V1_GDU_TEXT.partition("block basis0")
-    with pytest.raises(CheckpointError, match="basis blocks"):
-        model_from_text(head.replace("num_bases 2", "num_bases 0") + "end\n")
-    head, _, _ = V1_ERM_TEXT.partition("block head_w0")
-    with pytest.raises(CheckpointError, match="head_w blocks"):
-        model_from_text(head.replace("num_heads 2", "num_heads 0") + "end\n")
+    assert "bias (M, C)" in _invalid(GDU_TEXT.replace("block bias 2 2 2 4", "block bias 3 2 1 2 4"))
+    # No bases, or no heads.
+    no_bases = GDU_TEXT.replace(BASES_BLOCK, "block bases 3 0 2 3 0\n")
+    assert "bases must form a nonempty" in _invalid(no_bases)
+    head, _, _ = ERM_TEXT.partition("block weights")
+    no_heads = head + "block weights 3 2 0 2 0\nblock bias 2 0 2 0\nend\n"
+    assert "nonempty (e, M, C)" in _invalid(no_heads)
 
 
 def test_rejects_an_extractor_that_does_not_feed_the_layer():
     # The 3 -> 2 extractor of the ERM fixture ahead of the e=3 layer.
-    fe_lines = V1_ERM_TEXT.splitlines()[2:8]
-    text = V1_GDU_TEXT.replace("field fe_layers 0", "\n".join(fe_lines))
-    with pytest.raises(CheckpointError, match="extractor output size 2 does not match") as info:
-        model_from_text(text)
-    assert type(info.value.__cause__) is ValueError
+    fe_lines = ERM_TEXT.splitlines()[1:7]
+    gdu_fe_lines = GDU_TEXT.splitlines()[1:7]
+    text = GDU_TEXT.replace("\n".join(gdu_fe_lines), "\n".join(fe_lines))
+    assert "extractor output size 2 does not match" in _invalid(text)
 
 
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("0x1.0000000000000p-2 0x1.8000000000000p-2 0x1.0000000000000p-1",
-         "0x1.0000000000000p-2 0xzz 0x1.0000000000000p-1", "block 'basis1'"),
-        ("0x1.8000000000000p-1 0x1.c000000000000p-1\nblock mach_w0",
-         "0x1.8000000000000p-1 0x1.cp-1z\nblock mach_w0", "block 'basis1'"),
+        ("0x1.0000000000000p-1 0x1.4000000000000p-1 0x1.8000000000000p-1",
+         "0x1.0000000000000p-1 0xzz 0x1.8000000000000p-1", "block 'bases'"),
+        ("0x1.8000000000000p-1 0x1.c000000000000p-1\nblock weights",
+         "0x1.8000000000000p-1 0x1.cp-1z\nblock weights", "block 'bases'"),
         ("field sigma 0x1.8000000000000p+0", "field sigma 1.5x", "field 'sigma'"),
-        ("field sigma 0x1.8000000000000p+0", "field sigma -", "field 'sigma'"),
-        ("block mach_w0 2 3 2 6", "block mach_w0 two 3 2 6", "block 'mach_w0'"),
-        ("block mach_w0 2 3 2 6", "block mach_w0 2 3 -2 6", "block 'mach_w0'"),
-        ("block mach_b0 1 2 2", "block mach_b0 1 2 2.0", "block 'mach_b0'"),
+        ("field kappa 0x1.4000000000000p+4", "field kappa None", "field 'kappa'"),
+        ("block weights 3 3 2 2 12", "block weights two 3 2 2 12", "block 'weights'"),
+        ("block weights 3 3 2 2 12", "block weights 3 3 -2 2 12", "block 'weights'"),
+        ("block bias 2 2 2 4", "block bias 2 2 2 4.0", "block 'bias'"),
         # 2^32 * 2^32 values wrap to 0 in int64.
-        ("block mach_b0 1 2 2", "block mach_b0 2 4294967296 4294967296 0", "block 'mach_b0'"),
-        ("field num_bases 2", "field num_bases two", "field 'num_bases'"),
-        ("field fe_layers 0", "field fe_layers x", "field 'fe_layers'"),
-        ("gdu-checkpoint 1", "gdu-checkpoint v1", "version"),
+        ("block bias 2 2 2 4", "block bias 2 4294967296 4294967296 0", "block 'bias'"),
+        # The number of bases is the first dimension of their block.
+        ("block bases 3 2 2 3 12", "block bases 3 two 2 3 12", "block 'bases'"),
+        ("field fe_layers 1", "field fe_layers x", "field 'fe_layers'"),
+        ("gdu-checkpoint 2", "gdu-checkpoint v2", "version"),
     ],
 )
 def test_malformed_tokens_raise_checkpoint_errors_that_name_the_place(old, new, message):
-    assert old in V1_GDU_TEXT
+    assert old in GDU_TEXT
     with pytest.raises(CheckpointError, match=message):
-        model_from_text(V1_GDU_TEXT.replace(old, new, 1))
+        model_from_text(GDU_TEXT.replace(old, new, 1))
 
 
 def test_malformed_erm_tokens_raise_checkpoint_errors():
-    bad_count = V1_ERM_TEXT.replace("field num_heads 2", "field num_heads 2.5")
-    with pytest.raises(CheckpointError, match="field 'num_heads'"):
+    # The number of heads is the middle dimension of the weights block.
+    bad_count = ERM_TEXT.replace("block weights 3 2 2 2 8", "block weights 3 2 2.5 2 8")
+    with pytest.raises(CheckpointError, match="block 'weights'"):
         model_from_text(bad_count)
-    bad_value = V1_ERM_TEXT.replace("0x1.0000000000000p-4 0x1.0000000000000p+0", "0x1.0p-4 nan?")
-    with pytest.raises(CheckpointError, match="block 'head_b1'"):
+    bad_value = ERM_TEXT.replace("0x1.0000000000000p-4 0x1.0000000000000p+0", "0x1.0p-4 nan?")
+    with pytest.raises(CheckpointError, match="block 'bias'"):
         model_from_text(bad_value)
+
+
+def test_bases_are_read_exactly_when_the_mode_takes_them():
+    with pytest.raises(CheckpointError, match="expected block 'bases', found 'weights'"):
+        model_from_text(GDU_TEXT.replace(BASES_BLOCK, ""))
+    with pytest.raises(CheckpointError, match="expected block 'weights', found 'bases'"):
+        model_from_text(ERM_TEXT.replace("block weights", BASES_BLOCK + "block weights"))
 
 
 def test_parts_that_do_not_fit_raise_checkpoint_errors():
     # Bases of width 6 ahead of machines that take 3 features.
-    wide = V1_GDU_TEXT.replace("block basis0 2 2 3 6", "block basis0 2 1 6 6")
-    wide = wide.replace("block basis1 2 2 3 6", "block basis1 2 1 6 6")
-    with pytest.raises(CheckpointError, match="invalid gdu-model checkpoint") as info:
-        model_from_text(wide)
-    assert type(info.value.__cause__) is ValueError
+    wide = GDU_TEXT.replace("block bases 3 2 2 3 12", "block bases 3 2 1 6 12")
+    assert "bases must be (M, N, e) = (2, N, 3); got (2, 1, 6)" in _invalid(wide)
     # A kernel mode the layer does not know.
-    with pytest.raises(CheckpointError, match="invalid gdu-model checkpoint"):
-        model_from_text(V1_GDU_TEXT.replace("field mode PROJECTION", "field mode BOGUS"))
+    assert "unknown gating mode 'BOGUS'" in _invalid(GDU_TEXT.replace("mode CS", "mode BOGUS"))
 
 
-def test_a_kappa_on_a_projection_layer_raises_a_checkpoint_error():
-    text = V1_GDU_TEXT.replace("field kappa -", "field kappa 0x1.9000000000000p+5")
-    match = "invalid gdu-model checkpoint: a PROJECTION layer takes no kappa, got kappa=50.0"
-    with pytest.raises(CheckpointError, match=match) as info:
-        model_from_text(text)
-    assert type(info.value.__cause__) is ValueError
+def test_a_kernel_or_kappa_the_mode_does_not_take_raises_a_checkpoint_error():
+    projection = GDU_TEXT.replace("field mode CS", "field mode PROJECTION")
+    assert _invalid(projection) == "a PROJECTION layer takes no kappa, got kappa=20.0"
+    no_sigma = GDU_TEXT.replace("field sigma 0x1.8000000000000p+0", "field sigma -")
+    assert _invalid(no_sigma) == "a CS layer needs a kernel, got kernel=None"
+    erm_sigma = ERM_TEXT.replace("field sigma -", "field sigma 0x1.8000000000000p+0")
+    assert "a UNIFORM layer has no bases and no kernel" in _invalid(erm_sigma)
+    erm_kappa = ERM_TEXT.replace("field kappa -", "field kappa 0x1.4000000000000p+4")
+    assert _invalid(erm_kappa) == "a UNIFORM layer takes no kappa, got kappa=20.0"
+    zero_sigma = GDU_TEXT.replace("field sigma 0x1.8000000000000p+0", "field sigma 0x0.0p+0")
+    assert "sigma must be a positive finite real" in _invalid(zero_sigma)
 
 
 def awkward_layer():
@@ -223,14 +292,14 @@ def test_layer_text_stable_across_round_trips():
     assert model_to_text(model_from_text(text)) == text
 
 
-def test_block_text_matches_the_v1_layout():
+def test_block_text_is_float_hex_in_c_order():
     layer = awkward_layer()
     layer.bases[0][1, 1] = -0.0
-    flat = [float(v) for v in layer.bases[0].ravel()]  # 4 x 5
-    lines = ["block basis0 2 4 5 20"] + [
-        " ".join(v.hex() for v in flat[i : i + 8]) for i in range(0, 20, 8)
+    flat = [float(v) for v in layer.bases.ravel()]  # 3 x 4 x 5
+    lines = ["block bases 3 3 4 5 60"] + [
+        " ".join(v.hex() for v in flat[i : i + 8]) for i in range(0, 60, 8)
     ]
-    assert "\n" + "\n".join(lines) + "\n" in model_to_text(GduModel(None, layer))
+    assert "\n" + "\n".join(lines) + "\nblock weights" in model_to_text(GduModel(None, layer))
 
 
 def test_gdu_model_round_trip(tmp_path):
@@ -254,7 +323,8 @@ def test_erm_model_round_trip():
     model = init_erm_model([3, 4], 2, n_heads=3, seed=9, activation="tanh")
     model.layer.bias += np.arange(6.0).reshape(3, 2) / 3.0
     text = model_to_text(model)
-    assert "field kind erm-model" in text and "field num_heads 3" in text
+    assert "field mode UNIFORM\nfield sigma -\nfield kappa -\n" in text
+    assert "block bases" not in text and "block weights 3 4 3 2 24" in text
     restored = model_from_text(text)
     assert (restored.layer.mode, restored.layer.bases) == ("UNIFORM", None)
     assert restored.layer.activation == "tanh"
@@ -265,23 +335,22 @@ def test_erm_model_round_trip():
 
 def test_rejects_bad_version_and_truncation():
     text = model_to_text(GduModel(None, awkward_layer()))
-    with pytest.raises(CheckpointError, match="version"):
-        model_from_text(text.replace("gdu-checkpoint 1", "gdu-checkpoint 99", 1))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="^unsupported checkpoint version 99$"):
+        model_from_text(text.replace("gdu-checkpoint 2", "gdu-checkpoint 99", 1))
+    with pytest.raises(CheckpointError, match="unexpected end of checkpoint"):
         model_from_text(text[: len(text) // 2])
-    with pytest.raises(CheckpointError, match="kind"):
-        model_from_text(text.replace("field kind gdu-model", "field kind mystery", 1))
-    with pytest.raises(CheckpointError, match="kind 'layer'"):
-        model_from_text(text.replace("field kind gdu-model", "field kind layer", 1))
+    # The v1 ``kind`` field is not part of the format.
+    with pytest.raises(CheckpointError, match="expected field 'fe_layers', found 'kind'"):
+        model_from_text(text.replace("\n", "\nfield kind gdu-model\n", 1))
 
 
 def test_tokens_after_end_raise_checkpoint_errors():
     with pytest.raises(CheckpointError, match="'gdu-checkpoint' after 'end'"):
-        model_from_text(V1_GDU_TEXT + V1_ERM_TEXT)
+        model_from_text(GDU_TEXT + ERM_TEXT)
     with pytest.raises(CheckpointError, match="'garbage' after 'end'"):
-        model_from_text(V1_ERM_TEXT + "garbage 1 2 3\n")
+        model_from_text(ERM_TEXT + "garbage 1 2 3\n")
     # Trailing whitespace is not a token.
-    assert model_to_text(model_from_text(V1_GDU_TEXT + "\n  \n")) == V1_GDU_TEXT
+    assert model_to_text(model_from_text(GDU_TEXT + "\n  \n")) == GDU_TEXT
 
 
 def test_non_finite_and_signed_zero_machine_weights_round_trip():

@@ -140,6 +140,28 @@ def test_benchmark_invariant_validation():
         SyntheticBenchmark(elem, [domains[0], domains[2]], seed=0)
 
 
+def test_specs_reject_nan_weights_by_name():
+    # NaN passed the old "any entry < 0" checks: sample_domain then failed
+    # with numpy's unnamed "Probabilities contain NaN" for alpha, and drew
+    # labels without any error from a NaN label distribution.
+    with pytest.raises(ValueError, match=r"^alpha must lie on the probability simplex, got \[nan, 0.5\]$"):
+        DomainSpec(np.array([np.nan, 0.5]), 5, "source")
+    elem = small_elem()
+    label_dist = elem.label_dist.copy()
+    label_dist[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^label_dist must lie on the probability simplex"):
+        ElementarySpec(elem.class_means, elem.cov_diag, label_dist)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
+def test_domain_spec_requires_an_integer_sample_count(bad):
+    # These used to construct and fail in sample_domain with numpy's TypeError.
+    with pytest.raises(ValueError, match=f"^n_samples must be an integer, got {bad}$"):
+        DomainSpec(np.array([0.5, 0.5]), bad, "source")
+    assert len(sample_domain(DomainSpec(np.array([0.5, 0.5]), np.int64(3), "source"),
+                             small_elem(), seed=0).x) == 3
+
+
 def _mmd2_value(xa, xb, sigma):
     cfg = KernelConfig(sigma)
     return float(mmd_sq(EmpiricalKme(xa, cfg), EmpiricalKme(xb, cfg)))

@@ -1,13 +1,15 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
 every function the benchmark's tracer wraps, every name a module exports
 and every ``gdu.autodiff`` attribute a module reads; a training step calls
-each traced per-step function once, and the benchmark's gradient probe
-passes; every function that takes a seed names a negative one; the exports
-of the package and of each of its modules are pinned, the package imports
+each traced per-step function once, the benchmark's gradient probe passes
+and its set-up round-trips every model through checkpoint text; every
+function that takes a seed names a negative one; the exports of the
+package and of each of its modules are pinned, the package imports
 nothing beyond the standard library and numpy, and the training path
 reduces short rows only through its column helpers."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -16,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from gdu.checkpoint import model_to_text
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -67,6 +71,43 @@ def test_benchmark_gradient_probe_passes(mode):
     # its ok_frac. Here the same check takes about a second.
     workloads = _load_workloads()
     assert workloads.gradient_probe(mode) < 1e-4
+
+
+def _shrink(workloads, profile):
+    """A workload's profile at the benchmark's own test sizes."""
+    return dataclasses.replace(
+        profile,
+        data={**profile.data, "n_train": 40, "n_val": 20, "n_target": 50},
+        num_bases=min(profile.num_bases, 3),
+        basis_size=4,
+        batch_size=16,
+        epochs={m: 1 for m in workloads.MODES},
+        serve_batch=32,
+        select_seeds=1,
+        select_range=(2, 3),
+        configs=2,
+        sigma_rows=100,
+    )
+
+
+@pytest.mark.parametrize("name", ["train-small", "train-wide", "select-serve"])
+def test_benchmark_set_up_round_trips_every_model(name):
+    # The benchmark's set-up writes every initial model to checkpoint text
+    # and reads it back, and its warm pass checks that round trip on the
+    # trained ones; a format change that broke either would lower its
+    # ok_frac. Here the set-up and the warm pass take about two seconds.
+    workloads = _load_workloads()
+    profile = _shrink(workloads, workloads.PROFILES[name])
+    inst = workloads.set_up(profile, 7)
+    assert sorted(inst.models) == sorted(workloads.MODES)
+    assert inst.checkpoint_bytes == sum(len(model_to_text(m)) for m in inst.models.values())
+    xb = inst.target_x[: profile.serve_batch]
+    for mode, model in inst.models.items():
+        assert workloads._round_trip_exact(model, xb), mode
+    tally = workloads.Tally()
+    workloads.run_pass(profile, inst, workloads.MODES, tally, warm=True)
+    assert tally.failed == 0, tally.errors
+    assert all(tally.kinds[f"checkpoint round trip {mode}"] for mode in workloads.MODES)
 
 
 def _negative_seed_calls():

@@ -339,6 +339,13 @@ def test_init_layer_requires_integer_sizes_and_seed(index, name, bad):
     init_layer(*args, "CS", CFG, kappa=2.0)
 
 
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
+def test_init_layer_requires_a_kernel(mode):
+    # It used to fail reading ``kernel.sigma`` with an AttributeError.
+    with pytest.raises(ValueError, match="^init_layer scales the bases to the kernel, got kernel=None$"):
+        init_layer(2, 3, 4, 2, 0, mode, None)
+
+
 def test_layer_validation():
     with pytest.raises(ValueError, match="kappa"):
         make_layer([[[0.0]]], "CS", kappa=None)
