@@ -439,6 +439,11 @@ def init_layer(
     _check_seed("seed", seed)
     if min(num_bases, basis_size, feature_dim, n_outputs) < 1:
         raise ValueError("all layer dimensions must be positive")
+    if mode == UNIFORM:
+        raise ValueError(
+            "init_layer draws bases, and a UNIFORM layer has none; "
+            "make an ERM model with training.init_erm_model"
+        )
     if kernel is None:
         raise ValueError("init_layer scales the bases to the kernel, got kernel=None")
     rng = np.random.default_rng(seed)

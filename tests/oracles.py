@@ -15,7 +15,11 @@ agree bit for bit. ``gaussian_gram_chain`` is the one chain that
 agrees only up to rounding: the package builds the Gram from another
 arithmetic route (one matmul of augmented rows). ``kmeans_loop`` is the
 plain Lloyd loop that ``gdu.heuristics.kmeans`` replaced, kept as its
-bit-exact reference, and ``train_loop`` the training loop that made its
+bit-exact reference. It writes out the distances as ``kmeans`` lays them
+out, ``(||x||^2 + ||c||^2) - 2 C X^T`` in (k, n) over a contiguous copy of
+X^T, not as ``squared_distances(X, C)``: the BLAS rounds the two layouts
+of the product differently on some shapes, and the contiguous (k, n) one
+is the fast one. ``train_loop`` is the training loop that made its
 state fresh on every step, kept as the bit-exact reference of
 ``gdu.training.train``. ``three_node_gradients`` builds the objective with
 a separate kernel node for the gate's inner products, the basis norms and
@@ -490,13 +494,20 @@ def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n rows, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(X, np.sum(X * X, axis=-1), k, rng)
+    xx = np.sum(X * X, axis=-1)
+    XT = np.ascontiguousarray(X.T)
+
+    def distances(C):
+        # squared_distances(X, C), computed in kmeans's (k, n) layout: see the module text.
+        return np.maximum((xx + np.sum(C * C, axis=-1)[:, None]) - 2.0 * (C @ XT), 0.0).T
+
+    centroids = _kmeans_pp_init(X, xx, k, rng)
     assignments = np.full(n, -1)
     last_inertia = np.inf
     iterations, converged, reseeds = 0, False, 0
     for _ in range(_MAX_LLOYD_ITER):
         iterations += 1
-        d2 = squared_distances(X, centroids)
+        d2 = distances(centroids)
         new_assignments = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), new_assignments].sum())
         if check_monotone:
@@ -515,7 +526,7 @@ def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
                 reseeds += 1
             else:
                 centroids[j] = members.mean(axis=0)
-    d2 = squared_distances(X, centroids)
+    d2 = distances(centroids)
     inertia = float(d2[np.arange(n), assignments].sum())
     if trace is not None:
         trace.update(iterations=iterations, converged=converged, reseeds=reseeds)

@@ -118,6 +118,35 @@ def test_davies_bouldin_validation():
         davies_bouldin(Y[:40], kmeans(Y, 3, 0))
 
 
+# Each used to be scored: an assignment outside [0, k) was dropped (4.707
+# here), other widths failed in numpy's broadcasting, and coincident
+# centroids gave a RuntimeWarning and then inf or NaN.
+TWO_CENTROIDS = [[0.0, 0.5], [4.0, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "assignments, centroids, message",
+    [
+        ([0, 0, 1, 1, 7], TWO_CENTROIDS, r"needs assignments in \[0, 2\), got 7"),
+        ([0, 0, 1, 1, -1], TWO_CENTROIDS, r"needs assignments in \[0, 2\), got -1"),
+        ([0, 0, 1, 1, 1], [[0.0], [4.0]], r"got centroids of shape \(2, 1\) for rows of width 2"),
+        ([0, 0, 1, 1, 1], [[0.0, 0.5, 0.0], [4.0, 0.5, 0.0]],
+         r"got centroids of shape \(2, 3\) for rows of width 2"),
+        ([0, 0, 1, 1, 1], [[4.0, 0.5], [4.0, 0.5]],
+         "needs distinct centroids, but centroids 0 and 1 coincide"),
+        # Equal rows whose squared distance can round above 0 (2.8e-17 with
+        # OpenBLAS on x86-64), so a zero-distance test alone misses them.
+        ([0, 0, 1, 2, 2], [[0.0, 0.5], [0.1, 0.3], [0.1, 0.3]],
+         "needs distinct centroids, but centroids 1 and 2 coincide"),
+    ],
+)
+def test_davies_bouldin_names_bad_clusterings(assignments, centroids, message):
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0], [9.0, 9.0]])
+    result = ClusteringResult(np.array(assignments), np.array(centroids), 0.0)
+    with pytest.raises(ValueError, match=f"^davies_bouldin {message}$"):
+        davies_bouldin(X, result)
+
+
 def test_select_m_recovers_three_planted_clusters():
     rng = np.random.default_rng(5)
     centers = [np.array([0.0, 0.0]), np.array([12.0, 0.0]), np.array([0.0, 12.0])]
@@ -190,10 +219,13 @@ def test_select_m_validation():
     assert [row.k for row in table] == [2, 3]
 
 
-def test_select_m_equals_select_m_on_the_loop_oracle():
+# 64 columns is train-wide's feature width, which sums centroids by the
+# gather route; 16 takes the bincount route.
+@pytest.mark.parametrize("e", [16, 64])
+def test_select_m_equals_select_m_on_the_loop_oracle(e):
     rng = np.random.default_rng(8)
-    centers = rng.normal(scale=4.0, size=(4, 16))
-    X = centers[rng.integers(4, size=400)] + rng.normal(size=(400, 16))
+    centers = rng.normal(scale=4.0, size=(4, e))
+    X = centers[rng.integers(4, size=400)] + rng.normal(size=(400, e))
     got = select_m(X, (2, 7), seeds=2, seed0=3)
     with mock.patch.object(heuristics, "kmeans", kmeans_loop):
         expected = select_m(X, (2, 7), seeds=2, seed0=3)

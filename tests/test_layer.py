@@ -1,6 +1,7 @@
 """Gating, ensemble forward, and initialization behavior of the layer."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -344,6 +345,17 @@ def test_init_layer_requires_a_kernel(mode):
     # It used to fail reading ``kernel.sigma`` with an AttributeError.
     with pytest.raises(ValueError, match="^init_layer scales the bases to the kernel, got kernel=None$"):
         init_layer(2, 3, 4, 2, 0, mode, None)
+
+
+@pytest.mark.parametrize("kernel", [CFG, None])
+def test_init_layer_sends_uniform_layers_to_init_erm_model(kernel):
+    # The constructor used to reject the drawn bases with a message about
+    # arguments ``init_layer`` does not take.
+    with mock.patch.object(np.random, "default_rng") as draw, pytest.raises(
+        ValueError, match="UNIFORM layer has none; make an ERM model with training.init_erm_model$"
+    ):
+        init_layer(2, 3, 4, 2, 0, "UNIFORM", kernel)
+    draw.assert_not_called()
 
 
 def test_layer_validation():

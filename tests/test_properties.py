@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from gdu import heuristics
 from gdu.checkpoint import _VALUES_PER_LINE, _emit_block, model_from_text, model_to_text
-from gdu.kernel import KernelConfig, gram, gram_block_means, gram_diagonal_block_means
+from gdu.kernel import (
+    KernelConfig,
+    gram,
+    gram_block_means,
+    gram_diagonal_block_means,
+    squared_distances,
+)
 from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
 from gdu.regularization import RegConfig, omega_ols
 from gdu.rkhs import EmpiricalKme, mmd_sq
@@ -235,8 +241,13 @@ def clustering_cases(draw, e):
 
 # Widths 31 and 32 sit on the two sides of the switch between the two
 # centroid-sum routes of ``kmeans``; one column is the width where a mean
-# sums pairwise, not in row order.
-@pytest.mark.parametrize("e", [1, 2, 16, 31, 32, 64])
+# sums pairwise, not in row order. From 16 columns up, the BLAS rounds
+# ``C @ X^T`` and ``X @ C^T`` apart on about half of random shapes, odd
+# widths such as 17 and 65 included.
+CLUSTERING_WIDTHS = [1, 2, 16, 17, 31, 32, 64, 65]
+
+
+@pytest.mark.parametrize("e", CLUSTERING_WIDTHS)
 def test_kmeans_equals_the_loop_oracle_bit_for_bit(e):
     too_few_rows = []
 
@@ -266,3 +277,24 @@ def test_kmeans_equals_the_loop_oracle_bit_for_bit(e):
 
     check()
     assert too_few_rows, "no example had fewer distinct rows than clusters"
+
+
+@pytest.mark.parametrize("e", CLUSTERING_WIDTHS)
+def test_kmeans_distances_match_squared_distances(e):
+    # ``kmeans`` and its oracle share the (k, n) layout, so this checks the
+    # layout against the kernel's own formula instead.
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(clustering_cases(e))
+    def check(case):
+        X, k, seed = case
+        xx = np.sum(X * X, axis=-1)
+        centroids = heuristics._kmeans_pp_init(X, xx, k, np.random.default_rng(seed))
+        got = heuristics._distances_to(
+            np.ascontiguousarray(X.T), xx, centroids, np.empty((k, len(X))), np.empty((k, len(X)))
+        )
+        scale = np.max(xx) + np.max(np.sum(centroids * centroids, axis=-1))
+        np.testing.assert_allclose(
+            got, squared_distances(X, centroids).T, rtol=1e-12, atol=1e-12 * scale
+        )
+
+    check()
