@@ -1,18 +1,16 @@
 """Versioned text checkpoints for models.
 
 Format: a header line ``gdu-checkpoint <version>``, then a sequence of
-key-length-value blocks, then ``end``.
+key-length-value blocks, then ``end``, which nothing may follow.
 
-* ``field <key> <token>`` - one scalar or string field (floats are hex
-  encoded so round-trips are bit-exact; ``-`` encodes None).
-* ``block <key> <ndim> <dim...> <count>`` - a matrix block, followed by
-  ``count`` hex floats, eight to a line and separated by single spaces.
-
-Every float is written as ``float.hex`` writes it, byte for byte, and all
-of a block's values are encoded at once: a few numpy passes over their
-bits fill one fixed-width ASCII row per value (sign, ``0x1.`` or
-``0x0.``, 13 hex fraction digits, exponent, separator), and one mask
-drops the rows' NUL padding. Nothing may follow ``end``.
+* ``field <key> <token>`` - one scalar or string field (floats are
+  written as ``float.hex`` tokens, so round-trips are bit-exact; ``-``
+  encodes None).
+* ``block <key> <ndim> <dim...> <count>`` - a matrix block. Unless
+  ``count`` is 0, the next line holds its values as one token: the
+  standard padded base64 of their little-endian float64 bytes in C order,
+  with no line breaks. Every bit pattern comes back as it was written,
+  signed zeros and the sign and payload of a NaN included.
 
 Every model is written as it sits in memory. First the extractor:
 ``field fe_layers`` (0 when there is none), then its nonlinearity and one
@@ -24,14 +22,17 @@ and ``bias`` (M, C). An ERM model with K heads is the UNIFORM layer with
 M = K; a layer on its own is saved as the model ``GduModel(None, layer)``.
 
 Readers reject unknown versions, truncated or malformed blocks and any
-token after ``end``, each with a :class:`CheckpointError`. A token that
-is not a hex float or a count names its field or block; model parts that
-do not fit together (shapes, sizes, a kernel the mode does not take)
-carry the constructor's ``ValueError`` as the cause.
+token after ``end``, each with a :class:`CheckpointError`. A field token
+that is not a hex float or a count names its field; a block whose token
+is not base64, or decodes to other than 8 bytes per declared value, names
+its block. Model parts that do not fit together (shapes, sizes, a kernel
+the mode does not take) carry the constructor's ``ValueError`` as the
+cause.
 """
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -48,8 +49,7 @@ __all__ = [
     "model_from_text",
 ]
 
-FORMAT_VERSION = 2
-_VALUES_PER_LINE = 8
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -61,73 +61,15 @@ def _field_token(value) -> str:
         return "-"
     if isinstance(value, str):
         return value
-    return _hex_text(value)
-
-
-def _ascii(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-
-
-# ``_hex_text`` writes each value into one row of ``_ROW_BYTES`` bytes, NUL
-# wherever its token is shorter than the row:
-#   0      the sign, '-' or NUL
-#   1:5    '0x1.', or '0x0.' below the normal range
-#   5:18   the 52-bit fraction as 13 hex digits
-#   18:24  'p', the exponent's sign and its 1-4 decimal digits
-#   24     ' ' or '\n' after the value, NUL after the last one
-#   25     NUL, so that a row holds whole 2-byte hex pairs
-_ROW_BYTES = 26
-_HEX_DIGITS = _ascii("0123456789abcdef")
-# The two hex digits of each byte value, read as one uint16.
-_HEX_PAIRS = np.frombuffer(b"".join(b"%02x" % v for v in range(256)), dtype=np.uint16)
-# Bytes 18:24 for each biased exponent: 'p-1022' for subnormals (0) and
-# 'p+<e - 1023>' above; zeros, infinities and NaNs are patched after.
-_EXPONENTS = np.frombuffer(
-    b"".join(b"%-6s" % (b"p%+d" % (max(e, 1) - 1023)) for e in range(2048)).replace(b" ", b"\0"),
-    dtype=np.uint8,
-).reshape(2048, 6)
-
-
-def _hex_text(array) -> str:
-    """The values of ``array`` in C order as ``float.hex`` tokens, byte for byte.
-
-    ``_VALUES_PER_LINE`` tokens per line, separated by ``' '``, with no
-    newline after the last. Each value's bits (little-endian) fill one row
-    of fixed layout (see ``_ROW_BYTES``) in a few vectorized passes, and
-    one mask drops the NUL padding of all rows at once.
-    """
-    raw = np.ascontiguousarray(array, dtype="<f8").reshape(-1).view(np.uint8).reshape(-1, 8)
-    biased = ((raw[:, 7] & 0x7F).astype(np.uint16) << 4) | (raw[:, 6] >> 4)
-    rows = np.zeros((len(raw), _ROW_BYTES), dtype=np.uint8)
-    rows[:, 0] = (raw[:, 7] >> 7) * ord("-")
-    rows[:, 1:5] = _ascii("0x1.")
-    rows[:, 5] = _HEX_DIGITS[raw[:, 6] & 0xF]
-    rows.view(np.uint16)[:, 3:9] = _HEX_PAIRS.take(raw[:, 5::-1])
-    rows[:, 18:24] = _EXPONENTS.take(biased, axis=0)
-    rows[:, 24] = ord(" ")
-    rows[_VALUES_PER_LINE - 1 :: _VALUES_PER_LINE, 24] = ord("\n")
-    rows[-1:, 24] = 0
-    low, high = biased == 0, biased == 0x7FF
-    if low.any() or high.any():
-        fraction = raw[:, :6].any(axis=1) | (raw[:, 6] & 0xF).astype(bool)
-        rows[low, 3] = ord("0")
-        zero = low & ~fraction
-        rows[zero, 6:24] = 0
-        rows[zero, 18:21] = _ascii("p+0")
-        rows[high, 1:24] = 0
-        rows[high & ~fraction, 1:4] = _ascii("inf")
-        nan = high & fraction
-        rows[nan, 0] = 0
-        rows[nan, 1:4] = _ascii("nan")
-    return rows[rows != 0].tobytes().decode("ascii")
+    return float(value).hex()
 
 
 def _emit_block(lines: list, key: str, array: np.ndarray):
-    array = np.asarray(array, dtype=np.float64)
+    array = np.asarray(array, dtype="<f8")
     dims = " ".join(str(d) for d in array.shape)
     lines.append(f"block {key} {array.ndim} {dims} {array.size}".rstrip())
     if array.size:
-        lines.append(_hex_text(array))
+        lines.append(base64.b64encode(array.tobytes()).decode("ascii"))
 
 
 def _count(token: str, what: str) -> int:
@@ -138,13 +80,6 @@ def _count(token: str, what: str) -> int:
     if value < 0:
         raise CheckpointError(f"{what}: expected a non-negative integer, found {token!r}")
     return value
-
-
-def _hex_floats(tokens: list, what: str) -> np.ndarray:
-    try:
-        return np.fromiter(map(float.fromhex, tokens), np.float64, len(tokens))
-    except ValueError as err:
-        raise CheckpointError(f"{what}: {err}") from err
 
 
 class _Reader:
@@ -176,7 +111,10 @@ class _Reader:
         tok = self.read_field(key)
         if tok == "-":
             return None
-        return float(_hex_floats([tok], f"field {key!r}")[0])
+        try:
+            return float.fromhex(tok)
+        except ValueError as err:
+            raise CheckpointError(f"field {key!r}: {err}") from err
 
     def read_count_field(self, key: str) -> int:
         return _count(self.read_field(key), f"field {key!r}")
@@ -191,15 +129,17 @@ class _Reader:
         shape = tuple(_count(self.next(), what) for _ in range(ndim))
         count = _count(self.next(), what)
         if count != math.prod(shape):
-            raise CheckpointError(
-                f"block {key!r} declares {count} values for shape {shape}"
-            )
-        end = self.pos + count
-        if end > len(self.tokens):
-            raise CheckpointError("unexpected end of checkpoint")
-        values = _hex_floats(self.tokens[self.pos : end], what)
-        self.pos = end
-        return values.reshape(shape)
+            raise CheckpointError(f"{what} declares {count} values for shape {shape}")
+        if count == 0:
+            return np.empty(shape)
+        token = self.next()
+        try:
+            raw = base64.b64decode(token, validate=True)
+        except ValueError as err:
+            raise CheckpointError(f"{what}: {err}") from err
+        if len(raw) != 8 * count:
+            raise CheckpointError(f"{what}: {len(raw)} bytes for {count} float64 values")
+        return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
 
 
 def _emit_layer(lines: list, layer: GduLayer):

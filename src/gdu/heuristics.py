@@ -63,38 +63,6 @@ class ScoreRow:
     std_db: float
 
 
-def _distances_to_row(X, xx, c, twice_g, out):
-    """``max((xx + ||c||^2) - 2 X c, 0)`` into ``out`` (n,): the operations of
-    :func:`_distances_to` for one centroid. ``twice_g`` (n,) is a work buffer.
-    """
-    np.matmul(X, c, out=twice_g)
-    twice_g *= 2.0
-    np.add(xx, np.dot(c, c), out=out)
-    np.subtract(out, twice_g, out=out)
-    return np.maximum(out, 0.0, out=out)
-
-
-def _kmeans_pp_init(X, xx, k, rng):
-    """k-means++ seeding of k centroids; ``xx`` holds the rows' squared norms.
-
-    Each row's D^2 to a new centroid takes one matrix-vector product and a
-    few vector passes into reused buffers (:func:`_distances_to_row`).
-    """
-    n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    twice_g, d2 = np.empty(n), np.empty(n)
-    closest = _distances_to_row(X, xx, centroids[0], twice_g, np.empty(n))
-    for i in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            centroids[i] = X[rng.integers(n)]
-            continue
-        centroids[i] = X[rng.choice(n, p=closest / total)]
-        np.minimum(closest, _distances_to_row(X, xx, centroids[i], twice_g, d2), out=closest)
-    return centroids
-
-
 # From 2 columns up to this width, per-column weighted bincounts form the
 # cluster sums faster than gathering the rows by cluster and reducing them;
 # the two are even at 32 columns and the gather wins at 64 (timed at
@@ -144,6 +112,29 @@ def _distances_to(XT, xx, centroids, twice_g, out):
     np.add(xx, np.sum(centroids * centroids, axis=-1)[:, None], out=out)
     np.subtract(out, twice_g, out=out)
     return np.maximum(out, 0.0, out=out)
+
+
+def _kmeans_pp_init(XT, xx, k, rng):
+    """k-means++ seeding of k centroids from X^T and the rows' squared norms.
+
+    ``XT`` is the contiguous (e, n) transpose of X that :func:`kmeans` makes
+    once per call. Each row's D^2 to a new centroid is one
+    :func:`_distances_to` pass on (1, n) buffers.
+    """
+    n = XT.shape[1]
+    centroids = np.empty((k, len(XT)))
+    centroids[0] = XT[:, rng.integers(n)]
+    twice_g, d2 = np.empty((1, n)), np.empty((1, n))
+    closest = _distances_to(XT, xx, centroids[:1], twice_g, np.empty((1, n)))[0]
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            centroids[i] = XT[:, rng.integers(n)]
+            continue
+        centroids[i] = XT[:, rng.choice(n, p=closest / total)]
+        _distances_to(XT, xx, centroids[i : i + 1], twice_g, d2)
+        np.minimum(closest, d2[0], out=closest)
+    return centroids
 
 
 def _nearest(D):
@@ -198,12 +189,12 @@ def kmeans(X, k: int, seed: int) -> ClusteringResult:
     value of ``X[assignments == j].mean(axis=0)``, formed without a mask per
     cluster (see :func:`_cluster_means`). Summing in any other order, as
     ``np.add.reduceat`` or a one-hot matmul would, changes the centroids in
-    the last bits. The distances of every step are one ``C @ X^T`` product
-    over a contiguous X^T made once per call (see :func:`_distances_to`);
-    the bincount route reads its columns from the same X^T. An iteration
-    that leaves a cluster empty takes the per-cluster loop: its re-seeds
-    move rows between clusters while the means are formed, so the loop's
-    order decides which means see a move.
+    the last bits. The distances of every step, and of every k-means++
+    seed, are one ``C @ X^T`` product over a contiguous X^T made once per
+    call (see :func:`_distances_to`); the bincount route reads its columns
+    from the same X^T. An iteration that leaves a cluster empty takes the
+    per-cluster loop: its re-seeds move rows between clusters while the
+    means are formed, so the loop's order decides which means see a move.
     """
     _check_int("k", k)
     _check_seed("seed", seed)
@@ -211,9 +202,16 @@ def kmeans(X, k: int, seed: int) -> ClusteringResult:
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n rows, got k={k}, n={n}")
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(X, xx, k, rng)
     XT = np.ascontiguousarray(X.T)
+    centroids = _kmeans_pp_init(XT, xx, k, np.random.default_rng(seed))
+    # Fewer than k distinct rows make the seeding repeat a centroid, and
+    # leave a cluster empty however it is re-seeded. The rows are counted
+    # here, not left to an empty cluster: the BLAS may round two copies of a
+    # centroid apart and split the copies of a row between them.
+    if np.count_nonzero((centroids[:, None] == centroids).all(axis=2)) > k:
+        distinct = len(np.unique(X, axis=0))
+        if distinct < k:
+            raise ValueError(f"kmeans needs at least k={k} distinct rows, got {distinct}")
     columns = XT if 2 <= X.shape[1] <= _BINCOUNT_MAX_WIDTH else None
     twice_g, D = np.empty((k, n)), np.empty((k, n))
     rows = np.arange(n)
@@ -228,13 +226,6 @@ def kmeans(X, k: int, seed: int) -> ClusteringResult:
         if counts.all():
             _cluster_means(X, columns, assignments, counts, centroids)
             continue
-        # Identical rows share a cluster, so with fewer than k distinct rows
-        # some cluster is empty on every pass and no re-seed can fill it.
-        # (The distance of a row to its own copy can round to ~1e-15, so the
-        # rows are compared, not the distances.)
-        distinct = len(np.unique(X, axis=0))
-        if distinct < k:
-            raise ValueError(f"kmeans needs at least k={k} distinct rows, got {distinct}")
         for j in range(k):
             members = X[assignments == j]
             if len(members) == 0:

@@ -8,7 +8,7 @@
   mutual coherence ``MC = max_{i != j} |K_ij|``.
 * ``omega_l1``   - batch-mean L1 norm of the gating coefficients.
 
-``omega_total`` adds the weighted terms a gating mode takes:
+The training objective adds the weighted terms a gating mode takes:
 
 ==============  ==============================
 mode            weights
@@ -19,11 +19,11 @@ UNIFORM         none (the layer has no bases)
 ==============  ==============================
 
 A nonzero weight outside its mode's row raises a ValueError that names the
-weight and the mode. The training objective adds the same combination
-through ``_add_regularizers``; it reads the gate's inner products and, when
-OLS or ORTH is on, the basis Gram from the one kernel node that also
-gives the gate its statistics, so no kernel block is evaluated twice. The
-training trace still reports all three raw terms for every mode with bases.
+weight and the mode. The objective adds them through ``_add_regularizers``,
+which reads the gate's inner products and, when OLS or ORTH is on, the
+basis Gram from the one kernel node that also gives the gate its
+statistics, so no kernel block is evaluated twice. The training trace
+still reports all three raw terms for every mode with bases.
 
 On arrays each term is a float. On tensors each is one tape node with a
 closed-form backward, and its forward runs the same numpy operations as
@@ -48,7 +48,6 @@ __all__ = [
     "omega_ols",
     "omega_orth",
     "omega_l1",
-    "omega_total",
 ]
 
 ORTH_VARIANTS = ("SO", "SRIP", "MC")
@@ -249,11 +248,3 @@ def _add_regularizers(obj, a, beta, k_bases, cfg: RegConfig):
                 term._accumulate(g * weight)
 
     return ad.Tensor(total, parents, bw)
-
-
-def omega_total(X, beta, layer: GduLayer, cfg: RegConfig):
-    """Mode-appropriate combination of the regularization terms."""
-    reads_gram = _reads_basis_gram(layer.mode, cfg)
-    a = _checked_inners(X, beta, layer) if cfg.lambda_ols > 0.0 else None
-    k_bases = basis_gram_matrix(layer) if reads_gram else None
-    return _add_regularizers(0.0, a, beta, k_bases, cfg)

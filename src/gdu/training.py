@@ -178,7 +178,8 @@ class DatasetSplits:
             raise ValueError(f"train_x has {widths[0]} columns but val_x has {widths[1]}")
         for name in ("train_y", "val_y"):
             labels = np.asarray(getattr(self, name))
-            if labels.ndim != 1 or np.any(labels < 0) or np.any(labels != np.floor(labels)):
+            if (labels.ndim != 1 or not np.all(np.isfinite(labels))
+                    or np.any(labels < 0) or np.any(labels != np.floor(labels))):
                 raise ValueError(f"{name} must be a 1-D array of nonnegative integer labels")
 
 
@@ -239,10 +240,6 @@ class TrainTrace:
                 f"{r.omega_ols!r},{r.omega_orth!r},{r.omega_l1!r}"
             )
         return "\n".join(lines) + "\n"
-
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv_text())
 
 
 # -- initialization --------------------------------------------------------
@@ -335,15 +332,22 @@ def fe_forward(x, fe: FeatureExtractor | None):
 
 
 def _checked_labels(labels, b: int, c: int) -> np.ndarray:
-    """``labels`` as b int64 class indices in ``[0, c)``, or a ValueError."""
+    """``labels`` as b int64 class indices in ``[0, c)``, or a ValueError.
+
+    Float labels must be finite and integer-valued; the first that is not
+    is named.
+    """
     labels = np.asarray(labels)
     if labels.shape != (b,):
         raise ValueError(f"expected {b} labels, got shape {labels.shape}")
-    labels = labels.astype(np.int64)
+    if labels.dtype.kind == "f":
+        bad = ~np.isfinite(labels) | (labels != np.floor(labels))
+        if bad.any():
+            raise ValueError(f"label {labels[bad][0]} is not a finite integer")
     if b and (labels.min() < 0 or labels.max() >= c):
         bad = labels[(labels < 0) | (labels >= c)][0]
-        raise ValueError(f"label {bad} out of range for C={c}")
-    return labels
+        raise ValueError(f"label {int(bad)} out of range for C={c}")
+    return labels.astype(np.int64)
 
 
 def cross_entropy_mean(logits, labels):

@@ -501,7 +501,7 @@ def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
         # squared_distances(X, C), computed in kmeans's (k, n) layout: see the module text.
         return np.maximum((xx + np.sum(C * C, axis=-1)[:, None]) - 2.0 * (C @ XT), 0.0).T
 
-    centroids = _kmeans_pp_init(X, xx, k, rng)
+    centroids = _kmeans_pp_init(XT, xx, k, rng)
     assignments = np.full(n, -1)
     last_inertia = np.inf
     iterations, converged, reseeds = 0, False, 0

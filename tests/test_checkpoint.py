@@ -1,5 +1,8 @@
 """Bit-exact round-trips for the text checkpoint format."""
 
+import base64
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,28 +24,26 @@ from gdu.training import (
 )
 
 
-# Format v2 text of a tiny GDU model: a one-layer relu extractor 2 -> 3 and
+# Format v3 text of a tiny GDU model: a one-layer relu extractor 2 -> 3 and
 # a CS layer (M=2, N=2, e=3, C=2, sigma 1.5, kappa 20, tanh), its three
-# stacked arrays one block each.
-GDU_TEXT = """gdu-checkpoint 2
+# stacked arrays one block each, every block the base64 of its float64 bytes.
+GDU_TEXT = """gdu-checkpoint 3
 field fe_layers 1
 field fe_nonlinearity relu
 block fe_w0 2 2 3 6
--0x1.0000000000000p-1 -0x1.0000000000000p-2 0x0.0p+0 0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.8000000000000p-1
+AAAAAAAA4L8AAAAAAADQvwAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAAAOg/
 block fe_b0 1 3 3
-0x1.0000000000000p-3 -0x1.0000000000000p-2 0x1.0000000000000p-1
+AAAAAAAAwD8AAAAAAADQvwAAAAAAAOA/
 field mode CS
 field sigma 0x1.8000000000000p+0
 field kappa 0x1.4000000000000p+4
 field activation tanh
 block bases 3 2 2 3 12
--0x1.0000000000000p-1 -0x1.8000000000000p-2 -0x1.0000000000000p-2 -0x1.0000000000000p-3 0x0.0p+0 0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.8000000000000p-2
-0x1.0000000000000p-1 0x1.4000000000000p-1 0x1.8000000000000p-1 0x1.c000000000000p-1
+AAAAAAAA4L8AAAAAAADYvwAAAAAAANC/AAAAAAAAwL8AAAAAAAAAAAAAAAAAAMA/AAAAAAAA0D8AAAAAAADYPwAAAAAAAOA/AAAAAAAA5D8AAAAAAADoPwAAAAAAAOw/
 block weights 3 3 2 2 12
--0x1.0000000000000p-2 -0x1.8000000000000p-3 -0x1.0000000000000p-3 -0x1.0000000000000p-4 0x0.0p+0 0x1.0000000000000p-4 0x1.0000000000000p-3 0x1.8000000000000p-3
-0x1.0000000000000p-2 0x1.4000000000000p-2 0x1.8000000000000p-2 0x1.c000000000000p-2
+AAAAAAAA0L8AAAAAAADIvwAAAAAAAMC/AAAAAAAAsL8AAAAAAAAAAAAAAAAAALA/AAAAAAAAwD8AAAAAAADIPwAAAAAAANA/AAAAAAAA1D8AAAAAAADYPwAAAAAAANw/
 block bias 2 2 2 4
-0x1.0000000000000p-2 -0x1.0000000000000p-1 0x1.0000000000000p+0 -0x1.0000000000000p-3
+AAAAAAAA0D8AAAAAAADgvwAAAAAAAPA/AAAAAAAAwL8=
 end
 """
 GDU_FE_W = np.arange(6.0).reshape(2, 3) / 4.0 - 0.5
@@ -70,23 +71,23 @@ def test_gdu_text_loads_to_the_stacked_arrays_and_writes_back_unchanged():
     assert model_to_text(GduModel(fe, built)) == GDU_TEXT
 
 
-# Format v2 text of a tiny ERM model: a one-layer relu extractor 3 -> 2 and
+# Format v3 text of a tiny ERM model: a one-layer relu extractor 3 -> 2 and
 # K=2 tanh heads with C=2, the UNIFORM layer with no bases and no kernel.
-ERM_TEXT = """gdu-checkpoint 2
+ERM_TEXT = """gdu-checkpoint 3
 field fe_layers 1
 field fe_nonlinearity relu
 block fe_w0 2 3 2 6
--0x1.0000000000000p-1 -0x1.0000000000000p-2 0x0.0p+0 0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.8000000000000p-1
+AAAAAAAA4L8AAAAAAADQvwAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAAAOg/
 block fe_b0 1 2 2
-0x1.0000000000000p-3 -0x1.0000000000000p-2
+AAAAAAAAwD8AAAAAAADQvw==
 field mode UNIFORM
 field sigma -
 field kappa -
 field activation tanh
 block weights 3 2 2 2 8
--0x1.8000000000000p-2 -0x1.0000000000000p-2 -0x1.0000000000000p-3 0x0.0p+0 0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.8000000000000p-2 0x1.0000000000000p-1
+AAAAAAAA2L8AAAAAAADQvwAAAAAAAMC/AAAAAAAAAAAAAAAAAADAPwAAAAAAANA/AAAAAAAA2D8AAAAAAADgPw==
 block bias 2 2 2 4
-0x1.0000000000000p-1 -0x1.8000000000000p-1 0x1.0000000000000p-4 0x1.0000000000000p+0
+AAAAAAAA4D8AAAAAAADovwAAAAAAALA/AAAAAAAA8D8=
 end
 """
 ERM_FE_W = np.arange(6.0).reshape(3, 2) / 4.0 - 0.5
@@ -115,9 +116,34 @@ def test_erm_text_loads_and_writes_back_unchanged():
     assert model_to_text(model) == ERM_TEXT
 
 
+# Format v2 text of the same GDU model: the same layout with every value a
+# ``float.hex`` token, eight to a line. Version 3 replaced those lines with
+# base64 tokens, and no v2 reader is kept.
+V2_GDU_TEXT = """gdu-checkpoint 2
+field fe_layers 1
+field fe_nonlinearity relu
+block fe_w0 2 2 3 6
+-0x1.0000000000000p-1 -0x1.0000000000000p-2 0x0.0p+0 0x1.0000000000000p-2 0x1.0000000000000p-1 0x1.8000000000000p-1
+block fe_b0 1 3 3
+0x1.0000000000000p-3 -0x1.0000000000000p-2 0x1.0000000000000p-1
+field mode CS
+field sigma 0x1.8000000000000p+0
+field kappa 0x1.4000000000000p+4
+field activation tanh
+block bases 3 2 2 3 12
+-0x1.0000000000000p-1 -0x1.8000000000000p-2 -0x1.0000000000000p-2 -0x1.0000000000000p-3 0x0.0p+0 0x1.0000000000000p-3 0x1.0000000000000p-2 0x1.8000000000000p-2
+0x1.0000000000000p-1 0x1.4000000000000p-1 0x1.8000000000000p-1 0x1.c000000000000p-1
+block weights 3 3 2 2 12
+-0x1.0000000000000p-2 -0x1.8000000000000p-3 -0x1.0000000000000p-3 -0x1.0000000000000p-4 0x0.0p+0 0x1.0000000000000p-4 0x1.0000000000000p-3 0x1.8000000000000p-3
+0x1.0000000000000p-2 0x1.4000000000000p-2 0x1.8000000000000p-2 0x1.c000000000000p-2
+block bias 2 2 2 4
+0x1.0000000000000p-2 -0x1.0000000000000p-1 0x1.0000000000000p+0 -0x1.0000000000000p-3
+end
+"""
+
 # Format v1 texts of the same shapes: one block per basis and one weight and
 # bias block per machine or head, under a ``kind`` field. Version 2 replaced
-# that layout, and no v1 reader is kept.
+# that layout.
 V1_GDU_TEXT = """gdu-checkpoint 1
 field kind gdu-model
 field fe_layers 0
@@ -162,9 +188,13 @@ end
 """
 
 
-@pytest.mark.parametrize("text", [V1_GDU_TEXT, V1_ERM_TEXT], ids=["gdu", "erm"])
-def test_v1_texts_are_unsupported(text):
-    with pytest.raises(CheckpointError, match="^unsupported checkpoint version 1$"):
+@pytest.mark.parametrize(
+    "text, version",
+    [(V1_GDU_TEXT, 1), (V1_ERM_TEXT, 1), (V2_GDU_TEXT, 2)],
+    ids=["gdu", "erm", "v2-gdu"],
+)
+def test_v1_texts_are_unsupported(text, version):
+    with pytest.raises(CheckpointError, match=f"^unsupported checkpoint version {version}$"):
         model_from_text(text)
 
 
@@ -198,13 +228,23 @@ def test_rejects_an_extractor_that_does_not_feed_the_layer():
     assert "extractor output size 2 does not match" in _invalid(text)
 
 
+def _b64(values) -> str:
+    """The standard base64 of ``values`` as little-endian float64s, in order."""
+    values = [float(v) for v in values]
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("0x1.0000000000000p-1 0x1.4000000000000p-1 0x1.8000000000000p-1",
-         "0x1.0000000000000p-1 0xzz 0x1.8000000000000p-1", "block 'bases'"),
-        ("0x1.8000000000000p-1 0x1.c000000000000p-1\nblock weights",
-         "0x1.8000000000000p-1 0x1.cp-1z\nblock weights", "block 'bases'"),
+        # A character outside the base64 alphabet.
+        ("AAAAAAAAwL8AAAAAAAAAAAAAAAAAAMA/", "AAAAAAAAwL8AAAAAAAAA!AAAAAAAAMA/", "block 'bases'"),
+        # Padding cut short, then padding inside the token.
+        ("AAAAAAAAwL8=\nend", "AAAAAAAAwL8\nend", "block 'bias'.*padding"),
+        ("AAAAAAAAwL8=\nend", "AAAAAAAA=wL8\nend", "block 'bias'.*padding"),
+        # Valid base64 one value short of the declared count.
+        (_b64(GDU_BASES.ravel()), _b64(GDU_BASES.ravel()[:-1]),
+         "block 'bases': 88 bytes for 12 float64 values"),
         ("field sigma 0x1.8000000000000p+0", "field sigma 1.5x", "field 'sigma'"),
         ("field kappa 0x1.4000000000000p+4", "field kappa None", "field 'kappa'"),
         ("block weights 3 3 2 2 12", "block weights two 3 2 2 12", "block 'weights'"),
@@ -215,7 +255,7 @@ def test_rejects_an_extractor_that_does_not_feed_the_layer():
         # The number of bases is the first dimension of their block.
         ("block bases 3 2 2 3 12", "block bases 3 two 2 3 12", "block 'bases'"),
         ("field fe_layers 1", "field fe_layers x", "field 'fe_layers'"),
-        ("gdu-checkpoint 2", "gdu-checkpoint v2", "version"),
+        ("gdu-checkpoint 3", "gdu-checkpoint v3", "version"),
     ],
 )
 def test_malformed_tokens_raise_checkpoint_errors_that_name_the_place(old, new, message):
@@ -229,9 +269,10 @@ def test_malformed_erm_tokens_raise_checkpoint_errors():
     bad_count = ERM_TEXT.replace("block weights 3 2 2 2 8", "block weights 3 2 2.5 2 8")
     with pytest.raises(CheckpointError, match="block 'weights'"):
         model_from_text(bad_count)
-    bad_value = ERM_TEXT.replace("0x1.0000000000000p-4 0x1.0000000000000p+0", "0x1.0p-4 nan?")
-    with pytest.raises(CheckpointError, match="block 'bias'"):
-        model_from_text(bad_value)
+    # Valid base64 one value longer than the declared count.
+    long_value = ERM_TEXT.replace(_b64(ERM_BIAS.ravel()), _b64([*ERM_BIAS.ravel(), 0.0]))
+    with pytest.raises(CheckpointError, match="block 'bias': 40 bytes for 4 float64 values"):
+        model_from_text(long_value)
 
 
 def test_bases_are_read_exactly_when_the_mode_takes_them():
@@ -292,13 +333,13 @@ def test_layer_text_stable_across_round_trips():
     assert model_to_text(model_from_text(text)) == text
 
 
-def test_block_text_is_float_hex_in_c_order():
+def test_block_text_is_base64_of_c_order_bytes():
     layer = awkward_layer()
     layer.bases[0][1, 1] = -0.0
-    flat = [float(v) for v in layer.bases.ravel()]  # 3 x 4 x 5
-    lines = ["block bases 3 3 4 5 60"] + [
-        " ".join(v.hex() for v in flat[i : i + 8]) for i in range(0, 60, 8)
-    ]
+    # The same values held in Fortran order: a transposed view of a copy.
+    layer.bases = np.ascontiguousarray(layer.bases.transpose()).transpose()
+    assert not layer.bases.flags.c_contiguous
+    lines = ["block bases 3 3 4 5 60", _b64(layer.bases.ravel())]  # ravel reads in C order
     assert "\n" + "\n".join(lines) + "\nblock weights" in model_to_text(GduModel(None, layer))
 
 
@@ -336,9 +377,12 @@ def test_erm_model_round_trip():
 def test_rejects_bad_version_and_truncation():
     text = model_to_text(GduModel(None, awkward_layer()))
     with pytest.raises(CheckpointError, match="^unsupported checkpoint version 99$"):
-        model_from_text(text.replace("gdu-checkpoint 2", "gdu-checkpoint 99", 1))
-    with pytest.raises(CheckpointError, match="unexpected end of checkpoint"):
-        model_from_text(text[: len(text) // 2])
+        model_from_text(text.replace("gdu-checkpoint 3", "gdu-checkpoint 99", 1))
+    # Cut after a whole block, and between a block's header and its values.
+    bias_at = text.index("block bias")
+    for cut in (text[:bias_at], text[: text.index("\n", bias_at) + 1]):
+        with pytest.raises(CheckpointError, match="^unexpected end of checkpoint$"):
+            model_from_text(cut)
     # The v1 ``kind`` field is not part of the format.
     with pytest.raises(CheckpointError, match="expected field 'fe_layers', found 'kind'"):
         model_from_text(text.replace("\n", "\nfield kind gdu-model\n", 1))
@@ -358,12 +402,14 @@ def test_non_finite_and_signed_zero_machine_weights_round_trip():
     layer.weights[0, 0, 0] = np.nan
     layer.weights[1, 2, 1] = -np.inf
     layer.weights[2, 1, 0] = np.inf
+    # A quiet NaN with its sign set and a payload, and a signalling NaN.
+    layer.weights.view(np.uint64)[3, 0, 1] = 0xFFF80000DEADBEEF
+    layer.weights.view(np.uint64)[4, 1, 1] = 0x7FF0000000000001
     layer.bias[1, 0] = -0.0
     layer.bias[2, 1] = 5e-324
     text = model_to_text(GduModel(None, layer))
-    tokens = set(text.split())
-    assert {"nan", "inf", "-inf", "-0x0.0p+0", "0x0.0000000000001p-1022"} <= tokens
     restored = model_from_text(text).layer
-    np.testing.assert_array_equal(restored.weights, layer.weights)
+    for got, sent in ((restored.weights, layer.weights), (restored.bias, layer.bias)):
+        np.testing.assert_array_equal(got.view(np.uint64), sent.view(np.uint64))
     assert np.signbit(restored.bias[1, 0]) and restored.bias[2, 1] == 5e-324
     assert model_to_text(GduModel(None, restored)) == text

@@ -1,8 +1,9 @@
 """Every entry point that pyproject.toml declares must resolve, and so must
 every function the benchmark's tracer wraps, every name a module exports
 and every ``gdu.autodiff`` attribute a module reads; a training step calls
-each traced per-step function once, the benchmark's gradient probe passes
-and its set-up round-trips every model through checkpoint text; every
+each traced per-step function once, the benchmark's gradient probe passes,
+its set-up round-trips every model through checkpoint text and each
+workload's result line holds every metric BENCHMARK.json declares; every
 function that takes a seed names a negative one; the exports of the
 package and of each of its modules are pinned, the package imports
 nothing beyond the standard library and numpy, and the training path
@@ -12,6 +13,8 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
+import math
 import sys
 import tomllib
 from pathlib import Path
@@ -23,6 +26,7 @@ from gdu.checkpoint import model_to_text
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+BENCHMARK = ROOT / "BENCHMARK.json"
 TRACER = ROOT / "bench" / "tracer.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 
@@ -108,6 +112,24 @@ def test_benchmark_set_up_round_trips_every_model(name):
     workloads.run_pass(profile, inst, workloads.MODES, tally, warm=True)
     assert tally.failed == 0, tally.errors
     assert all(tally.kinds[f"checkpoint round trip {mode}"] for mode in workloads.MODES)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("name", ["train-small", "train-wide", "select-serve"])
+def test_benchmark_result_line_holds_every_declared_metric(name, trace):
+    # A run whose last line is not a strict-JSON result with every metric
+    # that BENCHMARK.json declares for its kind gives the benchmark nothing
+    # to compare, even when it exits 0. Each shrunk run takes a few seconds.
+    workloads = _load_workloads()
+    kind = "per_layer" if trace else "end_to_end"
+    declared = [m["name"] for m in json.loads(BENCHMARK.read_text())[kind]]
+    result = workloads.measure(_shrink(workloads, workloads.PROFILES[name]), 1, 0.0, trace)
+    assert result.correct, result.details["errors"]
+    assert sorted(result.metrics) == sorted(declared)
+    assert all(math.isfinite(value) for value, _ in result.metrics.values()), result.metrics
+    metrics = {n: {"value": v, "unit": u} for n, (v, u) in result.metrics.items()}
+    json.dumps({"correct": result.correct, "attempted": result.attempted,
+                "failed": result.failed, "metrics": metrics}, allow_nan=False)
 
 
 def _negative_seed_calls():
@@ -218,7 +240,6 @@ def test_public_surface_is_pinned():
         "omega_l1",
         "omega_ols",
         "omega_orth",
-        "omega_total",
         "regularization",
         "rkhs",
         "rkhs_cosine",
@@ -261,7 +282,7 @@ MODULE_EXPORTS = {
         "forward_batch",
         "init_layer",
     ],
-    "regularization": ["ORTH_VARIANTS", "RegConfig", "omega_ols", "omega_orth", "omega_l1", "omega_total"],
+    "regularization": ["ORTH_VARIANTS", "RegConfig", "omega_ols", "omega_orth", "omega_l1"],
     "rkhs": ["EmpiricalKme", "ConfigMismatchError", "kme_inner", "kme_norm_sq", "mmd_sq", "rkhs_cosine"],
     "training": [
         "FeatureExtractor",

@@ -4,11 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdu import heuristics
-from gdu.checkpoint import _VALUES_PER_LINE, _emit_block, model_from_text, model_to_text
+from gdu.checkpoint import _emit_block, _Reader, model_from_text, model_to_text
 from gdu.kernel import (
     KernelConfig,
     gram,
@@ -49,35 +49,35 @@ def layers_and_batches(draw, modes=GATING_MODES):
     return layer, X
 
 
-# Bit patterns of the float64 classes the encoder treats apart: signed
-# zeros, subnormals, the normal range's ends, infinities and NaNs with
-# either sign and any payload.
+# Bit patterns of the float64 classes a text encoding may treat apart:
+# signed zeros, subnormals, the normal range's ends, infinities and NaNs
+# with either sign and any payload, signalling ones included.
 EDGE_BITS = [
     0, 1 << 63, 1, (1 << 52) - 1, 1 << 52, 0x7FEFFFFFFFFFFFFF, 0x3FF0000000000000,
     0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
-    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+    0x7FF0000000000001, 0xFFF80000DEADBEEF, 0xFFFFFFFFFFFFFFFF,
 ]
 float_bits = st.one_of(st.sampled_from(EDGE_BITS), st.integers(0, 2**64 - 1))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.lists(float_bits, max_size=40), st.sampled_from(["flat", "0-d", "rows"]))
-def test_block_encoder_writes_float_hex_lines(bits, layout):
+@given(st.lists(float_bits, max_size=40), st.sampled_from(["flat", "0-d", "transposed"]))
+@example([], "flat")
+@example([0x7FF0000000000001], "flat")
+@example([0xFFF80000DEADBEEF], "0-d")
+def test_block_round_trips_every_bit_pattern(bits, layout):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     if layout == "0-d" and values.size:
         values = values[:1].reshape(())
-    elif layout == "rows":
-        # A transposed view: the encoder must read it in C order.
+    elif layout == "transposed":
+        # A view whose C order differs from its memory order.
         values = values[: values.size // 2 * 2].reshape(2, -1).T
     lines = []
     _emit_block(lines, "x", values)
-    flat = [float(v) for v in values.ravel()]
-    expected = [
-        " ".join(map(float.hex, flat[i : i + _VALUES_PER_LINE]))
-        for i in range(0, len(flat), _VALUES_PER_LINE)
-    ]
-    assert lines[0].endswith(f" {values.size}")
-    assert lines[1:] == (["\n".join(expected)] if expected else [])
+    assert lines[0].split() == ["block", "x", *map(str, (values.ndim, *values.shape, values.size))]
+    back = _Reader("\n".join(lines)).read_block("x")
+    assert back.shape == values.shape and back.flags.writeable
+    assert back.view(np.uint64).tolist() == values.view(np.uint64).tolist()
 
 
 @SETTINGS
@@ -265,15 +265,22 @@ def test_kmeans_equals_the_loop_oracle_bit_for_bit(e):
         expected = kmeans_loop(X, k, seed, check_monotone=True, trace=trace)
         with mock.patch.object(
             heuristics, "_distances_to", wraps=heuristics._distances_to
+        ) as seeding:
+            heuristics._kmeans_pp_init(
+                np.ascontiguousarray(X.T), np.sum(X * X, axis=-1), k, np.random.default_rng(seed)
+            )
+        with mock.patch.object(
+            heuristics, "_distances_to", wraps=heuristics._distances_to
         ) as passes:
             got = heuristics.kmeans(X, k, seed)
         assert got.assignments.dtype == expected.assignments.dtype
         np.testing.assert_array_equal(got.assignments, expected.assignments)
         assert got.centroids.tobytes() == expected.centroids.tobytes()
         assert got.inertia == expected.inertia
-        # One distance pass per iteration, and one more for the final
-        # inertia when the loop ran out before a fixpoint.
-        assert passes.call_count == trace["iterations"] + (not trace["converged"])
+        # The seeding's passes, one distance pass per iteration, and one
+        # more for the final inertia when the loop ran out before a fixpoint.
+        lloyd = trace["iterations"] + (not trace["converged"])
+        assert passes.call_count == seeding.call_count + lloyd
 
     check()
     assert too_few_rows, "no example had fewer distinct rows than clusters"
@@ -287,10 +294,10 @@ def test_kmeans_distances_match_squared_distances(e):
     @given(clustering_cases(e))
     def check(case):
         X, k, seed = case
-        xx = np.sum(X * X, axis=-1)
-        centroids = heuristics._kmeans_pp_init(X, xx, k, np.random.default_rng(seed))
+        XT, xx = np.ascontiguousarray(X.T), np.sum(X * X, axis=-1)
+        centroids = heuristics._kmeans_pp_init(XT, xx, k, np.random.default_rng(seed))
         got = heuristics._distances_to(
-            np.ascontiguousarray(X.T), xx, centroids, np.empty((k, len(X))), np.empty((k, len(X)))
+            XT, xx, centroids, np.empty((k, len(X))), np.empty((k, len(X)))
         )
         scale = np.max(xx) + np.max(np.sum(centroids * centroids, axis=-1))
         np.testing.assert_allclose(

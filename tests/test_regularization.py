@@ -13,10 +13,8 @@ from gdu.regularization import (
     omega_l1,
     omega_ols,
     omega_orth,
-    omega_total,
 )
-
-from gdu.training import objective
+from gdu.training import GduModel, cross_entropy_mean, objective, predict_logits
 
 from helpers import build_small_gdu
 from oracles import omega_ols_brute, srip_power_iteration
@@ -192,28 +190,34 @@ def test_l1_zero_and_signed_rows():
     assert omega_l1(np.array([[0.5, -0.25]])) == pytest.approx(0.75, abs=1e-15)
 
 
-# -- omega_total ---------------------------------------------------------------
+# -- the weighted terms of the objective ----------------------------------------
+
+
+def _cross_entropy(layer, X, y):
+    """The objective of ``GduModel(None, layer)`` with no regularizer."""
+    return cross_entropy_mean(predict_logits(GduModel(None, layer), X), y)
 
 
 def test_total_zero_when_all_lambdas_zero():
     rng = np.random.default_rng(8)
     layer = random_layer(rng, m=2, n=3, e=2)
-    X = rng.normal(size=(4, 2))
-    beta = gate_matrix(X, layer)
-    assert omega_total(X, beta, layer, RegConfig()) == 0.0
+    X, y = rng.normal(size=(4, 2)), rng.integers(0, 2, size=4)
+    got = objective((X, y), GduModel(None, layer), RegConfig())
+    assert got == _cross_entropy(layer, X, y)
 
 
 def test_total_geometry_uses_l1_not_orth():
     # A weight outside the mode's row raises instead of being dropped.
     rng = np.random.default_rng(9)
     layer = random_layer(rng, m=3, n=3, e=2, mode="MMD", kappa=2.0)
-    X = rng.normal(size=(5, 2))
-    beta = gate_matrix(X, layer)
+    X, y = rng.normal(size=(5, 2)), rng.integers(0, 2, size=5)
+    model = GduModel(None, layer)
     cfg = RegConfig(lambda_ols=0.0, lambda_l1=1.0, lambda_orth=123.0)
     with pytest.raises(ValueError, match="a MMD layer takes .*; got lambda_orth=123.0$"):
-        omega_total(X, beta, layer, cfg)
-    assert omega_total(X, beta, layer, replace(cfg, lambda_orth=0.0)) == pytest.approx(
-        float(omega_l1(beta)), abs=1e-12
+        objective((X, y), model, cfg)
+    expected = _cross_entropy(layer, X, y) + float(omega_l1(gate_matrix(X, layer)))
+    assert objective((X, y), model, replace(cfg, lambda_orth=0.0)) == pytest.approx(
+        expected, abs=1e-12
     )
 
 
@@ -229,13 +233,16 @@ def test_weights_outside_the_mode_table_raise(mode, weight):
 
 def test_total_projection_combines_ols_and_srip():
     layer = layer_from_bases([[[0.0]], [[2.0]]], mode="PROJECTION")
-    X = np.array([[0.0]])
+    X, y = np.array([[0.0]]), np.array([1])
     beta = gate_matrix(X, layer)
     cfg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3, orth_variant="SRIP")
-    expected = 1e-3 * float(omega_ols(X, beta, layer)) + 1e-3 * float(
-        omega_orth(np.asarray(basis_gram_matrix(layer)), "SRIP")
+    expected = (
+        _cross_entropy(layer, X, y)
+        + 1e-3 * float(omega_ols(X, beta, layer))
+        + 1e-3 * float(omega_orth(np.asarray(basis_gram_matrix(layer)), "SRIP"))
     )
-    assert omega_total(X, beta, layer, cfg) == pytest.approx(expected, abs=1e-15)
+    got = objective((X, y), GduModel(None, layer), cfg)
+    assert got == pytest.approx(expected, abs=1e-15)
 
 
 def test_regconfig_validation():

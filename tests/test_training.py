@@ -23,7 +23,6 @@ from gdu.regularization import (
     omega_l1,
     omega_ols,
     omega_orth,
-    omega_total,
 )
 from gdu.training import (
     DatasetSplits,
@@ -180,9 +179,14 @@ def test_objective_recomposes_from_parts():
         feats = np.asarray(fe_forward(X, model.fe))
         beta = gate_matrix(feats, model.layer)
         logits = np.asarray(forward_batch(feats, model.layer, beta=beta))
-        expected = float(cross_entropy_mean(logits, y)) + float(
-            omega_total(feats, beta, model.layer, reg)
+        expected = float(cross_entropy_mean(logits, y)) + reg.lambda_ols * float(
+            omega_ols(feats, beta, model.layer)
         )
+        if mode == "CS":
+            expected += reg.lambda_l1 * float(omega_l1(beta))
+        else:
+            k_bases = np.asarray(basis_gram_matrix(model.layer))
+            expected += reg.lambda_orth * float(omega_orth(k_bases, reg.orth_variant))
         assert objective((X, y), model, reg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -450,10 +454,9 @@ def test_uniform_layer_rejects_regularizer_weights(name):
     match = f"UNIFORM layer takes no regularizer; got {name}=0.1"
     with pytest.raises(ValueError, match=match):
         objective((X, y), model, reg)
-    beta = gate_matrix(X, model.layer)
-    with pytest.raises(ValueError, match=match):
-        omega_total(X, beta, model.layer, reg)
-    assert omega_total(X, beta, model.layer, RegConfig()) == 0.0
+    # With every weight zero the objective is the heads' cross-entropy.
+    ce = cross_entropy_mean(predict_logits(model, X), y)
+    assert objective((X, y), model, RegConfig()) == pytest.approx(ce, abs=1e-15)
     config = TrainConfig(max_epochs=1, patience=1, reg=reg)
     with pytest.raises(ValueError, match=match):
         train(separable_splits(16), config, init_erm_model([2, 4], 2, n_heads=2, seed=8))
@@ -779,7 +782,7 @@ def test_prediction_needs_a_batch_of_rows():
 
 def test_labels_are_validated():
     data = separable_splits(12)
-    for bad in ([-1, 7], [[0], [1]], [0.5, 1.0]):
+    for bad in ([-1, 7], [[0], [1]], [0.5, 1.0], [0.0, np.inf]):
         with pytest.raises(ValueError, match="train_y"):
             DatasetSplits(data.train_x[:2], bad, data.val_x, data.val_y)
     with pytest.raises(ValueError, match="val_y"):
@@ -793,6 +796,25 @@ def test_labels_are_validated():
     too_large = DatasetSplits(data.train_x, data.train_y, data.val_x, data.val_y + 5)
     with pytest.raises(ValueError, match="label [56] out of range for C=2"):
         train(too_large, config, small_gdu_for_training(12))
+
+
+@pytest.mark.parametrize(
+    "labels, named",
+    [([0.5, 1.7, 2.2], "0.5"), ([0.0, 1.5, 2.0], "1.5"), ([1.0, np.nan, 0.0], "nan"),
+     ([np.inf, 0.0, 1.0], "inf")],
+)
+@pytest.mark.parametrize("scorer", ["accuracy", "cross_entropy_mean"])
+def test_non_integer_labels_are_named_not_truncated(scorer, labels, named):
+    model = small_gdu_for_training(12)
+    X = np.random.default_rng(3).normal(size=(3, model.fe.weights[0].shape[0]))
+    score = {
+        "accuracy": lambda y: accuracy(model, X, y),
+        "cross_entropy_mean": lambda y: cross_entropy_mean(np.zeros((3, 3)), y),
+    }[scorer]
+    with pytest.raises(ValueError, match=f"^label {named} is not a finite integer$"):
+        score(labels)
+    # Integer-valued floats are class indices.
+    assert score([0.0, 1.0, 1.0]) == score([0, 1, 1])
 
 
 def test_srip_tracking_and_trace_csv_columns():
