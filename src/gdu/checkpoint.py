@@ -15,11 +15,11 @@ key-length-value blocks, then ``end``, which nothing may follow.
 Every model is written as it sits in memory. First the extractor:
 ``field fe_layers`` (0 when there is none), then its nonlinearity and one
 weight and one bias block per layer. Then the layer: the fields ``mode``,
-``sigma`` (``-`` for a UNIFORM layer, which has no kernel), ``kappa`` and
-``activation``, and its three stacked arrays as the blocks ``bases``
-(M, N, e), absent exactly when the mode is UNIFORM, ``weights`` (e, M, C)
-and ``bias`` (M, C). An ERM model with K heads is the UNIFORM layer with
-M = K; a layer on its own is saved as the model ``GduModel(None, layer)``.
+``sigma`` (``-`` for a UNIFORM layer, which has no kernel) and ``kappa``,
+and its three stacked arrays as the blocks ``bases`` (M, N, e), absent
+exactly when the mode is UNIFORM, ``weights`` (e, M, C) and ``bias``
+(M, C). An ERM model with K heads is the UNIFORM layer with M = K; a
+layer on its own is saved as the model ``GduModel(None, layer)``.
 
 Readers reject unknown versions, truncated or malformed blocks and any
 token after ``end``, each with a :class:`CheckpointError`. A field token
@@ -49,7 +49,7 @@ __all__ = [
     "model_from_text",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -147,7 +147,6 @@ def _emit_layer(lines: list, layer: GduLayer):
     lines.append(f"field mode {layer.mode}")
     lines.append(f"field sigma {_field_token(sigma)}")
     lines.append(f"field kappa {_field_token(layer.kappa)}")
-    lines.append(f"field activation {layer.activation}")
     if layer.bases is not None:
         _emit_block(lines, "bases", layer.bases)
     _emit_block(lines, "weights", layer.weights)
@@ -158,11 +157,10 @@ def _read_layer(reader: _Reader) -> GduLayer:
     mode = reader.read_field("mode")
     sigma = reader.read_float_field("sigma")
     kappa = reader.read_float_field("kappa")
-    activation = reader.read_field("activation")
     bases = None if mode == UNIFORM else reader.read_block("bases")
     weights, bias = reader.read_block("weights"), reader.read_block("bias")
     kernel = None if sigma is None else KernelConfig(sigma)
-    return GduLayer(bases, weights, bias, kernel, mode, kappa, activation)
+    return GduLayer(bases, weights, bias, kernel, mode, kappa)
 
 
 def _emit_fe(lines: list, fe: FeatureExtractor | None):

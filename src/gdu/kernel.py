@@ -75,6 +75,7 @@ class KernelConfig:
     sigma: float
 
     def __post_init__(self):
+        _check_float("sigma", self.sigma)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
 
@@ -83,6 +84,12 @@ def _check_int(name: str, value):
     """Raise unless ``value`` is a Python or numpy integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value}")
+
+
+def _check_float(name: str, value):
+    """Raise for a bool, which every float check would read as 0.0 or 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got the bool {value}")
 
 
 def _check_seed(name: str, value):

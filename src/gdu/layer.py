@@ -2,7 +2,7 @@
 
 A layer holds M elementary domain bases (each a set of N vectors whose
 empirical kernel mean embedding stands in for one latent elementary
-distribution), M learning machines, and a gating rule. The bases and the
+distribution), M affine learning machines, and a gating rule. The bases and the
 machines are stored as stacked arrays, one per parameter kind (see
 :class:`GduLayer`). Gating compares a sample's feature map against each basis
 embedding:
@@ -32,7 +32,6 @@ same numpy operations for arrays and tensors. Reductions over a row of M
 gates or C classes run column by column (:func:`_row_max`,
 :func:`_row_sum`), bit for bit numpy's own and many times faster on rows
 this short. The UNIFORM gate is a constant array and never a tape node.
-The machines of a layer share one activation.
 These functions accept numpy arrays or autodiff tensors, so the same code
 serves inference and gradient-based training; :class:`LearningMachine`
 views are for arrays only.
@@ -52,6 +51,8 @@ import numpy as np
 from . import autodiff as ad
 from .kernel import (
     KernelConfig,
+    _check_feature_dims,
+    _check_float,
     _check_int,
     _check_seed,
     _inners_norms_gram,
@@ -63,7 +64,6 @@ __all__ = [
     "GATING_MODES",
     "UNIFORM",
     "GEOMETRY_MODES",
-    "ACTIVATIONS",
     "LearningMachine",
     "GduLayer",
     "gate_matrix",
@@ -74,7 +74,6 @@ __all__ = [
 GEOMETRY_MODES = ("CS", "MMD")
 GATING_MODES = GEOMETRY_MODES + ("PROJECTION",)
 UNIFORM = "UNIFORM"  # the constant 1/M gate; not in GATING_MODES, whose gates read bases
-ACTIVATIONS = ("identity", "tanh")
 
 # Basis init targets a mean cross-basis kernel value comfortably below 0.1
 # so freshly initialized embeddings start close to mutually orthogonal.
@@ -120,11 +119,10 @@ def _row_sum(a):
 
 @dataclass
 class LearningMachine:
-    """Affine head ``act(x @ weights + bias)`` with e inputs and C outputs."""
+    """Affine head ``x @ weights + bias`` with e inputs and C outputs."""
 
     weights: object
     bias: object
-    activation: str = "identity"
 
     def __post_init__(self):
         w = ad.value_of(self.weights)
@@ -133,15 +131,10 @@ class LearningMachine:
             raise ValueError(
                 f"inconsistent machine shapes: weights {w.shape}, bias {b.shape}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     def __call__(self, x):
         """The head's output for arrays; the tape runs the layer as one node."""
-        out = x @ self.weights + self.bias
-        if self.activation == "tanh":
-            out = np.tanh(out)
-        return out
+        return x @ self.weights + self.bias
 
 
 @dataclass
@@ -154,12 +147,10 @@ class GduLayer:
     * ``bases``, shape (M, N, e): ``bases[j]`` holds the N vectors of basis j.
       A ``UNIFORM`` layer has none (``bases=None``) and needs no kernel;
     * ``weights``, shape (e, M, C): machine j computes
-      ``act(x @ weights[:, j] + bias[j])``. With this axis order
+      ``x @ weights[:, j] + bias[j]``. With this axis order
       ``reshape(weights, (e, M*C))`` is a view whose column blocks are the
       machines' weight matrices side by side;
     * ``bias``, shape (M, C).
-
-    All machines share ``activation``.
     """
 
     bases: object
@@ -168,13 +159,11 @@ class GduLayer:
     kernel: KernelConfig | None
     mode: str
     kappa: float | None = None
-    activation: str = "identity"
 
     def __post_init__(self):
         if self.mode not in GATING_MODES + (UNIFORM,):
             raise ValueError(f"unknown gating mode {self.mode!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _check_float("kappa", self.kappa)
         if self.kappa is not None and self.mode not in GEOMETRY_MODES:
             raise ValueError(f"a {self.mode} layer takes no kappa, got kappa={self.kappa}")
         w, b = ad.value_of(self.weights).shape, ad.value_of(self.bias).shape
@@ -227,10 +216,12 @@ class GduLayer:
 
         Writing into a machine's arrays in place writes into the layer.
         """
-        return tuple(
-            LearningMachine(self.weights[:, j], self.bias[j], self.activation)
-            for j in range(self.num_bases)
-        )
+        return tuple(LearningMachine(self.weights[:, j], self.bias[j]) for j in range(self.num_bases))
+
+
+def _check_width(X, layer: GduLayer):
+    """Raise :class:`gdu.kernel.DimensionMismatchError` unless X's rows have e features."""
+    _check_feature_dims("X", ad.value_of(X).shape[-1], "the layer's input", layer.feature_dim)
 
 
 def _stacked_bases(layer: GduLayer):
@@ -336,6 +327,7 @@ def _inners_and_gate(X, layer: GduLayer, gram: bool = False):
     UNIFORM layer ``a`` and ``k_bases`` are None and ``beta`` the constant
     array of 1/M rows.
     """
+    _check_width(X, layer)
     if layer.mode == UNIFORM:
         m = layer.num_bases
         return None, np.full((ad.value_of(X).shape[0], m), 1.0 / m), None
@@ -357,30 +349,28 @@ def forward_batch(X, layer: GduLayer, beta=None):
     """Ensemble prediction for a feature batch, shape (b, C).
 
     ``beta`` overrides the gate (e.g. constant 1/M rows give the UNIFORM
-    ensemble); by default per-sample gating is used. All M machines run as
-    one matmul against their weights viewed as (e, M*C), plus the bias and
-    the activation; the (b, M, C) outputs ``O`` are then summed with weights
-    ``beta`` by one ``einsum`` over the machine axis. The backward's sums
-    over the C outputs run column by column, bit-identical to numpy's.
+    ensemble); by default per-sample gating is used. X of another width than
+    the layer's raises :class:`gdu.kernel.DimensionMismatchError` before
+    anything is computed. All M machines run as one matmul against their
+    weights viewed as (e, M*C), plus the bias; the (b, M, C) outputs ``O``
+    are then summed with weights ``beta`` by one ``einsum`` over the machine
+    axis. The backward's sums over the C outputs run column by column,
+    bit-identical to numpy's.
 
     Arrays in give an array out; a tensor among ``X``, the layer's weights
     and bias, and ``beta`` gives one tape node. Its backward, for the output
-    gradient ``g``: ``g_beta[i, j] = <O[i, j], g[i]>``, and the
-    pre-activation gradient ``P = beta[i, j] * g[i]`` (times ``1 - O^2``
-    under tanh) gives ``X^T P``, ``sum_i P`` and ``P W^T`` for the weights,
-    the bias and ``X``.
+    gradient ``g``: ``g_beta[i, j] = <O[i, j], g[i]>``, and the machines'
+    output gradient ``P = beta[i, j] * g[i]`` gives ``X^T P``, ``sum_i P``
+    and ``P W^T`` for the weights, the bias and ``X``.
     """
+    _check_width(X, layer)
     if beta is None:
         beta = gate_matrix(X, layer)
     weights, bias = layer.weights, layer.bias
     Xv, Wv, bv, beta_v = (ad.value_of(t) for t in (X, weights, bias, beta))
     W = Wv.reshape(layer.feature_dim, -1)
-    out = Xv @ W + bv.reshape(-1)
-    tanh = layer.activation == "tanh"
-    if tanh:
-        out = np.tanh(out)
     b, m = Xv.shape[0], layer.num_bases
-    out = out.reshape(b, m, layer.n_outputs)
+    out = (Xv @ W + bv.reshape(-1)).reshape(b, m, layer.n_outputs)
     y = np.einsum("bm,bmc->bc", beta_v.reshape(b, m), out)
     parents = tuple(t for t in (X, weights, bias, beta) if ad.is_tensor(t))
     if not parents:
@@ -390,10 +380,7 @@ def forward_batch(X, layer: GduLayer, beta=None):
         g_row = g[:, None, :]
         if ad.is_tensor(beta):
             beta._accumulate(_row_sum(out * g_row).reshape(beta_v.shape))
-        P = beta_v.reshape(b, m, 1) * g_row
-        if tanh:
-            P = P * (1.0 - out * out)
-        P = P.reshape(b, -1)
+        P = (beta_v.reshape(b, m, 1) * g_row).reshape(b, -1)
         if ad.is_tensor(weights):
             weights._accumulate((Xv.T @ P).reshape(Wv.shape))
         if ad.is_tensor(bias):
@@ -424,7 +411,6 @@ def init_layer(
     mode: str,
     kernel: KernelConfig,
     kappa: float | None = None,
-    activation: str = "identity",
 ) -> GduLayer:
     """Construct a layer with randomly initialized bases and machines.
 
@@ -450,7 +436,7 @@ def init_layer(
     scale = basis_init_scale(feature_dim, kernel.sigma)
     bases = rng.normal(0.0, scale, size=(num_bases, basis_size, feature_dim))
     weights, bias = _init_machines(rng, num_bases, feature_dim, n_outputs)
-    return GduLayer(bases, weights, bias, kernel, mode, kappa, activation)
+    return GduLayer(bases, weights, bias, kernel, mode, kappa)
 
 
 def _init_machines(rng, m: int, e: int, c: int) -> tuple:

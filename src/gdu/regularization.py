@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .kernel import _check_float
 from .layer import UNIFORM, GduLayer, _basis_inners, _row_sum, basis_gram_matrix
 
 __all__ = [
@@ -75,6 +76,7 @@ class RegConfig:
     def __post_init__(self):
         for name in _WEIGHTS:
             value = getattr(self, name)
+            _check_float(name, value)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.orth_variant not in ORTH_VARIANTS:

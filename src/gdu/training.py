@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .kernel import _check_int, _check_seed
+from .kernel import _check_feature_dims, _check_float, _check_int, _check_seed
 from .layer import (
     UNIFORM,
     GduLayer,
@@ -202,6 +202,7 @@ class TrainConfig:
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
         lr = self.learning_rate
+        _check_float("learning_rate", lr)
         if not (math.isfinite(lr) and lr > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {lr}")
         if not (1 <= self.patience <= self.max_epochs):
@@ -269,7 +270,6 @@ def init_erm_model(
     n_heads: int,
     seed: int,
     nonlinearity: str = "relu",
-    activation: str = "identity",
 ) -> GduModel:
     """ERM with ``n_heads`` heads: an extractor plus a UNIFORM layer.
 
@@ -280,7 +280,7 @@ def init_erm_model(
     fe = init_feature_extractor(layer_sizes, seed, nonlinearity)
     rng = np.random.default_rng(seed + 1)
     weights, bias = _init_machines(rng, n_heads, layer_sizes[-1], n_outputs)
-    return GduModel(fe, GduLayer(None, weights, bias, None, UNIFORM, activation=activation))
+    return GduModel(fe, GduLayer(None, weights, bias, None, UNIFORM))
 
 
 # -- forward passes ----------------------------------------------------------
@@ -290,12 +290,14 @@ def fe_forward(x, fe: FeatureExtractor | None):
     """Extractor forward pass for a batch (or, on arrays, a single vector).
 
     Each layer computes ``out @ w + b``, then the nonlinearity between
-    layers, with the same numpy operations for arrays and tensors. Arrays
-    in give an array out. A tensor among the weights, the biases and ``x``
-    gives one node for the whole extractor; from the output gradient it
-    runs the layers backwards: through the nonlinearity, ``* (out > 0)`` or
-    ``* (1 - out^2)``, then ``a^T g`` for the weight, ``sum_i g`` for the
-    bias and ``g w^T`` for the layer's input ``a``.
+    layers, with the same numpy operations for arrays and tensors. X of
+    another width than the extractor's input raises
+    :class:`gdu.kernel.DimensionMismatchError`. Arrays in give an array
+    out. A tensor among the weights, the biases and ``x`` gives one node for
+    the whole extractor; from the output gradient it runs the layers
+    backwards: through the nonlinearity, ``* (out > 0)`` or ``* (1 -
+    out^2)``, then ``a^T g`` for the weight, ``sum_i g`` for the bias and
+    ``g w^T`` for the layer's input ``a``.
     """
     if fe is None:
         return x
@@ -303,6 +305,8 @@ def fe_forward(x, fe: FeatureExtractor | None):
     last = len(weights) - 1
     relu = fe.nonlinearity == "relu"
     acts = [ad.value_of(x)]
+    d_in = ad.value_of(weights[0]).shape[0]
+    _check_feature_dims("X", acts[0].shape[-1], "the extractor's input", d_in)
     for i, (w, b) in enumerate(zip(weights, biases)):
         out = acts[-1] @ ad.value_of(w) + ad.value_of(b)
         if i < last:
@@ -332,7 +336,7 @@ def fe_forward(x, fe: FeatureExtractor | None):
 
 
 def _checked_labels(labels, b: int, c: int) -> np.ndarray:
-    """``labels`` as b int64 class indices in ``[0, c)``, or a ValueError.
+    """``labels`` as b >= 1 int64 class indices in ``[0, c)``, or a ValueError.
 
     Float labels must be finite and integer-valued; the first that is not
     is named.
@@ -344,7 +348,7 @@ def _checked_labels(labels, b: int, c: int) -> np.ndarray:
         bad = ~np.isfinite(labels) | (labels != np.floor(labels))
         if bad.any():
             raise ValueError(f"label {labels[bad][0]} is not a finite integer")
-    if b and (labels.min() < 0 or labels.max() >= c):
+    if labels.min() < 0 or labels.max() >= c:
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise ValueError(f"label {int(bad)} out of range for C={c}")
     return labels.astype(np.int64)
@@ -353,7 +357,7 @@ def _checked_labels(labels, b: int, c: int) -> np.ndarray:
 def cross_entropy_mean(logits, labels):
     """Mean categorical cross-entropy over a (b, C) batch of logits rows.
 
-    ``labels`` must be b integers in ``[0, C)``. The forward subtracts each
+    ``labels`` must be b >= 1 integers in ``[0, C)``. The forward subtracts each
     row's maximum and takes ``log sum exp`` minus the picked entry, with the
     same numpy operations for arrays and tensors; the row maximum and row
     sum run column by column, bit-identical to numpy's. Arrays in give a
@@ -364,6 +368,8 @@ def cross_entropy_mean(logits, labels):
     if vals.ndim != 2 or vals.shape[1] < 2:
         raise ValueError(f"expected (b, C) logits with C >= 2, got shape {vals.shape}")
     b, c = vals.shape
+    if b == 0:
+        raise ValueError("cross_entropy_mean needs at least one row, got 0")
     labels = _checked_labels(labels, b, c)
     rows = np.arange(b)
     z = vals - _row_max(vals)

@@ -20,8 +20,7 @@ from oracles import fd_gradient, max_relative_error
 SMALL_DIMS = dict(e=4, m=2, n=3, c=3, b=5)
 
 
-def build_small_gdu(seed, mode, kappa=2.0, sigma=1.5, activation="identity",
-                    fe_nonlinearity="tanh", dims=SMALL_DIMS):
+def build_small_gdu(seed, mode, kappa=2.0, sigma=1.5, fe_nonlinearity="tanh", dims=SMALL_DIMS):
     """A small random model plus a batch, sized per the gradient contract.
 
     The extractor uses tanh between layers so the objective stays smooth
@@ -32,7 +31,7 @@ def build_small_gdu(seed, mode, kappa=2.0, sigma=1.5, activation="identity",
     fe = init_feature_extractor([e, e], seed + 1, fe_nonlinearity)
     layer = init_layer(
         m, n, e, c, seed + 2, mode, KernelConfig(sigma),
-        kappa if mode != "PROJECTION" else None, activation,
+        kappa if mode != "PROJECTION" else None,
     )
     # Break the zero-bias symmetry so every block has nontrivial gradients.
     for machine in layer.machines:

@@ -431,14 +431,11 @@ def gate_chain(a, norms, mode, kappa):
     return kernel_softmax_chain(similarity_chain(a, norms, mode), kappa)
 
 
-def ensemble_chain(X, weights, bias, beta, activation):
+def ensemble_chain(X, weights, bias, beta):
     """Gate-weighted sum of the machines' outputs (see ``forward_batch``)."""
     e, m, c = value_of(weights).shape
     b = value_of(X).shape[0]
-    out = add(matmul(X, reshape(weights, (e, -1))), reshape(bias, (-1,)))
-    if activation == "tanh":
-        out = tanh(out)
-    out = reshape(out, (b, m, c))
+    out = reshape(add(matmul(X, reshape(weights, (e, -1))), reshape(bias, (-1,))), (b, m, c))
     return summation(mul(reshape(beta, (b, m, 1)), out), axis=1)
 
 

@@ -24,10 +24,10 @@ from gdu.training import (
 )
 
 
-# Format v3 text of a tiny GDU model: a one-layer relu extractor 2 -> 3 and
-# a CS layer (M=2, N=2, e=3, C=2, sigma 1.5, kappa 20, tanh), its three
+# Format v4 text of a tiny GDU model: a one-layer relu extractor 2 -> 3 and
+# a CS layer (M=2, N=2, e=3, C=2, sigma 1.5, kappa 20), its three
 # stacked arrays one block each, every block the base64 of its float64 bytes.
-GDU_TEXT = """gdu-checkpoint 3
+GDU_TEXT = """gdu-checkpoint 4
 field fe_layers 1
 field fe_nonlinearity relu
 block fe_w0 2 2 3 6
@@ -37,7 +37,6 @@ AAAAAAAAwD8AAAAAAADQvwAAAAAAAOA/
 field mode CS
 field sigma 0x1.8000000000000p+0
 field kappa 0x1.4000000000000p+4
-field activation tanh
 block bases 3 2 2 3 12
 AAAAAAAA4L8AAAAAAADYvwAAAAAAANC/AAAAAAAAwL8AAAAAAAAAAAAAAAAAAMA/AAAAAAAA0D8AAAAAAADYPwAAAAAAAOA/AAAAAAAA5D8AAAAAAADoPwAAAAAAAOw/
 block weights 3 3 2 2 12
@@ -61,19 +60,18 @@ def test_gdu_text_loads_to_the_stacked_arrays_and_writes_back_unchanged():
     np.testing.assert_array_equal(model.fe.biases[0], GDU_FE_B)
     layer = model.layer
     assert (layer.mode, layer.kernel.sigma, layer.kappa) == ("CS", 1.5, 20.0)
-    assert layer.activation == "tanh"
     np.testing.assert_array_equal(layer.bases, GDU_BASES)
     np.testing.assert_array_equal(layer.weights, GDU_WEIGHTS)
     np.testing.assert_array_equal(layer.bias, GDU_BIAS)
     assert model_to_text(model) == GDU_TEXT
     fe = FeatureExtractor([GDU_FE_W], [GDU_FE_B], "relu")
-    built = GduLayer(GDU_BASES, GDU_WEIGHTS, GDU_BIAS, KernelConfig(1.5), "CS", 20.0, "tanh")
+    built = GduLayer(GDU_BASES, GDU_WEIGHTS, GDU_BIAS, KernelConfig(1.5), "CS", 20.0)
     assert model_to_text(GduModel(fe, built)) == GDU_TEXT
 
 
-# Format v3 text of a tiny ERM model: a one-layer relu extractor 3 -> 2 and
-# K=2 tanh heads with C=2, the UNIFORM layer with no bases and no kernel.
-ERM_TEXT = """gdu-checkpoint 3
+# Format v4 text of a tiny ERM model: a one-layer relu extractor 3 -> 2 and
+# K=2 heads with C=2, the UNIFORM layer with no bases and no kernel.
+ERM_TEXT = """gdu-checkpoint 4
 field fe_layers 1
 field fe_nonlinearity relu
 block fe_w0 2 3 2 6
@@ -83,7 +81,6 @@ AAAAAAAAwD8AAAAAAADQvw==
 field mode UNIFORM
 field sigma -
 field kappa -
-field activation tanh
 block weights 3 2 2 2 8
 AAAAAAAA2L8AAAAAAADQvwAAAAAAAMC/AAAAAAAAAAAAAAAAAADAPwAAAAAAANA/AAAAAAAA2D8AAAAAAADgPw==
 block bias 2 2 2 4
@@ -101,7 +98,7 @@ def test_erm_text_loads_and_writes_back_unchanged():
     assert model.fe.nonlinearity == "relu"
     layer = model.layer
     assert (layer.mode, layer.bases, layer.kernel) == ("UNIFORM", None, None)
-    assert (layer.kappa, layer.activation) == (None, "tanh")
+    assert layer.kappa is None
     np.testing.assert_array_equal(layer.weights, ERM_WEIGHTS)
     np.testing.assert_array_equal(layer.bias, ERM_BIAS)
     np.testing.assert_array_equal(model.fe.weights[0], ERM_FE_W)
@@ -109,14 +106,37 @@ def test_erm_text_loads_and_writes_back_unchanged():
     # The heads' mean, computed head by head from the expected arrays.
     X = np.random.default_rng(19).normal(size=(5, 3))
     feats = X @ ERM_FE_W + ERM_FE_B  # no nonlinearity after the last layer
-    heads = [np.tanh(feats @ ERM_WEIGHTS[:, j] + ERM_BIAS[j]) for j in range(2)]
+    heads = [feats @ ERM_WEIGHTS[:, j] + ERM_BIAS[j] for j in range(2)]
     np.testing.assert_allclose(
         predict_logits(model, X), (heads[0] + heads[1]) / 2.0, rtol=1e-15, atol=0.0
     )
     assert model_to_text(model) == ERM_TEXT
 
 
-# Format v2 text of the same GDU model: the same layout with every value a
+# Format v3 text of the same GDU model: v4's layout with an ``activation``
+# field after ``kappa``. Version 4 dropped that field, and no v3 reader is
+# kept.
+V3_GDU_TEXT = """gdu-checkpoint 3
+field fe_layers 1
+field fe_nonlinearity relu
+block fe_w0 2 2 3 6
+AAAAAAAA4L8AAAAAAADQvwAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAAAOg/
+block fe_b0 1 3 3
+AAAAAAAAwD8AAAAAAADQvwAAAAAAAOA/
+field mode CS
+field sigma 0x1.8000000000000p+0
+field kappa 0x1.4000000000000p+4
+field activation tanh
+block bases 3 2 2 3 12
+AAAAAAAA4L8AAAAAAADYvwAAAAAAANC/AAAAAAAAwL8AAAAAAAAAAAAAAAAAAMA/AAAAAAAA0D8AAAAAAADYPwAAAAAAAOA/AAAAAAAA5D8AAAAAAADoPwAAAAAAAOw/
+block weights 3 3 2 2 12
+AAAAAAAA0L8AAAAAAADIvwAAAAAAAMC/AAAAAAAAsL8AAAAAAAAAAAAAAAAAALA/AAAAAAAAwD8AAAAAAADIPwAAAAAAANA/AAAAAAAA1D8AAAAAAADYPwAAAAAAANw/
+block bias 2 2 2 4
+AAAAAAAA0D8AAAAAAADgvwAAAAAAAPA/AAAAAAAAwL8=
+end
+"""
+
+# Format v2 text of the same GDU model: v3's layout with every value a
 # ``float.hex`` token, eight to a line. Version 3 replaced those lines with
 # base64 tokens, and no v2 reader is kept.
 V2_GDU_TEXT = """gdu-checkpoint 2
@@ -190,8 +210,8 @@ end
 
 @pytest.mark.parametrize(
     "text, version",
-    [(V1_GDU_TEXT, 1), (V1_ERM_TEXT, 1), (V2_GDU_TEXT, 2)],
-    ids=["gdu", "erm", "v2-gdu"],
+    [(V1_GDU_TEXT, 1), (V1_ERM_TEXT, 1), (V2_GDU_TEXT, 2), (V3_GDU_TEXT, 3)],
+    ids=["gdu", "erm", "v2-gdu", "v3-gdu"],
 )
 def test_v1_texts_are_unsupported(text, version):
     with pytest.raises(CheckpointError, match=f"^unsupported checkpoint version {version}$"):
@@ -255,7 +275,7 @@ def _b64(values) -> str:
         # The number of bases is the first dimension of their block.
         ("block bases 3 2 2 3 12", "block bases 3 two 2 3 12", "block 'bases'"),
         ("field fe_layers 1", "field fe_layers x", "field 'fe_layers'"),
-        ("gdu-checkpoint 3", "gdu-checkpoint v3", "version"),
+        ("gdu-checkpoint 4", "gdu-checkpoint v4", "version"),
     ],
 )
 def test_malformed_tokens_raise_checkpoint_errors_that_name_the_place(old, new, message):
@@ -325,7 +345,6 @@ def test_layer_round_trip_bit_exact():
     for a, b in zip(layer.machines, restored.machines):
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
-        assert a.activation == b.activation
 
 
 def test_layer_text_stable_across_round_trips():
@@ -361,14 +380,13 @@ def test_gdu_model_round_trip(tmp_path):
 
 
 def test_erm_model_round_trip():
-    model = init_erm_model([3, 4], 2, n_heads=3, seed=9, activation="tanh")
+    model = init_erm_model([3, 4], 2, n_heads=3, seed=9)
     model.layer.bias += np.arange(6.0).reshape(3, 2) / 3.0
     text = model_to_text(model)
     assert "field mode UNIFORM\nfield sigma -\nfield kappa -\n" in text
     assert "block bases" not in text and "block weights 3 4 3 2 24" in text
     restored = model_from_text(text)
     assert (restored.layer.mode, restored.layer.bases) == ("UNIFORM", None)
-    assert restored.layer.activation == "tanh"
     np.testing.assert_array_equal(restored.layer.weights, model.layer.weights)
     np.testing.assert_array_equal(restored.layer.bias, model.layer.bias)
     assert model_to_text(restored) == text
@@ -377,7 +395,7 @@ def test_erm_model_round_trip():
 def test_rejects_bad_version_and_truncation():
     text = model_to_text(GduModel(None, awkward_layer()))
     with pytest.raises(CheckpointError, match="^unsupported checkpoint version 99$"):
-        model_from_text(text.replace("gdu-checkpoint 3", "gdu-checkpoint 99", 1))
+        model_from_text(text.replace("gdu-checkpoint 4", "gdu-checkpoint 99", 1))
     # Cut after a whole block, and between a block's header and its values.
     bias_at = text.index("block bias")
     for cut in (text[:bias_at], text[: text.index("\n", bias_at) + 1]):

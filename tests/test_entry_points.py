@@ -2,8 +2,9 @@
 every function the benchmark's tracer wraps, every name a module exports
 and every ``gdu.autodiff`` attribute a module reads; a training step calls
 each traced per-step function once, the benchmark's gradient probe passes,
-its set-up round-trips every model through checkpoint text and each
-workload's result line holds every metric BENCHMARK.json declares; every
+its set-up round-trips every model through checkpoint text, each
+workload's result line holds every metric BENCHMARK.json declares and so
+does the last line that a traced ``bench/run.py`` prints; every
 function that takes a seed names a negative one; the exports of the
 package and of each of its modules are pinned, the package imports
 nothing beyond the standard library and numpy, and the training path
@@ -15,6 +16,7 @@ import importlib
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -131,6 +133,24 @@ def test_benchmark_result_line_holds_every_declared_metric(name, trace):
     json.dumps({"correct": result.correct, "attempted": result.attempted,
                 "failed": result.failed, "metrics": metrics}, allow_nan=False)
 
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_a_traced_bench_run_prints_every_per_layer_metric():
+    # The in-process runs above use shrunk profiles. This one runs
+    # bench/run.py itself at full size, print path included: a traced run
+    # can exit 0 and still end on a line that is not the result. It takes a
+    # few seconds and writes only under bench/out/.
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "train-small",
+           "--seed", "1", "--seconds", "0", "--trace", "1"]
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=300, check=False)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    declared = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    assert sorted(result["metrics"]) == sorted(declared)
 
 def _negative_seed_calls():
     from gdu.datagen import make_benchmark
@@ -275,7 +295,6 @@ MODULE_EXPORTS = {
         "GATING_MODES",
         "UNIFORM",
         "GEOMETRY_MODES",
-        "ACTIVATIONS",
         "LearningMachine",
         "GduLayer",
         "gate_matrix",

@@ -238,23 +238,13 @@ def test_kernel_statistics_match_brute_force_block_by_block():
 
 def test_forward_batch_matches_per_machine_loop():
     rng = np.random.default_rng(13)
-    for activation in ("identity", "tanh"):
-        layer = init_layer(4, 3, 3, 2, 5, "MMD", CFG, kappa=2.0, activation=activation)
-        for machine in layer.machines:
-            machine.bias += rng.normal(size=2)
-        X = rng.normal(size=(6, 3))
-        beta = gate_matrix(X, layer)
-        expected = sum(beta[:, j : j + 1] * np.asarray(m(X)) for j, m in enumerate(layer.machines))
-        np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)
-
-
-def test_layer_rejects_unknown_activation():
-    with pytest.raises(ValueError, match="activation"):
-        GduLayer(
-            np.zeros((2, 1, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2)), CFG, "CS", 2.0, "relu"
-        )
-    with pytest.raises(ValueError, match="activation"):
-        init_layer(2, 1, 2, 2, 0, "CS", CFG, kappa=2.0, activation="relu")
+    layer = init_layer(4, 3, 3, 2, 5, "MMD", CFG, kappa=2.0)
+    for machine in layer.machines:
+        machine.bias += rng.normal(size=2)
+    X = rng.normal(size=(6, 3))
+    beta = gate_matrix(X, layer)
+    expected = sum(beta[:, j : j + 1] * np.asarray(m(X)) for j, m in enumerate(layer.machines))
+    np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)
 
 
 def test_init_layer_deterministic():
@@ -379,17 +369,16 @@ def test_layer_validation():
 
 def test_uniform_layer_gates_every_row_at_one_over_m():
     rng = np.random.default_rng(25)
-    for activation in ("identity", "tanh"):
-        weights, bias = rng.normal(size=(3, 4, 2)), rng.normal(size=(4, 2))
-        layer = GduLayer(None, weights, bias, None, UNIFORM, activation=activation)
-        assert (layer.num_bases, layer.feature_dim, layer.n_outputs) == (4, 3, 2)
-        X = rng.normal(size=(5, 3))
-        beta = gate_matrix(X, layer)
-        assert isinstance(beta, np.ndarray)
-        np.testing.assert_array_equal(beta, np.full((5, 4), 0.25))
-        np.testing.assert_array_equal(gate_matrix(X[:1], layer)[0], np.full(4, 0.25))
-        mean = sum(np.asarray(m(X)) for m in layer.machines) / 4.0
-        np.testing.assert_allclose(forward_batch(X, layer), mean, rtol=1e-13, atol=1e-14)
+    weights, bias = rng.normal(size=(3, 4, 2)), rng.normal(size=(4, 2))
+    layer = GduLayer(None, weights, bias, None, UNIFORM)
+    assert (layer.num_bases, layer.feature_dim, layer.n_outputs) == (4, 3, 2)
+    X = rng.normal(size=(5, 3))
+    beta = gate_matrix(X, layer)
+    assert isinstance(beta, np.ndarray)
+    np.testing.assert_array_equal(beta, np.full((5, 4), 0.25))
+    np.testing.assert_array_equal(gate_matrix(X[:1], layer)[0], np.full(4, 0.25))
+    mean = sum(np.asarray(m(X)) for m in layer.machines) / 4.0
+    np.testing.assert_allclose(forward_batch(X, layer), mean, rtol=1e-13, atol=1e-14)
 
 
 def test_uniform_layer_takes_no_bases_and_kernel_gates_need_them():

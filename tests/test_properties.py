@@ -1,4 +1,4 @@
-"""Property tests over random layer sizes, gating modes, activations and seeds."""
+"""Property tests over random layer sizes, gating modes and seeds."""
 
 from unittest import mock
 
@@ -38,11 +38,10 @@ def layers_and_batches(draw, modes=GATING_MODES):
     """A random layer with nonzero biases plus a feature batch for it."""
     m, n, e, c = (draw(st.integers(1, 4)) for _ in range(4))
     mode = draw(st.sampled_from(modes))
-    activation = draw(st.sampled_from(("identity", "tanh")))
     sigma = draw(st.sampled_from((0.5, 1.5, 4.0)))
     kappa = None if mode == "PROJECTION" else draw(st.sampled_from((0.1, 2.0, 20.0)))
     seed = draw(st.integers(0, 2**31 - 1))
-    layer = init_layer(m, n, e, c, seed, mode, KernelConfig(sigma), kappa, activation)
+    layer = init_layer(m, n, e, c, seed, mode, KernelConfig(sigma), kappa)
     rng = np.random.default_rng(seed)
     layer.bias += rng.normal(size=(m, c))
     X = rng.normal(size=(draw(st.integers(1, 6)), e))
@@ -89,9 +88,7 @@ def test_checkpoint_round_trip_is_bit_exact(case):
     np.testing.assert_array_equal(back.bases, layer.bases)
     np.testing.assert_array_equal(back.weights, layer.weights)
     np.testing.assert_array_equal(back.bias, layer.bias)
-    assert (back.mode, back.kernel, back.kappa, back.activation) == (
-        layer.mode, layer.kernel, layer.kappa, layer.activation,
-    )
+    assert (back.mode, back.kernel, back.kappa) == (layer.mode, layer.kernel, layer.kappa)
     assert model_to_text(GduModel(None, back)) == text
 
 
@@ -198,7 +195,7 @@ def _tiny_run(mode, seed):
     y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
     data = DatasetSplits(X[:36], y[:36], X[36:], y[36:])
     if mode == "UNIFORM":
-        model = init_erm_model([2, 4], 2, n_heads=2, seed=seed, activation="tanh")
+        model = init_erm_model([2, 4], 2, n_heads=2, seed=seed)
         reg = RegConfig()
     else:
         fe = init_feature_extractor([2, 4], seed, "tanh")
