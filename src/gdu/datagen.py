@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_int, _check_seed
+from .kernel import _check_float, _check_int, _check_seed
 
 __all__ = [
     "ElementarySpec",
@@ -193,13 +193,24 @@ def make_benchmark(
     tilts each component's label distribution toward one class (the
     conditional-shift knob); zero keeps labels uniform. The counts, sizes
     and ``seed`` must be Python or numpy integers, not bools, and ``seed``
-    nonnegative.
+    nonnegative; each real argument must be a real number in its range.
     """
     integers = dict(n_components=n_components, n_classes=n_classes, input_dim=input_dim,
                     n_sources=n_sources, n_train=n_train, n_val=n_val, n_target=n_target)
     for name, value in integers.items():
         _check_int(name, value)
     _check_seed("seed", seed)
+    for name, value, holds, need in (
+        ("separation", separation, math.isfinite, "finite"),
+        ("class_offset", class_offset, math.isfinite, "finite"),
+        ("alpha_concentration", alpha_concentration, lambda v: 0 < v < math.inf,
+         "finite and positive"),
+        ("target_weight", target_weight, lambda v: 0 <= v <= 1, "in [0, 1]"),
+        ("label_skew", label_skew, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+    ):
+        _check_float(name, value)
+        if not holds(value):
+            raise ValueError(f"{name} must be {need}, got {value}")
     if n_components < 1 or n_classes < 2 or n_sources < 2:
         raise ValueError("need n_components >= 1, n_classes >= 2, n_sources >= 2")
     rng = np.random.default_rng(seed)

@@ -299,7 +299,10 @@ def select_m(X, k_range, seeds: int, seed0: int):
     clustered ``seeds`` times with seeds ``seed0, seed0+1, ...``; returns
     ``(chosen_k, [ScoreRow])`` with ties broken toward smaller k.
     """
-    lo, hi = k_range
+    try:
+        lo, hi = k_range
+    except (TypeError, ValueError):
+        raise ValueError(f"k_range must be an (lo, hi) pair, got {k_range!r}") from None
     for name, value in (("k_range[0]", lo), ("k_range[1]", hi), ("seeds", seeds)):
         _check_int(name, value)
     _check_seed("seed0", seed0)

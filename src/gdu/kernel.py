@@ -28,19 +28,21 @@ every kernel value in [0, 1]. The products ``x_k (2c y_k)`` round
 differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
 to rounding (~1e-16). :func:`squared_distances` keeps the explicit
 ``||x||^2 + ||y||^2 - 2 x.y`` form for :func:`gdu.heuristics.davies_bouldin`,
-which needs distances, not kernel values. Two callers run the same
-operations in the same order without building the full (n, m) matrix of
-temporaries, so their distances equal its entries bit for bit:
-:func:`median_heuristic` evaluates only the pairs ``i < j`` of
+which needs distances, not kernel values. :func:`median_heuristic` runs
+its operations in the same order on only the pairs ``i < j`` of
 ``squared_distances(X, X)``, in row blocks, and keeps them in the leading
-slots of the (n, n) buffer of ``X @ X.T`` itself, so the Gram is the only
-full-size array it makes; :func:`gdu.heuristics.kmeans` writes
-``squared_distances(X, C).T`` into reused, transposed buffers.
+slots of the (n, n) buffer of ``X @ X.T`` itself, so its distances equal
+that matrix's entries bit for bit and the Gram is the only full-size array
+it makes. :func:`gdu.heuristics.kmeans` works in the (k, n) layout, as
+``C @ X^T`` over a contiguous ``X^T``, which BLAS may round differently:
+its distances agree with ``squared_distances(X, C).T`` to ~1e-12 of the
+squared norms, not bit for bit (``heuristics._distances_to``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +89,14 @@ def _check_int(name: str, value):
 
 
 def _check_float(name: str, value):
-    """Raise for a bool, which every float check would read as 0.0 or 1.0."""
+    """Raise unless ``value`` is a real number, naming ``name``.
+
+    A bool is refused too: every float check would read it as 0.0 or 1.0.
+    """
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a real number, got the bool {value}")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_seed(name: str, value):

@@ -163,9 +163,10 @@ class GduLayer:
     def __post_init__(self):
         if self.mode not in GATING_MODES + (UNIFORM,):
             raise ValueError(f"unknown gating mode {self.mode!r}")
-        _check_float("kappa", self.kappa)
-        if self.kappa is not None and self.mode not in GEOMETRY_MODES:
-            raise ValueError(f"a {self.mode} layer takes no kappa, got kappa={self.kappa}")
+        if self.kappa is not None:
+            _check_float("kappa", self.kappa)
+            if self.mode not in GEOMETRY_MODES:
+                raise ValueError(f"a {self.mode} layer takes no kappa, got kappa={self.kappa}")
         w, b = ad.value_of(self.weights).shape, ad.value_of(self.bias).shape
         if len(w) != 3 or min(w) < 1 or b != w[1:]:
             raise ValueError(

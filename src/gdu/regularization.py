@@ -2,10 +2,9 @@
 
 * ``omega_ols``  - mean squared RKHS reconstruction error of each sample's
   feature map by the gate-weighted basis embeddings (kernel-trick expansion).
-* ``omega_orth`` - orthogonality penalties on the basis Gram matrix:
-  soft orthogonality ``SO = ||K - I||_F^2``, spectral restricted isometry
-  ``SRIP = ||K - I||_2`` (exact, from a dense symmetric eigensolver), and
-  mutual coherence ``MC = max_{i != j} |K_ij|``.
+* ``omega_orth`` - the orthogonality penalty on the basis Gram matrix, the
+  spectral restricted isometry ``SRIP = ||K - I||_2`` (Bansal et al.,
+  arXiv:1810.09102), exact from a dense symmetric eigensolver.
 * ``omega_l1``   - batch-mean L1 norm of the gating coefficients.
 
 The training objective adds the weighted terms a gating mode takes:
@@ -44,14 +43,11 @@ from .kernel import _check_float
 from .layer import UNIFORM, GduLayer, _basis_inners, _row_sum, basis_gram_matrix
 
 __all__ = [
-    "ORTH_VARIANTS",
     "RegConfig",
     "omega_ols",
     "omega_orth",
     "omega_l1",
 ]
-
-ORTH_VARIANTS = ("SO", "SRIP", "MC")
 
 _OLS_CLAMP_TOL = 1e-10
 _WEIGHTS = ("lambda_ols", "lambda_orth", "lambda_l1")
@@ -71,7 +67,6 @@ class RegConfig:
     lambda_ols: float = 0.0
     lambda_orth: float = 0.0
     lambda_l1: float = 0.0
-    orth_variant: str = "SRIP"
 
     def __post_init__(self):
         for name in _WEIGHTS:
@@ -79,8 +74,6 @@ class RegConfig:
             _check_float(name, value)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if self.orth_variant not in ORTH_VARIANTS:
-            raise ValueError(f"unknown orthogonality variant {self.orth_variant!r}")
 
 
 def _omega_ols_from_stats(a, k_bases, beta):
@@ -142,39 +135,20 @@ def omega_ols(X, beta, layer: GduLayer):
     return _omega_ols_from_stats(a, basis_gram_matrix(layer), beta)
 
 
-def omega_orth(K, variant: str):
-    """Orthogonality penalty on a basis Gram matrix.
+def omega_orth(K):
+    """SRIP, the spectral norm ``||K - I||_2`` of a basis Gram matrix K.
 
     Arrays in give a float; a tensor gives one node whose backward is, for
-    the output gradient g, g times ``2 (K - I)`` for SO, ``sign(lambda*) u u^T``
-    for SRIP (the dominant eigenpair of ``K - I``, exact when the dominant
-    eigenvalue is simple) and, for MC, ``sign(K)`` on the off-diagonal
-    maxima, split evenly across ties.
+    the output gradient g, g times ``sign(lambda*) u u^T`` for the dominant
+    eigenpair of ``K - I``, exact when the dominant eigenvalue is simple.
     """
-    if variant not in ORTH_VARIANTS:
-        raise ValueError(f"unknown orthogonality variant {variant!r}")
     kv = ad.value_of(K)
     if kv.ndim != 2 or kv.shape[0] != kv.shape[1]:
         raise ValueError(f"expected a square Gram matrix, got shape {kv.shape}")
-    m = kv.shape[0]
-    eye = np.eye(m)
-    if variant == "SO":
-        diff = kv - eye
-        val, dk = np.sum(diff * diff), 2.0 * diff
-    elif variant == "SRIP":
-        eigvals, eigvecs = np.linalg.eigh(kv - eye)
-        i = int(np.argmax(np.abs(eigvals)))
-        u = eigvecs[:, i]
-        val, dk = abs(eigvals[i]), (1.0 if eigvals[i] >= 0 else -1.0) * np.outer(u, u)
-    elif m == 1:
-        return 0.0  # MC: a single basis has no off-diagonal entry.
-    else:
-        # MC: the largest absolute off-diagonal entry.
-        off_diag = 1.0 - eye
-        off = np.abs(kv) * off_diag
-        val = np.max(off)
-        ties = (off == val) * off_diag
-        dk = np.sign(kv) * ties / np.sum(ties)
+    eigvals, eigvecs = np.linalg.eigh(kv - np.eye(kv.shape[0]))
+    i = int(np.argmax(np.abs(eigvals)))
+    u = eigvecs[:, i]
+    val, dk = abs(eigvals[i]), (1.0 if eigvals[i] >= 0 else -1.0) * np.outer(u, u)
     if not ad.is_tensor(K):
         return float(val)
     return ad.Tensor(val, (K,), lambda g: K._accumulate(g * dk))
@@ -230,7 +204,7 @@ def _add_regularizers(obj, a, beta, k_bases, cfg: RegConfig):
     if cfg.lambda_ols > 0.0:
         terms.append((cfg.lambda_ols, _omega_ols_from_stats(a, k_bases, beta)))
     if cfg.lambda_orth > 0.0:
-        terms.append((cfg.lambda_orth, omega_orth(k_bases, cfg.orth_variant)))
+        terms.append((cfg.lambda_orth, omega_orth(k_bases)))
     if cfg.lambda_l1 > 0.0:
         terms.append((cfg.lambda_l1, omega_l1(beta)))
     if not terms:

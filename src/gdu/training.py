@@ -207,6 +207,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {lr}")
         if not (1 <= self.patience <= self.max_epochs):
             raise ValueError("patience must satisfy 1 <= patience <= max_epochs")
+        if not isinstance(self.reg, RegConfig):
+            raise ValueError(f"reg must be a RegConfig, got {self.reg!r}")
 
 
 @dataclass(frozen=True)
@@ -614,11 +616,11 @@ class _Adam:
 # -- the training loop ---------------------------------------------------------
 
 
-def _epoch_metrics(model, feats_train, y_train, reg: RegConfig):
+def _epoch_metrics(model, feats_train, y_train):
     """Task loss and raw regularizer values on the (extracted) training set.
 
-    SRIP is always reported (it is ORTH under the default variant). A
-    UNIFORM layer has no bases: it reports 0 for each term and no SRIP.
+    SRIP is the ORTH term, reported in both columns. A UNIFORM layer has no
+    bases: it reports 0 for each term and no SRIP.
     """
     layer = model.layer
     # One pass of kernel statistics feeds the gate and every regularizer.
@@ -629,10 +631,8 @@ def _epoch_metrics(model, feats_train, y_train, reg: RegConfig):
         return ce, 0.0, 0.0, 0.0, None
     k_bases = basis_gram_matrix(layer)
     ols = _omega_ols_from_stats(a, k_bases, beta)
-    orth = omega_orth(k_bases, reg.orth_variant)
-    l1 = omega_l1(beta)
-    srip = orth if reg.orth_variant == "SRIP" else omega_orth(k_bases, "SRIP")
-    return ce, ols, orth, l1, srip
+    orth = omega_orth(k_bases)
+    return ce, ols, orth, omega_l1(beta), orth
 
 
 def train(data: DatasetSplits, config: TrainConfig, model):
@@ -673,7 +673,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
             opt.step(params, grad)
 
         feats_train = np.asarray(fe_forward(train_x, part.fe))
-        ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y, config.reg)
+        ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y)
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)
         val_acc = accuracy(part, val_x, data.val_y)

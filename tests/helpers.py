@@ -54,10 +54,8 @@ def reg_toggles(mode):
     return [
         RegConfig(),
         RegConfig(lambda_ols=0.5),
-        RegConfig(lambda_orth=0.5, orth_variant="SO"),
-        RegConfig(lambda_orth=0.5, orth_variant="SRIP"),
-        RegConfig(lambda_orth=0.5, orth_variant="MC"),
-        RegConfig(lambda_ols=0.5, lambda_orth=0.5, orth_variant="SRIP"),
+        RegConfig(lambda_orth=0.5),
+        RegConfig(lambda_ols=0.5, lambda_orth=0.5),
     ]
 
 

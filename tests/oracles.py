@@ -462,15 +462,9 @@ def l1_chain(beta):
     return mean(summation(absolute(beta), axis=1))
 
 
-def orth_chain(K, variant):
-    """Orthogonality penalty on a basis Gram matrix (see ``omega_orth``)."""
-    eye = np.eye(value_of(K).shape[0])
-    if variant == "SO":
-        diff = sub(K, eye)
-        return summation(mul(diff, diff))
-    if variant == "SRIP":
-        return spectral_norm_sym(sub(K, eye))
-    return amax(mul(absolute(K), 1.0 - eye))
+def orth_chain(K):
+    """SRIP on a basis Gram matrix (see ``omega_orth``)."""
+    return spectral_norm_sym(sub(K, np.eye(value_of(K).shape[0])))
 
 
 # -- loops replaced by vectorized code -----------------------------------------
@@ -573,7 +567,7 @@ def train_loop(data, config, model):
             params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
         feats_train = np.asarray(fe_forward(train_x, part.fe))
-        ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y, config.reg)
+        ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y)
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)
         val_acc = accuracy(part, val_x, data.val_y)

@@ -1,6 +1,8 @@
 """Synthetic benchmark construction, invariance checks, reproduction from
 the generator's arguments, and the Bayes classifier's accuracy."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gdu.datagen import (
     materialize,
     sample_domain,
 )
+from gdu.heuristics import select_m
 from gdu.kernel import KernelConfig, median_heuristic
 from gdu.rkhs import EmpiricalKme, mmd_sq
 
@@ -125,6 +128,45 @@ def test_make_benchmark_requires_integer_counts_and_seed(name, bad):
     # numpy integers are integers.
     bench = make_benchmark(**{**good, name: np.int32(good[name])})
     assert [len(s.x) for s in materialize(bench)] == [30, 30, 30, 5, 5, 5, 7]
+
+
+_GOOD_BENCHMARK = dict(n_components=3, n_classes=2, input_dim=6, n_sources=3, seed=1)
+
+
+_BAD_ARGUMENTS = [
+    ("separation", np.nan, "separation must be finite, got nan"),
+    ("separation", np.inf, "separation must be finite, got inf"),
+    ("separation", None, "separation must be a real number, got None"),
+    ("class_offset", np.nan, "class_offset must be finite, got nan"),
+    ("class_offset", "2", "class_offset must be a real number, got '2'"),
+    ("alpha_concentration", 0, "alpha_concentration must be finite and positive, got 0"),
+    ("alpha_concentration", np.inf, "alpha_concentration must be finite and positive, got inf"),
+    ("alpha_concentration", "1", "alpha_concentration must be a real number, got '1'"),
+    ("target_weight", 2, "target_weight must be in [0, 1], got 2"),
+    ("target_weight", np.nan, "target_weight must be in [0, 1], got nan"),
+    ("target_weight", 0.5j, "target_weight must be a real number, got 0.5j"),
+    ("label_skew", -1, "label_skew must be finite and nonnegative, got -1"),
+    ("label_skew", True, "label_skew must be a real number, got the bool True"),
+    ("k_range", 3, "k_range must be an (lo, hi) pair, got 3"),
+    ("k_range", (2, 3, 4), "k_range must be an (lo, hi) pair, got (2, 3, 4)"),
+    ("k_range", (2,), "k_range must be an (lo, hi) pair, got (2,)"),
+    ("k_range", (2.0, 3), "k_range[0] must be an integer, got 2.0"),
+    ("k_range", (2, True), "k_range[1] must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, bad, message", _BAD_ARGUMENTS, ids=[f"{n}={b!r}" for n, b, _ in _BAD_ARGUMENTS]
+)
+def test_real_arguments_and_k_range_are_named(name, bad, message):
+    # NaN separations and offsets used to give NaN rows that only
+    # DatasetSplits rejected; the other bad values failed as a simplex
+    # error, and a k_range of the wrong length as "too many values to unpack".
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if name == "k_range":
+            select_m(np.arange(12.0).reshape(6, 2), bad, seeds=1, seed0=0)
+        else:
+            make_benchmark(**{**_GOOD_BENCHMARK, name: bad})
 
 
 def test_benchmark_invariant_validation():

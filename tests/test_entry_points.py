@@ -6,7 +6,8 @@ its set-up round-trips every model through checkpoint text, each
 workload's result line holds every metric BENCHMARK.json declares and so
 does the last line that a traced ``bench/run.py`` prints; every
 function that takes a seed names a negative one; the exports of the
-package and of each of its modules are pinned, the package imports
+package and of each of its modules are pinned, and so are the fields of
+its config and model dataclasses; the package imports
 nothing beyond the standard library and numpy, and the training path
 reduces short rows only through its column helpers."""
 
@@ -301,7 +302,7 @@ MODULE_EXPORTS = {
         "forward_batch",
         "init_layer",
     ],
-    "regularization": ["ORTH_VARIANTS", "RegConfig", "omega_ols", "omega_orth", "omega_l1"],
+    "regularization": ["RegConfig", "omega_ols", "omega_orth", "omega_l1"],
     "rkhs": ["EmpiricalKme", "ConfigMismatchError", "kme_inner", "kme_norm_sq", "mmd_sq", "rkhs_cosine"],
     "training": [
         "FeatureExtractor",
@@ -335,6 +336,24 @@ def test_module_exports_are_pinned():
     for module_name, exports in MODULE_EXPORTS.items():
         module = importlib.import_module(f"gdu.{module_name}")
         assert module.__all__ == exports, f"gdu.{module_name}.__all__"
+
+
+OPTION_FIELDS = {
+    "KernelConfig": ["sigma"],
+    "RegConfig": ["lambda_ols", "lambda_orth", "lambda_l1"],
+    "TrainConfig": ["mode", "learning_rate", "batch_size", "max_epochs", "patience", "seed", "reg"],
+    "GduLayer": ["bases", "weights", "bias", "kernel", "mode", "kappa"],
+    "FeatureExtractor": ["weights", "biases", "nonlinearity"],
+}
+
+
+def test_option_fields_are_pinned():
+    # An option that comes back, or goes, has to show up here as a diff.
+    import gdu
+
+    for name, fields in OPTION_FIELDS.items():
+        got = [f.name for f in dataclasses.fields(getattr(gdu, name))]
+        assert got == fields, name
 
 
 def test_autodiff_surface_is_pinned():

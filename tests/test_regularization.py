@@ -111,37 +111,36 @@ def test_gram_bases_two_singleton_bases():
 
 
 def test_orth_zero_at_identity():
-    eye = np.eye(3)
-    for variant in ("SO", "SRIP", "MC"):
-        assert omega_orth(eye, variant) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_orth_so_hand_value():
-    k = np.array([[1.0, 0.5], [0.5, 1.0]])
-    assert omega_orth(k, "SO") == pytest.approx(0.5, abs=1e-15)
+    assert omega_orth(np.eye(3)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_orth_srip_hand_value():
     k = np.array([[1.0, 0.5], [0.5, 1.0]])
-    assert omega_orth(k, "SRIP") == pytest.approx(0.5, abs=1e-12)
+    assert omega_orth(k) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_orth_mc_is_largest_off_diagonal():
-    k = np.array([[1.0, -0.7, 0.2], [-0.7, 1.0, 0.1], [0.2, 0.1, 1.0]])
-    assert omega_orth(k, "MC") == pytest.approx(0.7, abs=1e-15)
-    assert omega_orth(np.array([[1.0]]), "MC") == 0.0
+_SRIP_HAND_VALUES = {
+    # K - I has eigenvalues -0.5 and 0.5: the sign of the coupling is lost.
+    "negative-coupling": ([[1.0, -0.5], [-0.5, 1.0]], 0.5),
+    # The dominant eigenvalue of K - I is negative: -0.8 against 0.5.
+    "negative-dominant": ([[1.5, 0.0], [0.0, 0.2]], 0.8),
+    # One basis: |K - 1|, with no off-diagonal entry to read.
+    "one-basis": ([[0.3]], 0.7),
+    # Three identical bases: K - I = J - I has eigenvalues 2, -1, -1.
+    "identical-bases": ([[1.0] * 3] * 3, 2.0),
+    # A dominant eigenvalue of multiplicity three.
+    "scaled-identity": (2.0 * np.eye(3), 1.0),
+    # K has eigenvalues 0.9 and 0.1, so K - I has -0.1 and -0.9.
+    "two-below-one": ([[0.5, 0.4], [0.4, 0.5]], 0.9),
+    # One basis of unit RKHS norm is already orthonormal.
+    "one-unit-basis": ([[1.0]], 0.0),
+}
 
 
-def test_orth_so_strictly_positive_off_identity():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        k = np.eye(4)
-        i, j = rng.integers(0, 4, size=2)
-        k[i, j] += rng.normal() * 0.1
-        k = (k + k.T) / 2.0
-        if np.allclose(k, np.eye(4)):
-            continue
-        assert omega_orth(k, "SO") > 0.0
+@pytest.mark.parametrize("case", sorted(_SRIP_HAND_VALUES))
+def test_orth_is_the_largest_eigenvalue_magnitude_of_k_minus_identity(case):
+    k, expected = _SRIP_HAND_VALUES[case]
+    assert omega_orth(np.array(k, dtype=float)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_srip_power_iteration_matches_dense_eig():
@@ -156,7 +155,7 @@ def test_srip_power_iteration_matches_dense_eig():
             dense = float(np.max(np.abs(np.linalg.eigvalsh(a))))
             oracle = srip_power_iteration(a)
             assert oracle == pytest.approx(dense, abs=1e-8)
-            assert omega_orth(k, "SRIP") == pytest.approx(oracle, abs=1e-8)
+            assert omega_orth(k) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_srip_sign_symmetric_spectrum():
@@ -164,14 +163,12 @@ def test_srip_sign_symmetric_spectrum():
     # even though the power iterate never settles.
     a = np.array([[0.0, 0.5], [0.5, 0.0]])
     assert srip_power_iteration(a) == pytest.approx(0.5, abs=1e-12)
-    assert omega_orth(a + np.eye(2), "SRIP") == pytest.approx(0.5, abs=1e-12)
+    assert omega_orth(a + np.eye(2)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_orth_rejects_bad_input():
     with pytest.raises(ValueError, match="square"):
-        omega_orth(np.zeros((2, 3)), "SO")
-    with pytest.raises(ValueError, match="variant"):
-        omega_orth(np.eye(2), "FROBENIUS")
+        omega_orth(np.zeros((2, 3)))
 
 
 # -- omega_l1 ------------------------------------------------------------------
@@ -235,11 +232,11 @@ def test_total_projection_combines_ols_and_srip():
     layer = layer_from_bases([[[0.0]], [[2.0]]], mode="PROJECTION")
     X, y = np.array([[0.0]]), np.array([1])
     beta = gate_matrix(X, layer)
-    cfg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3, orth_variant="SRIP")
+    cfg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3)
     expected = (
         _cross_entropy(layer, X, y)
         + 1e-3 * float(omega_ols(X, beta, layer))
-        + 1e-3 * float(omega_orth(np.asarray(basis_gram_matrix(layer)), "SRIP"))
+        + 1e-3 * float(omega_orth(np.asarray(basis_gram_matrix(layer))))
     )
     got = objective((X, y), GduModel(None, layer), cfg)
     assert got == pytest.approx(expected, abs=1e-15)
@@ -248,5 +245,3 @@ def test_total_projection_combines_ols_and_srip():
 def test_regconfig_validation():
     with pytest.raises(ValueError):
         RegConfig(lambda_ols=-1.0)
-    with pytest.raises(ValueError):
-        RegConfig(orth_variant="NONE")

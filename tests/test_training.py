@@ -18,7 +18,6 @@ from gdu.layer import (
     init_layer,
 )
 from gdu.regularization import (
-    ORTH_VARIANTS,
     RegConfig,
     omega_l1,
     omega_ols,
@@ -186,7 +185,7 @@ def test_objective_recomposes_from_parts():
             expected += reg.lambda_l1 * float(omega_l1(beta))
         else:
             k_bases = np.asarray(basis_gram_matrix(model.layer))
-            expected += reg.lambda_orth * float(omega_orth(k_bases, reg.orth_variant))
+            expected += reg.lambda_orth * float(omega_orth(k_bases))
         assert objective((X, y), model, reg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -207,9 +206,11 @@ def test_gradients_match_finite_differences(mode, train_mode):
 _GRAM_REGS = {
     "CS": [RegConfig(lambda_ols=0.5), RegConfig(lambda_ols=0.5, lambda_l1=0.5)],
     "MMD": [RegConfig(lambda_ols=0.5), RegConfig(lambda_ols=0.5, lambda_l1=0.5)],
-    "PROJECTION": [RegConfig(lambda_ols=0.5)]
-    + [RegConfig(lambda_orth=0.5, orth_variant=v) for v in ORTH_VARIANTS]
-    + [RegConfig(lambda_ols=0.5, lambda_orth=0.5, orth_variant=v) for v in ORTH_VARIANTS],
+    "PROJECTION": [
+        RegConfig(lambda_ols=0.5),
+        RegConfig(lambda_orth=0.5),
+        RegConfig(lambda_ols=0.5, lambda_orth=0.5),
+    ],
 }
 
 
@@ -406,9 +407,7 @@ def test_tape_shape_is_pinned():
     assert nodes(model, X, y, RegConfig(lambda_l1=0.5)) == 8
     assert nodes(model, X, y, RegConfig(lambda_ols=0.5, lambda_l1=0.5)) == 11
     projection, X, y = build_small_gdu(0, "PROJECTION")
-    for variant in ORTH_VARIANTS:
-        reg = RegConfig(lambda_ols=0.5, lambda_orth=0.5, orth_variant=variant)
-        assert nodes(projection, X, y, reg) == 11, variant
+    assert nodes(projection, X, y, RegConfig(lambda_ols=0.5, lambda_orth=0.5)) == 11
 
 
 def test_erm_model_gradients_match_fd():
@@ -812,22 +811,19 @@ def test_non_integer_labels_are_named_not_truncated(scorer, labels, named):
 
 
 def test_srip_tracking_and_trace_csv_columns():
-    # SRIP is reported for every layer with bases, whatever the ORTH variant;
-    # under the default SRIP variant it is the ORTH column itself.
+    # SRIP is reported for every layer with bases: it is the ORTH column itself.
     data = separable_splits(7)
     header = "epoch,loss,val_acc,srip,omega_ols,omega_orth,omega_l1"
-    for variant in ORTH_VARIANTS:
-        model = small_gdu_for_training(7, mode="PROJECTION")
-        reg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3, orth_variant=variant)
-        _, trace = train(data, TrainConfig(max_epochs=3, patience=3, seed=9, reg=reg), model)
-        assert trace.to_csv_text().splitlines()[0] == header
-        assert all(r.srip is not None for r in trace.rows)
-        # The restored snapshot is the first best epoch's: its SRIP column
-        # is the spectral penalty on the trained basis Gram matrix.
-        best = max(trace.rows, key=lambda r: r.val_acc)
-        assert best.srip == omega_orth(np.asarray(basis_gram_matrix(model.layer)), "SRIP")
-        if variant == "SRIP":
-            assert all(r.srip == r.omega_orth for r in trace.rows)
+    model = small_gdu_for_training(7, mode="PROJECTION")
+    reg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3)
+    _, trace = train(data, TrainConfig(max_epochs=3, patience=3, seed=9, reg=reg), model)
+    assert trace.to_csv_text().splitlines()[0] == header
+    assert all(r.srip is not None for r in trace.rows)
+    # The restored snapshot is the first best epoch's: its SRIP column
+    # is the spectral penalty on the trained basis Gram matrix.
+    best = max(trace.rows, key=lambda r: r.val_acc)
+    assert best.srip == omega_orth(np.asarray(basis_gram_matrix(model.layer)))
+    assert all(r.srip == r.omega_orth for r in trace.rows)
     # A UNIFORM layer has no bases: its SRIP column stays empty.
     erm = init_erm_model([2, 6, 4], 2, n_heads=2, seed=7)
     _, trace = train(data, TrainConfig(max_epochs=2, patience=2, seed=9), erm)
@@ -836,15 +832,14 @@ def test_srip_tracking_and_trace_csv_columns():
 
 
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
-@pytest.mark.parametrize("variant", ["SO", "SRIP", "MC"])
-def test_trace_regularizer_columns_match_standalone_terms(mode, variant):
+def test_trace_regularizer_columns_match_standalone_terms(mode):
     # One epoch: the restored best snapshot is the epoch-0 parameters that
     # the trace row was computed from.
     data = separable_splits(9)
     model = small_gdu_for_training(9, mode=mode, m=3)
     # The weights the mode takes; the trace reports all three raw terms.
     extra = {"lambda_orth": 1e-3} if mode == "PROJECTION" else {"lambda_l1": 1e-3}
-    reg = RegConfig(lambda_ols=1e-3, orth_variant=variant, **extra)
+    reg = RegConfig(lambda_ols=1e-3, **extra)
     config = TrainConfig(max_epochs=1, patience=1, seed=11, reg=reg)
     _, trace = train(data, config, model)
     feats = np.asarray(fe_forward(data.train_x, model.fe))
@@ -854,7 +849,7 @@ def test_trace_regularizer_columns_match_standalone_terms(mode, variant):
         float(omega_ols(feats, beta, model.layer)), abs=1e-12
     )
     assert row.omega_orth == pytest.approx(
-        float(omega_orth(basis_gram_matrix(model.layer), variant)), abs=1e-12
+        float(omega_orth(basis_gram_matrix(model.layer))), abs=1e-12
     )
     assert row.omega_l1 == pytest.approx(float(omega_l1(beta)), abs=1e-12)
 
@@ -967,6 +962,7 @@ _BOOL_FLOATS = {
     "sigma": lambda: KernelConfig(True),
     "learning_rate": lambda: TrainConfig(learning_rate=True),
     "lambda_ols": lambda: RegConfig(lambda_ols=True),
+    "lambda_orth": lambda: RegConfig(lambda_orth=True),
     "lambda_l1": lambda: RegConfig(lambda_l1=np.True_),
     "kappa": lambda: init_layer(2, 3, 4, 3, 1, "CS", KernelConfig(1.0), kappa=True),
 }
@@ -976,3 +972,28 @@ _BOOL_FLOATS = {
 def test_a_bool_is_not_read_as_a_float(name):
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got the bool True$"):
         _BOOL_FLOATS[name]()
+
+
+_NON_REAL_FLOATS = {
+    "sigma": (lambda: KernelConfig("1.0"), "'1.0'"),
+    "lambda_ols": (lambda: RegConfig(lambda_ols=None), "None"),
+    "lambda_orth": (lambda: RegConfig(lambda_orth="0.5"), "'0.5'"),
+    "lambda_l1": (lambda: RegConfig(lambda_l1=0.5j), "0.5j"),
+    "learning_rate": (lambda: TrainConfig(learning_rate=1j), "1j"),
+    "kappa": (lambda: init_layer(2, 3, 4, 3, 1, "CS", KernelConfig(1.0), kappa="20"), "'20'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_REAL_FLOATS))
+def test_a_value_that_is_not_a_real_number_is_named(name):
+    # Unchecked, math.isfinite raises a TypeError that names no argument.
+    make, shown = _NON_REAL_FLOATS[name]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(shown)}$"):
+        make()
+
+
+@pytest.mark.parametrize("reg", [{}, None, {"lambda_ols": 0.1}])
+def test_train_config_reg_must_be_a_regconfig(reg):
+    # Unchecked, train dies on its first step with an AttributeError.
+    with pytest.raises(ValueError, match=f"^reg must be a RegConfig, got {re.escape(repr(reg))}$"):
+        TrainConfig(reg=reg)
