@@ -351,7 +351,8 @@ def forward_batch(X, layer: GduLayer, beta=None):
 
     ``beta`` overrides the gate (e.g. constant 1/M rows give the UNIFORM
     ensemble); by default per-sample gating is used. X of another width than
-    the layer's raises :class:`gdu.kernel.DimensionMismatchError` before
+    the layer's raises :class:`gdu.kernel.DimensionMismatchError`, and a
+    ``beta`` that is not (b, M) a ValueError that names its shape, before
     anything is computed. All M machines run as one matmul against their
     weights viewed as (e, M*C), plus the bias; the (b, M, C) outputs ``O``
     are then summed with weights ``beta`` by one ``einsum`` over the machine
@@ -369,10 +370,12 @@ def forward_batch(X, layer: GduLayer, beta=None):
         beta = gate_matrix(X, layer)
     weights, bias = layer.weights, layer.bias
     Xv, Wv, bv, beta_v = (ad.value_of(t) for t in (X, weights, bias, beta))
-    W = Wv.reshape(layer.feature_dim, -1)
     b, m = Xv.shape[0], layer.num_bases
+    if beta_v.shape != (b, m):
+        raise ValueError(f"beta shape {beta_v.shape} does not match batch {b} x {m} bases")
+    W = Wv.reshape(layer.feature_dim, -1)
     out = (Xv @ W + bv.reshape(-1)).reshape(b, m, layer.n_outputs)
-    y = np.einsum("bm,bmc->bc", beta_v.reshape(b, m), out)
+    y = np.einsum("bm,bmc->bc", beta_v, out)
     parents = tuple(t for t in (X, weights, bias, beta) if ad.is_tensor(t))
     if not parents:
         return y
@@ -380,8 +383,8 @@ def forward_batch(X, layer: GduLayer, beta=None):
     def bw(g):
         g_row = g[:, None, :]
         if ad.is_tensor(beta):
-            beta._accumulate(_row_sum(out * g_row).reshape(beta_v.shape))
-        P = (beta_v.reshape(b, m, 1) * g_row).reshape(b, -1)
+            beta._accumulate(_row_sum(out * g_row).reshape(b, m))
+        P = (beta_v[:, :, None] * g_row).reshape(b, -1)
         if ad.is_tensor(weights):
             weights._accumulate((Xv.T @ P).reshape(Wv.shape))
         if ad.is_tensor(bias):

@@ -1,11 +1,15 @@
 """Regularization terms for the gated domain layer.
 
-* ``omega_ols``  - mean squared RKHS reconstruction error of each sample's
-  feature map by the gate-weighted basis embeddings (kernel-trick expansion).
-* ``omega_orth`` - the orthogonality penalty on the basis Gram matrix, the
+Each term reads kernel statistics or gates, never features or a layer:
+
+* ``omega_ols(a, k_bases, beta)`` - mean squared RKHS reconstruction error
+  of each sample's feature map by the gate-weighted basis embeddings
+  (kernel-trick expansion). It reads the gate's inner products
+  ``a[i, j] = <phi(x_i), mu_j>``, the basis Gram K and the gates beta.
+* ``omega_orth(K)`` - the orthogonality penalty on the basis Gram K, the
   spectral restricted isometry ``SRIP = ||K - I||_2`` (Bansal et al.,
   arXiv:1810.09102), exact from a dense symmetric eigensolver.
-* ``omega_l1``   - batch-mean L1 norm of the gating coefficients.
+* ``omega_l1(beta)`` - batch-mean L1 norm of the (b, M) gates beta.
 
 The training objective adds the weighted terms a gating mode takes:
 
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .kernel import _check_float
-from .layer import UNIFORM, GduLayer, _basis_inners, _row_sum, basis_gram_matrix
+from .layer import UNIFORM, _row_sum
 
 __all__ = [
     "RegConfig",
@@ -76,17 +80,27 @@ class RegConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def _omega_ols_from_stats(a, k_bases, beta):
-    """Reconstruction error from precomputed embedding inner products.
+def omega_ols(a, k_bases, beta):
+    """Mean squared RKHS reconstruction error over the batch.
 
+    Expands ``||phi(x_i) - sum_j beta_ij mu_j||^2`` by the kernel trick into
     ``1 - 2 mean_i <beta_i, a_i> + mean_i beta_i K beta_i^T`` over the b rows,
-    clamped at 0 against roundoff; below ``-1e-10`` it raises. Arrays in
-    give a float; a tensor among ``a``, ``k_bases`` and ``beta`` gives one
-    node whose backward is ``-2 beta / b`` for a, ``(beta (K + K^T) - 2 a) / b``
-    for beta and ``beta^T beta / b`` for K, and zero where the clamp fires.
-    The per-row sums run column by column, bit-identical to numpy's.
+    with ``k(x, x) = 1``, the gate's inner products ``a[i, j] = <phi(x_i),
+    mu_j>`` and the basis Gram ``K[j, l] = <mu_j, mu_l>``. ``a`` and ``beta``
+    must both be (b, M) and ``k_bases`` (M, M); a mismatch raises a
+    ValueError that names the shapes. The value is clamped at 0 against
+    roundoff; below ``-1e-10`` it raises. Arrays in give a float; a tensor
+    among ``a``, ``k_bases`` and ``beta`` gives one node whose backward is
+    ``-2 beta / b`` for a, ``(beta (K + K^T) - 2 a) / b`` for beta and
+    ``beta^T beta / b`` for K, and zero where the clamp fires. The per-row
+    sums run column by column, bit-identical to numpy's.
     """
     av, kv, bv = (ad.value_of(t) for t in (a, k_bases, beta))
+    if bv.ndim != 2 or av.shape != bv.shape:
+        raise ValueError(f"beta shape {bv.shape} does not match the inner products' {av.shape}")
+    m = bv.shape[1]
+    if kv.shape != (m, m):
+        raise ValueError(f"basis Gram shape {kv.shape} does not match {m} bases")
     b = float(bv.shape[0])
     bk = bv @ kv
     cross = np.sum(_row_sum(bv * av)) / b
@@ -113,28 +127,6 @@ def _omega_ols_from_stats(a, k_bases, beta):
     return ad.Tensor(val, parents, bw)
 
 
-def _checked_inners(X, beta, layer: GduLayer):
-    """``a[i, j] = <phi(x_i), mu_j>`` for a batch that ``beta`` must match."""
-    bshape = ad.value_of(beta).shape
-    b = ad.value_of(X).shape[0]
-    if bshape != (b, layer.num_bases):
-        raise ValueError(
-            f"beta shape {bshape} does not match batch {b} x {layer.num_bases}"
-        )
-    return _basis_inners(X, layer)[0]
-
-
-def omega_ols(X, beta, layer: GduLayer):
-    """Mean squared RKHS reconstruction error over the batch.
-
-    Expands ``||phi(x_i) - sum_j beta_ij mu_j||^2`` via the kernel trick:
-    ``k(x_i, x_i) - 2 sum_j beta_ij <phi(x_i), mu_j>
-    + sum_{j,l} beta_ij beta_il <mu_j, mu_l>`` with ``k(x, x) = 1``.
-    """
-    a = _checked_inners(X, beta, layer)
-    return _omega_ols_from_stats(a, basis_gram_matrix(layer), beta)
-
-
 def omega_orth(K):
     """SRIP, the spectral norm ``||K - I||_2`` of a basis Gram matrix K.
 
@@ -159,9 +151,12 @@ def omega_l1(beta):
 
     Arrays in give a float; a tensor gives one node with backward
     ``sign(beta) / b``. The per-row sums run column by column, bit-identical
-    to numpy's.
+    to numpy's. A beta that is not 2-D raises a ValueError that names its
+    shape.
     """
     bv = ad.value_of(beta)
+    if bv.ndim != 2:
+        raise ValueError(f"expected (b, M) gates, got beta of shape {bv.shape}")
     b = float(bv.shape[0])
     val = np.sum(_row_sum(np.abs(bv))) / b
     if not ad.is_tensor(beta):
@@ -202,7 +197,7 @@ def _add_regularizers(obj, a, beta, k_bases, cfg: RegConfig):
     """
     terms = []
     if cfg.lambda_ols > 0.0:
-        terms.append((cfg.lambda_ols, _omega_ols_from_stats(a, k_bases, beta)))
+        terms.append((cfg.lambda_ols, omega_ols(a, k_bases, beta)))
     if cfg.lambda_orth > 0.0:
         terms.append((cfg.lambda_orth, omega_orth(k_bases)))
     if cfg.lambda_l1 > 0.0:

@@ -63,9 +63,9 @@ from .layer import (
 from .regularization import (
     RegConfig,
     _add_regularizers,
-    _omega_ols_from_stats,
     _reads_basis_gram,
     omega_l1,
+    omega_ols,
     omega_orth,
 )
 
@@ -630,7 +630,7 @@ def _epoch_metrics(model, feats_train, y_train):
     if layer.mode == UNIFORM:
         return ce, 0.0, 0.0, 0.0, None
     k_bases = basis_gram_matrix(layer)
-    ols = _omega_ols_from_stats(a, k_bases, beta)
+    ols = omega_ols(a, k_bases, beta)
     orth = omega_orth(k_bases)
     return ce, ols, orth, omega_l1(beta), orth
 

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 
 from gdu.kernel import KernelConfig
-from gdu.layer import init_layer
-from gdu.regularization import RegConfig
+from gdu.layer import _basis_inners, basis_gram_matrix, init_layer
+from gdu.regularization import RegConfig, omega_ols
 from gdu.training import (
     GduModel,
     gradients,
@@ -40,6 +40,11 @@ def build_small_gdu(seed, mode, kappa=2.0, sigma=1.5, fe_nonlinearity="tanh", di
     X = rng.normal(size=(b, e))
     y = rng.integers(0, c, size=b)
     return model, X, y
+
+
+def layer_ols(X, beta, layer):
+    """``omega_ols`` over the statistics of ``layer`` on the feature batch X."""
+    return omega_ols(_basis_inners(X, layer)[0], basis_gram_matrix(layer), beta)
 
 
 def reg_toggles(mode):

@@ -450,7 +450,7 @@ def mlp_chain(X, weights, biases, nonlinearity):
 
 
 def ols_chain(a, k_bases, beta):
-    """Reconstruction error from embedding inner products (see ``_omega_ols_from_stats``)."""
+    """Reconstruction error from embedding inner products (see ``omega_ols``)."""
     cross = mean(summation(mul(beta, a), axis=1))
     quad = mean(summation(mul(matmul(beta, k_bases), beta), axis=1))
     raw = add(sub(1.0, mul(2.0, cross)), quad)

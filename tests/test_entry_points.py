@@ -7,14 +7,15 @@ workload's result line holds every metric BENCHMARK.json declares and so
 does the last line that a traced ``bench/run.py`` prints; every
 function that takes a seed names a negative one; the exports of the
 package and of each of its modules are pinned, and so are the fields of
-its config and model dataclasses; the package imports
-nothing beyond the standard library and numpy, and the training path
-reduces short rows only through its column helpers."""
+its config and model dataclasses and the regularizers' parameters; the
+package imports nothing beyond the standard library and numpy, and the
+training path reduces short rows only through its column helpers."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import subprocess
@@ -354,6 +355,22 @@ def test_option_fields_are_pinned():
     for name, fields in OPTION_FIELDS.items():
         got = [f.name for f in dataclasses.fields(getattr(gdu, name))]
         assert got == fields, name
+
+
+# The regularizers' parameters: each reads kernel statistics or gates, not features.
+PARAMETERS = {
+    "omega_ols": ["a", "k_bases", "beta"],
+    "omega_orth": ["K"],
+    "omega_l1": ["beta"],
+}
+
+
+def test_function_parameters_are_pinned():
+    # A parameter that is renamed, added or dropped has to show up here as a diff.
+    import gdu
+
+    for name, params in PARAMETERS.items():
+        assert list(inspect.signature(getattr(gdu, name)).parameters) == params, name
 
 
 def test_autodiff_surface_is_pinned():

@@ -16,7 +16,7 @@ import pytest
 from gdu import autodiff as ad
 from gdu.kernel import KernelConfig
 from gdu.layer import _basis_inners, _gate_from_inners, basis_gram_matrix, forward_batch, init_layer
-from gdu.regularization import _omega_ols_from_stats, omega_l1, omega_orth
+from gdu.regularization import omega_l1, omega_ols, omega_orth
 from gdu.training import FeatureExtractor, cross_entropy_mean, fe_forward
 
 from oracles import (
@@ -287,26 +287,26 @@ def kernel_stats(seed, m=3, n=4, e=3, b=6):
 
 def test_ols_node_against_the_chain_and_finite_differences():
     inputs = kernel_stats(40)
-    assert_forward_equals_chain(_omega_ols_from_stats, ols_chain, inputs)
-    assert isinstance(_omega_ols_from_stats(**inputs), float)
+    assert_forward_equals_chain(omega_ols, ols_chain, inputs)
+    assert isinstance(omega_ols(**inputs), float)
     for wrt in ({"a"}, {"k_bases"}, {"beta"}, {"a", "k_bases", "beta"}):
-        assert backward_error(_omega_ols_from_stats, inputs, wrt) < FD_TOL, wrt
-        assert chain_gradient_error(_omega_ols_from_stats, ols_chain, inputs, wrt) < CHAIN_TOL
+        assert backward_error(omega_ols, inputs, wrt) < FD_TOL, wrt
+        assert chain_gradient_error(omega_ols, ols_chain, inputs, wrt) < CHAIN_TOL
 
 
 def test_ols_node_gradient_is_zero_where_the_clamp_fires():
     # 1 - 2 * 1 + (1 - 1e-12): a roundoff-sized negative error, clamped to 0.
     inputs = {"a": np.ones((2, 1)), "k_bases": np.array([[1.0 - 1e-12]]), "beta": np.ones((2, 1))}
-    assert_forward_equals_chain(_omega_ols_from_stats, ols_chain, inputs)
-    assert _omega_ols_from_stats(**inputs) == 0.0
+    assert_forward_equals_chain(omega_ols, ols_chain, inputs)
+    assert omega_ols(**inputs) == 0.0
     wrt = set(inputs)
-    node, chain = node_and_chain_gradients(_omega_ols_from_stats, ols_chain, inputs, wrt)
+    node, chain = node_and_chain_gradients(omega_ols, ols_chain, inputs, wrt)
     for name in wrt:
         np.testing.assert_array_equal(node[name], np.zeros_like(inputs[name]))
         np.testing.assert_array_equal(chain[name], node[name])
     inputs["k_bases"] = np.array([[1.0 - 1e-9]])
     with pytest.raises(ValueError, match="reconstruction error evaluated to"):
-        _omega_ols_from_stats(**{k: ad.tensor(v) for k, v in inputs.items()})
+        omega_ols(**{k: ad.tensor(v) for k, v in inputs.items()})
 
 
 def test_l1_node_against_the_chain_and_finite_differences():

@@ -1,6 +1,7 @@
 """Gating, ensemble forward, and initialization behavior of the layer."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,6 @@ from gdu.layer import (
     gate_matrix,
     init_layer,
 )
-from gdu.regularization import omega_ols
 from gdu.rkhs import EmpiricalKme, kme_inner, kme_norm_sq
 from gdu.training import init_erm_model
 
@@ -215,6 +215,18 @@ def test_forward_batch_with_constant_gate_override():
     uniform = np.full((6, 4), 0.25)
     expected = np.mean([np.asarray(m(X)) for m in layer.machines], axis=0)
     np.testing.assert_allclose(forward_batch(X, layer, beta=uniform), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (4, 3), (15,)], ids=str)
+def test_forward_batch_names_a_beta_that_is_not_batch_by_bases(shape):
+    # A flat beta of b * M values would reshape to (b, M) without complaint.
+    rng = np.random.default_rng(14)
+    layer = random_layer(rng, "CS", m=3)
+    X = rng.normal(size=(5, 3))
+    beta = np.full(shape, 1.0 / 3.0)
+    named = rf"^beta shape {re.escape(str(shape))} does not match batch 5 x 3 bases$"
+    with pytest.raises(ValueError, match=named):
+        forward_batch(X, layer, beta=beta)
 
 
 def test_kernel_statistics_match_brute_force_block_by_block():
@@ -432,7 +444,6 @@ def test_uniform_layer_kernel_statistics_raise_a_named_error():
     for stat in (
         lambda: basis_gram_matrix(layer),
         lambda: _basis_inners(X, layer),
-        lambda: omega_ols(X, gate_matrix(X, layer), layer),
     ):
         with pytest.raises(ValueError, match="UNIFORM layer has no bases to embed"):
             stat()

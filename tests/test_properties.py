@@ -17,7 +17,7 @@ from gdu.kernel import (
     squared_distances,
 )
 from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
-from gdu.regularization import RegConfig, omega_ols
+from gdu.regularization import RegConfig
 from gdu.rkhs import EmpiricalKme, mmd_sq
 from gdu.training import (
     DatasetSplits,
@@ -28,6 +28,7 @@ from gdu.training import (
     train,
 )
 
+from helpers import layer_ols
 from oracles import gaussian_gram_chain, kmeans_loop
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=20)
@@ -124,8 +125,8 @@ def test_ols_is_nonnegative_for_any_gate_rows(case, seed, scale):
     # layer's own.
     layer, X = case
     beta = np.random.default_rng(seed).normal(scale=scale, size=(len(X), layer.num_bases))
-    assert float(omega_ols(X, beta, layer)) >= 0.0
-    assert float(omega_ols(X, gate_matrix(X, layer), layer)) >= 0.0
+    assert float(layer_ols(X, beta, layer)) >= 0.0
+    assert float(layer_ols(X, gate_matrix(X, layer), layer)) >= 0.0
 
 
 @SETTINGS

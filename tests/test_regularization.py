@@ -1,13 +1,14 @@
 """Regularizer values against hand expansions and brute-force oracles."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gdu.kernel import KernelConfig
-from gdu.layer import GduLayer, basis_gram_matrix, gate_matrix
+from gdu.layer import GduLayer, _basis_inners, basis_gram_matrix, gate_matrix
 from gdu.regularization import (
     RegConfig,
     omega_l1,
@@ -16,7 +17,7 @@ from gdu.regularization import (
 )
 from gdu.training import GduModel, cross_entropy_mean, objective, predict_logits
 
-from helpers import build_small_gdu
+from helpers import build_small_gdu, layer_ols
 from oracles import omega_ols_brute, srip_power_iteration
 
 CFG = KernelConfig(sigma=1.0)
@@ -44,19 +45,19 @@ def test_ols_zero_beta_gives_unit_self_terms():
     layer = random_layer(rng, m=2, n=3, e=2)
     X = rng.normal(size=(4, 2))
     beta = np.zeros((4, 2))
-    assert omega_ols(X, beta, layer) == pytest.approx(1.0, abs=1e-15)
+    assert layer_ols(X, beta, layer) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ols_exact_reconstruction_is_zero():
     layer = layer_from_bases([[[0.4, -0.7]]])
     X = np.array([[0.4, -0.7]])
-    assert omega_ols(X, np.array([[1.0]]), layer) == pytest.approx(0.0, abs=1e-12)
+    assert layer_ols(X, np.array([[1.0]]), layer) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ols_single_distant_basis_equals_mmd():
     # x=0, V={2}, beta=1: reconstruction error is ||phi(0) - phi(2)||^2.
     layer = layer_from_bases([[[2.0]]])
-    val = omega_ols(np.array([[0.0]]), np.array([[1.0]]), layer)
+    val = layer_ols(np.array([[0.0]]), np.array([[1.0]]), layer)
     assert val == pytest.approx(2.0 - 2.0 * math.exp(-2.0), abs=1e-14)
 
 
@@ -73,14 +74,36 @@ def test_ols_matches_brute_force_expansion():
         expected = omega_ols_brute(
             X, beta, list(layer.bases), CFG.sigma
         )
-        assert omega_ols(X, beta, layer) == pytest.approx(expected, abs=1e-10)
+        assert layer_ols(X, beta, layer) == pytest.approx(expected, abs=1e-10)
 
 
-def test_ols_shape_mismatch():
+def _ols_stats():
+    """Inner products of 4 rows against 2 bases, and the bases' Gram."""
     rng = np.random.default_rng(3)
     layer = random_layer(rng, m=2, n=3, e=2)
-    with pytest.raises(ValueError, match="beta"):
-        omega_ols(rng.normal(size=(4, 2)), np.zeros((3, 2)), layer)
+    return _basis_inners(rng.normal(size=(4, 2)), layer)[0], basis_gram_matrix(layer)
+
+
+@pytest.mark.parametrize("beta_shape", [(3, 2), (4, 3), (4, 1), (8,), (4, 2, 1)], ids=str)
+def test_ols_beta_that_does_not_match_the_inner_products_is_named(beta_shape):
+    a, k_bases = _ols_stats()
+    shape = re.escape(str(beta_shape))
+    with pytest.raises(ValueError, match=rf"^beta shape {shape} does not match the inner products' \(4, 2\)$"):
+        omega_ols(a, k_bases, np.zeros(beta_shape))
+
+
+def test_ols_inner_products_that_do_not_match_beta_are_named():
+    a, k_bases = _ols_stats()
+    with pytest.raises(ValueError, match=r"^beta shape \(4, 2\) does not match the inner products' \(4, 3\)$"):
+        omega_ols(np.zeros((4, 3)), k_bases, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("k_shape", [(3, 3), (2, 3), (2,), (4,)], ids=str)
+def test_ols_basis_gram_that_does_not_match_the_bases_is_named(k_shape):
+    a, _ = _ols_stats()
+    shape = re.escape(str(k_shape))
+    with pytest.raises(ValueError, match=rf"^basis Gram shape {shape} does not match 2 bases$"):
+        omega_ols(a, np.zeros(k_shape), np.zeros((4, 2)))
 
 
 # -- basis_gram_matrix --------------------------------------------------------
@@ -187,6 +210,16 @@ def test_l1_zero_and_signed_rows():
     assert omega_l1(np.array([[0.5, -0.25]])) == pytest.approx(0.75, abs=1e-15)
 
 
+def test_l1_beta_that_is_not_2d_is_named():
+    # A flat row would read as three one-gate rows, a mean of 1/3, not 1.0.
+    row = [0.2, -0.3, 0.5]
+    assert omega_l1(np.array([row])) == pytest.approx(1.0, abs=1e-15)
+    for beta in (np.array(row), np.array(0.2), np.array([[row]])):
+        shape = re.escape(str(beta.shape))
+        with pytest.raises(ValueError, match=rf"^expected \(b, M\) gates, got beta of shape {shape}$"):
+            omega_l1(beta)
+
+
 # -- the weighted terms of the objective ----------------------------------------
 
 
@@ -235,7 +268,7 @@ def test_total_projection_combines_ols_and_srip():
     cfg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3)
     expected = (
         _cross_entropy(layer, X, y)
-        + 1e-3 * float(omega_ols(X, beta, layer))
+        + 1e-3 * float(layer_ols(X, beta, layer))
         + 1e-3 * float(omega_orth(np.asarray(basis_gram_matrix(layer))))
     )
     got = objective((X, y), GduModel(None, layer), cfg)

@@ -20,7 +20,6 @@ from gdu.layer import (
 from gdu.regularization import (
     RegConfig,
     omega_l1,
-    omega_ols,
     omega_orth,
 )
 from gdu.training import (
@@ -44,7 +43,7 @@ from gdu.training import (
     trainable_arrays,
 )
 
-from helpers import SMALL_DIMS, build_small_gdu, gradient_max_rel_error, reg_toggles
+from helpers import SMALL_DIMS, build_small_gdu, gradient_max_rel_error, layer_ols, reg_toggles
 from oracles import (
     add,
     mlp_forward_brute,
@@ -179,7 +178,7 @@ def test_objective_recomposes_from_parts():
         beta = gate_matrix(feats, model.layer)
         logits = np.asarray(forward_batch(feats, model.layer, beta=beta))
         expected = float(cross_entropy_mean(logits, y)) + reg.lambda_ols * float(
-            omega_ols(feats, beta, model.layer)
+            layer_ols(feats, beta, model.layer)
         )
         if mode == "CS":
             expected += reg.lambda_l1 * float(omega_l1(beta))
@@ -846,7 +845,7 @@ def test_trace_regularizer_columns_match_standalone_terms(mode):
     beta = gate_matrix(feats, model.layer)
     row = trace.rows[0]
     assert row.omega_ols == pytest.approx(
-        float(omega_ols(feats, beta, model.layer)), abs=1e-12
+        float(layer_ols(feats, beta, model.layer)), abs=1e-12
     )
     assert row.omega_orth == pytest.approx(
         float(omega_orth(basis_gram_matrix(model.layer))), abs=1e-12
