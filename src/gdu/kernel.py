@@ -6,17 +6,16 @@ matching the squared-bandwidth convention of the median heuristic
 
 Empirical kernel mean embeddings reduce to block means of a Gram matrix
 (Muandet et al., arXiv:1605.09522): ``<mu_p, mu_q>`` is the mean of the
-(p, q) block. :func:`gram_block_means` gives all of them at once and
-:func:`gram_diagonal_block_means` only the squared norms ``||mu_p||^2``;
-on tensors each is one autodiff tape node with a closed-form backward, and
-:func:`gram` is the one-row-block case. A training step that also reads
-the bases' own Gram gets the inner products of a batch with the bases,
-their norms and that Gram from one node over one Gram
-(:func:`_inners_norms_gram`). All take the rows of a point set on their
-last axis, so an (M, N, e) stack of bases is read as it is, as M*N rows,
-and its gradient lands in the stack's own shape.
+(p, q) block. On arrays :func:`gram_block_means` gives all of them, and
+:func:`gram` is its one-row-block case. A training step reads three such
+statistics of a batch against the (M, N, e) bases: the inner products
+``<phi(x_i), mu_j>``, the squared norms ``||mu_j||^2`` and, when its
+regularizers read it, the basis Gram. :func:`_kernel_statistics` gives
+them as the kernel's one autodiff tape node, with one closed-form
+backward; a tape tensor passed to any other function here raises a
+TypeError.
 
-Each builds its Gram blocks with one matmul of augmented rows: with
+Every Gram is built with one matmul of augmented rows: with
 ``c = 1 / (2 sigma^2)``,
 
     [x, 1, -c ||x||^2] . [2c y, -c ||y||^2, 1] = -c ||x - y||^2,
@@ -55,7 +54,6 @@ __all__ = [
     "DegenerateDataError",
     "gram",
     "gram_block_means",
-    "gram_diagonal_block_means",
     "median_heuristic",
 ]
 
@@ -177,20 +175,27 @@ def _rows(X):
     return Xv
 
 
+def _array_rows(X):
+    """The rows of X as :func:`_rows` reads them; a tape tensor raises TypeError."""
+    if ad.is_tensor(X):
+        raise TypeError(
+            "the kernel's Gram functions take arrays, not tape tensors; a step's "
+            "kernel statistics and their gradient come from kernel._kernel_statistics"
+        )
+    return _rows(X)
+
+
+def _row_gradient(WA, rows):
+    """The closed form ``W A - diag(W 1) rows`` from one matmul ``WA = W [A | 1]``."""
+    return WA[..., :-1] - WA[..., -1:] * rows
+
+
 def gram(X, Y, cfg: KernelConfig):
-    """Kernel matrix ``G[i, j] = k(X_i, Y_j)``.
+    """Kernel matrix ``G[i, j] = k(X_i, Y_j)`` of two arrays of rows.
 
-    Arrays in give an array out. If either input is a tensor, the result is
-    one tape node whose backward is closed-form: with ``W = g * G / sigma^2``
-    for the output gradient ``g``,
-
-        dX = W Y - diag(W 1) X,    dY = W^T X - diag(W^T 1) Y,
-
-    since ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2``. Where the exponent
-    clamp fires the two rows coincide up to rounding, so ``y - x`` is
-    already ~0 there and no clamp mask is needed. Only tensor inputs get a
-    gradient. This is :func:`gram_block_means` with blocks of one row, whose
-    means are G itself, so no reduction runs.
+    :func:`gram_block_means` with blocks of one row, whose means are G
+    itself. Arrays only: a step's kernel statistics and their gradient come
+    from the one tape node :func:`_kernel_statistics`.
     """
     return gram_block_means(X, Y, cfg, 1, 1)
 
@@ -198,113 +203,51 @@ def gram(X, Y, cfg: KernelConfig):
 def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
     """Block means of ``gram(X, Y)``, shape (rows(X) / n_x, rows(Y) / n_y).
 
-    X and Y are row matrices or stacks of them, such as (M, N, e) bases,
-    whose rows are read in order. ``K[p, q]`` is the mean of the (p, q)
-    block, whose rows are the p-th run of ``n_x`` rows of X and whose
-    columns are the q-th run of ``n_y`` rows of Y. When the runs are the point sets of empirical kernel mean
-    embeddings, ``K[p, q] = <mu_p, mu_q>``; ``n_x = 1`` gives the inner
-    products ``<phi(x_i), mu_q>``.
-
-    Arrays in give an array out; otherwise the result is one tape node. The
-    forward reduces in the order of ``mean(mean(reshape(gram), 3), 1)``, so
-    it is bit-identical to that chain over the same G. The backward expands
-    the small gradient ``g``, scaled by ``1 / (n_x n_y sigma^2)``, over the
-    blocks to ``W = G * E(g)`` and applies the closed form of :func:`gram`,
-    with ``W Y`` and the row sums ``W 1`` from one matmul ``W [Y | 1]``.
-    One tensor on both sides gets both terms.
+    X and Y are arrays of rows or stacks of them, such as (M, N, e) bases,
+    read row by row. ``K[p, q]`` is the mean of the block of the p-th run of
+    ``n_x`` rows of X against the q-th run of ``n_y`` rows of Y; for the
+    point sets of two kernel mean embeddings, ``<mu_p, mu_q>``. It reduces
+    in the order of ``mean(mean(reshape(gram), 3), 1)``, bit-identical to
+    that chain over the same G; a side of one row skips its reduction.
+    Arrays only, as :func:`gram`.
     """
-    Xs, Ys = _rows(X), _rows(Y)
+    Xs, Ys = _array_rows(X), _array_rows(Y)
     _check_feature_dims("X", Xs.shape[-1], "Y", Ys.shape[-1])
-    Xv, Yv = Xs.reshape(-1, Xs.shape[-1]), Ys.reshape(-1, Ys.shape[-1])
-    G = _gaussian_gram(Xv, Yv, cfg.sigma)
+    G = _gaussian_gram(Xs.reshape(-1, Xs.shape[-1]), Ys.reshape(-1, Ys.shape[-1]), cfg.sigma)
     rows_x, rows_y = G.shape
     if n_x < 1 or n_y < 1 or rows_x % n_x or rows_y % n_y:
-        raise ValueError(
-            f"blocks of {n_x} x {n_y} rows do not tile a {rows_x} x {rows_y} gram"
-        )
-    p, q = rows_x // n_x, rows_y // n_y
-    blocks = G.reshape(p, n_x, q, n_y)
-    x_t, y_t = ad.is_tensor(X), ad.is_tensor(Y)
-    if n_x == n_y == 1:
-        # Means of one value each, exactly G; the backward reads G, so a
-        # tensor gets a copy that the caller may change.
-        K = G.copy() if x_t or y_t else G
-    else:
-        # A side of one row has means of one value each: no reduction runs.
-        K = blocks.sum(axis=3) / n_y if n_y > 1 else blocks[..., 0]
-        K = K.sum(axis=1) / n_x if n_x > 1 else K[:, 0]
-    if not x_t and not y_t:
-        return K
-    scale = 1.0 / (n_x * n_y * cfg.sigma**2)
-
-    def bw(g):
-        W = (blocks * (g * scale)[:, None, :, None]).reshape(rows_x, rows_y)
-        if x_t:
-            WY = W @ _augmented(Yv, 1.0)
-            X._accumulate((WY[:, :-1] - WY[:, -1:] * Xv).reshape(Xs.shape))
-        if y_t:
-            WX = W.T @ _augmented(Xv, 1.0)
-            Y._accumulate((WX[:, :-1] - WX[:, -1:] * Yv).reshape(Ys.shape))
-
-    return ad.Tensor(K, tuple(t for t in (X, Y) if ad.is_tensor(t)), bw)
+        raise ValueError(f"blocks of {n_x} x {n_y} rows do not tile a {rows_x} x {rows_y} gram")
+    blocks = G.reshape(rows_x // n_x, n_x, rows_y // n_y, n_y)
+    K = blocks.sum(axis=3) / n_y if n_y > 1 else blocks[..., 0]
+    return K.sum(axis=1) / n_x if n_x > 1 else K[:, 0]
 
 
-def gram_diagonal_block_means(X, cfg: KernelConfig, n: int):
-    """Means of the diagonal blocks of ``gram(X, X)``, shape (rows(X) / n,).
+def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
+    """The kernel statistics of a (b, e) batch X against M runs of ``n`` rows of V.
 
-    ``K[p]`` is the mean of ``gram(X_p, X_p)`` for the p-th run ``X_p`` of
-    ``n`` rows of X, a row matrix or a stack of them such as (M, N, e)
-    bases, i.e. the squared norm ``||mu_p||^2`` of its kernel mean
-    embedding. One batched matmul evaluates only the M diagonal (n, n)
-    blocks, bit-identical to M separate ``mean(gram(X_p, X_p))`` calls.
-
-    Arrays in give an array out; a tensor gives one tape node. Each block
-    has one tensor on both sides, so its backward is
-    ``dX_p = S_p X_p - diag(S_p 1) X_p`` with ``S_p = 2 g_p G_p / (n^2 sigma^2)``,
-    both terms from one batched matmul ``S_p [X_p | 1]``.
-    """
-    Xs = _rows(X)
-    rows, e = math.prod(Xs.shape[:-1]), Xs.shape[-1]
-    if n < 1 or rows % n:
-        raise ValueError(f"blocks of {n} rows do not tile {rows} rows")
-    Xb = Xs.reshape(rows // n, n, e)
-    G = _gaussian_gram(Xb, Xb, cfg.sigma)
-    K = G.reshape(rows // n, n * n).sum(axis=1) / float(n * n)
-    if not ad.is_tensor(X):
-        return K
-    scale = 2.0 / (n * n * cfg.sigma**2)
-
-    def bw(g):
-        S = G * (g * scale)[:, None, None]
-        SX = S @ _augmented(Xb, 1.0)
-        X._accumulate((SX[..., :-1] - SX[..., -1:] * Xb).reshape(Xs.shape))
-
-    return ad.Tensor(K, (X,), bw)
-
-
-def _inners_norms_gram(X, V, cfg: KernelConfig, n: int):
-    """Three block-mean statistics of rows X against V from one Gaussian Gram.
-
-    V is a stack of M runs of ``n`` rows, such as (M, N, e) bases. Returns
-    ``(a, norms, K)``, the values of ``gram_block_means(X, V, cfg, 1, n)``
-    (b, M), ``gram_diagonal_block_means(V, cfg, n)`` (M,) and
-    ``gram_block_means(V, V, cfg, n, n)`` (M, M), all block means of
-    ``G = gram(R, V)`` over the stacked rows ``R = [X; V]``. The norms sum
-    G's M diagonal (n, n) blocks in the order of
-    :func:`gram_diagonal_block_means`; each statistic reduces in the order
-    of its own function, so it differs from that function's value only
-    where the one matmul rounds an entry of G differently.
+    V is a stack such as (M, N, e) bases, read as M*N rows; its gradient
+    lands in its own shape. Returns ``(a, norms, K)``: ``a[i, j] =
+    <phi(x_i), mu_j>`` (b, M), ``norms[j] = ||mu_j||^2`` (M,) and, with
+    ``gram``, the basis Gram ``K[j, l] = <mu_j, mu_l>`` (M, M), else None.
+    Without ``gram`` it evaluates the Gram of X against V and, batched, only
+    V's M diagonal (n, n) blocks; with it, one Gram of the stacked rows
+    ``R = [X; V]`` against V. a and K reduce as :func:`gram_block_means`
+    does and each norm sums its block in row order, so the routes differ
+    only where their matmuls round an entry of G differently.
 
     Arrays in give arrays out. A tensor among X and V gives one tape node
-    whose three outputs are the parts of :meth:`gdu.autodiff.Tensor.split`,
-    so their gradients reach the backward together, packed. It folds the
-    norms' gradient into the diagonal of K's gradient, since each norm is
-    the mean of a diagonal block of K, expands the (b, M) and (M, M)
-    gradients over their blocks and applies the closed form of
-    :func:`gram_block_means`, with V on both sides of its Gram as its own
-    symmetric term. The rows' gradients then come from the matmuls
-    ``W^T [R | 1]`` for V and, when X is a tensor, ``W_x [V | 1]`` for X,
-    with ``W = G * E(g)`` and ``W_x`` its first b rows.
+    whose outputs are the parts of :meth:`gdu.autodiff.Tensor.split`. Its
+    backward expands the output gradients over their blocks, times G, to
+    weights W, and gives a set of rows the closed form ``W A - diag(W 1)
+    rows`` of ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2`` from one matmul
+    ``W [A | 1]`` (:func:`_row_gradient`). Where the exponent clamp fires,
+    ``y - x`` is already ~0, so no clamp mask is needed. Without ``gram``,
+    ``W_x = G_x * E(g_a) / (n sigma^2)`` gives X ``W_x [V | 1]`` and V
+    ``W_x^T [X | 1]`` plus, per diagonal block, ``S_p [V_p | 1]`` with
+    ``S_p = 2 g_p G_p / (n^2 sigma^2)``. With ``gram`` the norms' gradient
+    folds into the diagonal of K's, which is symmetrized, as V sits on both
+    sides; V gets ``W^T [R | 1]`` and X ``W_x [V | 1]``. There W overwrites
+    G, so the backward runs once, and a second raises RuntimeError.
     """
     Xv, Vs = _rows(X), _rows(V)
     e = Vs.shape[-1]
@@ -314,25 +257,44 @@ def _inners_norms_gram(X, V, cfg: KernelConfig, n: int):
     if Xv.ndim != 2 or n < 1 or rows % n:
         raise ValueError(f"expected (b, e) rows and runs of {n} rows that tile {rows} rows")
     b, m = Xv.shape[0], rows // n
-    R = np.concatenate((Xv, Vv))
-    G = _gaussian_gram(R, Vv, cfg.sigma)
-    G_x, G_v = G[:b].reshape(b, m, n), G[b:].reshape(m, n, m, n)
-    a = G_x.sum(axis=2) / n
     on_diagonal = np.arange(m)
-    norms = G_v[on_diagonal, :, on_diagonal].reshape(m, n * n).sum(axis=1) / float(n * n)
-    K = G_v.sum(axis=3) / n
-    K = K.sum(axis=1) / n
+    K = None
+    if gram:
+        R = np.concatenate((Xv, Vv))
+        G = _gaussian_gram(R, Vv, cfg.sigma)
+        G_x, G_v = G[:b].reshape(b, m, n), G[b:].reshape(m, n, m, n)
+        a = G_x.sum(axis=2) / n
+        diagonal = G_v[on_diagonal, :, on_diagonal]
+        K = G_v.sum(axis=3) / n
+        K = K.sum(axis=1) / n
+    else:
+        G = _gaussian_gram(Xv, Vv, cfg.sigma)
+        G_x, Vb = G.reshape(b, m, n), Vv.reshape(m, n, e)
+        a = G_x.sum(axis=2) / n
+        diagonal = _gaussian_gram(Vb, Vb, cfg.sigma)
+    norms = diagonal.reshape(m, n * n).sum(axis=1) / float(n * n)
+    stats = (a, norms, K) if gram else (a, norms)
     x_t, v_t = ad.is_tensor(X), ad.is_tensor(V)
     if not x_t and not v_t:
         return a, norms, K
-    scale = 1.0 / cfg.sigma**2
 
     def bw(g):
         nonlocal G
+        ga, gn = g[: b * m].reshape(b, m), g[b * m : b * m + m]
+        if not gram:
+            W = (G_x * (ga * (1.0 / (n * cfg.sigma**2)))[:, :, None]).reshape(b, rows)
+            if x_t:
+                X._accumulate(_row_gradient(W @ _augmented(Vv, 1.0), Xv))
+            if v_t:
+                S = diagonal * (gn * (2.0 / (n * n * cfg.sigma**2)))[:, None, None]
+                dV = _row_gradient(W.T @ _augmented(Xv, 1.0), Vv).reshape(m, n, e)
+                dV += _row_gradient(S @ _augmented(Vb, 1.0), Vb)
+                V._accumulate(dV.reshape(Vs.shape))
+            return
         if G is None:
             raise RuntimeError("a kernel statistics node is backpropagated only once")
-        ga, gn, gk = g[: b * m].reshape(b, m), g[b * m : b * m + m], g[b * m + m :].reshape(m, m)
-        s = gk.copy()
+        scale = 1.0 / cfg.sigma**2
+        s = g[b * m + m :].reshape(m, m).copy()
         s[on_diagonal, on_diagonal] += gn
         s = (s + s.T) * (scale / (n * n))
         # W overwrites G: the backward is G's last reader.
@@ -342,15 +304,14 @@ def _inners_norms_gram(X, V, cfg: KernelConfig, n: int):
         RA = _augmented(R, 1.0)
         if v_t:
             # (RA^T W)^T, as numpy's BLAS runs it faster than W^T RA.
-            WR = (RA.T @ W).T
-            V._accumulate((WR[:, :-1] - WR[:, -1:] * Vv).reshape(Vs.shape))
+            V._accumulate(_row_gradient((RA.T @ W).T, Vv).reshape(Vs.shape))
         if x_t:
-            WV = W[:b] @ RA[b:]
-            X._accumulate(WV[:, :-1] - WV[:, -1:] * Xv)
+            X._accumulate(_row_gradient(W[:b] @ RA[b:], Xv))
 
-    packed = np.concatenate((a.reshape(-1), norms, K.reshape(-1)))
+    packed = np.concatenate([part.reshape(-1) for part in stats])
     node = ad.Tensor(packed, tuple(t for t in (X, V) if ad.is_tensor(t)), bw)
-    return tuple(node.split((b, m), (m,), (m, m)))
+    parts = node.split(*(part.shape for part in stats))
+    return tuple(parts) if gram else (*parts, None)
 
 
 # Row-block height of :func:`_upper_squared_distances`. Its temporaries

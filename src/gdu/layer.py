@@ -15,16 +15,15 @@ embedding:
   ERM with M heads: the ensemble with its gating ablated.
 
 Every kernel statistic the gate and the regularizers read is a block mean
-of a Gaussian Gram against the basis vectors (:func:`_basis_inners`). The
-gate alone reads two tape nodes: the inner products
-(:func:`gdu.kernel.gram_block_means`) and the basis norms
-(:func:`gdu.kernel.gram_diagonal_block_means`), which evaluate only the
-M diagonal (N, N) blocks of the bases' Gram. A training step whose
-regularizers read the basis Gram gets all three from one node over one
-Gram (:func:`gdu.kernel._inners_norms_gram`). Each reads the (M, N, e)
-bases as they are and hands their gradient back in that shape. The gate,
-from those inner products through the similarity and the kernel softmax,
-is one more node (``_gate_from_inners``). The forward pass is the gate-weighted ensemble of
+of a Gaussian Gram against the basis vectors. One tape node,
+:func:`gdu.kernel._kernel_statistics`, gives a step all of them
+(:func:`_basis_inners`): the inner products, the basis norms and, when its
+regularizers read it, the basis Gram. Without the basis Gram it evaluates
+only the M diagonal (N, N) blocks of the bases' Gram; with it, all three
+come from one Gram. It reads the (M, N, e) bases as they are and hands
+their gradient back in that shape. The gate, from those inner products
+through the similarity and the kernel softmax, is one more node
+(``_gate_from_inners``). The forward pass is the gate-weighted ensemble of
 the machines' outputs, run as one matmul over the stacked machine weights
 viewed as one (e, M*C) matrix, and is one node too (:func:`forward_batch`).
 Each of these nodes has a closed-form backward, and its forward runs the
@@ -33,8 +32,8 @@ gates or C classes run column by column (:func:`_row_max`,
 :func:`_row_sum`), bit for bit numpy's own and many times faster on rows
 this short. The UNIFORM gate is a constant array and never a tape node.
 These functions accept numpy arrays or autodiff tensors, so the same code
-serves inference and gradient-based training; :class:`LearningMachine`
-views are for arrays only.
+serves inference and gradient-based training; :func:`basis_gram_matrix`
+and :class:`LearningMachine` views are for arrays only.
 
 There is one path in: :func:`gate_matrix` gates a (b, e) feature batch
 sample by sample, and :func:`forward_batch` runs the ensemble on it. A
@@ -55,9 +54,8 @@ from .kernel import (
     _check_float,
     _check_int,
     _check_seed,
-    _inners_norms_gram,
+    _kernel_statistics,
     gram_block_means,
-    gram_diagonal_block_means,
 )
 
 __all__ = [
@@ -239,7 +237,8 @@ def basis_gram_matrix(layer: GduLayer):
     """Pairwise basis-embedding inner products, shape (M, M).
 
     ``K[i, j] = <mu_i, mu_j>``, the mean of the (i, j) block of the kernel
-    matrix over the stacked basis vectors.
+    matrix over the stacked basis vectors. Arrays only; a training step
+    gets K from :func:`_basis_inners`.
     """
     vectors, n = _stacked_bases(layer)
     return gram_block_means(vectors, vectors, layer.kernel, n, n)
@@ -249,19 +248,16 @@ def _basis_inners(X, layer: GduLayer, gram: bool = False):
     """Per-sample embedding inner products against every basis, and the norms.
 
     Returns ``(a, norms, k_bases)`` with ``a[i, j] = <phi(x_i), mu_j>`` of
-    shape (b, M) and ``norms[j] = ||mu_j||^2`` of shape (M,). The norms come
-    from the M diagonal (N, N) blocks only, not from the diagonal of
-    :func:`basis_gram_matrix`, which would cost (M*N)^2 kernel entries on
-    every gate evaluation; ``k_bases`` is None. With ``gram`` a step that
-    reads the basis Gram gets all three, ``k_bases`` as
-    :func:`basis_gram_matrix`, from one Gaussian Gram
-    (:func:`gdu.kernel._inners_norms_gram`).
+    shape (b, M) and ``norms[j] = ||mu_j||^2`` of shape (M,), from one
+    :func:`gdu.kernel._kernel_statistics` node on tensors. Without ``gram``
+    the norms come from the M diagonal (N, N) blocks only, not from the
+    diagonal of :func:`basis_gram_matrix`, which would cost (M*N)^2 kernel
+    entries on every gate evaluation, and ``k_bases`` is None. With
+    ``gram`` a step that reads the basis Gram gets all three, ``k_bases``
+    as :func:`basis_gram_matrix`, from one Gaussian Gram.
     """
     vectors, n = _stacked_bases(layer)
-    if gram:
-        return _inners_norms_gram(X, vectors, layer.kernel, n)
-    a = gram_block_means(X, vectors, layer.kernel, 1, n)
-    return a, gram_diagonal_block_means(vectors, layer.kernel, n), None
+    return _kernel_statistics(X, vectors, layer.kernel, n, gram)
 
 
 def _gate_from_inners(a, norms, mode, kappa):

@@ -80,6 +80,13 @@ class RegConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
+def _batch_rows(name: str, beta) -> int:
+    """The b rows of (b, M) gates; none raise a ValueError, as their mean is 0/0."""
+    if beta.shape[0] == 0:
+        raise ValueError(f"{name} needs at least one row, got 0")
+    return beta.shape[0]
+
+
 def omega_ols(a, k_bases, beta):
     """Mean squared RKHS reconstruction error over the batch.
 
@@ -93,7 +100,8 @@ def omega_ols(a, k_bases, beta):
     among ``a``, ``k_bases`` and ``beta`` gives one node whose backward is
     ``-2 beta / b`` for a, ``(beta (K + K^T) - 2 a) / b`` for beta and
     ``beta^T beta / b`` for K, and zero where the clamp fires. The per-row
-    sums run column by column, bit-identical to numpy's.
+    sums run column by column, bit-identical to numpy's. An empty batch
+    raises a ValueError that names it.
     """
     av, kv, bv = (ad.value_of(t) for t in (a, k_bases, beta))
     if bv.ndim != 2 or av.shape != bv.shape:
@@ -101,7 +109,7 @@ def omega_ols(a, k_bases, beta):
     m = bv.shape[1]
     if kv.shape != (m, m):
         raise ValueError(f"basis Gram shape {kv.shape} does not match {m} bases")
-    b = float(bv.shape[0])
+    b = float(_batch_rows("omega_ols", bv))
     bk = bv @ kv
     cross = np.sum(_row_sum(bv * av)) / b
     quad = np.sum(_row_sum(bk * bv)) / b
@@ -152,12 +160,12 @@ def omega_l1(beta):
     Arrays in give a float; a tensor gives one node with backward
     ``sign(beta) / b``. The per-row sums run column by column, bit-identical
     to numpy's. A beta that is not 2-D raises a ValueError that names its
-    shape.
+    shape, and an empty batch one that names it.
     """
     bv = ad.value_of(beta)
     if bv.ndim != 2:
         raise ValueError(f"expected (b, M) gates, got beta of shape {bv.shape}")
-    b = float(bv.shape[0])
+    b = float(_batch_rows("omega_l1", bv))
     val = np.sum(_row_sum(np.abs(bv))) / b
     if not ad.is_tensor(beta):
         return float(val)

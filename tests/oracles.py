@@ -23,9 +23,12 @@ is the fast one. ``train_loop`` is the training loop that made its
 state fresh on every step, kept as the bit-exact reference of
 ``gdu.training.train``. ``three_node_gradients`` builds the objective with
 a separate kernel node for the gate's inner products, the basis norms and
-the basis Gram, as the package did before one node over one Gram gave all
-three to a step that reads the basis Gram. ``bayes_accuracy_loop`` scores
-the Bayes classifier row by row in scalar math.
+the basis Gram (``block_means_node`` and ``diagonal_block_means_node``,
+the package's tensor paths before one ``gdu.kernel._kernel_statistics``
+node gave a step all three). It is the exact reference of a step that
+does not read the basis Gram, and one within rounding of a step that
+does. ``bayes_accuracy_loop`` scores the Bayes classifier row by row in
+scalar math.
 """
 
 import math
@@ -34,7 +37,13 @@ import numpy as np
 
 from gdu.autodiff import Tensor, is_tensor, value_of
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _kmeans_pp_init
-from gdu.kernel import gram_block_means, gram_diagonal_block_means, squared_distances
+from gdu.kernel import (
+    _augmented,
+    _check_feature_dims,
+    _gaussian_gram,
+    _rows,
+    squared_distances,
+)
 from gdu.layer import UNIFORM, _gate_from_inners, forward_batch
 from gdu.regularization import _add_regularizers, _reads_basis_gram
 from gdu.training import (
@@ -583,12 +592,75 @@ def train_loop(data, config, model):
     return model, trace
 
 
+def block_means_node(X, Y, cfg, n_x, n_y):
+    """The tape node of ``gdu.kernel.gram_block_means`` before it took arrays only.
+
+    Block means of ``gram(X, Y)`` over runs of ``n_x`` rows of X and
+    ``n_y`` rows of Y, as that function reduces them. A tensor on either
+    side, or one tensor on both, gets the closed-form backward: the small
+    gradient ``g``, scaled by ``1 / (n_x n_y sigma^2)``, expanded over the
+    blocks to ``W = G * E(g)``, then ``W [Y | 1]`` for X and ``W^T [X | 1]``
+    for Y.
+    """
+    Xs, Ys = _rows(X), _rows(Y)
+    _check_feature_dims("X", Xs.shape[-1], "Y", Ys.shape[-1])
+    Xv, Yv = Xs.reshape(-1, Xs.shape[-1]), Ys.reshape(-1, Ys.shape[-1])
+    G = _gaussian_gram(Xv, Yv, cfg.sigma)
+    rows_x, rows_y = G.shape
+    p, q = rows_x // n_x, rows_y // n_y
+    blocks = G.reshape(p, n_x, q, n_y)
+    x_t, y_t = is_tensor(X), is_tensor(Y)
+    if n_x == n_y == 1:
+        K = G.copy() if x_t or y_t else G
+    else:
+        K = blocks.sum(axis=3) / n_y if n_y > 1 else blocks[..., 0]
+        K = K.sum(axis=1) / n_x if n_x > 1 else K[:, 0]
+    if not x_t and not y_t:
+        return K
+    scale = 1.0 / (n_x * n_y * cfg.sigma**2)
+
+    def bw(g):
+        W = (blocks * (g * scale)[:, None, :, None]).reshape(rows_x, rows_y)
+        if x_t:
+            WY = W @ _augmented(Yv, 1.0)
+            X._accumulate((WY[:, :-1] - WY[:, -1:] * Xv).reshape(Xs.shape))
+        if y_t:
+            WX = W.T @ _augmented(Xv, 1.0)
+            Y._accumulate((WX[:, :-1] - WX[:, -1:] * Yv).reshape(Ys.shape))
+
+    return Tensor(K, tuple(t for t in (X, Y) if is_tensor(t)), bw)
+
+
+def diagonal_block_means_node(X, cfg, n):
+    """The tape node that gave the basis norms before ``gdu.kernel._kernel_statistics``.
+
+    Means of the diagonal (n, n) blocks of ``gram(X, X)``, from one batched
+    matmul over those blocks only. A tensor's backward is ``S_p [X_p | 1]``
+    per block, with ``S_p = 2 g_p G_p / (n^2 sigma^2)``.
+    """
+    Xs = _rows(X)
+    rows, e = math.prod(Xs.shape[:-1]), Xs.shape[-1]
+    Xb = Xs.reshape(rows // n, n, e)
+    G = _gaussian_gram(Xb, Xb, cfg.sigma)
+    K = G.reshape(rows // n, n * n).sum(axis=1) / float(n * n)
+    if not is_tensor(X):
+        return K
+    scale = 2.0 / (n * n * cfg.sigma**2)
+
+    def bw(g):
+        S = G * (g * scale)[:, None, None]
+        SX = S @ _augmented(Xb, 1.0)
+        X._accumulate((SX[..., :-1] - SX[..., -1:] * Xb).reshape(Xs.shape))
+
+    return Tensor(K, (X,), bw)
+
+
 def three_node_gradients(batch, model, reg, train_mode):
     """``gdu.training.gradients`` with one kernel node per statistic.
 
-    The gate reads ``gram_block_means(feats, V, 1, N)`` and
-    ``gram_diagonal_block_means(V, N)``, and a step whose regularizers read
-    the basis Gram builds it as ``gram_block_means(V, V, N, N)``, a third
+    The gate reads ``block_means_node(feats, V, 1, N)`` and
+    ``diagonal_block_means_node(V, N)``, and a step whose regularizers read
+    the basis Gram builds it as ``block_means_node(V, V, N, N)``, a third
     node with its own Gram. Everything else is the package's. Returns the
     leaves' gradients by name.
     """
@@ -602,10 +674,10 @@ def three_node_gradients(batch, model, reg, train_mode):
         beta = np.full((len(X), layer.num_bases), 1.0 / layer.num_bases)
     else:
         V, n, cfg = layer.bases, layer.basis_size, layer.kernel
-        a = gram_block_means(feats, V, cfg, 1, n)
-        beta = _gate_from_inners(a, gram_diagonal_block_means(V, cfg, n), layer.mode, layer.kappa)
+        a = block_means_node(feats, V, cfg, 1, n)
+        beta = _gate_from_inners(a, diagonal_block_means_node(V, cfg, n), layer.mode, layer.kappa)
     if _reads_basis_gram(layer.mode, reg):
-        k_bases = gram_block_means(V, V, cfg, n, n)
+        k_bases = block_means_node(V, V, cfg, n, n)
     logits = forward_batch(feats, layer, beta=beta)
     obj = _add_regularizers(cross_entropy_mean(logits, y), a, beta, k_bases, reg)
     obj.backward()

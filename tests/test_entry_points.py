@@ -197,24 +197,29 @@ def test_traced_training_spans_run_once_per_step():
     # changed what one step puts on the tape, would skew them silently.
     from gdu.kernel import KernelConfig
     from gdu.layer import init_layer
+    from gdu.regularization import RegConfig
     from gdu.training import DatasetSplits, GduModel, TrainConfig, init_feature_extractor, train
 
     rng = np.random.default_rng(0)
     data = DatasetSplits(rng.normal(size=(40, 4)), rng.integers(0, 3, size=40),
                          rng.normal(size=(10, 4)), rng.integers(0, 3, size=10))
-    model = GduModel(init_feature_extractor([4, 6, 4], 0),
-                     init_layer(3, 5, 4, 3, 1, "CS", KernelConfig(2.0), 20.0))
-    tracer = _load_tracer().Tracer()
-    tracer.install()
-    try:
-        train(data, TrainConfig(max_epochs=2, patience=2, batch_size=16), model)
-    finally:
-        tracer.uninstall()
-    steps = 2 * 3  # 2 epochs of 3 batches of at most 16 rows
-    for span in ("training.build_objective", "autodiff.backward", "training.optimizer_step"):
-        assert tracer.calls(span) == steps, span
-    # Six operation nodes and seven parameter leaves per step.
-    assert tracer.counts["tape_nodes"] == 13 * steps
+    # Seven parameter leaves per step, and operation nodes: the extractor,
+    # the kernel statistics and its parts, the gate, the ensemble and the
+    # loss; a step that reads the basis Gram gets a third part, the OLS term
+    # and the weighted sum.
+    for reg, nodes in ((RegConfig(), 14), (RegConfig(lambda_ols=0.5), 17)):
+        model = GduModel(init_feature_extractor([4, 6, 4], 0),
+                         init_layer(3, 5, 4, 3, 1, "CS", KernelConfig(2.0), 20.0))
+        tracer = _load_tracer().Tracer()
+        tracer.install()
+        try:
+            train(data, TrainConfig(max_epochs=2, patience=2, batch_size=16, reg=reg), model)
+        finally:
+            tracer.uninstall()
+        steps = 2 * 3  # 2 epochs of 3 batches of at most 16 rows
+        for span in ("training.build_objective", "autodiff.backward", "training.optimizer_step"):
+            assert tracer.calls(span) == steps, (reg, span)
+        assert tracer.counts["tape_nodes"] == nodes * steps, reg
 
 
 def test_every_module_export_resolves():
@@ -290,7 +295,6 @@ MODULE_EXPORTS = {
         "DegenerateDataError",
         "gram",
         "gram_block_means",
-        "gram_diagonal_block_means",
         "median_heuristic",
     ],
     "layer": [

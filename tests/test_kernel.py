@@ -1,6 +1,7 @@
 """Gaussian kernel, Gram matrix, and median heuristic tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +13,27 @@ from gdu.kernel import (
     _PAIR_BLOCK_ROWS,
     KernelConfig,
     _gaussian_exponent,
-    _inners_norms_gram,
+    _kernel_statistics,
     _upper_squared_distances,
     gram,
     gram_block_means,
-    gram_diagonal_block_means,
     median_heuristic,
     squared_distances,
 )
+from gdu.layer import basis_gram_matrix, init_layer
 
 from helpers import traced_peak_bytes
-from oracles import add, fd_gradient, kernel_value, max_relative_error, mean, mul, summation
+from oracles import (
+    add,
+    block_means_node,
+    diagonal_block_means_node,
+    fd_gradient,
+    kernel_value,
+    max_relative_error,
+    mean,
+    mul,
+    summation,
+)
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -107,132 +118,36 @@ def test_gram_dimension_mismatch():
         gram(np.zeros((2, 3)), np.zeros((2, 4)), CFG)
 
 
-def _check_gram_gradient(arrays, operands, sigma, tol=5e-6, op=gram):
-    """Central-FD check of ``sum(R * op(X, Y))`` for a fixed random R.
-
-    ``operands(ts)`` picks the inputs of ``op(*operands, cfg)`` from ``ts``, a
-    dict of leaf tensors built from ``arrays`` (or ``arrays`` itself when
-    finite differencing); it may return a plain array as a constant operand.
-    Returns the leaf tensors after backward.
-    """
-    cfg = KernelConfig(sigma)
-    R = np.random.default_rng(99).normal(size=op(*operands(arrays), cfg).shape)
-
-    def value(ts):
-        return summation(mul(op(*operands(ts), cfg), R))
-
-    ts = {k: ad.tensor(v) for k, v in arrays.items()}
-    value(ts).backward()
-    analytic = {k: t.grad for k, t in ts.items()}
-    numeric = fd_gradient(lambda: float(value(arrays)), arrays)
-    assert max_relative_error(analytic, numeric) < tol
-    return ts
-
-
-def test_gram_gradient_two_tensors():
-    rng = np.random.default_rng(10)
-    arrays = {"X": rng.normal(size=(5, 3)), "Y": rng.normal(size=(4, 3))}
-    for sigma in (0.7, 1.5):
-        _check_gram_gradient(arrays, lambda t: (t["X"], t["Y"]), sigma)
-
-
-def test_gram_gradient_same_tensor_both_sides():
-    rng = np.random.default_rng(11)
-    arrays = {"X": rng.normal(size=(6, 3))}
-    _check_gram_gradient(arrays, lambda t: (t["X"], t["X"]), 1.2)
-
-
-def test_gram_gradient_with_plain_array_operand():
-    rng = np.random.default_rng(12)
-    arrays = {"X": rng.normal(size=(5, 3))}
-    Y = rng.normal(size=(4, 3))
-    for operands in (lambda t: (t["X"], Y), lambda t: (Y, t["X"])):
-        ts = _check_gram_gradient(arrays, operands, 1.1)
-        assert gram(*operands(ts), CFG)._parents == (ts["X"],)
-
-
-def test_gram_gradient_where_the_distance_clamp_fires():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(5, 3)) * 3 + 1
-    X[3], X[4] = X[1], X[0]
-    assert np.any(_gaussian_exponent(X, X, 1.3) > 0.0)  # the clamp fires
-    _check_gram_gradient({"X": X}, lambda t: (t["X"], t["X"]), 1.3)
-    arrays = {"X": X, "Y": X.copy()}
-    _check_gram_gradient(arrays, lambda t: (t["X"], t["Y"]), 1.3)
-
-
-def test_gram_is_one_tape_node():
+def test_array_only_kernel_functions_refuse_a_tape_tensor():
+    # Only the kernel statistics node builds tape nodes; a tensor elsewhere
+    # is named, not read as a 0-d object array.
     rng = np.random.default_rng(13)
-    x, y = ad.tensor(rng.normal(size=(3, 2))), ad.tensor(rng.normal(size=(4, 2)))
-    G = gram(x, y, CFG)
-    assert G._parents == (x, y)
-    np.testing.assert_array_equal(G.data, gram(x.data, y.data, CFG))
-    assert isinstance(gram(x.data, y.data, CFG), np.ndarray)
+    x, Y = ad.tensor(rng.normal(size=(3, 2))), rng.normal(size=(4, 2))
+    layer = init_layer(2, 3, 2, 2, 0, "CS", CFG, 2.0)
+    calls = {
+        "gram": lambda: gram(x, Y, CFG),
+        "gram on the right": lambda: gram(Y, x, CFG),
+        "gram_block_means": lambda: gram_block_means(Y, x, CFG, 2, 1),
+        "basis_gram_matrix": lambda: basis_gram_matrix(
+            replace(layer, bases=ad.tensor(layer.bases))
+        ),
+    }
+    for call in calls.values():
+        with pytest.raises(TypeError, match="not tape tensors.*_kernel_statistics"):
+            call()
+    assert isinstance(gram(x.data, Y, CFG), np.ndarray)
 
 
-def test_gram_node_value_is_not_the_array_its_backward_reads():
-    rng = np.random.default_rng(14)
-    X, Y = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
-
-    def x_grad(overwrite_value):
-        x = ad.tensor(X)
-        G = gram(x, Y, CFG)
-        if overwrite_value:
-            G.data[...] = 0.0
-        summation(G).backward()
-        return x.grad
-
-    np.testing.assert_array_equal(x_grad(True), x_grad(False))
-    assert np.any(x_grad(False) != 0.0)
-
-
-def _block_means(n_x, n_y):
-    return lambda X, Y, cfg: gram_block_means(X, Y, cfg, n_x, n_y)
-
-
-def test_gram_block_means_gradient_two_tensors():
-    rng = np.random.default_rng(20)
-    arrays = {"X": rng.normal(size=(6, 3)), "Y": rng.normal(size=(8, 3))}
-    for n_x, n_y in ((1, 4), (3, 4), (2, 2), (6, 8)):
-        _check_gram_gradient(arrays, lambda t: (t["X"], t["Y"]), 1.3, op=_block_means(n_x, n_y))
-
-
-def test_gram_block_means_gradient_same_tensor_both_sides():
-    rng = np.random.default_rng(21)
-    arrays = {"X": rng.normal(size=(8, 3))}
-    for n in (1, 2, 4):
-        _check_gram_gradient(arrays, lambda t: (t["X"], t["X"]), 1.2, op=_block_means(n, n))
-    # Unequal blocks on one tensor.
-    _check_gram_gradient(arrays, lambda t: (t["X"], t["X"]), 1.2, op=_block_means(1, 4))
-
-
-def test_gram_block_means_gradient_with_plain_array_operand():
-    rng = np.random.default_rng(22)
-    arrays = {"X": rng.normal(size=(6, 3))}
-    Y = rng.normal(size=(4, 3))
-    for n_x in (1, 3):
-        op = _block_means(n_x, 2)
-        ts = _check_gram_gradient(arrays, lambda t: (t["X"], Y), 0.9, op=op)
-        assert op(ts["X"], Y, CFG)._parents == (ts["X"],)
-        right = {"X": arrays["X"][:4].copy()}
-        ts = _check_gram_gradient(right, lambda t: (Y[:3], t["X"]), 0.9, op=op)
-        assert op(Y[:3], ts["X"], CFG)._parents == (ts["X"],)
-
-
-def test_gram_block_means_is_one_node_and_bit_identical_to_mean_chain():
+def test_gram_block_means_is_bit_identical_to_mean_chain():
     rng = np.random.default_rng(23)
     X, Y = rng.normal(size=(6, 4)), rng.normal(size=(15, 4))
-    for n_x, n_y in ((1, 5), (2, 3), (3, 5)):
+    for n_x, n_y in ((1, 5), (2, 3), (3, 5), (1, 1)):
         G = gram(X, Y, CFG)
         blocks = G.reshape(6 // n_x, n_x, 15 // n_y, n_y)
         chain = mean(mean(blocks, axis=3), axis=1)
         got = gram_block_means(X, Y, CFG, n_x, n_y)
         assert isinstance(got, np.ndarray)
         np.testing.assert_array_equal(got, chain)
-        x, y = ad.tensor(X), ad.tensor(Y)
-        node = gram_block_means(x, y, CFG, n_x, n_y)
-        assert node._parents == (x, y)
-        np.testing.assert_array_equal(node.data, chain)
 
 
 def test_gram_block_means_rejects_untiled_blocks():
@@ -242,72 +157,134 @@ def test_gram_block_means_rejects_untiled_blocks():
             gram_block_means(X, X, CFG, n_x, n_y)
 
 
-def test_gram_diagonal_block_means_gradient():
-    rng = np.random.default_rng(24)
-    arrays = {"X": rng.normal(size=(12, 3))}
-    for n in (1, 3, 4, 12):
-        op = lambda X, cfg, n=n: gram_diagonal_block_means(X, cfg, n)
-        _check_gram_gradient(arrays, lambda t: (t["X"],), 1.4, op=op)
+def _weighted(parts, weights):
+    """``sum_k sum(parts[k] * weights[k])`` over the statistics that are not None."""
+    terms = [summation(mul(p, w)) for p, w in zip(parts, weights) if p is not None]
+    total = terms[0]
+    for term in terms[1:]:
+        total = add(total, term)
+    return total
 
 
-def test_gram_diagonal_block_means_matches_per_block_mean():
-    rng = np.random.default_rng(25)
-    X = rng.normal(size=(12, 3))
-    for n in (1, 3, 4, 12):
-        expected = [np.mean(gram(X[i : i + n], X[i : i + n], CFG)) for i in range(0, 12, n)]
-        got = gram_diagonal_block_means(X, CFG, n)
-        np.testing.assert_array_equal(got, expected)
-        # Summed in another order, so equal only up to rounding.
-        np.testing.assert_allclose(
-            got, np.diag(gram_block_means(X, X, CFG, n, n)), rtol=1e-14
-        )
-    x = ad.tensor(X)
-    assert gram_diagonal_block_means(x, CFG, 3)._parents == (x,)
-    with pytest.raises(ValueError, match="tile"):
-        gram_diagonal_block_means(X, CFG, 5)
+def _check_kernel_statistics(arrays, n, gram, sigma=1.1):
+    """Central FD of a weighted sum of the node's outputs, X constant and X a tensor.
+
+    Checks the node's shape on the tape and, for the gram route, that a
+    second backward raises.
+    """
+    cfg = KernelConfig(sigma)
+    stats = _kernel_statistics(arrays["X"], arrays["V"], cfg, n, gram)
+    assert (stats[2] is None) != gram
+    rng = np.random.default_rng(98)
+    weights = [None if s is None else rng.normal(size=s.shape) for s in stats]
+    numeric = fd_gradient(
+        lambda: float(_weighted(_kernel_statistics(arrays["X"], arrays["V"], cfg, n, gram), weights)),
+        arrays,
+    )
+    for constant in ("X", None):  # FT, then E2E
+        ts = {k: v if k == constant else ad.tensor(v) for k, v in arrays.items()}
+        parts = _kernel_statistics(ts["X"], ts["V"], cfg, n, gram)
+        node = parts[0]._parents[0]
+        assert all(p._parents == (node,) for p in parts if p is not None)
+        assert node._parents == tuple(t for t in ts.values() if ad.is_tensor(t))
+        _weighted(parts, weights).backward()
+        analytic = {k: t.grad for k, t in ts.items() if ad.is_tensor(t)}
+        assert max_relative_error(analytic, {k: numeric[k] for k in analytic}) < 5e-6, constant
+        if gram:
+            # The backward overwrites the Gram it reads, so it runs once.
+            with pytest.raises(RuntimeError, match="backpropagated only once"):
+                node._backward(node.grad)
 
 
+@pytest.mark.parametrize("gram", [False, True])
 @pytest.mark.parametrize("m, n", [(3, 4), (1, 4), (3, 1)])
-def test_inners_norms_gram_is_one_node_over_the_three_statistics(m, n):
+def test_kernel_statistics_match_finite_differences(m, n, gram):
     rng = np.random.default_rng(26)
     arrays = {"X": rng.normal(size=(5, 3)), "V": rng.normal(size=(m, n, 3))}
+    _check_kernel_statistics(arrays, n, gram)
+
+
+@pytest.mark.parametrize("gram", [False, True])
+def test_kernel_statistics_gradient_where_the_distance_clamp_fires(gram):
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(2, 3, 3)) + 1
+    V[1, 2] = V[0, 0]
+    X = np.concatenate((V[0, :2], rng.normal(size=(2, 3))))
+    # The clamp fires on both routes: in the batch's Gram, in a diagonal
+    # block and in the one Gram of the stacked rows [X; V].
+    rows = V.reshape(-1, 3)
+    assert np.any(_gaussian_exponent(X, rows, 1.3) > 0.0)
+    assert np.any(_gaussian_exponent(V[0], V[0], 1.3) > 0.0)
+    assert np.any(_gaussian_exponent(np.concatenate((X, rows)), rows, 1.3)[4:] > 0.0)
+    _check_kernel_statistics({"X": X, "V": V}, 3, gram, sigma=1.3)
+
+
+@pytest.mark.parametrize("gram", [False, True])
+@pytest.mark.parametrize("m, n", [(3, 4), (1, 4), (3, 1)])
+def test_kernel_statistics_forward_is_bit_identical_on_arrays_and_tensors(m, n, gram):
+    rng = np.random.default_rng(27)
+    X, V = rng.normal(size=(5, 3)), rng.normal(size=(m, n, 3))
     cfg = KernelConfig(1.1)
-    expected = (
-        gram_block_means(arrays["X"], arrays["V"], cfg, 1, n),
-        gram_diagonal_block_means(arrays["V"], cfg, n),
-        gram_block_means(arrays["V"], arrays["V"], cfg, n, n),
-    )
-    for got, want in zip(_inners_norms_gram(arrays["X"], arrays["V"], cfg, n), expected):
-        assert isinstance(got, np.ndarray)
-        np.testing.assert_allclose(got, want, rtol=1e-14)
-    weights = [rng.normal(size=np.shape(w)) for w in expected]
-
-    def weighted(parts):
-        a, norms, K = (summation(mul(p, w)) for p, w in zip(parts, weights))
-        return add(add(a, norms), K)
-
-    numeric = fd_gradient(
-        lambda: float(weighted(_inners_norms_gram(arrays["X"], arrays["V"], cfg, n))), arrays
-    )
-    for constant in (None, "X"):
-        ts = {k: v if k == constant else ad.tensor(v) for k, v in arrays.items()}
-        parts = _inners_norms_gram(ts["X"], ts["V"], cfg, n)
-        node = parts[0]._parents[0]
-        assert all(p._parents == (node,) for p in parts)
-        assert node._parents == tuple(t for t in ts.values() if ad.is_tensor(t))
-        weighted(parts).backward()
-        analytic = {k: t.grad for k, t in ts.items() if ad.is_tensor(t)}
-        assert max_relative_error(analytic, {k: numeric[k] for k in analytic}) < 5e-6
-        # The backward overwrites the Gram it reads, so it runs once.
-        with pytest.raises(RuntimeError, match="backpropagated only once"):
-            node._backward(node.grad)
+    arrays = _kernel_statistics(X, V, cfg, n, gram)
+    assert all(isinstance(s, np.ndarray) for s in arrays if s is not None)
+    for x in (X, ad.tensor(X)):
+        parts = _kernel_statistics(x, ad.tensor(V), cfg, n, gram)
+        for got, want in zip(parts, arrays):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got.data, want)
+    # The parent's separate nodes: the same arithmetic without the basis
+    # Gram, and within the rounding of one matmul against three with it.
+    separate = (block_means_node(X, V, cfg, 1, n), diagonal_block_means_node(V, cfg, n))
+    for got, want in zip(arrays, separate):
+        if gram:
+            np.testing.assert_allclose(got, want, rtol=1e-14)
+        else:
+            np.testing.assert_array_equal(got, want)
+    if gram:
+        np.testing.assert_allclose(arrays[2], gram_block_means(V, V, cfg, n, n), rtol=1e-14)
 
 
-def test_inners_norms_gram_rejects_untiled_runs():
-    with pytest.raises(ValueError, match="runs of 4 rows that tile 6 rows"):
-        _inners_norms_gram(np.zeros((2, 3)), np.zeros((6, 3)), CFG, 4)
-    with pytest.raises(DimensionMismatchError):
-        _inners_norms_gram(np.zeros((2, 2)), np.zeros((6, 3)), CFG, 3)
+@pytest.mark.parametrize("gram", [False, True])
+def test_kernel_statistics_values_are_not_the_arrays_the_backward_reads(gram):
+    rng = np.random.default_rng(14)
+    X, V = rng.normal(size=(3, 2)), rng.normal(size=(2, 2, 2))
+
+    def grads(overwrite_values):
+        x, v = ad.tensor(X), ad.tensor(V)
+        parts = [p for p in _kernel_statistics(x, v, CFG, 2, gram) if p is not None]
+        if overwrite_values:
+            for p in parts:
+                p.data[...] = 0.0
+        _weighted(parts, [np.ones(p.shape) for p in parts]).backward()
+        return x.grad, v.grad
+
+    for got, want in zip(grads(True), grads(False)):
+        np.testing.assert_array_equal(got, want)
+        assert np.any(want != 0.0)
+
+
+def test_kernel_statistics_norms_match_per_block_mean():
+    rng = np.random.default_rng(25)
+    X, V = rng.normal(size=(2, 3)), rng.normal(size=(12, 3))
+    for n in (1, 3, 4, 12):
+        expected = [np.mean(gram(V[i : i + n], V[i : i + n], CFG)) for i in range(0, 12, n)]
+        got = _kernel_statistics(X, V, CFG, n, False)[1]
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, diagonal_block_means_node(V, CFG, n))
+        # Summed in another order, so equal only up to rounding.
+        np.testing.assert_allclose(got, np.diag(gram_block_means(V, V, CFG, n, n)), rtol=1e-14)
+
+
+def test_kernel_statistics_rejects_untiled_runs():
+    for gram in (False, True):
+        with pytest.raises(ValueError, match="runs of 4 rows that tile 6 rows"):
+            _kernel_statistics(np.zeros((2, 3)), np.zeros((6, 3)), CFG, 4, gram)
+        with pytest.raises(ValueError, match="runs of 5 rows that tile 12 rows"):
+            _kernel_statistics(np.zeros((2, 3)), np.zeros((12, 3)), CFG, 5, gram)
+        with pytest.raises(DimensionMismatchError):
+            _kernel_statistics(np.zeros((2, 2)), np.zeros((6, 3)), CFG, 3, gram)
 
 
 def median_heuristic_cases(rng):

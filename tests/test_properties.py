@@ -11,9 +11,9 @@ from gdu import heuristics
 from gdu.checkpoint import _emit_block, _Reader, model_from_text, model_to_text
 from gdu.kernel import (
     KernelConfig,
+    _kernel_statistics,
     gram,
     gram_block_means,
-    gram_diagonal_block_means,
     squared_distances,
 )
 from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
@@ -183,7 +183,7 @@ def test_gram_blocks_match_the_distance_chain_and_lie_in_unit_interval(case):
             gram_block_means(A, B, cfg, n_a, n_b),
             _chain_block_means(A, B, sigma, n_a, n_b), rtol=0.0, atol=1e-12,
         )
-    diag = gram_diagonal_block_means(X, cfg, n_x)
+    diag = _kernel_statistics(Y, X, cfg, n_x, False)[1]
     expected = np.diag(_chain_block_means(X, X, sigma, n_x, n_x))
     np.testing.assert_allclose(diag, expected, rtol=0.0, atol=1e-12)
     assert np.all((diag >= 0.0) & (diag <= 1.0))

@@ -20,6 +20,7 @@ from gdu.layer import (
 from gdu.regularization import (
     RegConfig,
     omega_l1,
+    omega_ols,
     omega_orth,
 )
 from gdu.training import (
@@ -386,24 +387,24 @@ def test_objective_tape_size_does_not_grow_with_num_bases(mode):
 
 
 def test_tape_shape_is_pinned():
-    # One node each: the extractor (whatever its depth), the inner products
-    # and the basis norms, the gate, the ensemble and the loss; with
-    # regularizers, each term and their weighted sum. With a term that reads
-    # the basis Gram, one kernel node and its three output parts stand in
-    # for the inner products and the norms.
+    # One node each: the extractor (whatever its depth), the kernel
+    # statistics, the gate, the ensemble and the loss; with regularizers,
+    # each term and their weighted sum. The kernel node hands out its outputs
+    # as parts, one node each: the inner products and the basis norms, and
+    # the basis Gram too when a term reads it.
     def nodes(model, X, y, reg=RegConfig()):
         graph, leaves = _graph_model(model)
         return _op_nodes(_build_objective(graph, X, y, reg), leaves)
 
     model, X, y = build_small_gdu(0, "CS")
-    assert nodes(model, X, y) == 6
+    assert nodes(model, X, y) == 7
     rng = np.random.default_rng(0)
     X10, y3 = rng.normal(size=(64, 10)), rng.integers(0, 3, size=64)
     deep = GduModel(init_feature_extractor([10, 32, 16], 0),
                     init_layer(4, 10, 16, 3, 1, "CS", KernelConfig(3.0), 20.0))
-    assert nodes(deep, X10, y3) == 6
+    assert nodes(deep, X10, y3) == 7
     assert nodes(init_erm_model([4, 6, 3], 3, 1, 0), X, y) == 3
-    assert nodes(model, X, y, RegConfig(lambda_l1=0.5)) == 8
+    assert nodes(model, X, y, RegConfig(lambda_l1=0.5)) == 9
     assert nodes(model, X, y, RegConfig(lambda_ols=0.5, lambda_l1=0.5)) == 11
     projection, X, y = build_small_gdu(0, "PROJECTION")
     assert nodes(projection, X, y, RegConfig(lambda_ols=0.5, lambda_orth=0.5)) == 11
@@ -922,6 +923,20 @@ def test_an_empty_batch_is_named_not_a_nan_loss(call):
     # The mean over no rows would be 0/0: NaN, or a RuntimeWarning raised as an error.
     with pytest.raises(ValueError, match="^cross_entropy_mean needs at least one row, got 0$"):
         _empty_batch_calls()[call]()
+
+
+_EMPTY_GATES = np.zeros((0, 3))
+_EMPTY_REGULARIZER_CALLS = {
+    "omega_l1": lambda: omega_l1(_EMPTY_GATES),
+    "omega_ols": lambda: omega_ols(_EMPTY_GATES, np.eye(3), _EMPTY_GATES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_REGULARIZER_CALLS))
+def test_a_regularizer_on_an_empty_batch_is_named_not_a_nan(name):
+    # Each is a mean over the batch's rows: 0/0 without a row.
+    with pytest.raises(ValueError, match=f"^{name} needs at least one row, got 0$"):
+        _EMPTY_REGULARIZER_CALLS[name]()
 
 
 def _models_taking_four_columns():
