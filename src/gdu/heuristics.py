@@ -5,12 +5,24 @@ Features are clustered for a range of candidate counts; the candidate with
 the lowest mean Davies-Bouldin score across repeated runs wins, with ties
 broken toward the smaller count (smaller ensembles cost less).
 
+:func:`select_m` checks its rows once. It hands :func:`kmeans` and
+:func:`davies_bouldin` one private ``_CheckedRows`` object for all of its
+clusterings: the rows, checked under the name ``select_m``, their squared
+norms, their contiguous transpose X^T, and per seed one k-means++ seeding
+that grows on demand. Both functions take a plain array too and wrap it on
+entry, so each has one code path. k-means++ draws its centroids one at a
+time from one RNG stream (Arthur & Vassilvitskii, SODA 2007), so the
+seeding to k is exactly the first k centroids of the seeding to any larger
+count; every candidate count of a seed starts from a copy of that prefix,
+and the seeding to the largest count is drawn once per seed. The one-shot
+seeding it replaced is kept as ``kmeans_pp_init`` in ``tests/oracles.py``.
+
 :func:`kmeans` is bit-identical to the plain Lloyd loop with one mask and
 one mean per cluster, kept as ``kmeans_loop`` in ``tests/oracles.py``: the
 same assignments, centroids, inertia and iteration count. Its distances
 are the operations of :func:`gdu.kernel.squared_distances` in the same
 order, but in the (k, n) layout: one product ``C @ X^T`` per Lloyd step
-over a contiguous copy of X^T made once per call. With k <= 10, OpenBLAS
+over a contiguous copy of X^T made once per row set. With k <= 10, OpenBLAS
 runs that short, wide product 1.8-4.5x faster than ``X @ C^T`` into an (n, k)
 buffer, and most of the gain needs the contiguous copy: ``C @ X.T`` on a
 view gains 23-39% (n = 4000, e = 16, one thread). The two layouts round
@@ -28,6 +40,7 @@ matches it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +114,7 @@ def _distances_to(XT, xx, centroids, twice_g, out):
 
     The same operations in the same order, ``max((xx + yy) - 2 C X^T, 0)``,
     with ``XT`` the contiguous (e, n) transpose of X and ``xx`` the rows'
-    squared norms, both made once per :func:`kmeans` call. The product is
+    squared norms, both made once per row set. The product is
     written straight into the work buffer ``twice_g`` (k, n) and doubled
     there, which is exact. BLAS may round ``C X^T`` and ``X C^T``
     differently, so this agrees with :func:`gdu.kernel.squared_distances`
@@ -114,27 +127,57 @@ def _distances_to(XT, xx, centroids, twice_g, out):
     return np.maximum(out, 0.0, out=out)
 
 
-def _kmeans_pp_init(XT, xx, k, rng):
-    """k-means++ seeding of k centroids from X^T and the rows' squared norms.
+def _kmeans_pp(XT, xx, seed):
+    """The k-means++ centroids of ``seed``, one (e,) row per ``next``, without end.
 
-    ``XT`` is the contiguous (e, n) transpose of X that :func:`kmeans` makes
-    once per call. Each row's D^2 to a new centroid is one
-    :func:`_distances_to` pass on (1, n) buffers.
+    Each row's D^2 to its nearest centroid so far is lowered by one
+    :func:`_distances_to` pass on (1, n) buffers per new centroid. Once
+    every row coincides with a centroid (D^2 sums to 0), the next centroid
+    is a uniformly drawn row.
     """
     n = XT.shape[1]
-    centroids = np.empty((k, len(XT)))
-    centroids[0] = XT[:, rng.integers(n)]
-    twice_g, d2 = np.empty((1, n)), np.empty((1, n))
-    closest = _distances_to(XT, xx, centroids[:1], twice_g, np.empty((1, n)))[0]
-    for i in range(1, k):
+    rng = np.random.default_rng(seed)
+    row, twice_g, d2 = np.empty((1, len(XT))), np.empty((1, n)), np.empty((1, n))
+    row[0] = XT[:, rng.integers(n)]
+    closest = _distances_to(XT, xx, row, twice_g, np.empty((1, n)))[0]
+    while True:
+        yield row[0].copy()
         total = closest.sum()
         if total <= 0.0:
-            centroids[i] = XT[:, rng.integers(n)]
+            row[0] = XT[:, rng.integers(n)]
             continue
-        centroids[i] = XT[:, rng.choice(n, p=closest / total)]
-        _distances_to(XT, xx, centroids[i : i + 1], twice_g, d2)
+        row[0] = XT[:, rng.choice(n, p=closest / total)]
+        _distances_to(XT, xx, row, twice_g, d2)
         np.minimum(closest, d2[0], out=closest)
-    return centroids
+
+
+class _CheckedRows:
+    """Rows checked once, with what every clustering of them reuses.
+
+    ``X`` and its rows' squared norms ``xx`` come from :func:`_check_rows`
+    under the name ``who``; ``XT`` is X's contiguous transpose, made on
+    first use. :meth:`seeding` keeps one growing k-means++ seeding per seed.
+    """
+
+    def __init__(self, X, who: str):
+        self.X, self.xx = _check_rows(X, who)
+        self._seedings = {}
+
+    @functools.cached_property
+    def XT(self):
+        return np.ascontiguousarray(self.X.T)
+
+    def seeding(self, seed, k):
+        """A new (k, e) array of the first k k-means++ centroids of ``seed``."""
+        draws, drawn = self._seedings.setdefault(seed, (_kmeans_pp(self.XT, self.xx, seed), []))
+        while len(drawn) < k:
+            drawn.append(next(draws))
+        return np.array(drawn[:k])
+
+
+def _checked(X, who: str) -> _CheckedRows:
+    """``X`` itself if it is a ``_CheckedRows``, else X checked under the name ``who``."""
+    return X if isinstance(X, _CheckedRows) else _CheckedRows(X, who)
 
 
 def _nearest(D):
@@ -178,6 +221,12 @@ def _cluster_means(X, columns, assignments, counts, out):
 def kmeans(X, k: int, seed: int) -> ClusteringResult:
     """Lloyd's algorithm with k-means++ seeding; deterministic given seed.
 
+    ``X`` is an (n, e) array, or the private ``_CheckedRows`` that
+    :func:`select_m` makes once for all of its clusterings; the result is
+    the same bit for bit. From ``_CheckedRows`` the rows are not checked
+    again, and the seeding is a copy of the first k centroids of the seed's
+    growing seeding.
+
     Runs to an assignment fixpoint or 300 iterations. Empty clusters are
     re-seeded from the point farthest from its assigned centroid; X with
     fewer than k distinct rows, which leaves a cluster empty however it is
@@ -191,19 +240,20 @@ def kmeans(X, k: int, seed: int) -> ClusteringResult:
     ``np.add.reduceat`` or a one-hot matmul would, changes the centroids in
     the last bits. The distances of every step, and of every k-means++
     seed, are one ``C @ X^T`` product over a contiguous X^T made once per
-    call (see :func:`_distances_to`); the bincount route reads its columns
+    row set (see :func:`_distances_to`); the bincount route reads its columns
     from the same X^T. An iteration that leaves a cluster empty takes the
     per-cluster loop: its re-seeds move rows between clusters while the
     means are formed, so the loop's order decides which means see a move.
     """
     _check_int("k", k)
     _check_seed("seed", seed)
-    X, xx = _check_rows(X, "kmeans")
+    checked = _checked(X, "kmeans")
+    X, xx = checked.X, checked.xx
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n rows, got k={k}, n={n}")
-    XT = np.ascontiguousarray(X.T)
-    centroids = _kmeans_pp_init(XT, xx, k, np.random.default_rng(seed))
+    XT = checked.XT
+    centroids = checked.seeding(seed, k)
     # Fewer than k distinct rows make the seeding repeat a centroid, and
     # leave a cluster empty however it is re-seeded. The rows are counted
     # here, not left to an empty cluster: the BLAS may round two copies of a
@@ -246,12 +296,17 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
     ``(s_i + s_j) / d_ij``, with ``s`` the mean distance to the centroid
     and ``d`` the centroid separation. Lower is better.
 
-    Raises a ValueError for assignments outside [0, k), for centroids of
-    another width than X's rows, for an empty cluster, and for two
-    centroids that are equal or at a computed distance of zero, where a
-    ratio would be inf or NaN.
+    ``X`` is an (n, e) array or the private ``_CheckedRows`` of
+    :func:`select_m`, whose rows are not checked again. Raises a ValueError
+    for assignments that are not one per row or lie outside [0, k), for
+    centroids of another width than X's rows, for an empty cluster, and
+    for two centroids that are equal or at a computed distance of zero,
+    where a ratio would be inf or NaN.
     """
-    X, _ = _check_rows(X, "davies_bouldin")
+    X = _checked(X, "davies_bouldin").X
+    shape = np.shape(result.assignments)
+    if len(shape) != 1:
+        raise ValueError(f"davies_bouldin got assignments of shape {shape} for {len(X)} rows")
     if len(result.assignments) != len(X):
         raise ValueError(f"davies_bouldin got {len(result.assignments)} assignments for {len(X)} rows")
     k = result.k
@@ -297,7 +352,10 @@ def select_m(X, k_range, seeds: int, seed0: int):
 
     ``k_range`` is an inclusive ``(lo, hi)`` interval. Each candidate is
     clustered ``seeds`` times with seeds ``seed0, seed0+1, ...``; returns
-    ``(chosen_k, [ScoreRow])`` with ties broken toward smaller k.
+    ``(chosen_k, [ScoreRow])`` with ties broken toward smaller k. The rows
+    are checked once, and every :func:`kmeans` and :func:`davies_bouldin`
+    call shares them, their X^T and each seed's k-means++ seeding (see the
+    module text).
     """
     try:
         lo, hi = k_range
@@ -306,15 +364,16 @@ def select_m(X, k_range, seeds: int, seed0: int):
     for name, value in (("k_range[0]", lo), ("k_range[1]", hi), ("seeds", seeds)):
         _check_int(name, value)
     _check_seed("seed0", seed0)
-    X, _ = _check_rows(X, "select_m")
-    if not 2 <= lo <= hi <= X.shape[0]:
-        raise ValueError(f"invalid k range [{lo}, {hi}] for n={X.shape[0]}")
+    checked = _CheckedRows(X, "select_m")
+    n = checked.X.shape[0]
+    if not 2 <= lo <= hi <= n:
+        raise ValueError(f"invalid k range [{lo}, {hi}] for n={n}")
     if seeds < 1:
         raise ValueError("need at least one run per candidate")
     table = []
     for k in range(lo, hi + 1):
         scores = [
-            davies_bouldin(X, kmeans(X, k, seed0 + run)) for run in range(seeds)
+            davies_bouldin(checked, kmeans(checked, k, seed0 + run)) for run in range(seeds)
         ]
         table.append(ScoreRow(k, float(np.mean(scores)), float(np.std(scores))))
     best = min(table, key=lambda row: (row.mean_db, row.k))

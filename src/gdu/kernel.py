@@ -70,7 +70,13 @@ class DegenerateDataError(ValueError):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Gaussian kernel bandwidth ``sigma > 0``."""
+    """Gaussian kernel bandwidth ``sigma > 0``.
+
+    The kernel scales by ``c = 1 / (2 sigma^2)`` and its gradients by
+    ``1 / sigma^2``, so sigma^2 and its reciprocal must be finite positive
+    floats too: below about 7.5e-155, sigma^2 underflows to 0 or its
+    reciprocal overflows, and above about 1.3e154, sigma^2 overflows.
+    """
 
     sigma: float
 
@@ -78,6 +84,11 @@ class KernelConfig:
         _check_float("sigma", self.sigma)
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
+        square = float(self.sigma) * float(self.sigma)
+        if not (0.0 < square < math.inf and 1.0 / square < math.inf):
+            raise ValueError(
+                f"sigma={self.sigma} puts sigma^2 or 1/sigma^2 outside the finite positive floats"
+            )
 
 
 def _check_int(name: str, value):

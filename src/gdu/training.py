@@ -15,13 +15,16 @@ term of the objective is one tape node with a closed-form backward: the
 extractor (:func:`fe_forward`, however many layers), the kernel statistics,
 the gate and the ensemble (:mod:`gdu.layer`), the loss
 (:func:`cross_entropy_mean`), and each regularizer plus their weighted sum
-(:mod:`gdu.regularization`). Without regularizers a GDU step's tape has
-six nodes and an ERM step's three. A step whose regularizers read the
-basis Gram (OLS or ORTH on) takes the gate's inner products, the basis
-norms and the basis Gram from one kernel node over one Gaussian Gram,
-whose three outputs are parts of it (:meth:`gdu.autodiff.Tensor.split`);
-every other step, and inference, evaluate only the inner products and the
-norms, with the arithmetic of :func:`gdu.layer.gate_matrix`.
+(:mod:`gdu.regularization`). The kernel statistics are one node
+(:func:`gdu.kernel._kernel_statistics`) whose outputs are parts of it
+(:meth:`gdu.autodiff.Tensor.split`), one node each, so without
+regularizers a GDU step's tape has seven nodes (the extractor, the kernel
+node and its two parts, the gate, the ensemble and the loss) and an ERM
+step's three. A step whose regularizers read the basis Gram (OLS or ORTH
+on) takes the gate's inner products, the basis norms and the basis Gram,
+a third part, from one Gaussian Gram; every other step, and inference,
+evaluate only the inner products and the norms, with the arithmetic of
+:func:`gdu.layer.gate_matrix`.
 Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
 extractor. :func:`_trained_part` alone tells them apart: FT trains the
 model without its extractor on features extracted once.

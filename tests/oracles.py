@@ -15,11 +15,13 @@ agree bit for bit. ``gaussian_gram_chain`` is the one chain that
 agrees only up to rounding: the package builds the Gram from another
 arithmetic route (one matmul of augmented rows). ``kmeans_loop`` is the
 plain Lloyd loop that ``gdu.heuristics.kmeans`` replaced, kept as its
-bit-exact reference. It writes out the distances as ``kmeans`` lays them
-out, ``(||x||^2 + ||c||^2) - 2 C X^T`` in (k, n) over a contiguous copy of
-X^T, not as ``squared_distances(X, C)``: the BLAS rounds the two layouts
-of the product differently on some shapes, and the contiguous (k, n) one
-is the fast one. ``train_loop`` is the training loop that made its
+bit-exact reference, over ``kmeans_pp_init``, the one-shot k-means++
+seeding that the package's growing seeding replaced. It writes out the
+distances as ``kmeans`` lays them out, ``(||x||^2 + ||c||^2) - 2 C X^T``
+in (k, n) over a contiguous copy of X^T, not as
+``squared_distances(X, C)``: the BLAS rounds the two layouts of the
+product differently on some shapes, and the contiguous (k, n) one is the
+fast one. ``train_loop`` is the training loop that made its
 state fresh on every step, kept as the bit-exact reference of
 ``gdu.training.train``. ``three_node_gradients`` builds the objective with
 a separate kernel node for the gate's inner products, the basis norms and
@@ -36,7 +38,7 @@ import math
 import numpy as np
 
 from gdu.autodiff import Tensor, is_tensor, value_of
-from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _kmeans_pp_init
+from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _distances_to
 from gdu.kernel import (
     _augmented,
     _check_feature_dims,
@@ -479,6 +481,32 @@ def orth_chain(K):
 # -- loops replaced by vectorized code -----------------------------------------
 
 
+def kmeans_pp_init(XT, xx, k, rng):
+    """k-means++ seeding of k centroids from X^T and the rows' squared norms.
+
+    The one-shot seeding that ``gdu.heuristics`` replaced with one that
+    grows on demand, kept as its bit-exact reference: the first k centroids
+    of the growing seeding of a seed are this seeding's, from
+    ``np.random.default_rng(seed)``. ``XT`` is the contiguous (e, n)
+    transpose of X. Each row's D^2 to a new centroid is one
+    ``_distances_to`` pass on (1, n) buffers.
+    """
+    n = XT.shape[1]
+    centroids = np.empty((k, len(XT)))
+    centroids[0] = XT[:, rng.integers(n)]
+    twice_g, d2 = np.empty((1, n)), np.empty((1, n))
+    closest = _distances_to(XT, xx, centroids[:1], twice_g, np.empty((1, n)))[0]
+    for i in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            centroids[i] = XT[:, rng.integers(n)]
+            continue
+        centroids[i] = XT[:, rng.choice(n, p=closest / total)]
+        _distances_to(XT, xx, centroids[i : i + 1], twice_g, d2)
+        np.minimum(closest, d2[0], out=closest)
+    return centroids
+
+
 def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
     """Lloyd's loop with k-means++ seeding, one mask and one mean per cluster.
 
@@ -501,7 +529,7 @@ def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
         # squared_distances(X, C), computed in kmeans's (k, n) layout: see the module text.
         return np.maximum((xx + np.sum(C * C, axis=-1)[:, None]) - 2.0 * (C @ XT), 0.0).T
 
-    centroids = _kmeans_pp_init(XT, xx, k, rng)
+    centroids = kmeans_pp_init(XT, xx, k, rng)
     assignments = np.full(n, -1)
     last_inertia = np.inf
     iterations, converged, reseeds = 0, False, 0

@@ -131,6 +131,11 @@ def test_benchmark_result_line_holds_every_declared_metric(name, trace):
     assert result.correct, result.details["errors"]
     assert sorted(result.metrics) == sorted(declared)
     assert all(math.isfinite(value) for value, _ in result.metrics.values()), result.metrics
+    if trace:
+        # A refactor that stops calling a traced name empties its span
+        # silently. kernel.gram is the one span that no training step runs.
+        empty = [n for n, (v, _) in result.metrics.items() if n.endswith("_s.n") and v <= 0]
+        assert empty == ["kernel.gram_s.n"], empty
     metrics = {n: {"value": v, "unit": u} for n, (v, u) in result.metrics.items()}
     json.dumps({"correct": result.correct, "attempted": result.attempted,
                 "failed": result.failed, "metrics": metrics}, allow_nan=False)

@@ -8,12 +8,13 @@ import pytest
 from gdu import heuristics
 from gdu.heuristics import (
     ClusteringResult,
+    ScoreRow,
     davies_bouldin,
     kmeans,
     select_m,
 )
 
-from oracles import kmeans_loop
+from oracles import kmeans_loop, kmeans_pp_init
 
 
 def blobs(rng, centers, n_per, spread=0.1):
@@ -101,6 +102,9 @@ def test_davies_bouldin_hand_value():
         np.array([0, 0, 1, 1]), np.array([[0.0, 0.0], [4.0, 0.0]]), 0.0
     )
     assert davies_bouldin(X, result) == pytest.approx(0.5, abs=1e-12)
+    # Integer-valued float assignments index the clusters as well.
+    as_floats = ClusteringResult(result.assignments.astype(float), result.centroids, 0.0)
+    assert davies_bouldin(X, as_floats) == davies_bouldin(X, result)
 
 
 def test_davies_bouldin_validation():
@@ -127,6 +131,8 @@ TWO_CENTROIDS = [[0.0, 0.5], [4.0, 0.5]]
 @pytest.mark.parametrize(
     "assignments, centroids, message",
     [
+        # A column of assignments used to fail in boolean indexing, unnamed.
+        ([[0], [0], [1], [1], [1]], TWO_CENTROIDS, r"got assignments of shape \(5, 1\) for 5 rows"),
         ([0, 0, 1, 1, 7], TWO_CENTROIDS, r"needs assignments in \[0, 2\), got 7"),
         ([0, 0, 1, 1, -1], TWO_CENTROIDS, r"needs assignments in \[0, 2\), got -1"),
         ([0, 0, 1, 1, 1], [[0.0], [4.0]], r"got centroids of shape \(2, 1\) for rows of width 2"),
@@ -227,9 +233,68 @@ def test_select_m_equals_select_m_on_the_loop_oracle(e):
     centers = rng.normal(scale=4.0, size=(4, e))
     X = centers[rng.integers(4, size=400)] + rng.normal(size=(400, e))
     got = select_m(X, (2, 7), seeds=2, seed0=3)
-    with mock.patch.object(heuristics, "kmeans", kmeans_loop):
-        expected = select_m(X, (2, 7), seeds=2, seed0=3)
+    table = []
+    for k in range(2, 8):
+        scores = [davies_bouldin(X, kmeans_loop(X, k, 3 + run)) for run in range(2)]
+        table.append(ScoreRow(k, float(np.mean(scores)), float(np.std(scores))))
+    expected = min(table, key=lambda row: (row.mean_db, row.k)).k, table
     assert got == expected
+
+
+def test_select_m_clusters_and_scores_each_candidate_once_per_seed():
+    # The bench times select_m through these two names; a refactor that
+    # called anything else would leave their spans empty.
+    X = np.random.default_rng(11).normal(size=(60, 3))
+    with (
+        mock.patch.object(heuristics, "kmeans", wraps=kmeans) as clusterings,
+        mock.patch.object(heuristics, "davies_bouldin", wraps=davies_bouldin) as scores,
+    ):
+        select_m(X, (3, 7), seeds=4, seed0=2)
+    assert clusterings.call_count == scores.call_count == (7 - 3 + 1) * 4
+
+
+# Three distinct integer rows, so every D^2 is exact: from the fourth
+# centroid on, D^2 sums to 0 and the seeding draws a row uniformly.
+DUPLICATE_ROWS = np.repeat(np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]), [5, 4, 3], axis=0)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_the_growing_seeding_is_the_one_shot_seeding_bit_for_bit(order, duplicates):
+    rng = np.random.default_rng(12)
+    X = DUPLICATE_ROWS if duplicates else rng.normal(size=(40, 5))
+    ks = list(range(1, 11))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        rng.shuffle(ks)
+    checked = heuristics._CheckedRows(X, "test")
+    for seed in (0, 7):
+        for k in ks:
+            expected = kmeans_pp_init(checked.XT, checked.xx, k, np.random.default_rng(seed))
+            got = checked.seeding(seed, k)
+            assert got.shape == (k, X.shape[1])
+            assert got.tobytes() == expected.tobytes()
+        if duplicates:
+            # Ten centroids from three distinct rows: the seeding took the
+            # branch where D^2 sums to 0.
+            assert len(np.unique(checked.seeding(seed, 10), axis=0)) == 3
+
+
+def test_kmeans_on_shared_rows_equals_kmeans_on_the_array_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for e in (1, 2, 16, 40):
+        centers = rng.normal(scale=4.0, size=(5, e))
+        X = centers[rng.integers(5, size=300)] + rng.normal(size=(300, e))
+        checked = heuristics._CheckedRows(X, "select_m")
+        # Counts out of order, so some clusterings start from a prefix of a
+        # seeding drawn further by an earlier call.
+        for k, seed in ((6, 1), (2, 1), (4, 0), (8, 0), (3, 1), (7, 1)):
+            got, expected = kmeans(checked, k, seed), kmeans(X, k, seed)
+            np.testing.assert_array_equal(got.assignments, expected.assignments)
+            assert got.centroids.tobytes() == expected.centroids.tobytes()
+            assert got.inertia == expected.inertia
+            assert davies_bouldin(checked, got) == davies_bouldin(X, expected)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,6 +1,7 @@
 """Gaussian kernel, Gram matrix, and median heuristic tests."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,18 @@ def test_config_rejects_bad_sigma():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             KernelConfig(sigma=bad)
+
+
+# Each used to be accepted: 1e-200 made the first Gram divide by zero,
+# 1e200 overflowed in sigma**2, and 1e-160 gave NaN gates.
+@pytest.mark.parametrize("bad", [1e-200, 1e200, 1e-160, np.float64(1e200)])
+def test_config_rejects_a_sigma_whose_square_or_reciprocal_is_not_finite(bad):
+    message = f"sigma={bad} puts sigma^2 or 1/sigma^2 outside the finite positive floats"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KernelConfig(bad)
+    # Just inside the range on both sides.
+    for sigma in (1e-154, 1e154):
+        assert KernelConfig(sigma).sigma == sigma
 
 
 def k(x, y, cfg=CFG) -> float:

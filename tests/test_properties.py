@@ -29,6 +29,7 @@ from gdu.training import (
 )
 
 from helpers import layer_ols
+import oracles
 from oracles import gaussian_gram_chain, kmeans_loop
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=20)
@@ -261,10 +262,8 @@ def test_kmeans_equals_the_loop_oracle_bit_for_bit(e):
             return
         trace = {}
         expected = kmeans_loop(X, k, seed, check_monotone=True, trace=trace)
-        with mock.patch.object(
-            heuristics, "_distances_to", wraps=heuristics._distances_to
-        ) as seeding:
-            heuristics._kmeans_pp_init(
+        with mock.patch.object(oracles, "_distances_to", wraps=oracles._distances_to) as seeding:
+            oracles.kmeans_pp_init(
                 np.ascontiguousarray(X.T), np.sum(X * X, axis=-1), k, np.random.default_rng(seed)
             )
         with mock.patch.object(
@@ -293,7 +292,7 @@ def test_kmeans_distances_match_squared_distances(e):
     def check(case):
         X, k, seed = case
         XT, xx = np.ascontiguousarray(X.T), np.sum(X * X, axis=-1)
-        centroids = heuristics._kmeans_pp_init(XT, xx, k, np.random.default_rng(seed))
+        centroids = oracles.kmeans_pp_init(XT, xx, k, np.random.default_rng(seed))
         got = heuristics._distances_to(
             XT, xx, centroids, np.empty((k, len(X))), np.empty((k, len(X)))
         )
