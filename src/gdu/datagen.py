@@ -281,6 +281,9 @@ def bayes_accuracy(benchmark: SyntheticBenchmark, sample: DomainSample, alpha) -
         raise ValueError(
             f"sample rows must form a nonempty (n, {elem.input_dim}) array, got {x.shape}"
         )
+    y = np.asarray(sample.y)
+    if y.shape != (len(x),):
+        raise ValueError(f"sample has {len(x)} rows but labels of shape {y.shape}")
     with np.errstate(divide="ignore"):
         log_prior = np.log(alpha)[:, None] + np.log(elem.label_dist)  # (K, C)
     # (K, n, C): each component's log joint density of every row and class.
@@ -294,4 +297,4 @@ def bayes_accuracy(benchmark: SyntheticBenchmark, sample: DomainSample, alpha) -
     top = np.max(log_joint, axis=0)
     scores = top + np.log(np.sum(np.exp(log_joint - top), axis=0))
     predicted = np.argmax(scores, axis=1)
-    return float(np.mean(predicted == np.asarray(sample.y)))
+    return float(np.mean(predicted == y))

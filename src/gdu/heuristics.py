@@ -5,17 +5,18 @@ Features are clustered for a range of candidate counts; the candidate with
 the lowest mean Davies-Bouldin score across repeated runs wins, with ties
 broken toward the smaller count (smaller ensembles cost less).
 
-:func:`select_m` checks its rows once. It hands :func:`kmeans` and
-:func:`davies_bouldin` one private ``_CheckedRows`` object for all of its
-clusterings: the rows, checked under the name ``select_m``, their squared
-norms, their contiguous transpose X^T, and per seed one k-means++ seeding
-that grows on demand. Both functions take a plain array too and wrap it on
-entry, so each has one code path. k-means++ draws its centroids one at a
-time from one RNG stream (Arthur & Vassilvitskii, SODA 2007), so the
-seeding to k is exactly the first k centroids of the seeding to any larger
-count; every candidate count of a seed starts from a copy of that prefix,
-and the seeding to the largest count is drawn once per seed. The one-shot
-seeding it replaced is kept as ``kmeans_pp_init`` in ``tests/oracles.py``.
+:func:`select_m` checks its rows once (:func:`gdu.kernel._check_rows`). It
+hands :func:`kmeans` and :func:`davies_bouldin` one private ``_CheckedRows``
+object for all of its clusterings: the rows, checked under the name
+``select_m``, their squared norms, their contiguous transpose X^T, and per
+seed one k-means++ seeding that grows on demand. Both functions take a
+plain array too and wrap it on entry, so each has one code path. k-means++
+draws its centroids one at a time from one RNG stream (Arthur &
+Vassilvitskii, SODA 2007), so the seeding to k is exactly the first k
+centroids of the seeding to any larger count; every candidate count of a
+seed starts from a copy of that prefix, and the seeding to the largest
+count is drawn once per seed. The one-shot seeding it replaced is kept as
+``kmeans_pp_init`` in ``tests/oracles.py``.
 
 :func:`kmeans` is bit-identical to the plain Lloyd loop with one mask and
 one mean per cluster, kept as ``kmeans_loop`` in ``tests/oracles.py``: the
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_int, _check_seed, squared_distances
+from .kernel import _check_int, _check_rows, _check_seed, squared_distances
 
 __all__ = [
     "ClusteringResult",
@@ -81,32 +82,6 @@ class ScoreRow:
 # the two are even at 32 columns and the gather wins at 64 (timed at
 # n = 1200 and 4000). At one column only the gather matches the mean.
 _BINCOUNT_MAX_WIDTH = 31
-
-
-# A quarter of the largest float: rows whose squared norms stay below it
-# keep every squared distance ``xx + yy - 2 x.y`` between rows, or between
-# rows and means of rows, finite.
-_MAX_SQ_NORM = np.finfo(np.float64).max / 4.0
-
-
-def _check_rows(X, who: str):
-    """``(X, xx)``: X as a float64 (n, e) matrix and its rows' squared norms.
-
-    Raises a ValueError naming ``who`` for a non-matrix, for non-finite
-    rows, and for rows whose squared norms reach ``_MAX_SQ_NORM``.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"{who} expects an (n, e) matrix, got shape {X.shape}")
-    xx = np.sum(X * X, axis=-1)
-    largest = np.max(xx, initial=0.0)
-    if not np.isfinite(4.0 * largest):
-        if not np.all(np.isfinite(X)):
-            raise ValueError(f"{who} needs finite rows")
-        raise ValueError(
-            f"{who} needs rows with squared norms below {_MAX_SQ_NORM:.4g}, got {largest:.4g}"
-        )
-    return X, xx
 
 
 def _distances_to(XT, xx, centroids, twice_g, out):
@@ -154,9 +129,10 @@ def _kmeans_pp(XT, xx, seed):
 class _CheckedRows:
     """Rows checked once, with what every clustering of them reuses.
 
-    ``X`` and its rows' squared norms ``xx`` come from :func:`_check_rows`
-    under the name ``who``; ``XT`` is X's contiguous transpose, made on
-    first use. :meth:`seeding` keeps one growing k-means++ seeding per seed.
+    ``X`` and its rows' squared norms ``xx`` come from
+    :func:`gdu.kernel._check_rows` under the name ``who``; ``XT`` is X's
+    contiguous transpose, made on first use. :meth:`seeding` keeps one
+    growing k-means++ seeding per seed.
     """
 
     def __init__(self, X, who: str):

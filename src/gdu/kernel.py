@@ -6,14 +6,16 @@ matching the squared-bandwidth convention of the median heuristic
 
 Empirical kernel mean embeddings reduce to block means of a Gram matrix
 (Muandet et al., arXiv:1605.09522): ``<mu_p, mu_q>`` is the mean of the
-(p, q) block. On arrays :func:`gram_block_means` gives all of them, and
-:func:`gram` is its one-row-block case. A training step reads three such
-statistics of a batch against the (M, N, e) bases: the inner products
-``<phi(x_i), mu_j>``, the squared norms ``||mu_j||^2`` and, when its
-regularizers read it, the basis Gram. :func:`_kernel_statistics` gives
-them as the kernel's one autodiff tape node, with one closed-form
-backward; a tape tensor passed to any other function here raises a
-TypeError.
+(p, q) block. :func:`gram` is the Gaussian Gram of two arrays of rows.
+:func:`_kernel_statistics` is the one block-mean reducer: it gives a
+training step the inner products ``<phi(x_i), mu_j>`` of a batch against
+the (M, N, e) bases, the squared norms ``||mu_j||^2`` and, when its
+regularizers read it, the basis Gram, whose reduction (:func:`_block_means`)
+:func:`gdu.layer.basis_gram_matrix` shares, as the kernel's one autodiff
+tape node with one closed-form backward; a tape tensor passed to any other
+function here raises a TypeError. One function, :func:`_check_rows`,
+checks the rows that meet a distance or a kernel: in
+:func:`median_heuristic`, :class:`gdu.layer.GduLayer` and :mod:`gdu.heuristics`.
 
 Every Gram is built with one matmul of augmented rows: with
 ``c = 1 / (2 sigma^2)``,
@@ -26,16 +28,10 @@ exponent slightly above 0 where two rows nearly coincide; the clamp keeps
 every kernel value in [0, 1]. The products ``x_k (2c y_k)`` round
 differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
 to rounding (~1e-16). :func:`squared_distances` keeps the explicit
-``||x||^2 + ||y||^2 - 2 x.y`` form for :func:`gdu.heuristics.davies_bouldin`,
-which needs distances, not kernel values. :func:`median_heuristic` runs
-its operations in the same order on only the pairs ``i < j`` of
-``squared_distances(X, X)``, in row blocks, and keeps them in the leading
-slots of the (n, n) buffer of ``X @ X.T`` itself, so its distances equal
-that matrix's entries bit for bit and the Gram is the only full-size array
-it makes. :func:`gdu.heuristics.kmeans` works in the (k, n) layout, as
-``C @ X^T`` over a contiguous ``X^T``, which BLAS may round differently:
-its distances agree with ``squared_distances(X, C).T`` to ~1e-12 of the
-squared norms, not bit for bit (``heuristics._distances_to``).
+``||x||^2 + ||y||^2 - 2 x.y`` form for the distances of
+:mod:`gdu.heuristics` and :func:`median_heuristic`, which need distances,
+not kernel values (see :func:`_upper_squared_distances` and
+``heuristics._distances_to``).
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ __all__ = [
     "DimensionMismatchError",
     "DegenerateDataError",
     "gram",
-    "gram_block_means",
     "median_heuristic",
 ]
 
@@ -106,6 +101,34 @@ def _check_float(name: str, value):
         raise ValueError(f"{name} must be a real number, got the bool {value}")
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+# A quarter of the largest float: rows whose squared norms stay below it
+# keep every squared distance ``xx + yy - 2 x.y`` between rows, or between
+# rows and means of rows, finite.
+_MAX_SQ_NORM = np.finfo(np.float64).max / 4.0
+
+
+def _check_rows(X, who: str):
+    """``(X, xx)``: X as a float64 (n, e) matrix and its rows' squared norms.
+
+    Raises a ValueError naming ``who`` for a non-matrix, for non-finite
+    rows, and for rows whose squared norms reach ``_MAX_SQ_NORM``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"{who} expects an (n, e) matrix, got shape {X.shape}")
+    # An overflow to inf is what the check looks for, not a warning.
+    with np.errstate(over="ignore"):
+        xx = np.sum(X * X, axis=-1)
+        largest = np.max(xx, initial=0.0)
+        if np.isfinite(4.0 * largest):
+            return X, xx
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{who} needs finite rows")
+    raise ValueError(
+        f"{who} needs rows with squared norms below {_MAX_SQ_NORM:.4g}, got {largest:.4g}"
+    )
 
 
 def _check_seed(name: str, value):
@@ -187,13 +210,13 @@ def _rows(X):
 
 
 def _array_rows(X):
-    """The rows of X as :func:`_rows` reads them; a tape tensor raises TypeError."""
+    """The rows of X as :func:`_rows` reads them, as one matrix; a tape tensor raises TypeError."""
     if ad.is_tensor(X):
         raise TypeError(
             "the kernel's Gram functions take arrays, not tape tensors; a step's "
             "kernel statistics and their gradient come from kernel._kernel_statistics"
         )
-    return _rows(X)
+    return _rows(X).reshape(-1, np.shape(X)[-1])
 
 
 def _row_gradient(WA, rows):
@@ -204,33 +227,24 @@ def _row_gradient(WA, rows):
 def gram(X, Y, cfg: KernelConfig):
     """Kernel matrix ``G[i, j] = k(X_i, Y_j)`` of two arrays of rows.
 
-    :func:`gram_block_means` with blocks of one row, whose means are G
-    itself. Arrays only: a step's kernel statistics and their gradient come
-    from the one tape node :func:`_kernel_statistics`.
+    A stack such as (M, N, e) bases is read row by row. Arrays only: a
+    step's kernel statistics and their gradient come from the one tape node
+    :func:`_kernel_statistics`.
     """
-    return gram_block_means(X, Y, cfg, 1, 1)
+    Xv, Yv = _array_rows(X), _array_rows(Y)
+    _check_feature_dims("X", Xv.shape[-1], "Y", Yv.shape[-1])
+    return _gaussian_gram(Xv, Yv, cfg.sigma)
 
 
-def gram_block_means(X, Y, cfg: KernelConfig, n_x: int, n_y: int):
-    """Block means of ``gram(X, Y)``, shape (rows(X) / n_x, rows(Y) / n_y).
+def _block_means(G, n: int):
+    """``K[p, q] = <mu_p, mu_q>``, the mean of the (p, q) n x n block of G (m n, m n).
 
-    X and Y are arrays of rows or stacks of them, such as (M, N, e) bases,
-    read row by row. ``K[p, q]`` is the mean of the block of the p-th run of
-    ``n_x`` rows of X against the q-th run of ``n_y`` rows of Y; for the
-    point sets of two kernel mean embeddings, ``<mu_p, mu_q>``. It reduces
-    in the order of ``mean(mean(reshape(gram), 3), 1)``, bit-identical to
-    that chain over the same G; a side of one row skips its reduction.
-    Arrays only, as :func:`gram`.
+    Bit for bit ``mean(mean(G.reshape(m, n, m, n), 3), 1)``: each run of n
+    columns is summed and divided by n, then each run of n rows.
     """
-    Xs, Ys = _array_rows(X), _array_rows(Y)
-    _check_feature_dims("X", Xs.shape[-1], "Y", Ys.shape[-1])
-    G = _gaussian_gram(Xs.reshape(-1, Xs.shape[-1]), Ys.reshape(-1, Ys.shape[-1]), cfg.sigma)
-    rows_x, rows_y = G.shape
-    if n_x < 1 or n_y < 1 or rows_x % n_x or rows_y % n_y:
-        raise ValueError(f"blocks of {n_x} x {n_y} rows do not tile a {rows_x} x {rows_y} gram")
-    blocks = G.reshape(rows_x // n_x, n_x, rows_y // n_y, n_y)
-    K = blocks.sum(axis=3) / n_y if n_y > 1 else blocks[..., 0]
-    return K.sum(axis=1) / n_x if n_x > 1 else K[:, 0]
+    m = G.shape[0] // n
+    K = G.reshape(m, n, m, n).sum(axis=3) / n
+    return K.sum(axis=1) / n
 
 
 def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
@@ -242,9 +256,10 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     ``gram``, the basis Gram ``K[j, l] = <mu_j, mu_l>`` (M, M), else None.
     Without ``gram`` it evaluates the Gram of X against V and, batched, only
     V's M diagonal (n, n) blocks; with it, one Gram of the stacked rows
-    ``R = [X; V]`` against V. a and K reduce as :func:`gram_block_means`
-    does and each norm sums its block in row order, so the routes differ
-    only where their matmuls round an entry of G differently.
+    ``R = [X; V]`` against V. a sums each run of n columns and divides by
+    n, K is :func:`_block_means` of V's rows of that Gram, and each norm
+    sums its block in row order, so the routes differ only where their
+    matmuls round an entry of G differently.
 
     Arrays in give arrays out. A tensor among X and V gives one tape node
     whose outputs are the parts of :meth:`gdu.autodiff.Tensor.split`. Its
@@ -276,8 +291,7 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
         G_x, G_v = G[:b].reshape(b, m, n), G[b:].reshape(m, n, m, n)
         a = G_x.sum(axis=2) / n
         diagonal = G_v[on_diagonal, :, on_diagonal]
-        K = G_v.sum(axis=3) / n
-        K = K.sum(axis=1) / n
+        K = _block_means(G[b:], n)
     else:
         G = _gaussian_gram(Xv, Vv, cfg.sigma)
         G_x, Vb = G.reshape(b, m, n), Vv.reshape(m, n, e)
@@ -335,11 +349,12 @@ _PAIR_BLOCK_ROWS = 64
 _UPPER_PAIRS = np.triu(np.ones((_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS), dtype=bool), 1)
 
 
-def _upper_squared_distances(X):
+def _upper_squared_distances(X, xx):
     """The squared distances ``squared_distances(X, X)[i, j]`` for ``i < j``, bit for bit.
 
     Each is ``max((xx_i + xx_j) - 2 G_ij, 0)`` over ``G = X @ X.T`` (one
-    symmetric matmul), as in :func:`squared_distances`. The result is a
+    symmetric matmul) and the squared norms ``xx`` of :func:`_check_rows`,
+    as in :func:`squared_distances`. The result is a
     view of the first n (n - 1) / 2 slots of G's own C-contiguous buffer,
     so no second buffer of that size is made. Rows are taken in blocks:
     a block first copies its rows of G from the diagonal on, doubled, into
@@ -353,7 +368,6 @@ def _upper_squared_distances(X):
     does not see.
     """
     n = X.shape[0]
-    xx = np.sum(X * X, axis=-1)
     G = X @ X.T
     pairs = G.reshape(-1)[: n * (n - 1) // 2]
     rows = np.empty((min(_PAIR_BLOCK_ROWS, n), n))
@@ -389,15 +403,11 @@ def median_heuristic(X) -> float:
     zero median, from more than half the pairs at distance zero and not only
     from all rows identical, raises :class:`DegenerateDataError`.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("median_heuristic expects an (n, e) matrix")
+    X, xx = _check_rows(X, "median_heuristic")
     n = X.shape[0]
     if n < 2:
         raise ValueError(f"median_heuristic needs at least two rows, got {n}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("median_heuristic needs finite rows")
-    pairs = _upper_squared_distances(X)
+    pairs = _upper_squared_distances(X, xx)
     # np.median's result, from one in-place partition of the pair values.
     k = pairs.size // 2
     pairs.partition(k)

@@ -20,12 +20,13 @@ of a Gaussian Gram against the basis vectors. One tape node,
 (:func:`_basis_inners`): the inner products, the basis norms and, when its
 regularizers read it, the basis Gram. Without the basis Gram it evaluates
 only the M diagonal (N, N) blocks of the bases' Gram; with it, all three
-come from one Gram. It reads the (M, N, e) bases as they are and hands
-their gradient back in that shape. The gate, from those inner products
-through the similarity and the kernel softmax, is one more node
-(``_gate_from_inners``). The forward pass is the gate-weighted ensemble of
-the machines' outputs, run as one matmul over the stacked machine weights
-viewed as one (e, M*C) matrix, and is one node too (:func:`forward_batch`).
+come from one Gram, and :func:`basis_gram_matrix` shares its reduction.
+It reads the (M, N, e) bases as they are and hands their gradient back in
+that shape. The gate, from those inner products through the similarity
+and the kernel softmax, is one more node (``_gate_from_inners``). The
+forward pass is the gate-weighted ensemble of the machines' outputs, run
+as one matmul over the stacked machine weights viewed as one (e, M*C)
+matrix, and is one node too (:func:`forward_batch`).
 Each of these nodes has a closed-form backward, and its forward runs the
 same numpy operations for arrays and tensors. Reductions over a row of M
 gates or C classes run column by column (:func:`_row_max`,
@@ -50,12 +51,15 @@ import numpy as np
 from . import autodiff as ad
 from .kernel import (
     KernelConfig,
+    _array_rows,
+    _block_means,
     _check_feature_dims,
     _check_float,
     _check_int,
+    _check_rows,
     _check_seed,
+    _gaussian_gram,
     _kernel_statistics,
-    gram_block_means,
 )
 
 __all__ = [
@@ -183,12 +187,11 @@ class GduLayer:
         v = ad.value_of(self.bases)
         if v.ndim != 3 or min(v.shape) < 1:
             raise ValueError(f"bases must form a nonempty (M, N, e) array, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("basis vectors must be finite")
         if (v.shape[0], v.shape[2]) != (m, e):
             raise ValueError(
                 f"for weights {w}, bases must be (M, N, e) = ({m}, N, {e}); got {v.shape}"
             )
+        _check_rows(v.reshape(-1, e), "GduLayer bases")
         if self.mode in GEOMETRY_MODES:
             if self.kappa is None or not (math.isfinite(self.kappa) and self.kappa > 0):
                 raise ValueError(f"geometry modes need a finite kappa > 0, got {self.kappa}")
@@ -237,11 +240,12 @@ def basis_gram_matrix(layer: GduLayer):
     """Pairwise basis-embedding inner products, shape (M, M).
 
     ``K[i, j] = <mu_i, mu_j>``, the mean of the (i, j) block of the kernel
-    matrix over the stacked basis vectors. Arrays only; a training step
-    gets K from :func:`_basis_inners`.
+    matrix over the stacked basis vectors, reduced as a training step's
+    :func:`_basis_inners` reduces it. Arrays only.
     """
     vectors, n = _stacked_bases(layer)
-    return gram_block_means(vectors, vectors, layer.kernel, n, n)
+    rows = _array_rows(vectors)
+    return _block_means(_gaussian_gram(rows, rows, layer.kernel.sigma), n)
 
 
 def _basis_inners(X, layer: GduLayer, gram: bool = False):

@@ -489,7 +489,8 @@ def _graph_model(model):
 
 
 def _build_objective(graph, X, y, reg: RegConfig):
-    """The objective node on the batch ``(X, y)`` for a :func:`_graph_model` copy."""
+    """The objective on the batch ``(X, y)``: a tape node for a :func:`_graph_model`
+    copy and, by the same operations, a float for the model itself."""
     layer = graph.layer
     feats = fe_forward(X, graph.fe)
     # The gate's statistics, and the basis Gram when a term reads it, come
@@ -502,8 +503,7 @@ def _build_objective(graph, X, y, reg: RegConfig):
 def objective(batch, model, reg: RegConfig) -> float:
     """Value of the training objective on ``batch = (X, y)``."""
     X, y = batch
-    graph, _ = _graph_model(model)
-    return float(_build_objective(graph, np.asarray(X, dtype=np.float64), y, reg).data)
+    return float(_build_objective(model, np.asarray(X, dtype=np.float64), y, reg))
 
 
 def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
@@ -554,13 +554,16 @@ def _backprop(obj, leaves: dict, grad: np.ndarray, blocks: list, where: str = ""
 
 
 def predict_logits(model, X) -> np.ndarray:
-    """Model logits for a (b, d) batch of raw inputs (value path, per-sample gating)."""
+    """Model logits for a (b, d) batch of finite raw inputs (value path, per-sample gating)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(
             f"predict_logits expects a (b, d) batch, got shape {X.shape}; "
             "pass a single input x as x[None]"
         )
+    if not np.isfinite(X).all():
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ValueError(f"predict_logits needs finite rows, but row {row} is not")
     return np.asarray(forward_batch(fe_forward(X, model.fe), model.layer))
 
 

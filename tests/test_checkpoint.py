@@ -323,6 +323,16 @@ def test_a_kernel_or_kappa_the_mode_does_not_take_raises_a_checkpoint_error():
     assert "sigma must be a positive finite real" in _invalid(zero_sigma)
 
 
+def test_bases_whose_squared_norms_overflow_raise_a_checkpoint_error():
+    layer = init_layer(2, 3, 4, 2, 0, "CS", KernelConfig(1e152), 20.0)
+    model_from_text(model_to_text(GduModel(None, layer)))
+    # The bases init_layer would draw at sigma = 1e154, which it refuses.
+    layer.bases *= 100.0
+    layer.kernel = KernelConfig(1e154)
+    message = _invalid(model_to_text(GduModel(None, layer)))
+    assert message.startswith("GduLayer bases needs rows with squared norms below")
+
+
 def awkward_layer():
     layer = init_layer(
         3, 4, 5, 2, seed=11, mode="PROJECTION", kernel=KernelConfig(sigma=7.5)

@@ -314,6 +314,11 @@ def test_bayes_accuracy_rejects_bad_weights_and_rows():
     short = DomainSample(sample.x[:, :5], sample.y, sample.tags)
     with pytest.raises(ValueError, match=r"^sample rows must form a nonempty \(n, 6\) array"):
         bayes_accuracy(bench, short, alpha)
+    for y in (sample.y[:3], sample.y[:, None]):
+        mislabelled = DomainSample(sample.x, y, sample.tags)
+        message = f"sample has 20 rows but labels of shape {y.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bayes_accuracy(bench, mislabelled, alpha)
 
 
 def test_bayes_accuracy_is_near_one_when_components_and_classes_separate():

@@ -299,7 +299,6 @@ MODULE_EXPORTS = {
         "DimensionMismatchError",
         "DegenerateDataError",
         "gram",
-        "gram_block_means",
         "median_heuristic",
     ],
     "layer": [

@@ -13,6 +13,8 @@ from gdu.heuristics import (
     kmeans,
     select_m,
 )
+from gdu.kernel import KernelConfig, median_heuristic
+from gdu.layer import GduLayer
 
 from oracles import kmeans_loop, kmeans_pp_init
 
@@ -324,16 +326,26 @@ def test_clustering_rejects_rows_that_are_not_a_matrix(shape):
 
 def test_clustering_rejects_rows_whose_squared_norms_overflow():
     # Finite rows near 1e155: their squared norms overflow, so every
-    # distance would be inf - inf = NaN. Rows at 1e153 still pass.
+    # distance would be inf - inf = NaN. The check itself raises no
+    # overflow warning. Rows at 1e153 still pass. The median heuristic and
+    # a layer's bases share the clustering's row check.
     X = 1e155 * (1.0 + 1e-3 * np.random.default_rng(10).normal(size=(20, 2)))
     result = ClusteringResult(np.arange(20) % 2, np.zeros((2, 2)), 0.0)
-    with np.errstate(over="ignore"):
-        for who, call in (("kmeans", lambda: kmeans(X, 3, seed=0)),
-                          ("davies_bouldin", lambda: davies_bouldin(X, result)),
-                          ("select_m", lambda: select_m(X, (2, 3), seeds=1, seed0=0))):
-            with pytest.raises(ValueError, match=f"{who} needs rows with squared norms below"):
-                call()
+
+    def layer(rows):
+        return GduLayer(rows.reshape(4, 5, 2), np.zeros((2, 4, 1)), np.zeros((4, 1)),
+                        KernelConfig(1.0), "PROJECTION")
+
+    for who, call in (("kmeans", lambda: kmeans(X, 3, seed=0)),
+                      ("davies_bouldin", lambda: davies_bouldin(X, result)),
+                      ("select_m", lambda: select_m(X, (2, 3), seeds=1, seed0=0)),
+                      ("median_heuristic", lambda: median_heuristic(X)),
+                      ("GduLayer bases", lambda: layer(X))):
+        with pytest.raises(ValueError, match=f"{who} needs rows with squared norms below"):
+            call()
     assert np.isfinite(kmeans(X / 100.0, 3, seed=0).inertia)
+    assert np.isfinite(median_heuristic(X / 100.0))
+    layer(X / 100.0)
 
 
 def test_kmeans_rejects_fewer_distinct_rows_than_clusters():

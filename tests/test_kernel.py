@@ -17,7 +17,6 @@ from gdu.kernel import (
     _kernel_statistics,
     _upper_squared_distances,
     gram,
-    gram_block_means,
     median_heuristic,
     squared_distances,
 )
@@ -140,7 +139,6 @@ def test_array_only_kernel_functions_refuse_a_tape_tensor():
     calls = {
         "gram": lambda: gram(x, Y, CFG),
         "gram on the right": lambda: gram(Y, x, CFG),
-        "gram_block_means": lambda: gram_block_means(Y, x, CFG, 2, 1),
         "basis_gram_matrix": lambda: basis_gram_matrix(
             replace(layer, bases=ad.tensor(layer.bases))
         ),
@@ -151,23 +149,16 @@ def test_array_only_kernel_functions_refuse_a_tape_tensor():
     assert isinstance(gram(x.data, Y, CFG), np.ndarray)
 
 
-def test_gram_block_means_is_bit_identical_to_mean_chain():
+def test_basis_gram_matrix_is_bit_identical_to_mean_chain():
     rng = np.random.default_rng(23)
-    X, Y = rng.normal(size=(6, 4)), rng.normal(size=(15, 4))
-    for n_x, n_y in ((1, 5), (2, 3), (3, 5), (1, 1)):
-        G = gram(X, Y, CFG)
-        blocks = G.reshape(6 // n_x, n_x, 15 // n_y, n_y)
-        chain = mean(mean(blocks, axis=3), axis=1)
-        got = gram_block_means(X, Y, CFG, n_x, n_y)
+    for n in (1, 2, 5):
+        layer = init_layer(3, n, 4, 2, 0, "CS", CFG, 2.0)
+        layer.bases[...] = rng.normal(size=layer.bases.shape)
+        V = layer.bases.reshape(-1, 4)
+        blocks = gram(V, V, CFG).reshape(3, n, 3, n)
+        got = basis_gram_matrix(layer)
         assert isinstance(got, np.ndarray)
-        np.testing.assert_array_equal(got, chain)
-
-
-def test_gram_block_means_rejects_untiled_blocks():
-    X = np.zeros((6, 2))
-    for n_x, n_y in ((4, 1), (1, 4), (0, 2)):
-        with pytest.raises(ValueError, match="tile"):
-            gram_block_means(X, X, CFG, n_x, n_y)
+        np.testing.assert_array_equal(got, mean(mean(blocks, axis=3), axis=1))
 
 
 def _weighted(parts, weights):
@@ -256,7 +247,7 @@ def test_kernel_statistics_forward_is_bit_identical_on_arrays_and_tensors(m, n, 
         else:
             np.testing.assert_array_equal(got, want)
     if gram:
-        np.testing.assert_allclose(arrays[2], gram_block_means(V, V, cfg, n, n), rtol=1e-14)
+        np.testing.assert_allclose(arrays[2], block_means_node(V, V, cfg, n, n), rtol=1e-14)
 
 
 @pytest.mark.parametrize("gram", [False, True])
@@ -287,7 +278,7 @@ def test_kernel_statistics_norms_match_per_block_mean():
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(got, diagonal_block_means_node(V, CFG, n))
         # Summed in another order, so equal only up to rounding.
-        np.testing.assert_allclose(got, np.diag(gram_block_means(V, V, CFG, n, n)), rtol=1e-14)
+        np.testing.assert_allclose(got, np.diag(block_means_node(V, V, CFG, n, n)), rtol=1e-14)
 
 
 def test_kernel_statistics_rejects_untiled_runs():
@@ -327,7 +318,7 @@ def test_median_heuristic_matches_np_median_for_odd_and_even_pair_counts():
 def test_median_pairs_are_the_upper_triangle_of_squared_distances_bit_for_bit():
     rng = np.random.default_rng(27)
     for X in median_heuristic_cases(rng):
-        pairs = _upper_squared_distances(X)
+        pairs = _upper_squared_distances(X, np.sum(X * X, axis=-1))
         upper = squared_distances(X, X)[np.triu_indices(len(X), k=1)]
         np.testing.assert_array_equal(np.sort(pairs), np.sort(upper))
 

@@ -286,6 +286,16 @@ def test_init_layer_keeps_the_per_basis_random_stream():
     assert layer.weights.flags.c_contiguous
 
 
+def test_a_sigma_whose_bases_overflow_is_refused_when_the_layer_is_built():
+    # At sigma = 1e154 the bases are drawn with a std of about 1.2e154, so
+    # their squared norms overflow and every gate would be NaN.
+    with pytest.raises(ValueError, match="GduLayer bases needs rows with squared norms below"):
+        init_layer(2, 3, 4, 2, 0, "CS", KernelConfig(1e154), 20.0)
+    layer = init_layer(2, 3, 4, 2, 0, "CS", KernelConfig(1e152), 20.0)
+    X = np.random.default_rng(0).normal(size=(5, 4))
+    assert np.all(np.isfinite(gate_matrix(X, layer)))
+
+
 def test_layer_rejects_bad_stacked_arrays():
     rng = np.random.default_rng(18)
     w, b = rng.normal(size=(3, 2, 2)), np.zeros((2, 2))

@@ -13,10 +13,17 @@ from gdu.kernel import (
     KernelConfig,
     _kernel_statistics,
     gram,
-    gram_block_means,
     squared_distances,
 )
-from gdu.layer import GATING_MODES, GEOMETRY_MODES, forward_batch, gate_matrix, init_layer
+from gdu.layer import (
+    GATING_MODES,
+    GEOMETRY_MODES,
+    GduLayer,
+    basis_gram_matrix,
+    forward_batch,
+    gate_matrix,
+    init_layer,
+)
 from gdu.regularization import RegConfig
 from gdu.rkhs import EmpiricalKme, mmd_sq
 from gdu.training import (
@@ -177,13 +184,18 @@ def _chain_block_means(X, Y, sigma, n_x, n_y):
 def test_gram_blocks_match_the_distance_chain_and_lie_in_unit_interval(case):
     X, Y, sigma, n_x, n_y = case
     cfg = KernelConfig(sigma)
-    for A, B, n_a, n_b in ((X, Y, n_x, n_y), (X, X, n_x, n_x), (Y, X, n_y, n_x)):
+    for A, B, n_b in ((X, Y, n_y), (X, X, n_x), (Y, X, n_x)):
         G = gram(A, B, cfg)
         assert np.all((G >= 0.0) & (G <= 1.0))
-        np.testing.assert_allclose(
-            gram_block_means(A, B, cfg, n_a, n_b),
-            _chain_block_means(A, B, sigma, n_a, n_b), rtol=0.0, atol=1e-12,
-        )
+        a, _, K = _kernel_statistics(A, B, cfg, n_b, True)
+        for got, want in ((a, _chain_block_means(A, B, sigma, 1, n_b)),
+                          (K, _chain_block_means(B, B, sigma, n_b, n_b))):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    m, e = len(X) // n_x, X.shape[1]
+    layer = GduLayer(X.reshape(m, n_x, e), np.zeros((e, m, 1)), np.zeros((m, 1)), cfg, "PROJECTION")
+    np.testing.assert_allclose(
+        basis_gram_matrix(layer), _chain_block_means(X, X, sigma, n_x, n_x), rtol=0.0, atol=1e-12
+    )
     diag = _kernel_statistics(Y, X, cfg, n_x, False)[1]
     expected = np.diag(_chain_block_means(X, X, sigma, n_x, n_x))
     np.testing.assert_allclose(diag, expected, rtol=0.0, atol=1e-12)

@@ -189,6 +189,23 @@ def test_objective_recomposes_from_parts():
         assert objective((X, y), model, reg) == pytest.approx(expected, abs=1e-12)
 
 
+def test_objective_builds_no_tape_and_equals_the_tape_value_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(7)
+    erm = init_erm_model([4, 4], 3, n_heads=2, seed=8)
+    cases = [(erm, rng.normal(size=(5, 4)), rng.integers(0, 3, size=5), RegConfig())]
+    for seed, mode in enumerate(("CS", "MMD", "PROJECTION")):
+        for nonlinearity in ("tanh", "relu"):
+            model, X, y = build_small_gdu(seed, mode, fe_nonlinearity=nonlinearity)
+            cases += [(model, X, y, reg) for reg in reg_toggles(mode)]
+    tape = [float(_build_objective(_graph_model(m)[0], X, y, reg).data) for m, X, y, reg in cases]
+
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("objective built a tape node")
+
+    monkeypatch.setattr(gdu.autodiff.Tensor, "__init__", no_tensor)
+    assert [objective((X, y), m, reg) for m, X, y, reg in cases] == tape
+
+
 # -- gradients ----------------------------------------------------------------------
 
 
@@ -436,6 +453,23 @@ def test_erm_model_is_the_uniform_ensemble_of_its_heads():
     feats = fe_forward(X, model.fe)
     expected = sum(feats @ head for head in heads) / 3.0
     np.testing.assert_allclose(predict_logits(model, X), expected, rtol=1e-14, atol=1e-15)
+
+
+def test_predict_logits_names_the_first_non_finite_row(monkeypatch):
+    cs, X, _ = build_small_gdu(0, "CS")
+    for model in (cs, init_erm_model([4, 4], 3, n_heads=2, seed=8)):
+        for bad in (np.nan, np.inf, -np.inf):
+            Xb = X.copy()
+            Xb[3, 1], Xb[4, 0] = bad, bad
+            with monkeypatch.context() as patched:
+                # The rows are refused before the extractor runs.
+                patched.setattr(gdu.training, "fe_forward", None)
+                message = "predict_logits needs finite rows, but row 3 is not"
+                with pytest.raises(ValueError, match=message):
+                    predict_logits(model, Xb)
+                with pytest.raises(ValueError, match="row 3"):
+                    accuracy(model, Xb, np.zeros(len(Xb), dtype=int))
+        assert np.all(np.isfinite(predict_logits(model, X)))
 
 
 @pytest.mark.parametrize("name", ["lambda_ols", "lambda_orth", "lambda_l1"])
