@@ -1,12 +1,12 @@
 """Synthetic benchmarks with invariant mixture components.
 
-Every domain draws from the same K class-conditional Gaussian components;
-only the mixing weights differ between domains. Within component j the
-class means sit on a component-specific direction, so the label rule
-rotates across components and no single linear rule fits them all. Target
-domains get mixing weights concentrated away from the sources, producing a
-mixture-component shift at test time while the components themselves stay
-literally invariant.
+Every domain draws from the same K >= 2 components, each with C equally
+likely unit-covariance Gaussian classes; only the mixing weights differ
+between domains. Within component j the class means sit at distance 2 from
+its center on a component-specific direction, so the label rule rotates
+across components and no single linear rule fits them all. Sources mix by
+Dirichlet(1) draws; the target puts 0.75 on the component the sources use
+least, a mixture-component shift while the components stay invariant.
 
 :func:`bayes_accuracy` scores the Bayes classifier, which knows the
 components, on drawn rows: the ceiling any model's accuracy on those rows
@@ -42,6 +42,8 @@ ROLES = ("source", "validation", "target")
 
 _SIMPLEX_TOL = 1e-12
 _MIN_TARGET_L1_GAP = 0.1
+_CLASS_OFFSET = 2.0  # distance of each class mean from its component's center
+_TARGET_WEIGHT = 0.75  # the target's extra weight on its rarest source component
 
 
 def _check_simplex(name: str, p: np.ndarray):
@@ -56,20 +58,16 @@ def _check_simplex(name: str, p: np.ndarray):
 
 @dataclass
 class ElementarySpec:
-    """K invariant components: per-component class means, diagonal
-    covariance, and a label distribution over C classes."""
+    """K invariant components, each a unit-covariance Gaussian per class
+    with C equally likely classes: only the class means vary."""
 
     class_means: np.ndarray  # (K, C, d)
-    cov_diag: np.ndarray  # (K, d)
-    label_dist: np.ndarray  # (K, C)
 
     def __post_init__(self):
-        k, c, d = self.class_means.shape
-        if self.cov_diag.shape != (k, d) or self.label_dist.shape != (k, c):
-            raise ValueError("inconsistent elementary component shapes")
-        if not (self.cov_diag > 0).all():
-            raise ValueError("covariance entries must be positive")
-        _check_simplex("label_dist", self.label_dist)
+        if np.ndim(self.class_means) != 3:
+            raise ValueError(
+                f"class_means must be a (K, C, d) array, got shape {np.shape(self.class_means)}"
+            )
 
     @property
     def n_components(self) -> int:
@@ -117,10 +115,6 @@ class SyntheticBenchmark:
         roles = [d.role for d in self.domains]
         if roles.count("source") < 2 or roles.count("target") < 1:
             raise ValueError("need at least two source domains and one target")
-        if self.elementary.n_components == 1:
-            # Degenerate single-component benchmarks are allowed for
-            # baselines; every mixture is the same point of the simplex.
-            return
         sources = [d.alpha for d in self.domains if d.role == "source"]
         for target in (d.alpha for d in self.domains if d.role == "target"):
             gap = min(float(np.abs(target - s).sum()) for s in sources)
@@ -131,20 +125,20 @@ class SyntheticBenchmark:
 
 
 def sample_domain(spec: DomainSpec, elem: ElementarySpec, seed: int) -> DomainSample:
-    """Draw ``n_samples`` rows: component ~ alpha, class ~ component's label
-    distribution, features ~ the component/class Gaussian."""
+    """Draw ``n_samples`` rows in this order from one generator seeded ``seed``:
+    components ~ alpha, classes uniform (one uniform per row against the CDF
+    ``1/C, 2/C, ...``), then features ~ N(class mean, I)."""
     rng = np.random.default_rng(seed)
-    n = spec.n_samples
+    n, c = spec.n_samples, elem.n_classes
     tags = rng.choice(elem.n_components, size=n, p=spec.alpha)
-    label_cdf = np.cumsum(elem.label_dist, axis=1)
     u = rng.random(n)
-    labels = (u[:, None] > label_cdf[tags]).sum(axis=1)
+    labels = (u[:, None] > np.cumsum(np.full(c, 1.0 / c))).sum(axis=1)
     noise = rng.standard_normal((n, elem.input_dim))
-    x = elem.class_means[tags, labels] + noise * np.sqrt(elem.cov_diag[tags])
+    x = elem.class_means[tags, labels] + noise
     return DomainSample(x, labels.astype(np.int64), tags.astype(np.int64))
 
 
-def _component_frame(n_components, n_classes, input_dim, separation, class_offset):
+def _component_frame(n_components, n_classes, input_dim, separation):
     """Component centers on scaled axes plus per-component rotated class
     directions in a shared two-dimensional plane."""
     if input_dim < n_components + 2:
@@ -165,8 +159,8 @@ def _component_frame(n_components, n_classes, input_dim, separation, class_offse
         for y in range(n_classes):
             angle = rotation + 2.0 * math.pi * y / n_classes
             means[j, y] = centers[j]
-            means[j, y, ax_u] += class_offset * math.cos(angle)
-            means[j, y, ax_v] += class_offset * math.sin(angle)
+            means[j, y, ax_u] += _CLASS_OFFSET * math.cos(angle)
+            means[j, y, ax_v] += _CLASS_OFFSET * math.sin(angle)
     return means
 
 
@@ -177,61 +171,43 @@ def make_benchmark(
     n_sources: int,
     seed: int,
     separation: float = 10.0,
-    class_offset: float = 2.0,
     n_train: int = 400,
     n_val: int = 150,
     n_target: int = 600,
-    alpha_concentration: float = 1.0,
-    target_weight: float = 0.75,
-    label_skew: float = 0.0,
 ) -> SyntheticBenchmark:
     """Build a benchmark with invariant components and shifted mixtures.
 
-    Source mixing weights are Dirichlet draws; the target concentrates
-    ``target_weight`` on the component the sources care about least, and is
-    redrawn until it clears the distinctness requirement. ``label_skew``
-    tilts each component's label distribution toward one class (the
-    conditional-shift knob); zero keeps labels uniform. The counts, sizes
-    and ``seed`` must be Python or numpy integers, not bools, and ``seed``
-    nonnegative; each real argument must be a real number in its range.
+    The generator is fixed: K = ``n_components`` >= 2 components
+    ``separation`` apart, each with C = ``n_classes`` equally likely
+    unit-covariance classes at distance 2 from its center. Source mixing
+    weights are Dirichlet(1) draws, mirrored by the validation domains; the
+    target puts 0.75 on the component the sources use least, spreads 0.25
+    evenly, and is redrawn until it clears the distinctness requirement.
+    The counts, sizes and ``seed`` must be Python or numpy integers, not
+    bools, ``seed`` nonnegative, each size positive and ``separation`` a
+    finite real number.
     """
-    integers = dict(n_components=n_components, n_classes=n_classes, input_dim=input_dim,
-                    n_sources=n_sources, n_train=n_train, n_val=n_val, n_target=n_target)
-    for name, value in integers.items():
+    sizes = dict(n_components=n_components, n_classes=n_classes, input_dim=input_dim,
+                 n_sources=n_sources, n_train=n_train, n_val=n_val, n_target=n_target)
+    for name, value in sizes.items():
         _check_int(name, value)
     _check_seed("seed", seed)
-    for name, value, holds, need in (
-        ("separation", separation, math.isfinite, "finite"),
-        ("class_offset", class_offset, math.isfinite, "finite"),
-        ("alpha_concentration", alpha_concentration, lambda v: 0 < v < math.inf,
-         "finite and positive"),
-        ("target_weight", target_weight, lambda v: 0 <= v <= 1, "in [0, 1]"),
-        ("label_skew", label_skew, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
-    ):
-        _check_float(name, value)
-        if not holds(value):
-            raise ValueError(f"{name} must be {need}, got {value}")
-    if n_components < 1 or n_classes < 2 or n_sources < 2:
-        raise ValueError("need n_components >= 1, n_classes >= 2, n_sources >= 2")
+    _check_float("separation", separation)
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
+    for name, least in (("n_components", 2), ("n_classes", 2), ("n_sources", 2),
+                        ("n_train", 1), ("n_val", 1), ("n_target", 1)):
+        if sizes[name] < least:
+            raise ValueError(f"{name} must be at least {least}, got {sizes[name]}")
     rng = np.random.default_rng(seed)
-    means = _component_frame(
-        n_components, n_classes, input_dim, separation, class_offset
-    )
-    cov = np.ones((n_components, input_dim))
-    label_dist = np.full((n_components, n_classes), 1.0 / n_classes)
-    if label_skew != 0.0:
-        for j in range(n_components):
-            label_dist[j, j % n_classes] += label_skew
-        label_dist /= label_dist.sum(axis=1, keepdims=True)
-    elem = ElementarySpec(means, cov, label_dist)
+    elem = ElementarySpec(_component_frame(n_components, n_classes, input_dim, separation))
 
     for _ in range(64):
-        alphas = rng.dirichlet(np.full(n_components, alpha_concentration), n_sources)
+        alphas = rng.dirichlet(np.ones(n_components), n_sources)
         rare = int(np.argmin(alphas.sum(axis=0)))
-        target_alpha = np.full(n_components, (1.0 - target_weight) / n_components)
-        target_alpha[rare] += target_weight
-        gap = np.abs(target_alpha - alphas).sum(axis=1).min()
-        if n_components == 1 or gap > _MIN_TARGET_L1_GAP:
+        target_alpha = np.full(n_components, (1.0 - _TARGET_WEIGHT) / n_components)
+        target_alpha[rare] += _TARGET_WEIGHT
+        if np.abs(target_alpha - alphas).sum(axis=1).min() > _MIN_TARGET_L1_GAP:
             break
     else:
         raise RuntimeError("could not draw a sufficiently distinct target mixture")
@@ -253,14 +229,13 @@ def materialize(benchmark: SyntheticBenchmark) -> list:
     ]
 
 
-
 def bayes_accuracy(benchmark: SyntheticBenchmark, sample: DomainSample, alpha) -> float:
     """Accuracy on ``sample`` of the Bayes classifier for mixing weights ``alpha``.
 
-    The classifier knows the benchmark's diagonal-Gaussian components, their
-    label distributions and the weights ``alpha`` over the K components. It
-    predicts the class ``y`` of largest log joint density,
-    ``logsumexp_j [log alpha_j + log p_j(y) + log N(x; m_jy, diag(s_j))]``,
+    The classifier knows the benchmark's unit-covariance Gaussian components,
+    their uniform class prior 1/C and the weights ``alpha`` over the K
+    components. It predicts the class ``y`` of largest log joint density,
+    ``logsumexp_j [log alpha_j + log(1/C) + log N(x; m_jy, I)]``,
     the log-sum-exp taken over components after subtracting their maximum;
     ties go to the smaller class. ``alpha`` must lie on the probability
     simplex and have one weight per component; a zero weight drops its
@@ -284,15 +259,15 @@ def bayes_accuracy(benchmark: SyntheticBenchmark, sample: DomainSample, alpha) -
     y = np.asarray(sample.y)
     if y.shape != (len(x),):
         raise ValueError(f"sample has {len(x)} rows but labels of shape {y.shape}")
+    c = elem.n_classes
     with np.errstate(divide="ignore"):
-        log_prior = np.log(alpha)[:, None] + np.log(elem.label_dist)  # (K, C)
+        log_prior = np.log(alpha)[:, None] + np.log(np.full(c, 1.0 / c))  # (K, C)
+    log_norm = -0.5 * (elem.input_dim * math.log(2.0 * math.pi))
     # (K, n, C): each component's log joint density of every row and class.
-    log_joint = np.empty((elem.n_components, len(x), elem.n_classes))
+    log_joint = np.empty((elem.n_components, len(x), c))
     for j in range(elem.n_components):
-        var = elem.cov_diag[j]
         diff = x[:, None, :] - elem.class_means[j][None, :, :]
-        quad = np.sum(diff * diff / var, axis=-1)
-        log_norm = -0.5 * (np.sum(np.log(var)) + elem.input_dim * math.log(2.0 * math.pi))
+        quad = np.sum(diff * diff, axis=-1)
         log_joint[j] = log_prior[j] + log_norm - 0.5 * quad
     top = np.max(log_joint, axis=0)
     scores = top + np.log(np.sum(np.exp(log_joint - top), axis=0))

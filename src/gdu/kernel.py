@@ -182,11 +182,23 @@ def _gaussian_exponent(X, Y, sigma):
 
     One matmul of rows augmented to ``[x, 1, -c ||x||^2]`` and
     ``[2c y, -c ||y||^2, 1]`` with ``c = 1 / (2 sigma^2)``. Leading axes
-    batch as in :func:`squared_distances`. Arrays only.
+    batch as in :func:`squared_distances`. Arrays only. Where ``||x||^2``,
+    ``c ||x||^2``, ``c ||y||^2`` or ``2c y`` overflows on finite rows, a
+    ValueError names sigma, under any warnings filter. Non-finite rows raise
+    no overflow, so they pass through.
     """
     c = 0.5 / sigma**2
-    xa = _augmented(X, 1.0, -c * np.sum(X * X, axis=-1))
-    ya = _augmented(2.0 * c * Y, -c * np.sum(Y * Y, axis=-1), 1.0)
+    try:
+        with np.errstate(over="raise"):
+            xa = _augmented(X, 1.0, -c * np.sum(X * X, axis=-1))
+            ya = _augmented(2.0 * c * Y, -c * np.sum(Y * Y, axis=-1), 1.0)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            largest = max(np.max(np.sum(A * A, axis=-1), initial=0.0) for A in (X, Y))
+        raise ValueError(
+            f"the Gaussian kernel's exponent overflows at sigma={sigma} on rows with "
+            f"squared norms up to {largest:.4g}"
+        ) from None
     return xa @ np.swapaxes(ya, -1, -2)
 
 

@@ -180,9 +180,8 @@ class DatasetSplits:
         if widths[0] != widths[1]:
             raise ValueError(f"train_x has {widths[0]} columns but val_x has {widths[1]}")
         for name in ("train_y", "val_y"):
-            labels = np.asarray(getattr(self, name))
-            if (labels.ndim != 1 or not np.all(np.isfinite(labels))
-                    or np.any(labels < 0) or np.any(labels != np.floor(labels))):
+            labels = _integer_labels(getattr(self, name), f"{name}: ")
+            if labels.ndim != 1 or np.any(labels < 0):
                 raise ValueError(f"{name} must be a 1-D array of nonnegative integer labels")
 
 
@@ -234,9 +233,6 @@ class TrainTrace:
     def append(self, row: TraceRow):
         self.rows.append(row)
 
-    def best_val_acc(self) -> float:
-        return max(r.val_acc for r in self.rows)
-
     def to_csv_text(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.rows:
@@ -269,20 +265,14 @@ def init_feature_extractor(layer_sizes, seed, nonlinearity="relu") -> FeatureExt
     return FeatureExtractor(weights, biases, nonlinearity)
 
 
-def init_erm_model(
-    layer_sizes,
-    n_outputs: int,
-    n_heads: int,
-    seed: int,
-    nonlinearity: str = "relu",
-) -> GduModel:
-    """ERM with ``n_heads`` heads: an extractor plus a UNIFORM layer.
+def init_erm_model(layer_sizes, n_outputs: int, n_heads: int, seed: int) -> GduModel:
+    """ERM with ``n_heads`` heads: a ReLU extractor plus a UNIFORM layer.
 
     The heads are drawn as :func:`gdu.layer.init_layer` draws machines, from seed + 1.
     """
     _check_int("n_outputs", n_outputs)
     _check_int("n_heads", n_heads)
-    fe = init_feature_extractor(layer_sizes, seed, nonlinearity)
+    fe = init_feature_extractor(layer_sizes, seed)
     rng = np.random.default_rng(seed + 1)
     weights, bias = _init_machines(rng, n_heads, layer_sizes[-1], n_outputs)
     return GduModel(fe, GduLayer(None, weights, bias, None, UNIFORM))
@@ -340,19 +330,31 @@ def fe_forward(x, fe: FeatureExtractor | None):
     return ad.Tensor(out, parents, bw)
 
 
+def _integer_labels(labels, where: str = "") -> np.ndarray:
+    """``labels`` as an array of integers or integer-valued finite floats.
+
+    Otherwise a ValueError, prefixed by ``where``, names the first bad float
+    or the dtype: a bool is refused, as numpy reads True as class 1.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iuf":
+        raise ValueError(f"{where}labels must be integers, got dtype {labels.dtype}")
+    if labels.dtype.kind == "f":
+        bad = ~np.isfinite(labels) | (labels != np.floor(labels))
+        if bad.any():
+            raise ValueError(f"{where}label {labels[bad][0]} is not a finite integer")
+    return labels
+
+
 def _checked_labels(labels, b: int, c: int) -> np.ndarray:
     """``labels`` as b >= 1 int64 class indices in ``[0, c)``, or a ValueError.
 
-    Float labels must be finite and integer-valued; the first that is not
-    is named.
+    They must pass :func:`_integer_labels`.
     """
     labels = np.asarray(labels)
     if labels.shape != (b,):
         raise ValueError(f"expected {b} labels, got shape {labels.shape}")
-    if labels.dtype.kind == "f":
-        bad = ~np.isfinite(labels) | (labels != np.floor(labels))
-        if bad.any():
-            raise ValueError(f"label {labels[bad][0]} is not a finite integer")
+    labels = _integer_labels(labels)
     if labels.min() < 0 or labels.max() >= c:
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise ValueError(f"label {int(bad)} out of range for C={c}")

@@ -723,12 +723,12 @@ def bayes_accuracy_loop(benchmark, sample, alpha):
             for j in range(elem.n_components):
                 if alpha[j] == 0.0:
                     continue
+                # Unit variance in every coordinate, and a 1/C class prior.
                 log_density = 0.0
                 for d in range(elem.input_dim):
-                    var = float(elem.cov_diag[j, d])
                     diff = float(x[d]) - float(elem.class_means[j, c, d])
-                    log_density -= 0.5 * (diff * diff / var + math.log(2.0 * math.pi * var))
-                terms.append(math.log(alpha[j]) + math.log(elem.label_dist[j, c]) + log_density)
+                    log_density -= 0.5 * (diff * diff + math.log(2.0 * math.pi))
+                terms.append(math.log(alpha[j]) + math.log(1.0 / elem.n_classes) + log_density)
             top = max(terms)
             scores.append(top + math.log(sum(math.exp(t - top) for t in terms)))
         correct += scores.index(max(scores)) == label

@@ -1,6 +1,8 @@
 """Synthetic benchmark construction, invariance checks, reproduction from
 the generator's arguments, and the Bayes classifier's accuracy."""
 
+import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -29,7 +31,7 @@ def small_elem():
     means[0, 1, 0] = 1.0
     means[1, 0, 1] = -1.0
     means[1, 1, 1] = 1.0
-    return ElementarySpec(means, np.ones((2, 3)), np.full((2, 2), 0.5))
+    return ElementarySpec(means)
 
 
 def test_sample_domain_one_hot_alpha_tags():
@@ -61,14 +63,14 @@ def test_sample_domain_component_frequencies_concentrate():
         assert abs(freq - alpha[j]) < 3 * stderr
 
 
-def test_sample_domain_label_distribution_follows_component():
-    means = np.zeros((2, 2, 3))
-    elem = ElementarySpec(
-        means, np.ones((2, 3)), np.array([[0.9, 0.1], [0.2, 0.8]])
-    )
-    spec = DomainSpec(np.array([1.0, 0.0]), 5000, "source")
-    sample = sample_domain(spec, elem, seed=2)
-    assert abs(np.mean(sample.y == 0) - 0.9) < 0.02
+def test_sample_domain_classes_are_equally_likely_in_every_component():
+    elem = ElementarySpec(np.zeros((2, 3, 3)))
+    for alpha in ([1.0, 0.0], [0.0, 1.0]):
+        sample = sample_domain(DomainSpec(np.array(alpha), 6000, "source"), elem, seed=2)
+        counts = np.bincount(sample.y, minlength=3)
+        assert len(counts) == 3
+        stderr = np.sqrt((1 / 3) * (2 / 3) / 6000)
+        assert np.all(np.abs(counts / 6000 - 1 / 3) < 4 * stderr), counts
 
 
 def test_make_benchmark_alphas_on_simplex_and_distinct():
@@ -84,11 +86,16 @@ def test_make_benchmark_alphas_on_simplex_and_distinct():
             assert np.abs(t.alpha - s.alpha).sum() > 0.1
 
 
-def test_make_benchmark_single_component_degenerate_allowed():
-    bench = make_benchmark(1, 2, 4, 2, seed=0, target_weight=0.0)
-    # All domains share the single component; mixtures are trivially equal.
-    for d in bench.domains:
-        np.testing.assert_allclose(d.alpha, [1.0])
+@pytest.mark.parametrize("name, least", [
+    ("n_components", 2), ("n_classes", 2), ("n_sources", 2),
+    ("n_train", 1), ("n_val", 1), ("n_target", 1),
+])
+def test_make_benchmark_names_a_size_below_its_least_value(name, least):
+    # A single component has no mixture to shift. An empty domain used to
+    # fail in DomainSpec as "n_samples must be positive", naming no argument.
+    good = dict(n_components=3, n_classes=2, input_dim=6, n_sources=3, seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, got {least - 1}$"):
+        make_benchmark(**{**good, name: least - 1})
 
 
 def test_make_benchmark_validation_domains_mirror_sources():
@@ -98,14 +105,6 @@ def test_make_benchmark_validation_domains_mirror_sources():
     assert len(vals) == len(sources)
     for s, v in zip(sources, vals):
         np.testing.assert_array_equal(s.alpha, v.alpha)
-
-
-def test_make_benchmark_label_skew_knob():
-    bench = make_benchmark(2, 2, 5, 2, seed=3, label_skew=0.5)
-    rows = bench.elementary.label_dist
-    assert rows[0, 0] > rows[0, 1]
-    assert rows[1, 1] > rows[1, 0]
-    np.testing.assert_allclose(rows.sum(axis=1), 1.0)
 
 
 def test_make_benchmark_rejects_small_input_dim():
@@ -137,16 +136,9 @@ _BAD_ARGUMENTS = [
     ("separation", np.nan, "separation must be finite, got nan"),
     ("separation", np.inf, "separation must be finite, got inf"),
     ("separation", None, "separation must be a real number, got None"),
-    ("class_offset", np.nan, "class_offset must be finite, got nan"),
-    ("class_offset", "2", "class_offset must be a real number, got '2'"),
-    ("alpha_concentration", 0, "alpha_concentration must be finite and positive, got 0"),
-    ("alpha_concentration", np.inf, "alpha_concentration must be finite and positive, got inf"),
-    ("alpha_concentration", "1", "alpha_concentration must be a real number, got '1'"),
-    ("target_weight", 2, "target_weight must be in [0, 1], got 2"),
-    ("target_weight", np.nan, "target_weight must be in [0, 1], got nan"),
-    ("target_weight", 0.5j, "target_weight must be a real number, got 0.5j"),
-    ("label_skew", -1, "label_skew must be finite and nonnegative, got -1"),
-    ("label_skew", True, "label_skew must be a real number, got the bool True"),
+    ("separation", "2", "separation must be a real number, got '2'"),
+    ("separation", 0.5j, "separation must be a real number, got 0.5j"),
+    ("separation", True, "separation must be a real number, got the bool True"),
     ("k_range", 3, "k_range must be an (lo, hi) pair, got 3"),
     ("k_range", (2, 3, 4), "k_range must be an (lo, hi) pair, got (2, 3, 4)"),
     ("k_range", (2,), "k_range must be an (lo, hi) pair, got (2,)"),
@@ -159,9 +151,9 @@ _BAD_ARGUMENTS = [
     "name, bad, message", _BAD_ARGUMENTS, ids=[f"{n}={b!r}" for n, b, _ in _BAD_ARGUMENTS]
 )
 def test_real_arguments_and_k_range_are_named(name, bad, message):
-    # NaN separations and offsets used to give NaN rows that only
-    # DatasetSplits rejected; the other bad values failed as a simplex
-    # error, and a k_range of the wrong length as "too many values to unpack".
+    # NaN separations used to give NaN rows that only DatasetSplits
+    # rejected, and a k_range of the wrong length failed as "too many values
+    # to unpack".
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if name == "k_range":
             select_m(np.arange(12.0).reshape(6, 2), bad, seeds=1, seed0=0)
@@ -182,17 +174,13 @@ def test_benchmark_invariant_validation():
         SyntheticBenchmark(elem, [domains[0], domains[2]], seed=0)
 
 
-def test_specs_reject_nan_weights_by_name():
-    # NaN passed the old "any entry < 0" checks: sample_domain then failed
-    # with numpy's unnamed "Probabilities contain NaN" for alpha, and drew
-    # labels without any error from a NaN label distribution.
+def test_specs_reject_nan_weights_and_flat_means_by_name():
+    # NaN passed the old "any entry < 0" check: sample_domain then failed
+    # with numpy's unnamed "Probabilities contain NaN".
     with pytest.raises(ValueError, match=r"^alpha must lie on the probability simplex, got \[nan, 0.5\]$"):
         DomainSpec(np.array([np.nan, 0.5]), 5, "source")
-    elem = small_elem()
-    label_dist = elem.label_dist.copy()
-    label_dist[1, 0] = np.nan
-    with pytest.raises(ValueError, match="^label_dist must lie on the probability simplex"):
-        ElementarySpec(elem.class_means, elem.cov_diag, label_dist)
+    with pytest.raises(ValueError, match=r"^class_means must be a \(K, C, d\) array, got shape \(2, 3\)$"):
+        ElementarySpec(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
@@ -263,19 +251,13 @@ def test_target_differs_from_sources_by_permutation_mmd():
 
 def test_make_benchmark_and_materialize_repeat_from_their_arguments():
     # The generator's arguments and seed are the only record of a run's data.
-    args = dict(
-        separation=3.0, label_skew=0.25, alpha_concentration=0.5, target_weight=0.6,
-        n_train=30, n_val=10, n_target=20,
-    )
+    args = dict(separation=3.0, n_train=30, n_val=10, n_target=20)
     first, second = (make_benchmark(3, 2, 6, 3, seed=9, **args) for _ in range(2))
     assert [d.n_samples for d in first.domains] == [30] * 3 + [10] * 3 + [20]
     for a, b in zip(first.domains, second.domains, strict=True):
         assert (a.role, a.n_samples) == (b.role, b.n_samples)
         np.testing.assert_array_equal(a.alpha, b.alpha)
-    for name in ("class_means", "cov_diag", "label_dist"):
-        np.testing.assert_array_equal(
-            getattr(first.elementary, name), getattr(second.elementary, name)
-        )
+    np.testing.assert_array_equal(first.elementary.class_means, second.elementary.class_means)
     samples = materialize(first)
     assert len(samples) == len(first.domains)
     for sa, sb in zip(samples, materialize(second), strict=True):
@@ -286,6 +268,20 @@ def test_make_benchmark_and_materialize_repeat_from_their_arguments():
     assert not np.array_equal(samples[0].x, other[0].x)
 
 
+def test_the_claim_benchmark_rebuilds_the_same_bytes_across_commits():
+    # A run records only make_benchmark's arguments and seed, so a later
+    # commit must redraw the same rows from them. The digest was taken
+    # before the generator's unused options were deleted.
+    digest = hashlib.sha256()
+    for sample in materialize(make_benchmark(4, 3, 10, 3, seed=0, separation=3.0)):
+        digest.update(np.ascontiguousarray(sample.x, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(sample.y, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(sample.tags, dtype="<i8").tobytes())
+    assert digest.hexdigest() == (
+        "42b1b1967469450f9e5c9b6dd5e356aff3daedf015a6dc91cf2d28dbf9186ad1"
+    )
+
+
 def _target(bench):
     """The target domain's sample and mixing weights."""
     (i,) = [i for i, d in enumerate(bench.domains) if d.role == "target"]
@@ -293,7 +289,7 @@ def _target(bench):
 
 
 def test_bayes_accuracy_equals_the_row_loop():
-    bench = make_benchmark(3, 3, 6, 3, seed=4, separation=3.0, label_skew=0.5, n_target=150)
+    bench = make_benchmark(3, 3, 6, 3, seed=4, separation=3.0, n_target=150)
     sample, alpha = _target(bench)
     sources = np.mean([d.alpha for d in bench.domains if d.role == "source"], axis=0)
     for weights in (alpha, sources, np.array([0.0, 0.25, 0.75])):
@@ -322,9 +318,16 @@ def test_bayes_accuracy_rejects_bad_weights_and_rows():
 
 
 def test_bayes_accuracy_is_near_one_when_components_and_classes_separate():
-    # At separation 50 the components no longer overlap, but a class offset of
-    # 2 still leaves the classes within one component overlapping (the
-    # ceiling stays near 0.92); an offset of 12 separates them as well.
-    bench = make_benchmark(4, 3, 10, 3, seed=0, separation=50.0, class_offset=12.0)
+    # At separation 50 the components no longer overlap, but the class
+    # offset of 2 still leaves the classes within one component overlapping
+    # (the ceiling stays near 0.92); moving each class mean six times as far
+    # from its component's center, to offset 12, separates them as well.
+    bench = make_benchmark(4, 3, 10, 3, seed=0, separation=50.0)
+    sample, alpha = _target(bench)
+    assert bayes_accuracy(bench, sample, alpha) < 0.95
+    means = bench.elementary.class_means
+    centers = means.mean(axis=1, keepdims=True)
+    wide = dataclasses.replace(bench.elementary, class_means=centers + 6.0 * (means - centers))
+    bench = dataclasses.replace(bench, elementary=wide)
     sample, alpha = _target(bench)
     assert bayes_accuracy(bench, sample, alpha) >= 0.99

@@ -7,7 +7,8 @@ workload's result line holds every metric BENCHMARK.json declares and so
 does the last line that a traced ``bench/run.py`` prints; every
 function that takes a seed names a negative one; the exports of the
 package and of each of its modules are pinned, and so are the fields of
-its config and model dataclasses and the regularizers' parameters; the
+its config and model dataclasses, the benchmark's ElementarySpec, and the
+parameters of the regularizers, make_benchmark and init_erm_model; the
 package imports nothing beyond the standard library and numpy, and the
 training path reduces short rows only through its column helpers."""
 
@@ -18,6 +19,7 @@ import importlib.util
 import inspect
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tomllib
@@ -146,15 +148,20 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def test_a_traced_bench_run_prints_every_per_layer_metric():
+def test_a_traced_bench_run_prints_every_per_layer_metric(tmp_path):
     # The in-process runs above use shrunk profiles. This one runs
     # bench/run.py itself at full size, print path included: a traced run
     # can exit 0 and still end on a line that is not the result. It takes a
-    # few seconds and writes only under bench/out/.
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "train-small",
+    # few seconds. It runs a copy of bench/ and src/, so its result files
+    # land under the copy's bench/out/, not in the checkout.
+    ignore = shutil.ignore_patterns("out", "__pycache__")
+    for part in ("bench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
+    cmd = [sys.executable, str(tmp_path / "bench" / "run.py"), "--workload", "train-small",
            "--seed", "1", "--seconds", "0", "--trace", "1"]
     run = subprocess.run(cmd, capture_output=True, text=True, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
+    assert (tmp_path / "bench" / "out" / "train-small-seed1-trace1.json").is_file()
     result = json.loads(run.stdout.splitlines()[-1], parse_constant=_reject_constant)
     declared = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
     assert sorted(result["metrics"]) == sorted(declared)
@@ -347,38 +354,48 @@ def test_module_exports_are_pinned():
         assert module.__all__ == exports, f"gdu.{module_name}.__all__"
 
 
+def _public(name):
+    """``gdu.<name>``, where ``name`` is a package name or ``module.name``."""
+    module, _, attr = name.rpartition(".")
+    return getattr(importlib.import_module(f"gdu.{module}" if module else "gdu"), attr)
+
+
 OPTION_FIELDS = {
     "KernelConfig": ["sigma"],
     "RegConfig": ["lambda_ols", "lambda_orth", "lambda_l1"],
     "TrainConfig": ["mode", "learning_rate", "batch_size", "max_epochs", "patience", "seed", "reg"],
     "GduLayer": ["bases", "weights", "bias", "kernel", "mode", "kappa"],
     "FeatureExtractor": ["weights", "biases", "nonlinearity"],
+    # Unit covariance and uniform classes are fixed: only the means vary.
+    "datagen.ElementarySpec": ["class_means"],
 }
 
 
 def test_option_fields_are_pinned():
     # An option that comes back, or goes, has to show up here as a diff.
-    import gdu
-
     for name, fields in OPTION_FIELDS.items():
-        got = [f.name for f in dataclasses.fields(getattr(gdu, name))]
+        got = [f.name for f in dataclasses.fields(_public(name))]
         assert got == fields, name
 
 
-# The regularizers' parameters: each reads kernel statistics or gates, not features.
 PARAMETERS = {
+    # The regularizers' parameters: each reads kernel statistics or gates, not features.
     "omega_ols": ["a", "k_bases", "beta"],
     "omega_orth": ["K"],
     "omega_l1": ["beta"],
+    # A run's data is a function of these arguments and the seed alone.
+    "datagen.make_benchmark": [
+        "n_components", "n_classes", "input_dim", "n_sources", "seed", "separation",
+        "n_train", "n_val", "n_target",
+    ],
+    "training.init_erm_model": ["layer_sizes", "n_outputs", "n_heads", "seed"],
 }
 
 
 def test_function_parameters_are_pinned():
     # A parameter that is renamed, added or dropped has to show up here as a diff.
-    import gdu
-
     for name, params in PARAMETERS.items():
-        assert list(inspect.signature(getattr(gdu, name)).parameters) == params, name
+        assert list(inspect.signature(_public(name)).parameters) == params, name
 
 
 def test_autodiff_surface_is_pinned():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,29 @@ def test_gram_positive_semidefinite_up_to_n50():
 def test_gram_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         gram(np.zeros((2, 3)), np.zeros((2, 4)), CFG)
+
+
+@pytest.mark.parametrize("X, Y, largest", [
+    (np.full((2, 1), 2.0), np.zeros((1, 1)), "4"),  # c ||x||^2
+    (np.zeros((1, 1)), np.full((1, 1), 2.0), "4"),  # c ||y||^2 and 2c y
+    (np.zeros((1, 1)), np.full((1, 1), 1.85), "3.423"),  # 2c y alone: c ||y||^2 is 1.7e308
+    (np.full((1, 1), 1e155), np.zeros((1, 1)), "inf"),  # ||x||^2 itself
+], ids=["x", "y", "2cy", "xx"])
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_gram_names_a_sigma_whose_exponent_overflows_on_finite_rows(X, Y, largest, action):
+    # With c = 1 / (2 sigma^2) = 5e307 every term of the augmented matmul
+    # can overflow: numpy warned, and with warnings ignored the Gram held 0 or NaN.
+    cfg = KernelConfig(1e-154)
+    message = ("the Gaussian kernel's exponent overflows at sigma=1e-154 on rows with "
+               f"squared norms up to {largest}")
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gram(X, Y, cfg)
+        # A NaN row overflows nothing: it gives a NaN row, as at any sigma,
+        # and a diverging fit goes on to its own error.
+        G = gram(np.array([[np.nan], [0.0]]), np.zeros((1, 1)), cfg)
+        assert np.isnan(G[0, 0]) and G[1, 0] == 1.0
 
 
 def test_array_only_kernel_functions_refuse_a_tape_tensor():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -293,6 +294,25 @@ def test_a_sigma_whose_bases_overflow_is_refused_when_the_layer_is_built():
         init_layer(2, 3, 4, 2, 0, "CS", KernelConfig(1e154), 20.0)
     layer = init_layer(2, 3, 4, 2, 0, "CS", KernelConfig(1e152), 20.0)
     X = np.random.default_rng(0).normal(size=(5, 4))
+    assert np.all(np.isfinite(gate_matrix(X, layer)))
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_a_sigma_whose_exponent_overflows_on_the_rows_is_named(action):
+    # At sigma = 1e-154, c = 1 / (2 sigma^2) = 5e307, so c ||x||^2 overflows
+    # on standard-normal rows: gate_matrix raised numpy's overflow warning
+    # under an error filter, and with warnings ignored it returned uniform
+    # gates from kernel values of 0.
+    X = np.random.default_rng(0).normal(size=(5, 4))
+    largest = np.max(np.sum(X * X, axis=1))
+    message = (f"the Gaussian kernel's exponent overflows at sigma=1e-154 on rows with "
+               f"squared norms up to {largest:.4g}")
+    layer = init_layer(2, 3, 4, 2, 0, "CS", KernelConfig(1e-154), 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gate_matrix(X, layer)
+    layer = init_layer(2, 3, 4, 2, 0, "CS", KernelConfig(1e-152), 20.0)
     assert np.all(np.isfinite(gate_matrix(X, layer)))
 
 

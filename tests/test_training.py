@@ -255,7 +255,7 @@ def test_basis_gram_steps_match_finite_differences_and_three_kernel_nodes(
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION", "ERM"])
 def test_steps_without_the_basis_gram_keep_three_kernel_nodes_exactly(mode, train_mode):
     if mode == "ERM":
-        model = init_erm_model([4, 4], 3, n_heads=3, seed=8, nonlinearity="tanh")
+        model = init_erm_model([4, 4], 3, n_heads=3, seed=8)
         X, y = np.random.default_rng(32).normal(size=(5, 4)), np.array([0, 2, 1, 1, 0])
     else:
         model, X, y = build_small_gdu(32, mode)
@@ -429,7 +429,7 @@ def test_tape_shape_is_pinned():
 
 def test_erm_model_gradients_match_fd():
     rng = np.random.default_rng(6)
-    model = init_erm_model([4, 4], 3, n_heads=3, seed=8, nonlinearity="tanh")
+    model = init_erm_model([4, 4], 3, n_heads=3, seed=8)
     model.layer.bias += rng.normal(scale=0.3, size=(3, 3))
     X = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, size=5)
@@ -520,7 +520,7 @@ def test_train_reaches_high_accuracy_on_separable_data():
     data = separable_splits()
     config = TrainConfig(max_epochs=50, patience=50, batch_size=32, seed=0)
     model, trace = train(data, config, small_gdu_for_training(0))
-    assert trace.best_val_acc() >= 0.95
+    assert max(r.val_acc for r in trace.rows) >= 0.95
     assert accuracy(model, data.val_x, data.val_y) >= 0.95
 
 
@@ -591,10 +591,10 @@ def test_train_restores_the_first_best_epoch_exactly():
 def test_train_early_stopping_halts_before_max_epochs():
     data = separable_splits(3)
     config = TrainConfig(max_epochs=40, patience=2, batch_size=16, seed=5)
-    _, trace = train(data, config, small_gdu_for_training(4))
+    model, trace = train(data, config, small_gdu_for_training(4))
     assert len(trace.rows) < 40
-    # The recorded best must equal the max over the trace.
-    assert max(r.val_acc for r in trace.rows) == trace.best_val_acc()
+    # The restored snapshot scores the best validation accuracy of the trace.
+    assert accuracy(model, data.val_x, data.val_y) == max(r.val_acc for r in trace.rows)
 
 
 def test_ft_mode_never_touches_extractor():
@@ -732,10 +732,10 @@ def test_train_erm_models():
     config = TrainConfig(max_epochs=50, patience=50, batch_size=16, seed=7)
     single = init_erm_model([2, 6, 4], 2, n_heads=1, seed=9)
     _, trace = train(data, config, single)
-    assert trace.best_val_acc() >= 0.95
+    assert max(r.val_acc for r in trace.rows) >= 0.95
     ensemble = init_erm_model([2, 6, 4], 2, n_heads=3, seed=9)
     _, trace = train(data, config, ensemble)
-    assert trace.best_val_acc() >= 0.95
+    assert max(r.val_acc for r in trace.rows) >= 0.95
 
 
 def test_train_diverges_on_nonfinite_parameters():
@@ -823,6 +823,24 @@ def test_labels_are_validated():
     too_large = DatasetSplits(data.train_x, data.train_y, data.val_x, data.val_y + 5)
     with pytest.raises(ValueError, match="label [56] out of range for C=2"):
         train(too_large, config, small_gdu_for_training(12))
+
+
+@pytest.mark.parametrize("labels", [[True, False, True], ["0", "1", "1"]], ids=["bool", "str"])
+def test_bool_and_string_labels_are_refused_by_name(labels):
+    # numpy read True and False as classes 1 and 0, so DatasetSplits took
+    # them and accuracy scored them without a word; strings failed inside
+    # np.isfinite with numpy's unnamed TypeError.
+    dtype = re.escape(str(np.asarray(labels).dtype))
+    data = separable_splits(12)
+    with pytest.raises(ValueError, match=f"^train_y: labels must be integers, got dtype {dtype}$"):
+        DatasetSplits(data.train_x[:3], labels, data.val_x, data.val_y)
+    with pytest.raises(ValueError, match=f"^val_y: labels must be integers, got dtype {dtype}$"):
+        DatasetSplits(data.train_x, data.train_y, data.val_x[:3], labels)
+    model = small_gdu_for_training(12)
+    X = np.random.default_rng(3).normal(size=(3, model.fe.weights[0].shape[0]))
+    for score in (lambda y: accuracy(model, X, y), lambda y: cross_entropy_mean(np.zeros((3, 3)), y)):
+        with pytest.raises(ValueError, match=f"^labels must be integers, got dtype {dtype}$"):
+            score(labels)
 
 
 @pytest.mark.parametrize(
