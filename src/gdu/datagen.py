@@ -124,6 +124,17 @@ class SyntheticBenchmark:
                 )
 
 
+def _uniform_classes(u, c: int):
+    """The class of each uniform draw in ``u``: the number of entries of the
+    CDF ``1/C, 2/C, ...`` below it, at most C - 1.
+
+    For some C (7, 13, 14, 19, ...) the CDF's summed last entry is a few
+    ulps below 1, and a draw above it would otherwise count C entries.
+    """
+    cdf = np.cumsum(np.full(c, 1.0 / c))
+    return np.minimum(np.searchsorted(cdf, u, side="left"), c - 1)
+
+
 def sample_domain(spec: DomainSpec, elem: ElementarySpec, seed: int) -> DomainSample:
     """Draw ``n_samples`` rows in this order from one generator seeded ``seed``:
     components ~ alpha, classes uniform (one uniform per row against the CDF
@@ -131,8 +142,7 @@ def sample_domain(spec: DomainSpec, elem: ElementarySpec, seed: int) -> DomainSa
     rng = np.random.default_rng(seed)
     n, c = spec.n_samples, elem.n_classes
     tags = rng.choice(elem.n_components, size=n, p=spec.alpha)
-    u = rng.random(n)
-    labels = (u[:, None] > np.cumsum(np.full(c, 1.0 / c))).sum(axis=1)
+    labels = _uniform_classes(rng.random(n), c)
     noise = rng.standard_normal((n, elem.input_dim))
     x = elem.class_means[tags, labels] + noise
     return DomainSample(x, labels.astype(np.int64), tags.astype(np.int64))

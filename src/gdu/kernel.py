@@ -30,8 +30,9 @@ differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
 to rounding (~1e-16). :func:`squared_distances` keeps the explicit
 ``||x||^2 + ||y||^2 - 2 x.y`` form for the distances of
 :mod:`gdu.heuristics` and :func:`median_heuristic`, which need distances,
-not kernel values (see :func:`_upper_squared_distances` and
-``heuristics._distances_to``).
+not kernel values (see ``heuristics._distances_to``).
+:func:`median_heuristic` takes its pairs from row blocks of products
+(:func:`_upper_squared_distances`) and makes no (n, n) array.
 """
 
 from __future__ import annotations
@@ -352,42 +353,43 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
 
 
 # Row-block height of :func:`_upper_squared_distances`. Its temporaries
-# are one (_PAIR_BLOCK_ROWS, n) buffer for a block's rows of the Gram,
-# doubled, one (_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS) square and that
-# square's upper triangle, and a block's pairs stay in cache between their
-# passes; 64 rows were fastest at 2000 x 64 (timed against 32, 128 and 256).
+# are one reused (_PAIR_BLOCK_ROWS, n) buffer for a block's doubled
+# products, one (_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS) square and that
+# square's upper triangle. At 2000 x 64, 64 rows were fastest (timed
+# against 32, 128 and 256); at 2000 x 16, 128 rows were ~10% faster but
+# double the buffer to 2 MB.
 _PAIR_BLOCK_ROWS = 64
 # The pairs j > i of a square block; its (h, h) corner serves a shorter last block.
 _UPPER_PAIRS = np.triu(np.ones((_PAIR_BLOCK_ROWS, _PAIR_BLOCK_ROWS), dtype=bool), 1)
 
 
 def _upper_squared_distances(X, xx):
-    """The squared distances ``squared_distances(X, X)[i, j]`` for ``i < j``, bit for bit.
+    """The n (n - 1) / 2 squared distances of the pairs ``i < j`` of X's rows.
 
-    Each is ``max((xx_i + xx_j) - 2 G_ij, 0)`` over ``G = X @ X.T`` (one
-    symmetric matmul) and the squared norms ``xx`` of :func:`_check_rows`,
-    as in :func:`squared_distances`. The result is a
-    view of the first n (n - 1) / 2 slots of G's own C-contiguous buffer,
-    so no second buffer of that size is made. Rows are taken in blocks:
-    a block first copies its rows of G from the diagonal on, doubled, into
-    one reused (_PAIR_BLOCK_ROWS, n) buffer. The rectangle of its rows
-    against all later rows is then written at the running offset, and its
-    own upper triangle is picked out of a small square. Writing never
-    overtakes reading: the rows before ``hi`` hold
-    ``hi n - hi (hi + 1) / 2 <= hi n`` pairs, so a block that ends at row
-    ``hi`` writes only into rows of G that are already copied. The pairs
+    Rows are taken in blocks of ``_PAIR_BLOCK_ROWS``. A block ``lo:hi``
+    takes its pairs from one product ``X[lo:hi] @ X[lo:].T``, with the
+    arithmetic of ``squared_distances(X[lo:hi], X[lo:])``: each pair is
+    ``max((xx_i + xx_j) - 2 G_ij, 0)`` over the squared norms ``xx`` of
+    :func:`_check_rows`. The doubled product goes into one reused
+    (_PAIR_BLOCK_ROWS, n) buffer; the rectangle of the block's rows
+    against all later rows is written straight into the pair vector, and
+    the block's own upper triangle is picked out of a small square. So no
+    (n, n) array is made. The BLAS may round a block's product differently
+    from the one (n, n) product ``X @ X.T`` in the last n mod 8 columns,
+    so a pair there may differ from ``squared_distances(X, X)`` in the last
+    bit; no pair was seen to differ where n is a multiple of 8. The pairs
     are not in row-major order, which the median, an order statistic,
     does not see.
     """
     n = X.shape[0]
-    G = X @ X.T
-    pairs = G.reshape(-1)[: n * (n - 1) // 2]
-    rows = np.empty((min(_PAIR_BLOCK_ROWS, n), n))
+    pairs = np.empty(n * (n - 1) // 2)
+    buffer = np.empty(min(_PAIR_BLOCK_ROWS, n) * n)
     start = 0
     for lo in range(0, n, _PAIR_BLOCK_ROWS):
         hi = min(lo + _PAIR_BLOCK_ROWS, n)
         h = hi - lo
-        twice_g = np.multiply(G[lo:hi, lo:], 2.0, out=rows[:h, : n - lo])
+        twice_g = np.matmul(X[lo:hi], X[lo:].T, out=buffer[: h * (n - lo)].reshape(h, n - lo))
+        twice_g *= 2.0
         square = np.add(xx[lo:hi, None], xx[None, lo:hi])
         square -= twice_g[:, :h]
         upper = square[_UPPER_PAIRS[:h, :h]]
@@ -406,14 +408,15 @@ def median_heuristic(X) -> float:
 
     Uses distinct unordered pairs ``i < j`` and returns
     ``sigma = sqrt(median)``. Even-length medians are the arithmetic mean of
-    the two central values. The pair values are those of
-    :func:`squared_distances` bit for bit (see
-    :func:`_upper_squared_distances`), so sigma equals
-    ``sqrt(np.median(squared_distances(X, X)[np.triu_indices(n, 1)]))``.
-    The pairs sit in the leading slots of the (n, n) Gram's buffer and are
-    partitioned there in place, so the Gram is the one full-size array. A
-    zero median, from more than half the pairs at distance zero and not only
-    from all rows identical, raises :class:`DegenerateDataError`.
+    the two central values. The pairs are the row-block products of
+    :func:`_upper_squared_distances`, partitioned in place in their own
+    n (n - 1) / 2 vector, the one full-size array; no (n, n) Gram is made.
+    Where n mod 8 != 0, sigma may differ in the last bit from the full
+    Gram's ``sqrt(np.median(squared_distances(X, X)[np.triu_indices(n,
+    1)]))``; at the 1200 and 2000 rows the benchmarks use, a test pins
+    the two equal. A zero median, from more than half the pairs at distance
+    zero and not only from all rows identical, raises
+    :class:`DegenerateDataError`.
     """
     X, xx = _check_rows(X, "median_heuristic")
     n = X.shape[0]

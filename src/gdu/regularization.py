@@ -141,10 +141,13 @@ def omega_orth(K):
     Arrays in give a float; a tensor gives one node whose backward is, for
     the output gradient g, g times ``sign(lambda*) u u^T`` for the dominant
     eigenpair of ``K - I``, exact when the dominant eigenvalue is simple.
+    A K that is not square, or is (0, 0), raises a ValueError that names it.
     """
     kv = ad.value_of(K)
     if kv.ndim != 2 or kv.shape[0] != kv.shape[1]:
         raise ValueError(f"expected a square Gram matrix, got shape {kv.shape}")
+    if kv.shape[0] == 0:
+        raise ValueError("omega_orth needs at least one basis, got a (0, 0) Gram matrix")
     eigvals, eigvecs = np.linalg.eigh(kv - np.eye(kv.shape[0]))
     i = int(np.argmax(np.abs(eigvals)))
     u = eigvecs[:, i]

@@ -21,8 +21,10 @@ distances as ``kmeans`` lays them out, ``(||x||^2 + ||c||^2) - 2 C X^T``
 in (k, n) over a contiguous copy of X^T, not as
 ``squared_distances(X, C)``: the BLAS rounds the two layouts of the
 product differently on some shapes, and the contiguous (k, n) one is the
-fast one. ``train_loop`` is the training loop that made its
-state fresh on every step, kept as the bit-exact reference of
+fast one. ``row_block_pairs`` is the median heuristic's pair loop, the
+exact reference of ``gdu.kernel._upper_squared_distances``.
+``train_loop`` is the training loop that made its state fresh on every
+step, kept as the bit-exact reference of
 ``gdu.training.train``. ``three_node_gradients`` builds the objective with
 a separate kernel node for the gate's inner products, the basis norms and
 the basis Gram (``block_means_node`` and ``diagonal_block_means_node``,
@@ -402,6 +404,21 @@ def spectral_norm_sym(x):
     u = eigvecs[:, i]
     sign = 1.0 if eigvals[i] >= 0 else -1.0
     return Tensor(val, (x,), lambda g: x._accumulate(g * sign * np.outer(u, u)))
+
+
+def row_block_pairs(X, block_rows):
+    """The squared distances of the pairs ``i < j`` of X's rows, row by row.
+
+    Row i of the block ``lo:hi`` it falls in takes its pairs from
+    ``squared_distances(X[lo:hi], X[lo:])``: the row-block products of
+    ``gdu.kernel._upper_squared_distances``, in row-major order.
+    """
+    pairs = []
+    for lo in range(0, len(X), block_rows):
+        block = squared_distances(X[lo : lo + block_rows], X[lo:])
+        for r, row in enumerate(block):
+            pairs.extend(row[r + 1 :])
+    return np.array(pairs)
 
 
 # -- op chains replaced by fused tape nodes ------------------------------------

@@ -13,6 +13,7 @@ from gdu.datagen import (
     DomainSpec,
     ElementarySpec,
     SyntheticBenchmark,
+    _uniform_classes,
     bayes_accuracy,
     make_benchmark,
     materialize,
@@ -71,6 +72,23 @@ def test_sample_domain_classes_are_equally_likely_in_every_component():
         assert len(counts) == 3
         stderr = np.sqrt((1 / 3) * (2 / 3) / 6000)
         assert np.all(np.abs(counts / 6000 - 1 / 3) < 4 * stderr), counts
+
+
+def test_the_largest_uniform_draw_falls_in_the_last_class():
+    # At C = 7 the CDF's last entry is 1 - 2^-52, below the largest draw
+    # 1 - 2^-53: counting CDF entries alone gives class 7, and
+    # class_means[tags, labels] has no such class.
+    top = 1.0 - 2.0**-53
+    assert np.cumsum(np.full(7, 1.0 / 7))[-1] < top
+    np.testing.assert_array_equal(_uniform_classes(np.array([0.0, 0.5, top]), 7), [0, 3, 6])
+
+
+def test_uniform_classes_count_the_cdf_entries_below_each_draw():
+    # Every draw of an existing benchmark stays in its class.
+    u = np.random.default_rng(3).random(5000)
+    for c in range(2, 50):
+        cdf = np.cumsum(np.full(c, 1.0 / c))
+        np.testing.assert_array_equal(_uniform_classes(u, c), (u[:, None] > cdf).sum(axis=1))
 
 
 def test_make_benchmark_alphas_on_simplex_and_distinct():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gdu import autodiff as ad
+from gdu.datagen import make_benchmark, materialize
 from gdu.kernel import (
     DegenerateDataError,
     DimensionMismatchError,
@@ -22,6 +23,7 @@ from gdu.kernel import (
     squared_distances,
 )
 from gdu.layer import basis_gram_matrix, init_layer
+from gdu.training import fe_forward, init_feature_extractor
 
 from helpers import traced_peak_bytes
 from oracles import (
@@ -33,6 +35,7 @@ from oracles import (
     max_relative_error,
     mean,
     mul,
+    row_block_pairs,
     summation,
 )
 
@@ -329,32 +332,55 @@ def median_heuristic_cases(rng):
             yield X
 
 
+def full_gram_sigma(X):
+    """sigma from the upper triangle of the one (n, n) ``squared_distances(X, X)``."""
+    d2 = squared_distances(X, X)
+    return math.sqrt(float(np.median(d2[np.triu_indices(len(X), k=1)])))
+
+
 def test_median_heuristic_matches_np_median_for_odd_and_even_pair_counts():
+    # Exact against the row-block pairs; the full Gram's products may
+    # differ from them in the last bit, so its median only up to rounding.
     rng = np.random.default_rng(26)
+    eps = np.finfo(np.float64).eps
     for X in median_heuristic_cases(rng):
-        n = len(X)
-        xx = np.sum(X * X, axis=1)
-        d2 = np.maximum(xx[:, None] + xx[None, :] - 2.0 * (X @ X.T), 0.0)
-        expected = math.sqrt(float(np.median(d2[np.triu_indices(n, k=1)])))
-        assert median_heuristic(X) == expected
+        sigma = median_heuristic(X)
+        assert sigma == math.sqrt(float(np.median(row_block_pairs(X, _PAIR_BLOCK_ROWS))))
+        assert sigma == pytest.approx(full_gram_sigma(X), rel=4 * eps, abs=0)
 
 
-def test_median_pairs_are_the_upper_triangle_of_squared_distances_bit_for_bit():
+def test_median_pairs_are_the_row_block_products_bit_for_bit():
     rng = np.random.default_rng(27)
     for X in median_heuristic_cases(rng):
         pairs = _upper_squared_distances(X, np.sum(X * X, axis=-1))
-        upper = squared_distances(X, X)[np.triu_indices(len(X), k=1)]
-        np.testing.assert_array_equal(np.sort(pairs), np.sort(upper))
+        expected = row_block_pairs(X, _PAIR_BLOCK_ROWS)
+        np.testing.assert_array_equal(np.sort(pairs), np.sort(expected))
 
 
-def test_median_heuristic_needs_one_n_by_n_buffer():
-    # The pairs live in the Gram's own buffer; a second n (n - 1) / 2
-    # vector of them would add 16 MB at this size.
+def test_median_heuristic_keeps_the_full_gram_sigma_where_the_benchmarks_run():
+    # The row counts the benchmarks use (1200 and 2000) are multiples of 8,
+    # where the row-block products leave sigma as the full Gram gives it.
+    rng = np.random.default_rng(29)
+    cases = [rng.normal(size=(n, e)) for n in (1200, 2000) for e in (3, 16, 64)]
+    # The claim set-up's initial shallow features at seed 0, separation 3:
+    # the source rows through an untrained [10, 32, 16] extractor.
+    bench = make_benchmark(4, 3, 10, 3, seed=0, separation=3.0)
+    samples = materialize(bench)
+    train_x = np.concatenate([s.x for s, d in zip(samples, bench.domains) if d.role == "source"])
+    features = np.asarray(fe_forward(train_x, init_feature_extractor([10, 32, 16], 0)))
+    assert features.shape == (1200, 16)
+    for X in cases + [features]:
+        assert median_heuristic(X) == full_gram_sigma(X)
+
+
+def test_median_heuristic_needs_no_n_by_n_buffer():
+    # The pair vector is the one large array; an (n, n) Gram would add
+    # 16 MB at this size.
     n = 2000
     X = np.random.default_rng(28).normal(size=(n, 16))
     sigma, peak = traced_peak_bytes(median_heuristic, X)
     assert sigma > 0
-    assert peak < n * n * 8 + 2 * 2**20
+    assert peak < n * (n - 1) // 2 * 8 + 2 * 2**20
 
 
 def test_median_heuristic_rejects_non_finite_rows():

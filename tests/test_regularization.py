@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gdu.autodiff import tensor
 from gdu.kernel import KernelConfig
 from gdu.layer import GduLayer, _basis_inners, basis_gram_matrix, gate_matrix
 from gdu.regularization import (
@@ -192,6 +193,13 @@ def test_srip_sign_symmetric_spectrum():
 def test_orth_rejects_bad_input():
     with pytest.raises(ValueError, match="square"):
         omega_orth(np.zeros((2, 3)))
+
+
+def test_orth_names_an_empty_gram_matrix():
+    # Without bases there is no dominant eigenvalue to take.
+    for K in (np.zeros((0, 0)), tensor(np.zeros((0, 0)))):
+        with pytest.raises(ValueError, match=r"omega_orth needs at least one basis, got a \(0, 0\)"):
+            omega_orth(K)
 
 
 # -- omega_l1 ------------------------------------------------------------------
