@@ -51,15 +51,14 @@ import numpy as np
 from . import autodiff as ad
 from .kernel import (
     KernelConfig,
-    _array_rows,
     _block_means,
     _check_feature_dims,
     _check_float,
     _check_int,
     _check_rows,
     _check_seed,
-    _gaussian_gram,
     _kernel_statistics,
+    gram,
 )
 
 __all__ = [
@@ -244,8 +243,7 @@ def basis_gram_matrix(layer: GduLayer):
     :func:`_basis_inners` reduces it. Arrays only.
     """
     vectors, n = _stacked_bases(layer)
-    rows = _array_rows(vectors)
-    return _block_means(_gaussian_gram(rows, rows, layer.kernel.sigma), n)
+    return _block_means(gram(vectors, vectors, layer.kernel), n)
 
 
 def _basis_inners(X, layer: GduLayer, gram: bool = False):

@@ -29,18 +29,20 @@ Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
 extractor. :func:`_trained_part` alone tells them apart: FT trains the
 model without its extractor on features extracted once.
 
-:func:`train` keeps the trained blocks in one contiguous float64 vector: it
-rebinds each trained parameter attribute of the model (``fe.weights[i]``,
-``fe.biases[i]``, and ``layer.bases`` when present, ``layer.weights`` and
-``layer.bias``) to a view of that vector, so the optimizer step, the
-best-epoch snapshot and its restore are single vector operations. An array
-taken from the model before ``train`` is no longer the model's parameter
-afterwards. What does not depend on the batch is made once per call: the
-tape leaves (:func:`_graph_model`), whose ``data`` are those views, so
-Adam's in-place update shows in them; one gradient vector in the same
-layout, whose views are the leaves' ``grad``, so that each backward adds
-the leaves' gradients straight into it after :func:`_backprop` zeroes it;
-and Adam's moments and work vectors, which each step updates in place.
+:func:`_lay_out` sets up a training call in one place. It copies the
+trained blocks into one contiguous float64 vector and rebinds each trained
+parameter attribute (``fe.weights[i]``, ``fe.biases[i]``, and
+``layer.bases`` when present, ``layer.weights`` and ``layer.bias``) to a
+view of it; it allocates a gradient vector in the same layout; and it
+makes a graph copy of the model whose tape leaves have the parameter views
+as ``data``, so an in-place update shows in them, and the gradient views as
+``grad``, so each backward adds straight into the gradient vector after
+:func:`_backprop` zeroes it. :func:`train` calls it once per call, so the
+optimizer step, the best-epoch snapshot and its restore are single vector
+operations, and an array taken from the model before ``train`` is no
+longer the model's parameter afterwards. :func:`gradients` calls it on a
+copy of the trained part, so it returns blocks in ``train``'s layout and
+leaves the caller's model as it is.
 """
 
 from __future__ import annotations
@@ -218,7 +220,6 @@ class TraceRow:
     epoch: int
     loss: float
     val_acc: float
-    srip: float | None
     omega_ols: float
     omega_orth: float
     omega_l1: float
@@ -228,7 +229,7 @@ class TraceRow:
 class TrainTrace:
     rows: list = field(default_factory=list)
 
-    CSV_HEADER = "epoch,loss,val_acc,srip,omega_ols,omega_orth,omega_l1"
+    CSV_HEADER = "epoch,loss,val_acc,omega_ols,omega_orth,omega_l1"
 
     def append(self, row: TraceRow):
         self.rows.append(row)
@@ -236,9 +237,8 @@ class TrainTrace:
     def to_csv_text(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.rows:
-            srip = "" if r.srip is None else repr(r.srip)
             lines.append(
-                f"{r.epoch},{r.loss!r},{r.val_acc!r},{srip},"
+                f"{r.epoch},{r.loss!r},{r.val_acc!r},"
                 f"{r.omega_ols!r},{r.omega_orth!r},{r.omega_l1!r}"
             )
         return "\n".join(lines) + "\n"
@@ -445,54 +445,52 @@ def trainable_arrays(model, train_mode: str) -> dict:
     return {name: _get_slot(owner, key) for name, owner, key in _parameter_slots(part)}
 
 
-def _block_views(flat, shapes) -> list:
-    """Consecutive views of the vector ``flat``, one per shape."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
-        start += size
-    return views
-
-
-def _pack_parameters(model):
-    """Move the blocks of ``model`` into one float64 vector.
-
-    Copies the blocks, in :func:`trainable_arrays` order, into a new
-    contiguous vector and rebinds each parameter attribute of ``model`` to
-    its view of it; returns the vector.
-    """
-    slots = _parameter_slots(model)
-    arrays = [_get_slot(owner, key) for _, owner, key in slots]
-    flat = np.concatenate([np.ravel(arr) for arr in arrays], dtype=np.float64)
-    for (_, owner, key), view in zip(slots, _block_views(flat, [np.shape(a) for a in arrays])):
-        _set_slot(owner, key, view)
-    return flat
-
-
-def _graph_model(model):
-    """A copy of ``model`` whose blocks are tape leaves on the model's arrays.
+def _holder_copy(model):
+    """A copy of ``model`` that shares its blocks but not the objects holding them.
 
     Only the objects that hold a trained block are copied, shallowly; their
-    other fields, already validated on ``model``, are shared. Each leaf's
-    ``data`` is the model's block itself, not a copy, so an in-place update
-    of the block shows in the leaf. Returns the copy and its leaves by name.
+    other fields, already validated on ``model``, are shared. Rebinding a
+    block of the copy leaves ``model`` as it is.
     """
-    graph = copy.copy(model)
-    if graph.fe is not None:
-        graph.fe = copy.copy(graph.fe)
-        graph.fe.weights, graph.fe.biases = list(graph.fe.weights), list(graph.fe.biases)
-    graph.layer = copy.copy(graph.layer)
-    leaves = {}
-    for name, owner, key in _parameter_slots(graph):
-        leaves[name] = ad.tensor(_get_slot(owner, key))
-        _set_slot(owner, key, leaves[name])
-    return graph, leaves
+    model = copy.copy(model)
+    if model.fe is not None:
+        model.fe = copy.copy(model.fe)
+        model.fe.weights, model.fe.biases = list(model.fe.weights), list(model.fe.biases)
+    model.layer = copy.copy(model.layer)
+    return model
+
+
+def _lay_out(part):
+    """Lay the blocks of ``part`` out in one parameter and one gradient vector.
+
+    Copies the blocks, in :func:`trainable_arrays` order, into a new
+    contiguous float64 vector, rebinds each parameter attribute of ``part``
+    to its view of it, and allocates a zeroed gradient vector in the same
+    layout. Returns ``(params, grad, graph, leaves)``: the two vectors, a
+    :func:`_holder_copy` of ``part`` whose blocks are tape leaves, and the
+    leaves by name. Each leaf's ``data`` is its view of ``params``, so an
+    in-place update shows in it, and its ``grad`` is its view of ``grad``,
+    so a backward adds straight into that vector.
+    """
+    graph = _holder_copy(part)
+    slots = _parameter_slots(part)
+    arrays = [_get_slot(owner, key) for _, owner, key in slots]
+    params = np.concatenate([np.ravel(arr) for arr in arrays], dtype=np.float64)
+    grad = np.zeros_like(params)
+    leaves, start = {}, 0
+    for (name, owner, key), (_, holder, _), arr in zip(slots, _parameter_slots(graph), arrays):
+        stop = start + np.size(arr)
+        leaf = leaves[name] = ad.tensor(params[start:stop].reshape(np.shape(arr)))
+        leaf.grad = grad[start:stop].reshape(np.shape(arr))
+        _set_slot(owner, key, leaf.data)
+        _set_slot(holder, key, leaf)
+        start = stop
+    return params, grad, graph, leaves
 
 
 def _build_objective(graph, X, y, reg: RegConfig):
-    """The objective on the batch ``(X, y)``: a tape node for a :func:`_graph_model`
-    copy and, by the same operations, a float for the model itself."""
+    """The objective on the batch ``(X, y)``: a tape node for the graph copy of
+    :func:`_lay_out` and, by the same operations, a float for a model."""
     layer = graph.layer
     feats = fe_forward(X, graph.fe)
     # The gate's statistics, and the basis Gram when a term reads it, come
@@ -509,46 +507,32 @@ def objective(batch, model, reg: RegConfig) -> float:
 
 
 def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
-    """Gradient of the objective for every trainable tensor.
+    """Gradient of the objective for every trainable tensor, by name.
 
-    In FT mode the extractor is frozen and its blocks are absent from the
-    result. Non-finite entries raise, naming the offending block.
+    The blocks are laid out as :func:`train` lays them out, on a copy of the
+    trained part, so ``model`` and its arrays stay as they are; the result
+    holds the views of one gradient vector, in :func:`trainable_arrays`
+    order. In FT mode the extractor is frozen and its blocks are absent.
+    Non-finite entries raise, naming the offending block.
     """
     X, y = batch
     part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
-    graph, leaves = _graph_model(part)
-    grad, blocks = _gradient_vector(leaves)
-    _backprop(_build_objective(graph, X, y, reg), leaves, grad, blocks)
-    return dict(zip(leaves, blocks))
+    _, grad, graph, leaves = _lay_out(_holder_copy(part))
+    _backprop(_build_objective(graph, X, y, reg), leaves, grad)
+    return {name: leaf.grad for name, leaf in leaves.items()}
 
 
-def _gradient_vector(leaves: dict) -> tuple:
-    """A vector for the leaves' gradients, and its view per leaf.
-
-    The views lie in the order of ``leaves``, as :func:`_pack_parameters`
-    lays out the blocks. Each leaf's ``grad`` is its view, so a backward
-    adds every leaf's gradient straight into the vector.
-    """
-    grad = np.empty(sum(t.data.size for t in leaves.values()))
-    blocks = _block_views(grad, [t.shape for t in leaves.values()])
-    for t, block in zip(leaves.values(), blocks):
-        t.grad = block
-    return grad, blocks
-
-
-def _backprop(obj, leaves: dict, grad: np.ndarray, blocks: list, where: str = ""):
+def _backprop(obj, leaves: dict, grad: np.ndarray, where: str = ""):
     """Backpropagate ``obj`` into ``grad``, the leaves' gradient vector.
 
-    ``blocks`` are the views of ``grad`` from :func:`_gradient_vector`,
-    which are the leaves' ``grad``. The vector is zeroed first, so leaves
-    reused across steps start each backward from zero. A non-finite entry
-    raises, naming the first block that holds one, with ``where`` appended
-    to the message.
+    The vector is zeroed first, so leaves reused across steps start each
+    backward from zero. A non-finite entry raises, naming the first leaf
+    whose ``grad`` holds one, with ``where`` appended to the message.
     """
     grad[...] = 0.0
     obj.backward()
     if not np.all(np.isfinite(grad)):
-        name = next(n for n, g in zip(leaves, blocks) if not np.all(np.isfinite(g)))
+        name = next(n for n, t in leaves.items() if not np.all(np.isfinite(t.grad)))
         raise NonFiniteGradientError(f"non-finite gradient in block {name!r}{where}")
 
 
@@ -627,8 +611,7 @@ class _Adam:
 def _epoch_metrics(model, feats_train, y_train):
     """Task loss and raw regularizer values on the (extracted) training set.
 
-    SRIP is the ORTH term, reported in both columns. A UNIFORM layer has no
-    bases: it reports 0 for each term and no SRIP.
+    A UNIFORM layer has no bases: it reports 0 for each term.
     """
     layer = model.layer
     # One pass of kernel statistics feeds the gate and every regularizer.
@@ -636,11 +619,9 @@ def _epoch_metrics(model, feats_train, y_train):
     logits = np.asarray(forward_batch(feats_train, layer, beta=beta))
     ce = float(cross_entropy_mean(logits, y_train))
     if layer.mode == UNIFORM:
-        return ce, 0.0, 0.0, 0.0, None
+        return ce, 0.0, 0.0, 0.0
     k_bases = basis_gram_matrix(layer)
-    ols = omega_ols(a, k_bases, beta)
-    orth = omega_orth(k_bases)
-    return ce, ols, orth, omega_l1(beta), orth
+    return ce, omega_ols(a, k_bases, beta), omega_orth(k_bases), omega_l1(beta)
 
 
 def train(data: DatasetSplits, config: TrainConfig, model):
@@ -658,9 +639,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     part, train_x, val_x = _trained_part(
         model, config.mode, np.asarray(data.train_x, dtype=np.float64), data.val_x
     )
-    params = _pack_parameters(part)
-    graph, leaves = _graph_model(part)
-    grad, grad_blocks = _gradient_vector(leaves)
+    params, grad, graph, leaves = _lay_out(part)
     opt = _Adam(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n = len(train_x)
@@ -677,15 +656,15 @@ def train(data: DatasetSplits, config: TrainConfig, model):
             obj = _build_objective(graph, train_x[idx], train_y[idx], config.reg)
             if not np.isfinite(float(obj.data)):
                 raise TrainingDivergedError(epoch)
-            _backprop(obj, leaves, grad, grad_blocks, f" at epoch {epoch}")
+            _backprop(obj, leaves, grad, f" at epoch {epoch}")
             opt.step(params, grad)
 
         feats_train = np.asarray(fe_forward(train_x, part.fe))
-        ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y)
+        ce, ols, orth, l1 = _epoch_metrics(part, feats_train, train_y)
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)
         val_acc = accuracy(part, val_x, data.val_y)
-        trace.append(TraceRow(epoch, ce, val_acc, srip, ols, orth, l1))
+        trace.append(TraceRow(epoch, ce, val_acc, ols, orth, l1))
 
         if val_acc > best_val:
             best_val = val_acc

@@ -35,6 +35,7 @@ does. ``bayes_accuracy_loop`` scores the Bayes classifier row by row in
 scalar math.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -60,8 +61,7 @@ from gdu.training import (
     TrainTrace,
     _build_objective,
     _epoch_metrics,
-    _graph_model,
-    _pack_parameters,
+    _lay_out,
     _trained_part,
     accuracy,
     cross_entropy_mean,
@@ -581,16 +581,17 @@ def kmeans_loop(X, k, seed, check_monotone=False, trace=None):
 def train_loop(data, config, model):
     """The training loop with fresh state on every step.
 
-    Each step makes new tape leaves (``_graph_model``), concatenates the
-    leaves' gradients into a new vector and runs Adam's update out of
-    place. Everything else is ``gdu.training.train``'s: the same batches,
-    epoch metrics, early stopping and snapshot. For the same arguments both
+    Each step lays the parameters out afresh (``_lay_out``: a new
+    parameter vector, tape leaves and graph copy), concatenates the leaves'
+    gradients into a new vector and runs Adam's update out of place.
+    Everything else is ``gdu.training.train``'s: the same batches, epoch
+    metrics, early stopping and snapshot. For the same arguments both
     return the same parameters and trace bit for bit.
     """
     part, train_x, val_x = _trained_part(
         model, config.mode, np.asarray(data.train_x, dtype=np.float64), data.val_x
     )
-    params = _pack_parameters(part)
+    params, *_ = _lay_out(part)
     m, v, t = np.zeros_like(params), np.zeros_like(params), 0
     rng = np.random.default_rng(config.seed)
     n = len(train_x)
@@ -601,7 +602,7 @@ def train_loop(data, config, model):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            graph, leaves = _graph_model(part)
+            params, _, graph, leaves = _lay_out(part)
             obj = _build_objective(graph, train_x[idx], train_y[idx], config.reg)
             if not np.isfinite(float(obj.data)):
                 raise TrainingDivergedError(epoch)
@@ -621,11 +622,11 @@ def train_loop(data, config, model):
             params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
         feats_train = np.asarray(fe_forward(train_x, part.fe))
-        ce, ols, orth, l1, srip = _epoch_metrics(part, feats_train, train_y)
+        ce, ols, orth, l1 = _epoch_metrics(part, feats_train, train_y)
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)
         val_acc = accuracy(part, val_x, data.val_y)
-        trace.append(TraceRow(epoch, ce, val_acc, srip, ols, orth, l1))
+        trace.append(TraceRow(epoch, ce, val_acc, ols, orth, l1))
         if val_acc > best_val:
             best_val, best_snapshot, stale_epochs = val_acc, params.copy(), 0
         else:
@@ -711,7 +712,7 @@ def three_node_gradients(batch, model, reg, train_mode):
     """
     X, y = batch
     part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
-    graph, leaves = _graph_model(part)
+    _, _, graph, leaves = _lay_out(copy.deepcopy(part))
     layer = graph.layer
     feats = fe_forward(X, graph.fe)
     a = k_bases = None

@@ -135,9 +135,9 @@ def test_benchmark_result_line_holds_every_declared_metric(name, trace):
     assert all(math.isfinite(value) for value, _ in result.metrics.values()), result.metrics
     if trace:
         # A refactor that stops calling a traced name empties its span
-        # silently. kernel.gram is the one span that no training step runs.
+        # silently. kernel.gram runs in each epoch's basis Gram of a GDU fit.
         empty = [n for n, (v, _) in result.metrics.items() if n.endswith("_s.n") and v <= 0]
-        assert empty == ["kernel.gram_s.n"], empty
+        assert empty == [], empty
     metrics = {n: {"value": v, "unit": u} for n, (v, u) in result.metrics.items()}
     json.dumps({"correct": result.correct, "attempted": result.attempted,
                 "failed": result.failed, "metrics": metrics}, allow_nan=False)
@@ -210,28 +210,43 @@ def test_traced_training_spans_run_once_per_step():
     from gdu.kernel import KernelConfig
     from gdu.layer import init_layer
     from gdu.regularization import RegConfig
-    from gdu.training import DatasetSplits, GduModel, TrainConfig, init_feature_extractor, train
+    from gdu.training import (DatasetSplits, GduModel, TrainConfig, gradients,
+                              init_feature_extractor, train)
 
     rng = np.random.default_rng(0)
     data = DatasetSplits(rng.normal(size=(40, 4)), rng.integers(0, 3, size=40),
                          rng.normal(size=(10, 4)), rng.integers(0, 3, size=10))
-    # Seven parameter leaves per step, and operation nodes: the extractor,
-    # the kernel statistics and its parts, the gate, the ensemble and the
-    # loss; a step that reads the basis Gram gets a third part, the OLS term
-    # and the weighted sum.
-    for reg, nodes in ((RegConfig(), 14), (RegConfig(lambda_ols=0.5), 17)):
+    # E2E: seven parameter leaves per step, and operation nodes: the
+    # extractor, the kernel statistics and its parts, the gate, the ensemble
+    # and the loss; a step that reads the basis Gram gets a third part, the
+    # OLS term and the weighted sum. FT trains the layer alone on extracted
+    # features: three leaves and no extractor node.
+    ols = RegConfig(lambda_ols=0.5)
+    cases = (("E2E", RegConfig(), 14), ("E2E", ols, 17), ("FT", RegConfig(), 9), ("FT", ols, 12))
+    for train_mode, reg, nodes in cases:
         model = GduModel(init_feature_extractor([4, 6, 4], 0),
                          init_layer(3, 5, 4, 3, 1, "CS", KernelConfig(2.0), 20.0))
         tracer = _load_tracer().Tracer()
         tracer.install()
         try:
-            train(data, TrainConfig(max_epochs=2, patience=2, batch_size=16, reg=reg), model)
+            config = TrainConfig(mode=train_mode, max_epochs=2, patience=2, batch_size=16, reg=reg)
+            train(data, config, model)
         finally:
             tracer.uninstall()
         steps = 2 * 3  # 2 epochs of 3 batches of at most 16 rows
         for span in ("training.build_objective", "autodiff.backward", "training.optimizer_step"):
-            assert tracer.calls(span) == steps, (reg, span)
-        assert tracer.counts["tape_nodes"] == nodes * steps, reg
+            assert tracer.calls(span) == steps, (train_mode, reg, span)
+        assert tracer.counts["tape_nodes"] == nodes * steps, (train_mode, reg)
+        # One gradients call is one step's build and backward.
+        tracer = _load_tracer().Tracer()
+        tracer.install()
+        try:
+            gradients((data.train_x[:16], data.train_y[:16]), model, reg, train_mode)
+        finally:
+            tracer.uninstall()
+        for span in ("training.build_objective", "autodiff.backward"):
+            assert tracer.calls(span) == 1, (train_mode, reg, span)
+        assert tracer.counts["tape_nodes"] == nodes, (train_mode, reg)
 
 
 def test_every_module_export_resolves():

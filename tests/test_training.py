@@ -1,5 +1,6 @@
 """Feature extractor, loss, gradients, and the training loop."""
 
+import copy
 import gc
 import math
 import re
@@ -30,8 +31,9 @@ from gdu.training import (
     NonFiniteGradientError,
     TrainConfig,
     TrainingDivergedError,
+    _Adam,
     _build_objective,
-    _graph_model,
+    _lay_out,
     accuracy,
     cross_entropy_mean,
     fe_forward,
@@ -197,7 +199,7 @@ def test_objective_builds_no_tape_and_equals_the_tape_value_bit_for_bit(monkeypa
         for nonlinearity in ("tanh", "relu"):
             model, X, y = build_small_gdu(seed, mode, fe_nonlinearity=nonlinearity)
             cases += [(model, X, y, reg) for reg in reg_toggles(mode)]
-    tape = [float(_build_objective(_graph_model(m)[0], X, y, reg).data) for m, X, y, reg in cases]
+    tape = [float(_build_objective(_lay_out(m)[2], X, y, reg).data) for m, X, y, reg in cases]
 
     def no_tensor(*args, **kwargs):
         raise AssertionError("objective built a tape node")
@@ -397,7 +399,7 @@ def test_objective_tape_size_does_not_grow_with_num_bases(mode):
     counts = set()
     for m in (2, 10):
         model, X, y = build_small_gdu(6, mode, dims={**SMALL_DIMS, "m": m})
-        graph, leaves = _graph_model(model)
+        _, _, graph, leaves = _lay_out(model)
         counts.add(_op_nodes(_build_objective(graph, X, y, reg_toggles(mode)[-1]), leaves))
     assert len(counts) == 1, counts
     assert counts.pop() <= TAPE_NODE_CAP[mode]
@@ -410,7 +412,7 @@ def test_tape_shape_is_pinned():
     # as parts, one node each: the inner products and the basis norms, and
     # the basis Gram too when a term reads it.
     def nodes(model, X, y, reg=RegConfig()):
-        graph, leaves = _graph_model(model)
+        _, _, graph, leaves = _lay_out(model)
         return _op_nodes(_build_objective(graph, X, y, reg), leaves)
 
     model, X, y = build_small_gdu(0, "CS")
@@ -679,6 +681,54 @@ def test_train_matches_the_reference_loop(mode, train_mode):
     assert run(train) == reference
 
 
+@pytest.mark.parametrize(
+    "train_mode, mode",
+    [("E2E", "CS"), ("E2E", "PROJECTION"), ("E2E", "ERM"), ("FT", "MMD")],
+)
+def test_train_and_gradients_lay_the_blocks_out_alike(train_mode, mode, monkeypatch):
+    # train's first Adam step receives, bit for bit, the concatenated blocks
+    # that gradients gives on the same first batch, so both entry points
+    # share one layout, in trainable_arrays order.
+    data = separable_splits(22)
+    reg = _ALL_REGULARIZERS[mode]
+    config = TrainConfig(mode=train_mode, max_epochs=1, patience=1, batch_size=16,
+                         seed=23, reg=reg)
+    if mode == "ERM":
+        model = init_erm_model([2, 6, 4], 2, n_heads=2, seed=22)
+    else:
+        model = _fresh_model(mode, 22)
+    before = copy.deepcopy(model)
+    order = np.random.default_rng(config.seed).permutation(len(data.train_x))[: config.batch_size]
+    X = np.asarray(data.train_x, dtype=np.float64)
+    probe = before
+    if train_mode == "FT":
+        # train extracts the features of every training row once; the
+        # batch takes its rows from them, and the part has no extractor.
+        X, probe = np.asarray(fe_forward(X, before.fe)), GduModel(None, before.layer)
+    arrays = trainable_arrays(probe, "E2E")
+    saved = {name: arr.copy() for name, arr in arrays.items()}
+    blocks = gradients((X[order], data.train_y[order]), probe, reg)
+    assert list(blocks) == list(trainable_arrays(before, train_mode))
+    # gradients leaves the caller's arrays as they were: the same objects,
+    # holding the same bytes.
+    after = trainable_arrays(probe, "E2E")
+    assert all(after[name] is arr for name, arr in arrays.items())
+    assert all(arr.tobytes() == saved[name].tobytes() for name, arr in arrays.items())
+
+    first = []
+    step = _Adam.step
+
+    def recording_step(self, params, grad):
+        if not first:
+            first.append(grad.copy())
+        step(self, params, grad)
+
+    monkeypatch.setattr(_Adam, "step", recording_step)
+    train(data, config, model)
+    expected = np.concatenate([np.ravel(g) for g in blocks.values()])
+    assert first[0].tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("train_mode", ["E2E", "FT"])
 def test_train_leaves_no_cyclic_garbage(train_mode):
     # The leaves and buffers that train keeps across steps must not tie a
@@ -863,24 +913,22 @@ def test_non_integer_labels_are_named_not_truncated(scorer, labels, named):
 
 
 def test_srip_tracking_and_trace_csv_columns():
-    # SRIP is reported for every layer with bases: it is the ORTH column itself.
+    # SRIP is the ORTH term, so the trace reports it once, as omega_orth.
     data = separable_splits(7)
-    header = "epoch,loss,val_acc,srip,omega_ols,omega_orth,omega_l1"
+    header = "epoch,loss,val_acc,omega_ols,omega_orth,omega_l1"
     model = small_gdu_for_training(7, mode="PROJECTION")
     reg = RegConfig(lambda_ols=1e-3, lambda_orth=1e-3)
     _, trace = train(data, TrainConfig(max_epochs=3, patience=3, seed=9, reg=reg), model)
     assert trace.to_csv_text().splitlines()[0] == header
-    assert all(r.srip is not None for r in trace.rows)
-    # The restored snapshot is the first best epoch's: its SRIP column
+    # The restored snapshot is the first best epoch's: its ORTH column
     # is the spectral penalty on the trained basis Gram matrix.
     best = max(trace.rows, key=lambda r: r.val_acc)
-    assert best.srip == omega_orth(np.asarray(basis_gram_matrix(model.layer)))
-    assert all(r.srip == r.omega_orth for r in trace.rows)
-    # A UNIFORM layer has no bases: its SRIP column stays empty.
+    assert best.omega_orth == omega_orth(np.asarray(basis_gram_matrix(model.layer)))
+    # A UNIFORM layer has no bases: each term column reads 0.0.
     erm = init_erm_model([2, 6, 4], 2, n_heads=2, seed=7)
     _, trace = train(data, TrainConfig(max_epochs=2, patience=2, seed=9), erm)
-    assert all(r.srip is None for r in trace.rows)
-    assert [line.split(",")[3] for line in trace.to_csv_text().splitlines()[1:]] == ["", ""]
+    rows = trace.to_csv_text().splitlines()[1:]
+    assert [line.split(",")[3:] for line in rows] == [["0.0", "0.0", "0.0"]] * 2
 
 
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
