@@ -21,13 +21,13 @@ exactly when the mode is UNIFORM, ``weights`` (e, M, C) and ``bias``
 (M, C). An ERM model with K heads is the UNIFORM layer with M = K; a
 layer on its own is saved as the model ``GduModel(None, layer)``.
 
-Readers reject unknown versions, truncated or malformed blocks and any
-token after ``end``, each with a :class:`CheckpointError`. A field token
-that is not a hex float or a count names its field; a block whose token
-is not base64, or decodes to other than 8 bytes per declared value, names
-its block. Model parts that do not fit together (shapes, sizes, a kernel
-the mode does not take) carry the constructor's ``ValueError`` as the
-cause.
+Files are ASCII. Readers reject a file that is not, unknown versions,
+truncated or malformed blocks and any token after ``end``, each with a
+:class:`CheckpointError`. A field token that is not a hex float or a
+count names its field; a block whose token is not base64, or decodes to
+other than 8 bytes per declared value, names its block. Model parts
+that do not fit together (shapes, sizes, a kernel the mode does not
+take) carry the constructor's ``ValueError`` as the cause.
 """
 
 from __future__ import annotations
@@ -214,10 +214,14 @@ def model_from_text(text: str) -> GduModel:
 
 
 def save_model(path, model):
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(model_to_text(model))
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_text(fh.read())
+    try:
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"checkpoint file is not ASCII: {err}") from err
+    return model_from_text(text)

@@ -21,7 +21,7 @@ count is drawn once per seed. The one-shot seeding it replaced is kept as
 :func:`kmeans` is bit-identical to the plain Lloyd loop with one mask and
 one mean per cluster, kept as ``kmeans_loop`` in ``tests/oracles.py``: the
 same assignments, centroids, inertia and iteration count. Its distances
-are the operations of :func:`gdu.kernel.squared_distances` in the same
+are the operations of the ``squared_distances`` oracle there in the same
 order, but in the (k, n) layout: one product ``C @ X^T`` per Lloyd step
 over a contiguous copy of X^T made once per row set. With k <= 10, OpenBLAS
 runs that short, wide product 1.8-4.5x faster than ``X @ C^T`` into an (n, k)
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_int, _check_rows, _check_seed, squared_distances
+from .kernel import _check_int, _check_rows, _check_seed
 
 __all__ = [
     "ClusteringResult",
@@ -92,8 +92,8 @@ def _distances_to(XT, xx, centroids, twice_g, out):
     squared norms, both made once per row set. The product is
     written straight into the work buffer ``twice_g`` (k, n) and doubled
     there, which is exact. BLAS may round ``C X^T`` and ``X C^T``
-    differently, so this agrees with :func:`gdu.kernel.squared_distances`
-    to ~1e-12 of the squared norms, not bit for bit.
+    differently, so this agrees with ``squared_distances`` of
+    ``tests/oracles.py`` to ~1e-12 of the squared norms, not bit for bit.
     """
     np.matmul(centroids, XT, out=twice_g)
     twice_g *= 2.0
@@ -276,8 +276,9 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
     :func:`select_m`, whose rows are not checked again. Raises a ValueError
     for assignments that are not one per row or lie outside [0, k), for
     centroids of another width than X's rows, for an empty cluster, and
-    for two centroids that are equal or at a computed distance of zero,
-    where a ratio would be inf or NaN.
+    for two centroids at a distance of zero, where a ratio would be inf or
+    NaN. The separations come from the centroids' exact differences, so
+    equal centroids are at exactly zero.
     """
     X = _checked(X, "davies_bouldin").X
     shape = np.shape(result.assignments)
@@ -305,21 +306,16 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
         spreads[j] = np.mean(
             np.sqrt(np.sum((members - result.centroids[j]) ** 2, axis=1))
         )
-    separations = np.sqrt(squared_distances(result.centroids, result.centroids))
-    # Equal rows can round to a tiny positive distance; they coincide too.
-    equal = (result.centroids[:, None, :] == result.centroids[None, :, :]).all(axis=-1)
-    coincident = np.argwhere(((separations == 0.0) | equal) & ~np.eye(k, dtype=bool))
+    # From exact differences, equal centroids sit at exactly 0.
+    centroids = result.centroids
+    squared = np.sum((centroids[:, None, :] - centroids) ** 2, axis=-1)
+    np.fill_diagonal(squared, np.inf)
+    coincident = np.argwhere(squared == 0.0)
     if len(coincident):
         i, j = coincident[0].tolist()
         raise ValueError(f"davies_bouldin needs distinct centroids, but centroids {i} and {j} coincide")
-    worst = np.zeros(k)
-    for i in range(k):
-        ratios = [
-            (spreads[i] + spreads[j]) / separations[i, j]
-            for j in range(k)
-            if j != i
-        ]
-        worst[i] = max(ratios)
+    # The infinite diagonal gives each cluster a ratio of 0 against itself.
+    worst = np.max((spreads[:, None] + spreads) / np.sqrt(squared), axis=1)
     return float(np.mean(worst))
 
 

@@ -27,12 +27,13 @@ place (:func:`_gaussian_gram`). Floating-point cancellation can leave the
 exponent slightly above 0 where two rows nearly coincide; the clamp keeps
 every kernel value in [0, 1]. The products ``x_k (2c y_k)`` round
 differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
-to rounding (~1e-16). :func:`squared_distances` keeps the explicit
-``||x||^2 + ||y||^2 - 2 x.y`` form for the distances of
-:mod:`gdu.heuristics` and :func:`median_heuristic`, which need distances,
-not kernel values (see ``heuristics._distances_to``).
-:func:`median_heuristic` takes its pairs from row blocks of products
-(:func:`_upper_squared_distances`) and makes no (n, n) array.
+to rounding (~1e-16). The distances of :mod:`gdu.heuristics` and
+:func:`median_heuristic`, which need distances, not kernel values, keep
+the explicit ``||x||^2 + ||y||^2 - 2 x.y`` form of the
+``squared_distances`` oracle in ``tests/oracles.py`` (see
+``heuristics._distances_to``). :func:`median_heuristic` takes its pairs
+from row blocks of products (:func:`_upper_squared_distances`) and makes
+no (n, n) array.
 """
 
 from __future__ import annotations
@@ -149,21 +150,6 @@ def _check_feature_dims(name_a, dim_a, name_b, dim_b):
         )
 
 
-def squared_distances(X, Y):
-    """Pairwise squared Euclidean distances between rows of X and rows of Y.
-
-    Computed as ``||x||^2 + ||y||^2 - 2 x.y`` and clamped at zero, because
-    floating-point cancellation can leave tiny negatives where rows nearly
-    coincide. Leading axes batch: (..., n, e) and (..., m, e) give
-    (..., n, m). Arrays only.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    xx = np.sum(X * X, axis=-1)[..., :, None]
-    yy = np.sum(Y * Y, axis=-1)[..., None, :]
-    return np.maximum(xx + yy - 2.0 * (X @ np.swapaxes(Y, -1, -2)), 0.0)
-
-
 def _augmented(A, *columns):
     """A with ``columns`` (scalars, or one value per row) appended on its last axis.
 
@@ -183,10 +169,10 @@ def _gaussian_exponent(X, Y, sigma):
 
     One matmul of rows augmented to ``[x, 1, -c ||x||^2]`` and
     ``[2c y, -c ||y||^2, 1]`` with ``c = 1 / (2 sigma^2)``. Leading axes
-    batch as in :func:`squared_distances`. Arrays only. Where ``||x||^2``,
-    ``c ||x||^2``, ``c ||y||^2`` or ``2c y`` overflows on finite rows, a
-    ValueError names sigma, under any warnings filter. Non-finite rows raise
-    no overflow, so they pass through.
+    batch: (..., n, e) and (..., m, e) give (..., n, m). Arrays only. Where
+    ``||x||^2``, ``c ||x||^2``, ``c ||y||^2`` or ``2c y`` overflows on
+    finite rows, a ValueError names sigma, under any warnings filter.
+    Non-finite rows raise no overflow, so they pass through.
     """
     c = 0.5 / sigma**2
     try:
@@ -368,7 +354,8 @@ def _upper_squared_distances(X, xx):
 
     Rows are taken in blocks of ``_PAIR_BLOCK_ROWS``. A block ``lo:hi``
     takes its pairs from one product ``X[lo:hi] @ X[lo:].T``, with the
-    arithmetic of ``squared_distances(X[lo:hi], X[lo:])``: each pair is
+    arithmetic of the oracle ``squared_distances(X[lo:hi], X[lo:])`` in
+    ``tests/oracles.py``: each pair is
     ``max((xx_i + xx_j) - 2 G_ij, 0)`` over the squared norms ``xx`` of
     :func:`_check_rows`. The doubled product goes into one reused
     (_PAIR_BLOCK_ROWS, n) buffer; the rectangle of the block's rows

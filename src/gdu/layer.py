@@ -120,7 +120,11 @@ def _row_sum(a):
 
 @dataclass
 class LearningMachine:
-    """Affine head ``x @ weights + bias`` with e inputs and C outputs."""
+    """The weights (e, C) and bias (C,) of the affine head ``x @ weights + bias``.
+
+    :attr:`GduLayer.machines` gives views into the layer; :func:`forward_batch`
+    computes every machine's output.
+    """
 
     weights: object
     bias: object
@@ -132,10 +136,6 @@ class LearningMachine:
             raise ValueError(
                 f"inconsistent machine shapes: weights {w.shape}, bias {b.shape}"
             )
-
-    def __call__(self, x):
-        """The head's output for arrays; the tape runs the layer as one node."""
-        return x @ self.weights + self.bias
 
 
 @dataclass
@@ -221,8 +221,12 @@ class GduLayer:
 
 
 def _check_width(X, layer: GduLayer):
-    """Raise :class:`gdu.kernel.DimensionMismatchError` unless X's rows have e features."""
-    _check_feature_dims("X", ad.value_of(X).shape[-1], "the layer's input", layer.feature_dim)
+    """Raise unless X is a (b, e) batch: a ValueError naming the shape of an X
+    that is not 2-D, :class:`gdu.kernel.DimensionMismatchError` for another e."""
+    shape = ad.value_of(X).shape
+    if len(shape) != 2:
+        raise ValueError(f"X must be a (b, e) feature batch, got shape {shape}")
+    _check_feature_dims("X", shape[-1], "the layer's input", layer.feature_dim)
 
 
 def _stacked_bases(layer: GduLayer):

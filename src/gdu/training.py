@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -229,18 +229,11 @@ class TraceRow:
 class TrainTrace:
     rows: list = field(default_factory=list)
 
-    CSV_HEADER = "epoch,loss,val_acc,omega_ols,omega_orth,omega_l1"
-
-    def append(self, row: TraceRow):
-        self.rows.append(row)
-
     def to_csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.epoch},{r.loss!r},{r.val_acc!r},"
-                f"{r.omega_ols!r},{r.omega_orth!r},{r.omega_l1!r}"
-            )
+        """One header line of :class:`TraceRow`'s field names, then the ``repr``
+        of each row's values, comma-separated, one line per row."""
+        lines = [",".join(f.name for f in fields(TraceRow))]
+        lines += [",".join(map(repr, astuple(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -270,8 +263,10 @@ def init_erm_model(layer_sizes, n_outputs: int, n_heads: int, seed: int) -> GduM
 
     The heads are drawn as :func:`gdu.layer.init_layer` draws machines, from seed + 1.
     """
-    _check_int("n_outputs", n_outputs)
-    _check_int("n_heads", n_heads)
+    for name, value in (("n_outputs", n_outputs), ("n_heads", n_heads)):
+        _check_int(name, value)
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     fe = init_feature_extractor(layer_sizes, seed)
     rng = np.random.default_rng(seed + 1)
     weights, bias = _init_machines(rng, n_heads, layer_sizes[-1], n_outputs)
@@ -346,18 +341,19 @@ def _integer_labels(labels, where: str = "") -> np.ndarray:
     return labels
 
 
-def _checked_labels(labels, b: int, c: int) -> np.ndarray:
-    """``labels`` as b >= 1 int64 class indices in ``[0, c)``, or a ValueError.
+def _checked_labels(labels, b: int, c: int, where: str = "") -> np.ndarray:
+    """``labels`` as b >= 1 int64 class indices in ``[0, c)``, or a ValueError
+    prefixed by ``where``.
 
     They must pass :func:`_integer_labels`.
     """
     labels = np.asarray(labels)
     if labels.shape != (b,):
-        raise ValueError(f"expected {b} labels, got shape {labels.shape}")
-    labels = _integer_labels(labels)
+        raise ValueError(f"{where}expected {b} labels, got shape {labels.shape}")
+    labels = _integer_labels(labels, where)
     if labels.min() < 0 or labels.max() >= c:
         bad = labels[(labels < 0) | (labels >= c)][0]
-        raise ValueError(f"label {int(bad)} out of range for C={c}")
+        raise ValueError(f"{where}label {int(bad)} out of range for C={c}")
     return labels.astype(np.int64)
 
 
@@ -629,13 +625,18 @@ def train(data: DatasetSplits, config: TrainConfig, model):
 
     Deterministic given the config seed. Early stopping keeps the first
     parameter snapshot attaining the highest validation accuracy and stops
-    after ``patience`` epochs without improvement.
+    after ``patience`` epochs without improvement. A label of either split
+    outside the model's classes raises a ValueError naming the split before
+    the first step.
 
     The trained parameter attributes of ``model`` are rebound to views of
     one new vector (see the module docstring), so arrays taken from the
     model before the call no longer follow it. In FT mode the extractor is
     left as it is.
     """
+    c = model.layer.n_outputs
+    train_y = _checked_labels(data.train_y, len(data.train_x), c, "train_y: ")
+    _checked_labels(data.val_y, len(data.val_x), c, "val_y: ")
     part, train_x, val_x = _trained_part(
         model, config.mode, np.asarray(data.train_x, dtype=np.float64), data.val_x
     )
@@ -643,7 +644,6 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     opt = _Adam(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n = len(train_x)
-    train_y = np.asarray(data.train_y, dtype=np.int64)
 
     trace = TrainTrace()
     best_val = -math.inf
@@ -664,7 +664,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)
         val_acc = accuracy(part, val_x, data.val_y)
-        trace.append(TraceRow(epoch, ce, val_acc, ols, orth, l1))
+        trace.rows.append(TraceRow(epoch, ce, val_acc, ols, orth, l1))
 
         if val_acc > best_val:
             best_val = val_acc

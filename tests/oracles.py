@@ -21,7 +21,9 @@ distances as ``kmeans`` lays them out, ``(||x||^2 + ||c||^2) - 2 C X^T``
 in (k, n) over a contiguous copy of X^T, not as
 ``squared_distances(X, C)``: the BLAS rounds the two layouts of the
 product differently on some shapes, and the contiguous (k, n) one is the
-fast one. ``row_block_pairs`` is the median heuristic's pair loop, the
+fast one. ``squared_distances`` is the one (n, m) distance matrix that
+the package's distance loops lay out in other ways, and
+``row_block_pairs`` is the median heuristic's pair loop over it, the
 exact reference of ``gdu.kernel._upper_squared_distances``.
 ``train_loop`` is the training loop that made its state fresh on every
 step, kept as the bit-exact reference of
@@ -42,13 +44,7 @@ import numpy as np
 
 from gdu.autodiff import Tensor, is_tensor, value_of
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _distances_to
-from gdu.kernel import (
-    _augmented,
-    _check_feature_dims,
-    _gaussian_gram,
-    _rows,
-    squared_distances,
-)
+from gdu.kernel import _augmented, _check_feature_dims, _gaussian_gram, _rows
 from gdu.layer import UNIFORM, _gate_from_inners, forward_batch
 from gdu.regularization import _add_regularizers, _reads_basis_gram
 from gdu.training import (
@@ -164,22 +160,6 @@ def max_relative_error(analytic, numeric, floor=1e-6):
                 continue
             worst = max(worst, abs(av - nv) / scale)
     return worst
-
-
-def dominating_witness_quadratic(risks, idx):
-    """All-pairs dominance scan: index of a hypothesis dominating ``idx``.
-
-    ``g`` dominates ``f`` iff risks are <= everywhere and < somewhere.
-    Returns None when ``idx`` is Pareto-optimal.
-    """
-    risks = np.asarray(risks, dtype=float)
-    target = risks[idx]
-    for g in range(risks.shape[0]):
-        if g == idx:
-            continue
-        if np.all(risks[g] <= target) and np.any(risks[g] < target):
-            return g
-    return None
 
 
 # Basis Gram matrices routinely have near-tied leading eigenvalues, where
@@ -406,6 +386,23 @@ def spectral_norm_sym(x):
     return Tensor(val, (x,), lambda g: x._accumulate(g * sign * np.outer(u, u)))
 
 
+def squared_distances(X, Y):
+    """Pairwise squared Euclidean distances between rows of X and rows of Y.
+
+    Computed as ``||x||^2 + ||y||^2 - 2 x.y`` and clamped at zero, because
+    floating-point cancellation can leave tiny negatives where rows nearly
+    coincide. Leading axes batch: (..., n, e) and (..., m, e) give
+    (..., n, m). The reference of ``gdu.heuristics._distances_to`` and
+    ``gdu.kernel._upper_squared_distances``, which run its operations in
+    other layouts.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    xx = np.sum(X * X, axis=-1)[..., :, None]
+    yy = np.sum(Y * Y, axis=-1)[..., None, :]
+    return np.maximum(xx + yy - 2.0 * (X @ np.swapaxes(Y, -1, -2)), 0.0)
+
+
 def row_block_pairs(X, block_rows):
     """The squared distances of the pairs ``i < j`` of X's rows, row by row.
 
@@ -437,7 +434,7 @@ def cross_entropy_chain(logits, labels):
     return mean(sub(lse, z[np.arange(len(z)), labels]))
 
 
-def kernel_softmax_chain(scores, kappa):
+def _kernel_softmax_chain(scores, kappa):
     """Row-wise softmax of ``kappa * scores`` with max-subtraction."""
     z = mul(scores, kappa)
     z = sub(z, detach(amax(z, axis=1, keepdims=True)))
@@ -445,7 +442,7 @@ def kernel_softmax_chain(scores, kappa):
     return div(e, summation(e, axis=1, keepdims=True))
 
 
-def similarity_chain(a, norms, mode):
+def _similarity_chain(a, norms, mode):
     """CS or MMD similarity scores between unit-norm feature maps and each basis."""
     if mode == "CS":
         return div(a, sqrt(reshape(norms, (1, -1))))
@@ -456,7 +453,7 @@ def gate_chain(a, norms, mode, kappa):
     """Gating rows from embedding inner products (see ``_gate_from_inners``)."""
     if mode == "PROJECTION":
         return div(a, reshape(norms, (1, -1)))
-    return kernel_softmax_chain(similarity_chain(a, norms, mode), kappa)
+    return _kernel_softmax_chain(_similarity_chain(a, norms, mode), kappa)
 
 
 def ensemble_chain(X, weights, bias, beta):
@@ -626,7 +623,7 @@ def train_loop(data, config, model):
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)
         val_acc = accuracy(part, val_x, data.val_y)
-        trace.append(TraceRow(epoch, ce, val_acc, ols, orth, l1))
+        trace.rows.append(TraceRow(epoch, ce, val_acc, ols, orth, l1))
         if val_acc > best_val:
             best_val, best_snapshot, stale_epochs = val_acc, params.copy(), 0
         else:

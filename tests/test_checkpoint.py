@@ -389,6 +389,20 @@ def test_gdu_model_round_trip(tmp_path):
     assert restored.layer.kappa == 2.0
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"gdu-checkpoint 4\n\xff\xfe\n", "gdu-checkpoint 4\nfield fe_layers 0\nfield mode C\u00e9\n".encode()],
+    ids=["not-utf8", "utf8"],
+)
+def test_a_file_that_is_not_ascii_raises_a_checkpoint_error(tmp_path, raw):
+    # The file was read in the locale's encoding: bytes it could not decode
+    # raised UnicodeDecodeError, not the CheckpointError the format promises.
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError, match="^checkpoint file is not ASCII: "):
+        load_model(path)
+
+
 def test_erm_model_round_trip():
     model = init_erm_model([3, 4], 2, n_heads=3, seed=9)
     model.layer.bias += np.arange(6.0).reshape(3, 2) / 3.0

@@ -538,3 +538,33 @@ def test_the_package_imports_only_the_stdlib_and_numpy():
     snippet = "import os, scipy.linalg\nfrom numpy import linalg\nfrom . import kernel\n"
     snippet += "def f():\n    from hypothesis import given\n"
     assert _foreign_imports(ast.parse(snippet)) == [(1, "scipy.linalg"), (5, "hypothesis")]
+
+
+def _oracle_names_read(tree):
+    """The names a test module imports from ``oracles`` or reads as ``oracles.<name>``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "oracles":
+                found.add(node.attr)
+    return found
+
+
+def test_every_public_oracle_is_read_by_a_test():
+    # A reference that no test reads checks nothing and goes stale unseen.
+    tests = ROOT / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    public = [
+        node.name
+        for node in oracles.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    read = set()
+    for path in [*sorted(tests.glob("test_*.py")), tests / "helpers.py"]:
+        read |= _oracle_names_read(ast.parse(path.read_text()))
+    unread = [name for name in public if name not in read]
+    assert not unread, f"tests/oracles.py defines {unread}, which no test reads"
+    snippet = "import oracles\nfrom oracles import a, b\noracles.c(np.d)\nfrom gdu import e\n"
+    assert _oracle_names_read(ast.parse(snippet)) == {"a", "b", "c"}

@@ -142,8 +142,9 @@ TWO_CENTROIDS = [[0.0, 0.5], [4.0, 0.5]]
          r"got centroids of shape \(2, 3\) for rows of width 2"),
         ([0, 0, 1, 1, 1], [[4.0, 0.5], [4.0, 0.5]],
          "needs distinct centroids, but centroids 0 and 1 coincide"),
-        # Equal rows whose squared distance can round above 0 (2.8e-17 with
-        # OpenBLAS on x86-64), so a zero-distance test alone misses them.
+        # Equal rows whose expanded squared distance ||x||^2 + ||y||^2 - 2 x.y
+        # can round above 0 (2.8e-17 with OpenBLAS on x86-64); their exact
+        # difference is 0.
         ([0, 0, 1, 2, 2], [[0.0, 0.5], [0.1, 0.3], [0.1, 0.3]],
          "needs distinct centroids, but centroids 1 and 2 coincide"),
     ],

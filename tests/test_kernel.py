@@ -20,7 +20,6 @@ from gdu.kernel import (
     _upper_squared_distances,
     gram,
     median_heuristic,
-    squared_distances,
 )
 from gdu.layer import basis_gram_matrix, init_layer
 from gdu.training import fe_forward, init_feature_extractor
@@ -36,6 +35,7 @@ from oracles import (
     mean,
     mul,
     row_block_pairs,
+    squared_distances,
     summation,
 )
 

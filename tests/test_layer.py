@@ -163,9 +163,8 @@ def test_forward_single_machine_equals_machine_output():
     rng = np.random.default_rng(7)
     layer = random_layer(rng, "CS", m=1)
     x = rng.normal(size=3)
-    np.testing.assert_allclose(
-        forward_batch(x[None], layer)[0], np.asarray(layer.machines[0](x)), atol=1e-12
-    )
+    (m,) = layer.machines
+    np.testing.assert_allclose(forward_batch(x[None], layer)[0], x @ m.weights + m.bias, atol=1e-12)
 
 
 def test_forward_identical_machines_in_geometry_mode():
@@ -180,7 +179,7 @@ def test_forward_identical_machines_in_geometry_mode():
     )
     x = rng.normal(size=2)
     np.testing.assert_allclose(
-        forward_batch(x[None], layer)[0], np.asarray(machine(x)), atol=1e-12
+        forward_batch(x[None], layer)[0], x @ machine.weights + machine.bias, atol=1e-12
     )
 
 
@@ -188,8 +187,7 @@ def test_forward_composes_gate_with_machine_outputs():
     layer = make_layer([[[0.0]], [[2.0]]], "MMD", kappa=2.0, n_outputs=2)
     x = np.array([0.0])
     beta = gate_matrix(x[None], layer)[0]
-    o1 = np.asarray(layer.machines[0](x))
-    o2 = np.asarray(layer.machines[1](x))
+    o1, o2 = (x @ m.weights + m.bias for m in layer.machines)
     np.testing.assert_allclose(
         forward_batch(x[None], layer)[0], beta[0] * o1 + beta[1] * o2, atol=1e-12
     )
@@ -205,7 +203,8 @@ def test_forward_affine_in_machine_outputs():
     layer.weights[:, 0] *= 2.0
     layer.bias[0] *= 2.0
     doubled = forward_batch(x[None], layer, beta=beta)[0]
-    share = beta[0, 0] * np.asarray(layer.machines[0](x))
+    m = layer.machines[0]
+    share = beta[0, 0] * (x @ m.weights + m.bias)
     np.testing.assert_allclose(doubled, base - share / 2.0 + share, atol=1e-12)
 
 
@@ -214,7 +213,7 @@ def test_forward_batch_with_constant_gate_override():
     layer = random_layer(rng, "CS", m=4)
     X = rng.normal(size=(6, 3))
     uniform = np.full((6, 4), 0.25)
-    expected = np.mean([np.asarray(m(X)) for m in layer.machines], axis=0)
+    expected = np.mean([X @ m.weights + m.bias for m in layer.machines], axis=0)
     np.testing.assert_allclose(forward_batch(X, layer, beta=uniform), expected, atol=1e-12)
 
 
@@ -256,7 +255,9 @@ def test_forward_batch_matches_per_machine_loop():
         machine.bias += rng.normal(size=2)
     X = rng.normal(size=(6, 3))
     beta = gate_matrix(X, layer)
-    expected = sum(beta[:, j : j + 1] * np.asarray(m(X)) for j, m in enumerate(layer.machines))
+    expected = sum(
+        beta[:, j : j + 1] * (X @ m.weights + m.bias) for j, m in enumerate(layer.machines)
+    )
     np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)
 
 
@@ -419,8 +420,24 @@ def test_uniform_layer_gates_every_row_at_one_over_m():
     assert isinstance(beta, np.ndarray)
     np.testing.assert_array_equal(beta, np.full((5, 4), 0.25))
     np.testing.assert_array_equal(gate_matrix(X[:1], layer)[0], np.full(4, 0.25))
-    mean = sum(np.asarray(m(X)) for m in layer.machines) / 4.0
+    mean = sum(X @ m.weights + m.bias for m in layer.machines) / 4.0
     np.testing.assert_allclose(forward_batch(X, layer), mean, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (3,), ()], ids=str)
+@pytest.mark.parametrize("mode", ["CS", UNIFORM])
+def test_a_feature_batch_that_is_not_2d_is_named(mode, shape):
+    # On a CS layer a (2, 3, 3) X blamed the bases' runs of rows; on a
+    # UNIFORM layer it failed inside numpy's reshape.
+    rng = np.random.default_rng(26)
+    if mode == UNIFORM:
+        layer = GduLayer(None, rng.normal(size=(3, 2, 2)), rng.normal(size=(2, 2)), None, UNIFORM)
+    else:
+        layer = random_layer(rng, mode)
+    named = rf"^X must be a \(b, e\) feature batch, got shape {re.escape(str(shape))}$"
+    for call in (gate_matrix, forward_batch):
+        with pytest.raises(ValueError, match=named):
+            call(np.ones(shape), layer)
 
 
 def test_uniform_layer_takes_no_bases_and_kernel_gates_need_them():

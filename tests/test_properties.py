@@ -13,7 +13,6 @@ from gdu.kernel import (
     KernelConfig,
     _kernel_statistics,
     gram,
-    squared_distances,
 )
 from gdu.layer import (
     GATING_MODES,
@@ -37,7 +36,7 @@ from gdu.training import (
 
 from helpers import layer_ols
 import oracles
-from oracles import gaussian_gram_chain, kmeans_loop
+from oracles import gaussian_gram_chain, kmeans_loop, squared_distances
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=20)
 
@@ -117,7 +116,7 @@ def test_forward_batch_equals_the_per_machine_loop(case):
     layer, X = case
     beta = np.asarray(gate_matrix(X, layer))
     expected = sum(
-        beta[:, j : j + 1] * np.asarray(machine(X))
+        beta[:, j : j + 1] * (X @ machine.weights + machine.bias)
         for j, machine in enumerate(layer.machines)
     )
     np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)

@@ -5,6 +5,7 @@ import gc
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -864,8 +865,7 @@ def test_labels_are_validated():
             DatasetSplits(data.train_x[:2], bad, data.val_x, data.val_y)
     with pytest.raises(ValueError, match="val_y"):
         DatasetSplits(data.train_x, data.train_y, data.val_x[:1], [-1])
-    # Labels beyond the model's classes are caught by the loss and, on the
-    # validation split, by the accuracy.
+    # Labels beyond the model's classes are caught before the first step.
     config = TrainConfig(max_epochs=1, patience=1)
     too_large = DatasetSplits(data.train_x, data.train_y + 5, data.val_x, data.val_y)
     with pytest.raises(ValueError, match="label [56] out of range for C=2"):
@@ -873,6 +873,36 @@ def test_labels_are_validated():
     too_large = DatasetSplits(data.train_x, data.train_y, data.val_x, data.val_y + 5)
     with pytest.raises(ValueError, match="label [56] out of range for C=2"):
         train(too_large, config, small_gdu_for_training(12))
+
+
+@pytest.mark.parametrize("mode", ["E2E", "FT"])
+@pytest.mark.parametrize("split", ["train_y", "val_y"])
+def test_train_names_the_split_whose_labels_the_model_lacks_before_the_first_step(split, mode):
+    # An out-of-range val_y label used to surface in epoch 0's accuracy,
+    # after a full epoch of Adam steps, without naming its split.
+    data = separable_splits(12)
+    labels = np.array(getattr(data, split))
+    labels[-1] = 7
+    data = replace(data, **{split: labels})
+    for model in (small_gdu_for_training(12), init_erm_model([2, 4], 2, n_heads=2, seed=8)):
+        with mock.patch.object(_Adam, "step") as step:
+            with pytest.raises(ValueError, match=f"^{split}: label 7 out of range for C=2$"):
+                train(data, TrainConfig(mode=mode, max_epochs=1, patience=1), model)
+        step.assert_not_called()
+
+
+@pytest.mark.parametrize(
+    "n_outputs, n_heads, named", [(2, -1, "n_heads"), (2, 0, "n_heads"), (0, 2, "n_outputs"),
+                                  (-3, 2, "n_outputs")],
+)
+def test_init_erm_model_names_a_size_below_one_before_drawing(n_outputs, n_heads, named):
+    # n_heads=-1 raised numpy's "negative dimensions are not allowed", and a
+    # zero size the layer's generic (e, M, C) shape error.
+    value = n_heads if named == "n_heads" else n_outputs
+    with mock.patch.object(np.random, "default_rng") as rng:
+        with pytest.raises(ValueError, match=f"^{named} must be positive, got {value}$"):
+            init_erm_model([3, 4], n_outputs, n_heads, 0)
+    rng.assert_not_called()
 
 
 @pytest.mark.parametrize("labels", [[True, False, True], ["0", "1", "1"]], ids=["bool", "str"])
