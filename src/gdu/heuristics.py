@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _check_int, _check_rows, _check_seed
+from .kernel import _MAX_SQ_NORM, _check_int, _check_rows, _check_seed
 
 __all__ = [
     "ClusteringResult",
@@ -275,10 +275,12 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
     ``X`` is an (n, e) array or the private ``_CheckedRows`` of
     :func:`select_m`, whose rows are not checked again. Raises a ValueError
     for assignments that are not one per row or lie outside [0, k), for
-    centroids of another width than X's rows, for an empty cluster, and
-    for two centroids at a distance of zero, where a ratio would be inf or
-    NaN. The separations come from the centroids' exact differences, so
-    equal centroids are at exactly zero.
+    centroids of another width than X's rows, for non-finite centroids and
+    centroids whose squared norms reach the bound of
+    :func:`gdu.kernel._check_rows`, where a squared difference could
+    overflow, for an empty cluster, and for two centroids at a distance of
+    zero, where a ratio would be inf or NaN. The separations come from the
+    centroids' exact differences, so equal centroids are at exactly zero.
     """
     X = _checked(X, "davies_bouldin").X
     shape = np.shape(result.assignments)
@@ -298,16 +300,27 @@ def davies_bouldin(X, result: ClusteringResult) -> float:
         raise ValueError(
             f"davies_bouldin needs assignments in [0, {k}), got {result.assignments[outside][0]}"
         )
+    # Below the rows' bound, every squared difference between centroids,
+    # or between a row and a centroid, is finite. NaN fails the test too.
+    centroids = result.centroids
+    with np.errstate(over="ignore"):
+        largest = np.max(np.sum(centroids * centroids, axis=-1))
+    if not largest < _MAX_SQ_NORM:
+        if not np.all(np.isfinite(centroids)):
+            raise ValueError("davies_bouldin needs finite centroids")
+        raise ValueError(
+            f"davies_bouldin needs centroids with squared norms below {_MAX_SQ_NORM:.4g}, "
+            f"got {largest:.4g}"
+        )
     spreads = np.empty(k)
     for j in range(k):
         members = X[result.assignments == j]
         if len(members) == 0:
             raise ValueError(f"cluster {j} is empty")
         spreads[j] = np.mean(
-            np.sqrt(np.sum((members - result.centroids[j]) ** 2, axis=1))
+            np.sqrt(np.sum((members - centroids[j]) ** 2, axis=1))
         )
     # From exact differences, equal centroids sit at exactly 0.
-    centroids = result.centroids
     squared = np.sum((centroids[:, None, :] - centroids) ** 2, axis=-1)
     np.fill_diagonal(squared, np.inf)
     coincident = np.argwhere(squared == 0.0)

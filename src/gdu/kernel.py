@@ -13,9 +13,14 @@ the (M, N, e) bases, the squared norms ``||mu_j||^2`` and, when its
 regularizers read it, the basis Gram, whose reduction (:func:`_block_means`)
 :func:`gdu.layer.basis_gram_matrix` shares, as the kernel's one autodiff
 tape node with one closed-form backward; a tape tensor passed to any other
-function here raises a TypeError. One function, :func:`_check_rows`,
-checks the rows that meet a distance or a kernel: in
-:func:`median_heuristic`, :class:`gdu.layer.GduLayer` and :mod:`gdu.heuristics`.
+function here raises a TypeError. It lays its Gram out basis-major, the
+M*N basis vectors' rows against the batch's columns, in training, epoch
+metrics and serving alike: a basis's N kernel values against the batch
+are N contiguous rows of length b, so each inner product is a row-order
+sum of whole rows, not one short reduction per (row, basis). One
+function, :func:`_check_rows`, checks the rows that meet a distance or a
+kernel: in :func:`median_heuristic`, :class:`gdu.layer.GduLayer` and
+:mod:`gdu.heuristics`.
 
 Every Gram is built with one matmul of augmented rows: with
 ``c = 1 / (2 sigma^2)``,
@@ -251,14 +256,24 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
 
     V is a stack such as (M, N, e) bases, read as M*N rows; its gradient
     lands in its own shape. Returns ``(a, norms, K)``: ``a[i, j] =
-    <phi(x_i), mu_j>`` (b, M), ``norms[j] = ||mu_j||^2`` (M,) and, with
-    ``gram``, the basis Gram ``K[j, l] = <mu_j, mu_l>`` (M, M), else None.
-    Without ``gram`` it evaluates the Gram of X against V and, batched, only
-    V's M diagonal (n, n) blocks; with it, one Gram of the stacked rows
-    ``R = [X; V]`` against V. a sums each run of n columns and divides by
-    n, K is :func:`_block_means` of V's rows of that Gram, and each norm
-    sums its block in row order, so the routes differ only where their
-    matmuls round an entry of G differently.
+    <phi(x_i), mu_j>``, a C-ordered (b, M) array, ``norms[j] = ||mu_j||^2``
+    (M,) and, with ``gram``, the basis Gram ``K[j, l] = <mu_j, mu_l>``
+    (M, M), else None.
+
+    The Gram is basis-major, V's rows against the batch's. Without ``gram``
+    it evaluates the (M*N, b) Gram of V against X and, batched, only V's M
+    diagonal (n, n) blocks; with it, one (M*N, b + M*N) Gram of V against
+    the stacked rows ``R = [X; V]``. a adds each basis's n rows of the
+    batch's columns, contiguous rows of length b, in row order and divides
+    by n: bit for bit ``block_means_node(V, X, cfg, n, 1).T`` of
+    ``tests/oracles.py`` without ``gram``. K is :func:`_block_means` of
+    the Gram's V columns, and each norm sums its diagonal block in row
+    order, so the routes differ only where their matmuls round an entry of
+    G differently. The batch-major (b, M*N) layout summed each run of n
+    columns pairwise, one numpy inner loop per (row, basis), which cost
+    more than the exp on 1000-row serving batches; its a agreed with this
+    one within 1e-15 relative at the benchmark's shapes, and its norms and
+    K bit for bit.
 
     Arrays in give arrays out. A tensor among X and V gives one tape node
     whose outputs are the parts of :meth:`gdu.autodiff.Tensor.split`. Its
@@ -267,12 +282,18 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     rows`` of ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2`` from one matmul
     ``W [A | 1]`` (:func:`_row_gradient`). Where the exponent clamp fires,
     ``y - x`` is already ~0, so no clamp mask is needed. Without ``gram``,
-    ``W_x = G_x * E(g_a) / (n sigma^2)`` gives X ``W_x [V | 1]`` and V
-    ``W_x^T [X | 1]`` plus, per diagonal block, ``S_p [V_p | 1]`` with
-    ``S_p = 2 g_p G_p / (n^2 sigma^2)``. With ``gram`` the norms' gradient
-    folds into the diagonal of K's, which is symmetrized, as V sits on both
-    sides; V gets ``W^T [R | 1]`` and X ``W_x [V | 1]``. There W overwrites
-    G, so the backward runs once, and a second raises RuntimeError.
+    the weights ``W = G * E(g_a^T) / (n sigma^2)`` (M*N, b) give X ``W^T
+    [V | 1]`` and V ``W [X | 1]`` plus, per diagonal block, ``S_p [V_p |
+    1]`` with ``S_p = 2 g_p G_p / (n^2 sigma^2)``. With ``gram`` the norms'
+    gradient folds into the diagonal of K's, which is symmetrized, as V
+    sits on both sides. Each basis's n rows of G share one row of weights,
+    so W is one broadcast multiply over the contiguous Gram; a multiply per
+    column block, on strided views, ran ~3x slower. V gets ``W [R | 1]``
+    and X ``W_x^T [V | 1]``, with ``W_x`` W's first b columns, run as
+    ``([R | 1]^T W^T)^T`` and ``([V | 1]^T W_x)^T``: numpy's BLAS ran
+    these 6-9% faster at (b, M, N, e) = (256, 10, 50, 64). There W
+    overwrites G, so the backward runs once, and a second raises
+    RuntimeError.
     """
     Xv, Vs = _rows(X), _rows(V)
     e = Vs.shape[-1]
@@ -286,16 +307,16 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     K = None
     if gram:
         R = np.concatenate((Xv, Vv))
-        G = _gaussian_gram(R, Vv, cfg.sigma)
-        G_x, G_v = G[:b].reshape(b, m, n), G[b:].reshape(m, n, m, n)
-        a = G_x.sum(axis=2) / n
-        diagonal = G_v[on_diagonal, :, on_diagonal]
-        K = _block_means(G[b:], n)
+        G = _gaussian_gram(Vv, R, cfg.sigma)
+        G_x, G_v = G[:, :b].reshape(m, n, b), G[:, b:]
+        diagonal = G_v.reshape(m, n, m, n)[on_diagonal, :, on_diagonal]
+        K = _block_means(G_v, n)
     else:
-        G = _gaussian_gram(Xv, Vv, cfg.sigma)
-        G_x, Vb = G.reshape(b, m, n), Vv.reshape(m, n, e)
-        a = G_x.sum(axis=2) / n
+        G = _gaussian_gram(Vv, Xv, cfg.sigma)
+        G_x, Vb = G.reshape(m, n, b), Vv.reshape(m, n, e)
         diagonal = _gaussian_gram(Vb, Vb, cfg.sigma)
+    # Each basis's n rows of length b add in row order.
+    a = (G_x.sum(axis=1) / n).T.copy()
     norms = diagonal.reshape(m, n * n).sum(axis=1) / float(n * n)
     stats = (a, norms, K) if gram else (a, norms)
     x_t, v_t = ad.is_tensor(X), ad.is_tensor(V)
@@ -304,14 +325,14 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
 
     def bw(g):
         nonlocal G
-        ga, gn = g[: b * m].reshape(b, m), g[b * m : b * m + m]
+        gaT, gn = g[: b * m].reshape(b, m).T, g[b * m : b * m + m]
         if not gram:
-            W = (G_x * (ga * (1.0 / (n * cfg.sigma**2)))[:, :, None]).reshape(b, rows)
+            W = (G_x * (gaT * (1.0 / (n * cfg.sigma**2)))[:, None, :]).reshape(rows, b)
             if x_t:
-                X._accumulate(_row_gradient(W @ _augmented(Vv, 1.0), Xv))
+                X._accumulate(_row_gradient(W.T @ _augmented(Vv, 1.0), Xv))
             if v_t:
                 S = diagonal * (gn * (2.0 / (n * n * cfg.sigma**2)))[:, None, None]
-                dV = _row_gradient(W.T @ _augmented(Xv, 1.0), Vv).reshape(m, n, e)
+                dV = _row_gradient(W @ _augmented(Xv, 1.0), Vv).reshape(m, n, e)
                 dV += _row_gradient(S @ _augmented(Vb, 1.0), Vb)
                 V._accumulate(dV.reshape(Vs.shape))
             return
@@ -321,16 +342,21 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
         s = g[b * m + m :].reshape(m, m).copy()
         s[on_diagonal, on_diagonal] += gn
         s = (s + s.T) * (scale / (n * n))
+        # A basis's n rows of G share one row of weights: gaT's column for
+        # the batch and s's row, each entry over n columns, for V.
+        weights = np.empty((m, 1, b + rows))
+        weights[:, 0, :b] = gaT * (scale / n)
+        weights[:, 0, b:] = np.repeat(s, n, axis=1)
         # W overwrites G: the backward is G's last reader.
-        np.multiply(G_x, (ga * (scale / n))[:, :, None], out=G_x)
-        np.multiply(G_v, s[:, None, :, None], out=G_v)
         W, G = G, None
+        blocks = W.reshape(m, n, b + rows)
+        blocks *= weights
         RA = _augmented(R, 1.0)
+        # Both products run transposed, as numpy's BLAS ran them faster.
         if v_t:
-            # (RA^T W)^T, as numpy's BLAS runs it faster than W^T RA.
-            V._accumulate(_row_gradient((RA.T @ W).T, Vv).reshape(Vs.shape))
+            V._accumulate(_row_gradient((RA.T @ W.T).T, Vv).reshape(Vs.shape))
         if x_t:
-            X._accumulate(_row_gradient(W[:b] @ RA[b:], Xv))
+            X._accumulate(_row_gradient((RA[b:].T @ W[:, :b]).T, Xv))
 
     packed = np.concatenate([part.reshape(-1) for part in stats])
     node = ad.Tensor(packed, tuple(t for t in (X, V) if ad.is_tensor(t)), bw)

@@ -18,9 +18,13 @@ Every kernel statistic the gate and the regularizers read is a block mean
 of a Gaussian Gram against the basis vectors. One tape node,
 :func:`gdu.kernel._kernel_statistics`, gives a step all of them
 (:func:`_basis_inners`): the inner products, the basis norms and, when its
-regularizers read it, the basis Gram. Without the basis Gram it evaluates
-only the M diagonal (N, N) blocks of the bases' Gram; with it, all three
-come from one Gram, and :func:`basis_gram_matrix` shares its reduction.
+regularizers read it, the basis Gram. Its Gram is basis-major: the M*N
+basis vectors against the (b, e) batch, (M*N, b), and without the basis
+Gram only the M diagonal (N, N) blocks of the bases' Gram besides; with
+it, all three come from one (M*N, b + M*N) Gram of the basis vectors
+against the batch and the basis vectors, and :func:`basis_gram_matrix`
+shares its reduction of the basis Gram. Each inner product adds a basis's
+N contiguous rows, and the (b, M) inner products come out C-ordered.
 It reads the (M, N, e) bases as they are and hands their gradient back in
 that shape. The gate, from those inner products through the similarity
 and the kernel softmax, is one more node (``_gate_from_inners``). The

@@ -31,7 +31,8 @@ step, kept as the bit-exact reference of
 a separate kernel node for the gate's inner products, the basis norms and
 the basis Gram (``block_means_node`` and ``diagonal_block_means_node``,
 the package's tensor paths before one ``gdu.kernel._kernel_statistics``
-node gave a step all three). It is the exact reference of a step that
+node gave a step all three), the inner products basis-major, as that node
+lays them out. It is the exact reference of a step that
 does not read the basis Gram, and one within rounding of a step that
 does. ``bayes_accuracy_loop`` scores the Bayes classifier row by row in
 scalar math.
@@ -643,7 +644,12 @@ def block_means_node(X, Y, cfg, n_x, n_y):
     side, or one tensor on both, gets the closed-form backward: the small
     gradient ``g``, scaled by ``1 / (n_x n_y sigma^2)``, expanded over the
     blocks to ``W = G * E(g)``, then ``W [Y | 1]`` for X and ``W^T [X | 1]``
-    for Y.
+    for Y. Its orientation is the Gram's: ``block_means_node(V, X, cfg, N,
+    1).T`` is the basis-major (M*N, b) route of
+    ``gdu.kernel._kernel_statistics``, its inner products bit for bit;
+    ``block_means_node(X, V, cfg, 1, N)`` is the batch-major (b, M*N)
+    layout that node replaced, which rounds its entries and sums its runs
+    of N otherwise.
     """
     Xs, Ys = _rows(X), _rows(Y)
     _check_feature_dims("X", Xs.shape[-1], "Y", Ys.shape[-1])
@@ -698,14 +704,19 @@ def diagonal_block_means_node(X, cfg, n):
     return Tensor(K, (X,), bw)
 
 
+def _transposed(x):
+    """x^T as one tape node, whose backward hands the gradient back transposed."""
+    return Tensor(x.data.T, (x,), lambda g: x._accumulate(g.T))
+
+
 def three_node_gradients(batch, model, reg, train_mode):
     """``gdu.training.gradients`` with one kernel node per statistic.
 
-    The gate reads ``block_means_node(feats, V, 1, N)`` and
-    ``diagonal_block_means_node(V, N)``, and a step whose regularizers read
-    the basis Gram builds it as ``block_means_node(V, V, N, N)``, a third
-    node with its own Gram. Everything else is the package's. Returns the
-    leaves' gradients by name.
+    The gate reads the basis-major ``block_means_node(V, feats, N, 1)``,
+    transposed to (b, M), and ``diagonal_block_means_node(V, N)``, and a
+    step whose regularizers read the basis Gram builds it as
+    ``block_means_node(V, V, N, N)``, a third node with its own Gram.
+    Everything else is the package's. Returns the leaves' gradients by name.
     """
     X, y = batch
     part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
@@ -717,7 +728,7 @@ def three_node_gradients(batch, model, reg, train_mode):
         beta = np.full((len(X), layer.num_bases), 1.0 / layer.num_bases)
     else:
         V, n, cfg = layer.bases, layer.basis_size, layer.kernel
-        a = block_means_node(feats, V, cfg, 1, n)
+        a = _transposed(block_means_node(V, feats, cfg, n, 1))
         beta = _gate_from_inners(a, diagonal_block_means_node(V, cfg, n), layer.mode, layer.kappa)
     if _reads_basis_gram(layer.mode, reg):
         k_bases = block_means_node(V, V, cfg, n, n)

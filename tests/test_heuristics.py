@@ -1,5 +1,6 @@
 """k-means, Davies-Bouldin, and basis-count selection."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -154,6 +155,25 @@ def test_davies_bouldin_names_bad_clusterings(assignments, centroids, message):
     result = ClusteringResult(np.array(assignments), np.array(centroids), 0.0)
     with pytest.raises(ValueError, match=f"^davies_bouldin {message}$"):
         davies_bouldin(X, result)
+
+
+# Each used to be scored: NaN gave a NaN score, and 1e200 and inf gave
+# numpy's overflow or invalid-value RuntimeWarning before a NaN or inf.
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "needs finite centroids"),
+        (np.inf, "needs finite centroids"),
+        (1e200, r"needs centroids with squared norms below 4\.494e\+307, got inf"),
+    ],
+)
+def test_davies_bouldin_names_centroids_that_are_not_finite_or_overflow(bad, message):
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [4.0, 0.0], [4.0, 1.0]])
+    result = ClusteringResult(np.array([0, 0, 1, 1]), np.array([[0.0, 0.5], [bad, 0.5]]), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^davies_bouldin {message}$"):
+            davies_bouldin(X, result)
 
 
 def test_select_m_recovers_three_planted_clusters():

@@ -197,7 +197,7 @@ def _weighted(parts, weights):
     return total
 
 
-def _check_kernel_statistics(arrays, n, gram, sigma=1.1):
+def _check_kernel_statistics(arrays, n, gram, sigma=1.1, step=1e-5):
     """Central FD of a weighted sum of the node's outputs, X constant and X a tensor.
 
     Checks the node's shape on the tape and, for the gram route, that a
@@ -211,6 +211,7 @@ def _check_kernel_statistics(arrays, n, gram, sigma=1.1):
     numeric = fd_gradient(
         lambda: float(_weighted(_kernel_statistics(arrays["X"], arrays["V"], cfg, n, gram), weights)),
         arrays,
+        step,
     )
     for constant in ("X", None):  # FT, then E2E
         ts = {k: v if k == constant else ad.tensor(v) for k, v in arrays.items()}
@@ -265,9 +266,9 @@ def test_kernel_statistics_forward_is_bit_identical_on_arrays_and_tensors(m, n, 
                 assert got is None
             else:
                 np.testing.assert_array_equal(got.data, want)
-    # The parent's separate nodes: the same arithmetic without the basis
+    # Separate nodes, basis-major: the same arithmetic without the basis
     # Gram, and within the rounding of one matmul against three with it.
-    separate = (block_means_node(X, V, cfg, 1, n), diagonal_block_means_node(V, cfg, n))
+    separate = (block_means_node(V, X, cfg, n, 1).T, diagonal_block_means_node(V, cfg, n))
     for got, want in zip(arrays, separate):
         if gram:
             np.testing.assert_allclose(got, want, rtol=1e-14)
@@ -275,6 +276,46 @@ def test_kernel_statistics_forward_is_bit_identical_on_arrays_and_tensors(m, n, 
             np.testing.assert_array_equal(got, want)
     if gram:
         np.testing.assert_allclose(arrays[2], block_means_node(V, V, cfg, n, n), rtol=1e-14)
+    # The batch-major Gram rounds its entries and sums its runs otherwise.
+    np.testing.assert_allclose(arrays[0], block_means_node(X, V, cfg, 1, n), rtol=1e-14)
+
+
+# (b, M, N, e) of the benchmark's serving batches on select-serve, its
+# training steps on train-wide, and its training steps on train-small.
+BENCH_SHAPES = [(1000, 6, 16, 16), (256, 10, 50, 64), (64, 4, 10, 16)]
+
+
+@pytest.mark.parametrize("gram", [False, True])
+@pytest.mark.parametrize("b, m, n, e", BENCH_SHAPES)
+def test_kernel_statistics_inners_are_c_ordered_and_alike_on_arrays_and_tensors_at_bench_shapes(
+    b, m, n, e, gram
+):
+    rng = np.random.default_rng(b + m)
+    X, V = rng.normal(size=(b, e)), rng.normal(size=(m, n, e))
+    cfg = KernelConfig(math.sqrt(e))
+    arrays = _kernel_statistics(X, V, cfg, n, gram)
+    assert arrays[0].shape == (b, m) and arrays[0].flags.c_contiguous
+    for x in (X, ad.tensor(X)):
+        parts = _kernel_statistics(x, ad.tensor(V), cfg, n, gram)
+        assert parts[0].data.flags.c_contiguous
+        for got, want in zip(parts, arrays):
+            if want is not None:
+                np.testing.assert_array_equal(got.data, want)
+    if not gram:
+        np.testing.assert_array_equal(arrays[0], block_means_node(V, X, cfg, n, 1).T)
+
+
+# The same M with b, N and e cut down, for central differences. Their
+# weighted sums add up to b*M + M + M^2 outputs, whose rounding over a
+# 1e-5 step reached 5.3e-6 at (8, 10, 5, 8) with the basis Gram, on this
+# node and on the batch-major one before it (1.2e-5); at a 1e-4 step both
+# read 1.6e-6, and the truncation error stays far below the tolerance.
+@pytest.mark.parametrize("gram", [False, True])
+@pytest.mark.parametrize("b, m, n, e", [(16, 6, 4, 4), (8, 10, 5, 8), (4, 4, 10, 4)])
+def test_kernel_statistics_match_finite_differences_at_small_bench_shapes(b, m, n, e, gram):
+    rng = np.random.default_rng(b * m)
+    arrays = {"X": rng.normal(size=(b, e)), "V": rng.normal(size=(m, n, e))}
+    _check_kernel_statistics(arrays, n, gram, sigma=math.sqrt(e), step=1e-4)
 
 
 @pytest.mark.parametrize("gram", [False, True])

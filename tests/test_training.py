@@ -271,11 +271,25 @@ def test_steps_without_the_basis_gram_keep_three_kernel_nodes_exactly(mode, trai
             np.testing.assert_array_equal(got[name], block, err_msg=name)
 
 
+# (b, M, N, e) of the benchmark's serving batches on select-serve, its
+# training steps on train-wide, and its training steps on train-small.
+@pytest.mark.parametrize("b, m, n, e", [(1000, 6, 16, 16), (256, 10, 50, 64), (64, 4, 10, 16)])
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
+def test_predict_logits_is_the_ensemble_under_its_gate_at_bench_shapes(mode, b, m, n, e):
+    fe = init_feature_extractor([8, e], seed=b)
+    kappa = None if mode == "PROJECTION" else 2.0
+    model = GduModel(fe, init_layer(m, n, e, 3, b, mode, KernelConfig(math.sqrt(e)), kappa))
+    X = np.random.default_rng(m).normal(size=(b, 8))
+    feats = fe_forward(X, fe)
+    expected = forward_batch(feats, model.layer, beta=gate_matrix(feats, model.layer))
+    np.testing.assert_array_equal(predict_logits(model, X), expected)
+
+
 def test_one_gaussian_gram_per_step_and_none_of_the_bases_in_inference(monkeypatch):
     # A step whose regularizers read the basis Gram evaluates one Gram, of
-    # the batch and the M*N basis vectors against the basis vectors. Every
-    # other step, and inference, evaluate only the batch against the basis
-    # vectors and the M diagonal (N, N) blocks, never an (M*N, M*N) block:
+    # the M*N basis vectors against the batch and the basis vectors. Every
+    # other step, and inference, evaluate only the basis vectors against the
+    # batch and the M diagonal (N, N) blocks, never an (M*N, M*N) block:
     # on a wide layer that would almost double the kernel work of serving.
     import gdu.kernel as kernel_module
 
@@ -289,14 +303,14 @@ def test_one_gaussian_gram_per_step_and_none_of_the_bases_in_inference(monkeypat
 
     monkeypatch.setattr(kernel_module, "_gaussian_gram", spy)
     b, m, n = 7, 3, 4
-    inference = [(b, m * n), (m, n, n)]
+    inference = [(m * n, b), (m, n, n)]
     for mode, reg in (("CS", RegConfig(lambda_ols=0.5, lambda_l1=0.5)),
                       ("PROJECTION", RegConfig(lambda_ols=0.5, lambda_orth=0.5))):
         model, X, y = build_small_gdu(33, mode, dims=dict(e=4, m=m, n=n, c=3, b=b))
         for train_mode in ("E2E", "FT"):
             shapes.clear()
             gradients((X, y), model, reg, train_mode)
-            assert shapes == [(b + m * n, m * n)], (mode, train_mode)
+            assert shapes == [(m * n, b + m * n)], (mode, train_mode)
             shapes.clear()
             gradients((X, y), model, RegConfig(), train_mode)
             assert shapes == inference, (mode, train_mode)
