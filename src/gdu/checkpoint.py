@@ -23,11 +23,13 @@ layer on its own is saved as the model ``GduModel(None, layer)``.
 
 Files are ASCII. Readers reject a file that is not, unknown versions,
 truncated or malformed blocks and any token after ``end``, each with a
-:class:`CheckpointError`. A field token that is not a hex float or a
-count names its field; a block whose token is not base64, or decodes to
-other than 8 bytes per declared value, names its block. Model parts
-that do not fit together (shapes, sizes, a kernel the mode does not
-take) carry the constructor's ``ValueError`` as the cause.
+:class:`CheckpointError`. Parsing is strict: a float field takes ``-``
+or a token that ``float.hex`` writes, and a count, the version's
+included, only ASCII digits. Any other field token names its field, and
+the version's names the version; a block whose token is not base64, or
+decodes to other than 8 bytes per declared value, names its block. Model
+parts that do not fit together (shapes, sizes, a kernel the mode does
+not take) carry the constructor's ``ValueError`` as the cause.
 """
 
 from __future__ import annotations
@@ -73,13 +75,10 @@ def _emit_block(lines: list, key: str, array: np.ndarray):
 
 
 def _count(token: str, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        value = -1
-    if value < 0:
+    """A count of ASCII digits; ``int`` alone would take ``+4``, ``0_0`` or non-ASCII digits."""
+    if not (token.isascii() and token.isdigit()):
         raise CheckpointError(f"{what}: expected a non-negative integer, found {token!r}")
-    return value
+    return int(token)
 
 
 class _Reader:
@@ -107,14 +106,22 @@ class _Reader:
         return self.next()
 
     def read_float_field(self, key: str):
-        """A float field; ``-`` reads as None."""
+        """A float field; ``-`` reads as None.
+
+        Only a token that ``float.hex`` writes is a float: ``float.fromhex``
+        alone reads a decimal ``1.5`` as the hex 0x1.5 = 1.3125, and raises
+        OverflowError past the largest float.
+        """
         tok = self.read_field(key)
         if tok == "-":
             return None
         try:
-            return float.fromhex(tok)
-        except ValueError as err:
-            raise CheckpointError(f"field {key!r}: {err}") from err
+            value = float.fromhex(tok)
+        except (ValueError, OverflowError):
+            value = None
+        if value is None or value.hex() != tok:
+            raise CheckpointError(f"field {key!r}: expected a float.hex token, found {tok!r}")
+        return value
 
     def read_count_field(self, key: str) -> int:
         return _count(self.read_field(key), f"field {key!r}")

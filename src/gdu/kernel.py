@@ -28,7 +28,14 @@ Every Gram is built with one matmul of augmented rows: with
     [x, 1, -c ||x||^2] . [2c y, -c ||y||^2, 1] = -c ||x - y||^2,
 
 the kernel's exponent, which is then clamped at 0 and exponentiated in
-place (:func:`_gaussian_gram`). Floating-point cancellation can leave the
+place (:func:`_gaussian_gram`). One helper, :func:`_augmented_forms`,
+writes these left and right forms for every caller: :func:`gram`,
+:func:`_gaussian_exponent`, :func:`_kernel_statistics` and the oracles
+in ``tests/oracles.py``. Per call it sums each row set's squared norms
+once, writes each of its forms once under one overflow guard, and stacks
+several row sets into one form without a copy of the rows. A left form's
+first e + 1 columns are ``[x | 1]``, so a backward's products ``W [x |
+1]`` read a column view of it. Floating-point cancellation can leave the
 exponent slightly above 0 where two rows nearly coincide; the clamp keeps
 every kernel value in [0, 1]. The products ``x_k (2c y_k)`` round
 differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
@@ -83,14 +90,15 @@ class KernelConfig:
     sigma: float
 
     def __post_init__(self):
-        _check_float("sigma", self.sigma)
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
-        square = float(self.sigma) * float(self.sigma)
+        sigma = _check_float("sigma", self.sigma)
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be a positive finite real, got {sigma}")
+        square = sigma * sigma
         if not (0.0 < square < math.inf and 1.0 / square < math.inf):
             raise ValueError(
-                f"sigma={self.sigma} puts sigma^2 or 1/sigma^2 outside the finite positive floats"
+                f"sigma={sigma} puts sigma^2 or 1/sigma^2 outside the finite positive floats"
             )
+        object.__setattr__(self, "sigma", sigma)
 
 
 def _check_int(name: str, value):
@@ -99,15 +107,22 @@ def _check_int(name: str, value):
         raise ValueError(f"{name} must be an integer, got {value}")
 
 
-def _check_float(name: str, value):
-    """Raise unless ``value`` is a real number, naming ``name``.
+def _check_float(name: str, value) -> float:
+    """``value`` as a Python float; raise unless it is a real number, naming ``name``.
 
     A bool is refused too: every float check would read it as 0.0 or 1.0.
+    So is a real beyond the floats, such as ``10**400``. A config stores the
+    float: a numpy float32 would turn the arithmetic it meets into float32
+    (NEP 50), and numpy cannot take a ``Fraction`` to exp or Adam's steps.
     """
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a real number, got the bool {value}")
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number within the floats, got {value}") from None
 
 
 # A quarter of the largest float: rows whose squared norms stay below it
@@ -155,52 +170,81 @@ def _check_feature_dims(name_a, dim_a, name_b, dim_b):
         )
 
 
-def _augmented(A, *columns):
-    """A with ``columns`` (scalars, or one value per row) appended on its last axis.
+def _augmented_forms(sigma, *row_sets):
+    """``(left, right)``: the augmented rows of one call's Gram operands.
 
-    ``W @ _augmented(A, 1.0)`` gives ``W @ A`` and the row sums of W from
-    one matmul.
+    Each of ``row_sets`` is a pair ``(A, forms)`` of (..., n, e) rows,
+    sharing their leading axes, and the forms to write for them: ``"l"``,
+    ``"r"`` or ``"lr"``. With ``c = 1 / (2 sigma^2)`` a row x's left form
+    is ``[x, 1, -c ||x||^2]`` and its right form ``[2c x, -c ||x||^2, 1]``,
+    so ``left @ right^T`` is the kernel's exponent ``-c ||x - y||^2``.
+    ``left`` stacks the left forms of the sets that ask for one, in order
+    along the row axis, and ``right`` the right forms; a form no set asks
+    for is None. The first e + 1 columns of a left form are ``[x | 1]``,
+    the operand of a backward's ``W [x | 1]``, as a view.
+
+    Each set's squared norms come from one pass and serve both its forms.
+    Where ``||x||^2``, ``c ||x||^2`` or ``2c x`` overflows on finite rows,
+    one guard raises a ValueError that names sigma and the largest squared
+    norm, under any warnings filter. Non-finite rows raise no overflow, so
+    they pass through.
     """
-    e = A.shape[-1]
-    out = np.empty(A.shape[:-1] + (e + len(columns),))
-    out[..., :e] = A
-    for k, column in enumerate(columns, start=e):
-        out[..., k] = column
-    return out
+    c = 0.5 / sigma**2
+    first = row_sets[0][0]
+    lead, e = first.shape[:-2], first.shape[-1]
+    rows = {form: [A.shape[-2] for A, wanted in row_sets if form in wanted] for form in "lr"}
+    left = right = None
+    if rows["l"]:
+        left = np.empty(lead + (sum(rows["l"]), e + 2))
+        left[..., e] = 1.0
+    if rows["r"]:
+        right = np.empty(lead + (sum(rows["r"]), e + 2))
+        right[..., e + 1] = 1.0
+    i = j = 0
+    try:
+        with np.errstate(over="raise"):
+            for A, wanted in row_sets:
+                n = A.shape[-2]
+                # np.sum's reduction, without its wrapper's per-call cost.
+                scaled_norms = -c * np.add.reduce(A * A, axis=-1)
+                if "l" in wanted:
+                    left[..., i : i + n, :e] = A
+                    left[..., i : i + n, e + 1] = scaled_norms
+                    i += n
+                if "r" in wanted:
+                    np.multiply(A, 2.0 * c, out=right[..., j : j + n, :e])
+                    right[..., j : j + n, e] = scaled_norms
+                    j += n
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            largest = max(np.max(np.sum(A * A, axis=-1), initial=0.0) for A, _ in row_sets)
+        raise ValueError(
+            f"the Gaussian kernel's exponent overflows at sigma={sigma} on rows with "
+            f"squared norms up to {largest:.4g}"
+        ) from None
+    return left, right
 
 
 def _gaussian_exponent(X, Y, sigma):
     """``-||x - y||^2 / (2 sigma^2)`` for rows of X and Y, before the clamp.
 
-    One matmul of rows augmented to ``[x, 1, -c ||x||^2]`` and
-    ``[2c y, -c ||y||^2, 1]`` with ``c = 1 / (2 sigma^2)``. Leading axes
-    batch: (..., n, e) and (..., m, e) give (..., n, m). Arrays only. Where
-    ``||x||^2``, ``c ||x||^2``, ``c ||y||^2`` or ``2c y`` overflows on
-    finite rows, a ValueError names sigma, under any warnings filter.
-    Non-finite rows raise no overflow, so they pass through.
+    One matmul of X's left and Y's right augmented forms
+    (:func:`_augmented_forms`). Leading axes batch: (..., n, e) and
+    (..., m, e) give (..., n, m). Arrays only.
     """
-    c = 0.5 / sigma**2
-    try:
-        with np.errstate(over="raise"):
-            xa = _augmented(X, 1.0, -c * np.sum(X * X, axis=-1))
-            ya = _augmented(2.0 * c * Y, -c * np.sum(Y * Y, axis=-1), 1.0)
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            largest = max(np.max(np.sum(A * A, axis=-1), initial=0.0) for A in (X, Y))
-        raise ValueError(
-            f"the Gaussian kernel's exponent overflows at sigma={sigma} on rows with "
-            f"squared norms up to {largest:.4g}"
-        ) from None
-    return xa @ np.swapaxes(ya, -1, -2)
+    left, right = _augmented_forms(sigma, (X, "l"), (Y, "r"))
+    return left @ np.swapaxes(right, -1, -2)
 
 
-def _gaussian_gram(X, Y, sigma):
-    """Gaussian Gram ``exp(min(exponent, 0))`` of :func:`_gaussian_exponent`.
+def _gaussian_gram(left, right):
+    """Gaussian Gram ``exp(min(left @ right^T, 0))`` of augmented rows.
 
-    The clamp and the exp run in place on the matmul's output, so the
-    (..., n, m) result is the only full-size array made.
+    ``left`` and ``right`` are left and right forms of
+    :func:`_augmented_forms`, with the same leading axes. The clamp and the
+    exp run in place on the matmul's output, so the (..., n, m) result is
+    the only full-size array made.
     """
-    G = _gaussian_exponent(X, Y, sigma)
+    G = left @ np.swapaxes(right, -1, -2)
     np.minimum(G, 0.0, out=G)
     return np.exp(G, out=G)
 
@@ -237,7 +281,7 @@ def gram(X, Y, cfg: KernelConfig):
     """
     Xv, Yv = _array_rows(X), _array_rows(Y)
     _check_feature_dims("X", Xv.shape[-1], "Y", Yv.shape[-1])
-    return _gaussian_gram(Xv, Yv, cfg.sigma)
+    return _gaussian_gram(*_augmented_forms(cfg.sigma, (Xv, "l"), (Yv, "r")))
 
 
 def _block_means(G, n: int):
@@ -260,13 +304,19 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     (M,) and, with ``gram``, the basis Gram ``K[j, l] = <mu_j, mu_l>``
     (M, M), else None.
 
-    The Gram is basis-major, V's rows against the batch's. Without ``gram``
-    it evaluates the (M*N, b) Gram of V against X and, batched, only V's M
-    diagonal (n, n) blocks; with it, one (M*N, b + M*N) Gram of V against
-    the stacked rows ``R = [X; V]``. a adds each basis's n rows of the
-    batch's columns, contiguous rows of length b, in row order and divides
-    by n: bit for bit ``block_means_node(V, X, cfg, n, 1).T`` of
-    ``tests/oracles.py`` without ``gram``. K is :func:`_block_means` of
+    The Gram is basis-major, V's rows against the batch's. Each row set
+    has one augmented form of each kind per call (:func:`_augmented_forms`),
+    from one pass over its squared norms under one overflow guard. Without
+    ``gram`` it evaluates the (M*N, b) Gram of V's left form against X's
+    right form and, batched, only V's M diagonal (n, n) blocks, which read
+    the same left form as an (M, n, e + 2) view against V's right form;
+    with it, one (M*N, b + M*N) Gram of V's left form against the right
+    form of the stacked rows ``R = [X; V]``, written straight from X and V
+    with no copy of R. When V is a tensor, X's left form is written too,
+    stacked above V's. a adds each basis's n rows of the batch's columns,
+    contiguous rows of length b, in row order and divides by n: bit for
+    bit ``block_means_node(V, X, cfg, n, 1).T`` of ``tests/oracles.py``
+    without ``gram``. K is :func:`_block_means` of
     the Gram's V columns, and each norm sums its diagonal block in row
     order, so the routes differ only where their matmuls round an entry of
     G differently. The batch-major (b, M*N) layout summed each run of n
@@ -281,10 +331,12 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     weights W, and gives a set of rows the closed form ``W A - diag(W 1)
     rows`` of ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2`` from one matmul
     ``W [A | 1]`` (:func:`_row_gradient`). Where the exponent clamp fires,
-    ``y - x`` is already ~0, so no clamp mask is needed. Without ``gram``,
-    the weights ``W = G * E(g_a^T) / (n sigma^2)`` (M*N, b) give X ``W^T
-    [V | 1]`` and V ``W [X | 1]`` plus, per diagonal block, ``S_p [V_p |
-    1]`` with ``S_p = 2 g_p G_p / (n^2 sigma^2)``. With ``gram`` the norms'
+    ``y - x`` is already ~0, so no clamp mask is needed. Each ``[A | 1]``
+    is a view of the first e + 1 columns of A's left form, so the backward
+    builds no augmented rows. Without ``gram``, the weights ``W = G *
+    E(g_a^T) / (n sigma^2)`` (M*N, b) give X ``W^T [V | 1]`` and V ``W [X
+    | 1]`` plus, per diagonal block, ``S_p [V_p | 1]`` with ``S_p = 2 g_p
+    G_p / (n^2 sigma^2)``. With ``gram`` the norms'
     gradient folds into the diagonal of K's, which is symmetrized, as V
     sits on both sides. Each basis's n rows of G share one row of weights,
     so W is one broadcast multiply over the contiguous Gram; a multiply per
@@ -303,25 +355,29 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     if Xv.ndim != 2 or n < 1 or rows % n:
         raise ValueError(f"expected (b, e) rows and runs of {n} rows that tile {rows} rows")
     b, m = Xv.shape[0], rows // n
+    x_t, v_t = ad.is_tensor(X), ad.is_tensor(V)
+    # V's gradient reads [X | 1], the first columns of X's left form.
+    left, right = _augmented_forms(cfg.sigma, (Xv, "lr" if v_t else "r"), (Vv, "lr"))
+    left_v = left[left.shape[0] - rows :]
     on_diagonal = np.arange(m)
     K = None
     if gram:
-        R = np.concatenate((Xv, Vv))
-        G = _gaussian_gram(Vv, R, cfg.sigma)
+        G = _gaussian_gram(left_v, right)
         G_x, G_v = G[:, :b].reshape(m, n, b), G[:, b:]
         diagonal = G_v.reshape(m, n, m, n)[on_diagonal, :, on_diagonal]
         K = _block_means(G_v, n)
     else:
-        G = _gaussian_gram(Vv, Xv, cfg.sigma)
-        G_x, Vb = G.reshape(m, n, b), Vv.reshape(m, n, e)
-        diagonal = _gaussian_gram(Vb, Vb, cfg.sigma)
+        G = _gaussian_gram(left_v, right[:b])
+        G_x = G.reshape(m, n, b)
+        diagonal = _gaussian_gram(left_v.reshape(m, n, e + 2), right[b:].reshape(m, n, e + 2))
     # Each basis's n rows of length b add in row order.
     a = (G_x.sum(axis=1) / n).T.copy()
     norms = diagonal.reshape(m, n * n).sum(axis=1) / float(n * n)
     stats = (a, norms, K) if gram else (a, norms)
-    x_t, v_t = ad.is_tensor(X), ad.is_tensor(V)
     if not x_t and not v_t:
         return a, norms, K
+    # [V | 1], and [R | 1] for the stacked rows R = [X; V] when V is a tensor.
+    ones_v, ones_r = left_v[:, : e + 1], left[:, : e + 1]
 
     def bw(g):
         nonlocal G
@@ -329,11 +385,12 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
         if not gram:
             W = (G_x * (gaT * (1.0 / (n * cfg.sigma**2)))[:, None, :]).reshape(rows, b)
             if x_t:
-                X._accumulate(_row_gradient(W.T @ _augmented(Vv, 1.0), Xv))
+                X._accumulate(_row_gradient(W.T @ ones_v, Xv))
             if v_t:
                 S = diagonal * (gn * (2.0 / (n * n * cfg.sigma**2)))[:, None, None]
-                dV = _row_gradient(W @ _augmented(Xv, 1.0), Vv).reshape(m, n, e)
-                dV += _row_gradient(S @ _augmented(Vb, 1.0), Vb)
+                Vb = Vv.reshape(m, n, e)
+                dV = _row_gradient(W @ ones_r[:b], Vv).reshape(m, n, e)
+                dV += _row_gradient(S @ ones_v.reshape(m, n, e + 1), Vb)
                 V._accumulate(dV.reshape(Vs.shape))
             return
         if G is None:
@@ -351,12 +408,11 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
         W, G = G, None
         blocks = W.reshape(m, n, b + rows)
         blocks *= weights
-        RA = _augmented(R, 1.0)
         # Both products run transposed, as numpy's BLAS ran them faster.
         if v_t:
-            V._accumulate(_row_gradient((RA.T @ W.T).T, Vv).reshape(Vs.shape))
+            V._accumulate(_row_gradient((ones_r.T @ W.T).T, Vv).reshape(Vs.shape))
         if x_t:
-            X._accumulate(_row_gradient((RA[b:].T @ W[:, :b]).T, Xv))
+            X._accumulate(_row_gradient((ones_v.T @ W[:, :b]).T, Xv))
 
     packed = np.concatenate([part.reshape(-1) for part in stats])
     node = ad.Tensor(packed, tuple(t for t in (X, V) if ad.is_tensor(t)), bw)

@@ -20,11 +20,14 @@ of a Gaussian Gram against the basis vectors. One tape node,
 (:func:`_basis_inners`): the inner products, the basis norms and, when its
 regularizers read it, the basis Gram. Its Gram is basis-major: the M*N
 basis vectors against the (b, e) batch, (M*N, b), and without the basis
-Gram only the M diagonal (N, N) blocks of the bases' Gram besides; with
-it, all three come from one (M*N, b + M*N) Gram of the basis vectors
-against the batch and the basis vectors, and :func:`basis_gram_matrix`
-shares its reduction of the basis Gram. Each inner product adds a basis's
-N contiguous rows, and the (b, M) inner products come out C-ordered.
+Gram only the M diagonal (N, N) blocks of the bases' Gram besides, both
+from one augmented form of the basis vectors; with it, all three come
+from one (M*N, b + M*N) Gram of the basis vectors against the batch and
+the basis vectors, and :func:`basis_gram_matrix` shares its reduction of
+the basis Gram. The node augments the batch and the basis vectors once
+each, and its backward reads those augmented rows as views. Each inner
+product adds a basis's N contiguous rows, and the (b, M) inner products
+come out C-ordered.
 It reads the (M, N, e) bases as they are and hands their gradient back in
 that shape. The gate, from those inner products through the similarity
 and the kernel softmax, is one more node (``_gate_from_inners``). The
@@ -169,7 +172,7 @@ class GduLayer:
         if self.mode not in GATING_MODES + (UNIFORM,):
             raise ValueError(f"unknown gating mode {self.mode!r}")
         if self.kappa is not None:
-            _check_float("kappa", self.kappa)
+            self.kappa = _check_float("kappa", self.kappa)
             if self.mode not in GEOMETRY_MODES:
                 raise ValueError(f"a {self.mode} layer takes no kappa, got kappa={self.kappa}")
         w, b = ad.value_of(self.weights).shape, ad.value_of(self.bias).shape

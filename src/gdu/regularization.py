@@ -74,10 +74,10 @@ class RegConfig:
 
     def __post_init__(self):
         for name in _WEIGHTS:
-            value = getattr(self, name)
-            _check_float(name, value)
+            value = _check_float(name, getattr(self, name))
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            object.__setattr__(self, name, value)
 
 
 def _batch_rows(name: str, beta) -> int:

@@ -205,10 +205,10 @@ class TrainConfig:
         _check_seed("seed", self.seed)
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
-        lr = self.learning_rate
-        _check_float("learning_rate", lr)
+        lr = _check_float("learning_rate", self.learning_rate)
         if not (math.isfinite(lr) and lr > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {lr}")
+        object.__setattr__(self, "learning_rate", lr)
         if not (1 <= self.patience <= self.max_epochs):
             raise ValueError("patience must satisfy 1 <= patience <= max_epochs")
         if not isinstance(self.reg, RegConfig):

@@ -45,7 +45,7 @@ import numpy as np
 
 from gdu.autodiff import Tensor, is_tensor, value_of
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _distances_to
-from gdu.kernel import _augmented, _check_feature_dims, _gaussian_gram, _rows
+from gdu.kernel import _augmented_forms, _check_feature_dims, _gaussian_gram, _rows
 from gdu.layer import UNIFORM, _gate_from_inners, forward_batch
 from gdu.regularization import _add_regularizers, _reads_basis_gram
 from gdu.training import (
@@ -636,6 +636,11 @@ def train_loop(data, config, model):
     return model, trace
 
 
+def _with_ones(A, cfg):
+    """``[A | 1]``: the first e + 1 columns of A's left augmented form."""
+    return _augmented_forms(cfg.sigma, (A, "l"))[0][..., :-1]
+
+
 def block_means_node(X, Y, cfg, n_x, n_y):
     """The tape node of ``gdu.kernel.gram_block_means`` before it took arrays only.
 
@@ -654,7 +659,7 @@ def block_means_node(X, Y, cfg, n_x, n_y):
     Xs, Ys = _rows(X), _rows(Y)
     _check_feature_dims("X", Xs.shape[-1], "Y", Ys.shape[-1])
     Xv, Yv = Xs.reshape(-1, Xs.shape[-1]), Ys.reshape(-1, Ys.shape[-1])
-    G = _gaussian_gram(Xv, Yv, cfg.sigma)
+    G = _gaussian_gram(*_augmented_forms(cfg.sigma, (Xv, "l"), (Yv, "r")))
     rows_x, rows_y = G.shape
     p, q = rows_x // n_x, rows_y // n_y
     blocks = G.reshape(p, n_x, q, n_y)
@@ -671,10 +676,10 @@ def block_means_node(X, Y, cfg, n_x, n_y):
     def bw(g):
         W = (blocks * (g * scale)[:, None, :, None]).reshape(rows_x, rows_y)
         if x_t:
-            WY = W @ _augmented(Yv, 1.0)
+            WY = W @ _with_ones(Yv, cfg)
             X._accumulate((WY[:, :-1] - WY[:, -1:] * Xv).reshape(Xs.shape))
         if y_t:
-            WX = W.T @ _augmented(Xv, 1.0)
+            WX = W.T @ _with_ones(Xv, cfg)
             Y._accumulate((WX[:, :-1] - WX[:, -1:] * Yv).reshape(Ys.shape))
 
     return Tensor(K, tuple(t for t in (X, Y) if is_tensor(t)), bw)
@@ -690,7 +695,7 @@ def diagonal_block_means_node(X, cfg, n):
     Xs = _rows(X)
     rows, e = math.prod(Xs.shape[:-1]), Xs.shape[-1]
     Xb = Xs.reshape(rows // n, n, e)
-    G = _gaussian_gram(Xb, Xb, cfg.sigma)
+    G = _gaussian_gram(*_augmented_forms(cfg.sigma, (Xb, "l"), (Xb, "r")))
     K = G.reshape(rows // n, n * n).sum(axis=1) / float(n * n)
     if not is_tensor(X):
         return K
@@ -698,7 +703,7 @@ def diagonal_block_means_node(X, cfg, n):
 
     def bw(g):
         S = G * (g * scale)[:, None, None]
-        SX = S @ _augmented(Xb, 1.0)
+        SX = S @ _with_ones(Xb, cfg)
         X._accumulate((SX[..., :-1] - SX[..., -1:] * Xb).reshape(Xs.shape))
 
     return Tensor(K, (X,), bw)

@@ -284,6 +284,66 @@ def test_malformed_tokens_raise_checkpoint_errors_that_name_the_place(old, new, 
         model_from_text(GDU_TEXT.replace(old, new, 1))
 
 
+_FLOAT = "expected a float.hex token, found"
+_COUNT = "expected a non-negative integer, found"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # float.fromhex read a decimal 1.5 as 0x1.5 = 1.3125, and 20 as 0x20.
+        ("field sigma 0x1.8000000000000p+0", "field sigma 1.5", f"field 'sigma': {_FLOAT} '1.5'"),
+        ("field kappa 0x1.4000000000000p+4", "field kappa 20", f"field 'kappa': {_FLOAT} '20'"),
+        # Spellings of the same floats that float.hex does not write.
+        ("field sigma 0x1.8000000000000p+0", "field sigma 0x1.8p+0", f"field 'sigma': {_FLOAT}"),
+        ("field sigma 0x1.8000000000000p+0", "field sigma 0X1.8000000000000P+0",
+         f"field 'sigma': {_FLOAT}"),
+        ("field kappa 0x1.4000000000000p+4", "field kappa +0x1.4000000000000p+4",
+         f"field 'kappa': {_FLOAT}"),
+        ("field kappa 0x1.4000000000000p+4", "field kappa Infinity", f"field 'kappa': {_FLOAT}"),
+        # Past the largest float: float.fromhex raised a bare OverflowError.
+        ("field sigma 0x1.8000000000000p+0", "field sigma 0x1.0000000000000p+1024",
+         f"field 'sigma': {_FLOAT}"),
+        # int() took a sign, digit-group underscores and non-ASCII digits.
+        ("gdu-checkpoint 4", "gdu-checkpoint +4", f"^version: {_COUNT} '\\+4'$"),
+        ("field fe_layers 1", "field fe_layers 0_1", f"field 'fe_layers': {_COUNT} '0_1'"),
+        ("field fe_layers 1", "field fe_layers \u0661", f"field 'fe_layers': {_COUNT}"),
+        ("block bias 2 2 2 4", "block bias 2 2 2 +4", f"block 'bias': {_COUNT} '\\+4'"),
+        ("block weights 3 3 2 2 12", "block weights 3 3 2 2 1_2", f"block 'weights': {_COUNT}"),
+        ("block bases 3 2 2 3 12", "block bases \uff13 2 2 3 12", f"block 'bases': {_COUNT}"),
+    ],
+    ids=["decimal-sigma", "decimal-kappa", "short-hex", "upper-hex", "plus-hex", "Infinity",
+         "overflow",
+         "plus-version", "underscore-count", "arabic-indic-count", "plus-count",
+         "underscore-dim", "fullwidth-ndim"],
+)
+def test_tokens_the_writer_does_not_write_raise_checkpoint_errors(old, new, message):
+    # Each of these read back as a number before: 1.5 as 1.3125, 20 as 32,
+    # +4 and 0_1 as 4 and 1.
+    assert old in GDU_TEXT
+    with pytest.raises(CheckpointError, match=message):
+        model_from_text(GDU_TEXT.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION", "UNIFORM"])
+@pytest.mark.parametrize("sigma", [1.5, 1.0 / 3.0, 7.6e-155, 1.2e154, np.float32(0.7)])
+def test_every_checkpoint_the_writer_makes_reads_back(mode, sigma):
+    # The strict reader takes every token the writer writes: float.hex of
+    # any sigma and kappa, counts, and an extractor of 0, 1 or 2 layers.
+    for fe_sizes in (None, [3, 4], [3, 5, 4]):
+        fe = None if fe_sizes is None else init_feature_extractor(fe_sizes, 1, "tanh")
+        if mode == "UNIFORM":
+            model = init_erm_model([3, 4], 2, n_heads=3, seed=2)
+            model.fe = fe
+        else:
+            kappa = None if mode == "PROJECTION" else 5e-324 if sigma == 1.5 else 1.0 / 3.0
+            layer = init_layer(2, 3, 4, 2, 3, mode, KernelConfig(1.0), kappa)
+            layer.kernel = KernelConfig(sigma)
+            model = GduModel(fe, layer)
+        text = model_to_text(model)
+        assert model_to_text(model_from_text(text)) == text, (mode, sigma, fe_sizes)
+
+
 def test_malformed_erm_tokens_raise_checkpoint_errors():
     # The number of heads is the middle dimension of the weights block.
     bad_count = ERM_TEXT.replace("block weights 3 2 2 2 8", "block weights 3 2 2.5 2 8")

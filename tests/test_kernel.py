@@ -157,6 +157,25 @@ def test_gram_names_a_sigma_whose_exponent_overflows_on_finite_rows(X, Y, larges
         assert np.isnan(G[0, 0]) and G[1, 0] == 1.0
 
 
+@pytest.mark.parametrize("side", ["V", "X"])
+@pytest.mark.parametrize("gram", [False, True])
+@pytest.mark.parametrize("tensors", [False, True])
+def test_kernel_statistics_name_an_overflow_in_one_right_form(side, gram, tensors):
+    # At c = 5e307 a coordinate of 1.85 keeps -c ||x||^2 = -1.7e308 finite,
+    # so the left forms hold, but 2c x overflows: only the right form of the
+    # basis rows (read by the diagonal blocks, or the stacked right operand
+    # with the basis Gram), or of the batch, overflows.
+    rows = {"X": np.zeros((2, 1)), "V": np.zeros((2, 2, 1))}
+    rows[side] = np.full(rows[side].shape, 1.85)
+    X, V = (ad.tensor(rows[k]) if tensors else rows[k] for k in ("X", "V"))
+    message = ("the Gaussian kernel's exponent overflows at sigma=1e-154 on rows with "
+               "squared norms up to 3.423")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _kernel_statistics(X, V, KernelConfig(1e-154), 2, gram)
+
+
 def test_array_only_kernel_functions_refuse_a_tape_tensor():
     # Only the kernel statistics node builds tape nodes; a tensor elsewhere
     # is named, not read as a 0-d object array.

@@ -5,6 +5,7 @@ import gc
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -262,6 +263,23 @@ def test_steps_without_the_basis_gram_keep_three_kernel_nodes_exactly(mode, trai
         X, y = np.random.default_rng(32).normal(size=(5, 4)), np.array([0, 2, 1, 1, 0])
     else:
         model, X, y = build_small_gdu(32, mode)
+    _assert_three_kernel_nodes_exactly(model, X, y, mode, train_mode)
+
+
+# (b, M, N, e) of the benchmark's training steps on train-small and select-serve.
+@pytest.mark.parametrize("b, m, n, e", [(64, 4, 10, 16), (256, 6, 16, 16)])
+@pytest.mark.parametrize("train_mode", ["E2E", "FT"])
+@pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
+def test_steps_without_the_basis_gram_keep_three_kernel_nodes_exactly_at_bench_shapes(
+    mode, train_mode, b, m, n, e
+):
+    dims = dict(e=e, m=m, n=n, c=3, b=b)
+    model, X, y = build_small_gdu(34, mode, sigma=math.sqrt(e), dims=dims)
+    _assert_three_kernel_nodes_exactly(model, X, y, mode, train_mode)
+
+
+def _assert_three_kernel_nodes_exactly(model, X, y, mode, train_mode):
+    """``gradients`` equals ``three_node_gradients`` bit for bit, without the basis Gram."""
     regs = [RegConfig()] + ([RegConfig(lambda_l1=0.5)] if mode in ("CS", "MMD") else [])
     for reg in regs:
         got = gradients((X, y), model, reg, train_mode)
@@ -291,13 +309,14 @@ def test_one_gaussian_gram_per_step_and_none_of_the_bases_in_inference(monkeypat
     # other step, and inference, evaluate only the basis vectors against the
     # batch and the M diagonal (N, N) blocks, never an (M*N, M*N) block:
     # on a wide layer that would almost double the kernel work of serving.
+    # Every Gram goes through _gaussian_gram, which takes augmented rows.
     import gdu.kernel as kernel_module
 
     shapes = []
     real = kernel_module._gaussian_gram
 
-    def spy(X, Y, sigma):
-        G = real(X, Y, sigma)
+    def spy(left, right):
+        G = real(left, right)
         shapes.append(G.shape)
         return G
 
@@ -529,6 +548,51 @@ def small_gdu_for_training(seed, mode="MMD", m=2):
         2.0 if mode != "PROJECTION" else None,
     )
     return GduModel(fe, layer)
+
+
+def test_a_float32_sigma_fits_and_serves_as_its_python_float():
+    # Kept as a float32, sigma made the kernel's constant 0.5 / sigma**2 a
+    # float32 (NEP 50): a fit's loss moved by ~1e-9, and so did the logits
+    # of a checkpoint round trip, which reads sigma back as a Python float.
+    sigma = np.float32(0.7)
+    assert type(KernelConfig(sigma).sigma) is float
+    data = separable_splits(21)
+    config = TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=21)
+    fits = []
+    for s in (sigma, float(sigma)):
+        model = small_gdu_for_training(21, "CS")
+        model.layer = replace(model.layer, kernel=KernelConfig(s))
+        fits.append(train(data, config, model))
+    (model, trace), (want_model, want_trace) = fits
+    assert trace.to_csv_text() == want_trace.to_csv_text()
+    assert model_to_text(model) == model_to_text(want_model)
+    logits = predict_logits(model, data.val_x)
+    np.testing.assert_array_equal(logits, predict_logits(want_model, data.val_x))
+    back = model_from_text(model_to_text(model))
+    np.testing.assert_array_equal(predict_logits(back, data.val_x), logits)
+
+
+def test_fraction_reals_train_and_gate_as_their_floats():
+    # A Fraction passed every check, then numpy could not take it to Adam's
+    # steps (UFuncTypeError) or to the gate's exp (TypeError).
+    data = separable_splits(22)
+    fits, gates = [], []
+    reals = ((Fraction(1, 100), Fraction(1, 10), Fraction(5, 2)), (0.01, 0.1, 2.5))
+    for lr, weight, kappa in reals:
+        reg = RegConfig(lambda_ols=weight, lambda_l1=weight)
+        config = TrainConfig(learning_rate=lr, max_epochs=2, patience=2, batch_size=16,
+                             seed=22, reg=reg)
+        assert type(config.learning_rate) is float
+        assert type(reg.lambda_ols) is float and type(reg.lambda_l1) is float
+        model = small_gdu_for_training(22, "CS")
+        model.layer = replace(model.layer, kappa=kappa)
+        assert type(model.layer.kappa) is float
+        gates.append(gate_matrix(fe_forward(data.val_x, model.fe), model.layer))
+        fits.append(train(data, config, model))
+    np.testing.assert_array_equal(*gates)
+    (model, trace), (want_model, want_trace) = fits
+    assert trace.to_csv_text() == want_trace.to_csv_text()
+    assert model_to_text(model) == model_to_text(want_model)
 
 
 def test_train_reaches_high_accuracy_on_separable_data():
