@@ -21,7 +21,9 @@ exactly when the mode is UNIFORM, ``weights`` (e, M, C) and ``bias``
 (M, C). An ERM model with K heads is the UNIFORM layer with M = K; a
 layer on its own is saved as the model ``GduModel(None, layer)``.
 
-Files are ASCII. Readers reject a file that is not, unknown versions,
+Files are ASCII, and ``model_from_text`` reads a ``str``: bytes or
+any other type raise a :class:`CheckpointError` that names the type.
+Readers reject a file that is not ASCII, unknown versions,
 truncated or malformed blocks and any token after ``end``, each with a
 :class:`CheckpointError`. Parsing is strict: a float field takes ``-``
 or a token that ``float.hex`` writes, and a count, the version's
@@ -202,6 +204,8 @@ def model_to_text(model: GduModel) -> str:
 
 
 def model_from_text(text: str) -> GduModel:
+    if not isinstance(text, str):
+        raise CheckpointError(f"checkpoint text must be str, got {type(text).__name__}")
     reader = _Reader(text)
     reader.expect("gdu-checkpoint")
     version = _count(reader.next(), "version")

@@ -38,7 +38,9 @@ Each of these nodes has a closed-form backward, and its forward runs the
 same numpy operations for arrays and tensors. Reductions over a row of M
 gates or C classes run column by column (:func:`_row_max`,
 :func:`_row_sum`), bit for bit numpy's own and many times faster on rows
-this short. The UNIFORM gate is a constant array and never a tape node.
+this short. The UNIFORM gate is a constant and never a tape node: a
+training step builds no gate for it, and a one-head UNIFORM layer (one-head
+ERM) is its head alone.
 These functions accept numpy arrays or autodiff tensors, so the same code
 serves inference and gradient-based training; :func:`basis_gram_matrix`
 and :class:`LearningMachine` views are for arrays only.
@@ -333,14 +335,14 @@ def _gate_from_inners(a, norms, mode, kappa):
 def _inners_and_gate(X, layer: GduLayer, gram: bool = False):
     """``(a, beta, k_bases)``: the statistics of :func:`_basis_inners` and the gate.
 
-    ``k_bases`` is the basis Gram with ``gram`` and None otherwise. For a
-    UNIFORM layer ``a`` and ``k_bases`` are None and ``beta`` the constant
-    array of 1/M rows.
+    ``k_bases`` is the basis Gram with ``gram`` and None otherwise. A
+    UNIFORM layer's gate is a constant that a training step never
+    materialises: all three are None, and :func:`forward_batch` given
+    ``beta=None`` weights the heads by 1/M itself.
     """
     _check_width(X, layer)
     if layer.mode == UNIFORM:
-        m = layer.num_bases
-        return None, np.full((ad.value_of(X).shape[0], m), 1.0 / m), None
+        return None, None, None
     a, norms, k_bases = _basis_inners(X, layer, gram)
     return a, _gate_from_inners(a, norms, layer.mode, layer.kappa), k_bases
 
@@ -348,11 +350,16 @@ def _inners_and_gate(X, layer: GduLayer, gram: bool = False):
 def gate_matrix(X, layer: GduLayer):
     """Per-sample gating weights for a feature batch, shape (b, M).
 
-    Geometry and UNIFORM modes produce positive rows summing to one;
-    projection mode returns raw projection coefficients. ``||phi(x)||^2 =
-    k(x, x) = 1`` for the Gaussian kernel, so no per-sample norm is needed.
+    Geometry and UNIFORM modes produce positive rows summing to one (for
+    UNIFORM the constant rows 1/M, built here); projection mode returns raw
+    projection coefficients. ``||phi(x)||^2 = k(x, x) = 1`` for the Gaussian
+    kernel, so no per-sample norm is needed.
     """
-    return _inners_and_gate(X, layer)[1]
+    beta = _inners_and_gate(X, layer)[1]
+    if beta is None:
+        m = layer.num_bases
+        return np.full((ad.value_of(X).shape[0], m), 1.0 / m)
+    return beta
 
 
 def forward_batch(X, layer: GduLayer, beta=None):
@@ -365,35 +372,48 @@ def forward_batch(X, layer: GduLayer, beta=None):
     anything is computed. All M machines run as one matmul against their
     weights viewed as (e, M*C), plus the bias; the (b, M, C) outputs ``O``
     are then summed with weights ``beta`` by one ``einsum`` over the machine
-    axis. The backward's sums over the C outputs run column by column,
-    bit-identical to numpy's.
+    axis. A one-head UNIFORM layer without ``beta`` (one-head ERM) has the
+    constant gate 1: its output is the head ``X @ W + b`` itself, and no
+    gate is built or multiplied in. The backward's sums over the C outputs
+    run column by column, bit-identical to numpy's.
 
     Arrays in give an array out; a tensor among ``X``, the layer's weights
     and bias, and ``beta`` gives one tape node. Its backward, for the output
     gradient ``g``: ``g_beta[i, j] = <O[i, j], g[i]>``, and the machines'
     output gradient ``P = beta[i, j] * g[i]`` gives ``X^T P``, ``sum_i P``
-    and ``P W^T`` for the weights, the bias and ``X``.
+    and ``P W^T`` for the weights, the bias and ``X``; the lone head takes
+    ``P = g``.
     """
     _check_width(X, layer)
-    if beta is None:
+    head = beta is None and layer.mode == UNIFORM and layer.num_bases == 1
+    if beta is None and not head:
         beta = gate_matrix(X, layer)
     weights, bias = layer.weights, layer.bias
-    Xv, Wv, bv, beta_v = (ad.value_of(t) for t in (X, weights, bias, beta))
+    Xv, Wv, bv = (ad.value_of(t) for t in (X, weights, bias))
     b, m = Xv.shape[0], layer.num_bases
-    if beta_v.shape != (b, m):
-        raise ValueError(f"beta shape {beta_v.shape} does not match batch {b} x {m} bases")
+    if not head:
+        beta_v = ad.value_of(beta)
+        if beta_v.shape != (b, m):
+            raise ValueError(f"beta shape {beta_v.shape} does not match batch {b} x {m} bases")
     W = Wv.reshape(layer.feature_dim, -1)
-    out = (Xv @ W + bv.reshape(-1)).reshape(b, m, layer.n_outputs)
-    y = np.einsum("bm,bmc->bc", beta_v, out)
+    out = Xv @ W + bv.reshape(-1)
+    if head:
+        y = out
+    else:
+        out = out.reshape(b, m, layer.n_outputs)
+        y = np.einsum("bm,bmc->bc", beta_v, out)
     parents = tuple(t for t in (X, weights, bias, beta) if ad.is_tensor(t))
     if not parents:
         return y
 
     def bw(g):
-        g_row = g[:, None, :]
-        if ad.is_tensor(beta):
-            beta._accumulate(_row_sum(out * g_row).reshape(b, m))
-        P = (beta_v[:, :, None] * g_row).reshape(b, -1)
+        if head:
+            P = g
+        else:
+            g_row = g[:, None, :]
+            if ad.is_tensor(beta):
+                beta._accumulate(_row_sum(out * g_row).reshape(b, m))
+            P = (beta_v[:, :, None] * g_row).reshape(b, -1)
         if ad.is_tensor(weights):
             weights._accumulate((Xv.T @ P).reshape(Wv.shape))
         if ad.is_tensor(bias):

@@ -20,11 +20,19 @@ the gate and the ensemble (:mod:`gdu.layer`), the loss
 (:meth:`gdu.autodiff.Tensor.split`), one node each, so without
 regularizers a GDU step's tape has seven nodes (the extractor, the kernel
 node and its two parts, the gate, the ensemble and the loss) and an ERM
-step's three. A step whose regularizers read the basis Gram (OLS or ORTH
-on) takes the gate's inner products, the basis norms and the basis Gram,
-a third part, from one Gaussian Gram; every other step, and inference,
-evaluate only the inner products and the norms, with the arithmetic of
+step's three (the extractor, the ensemble and the loss): ERM's constant
+gate is never built in a step, and a one-head ERM's ensemble is its head.
+A step whose regularizers read the basis Gram (OLS or ORTH on) takes the
+gate's inner products, the basis norms and the basis Gram, a third part,
+from one Gaussian Gram; every other step, and inference, evaluate only
+the inner products and the norms, with the arithmetic of
 :func:`gdu.layer.gate_matrix`.
+Labels are checked once per call, by the entry points: :func:`train`
+(both splits, before the first step), :func:`objective`,
+:func:`gradients`, :func:`cross_entropy_mean` and :func:`accuracy` each
+name float, bool, out-of-range and mis-shaped labels and an empty batch.
+A step's loss node (``_cross_entropy``) and :func:`train`'s per-epoch
+metrics and validation scoring take the checked int64 labels as they are.
 Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
 extractor. :func:`_trained_part` alone tells them apart: FT trains the
 model without its extractor on features extracted once.
@@ -357,23 +365,43 @@ def _checked_labels(labels, b: int, c: int, where: str = "") -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _loss_labels(labels, b: int, c: int, where: str = "") -> np.ndarray:
+    """The labels of a loss over (b, c) logits, as :func:`_checked_labels` returns them.
+
+    A ValueError names c < 2 classes or b = 0 rows first, as
+    :func:`cross_entropy_mean` names them. An entry point checks its labels
+    here once, and its steps hand them to the loss node as they are.
+    """
+    if c < 2:
+        raise ValueError(f"expected (b, C) logits with C >= 2, got shape {(b, c)}")
+    if b == 0:
+        raise ValueError("cross_entropy_mean needs at least one row, got 0")
+    return _checked_labels(labels, b, c, where)
+
+
 def cross_entropy_mean(logits, labels):
     """Mean categorical cross-entropy over a (b, C) batch of logits rows.
 
-    ``labels`` must be b >= 1 integers in ``[0, C)``. The forward subtracts each
-    row's maximum and takes ``log sum exp`` minus the picked entry, with the
-    same numpy operations for arrays and tensors; the row maximum and row
-    sum run column by column, bit-identical to numpy's. Arrays in give a
-    float out; tensor logits give one tape node whose backward is
-    ``(softmax(logits) - onehot(labels)) * g / b``.
+    ``labels`` must be b >= 1 integers in ``[0, C)``; this wrapper checks
+    them and the logits' shape, then runs the loss node
+    (:func:`_cross_entropy`), which training steps call with labels checked
+    once per call. The forward subtracts each row's maximum and takes ``log
+    sum exp`` minus the picked entry, with the same numpy operations for
+    arrays and tensors; the row maximum and row sum run column by column,
+    bit-identical to numpy's. Arrays in give a float out; tensor logits give
+    one tape node whose backward is ``(softmax(logits) - onehot(labels)) * g
+    / b``.
     """
     vals = ad.value_of(logits)
-    if vals.ndim != 2 or vals.shape[1] < 2:
+    if vals.ndim != 2:
         raise ValueError(f"expected (b, C) logits with C >= 2, got shape {vals.shape}")
-    b, c = vals.shape
-    if b == 0:
-        raise ValueError("cross_entropy_mean needs at least one row, got 0")
-    labels = _checked_labels(labels, b, c)
+    return _cross_entropy(logits, _loss_labels(labels, *vals.shape))
+
+
+def _cross_entropy(logits, labels):
+    """:func:`cross_entropy_mean` on labels that :func:`_loss_labels` returned."""
+    vals = ad.value_of(logits)
+    b = vals.shape[0]
     rows = np.arange(b)
     z = vals - _row_max(vals)
     e = np.exp(z)
@@ -486,33 +514,50 @@ def _lay_out(part):
 
 def _build_objective(graph, X, y, reg: RegConfig):
     """The objective on the batch ``(X, y)``: a tape node for the graph copy of
-    :func:`_lay_out` and, by the same operations, a float for a model."""
+    :func:`_lay_out` and, by the same operations, a float for a model.
+
+    ``y`` holds labels that :func:`_loss_labels` checked for this model."""
     layer = graph.layer
     feats = fe_forward(X, graph.fe)
     # The gate's statistics, and the basis Gram when a term reads it, come
-    # from one kernel node and are shared with the regularizers.
+    # from one kernel node and are shared with the regularizers. A UNIFORM
+    # layer's gate is None: the ensemble weights its heads itself.
     a, beta, k_bases = _inners_and_gate(feats, layer, _reads_basis_gram(layer.mode, reg))
     logits = forward_batch(feats, layer, beta=beta)
-    return _add_regularizers(cross_entropy_mean(logits, y), a, beta, k_bases, reg)
+    return _add_regularizers(_cross_entropy(logits, y), a, beta, k_bases, reg)
+
+
+def _checked_batch(batch, model):
+    """``batch = (X, y)`` as a float64 (b, d) X and the labels of its loss."""
+    X, y = batch
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"a batch needs (b, d) inputs, got shape {X.shape}")
+    return X, _loss_labels(y, len(X), model.layer.n_outputs)
 
 
 def objective(batch, model, reg: RegConfig) -> float:
-    """Value of the training objective on ``batch = (X, y)``."""
-    X, y = batch
-    return float(_build_objective(model, np.asarray(X, dtype=np.float64), y, reg))
+    """Value of the training objective on ``batch = (X, y)``.
+
+    The labels are checked on entry, as :func:`cross_entropy_mean` checks them.
+    """
+    X, y = _checked_batch(batch, model)
+    return float(_build_objective(model, X, y, reg))
 
 
 def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
     """Gradient of the objective for every trainable tensor, by name.
 
-    The blocks are laid out as :func:`train` lays them out, on a copy of the
-    trained part, so ``model`` and its arrays stay as they are; the result
-    holds the views of one gradient vector, in :func:`trainable_arrays`
-    order. In FT mode the extractor is frozen and its blocks are absent.
-    Non-finite entries raise, naming the offending block.
+    The labels are checked on entry, as :func:`cross_entropy_mean` checks
+    them. The blocks are laid out as :func:`train` lays them out, on a copy
+    of the trained part, so ``model`` and its arrays stay as they are; the
+    result holds the views of one gradient vector, in
+    :func:`trainable_arrays` order. In FT mode the extractor is frozen and
+    its blocks are absent. Non-finite entries raise, naming the offending
+    block.
     """
-    X, y = batch
-    part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
+    X, y = _checked_batch(batch, model)
+    part, X = _trained_part(model, train_mode, X)
     _, grad, graph, leaves = _lay_out(_holder_copy(part))
     _backprop(_build_objective(graph, X, y, reg), leaves, grad)
     return {name: leaf.grad for name, leaf in leaves.items()}
@@ -535,26 +580,39 @@ def _backprop(obj, leaves: dict, grad: np.ndarray, where: str = ""):
 # -- prediction ---------------------------------------------------------------
 
 
-def predict_logits(model, X) -> np.ndarray:
-    """Model logits for a (b, d) batch of finite raw inputs (value path, per-sample gating)."""
+def _finite_batch(X, where: str) -> np.ndarray:
+    """``X`` as a finite float64 (b, d) batch, or a ValueError naming ``where``."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(
-            f"predict_logits expects a (b, d) batch, got shape {X.shape}; "
+            f"{where} expects a (b, d) batch, got shape {X.shape}; "
             "pass a single input x as x[None]"
         )
     if not np.isfinite(X).all():
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise ValueError(f"predict_logits needs finite rows, but row {row} is not")
+        raise ValueError(f"{where} needs finite rows, but row {row} is not")
+    return X
+
+
+def _logits(model, X) -> np.ndarray:
+    """:func:`predict_logits` on a batch that :func:`_finite_batch` returned."""
     return np.asarray(forward_batch(fe_forward(X, model.fe), model.layer))
+
+
+def _hit_rate(logits, y) -> float:
+    return float(np.mean(np.argmax(logits, axis=1) == y))
+
+
+def predict_logits(model, X) -> np.ndarray:
+    """Model logits for a (b, d) batch of finite raw inputs (value path, per-sample gating)."""
+    return _logits(model, _finite_batch(X, "predict_logits"))
 
 
 def accuracy(model, X, y) -> float:
     logits = predict_logits(model, X)
     if len(logits) == 0:
         raise ValueError("accuracy needs at least one row, got 0")
-    y = _checked_labels(y, *logits.shape)
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+    return _hit_rate(logits, _checked_labels(y, *logits.shape))
 
 
 # -- the optimizer ------------------------------------------------------------
@@ -607,13 +665,14 @@ class _Adam:
 def _epoch_metrics(model, feats_train, y_train):
     """Task loss and raw regularizer values on the (extracted) training set.
 
-    A UNIFORM layer has no bases: it reports 0 for each term.
+    ``y_train`` holds the labels that :func:`_loss_labels` checked. A
+    UNIFORM layer has no bases: it reports 0 for each term.
     """
     layer = model.layer
     # One pass of kernel statistics feeds the gate and every regularizer.
     a, beta, _ = _inners_and_gate(feats_train, layer)
     logits = np.asarray(forward_batch(feats_train, layer, beta=beta))
-    ce = float(cross_entropy_mean(logits, y_train))
+    ce = float(_cross_entropy(logits, y_train))
     if layer.mode == UNIFORM:
         return ce, 0.0, 0.0, 0.0
     k_bases = basis_gram_matrix(layer)
@@ -626,8 +685,10 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     Deterministic given the config seed. Early stopping keeps the first
     parameter snapshot attaining the highest validation accuracy and stops
     after ``patience`` epochs without improvement. A label of either split
-    outside the model's classes raises a ValueError naming the split before
-    the first step.
+    outside the model's classes, and a validation row that is not finite
+    (in FT, whose frozen features are not), raise a ValueError naming the
+    split before the first step; the epochs score validation on what was
+    checked there.
 
     The trained parameter attributes of ``model`` are rebound to views of
     one new vector (see the module docstring), so arrays taken from the
@@ -635,11 +696,14 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     left as it is.
     """
     c = model.layer.n_outputs
-    train_y = _checked_labels(data.train_y, len(data.train_x), c, "train_y: ")
-    _checked_labels(data.val_y, len(data.val_x), c, "val_y: ")
+    train_y = _loss_labels(data.train_y, len(data.train_x), c, "train_y: ")
+    val_y = _checked_labels(data.val_y, len(data.val_x), c, "val_y: ")
     part, train_x, val_x = _trained_part(
         model, config.mode, np.asarray(data.train_x, dtype=np.float64), data.val_x
     )
+    # Validation is scored every epoch on rows and labels checked once,
+    # here; in FT the rows are the frozen extractor's fixed features.
+    val_x = _finite_batch(val_x, "val_x")
     params, grad, graph, leaves = _lay_out(part)
     opt = _Adam(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -663,7 +727,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         ce, ols, orth, l1 = _epoch_metrics(part, feats_train, train_y)
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)
-        val_acc = accuracy(part, val_x, data.val_y)
+        val_acc = _hit_rate(_logits(part, val_x), val_y)
         trace.rows.append(TraceRow(epoch, ce, val_acc, ols, orth, l1))
 
         if val_acc > best_val:

@@ -490,6 +490,16 @@ def test_rejects_bad_version_and_truncation():
         model_from_text(text.replace("\n", "\nfield kind gdu-model\n", 1))
 
 
+@pytest.mark.parametrize("text", [GDU_TEXT.encode("ascii"), bytearray(b"gdu-checkpoint 4"), None],
+                         ids=["bytes", "bytearray", "None"])
+def test_checkpoint_text_that_is_not_a_str_is_named(text):
+    # Bytes split into bytes tokens, which raised "expected
+    # 'gdu-checkpoint', found b'gdu-checkpoint'".
+    named = f"^checkpoint text must be str, got {type(text).__name__}$"
+    with pytest.raises(CheckpointError, match=named):
+        model_from_text(text)
+
+
 def test_tokens_after_end_raise_checkpoint_errors():
     with pytest.raises(CheckpointError, match="'gdu-checkpoint' after 'end'"):
         model_from_text(GDU_TEXT + ERM_TEXT)

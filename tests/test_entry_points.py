@@ -404,6 +404,13 @@ PARAMETERS = {
         "n_train", "n_val", "n_target",
     ],
     "training.init_erm_model": ["layer_sizes", "n_outputs", "n_heads", "seed"],
+    # The gate, the ensemble, the loss and the step's entry points, which
+    # the benchmark and its callers reach by keyword and by position.
+    "layer.forward_batch": ["X", "layer", "beta"],
+    "layer.gate_matrix": ["X", "layer"],
+    "training.cross_entropy_mean": ["logits", "labels"],
+    "training.objective": ["batch", "model", "reg"],
+    "training.gradients": ["batch", "model", "reg", "train_mode"],
 }
 
 

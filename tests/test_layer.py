@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdu import autodiff as ad
 from gdu.kernel import KernelConfig
 from gdu.layer import (
     GATING_MODES,
@@ -165,6 +166,19 @@ def test_forward_single_machine_equals_machine_output():
     x = rng.normal(size=3)
     (m,) = layer.machines
     np.testing.assert_allclose(forward_batch(x[None], layer)[0], x @ m.weights + m.bias, atol=1e-12)
+
+
+def test_a_one_basis_projection_layer_weights_its_machine_by_its_gate():
+    # Only a UNIFORM layer's gate is the constant 1. One PROJECTION basis
+    # gates by a / ||mu||^2, which scales its machine's output.
+    rng = np.random.default_rng(28)
+    layer = random_layer(rng, "PROJECTION", m=1)
+    X = rng.normal(size=(5, 3))
+    beta = gate_matrix(X, layer)
+    assert np.all(np.abs(beta - 1.0) > 1e-3)
+    (m,) = layer.machines
+    np.testing.assert_allclose(forward_batch(X, layer), beta * (X @ m.weights + m.bias),
+                               rtol=1e-13, atol=1e-14)
 
 
 def test_forward_identical_machines_in_geometry_mode():
@@ -422,6 +436,34 @@ def test_uniform_layer_gates_every_row_at_one_over_m():
     np.testing.assert_array_equal(gate_matrix(X[:1], layer)[0], np.full(4, 0.25))
     mean = sum(X @ m.weights + m.bias for m in layer.machines) / 4.0
     np.testing.assert_allclose(forward_batch(X, layer), mean, rtol=1e-13, atol=1e-14)
+
+
+def test_a_one_head_uniform_layer_is_its_head_bit_for_bit():
+    # One-head ERM builds no gate: its output, and the backward to X, the
+    # weights and the bias, are those of the head weighted by a gate of ones.
+    rng = np.random.default_rng(27)
+    weights, bias, X = rng.normal(size=(3, 1, 4)), rng.normal(size=(1, 4)), rng.normal(size=(6, 3))
+    g = rng.normal(size=(6, 4))
+
+    def run(beta):
+        leaves = [ad.tensor(a.copy()) for a in (X, weights, bias)]
+        layer = GduLayer(None, leaves[1], leaves[2], None, UNIFORM)
+        out = forward_batch(leaves[0], layer, beta=beta)
+        # sum(out * g): the output gradient g reaches the node as it is.
+        ad.Tensor(0.0, (out,), lambda _: out._accumulate(g)).backward()
+        return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+    head = run(None)
+    assert head == run(np.ones((6, 1)))
+    layer = GduLayer(None, weights, bias, None, UNIFORM)
+    np.testing.assert_allclose(forward_batch(X, layer), X @ weights[:, 0] + bias[0],
+                               rtol=1e-15, atol=1e-15)
+    assert forward_batch(X, layer).tobytes() == head[0]
+    # gate_matrix still builds its constant rows, and an explicit gate
+    # still weights the head: 0.5 gives half of it.
+    np.testing.assert_array_equal(gate_matrix(X, layer), np.ones((6, 1)))
+    np.testing.assert_array_equal(forward_batch(X, layer, beta=np.full((6, 1), 0.5)),
+                                  0.5 * forward_batch(X, layer))
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 3), (3,), ()], ids=str)

@@ -730,13 +730,14 @@ _ALL_REGULARIZERS = {
     "MMD": RegConfig(lambda_ols=0.1, lambda_l1=0.1),
     "PROJECTION": RegConfig(lambda_ols=0.1, lambda_orth=0.1),
     "ERM": RegConfig(),
+    "ERM-1": RegConfig(),
 }
 
 
 def _fresh_model(mode, seed):
-    """A model for ``mode``: GDU with M=3, or ERM with 3 heads."""
-    if mode == "ERM":
-        return init_erm_model([2, 6, 4], 2, n_heads=3, seed=seed)
+    """A model for ``mode``: GDU with M=3, ERM with 3 heads, or ERM-1 with one."""
+    if mode.startswith("ERM"):
+        return init_erm_model([2, 6, 4], 2, n_heads=1 if mode == "ERM-1" else 3, seed=seed)
     return small_gdu_for_training(seed, mode=mode, m=3)
 
 
@@ -865,6 +866,40 @@ def test_train_erm_models():
     ensemble = init_erm_model([2, 6, 4], 2, n_heads=3, seed=9)
     _, trace = train(data, config, ensemble)
     assert max(r.val_acc for r in trace.rows) >= 0.95
+
+
+def _gated_by_ones(X, layer, beta=None):
+    """``forward_batch`` with a materialised gate: a one-head layer weighted by ones."""
+    if beta is None:
+        beta = np.ones((len(gdu.autodiff.value_of(X)), layer.num_bases))
+    return forward_batch(X, layer, beta=beta)
+
+
+@pytest.mark.parametrize("train_mode", ["E2E", "FT"])
+def test_one_head_erm_is_its_head_in_every_step_bit_for_bit(train_mode, monkeypatch):
+    # A one-head ERM step builds no gate; the ensemble weighted by a
+    # (b, 1) gate of ones must give the same objective, gradient blocks,
+    # trace and model to the last bit.
+    rng = np.random.default_rng(31)
+    model = init_erm_model([4, 6, 3], 3, n_heads=1, seed=31)
+    model.layer.bias += rng.normal(scale=0.3, size=(1, 3))
+    batch = (rng.normal(size=(16, 4)), rng.integers(0, 3, size=16))
+    data = DatasetSplits(rng.normal(size=(40, 4)), rng.integers(0, 3, size=40),
+                         rng.normal(size=(12, 4)), rng.integers(0, 3, size=12))
+    config = TrainConfig(mode=train_mode, max_epochs=3, patience=3, batch_size=16, seed=32,
+                         learning_rate=0.05)
+
+    def run():
+        blocks = gradients(batch, model, RegConfig(), train_mode)
+        fitted, trace = train(data, config, copy.deepcopy(model))
+        return (objective(batch, model, RegConfig()),
+                [(name, g.tobytes()) for name, g in blocks.items()],
+                model_to_text(fitted), trace.to_csv_text())
+
+    head = run()
+    monkeypatch.setattr(gdu.training, "forward_batch", _gated_by_ones)
+    assert run() == head
+    assert gradient_max_rel_error(model, *batch, RegConfig(), train_mode) < 1e-4
 
 
 def test_train_diverges_on_nonfinite_parameters():
@@ -1018,6 +1053,106 @@ def test_non_integer_labels_are_named_not_truncated(scorer, labels, named):
         score(labels)
     # Integer-valued floats are class indices.
     assert score([0.0, 1.0, 1.0]) == score([0, 1, 1])
+
+
+def _label_calls():
+    model = init_erm_model([4, 5], 3, n_heads=1, seed=3)
+    X = np.random.default_rng(4).normal(size=(5, 4))
+
+    def fit(split, labels):
+        data = DatasetSplits(X, np.zeros(5, dtype=int), X, np.zeros(5, dtype=int))
+        setattr(data, split, labels)
+        train(data, TrainConfig(max_epochs=1, patience=1), model)
+
+    return {
+        "objective": lambda y: objective((X, y), model, RegConfig()),
+        "gradients": lambda y: gradients((X, y), model, RegConfig()),
+        "cross_entropy_mean": lambda y: cross_entropy_mean(np.zeros((5, 3)), y),
+        "accuracy": lambda y: accuracy(model, X, y),
+        "train_y": lambda y: fit("train_y", y),
+        "val_y": lambda y: fit("val_y", y),
+    }
+
+
+_BAD_LABELS = {
+    "float": ([0.0, 0.5, 1.0, 2.0, 0.0], "label 0.5 is not a finite integer"),
+    "bool": ([True, False, True, False, True], "labels must be integers, got dtype bool"),
+    "out-of-range": ([0, 1, 3, 0, 1], "label 3 out of range for C=3"),
+    "mis-shaped": ([[0], [1], [2], [0], [1]], r"expected 5 labels, got shape \(5, 1\)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_LABELS))
+@pytest.mark.parametrize("call", sorted(_label_calls()))
+def test_every_entry_point_names_bad_labels(call, kind):
+    # objective and gradients check the labels on entry and train checks
+    # both splits once, so a step's loss node takes them unchecked.
+    labels, message = _BAD_LABELS[kind]
+    prefix = f"{call}: " if call.endswith("_y") else ""
+    with mock.patch.object(_Adam, "step") as step:
+        with pytest.raises(ValueError, match=f"^{prefix}{message}$"):
+            _label_calls()[call](labels)
+    step.assert_not_called()
+
+
+def test_a_one_class_model_is_named_by_every_loss_entry_point():
+    model = init_erm_model([4, 4], 1, n_heads=1, seed=0)
+    X, y = np.zeros((5, 4)), np.zeros(5, dtype=int)
+    named = r"^expected \(b, C\) logits with C >= 2, got shape \(5, 1\)$"
+    for call in (lambda: objective((X, y), model, RegConfig()),
+                 lambda: gradients((X, y), model, RegConfig()),
+                 lambda: train(DatasetSplits(X, y, X, y), TrainConfig(max_epochs=1, patience=1),
+                               model)):
+        with pytest.raises(ValueError, match=named):
+            call()
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 5, 2)], ids=str)
+def test_a_batch_that_is_not_2d_is_named_before_its_labels(shape):
+    # Such an X passed the extractor, which takes a vector, and then failed
+    # the layer's (b, e) check, which named the shape of its features.
+    model = small_gdu_for_training(3)
+    named = rf"^a batch needs \(b, d\) inputs, got shape {re.escape(str(shape))}$"
+    for call in (objective, gradients):
+        with pytest.raises(ValueError, match=named):
+            call((np.zeros(shape), [0, 1]), model, RegConfig())
+
+
+def test_train_checks_labels_and_validation_rows_once_per_call(monkeypatch):
+    # Every epoch scores validation on the labels and rows checked before
+    # the first step; no epoch re-checks them.
+    data = separable_splits(14)
+    config = TrainConfig(max_epochs=3, patience=3, batch_size=16, seed=15)
+    counts = {"_checked_labels": 0, "_finite_batch": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(gdu.training, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(gdu.training, name, counted)
+    for name in ("accuracy", "predict_logits", "cross_entropy_mean"):
+        monkeypatch.setattr(gdu.training, name, None)
+    for mode in ("E2E", "FT"):
+        for model in (small_gdu_for_training(14), init_erm_model([2, 4], 2, n_heads=1, seed=14)):
+            counts.update(dict.fromkeys(counts, 0))
+            _, trace = train(data, replace(config, mode=mode), model)
+            assert len(trace.rows) == 3
+            assert counts == {"_checked_labels": 2, "_finite_batch": 1}
+
+
+def test_ft_names_validation_features_that_are_not_finite_before_the_first_step():
+    # Finite raw rows can give non-finite frozen features; they are found
+    # once, before any step, not when epoch 0 scores them.
+    data = separable_splits(16)
+    val_x = np.array(data.val_x)
+    val_x[2] = 1e200
+    data = replace(data, val_x=val_x)
+    fe = FeatureExtractor([np.eye(2) * 1e200], [np.zeros(2)])
+    model = GduModel(fe, init_erm_model([2, 2], 2, n_heads=1, seed=16).layer)
+    with mock.patch.object(_Adam, "step") as step, np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^val_x needs finite rows, but row 2 is not$"):
+            train(data, TrainConfig(mode="FT", max_epochs=1, patience=1), model)
+    step.assert_not_called()
 
 
 def test_srip_tracking_and_trace_csv_columns():
