@@ -6,30 +6,21 @@ walks the tape in reverse topological order and accumulates ``grad`` on
 every reachable tensor.
 
 There is no library of ops here, and a tensor has no arithmetic
-operators. Each term of the training objective (the extractor, the kernel
-statistics, the gate, the ensemble, the loss, each regularizer and their
-weighted sum) is one node that its own module builds with a closed-form
-backward, and whose forward runs the same numpy operations for arrays and
-tensors. ``tests/oracles.py`` keeps the generic per-op functions that
-reference chains and tests still use.
+operators. No ``gdu`` function takes a tensor: each term of the training
+objective is an array forward that returns its closed-form backward, and
+``gdu.training`` wraps a step's objective in one tensor with no parents,
+whose backward runs that chain in reverse. ``tests/oracles.py`` keeps the
+generic per-op functions and the reference chains built from them, which
+put many nodes on a tape.
 
 Only tensors are differentiated. A node records only its tensor operands
 as parents; a numpy array or scalar operand is a constant, and no gradient
 is computed for it. A closure must not reference the node it is the
 backward of: that reference cycle would keep every graph alive until the
-cyclic garbage collector runs. A node with several outputs hands them out
-as the parts of :meth:`Tensor.split`, whose gradients add into its own.
-
-A leaf may outlive the graphs built on it: ``gdu.training.train`` makes its
-parameter leaves once per call, over views of its parameter vector. Their
-``grad`` are views of one gradient vector, which it zeroes before each
-backward, so that each step's gradients start afresh and add straight into
-that vector.
+cyclic garbage collector runs.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -57,26 +48,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor({self.data!r})"
-
-    def split(self, *shapes):
-        """Tensors over consecutive parts of this node's flat value, one per shape.
-
-        A node with several outputs packs them into one vector and hands out
-        its parts. Each part's ``grad`` is a view of this node's ``grad``,
-        which starts here at zero, so every consumer of a part adds into the
-        one packed gradient in place. A part has no backward and this node
-        as its one parent, so the tape runs this node's backward once, after
-        the consumers of every part.
-        """
-        self.grad = np.zeros(self.data.shape)
-        parts, start = [], 0
-        for shape in shapes:
-            stop = start + math.prod(shape)
-            part = Tensor(self.data[start:stop].reshape(shape), (self,))
-            part.grad = self.grad[start:stop].reshape(shape)
-            parts.append(part)
-            start = stop
-        return parts
 
     def _accumulate(self, g):
         if self.grad is None:

@@ -11,9 +11,9 @@ Empirical kernel mean embeddings reduce to block means of a Gram matrix
 training step the inner products ``<phi(x_i), mu_j>`` of a batch against
 the (M, N, e) bases, the squared norms ``||mu_j||^2`` and, when its
 regularizers read it, the basis Gram, whose reduction (:func:`_block_means`)
-:func:`gdu.layer.basis_gram_matrix` shares, as the kernel's one autodiff
-tape node with one closed-form backward; a tape tensor passed to any other
-function here raises a TypeError. It lays its Gram out basis-major, the
+:func:`gdu.layer.basis_gram_matrix` shares, and returns its closed-form
+backward with them. Every function here takes arrays of rows. It lays its
+Gram out basis-major, the
 M*N basis vectors' rows against the batch's columns, in training, epoch
 metrics and serving alike: a basis's N kernel values against the batch
 are N contiguous rows of length b, so each inner product is a row-order
@@ -55,8 +55,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
 
 __all__ = [
     "KernelConfig",
@@ -250,21 +248,11 @@ def _gaussian_gram(left, right):
 
 
 def _rows(X):
-    """The value of X, which must be a row matrix or a stack of them."""
-    Xv = ad.value_of(X)
+    """X as float64, which must be a row matrix or a stack of them."""
+    Xv = np.asarray(X, dtype=np.float64)
     if Xv.ndim not in (2, 3):
         raise ValueError(f"expected (n, e) rows or an (M, N, e) stack, got shape {Xv.shape}")
     return Xv
-
-
-def _array_rows(X):
-    """The rows of X as :func:`_rows` reads them, as one matrix; a tape tensor raises TypeError."""
-    if ad.is_tensor(X):
-        raise TypeError(
-            "the kernel's Gram functions take arrays, not tape tensors; a step's "
-            "kernel statistics and their gradient come from kernel._kernel_statistics"
-        )
-    return _rows(X).reshape(-1, np.shape(X)[-1])
 
 
 def _row_gradient(WA, rows):
@@ -275,11 +263,10 @@ def _row_gradient(WA, rows):
 def gram(X, Y, cfg: KernelConfig):
     """Kernel matrix ``G[i, j] = k(X_i, Y_j)`` of two arrays of rows.
 
-    A stack such as (M, N, e) bases is read row by row. Arrays only: a
-    step's kernel statistics and their gradient come from the one tape node
-    :func:`_kernel_statistics`.
+    A stack such as (M, N, e) bases is read row by row. A step's kernel
+    statistics and their gradient come from :func:`_kernel_statistics`.
     """
-    Xv, Yv = _array_rows(X), _array_rows(Y)
+    Xv, Yv = (A.reshape(-1, A.shape[-1]) for A in (_rows(X), _rows(Y)))
     _check_feature_dims("X", Xv.shape[-1], "Y", Yv.shape[-1])
     return _gaussian_gram(*_augmented_forms(cfg.sigma, (Xv, "l"), (Yv, "r")))
 
@@ -298,11 +285,10 @@ def _block_means(G, n: int):
 def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     """The kernel statistics of a (b, e) batch X against M runs of ``n`` rows of V.
 
-    V is a stack such as (M, N, e) bases, read as M*N rows; its gradient
-    lands in its own shape. Returns ``(a, norms, K)``: ``a[i, j] =
-    <phi(x_i), mu_j>``, a C-ordered (b, M) array, ``norms[j] = ||mu_j||^2``
-    (M,) and, with ``gram``, the basis Gram ``K[j, l] = <mu_j, mu_l>``
-    (M, M), else None.
+    V is a stack such as (M, N, e) bases, read as M*N rows. Returns ``(a,
+    norms, K, back)``: ``a[i, j] = <phi(x_i), mu_j>``, a C-ordered (b, M)
+    array, ``norms[j] = ||mu_j||^2`` (M,), with ``gram`` the basis Gram
+    ``K[j, l] = <mu_j, mu_l>`` (M, M), else None, and the backward.
 
     The Gram is basis-major, V's rows against the batch's. Each row set
     has one augmented form of each kind per call (:func:`_augmented_forms`),
@@ -312,38 +298,38 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     the same left form as an (M, n, e + 2) view against V's right form;
     with it, one (M*N, b + M*N) Gram of V's left form against the right
     form of the stacked rows ``R = [X; V]``, written straight from X and V
-    with no copy of R. When V is a tensor, X's left form is written too,
-    stacked above V's. a adds each basis's n rows of the batch's columns,
+    with no copy of R; there X's left form is written too, stacked above
+    V's, for V's gradient. a adds each basis's n rows of the batch's columns,
     contiguous rows of length b, in row order and divides by n: bit for
     bit ``block_means_node(V, X, cfg, n, 1).T`` of ``tests/oracles.py``
-    without ``gram``. K is :func:`_block_means` of
-    the Gram's V columns, and each norm sums its diagonal block in row
-    order, so the routes differ only where their matmuls round an entry of
-    G differently. The batch-major (b, M*N) layout summed each run of n
-    columns pairwise, one numpy inner loop per (row, basis), which cost
-    more than the exp on 1000-row serving batches; its a agreed with this
-    one within 1e-15 relative at the benchmark's shapes, and its norms and
-    K bit for bit.
+    without ``gram``. K is :func:`_block_means` of the Gram's V columns,
+    and each norm sums its diagonal block in row order, so the routes
+    differ only where their matmuls round an entry of G differently. The
+    batch-major (b, M*N) layout summed each run of n columns pairwise, one
+    numpy inner loop per (row, basis), which cost more than the exp on
+    1000-row serving batches; its a agreed with this one within 1e-15
+    relative at the benchmark's shapes, and its norms and K bit for bit.
 
-    Arrays in give arrays out. A tensor among X and V gives one tape node
-    whose outputs are the parts of :meth:`gdu.autodiff.Tensor.split`. Its
-    backward expands the output gradients over their blocks, times G, to
-    weights W, and gives a set of rows the closed form ``W A - diag(W 1)
-    rows`` of ``dk(x, y)/dx = k(x, y) (y - x) / sigma^2`` from one matmul
-    ``W [A | 1]`` (:func:`_row_gradient`). Where the exponent clamp fires,
-    ``y - x`` is already ~0, so no clamp mask is needed. Each ``[A | 1]``
-    is a view of the first e + 1 columns of A's left form, so the backward
-    builds no augmented rows. Without ``gram``, the weights ``W = G *
+    ``back(g_a, g_norms, g_k, grad_x)`` takes the gradients of a, the norms
+    and K (None without ``gram``) and returns ``(g_X, g_V)``, g_X None
+    unless ``grad_x``, g_V in V's shape. It expands the output gradients
+    over their blocks, times G, to weights W, and gives a set of rows the
+    closed form ``W A - diag(W 1) rows`` of ``dk(x, y)/dx = k(x, y) (y - x)
+    / sigma^2`` from one matmul ``W [A | 1]`` (:func:`_row_gradient`).
+    Where the exponent clamp fires, ``y - x`` is already ~0, so no clamp
+    mask is needed. Each ``[A | 1]`` is a view of the first e + 1 columns
+    of A's left form; without ``gram`` the backward writes X's, which
+    inference never reads. Without ``gram``, the weights ``W = G *
     E(g_a^T) / (n sigma^2)`` (M*N, b) give X ``W^T [V | 1]`` and V ``W [X
     | 1]`` plus, per diagonal block, ``S_p [V_p | 1]`` with ``S_p = 2 g_p
-    G_p / (n^2 sigma^2)``. With ``gram`` the norms'
-    gradient folds into the diagonal of K's, which is symmetrized, as V
-    sits on both sides. Each basis's n rows of G share one row of weights,
-    so W is one broadcast multiply over the contiguous Gram; a multiply per
-    column block, on strided views, ran ~3x slower. V gets ``W [R | 1]``
-    and X ``W_x^T [V | 1]``, with ``W_x`` W's first b columns, run as
-    ``([R | 1]^T W^T)^T`` and ``([V | 1]^T W_x)^T``: numpy's BLAS ran
-    these 6-9% faster at (b, M, N, e) = (256, 10, 50, 64). There W
+    G_p / (n^2 sigma^2)``. With ``gram`` the
+    norms' gradient folds into the diagonal of K's, which is symmetrized,
+    as V sits on both sides. Each basis's n rows of G share one row of
+    weights, so W is one broadcast multiply over the contiguous Gram; a
+    multiply per column block, on strided views, ran ~3x slower. V gets ``W
+    [R | 1]`` and X ``W_x^T [V | 1]``, with ``W_x`` W's first b columns,
+    run as ``([R | 1]^T W^T)^T`` and ``([V | 1]^T W_x)^T``: numpy's BLAS
+    ran these 6-9% faster at (b, M, N, e) = (256, 10, 50, 64). There W
     overwrites G, so the backward runs once, and a second raises
     RuntimeError.
     """
@@ -355,9 +341,7 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     if Xv.ndim != 2 or n < 1 or rows % n:
         raise ValueError(f"expected (b, e) rows and runs of {n} rows that tile {rows} rows")
     b, m = Xv.shape[0], rows // n
-    x_t, v_t = ad.is_tensor(X), ad.is_tensor(V)
-    # V's gradient reads [X | 1], the first columns of X's left form.
-    left, right = _augmented_forms(cfg.sigma, (Xv, "lr" if v_t else "r"), (Vv, "lr"))
+    left, right = _augmented_forms(cfg.sigma, (Xv, "lr" if gram else "r"), (Vv, "lr"))
     left_v = left[left.shape[0] - rows :]
     on_diagonal = np.arange(m)
     K = None
@@ -373,51 +357,44 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     # Each basis's n rows of length b add in row order.
     a = (G_x.sum(axis=1) / n).T.copy()
     norms = diagonal.reshape(m, n * n).sum(axis=1) / float(n * n)
-    stats = (a, norms, K) if gram else (a, norms)
-    if not x_t and not v_t:
-        return a, norms, K
-    # [V | 1], and [R | 1] for the stacked rows R = [X; V] when V is a tensor.
-    ones_v, ones_r = left_v[:, : e + 1], left[:, : e + 1]
+    ones_v = left_v[:, : e + 1]  # [V | 1]
 
-    def bw(g):
+    def back(g_a, g_norms, g_k, grad_x):
         nonlocal G
-        gaT, gn = g[: b * m].reshape(b, m).T, g[b * m : b * m + m]
+        g_x = None
         if not gram:
-            W = (G_x * (gaT * (1.0 / (n * cfg.sigma**2)))[:, None, :]).reshape(rows, b)
-            if x_t:
-                X._accumulate(_row_gradient(W.T @ ones_v, Xv))
-            if v_t:
-                S = diagonal * (gn * (2.0 / (n * n * cfg.sigma**2)))[:, None, None]
-                Vb = Vv.reshape(m, n, e)
-                dV = _row_gradient(W @ ones_r[:b], Vv).reshape(m, n, e)
-                dV += _row_gradient(S @ ones_v.reshape(m, n, e + 1), Vb)
-                V._accumulate(dV.reshape(Vs.shape))
-            return
+            W = (G_x * (g_a.T * (1.0 / (n * cfg.sigma**2)))[:, None, :]).reshape(rows, b)
+            if grad_x:
+                g_x = _row_gradient(W.T @ ones_v, Xv)
+            S = diagonal * (g_norms * (2.0 / (n * n * cfg.sigma**2)))[:, None, None]
+            ones_x = _augmented_forms(cfg.sigma, (Xv, "l"))[0][:, : e + 1]
+            g_v = _row_gradient(W @ ones_x, Vv).reshape(m, n, e)
+            g_v += _row_gradient(S @ ones_v.reshape(m, n, e + 1), Vv.reshape(m, n, e))
+            return g_x, g_v.reshape(Vs.shape)
         if G is None:
-            raise RuntimeError("a kernel statistics node is backpropagated only once")
+            raise RuntimeError("the kernel statistics are backpropagated only once")
         scale = 1.0 / cfg.sigma**2
-        s = g[b * m + m :].reshape(m, m).copy()
-        s[on_diagonal, on_diagonal] += gn
+        s = g_k.copy()
+        s[on_diagonal, on_diagonal] += g_norms
         s = (s + s.T) * (scale / (n * n))
-        # A basis's n rows of G share one row of weights: gaT's column for
+        # A basis's n rows of G share one row of weights: g_a's column for
         # the batch and s's row, each entry over n columns, for V.
         weights = np.empty((m, 1, b + rows))
-        weights[:, 0, :b] = gaT * (scale / n)
+        weights[:, 0, :b] = g_a.T * (scale / n)
         weights[:, 0, b:] = np.repeat(s, n, axis=1)
         # W overwrites G: the backward is G's last reader.
         W, G = G, None
         blocks = W.reshape(m, n, b + rows)
         blocks *= weights
-        # Both products run transposed, as numpy's BLAS ran them faster.
-        if v_t:
-            V._accumulate(_row_gradient((ones_r.T @ W.T).T, Vv).reshape(Vs.shape))
-        if x_t:
-            X._accumulate(_row_gradient((ones_v.T @ W[:, :b]).T, Xv))
+        # Both products run transposed, as numpy's BLAS ran them faster;
+        # [R | 1] is for the stacked rows R = [X; V].
+        ones_r = left[:, : e + 1]
+        g_v = _row_gradient((ones_r.T @ W.T).T, Vv).reshape(Vs.shape)
+        if grad_x:
+            g_x = _row_gradient((ones_v.T @ W[:, :b]).T, Xv)
+        return g_x, g_v
 
-    packed = np.concatenate([part.reshape(-1) for part in stats])
-    node = ad.Tensor(packed, tuple(t for t in (X, V) if ad.is_tensor(t)), bw)
-    parts = node.split(*(part.shape for part in stats))
-    return tuple(parts) if gram else (*parts, None)
+    return a, norms, K, back
 
 
 # Row-block height of :func:`_upper_squared_distances`. Its temporaries

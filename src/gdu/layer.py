@@ -15,7 +15,7 @@ embedding:
   ERM with M heads: the ensemble with its gating ablated.
 
 Every kernel statistic the gate and the regularizers read is a block mean
-of a Gaussian Gram against the basis vectors. One tape node,
+of a Gaussian Gram against the basis vectors. One function,
 :func:`gdu.kernel._kernel_statistics`, gives a step all of them
 (:func:`_basis_inners`): the inner products, the basis norms and, when its
 regularizers read it, the basis Gram. Its Gram is basis-major: the M*N
@@ -24,7 +24,7 @@ Gram only the M diagonal (N, N) blocks of the bases' Gram besides, both
 from one augmented form of the basis vectors; with it, all three come
 from one (M*N, b + M*N) Gram of the basis vectors against the batch and
 the basis vectors, and :func:`basis_gram_matrix` shares its reduction of
-the basis Gram. The node augments the batch and the basis vectors once
+the basis Gram. It augments the batch and the basis vectors once
 each, and its backward reads those augmented rows as views. Each inner
 product adds a basis's N contiguous rows, and the (b, M) inner products
 come out C-ordered.
@@ -33,17 +33,15 @@ that shape. The gate, from those inner products through the similarity
 and the kernel softmax, is one more node (``_gate_from_inners``). The
 forward pass is the gate-weighted ensemble of the machines' outputs, run
 as one matmul over the stacked machine weights viewed as one (e, M*C)
-matrix, and is one node too (:func:`forward_batch`).
-Each of these nodes has a closed-form backward, and its forward runs the
-same numpy operations for arrays and tensors. Reductions over a row of M
-gates or C classes run column by column (:func:`_row_max`,
-:func:`_row_sum`), bit for bit numpy's own and many times faster on rows
-this short. The UNIFORM gate is a constant and never a tape node: a
+matrix (``_ensemble``, whose value is :func:`forward_batch`).
+Each node is one array forward that also returns its closed-form
+backward, a closure over what the forward computed, so inference and a
+training step run the same arithmetic; inference drops the closures.
+Reductions over a row of M gates or C classes run column by column
+(:func:`_row_max`, :func:`_row_sum`), bit for bit numpy's own and many
+times faster on rows this short. The UNIFORM gate is a constant: a
 training step builds no gate for it, and a one-head UNIFORM layer (one-head
 ERM) is its head alone.
-These functions accept numpy arrays or autodiff tensors, so the same code
-serves inference and gradient-based training; :func:`basis_gram_matrix`
-and :class:`LearningMachine` views are for arrays only.
 
 There is one path in: :func:`gate_matrix` gates a (b, e) feature batch
 sample by sample, and :func:`forward_batch` runs the ensemble on it. A
@@ -57,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .kernel import (
     KernelConfig,
     _block_means,
@@ -139,8 +136,8 @@ class LearningMachine:
     bias: object
 
     def __post_init__(self):
-        w = ad.value_of(self.weights)
-        b = ad.value_of(self.bias)
+        w = np.asarray(self.weights, dtype=np.float64)
+        b = np.asarray(self.bias, dtype=np.float64)
         if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
             raise ValueError(
                 f"inconsistent machine shapes: weights {w.shape}, bias {b.shape}"
@@ -151,8 +148,7 @@ class LearningMachine:
 class GduLayer:
     """M domain bases, M learning machines, and the gating configuration.
 
-    The parameters are three stacked arrays (numpy arrays or autodiff
-    tensors):
+    The parameters are three stacked arrays:
 
     * ``bases``, shape (M, N, e): ``bases[j]`` holds the N vectors of basis j.
       A ``UNIFORM`` layer has none (``bases=None``) and needs no kernel;
@@ -177,7 +173,7 @@ class GduLayer:
             self.kappa = _check_float("kappa", self.kappa)
             if self.mode not in GEOMETRY_MODES:
                 raise ValueError(f"a {self.mode} layer takes no kappa, got kappa={self.kappa}")
-        w, b = ad.value_of(self.weights).shape, ad.value_of(self.bias).shape
+        w, b = (np.asarray(t, dtype=np.float64).shape for t in (self.weights, self.bias))
         if len(w) != 3 or min(w) < 1 or b != w[1:]:
             raise ValueError(
                 f"weights must be a nonempty (e, M, C) array and bias (M, C); "
@@ -192,7 +188,7 @@ class GduLayer:
             return
         if self.kernel is None:
             raise ValueError(f"a {self.mode} layer needs a kernel, got kernel=None")
-        v = ad.value_of(self.bases)
+        v = np.asarray(self.bases, dtype=np.float64)
         if v.ndim != 3 or min(v.shape) < 1:
             raise ValueError(f"bases must form a nonempty (M, N, e) array, got {v.shape}")
         if (v.shape[0], v.shape[2]) != (m, e):
@@ -206,19 +202,19 @@ class GduLayer:
 
     @property
     def num_bases(self) -> int:
-        return ad.value_of(self.weights).shape[1]
+        return np.shape(self.weights)[1]
 
     @property
     def basis_size(self) -> int:
-        return ad.value_of(self.bases).shape[1]
+        return np.shape(self.bases)[1]
 
     @property
     def feature_dim(self) -> int:
-        return ad.value_of(self.weights).shape[0]
+        return np.shape(self.weights)[0]
 
     @property
     def n_outputs(self) -> int:
-        return ad.value_of(self.bias).shape[1]
+        return np.shape(self.bias)[1]
 
     @property
     def machines(self) -> tuple:
@@ -230,12 +226,13 @@ class GduLayer:
 
 
 def _check_width(X, layer: GduLayer):
-    """Raise unless X is a (b, e) batch: a ValueError naming the shape of an X
-    that is not 2-D, :class:`gdu.kernel.DimensionMismatchError` for another e."""
-    shape = ad.value_of(X).shape
-    if len(shape) != 2:
-        raise ValueError(f"X must be a (b, e) feature batch, got shape {shape}")
-    _check_feature_dims("X", shape[-1], "the layer's input", layer.feature_dim)
+    """X as a float64 (b, e) batch: a ValueError names the shape of an X that
+    is not 2-D, :class:`gdu.kernel.DimensionMismatchError` another e."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a (b, e) feature batch, got shape {X.shape}")
+    _check_feature_dims("X", X.shape[-1], "the layer's input", layer.feature_dim)
+    return X
 
 
 def _stacked_bases(layer: GduLayer):
@@ -262,21 +259,22 @@ def basis_gram_matrix(layer: GduLayer):
 def _basis_inners(X, layer: GduLayer, gram: bool = False):
     """Per-sample embedding inner products against every basis, and the norms.
 
-    Returns ``(a, norms, k_bases)`` with ``a[i, j] = <phi(x_i), mu_j>`` of
-    shape (b, M) and ``norms[j] = ||mu_j||^2`` of shape (M,), from one
-    :func:`gdu.kernel._kernel_statistics` node on tensors. Without ``gram``
-    the norms come from the M diagonal (N, N) blocks only, not from the
-    diagonal of :func:`basis_gram_matrix`, which would cost (M*N)^2 kernel
-    entries on every gate evaluation, and ``k_bases`` is None. With
-    ``gram`` a step that reads the basis Gram gets all three, ``k_bases``
-    as :func:`basis_gram_matrix`, from one Gaussian Gram.
+    Returns ``(a, norms, k_bases, back)`` of
+    :func:`gdu.kernel._kernel_statistics`: ``a[i, j] = <phi(x_i), mu_j>`` of
+    shape (b, M), ``norms[j] = ||mu_j||^2`` of shape (M,), and the backward
+    to X and the bases. Without ``gram`` the norms come from the M diagonal
+    (N, N) blocks only, not from the diagonal of :func:`basis_gram_matrix`,
+    which would cost (M*N)^2 kernel entries on every gate evaluation, and
+    ``k_bases`` is None. With ``gram`` a step that reads the basis Gram gets
+    all three, ``k_bases`` as :func:`basis_gram_matrix`, from one Gaussian
+    Gram.
     """
     vectors, n = _stacked_bases(layer)
     return _kernel_statistics(X, vectors, layer.kernel, n, gram)
 
 
 def _gate_from_inners(a, norms, mode, kappa):
-    """Gating rows from embedding inner products, as one tape node.
+    """Gating rows from embedding inner products, and their backward.
 
     ``a[i, j] = <phi(x_i), mu_j>`` (b, M) and ``norms[j] = ||mu_j||^2`` (M,);
     ``||phi(x_i)||^2 = k(x_i, x_i) = 1`` under the Gaussian kernel. The rows are
@@ -285,66 +283,66 @@ def _gate_from_inners(a, norms, mode, kappa):
     * ``CS``: the kappa-softmax of ``H = a / sqrt(norms)``;
     * ``MMD``: the kappa-softmax of ``H = -(1 - 2 a + norms)``;
 
-    where the row-wise softmax subtracts each row's maximum first. The
-    forward runs these numpy operations in this order for arrays and tensors
-    alike; the softmax's row maximum and row sum run column by column,
-    bit-identical to numpy's. Arrays in give an array out; a tensor operand
-    gives one node. Its backward takes the output gradient ``g`` to ``gH =
-    kappa * beta * (g - <beta, g>)`` per row, then to the operands: for CS
-    ``ga = gH / sqrt(norms)`` and ``gn = -sum_i(gH * H) / (2 norms)``; for
-    MMD ``ga = 2 gH`` and ``gn = -sum_i(gH)``.
+    where the row-wise softmax subtracts each row's maximum first; its row
+    maximum and row sum run column by column, bit-identical to numpy's.
+    Returns ``(beta, back)``. ``back(g)`` takes the gradient of beta to
+    ``gH = kappa * beta * (g - <beta, g>)`` per row, then returns ``(g_a,
+    g_norms)``: for CS ``g_a = gH / sqrt(norms)`` and ``g_norms =
+    -sum_i(gH * H) / (2 norms)``; for MMD ``g_a = 2 gH`` and ``g_norms =
+    -sum_i(gH)``.
     """
-    av, nv = ad.value_of(a), ad.value_of(norms)
-    n_row = nv.reshape(1, -1)
+    n_row = norms.reshape(1, -1)
     if mode == "PROJECTION":
-        out = av / n_row
+        out = a / n_row
     else:
         if mode == "CS":
             denom = np.sqrt(n_row)
-            h = av / denom
+            h = a / denom
         else:
-            h = -(1.0 - 2.0 * av + n_row)
+            h = -(1.0 - 2.0 * a + n_row)
         z = h * kappa
         z = z - _row_max(z)
         e = np.exp(z)
         out = e / _row_sum(e)
-    parents = tuple(t for t in (a, norms) if ad.is_tensor(t))
-    if not parents:
-        return out
 
-    def bw(g):
+    def back(g):
         if mode == "PROJECTION":
             ga = g / n_row
-            gn = -np.sum(ga * out, axis=0)
-        else:
-            gh = kappa * out * (g - _row_sum(out * g))
-            if mode == "CS":
-                ga = gh / denom
-                gn = -np.sum(gh * h, axis=0) / (2.0 * nv)
-            else:
-                ga = 2.0 * gh
-                gn = -np.sum(gh, axis=0)
-        if ad.is_tensor(a):
-            a._accumulate(ga)
-        if ad.is_tensor(norms):
-            norms._accumulate(gn)
+            return ga, -np.sum(ga * out, axis=0)
+        gh = kappa * out * (g - _row_sum(out * g))
+        if mode == "CS":
+            return gh / denom, -np.sum(gh * h, axis=0) / (2.0 * norms)
+        return 2.0 * gh, -np.sum(gh, axis=0)
 
-    return ad.Tensor(out, parents, bw)
+    return out, back
 
 
 def _inners_and_gate(X, layer: GduLayer, gram: bool = False):
-    """``(a, beta, k_bases)``: the statistics of :func:`_basis_inners` and the gate.
+    """``(a, beta, k_bases, back)``: the statistics of :func:`_basis_inners`,
+    the gate and their backward.
 
-    ``k_bases`` is the basis Gram with ``gram`` and None otherwise. A
-    UNIFORM layer's gate is a constant that a training step never
-    materialises: all three are None, and :func:`forward_batch` given
-    ``beta=None`` weights the heads by 1/M itself.
+    ``k_bases`` is the basis Gram with ``gram`` and None otherwise.
+    ``back(g_beta, g_a, g_k, grad_x)`` takes the gradients of beta and,
+    from terms that read them (None otherwise), of a and k_bases, and
+    returns ``(g_X, g_bases)``, g_X None unless ``grad_x``. The gradient of
+    a is the terms' plus the gate's, in that order. A UNIFORM layer's gate
+    is a constant that a training step never materialises: all four are
+    None, and :func:`forward_batch` given ``beta=None`` weights the heads by
+    1/M itself.
     """
-    _check_width(X, layer)
+    X = _check_width(X, layer)
     if layer.mode == UNIFORM:
-        return None, None, None
-    a, norms, k_bases = _basis_inners(X, layer, gram)
-    return a, _gate_from_inners(a, norms, layer.mode, layer.kappa), k_bases
+        return None, None, None, None
+    a, norms, k_bases, stats_back = _basis_inners(X, layer, gram)
+    beta, gate_back = _gate_from_inners(a, norms, layer.mode, layer.kappa)
+
+    def back(g_beta, g_a, g_k, grad_x):
+        ga, g_norms = gate_back(g_beta)
+        if g_a is not None:
+            ga = g_a + ga
+        return stats_back(ga, g_norms, g_k, grad_x)
+
+    return a, beta, k_bases, back
 
 
 def gate_matrix(X, layer: GduLayer):
@@ -358,8 +356,54 @@ def gate_matrix(X, layer: GduLayer):
     beta = _inners_and_gate(X, layer)[1]
     if beta is None:
         m = layer.num_bases
-        return np.full((ad.value_of(X).shape[0], m), 1.0 / m)
+        return np.full((len(X), m), 1.0 / m)
     return beta
+
+
+def _ensemble(X, layer: GduLayer, beta=None):
+    """:func:`forward_batch` and its backward: ``(y, back)``.
+
+    ``back(g, grad_x)`` takes the gradient of y and returns ``(g_X,
+    g_weights, g_bias, g_beta)``. With ``P = beta[i, j] * g[i]``, the
+    machines' output gradient (``P = g`` for the lone head), they are ``P
+    W^T``, ``X^T P`` and ``sum_i P``, and ``g_beta[i, j] = <O[i, j], g[i]>``
+    for the (b, M, C) machine outputs O; the sums over the C outputs run
+    column by column, bit-identical to numpy's. g_X is None unless
+    ``grad_x``, and g_beta None unless the caller passed ``beta``.
+    """
+    X = _check_width(X, layer)
+    head = beta is None and layer.mode == UNIFORM and layer.num_bases == 1
+    gated = beta is not None
+    if beta is None and not head:
+        beta = gate_matrix(X, layer)
+    Wv = np.asarray(layer.weights, dtype=np.float64)
+    bv = np.asarray(layer.bias, dtype=np.float64)
+    b, m = X.shape[0], layer.num_bases
+    if not head:
+        beta = np.asarray(beta, dtype=np.float64)
+        if beta.shape != (b, m):
+            raise ValueError(f"beta shape {beta.shape} does not match batch {b} x {m} bases")
+    W = Wv.reshape(layer.feature_dim, -1)
+    out = X @ W + bv.reshape(-1)
+    if head:
+        y = out
+    else:
+        out = out.reshape(b, m, layer.n_outputs)
+        y = np.einsum("bm,bmc->bc", beta, out)
+
+    def back(g, grad_x):
+        g_beta = None
+        if head:
+            P = g
+        else:
+            g_row = g[:, None, :]
+            if gated:
+                g_beta = _row_sum(out * g_row).reshape(b, m)
+            P = (beta[:, :, None] * g_row).reshape(b, -1)
+        g_x = P @ W.T if grad_x else None
+        return g_x, (X.T @ P).reshape(Wv.shape), np.sum(P, axis=0).reshape(bv.shape), g_beta
+
+    return y, back
 
 
 def forward_batch(X, layer: GduLayer, beta=None):
@@ -374,54 +418,9 @@ def forward_batch(X, layer: GduLayer, beta=None):
     are then summed with weights ``beta`` by one ``einsum`` over the machine
     axis. A one-head UNIFORM layer without ``beta`` (one-head ERM) has the
     constant gate 1: its output is the head ``X @ W + b`` itself, and no
-    gate is built or multiplied in. The backward's sums over the C outputs
-    run column by column, bit-identical to numpy's.
-
-    Arrays in give an array out; a tensor among ``X``, the layer's weights
-    and bias, and ``beta`` gives one tape node. Its backward, for the output
-    gradient ``g``: ``g_beta[i, j] = <O[i, j], g[i]>``, and the machines'
-    output gradient ``P = beta[i, j] * g[i]`` gives ``X^T P``, ``sum_i P``
-    and ``P W^T`` for the weights, the bias and ``X``; the lone head takes
-    ``P = g``.
+    gate is built or multiplied in.
     """
-    _check_width(X, layer)
-    head = beta is None and layer.mode == UNIFORM and layer.num_bases == 1
-    if beta is None and not head:
-        beta = gate_matrix(X, layer)
-    weights, bias = layer.weights, layer.bias
-    Xv, Wv, bv = (ad.value_of(t) for t in (X, weights, bias))
-    b, m = Xv.shape[0], layer.num_bases
-    if not head:
-        beta_v = ad.value_of(beta)
-        if beta_v.shape != (b, m):
-            raise ValueError(f"beta shape {beta_v.shape} does not match batch {b} x {m} bases")
-    W = Wv.reshape(layer.feature_dim, -1)
-    out = Xv @ W + bv.reshape(-1)
-    if head:
-        y = out
-    else:
-        out = out.reshape(b, m, layer.n_outputs)
-        y = np.einsum("bm,bmc->bc", beta_v, out)
-    parents = tuple(t for t in (X, weights, bias, beta) if ad.is_tensor(t))
-    if not parents:
-        return y
-
-    def bw(g):
-        if head:
-            P = g
-        else:
-            g_row = g[:, None, :]
-            if ad.is_tensor(beta):
-                beta._accumulate(_row_sum(out * g_row).reshape(b, m))
-            P = (beta_v[:, :, None] * g_row).reshape(b, -1)
-        if ad.is_tensor(weights):
-            weights._accumulate((Xv.T @ P).reshape(Wv.shape))
-        if ad.is_tensor(bias):
-            bias._accumulate(np.sum(P, axis=0).reshape(bv.shape))
-        if ad.is_tensor(X):
-            X._accumulate(P @ W.T)
-
-    return ad.Tensor(y, parents, bw)
+    return _ensemble(X, layer, beta)[0]
 
 
 def basis_init_scale(feature_dim: int, sigma: float) -> float:

@@ -24,15 +24,15 @@ UNIFORM         none (the layer has no bases)
 A nonzero weight outside its mode's row raises a ValueError that names the
 weight and the mode. The objective adds them through ``_add_regularizers``,
 which reads the gate's inner products and, when OLS or ORTH is on, the
-basis Gram from the one kernel node that also gives the gate its
-statistics, so no kernel block is evaluated twice. The training trace
-still reports all three raw terms for every mode with bases.
+basis Gram from the one call that also gives the gate its statistics, so
+no kernel block is evaluated twice. The training trace still reports all
+three raw terms for every mode with bases.
 
-On arrays each term is a float. On tensors each is one tape node with a
-closed-form backward, and its forward runs the same numpy operations as
-on arrays. Their sums over a row of M gates run column by column,
-bit-identical to numpy's (``gdu.layer._row_sum``). The weighted sum of the
-objective's terms is one more node.
+Each term is a float. Under each ``omega_*`` sits one array function
+(``_ols``, ``_orth``, ``_l1``) that returns the value and its closed-form
+backward, which the training step calls; the step reaches ORTH through
+``_orth``. Their sums over a row of M gates run column by column,
+bit-identical to numpy's (``gdu.layer._row_sum``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .kernel import _check_float
 from .layer import UNIFORM, _row_sum
 
@@ -87,23 +86,14 @@ def _batch_rows(name: str, beta) -> int:
     return beta.shape[0]
 
 
-def omega_ols(a, k_bases, beta):
-    """Mean squared RKHS reconstruction error over the batch.
+def _ols(a, k_bases, beta):
+    """:func:`omega_ols` and its backward: ``(value, back)``.
 
-    Expands ``||phi(x_i) - sum_j beta_ij mu_j||^2`` by the kernel trick into
-    ``1 - 2 mean_i <beta_i, a_i> + mean_i beta_i K beta_i^T`` over the b rows,
-    with ``k(x, x) = 1``, the gate's inner products ``a[i, j] = <phi(x_i),
-    mu_j>`` and the basis Gram ``K[j, l] = <mu_j, mu_l>``. ``a`` and ``beta``
-    must both be (b, M) and ``k_bases`` (M, M); a mismatch raises a
-    ValueError that names the shapes. The value is clamped at 0 against
-    roundoff; below ``-1e-10`` it raises. Arrays in give a float; a tensor
-    among ``a``, ``k_bases`` and ``beta`` gives one node whose backward is
-    ``-2 beta / b`` for a, ``(beta (K + K^T) - 2 a) / b`` for beta and
-    ``beta^T beta / b`` for K, and zero where the clamp fires. The per-row
-    sums run column by column, bit-identical to numpy's. An empty batch
-    raises a ValueError that names it.
+    ``back(g)`` returns ``(g_a, g_k, g_beta)``: ``-2 beta g / b``, ``beta^T
+    beta g / b`` and ``(beta (K + K^T) - 2 a) g / b``, zero where the clamp
+    fires.
     """
-    av, kv, bv = (ad.value_of(t) for t in (a, k_bases, beta))
+    av, kv, bv = (np.asarray(t, dtype=np.float64) for t in (a, k_bases, beta))
     if bv.ndim != 2 or av.shape != bv.shape:
         raise ValueError(f"beta shape {bv.shape} does not match the inner products' {av.shape}")
     m = bv.shape[1]
@@ -119,31 +109,38 @@ def omega_ols(a, k_bases, beta):
     clamped = val < 0.0
     if clamped:
         val = 0.0
-    parents = tuple(t for t in (a, k_bases, beta) if ad.is_tensor(t))
-    if not parents:
-        return val
 
-    def bw(g):
+    def back(g):
         s = 0.0 if clamped else g / b
-        if ad.is_tensor(a):
-            a._accumulate(bv * (-2.0 * s))
-        if ad.is_tensor(k_bases):
-            k_bases._accumulate(bv.T @ (bv * s))
-        if ad.is_tensor(beta):
-            beta._accumulate((bk + bv @ kv.T - 2.0 * av) * s)
+        return bv * (-2.0 * s), bv.T @ (bv * s), (bk + bv @ kv.T - 2.0 * av) * s
 
-    return ad.Tensor(val, parents, bw)
+    return val, back
 
 
-def omega_orth(K):
-    """SRIP, the spectral norm ``||K - I||_2`` of a basis Gram matrix K.
+def omega_ols(a, k_bases, beta):
+    """Mean squared RKHS reconstruction error over the batch.
 
-    Arrays in give a float; a tensor gives one node whose backward is, for
-    the output gradient g, g times ``sign(lambda*) u u^T`` for the dominant
-    eigenpair of ``K - I``, exact when the dominant eigenvalue is simple.
-    A K that is not square, or is (0, 0), raises a ValueError that names it.
+    Expands ``||phi(x_i) - sum_j beta_ij mu_j||^2`` by the kernel trick into
+    ``1 - 2 mean_i <beta_i, a_i> + mean_i beta_i K beta_i^T`` over the b rows,
+    with ``k(x, x) = 1``, the gate's inner products ``a[i, j] = <phi(x_i),
+    mu_j>`` and the basis Gram ``K[j, l] = <mu_j, mu_l>``. ``a`` and ``beta``
+    must both be (b, M) and ``k_bases`` (M, M); a mismatch raises a
+    ValueError that names the shapes. The value is a float, clamped at 0
+    against roundoff; below ``-1e-10`` it raises. The per-row sums run
+    column by column, bit-identical to numpy's. An empty batch raises a
+    ValueError that names it.
     """
-    kv = ad.value_of(K)
+    return _ols(a, k_bases, beta)[0]
+
+
+def _orth(K):
+    """:func:`omega_orth` and its backward: ``(value, back)``.
+
+    For the output gradient g, ``back(g)`` is g times ``sign(lambda*) u
+    u^T`` for the dominant eigenpair of ``K - I``, exact when the dominant
+    eigenvalue is simple.
+    """
+    kv = np.asarray(K, dtype=np.float64)
     if kv.ndim != 2 or kv.shape[0] != kv.shape[1]:
         raise ValueError(f"expected a square Gram matrix, got shape {kv.shape}")
     if kv.shape[0] == 0:
@@ -151,28 +148,36 @@ def omega_orth(K):
     eigvals, eigvecs = np.linalg.eigh(kv - np.eye(kv.shape[0]))
     i = int(np.argmax(np.abs(eigvals)))
     u = eigvecs[:, i]
-    val, dk = abs(eigvals[i]), (1.0 if eigvals[i] >= 0 else -1.0) * np.outer(u, u)
-    if not ad.is_tensor(K):
-        return float(val)
-    return ad.Tensor(val, (K,), lambda g: K._accumulate(g * dk))
+    dk = (1.0 if eigvals[i] >= 0 else -1.0) * np.outer(u, u)
+    return float(abs(eigvals[i])), lambda g: g * dk
 
 
-def omega_l1(beta):
-    """Batch-mean L1 norm of the gating coefficients.
+def omega_orth(K):
+    """SRIP, the spectral norm ``||K - I||_2`` of a basis Gram matrix K, as a float.
 
-    Arrays in give a float; a tensor gives one node with backward
-    ``sign(beta) / b``. The per-row sums run column by column, bit-identical
-    to numpy's. A beta that is not 2-D raises a ValueError that names its
-    shape, and an empty batch one that names it.
+    A K that is not square, or is (0, 0), raises a ValueError that names it.
     """
-    bv = ad.value_of(beta)
+    return _orth(K)[0]
+
+
+def _l1(beta):
+    """:func:`omega_l1` and its backward ``back(g) = sign(beta) g / b``: ``(value, back)``."""
+    bv = np.asarray(beta, dtype=np.float64)
     if bv.ndim != 2:
         raise ValueError(f"expected (b, M) gates, got beta of shape {bv.shape}")
     b = float(_batch_rows("omega_l1", bv))
     val = np.sum(_row_sum(np.abs(bv))) / b
-    if not ad.is_tensor(beta):
-        return float(val)
-    return ad.Tensor(val, (beta,), lambda g: beta._accumulate(np.sign(bv) * (g / b)))
+    return float(val), lambda g: np.sign(bv) * (g / b)
+
+
+def omega_l1(beta):
+    """Batch-mean L1 norm of the gating coefficients, as a float.
+
+    The per-row sums run column by column, bit-identical to numpy's. A beta
+    that is not 2-D raises a ValueError that names its shape, and an empty
+    batch one that names it.
+    """
+    return _l1(beta)[0]
 
 
 def _check_mode_weights(mode: str, cfg: RegConfig):
@@ -194,39 +199,37 @@ def _reads_basis_gram(mode: str, cfg: RegConfig) -> bool:
 
 
 def _add_regularizers(obj, a, beta, k_bases, cfg: RegConfig):
-    """``obj`` plus the weighted regularization terms, as one node.
+    """``obj`` plus the weighted regularization terms, and their backward.
 
     ``cfg`` must have passed :func:`_reads_basis_gram` for the layer's mode.
     ``a`` holds the inner products ``<phi(x_i), mu_j>`` that produced
     ``beta`` and is read only by OLS; ``k_bases`` is the basis Gram, read by
     OLS and ORTH and None when neither is on. The training step takes both
-    from the node that made the gate's statistics, so one Gaussian Gram
-    serves the gate and every term. The sum runs left to right,
-    ``obj + w1 t1 + w2 t2``, and its backward hands ``g`` to ``obj`` and
-    ``w g`` to each term; with no term present ``obj`` comes back as it is,
-    and with no tensor among the parts the sum is a float.
+    from the call that made the gate's statistics, so one Gaussian Gram
+    serves the gate and every term. The sum runs left to right, ``obj + w1
+    t1 + w2 t2``. Returns ``(total, back)``; ``obj``'s gradient is the
+    total's. ``back(g, g_beta)`` hands ``w g`` to each term and returns
+    ``(g_a, g_beta, g_k)``: the terms' gradients of a and of k_bases (None
+    where no term reads them), and ``g_beta`` plus theirs in term order.
     """
-    terms = []
-    if cfg.lambda_ols > 0.0:
-        terms.append((cfg.lambda_ols, omega_ols(a, k_bases, beta)))
-    if cfg.lambda_orth > 0.0:
-        terms.append((cfg.lambda_orth, omega_orth(k_bases)))
-    if cfg.lambda_l1 > 0.0:
-        terms.append((cfg.lambda_l1, omega_l1(beta)))
-    if not terms:
-        return obj
-    total = ad.value_of(obj)
-    for weight, term in terms:
-        total = total + weight * ad.value_of(term)
-    parents = tuple(t for t in (obj, *(term for _, term in terms)) if ad.is_tensor(t))
-    if not parents:
-        return float(total)
+    ols = _ols(a, k_bases, beta) if cfg.lambda_ols > 0.0 else None
+    orth = _orth(k_bases) if cfg.lambda_orth > 0.0 else None
+    l1 = _l1(beta) if cfg.lambda_l1 > 0.0 else None
+    total = obj
+    for weight, term in ((cfg.lambda_ols, ols), (cfg.lambda_orth, orth), (cfg.lambda_l1, l1)):
+        if term is not None:
+            total = total + weight * term[0]
 
-    def bw(g):
-        if ad.is_tensor(obj):
-            obj._accumulate(g)
-        for weight, term in terms:
-            if ad.is_tensor(term):
-                term._accumulate(g * weight)
+    def back(g, g_beta):
+        g_a = g_k = None
+        if ols is not None:
+            g_a, g_k, g_ols = ols[1](g * cfg.lambda_ols)
+            g_beta = g_beta + g_ols
+        if orth is not None:
+            g_orth = orth[1](g * cfg.lambda_orth)
+            g_k = g_orth if g_k is None else g_k + g_orth
+        if l1 is not None:
+            g_beta = g_beta + l1[1](g * cfg.lambda_l1)
+        return g_a, g_beta, g_k
 
-    return ad.Tensor(total, parents, bw)
+    return total, back

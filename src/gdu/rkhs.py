@@ -5,8 +5,8 @@ of points. Inner products, norms, squared MMD, and RKHS cosine similarity
 all reduce to means over kernel Gram blocks. A single observation is the
 ``n = 1`` case, so one code path serves samples, batch embeddings, and
 domain bases alike. These functions take and return arrays only; the
-training objective reads the same statistics from the fused kernel nodes
-of :mod:`gdu.kernel`.
+training objective reads the same statistics from
+:func:`gdu.kernel._kernel_statistics`.
 """
 
 from __future__ import annotations

@@ -5,33 +5,32 @@ by a gated domain layer. ERM with K heads is the layer in ``UNIFORM`` mode,
 whose gate is the constant row 1/K and which has no bases
 (:func:`init_erm_model`); the single-head case is plain ERM. One objective,
 one prediction path and one loop serve every gating mode: the loss is the
-batch cross-entropy node :func:`cross_entropy_mean`, prediction is
+batch cross-entropy :func:`cross_entropy_mean`, prediction is
 :func:`predict_logits` on a (b, d) batch (a single input x is ``x[None]``),
 and the optimizer is Adam.
 
-Gradients come from the in-repo reverse-mode tape (:mod:`gdu.autodiff`);
-their binding contract is agreement with central finite differences. Every
-term of the objective is one tape node with a closed-form backward: the
-extractor (:func:`fe_forward`, however many layers), the kernel statistics,
-the gate and the ensemble (:mod:`gdu.layer`), the loss
-(:func:`cross_entropy_mean`), and each regularizer plus their weighted sum
-(:mod:`gdu.regularization`). The kernel statistics are one node
-(:func:`gdu.kernel._kernel_statistics`) whose outputs are parts of it
-(:meth:`gdu.autodiff.Tensor.split`), one node each, so without
-regularizers a GDU step's tape has seven nodes (the extractor, the kernel
-node and its two parts, the gate, the ensemble and the loss) and an ERM
-step's three (the extractor, the ensemble and the loss): ERM's constant
-gate is never built in a step, and a one-head ERM's ensemble is its head.
-A step whose regularizers read the basis Gram (OLS or ORTH on) takes the
-gate's inner products, the basis norms and the basis Gram, a third part,
-from one Gaussian Gram; every other step, and inference, evaluate only
-the inner products and the norms, with the arithmetic of
+Gradients are hand-written; their binding contract is agreement with
+central finite differences. The objective is a fixed chain: the extractor
+(``_extract``, however many layers), the kernel statistics and the gate
+(:mod:`gdu.layer`), the gated ensemble, the loss (``_cross_entropy``), and
+the weighted regularizers (:mod:`gdu.regularization`). Each of these is one
+array forward that returns its closed-form backward as a closure.
+``_objective`` runs the forwards, and its backward runs the chain in
+reverse: the loss and the ensemble, then OLS and L1 into the gate, the gate
+and the kernel statistics, then the extractor. The step wraps it in one
+:class:`gdu.autodiff.Tensor` with no parents (``_build_objective``), whose
+backward adds each block's gradient into that block's view of one gradient
+vector. ERM's constant gate is never built in a step, and a one-head ERM's
+ensemble is its head. A step whose regularizers read the basis Gram (OLS
+or ORTH on) takes the gate's inner products, the basis norms and the basis
+Gram from one Gaussian Gram; every other step, and inference, evaluate
+only the inner products and the norms, with the arithmetic of
 :func:`gdu.layer.gate_matrix`.
 Labels are checked once per call, by the entry points: :func:`train`
 (both splits, before the first step), :func:`objective`,
 :func:`gradients`, :func:`cross_entropy_mean` and :func:`accuracy` each
 name float, bool, out-of-range and mis-shaped labels and an empty batch.
-A step's loss node (``_cross_entropy``) and :func:`train`'s per-epoch
+A step's loss (``_cross_entropy``) and :func:`train`'s per-epoch
 metrics and validation scoring take the checked int64 labels as they are.
 Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
 extractor. :func:`_trained_part` alone tells them apart: FT trains the
@@ -41,21 +40,18 @@ model without its extractor on features extracted once.
 trained blocks into one contiguous float64 vector and rebinds each trained
 parameter attribute (``fe.weights[i]``, ``fe.biases[i]``, and
 ``layer.bases`` when present, ``layer.weights`` and ``layer.bias``) to a
-view of it; it allocates a gradient vector in the same layout; and it
-makes a graph copy of the model whose tape leaves have the parameter views
-as ``data``, so an in-place update shows in them, and the gradient views as
-``grad``, so each backward adds straight into the gradient vector after
+view of it, and it allocates a gradient vector in the same layout
+(:func:`_gradient_layout`), into which each backward adds after
 :func:`_backprop` zeroes it. :func:`train` calls it once per call, so the
 optimizer step, the best-epoch snapshot and its restore are single vector
 operations, and an array taken from the model before ``train`` is no
-longer the model's parameter afterwards. :func:`gradients` calls it on a
-copy of the trained part, so it returns blocks in ``train``'s layout and
-leaves the caller's model as it is.
+longer the model's parameter afterwards. :func:`gradients` lays out only a
+gradient vector, so it returns blocks in ``train``'s layout and leaves the
+caller's model as it is.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
 
@@ -67,6 +63,7 @@ from .layer import (
     UNIFORM,
     GduLayer,
     _init_machines,
+    _ensemble,
     _inners_and_gate,
     _row_max,
     _row_sum,
@@ -135,7 +132,7 @@ class FeatureExtractor:
         if self.nonlinearity not in FE_NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            wv, bv = ad.value_of(w), ad.value_of(b)
+            wv, bv = (np.asarray(t, dtype=np.float64) for t in (w, b))
             if wv.ndim != 2 or bv.shape != (wv.shape[1],):
                 raise ValueError("inconsistent extractor layer shapes")
             if i and wv.shape[0] != d_out:
@@ -147,8 +144,8 @@ class FeatureExtractor:
 
     @property
     def layer_sizes(self) -> list:
-        sizes = [ad.value_of(self.weights[0]).shape[0]]
-        sizes += [ad.value_of(w).shape[1] for w in self.weights]
+        sizes = [np.shape(self.weights[0])[0]]
+        sizes += [np.shape(w)[1] for w in self.weights]
         return sizes
 
 
@@ -285,52 +282,50 @@ def init_erm_model(layer_sizes, n_outputs: int, n_heads: int, seed: int) -> GduM
 
 
 def fe_forward(x, fe: FeatureExtractor | None):
-    """Extractor forward pass for a batch (or, on arrays, a single vector).
+    """Extractor forward pass for a batch (or a single vector).
 
     Each layer computes ``out @ w + b``, then the nonlinearity between
-    layers, with the same numpy operations for arrays and tensors. X of
-    another width than the extractor's input raises
-    :class:`gdu.kernel.DimensionMismatchError`. Arrays in give an array
-    out. A tensor among the weights, the biases and ``x`` gives one node for
-    the whole extractor; from the output gradient it runs the layers
-    backwards: through the nonlinearity, ``* (out > 0)`` or ``* (1 -
-    out^2)``, then ``a^T g`` for the weight, ``sum_i g`` for the bias and
-    ``g w^T`` for the layer's input ``a``.
+    layers. X of another width than the extractor's input raises
+    :class:`gdu.kernel.DimensionMismatchError`. Without an extractor X
+    comes back as it is.
     """
-    if fe is None:
-        return x
-    weights, biases = fe.weights, fe.biases
+    return x if fe is None else _extract(x, fe)[0]
+
+
+def _extract(x, fe: FeatureExtractor):
+    """:func:`fe_forward` through an extractor, and its backward: ``(F, back)``.
+
+    ``back(g)`` takes the gradient of F (b, e) through the layers backwards:
+    through the nonlinearity, ``* (out > 0)`` or ``* (1 - out^2)``, then
+    ``a^T g`` for the weight, ``sum_i g`` for the bias and ``g w^T`` for the
+    layer's input ``a``. It returns the blocks' gradients in
+    :func:`trainable_arrays` order, ``[w0, b0, w1, b1, ...]``.
+    """
+    weights = [np.asarray(w, dtype=np.float64) for w in fe.weights]
+    biases = [np.asarray(b, dtype=np.float64) for b in fe.biases]
     last = len(weights) - 1
     relu = fe.nonlinearity == "relu"
-    acts = [ad.value_of(x)]
-    d_in = ad.value_of(weights[0]).shape[0]
-    _check_feature_dims("X", acts[0].shape[-1], "the extractor's input", d_in)
+    acts = [np.asarray(x, dtype=np.float64)]
+    _check_feature_dims("X", acts[0].shape[-1], "the extractor's input", weights[0].shape[0])
     for i, (w, b) in enumerate(zip(weights, biases)):
-        out = acts[-1] @ ad.value_of(w) + ad.value_of(b)
+        out = acts[-1] @ w + b
         if i < last:
             out = np.maximum(out, 0.0) if relu else np.tanh(out)
         acts.append(out)
-    parents = tuple(t for t in (x, *weights, *biases) if ad.is_tensor(t))
-    if not parents:
-        return out
-    if acts[0].ndim != 2:
-        raise ValueError(f"the tape needs a (b, d) batch, got shape {acts[0].shape}")
 
-    def bw(g):
+    def back(g):
+        blocks = [None] * (2 * len(weights))
         for i in range(last, -1, -1):
             if i < last:
                 out = acts[i + 1]
                 g = g * (out > 0.0) if relu else g * (1.0 - out * out)
-            if ad.is_tensor(biases[i]):
-                biases[i]._accumulate(g.sum(axis=0))
-            if ad.is_tensor(weights[i]):
-                weights[i]._accumulate(acts[i].T @ g)
-            if i or ad.is_tensor(x):
-                g = g @ ad.value_of(weights[i]).T
-        if ad.is_tensor(x):
-            x._accumulate(g)
+            blocks[2 * i + 1] = g.sum(axis=0)
+            blocks[2 * i] = acts[i].T @ g
+            if i:
+                g = g @ weights[i].T
+        return blocks
 
-    return ad.Tensor(out, parents, bw)
+    return out, back
 
 
 def _integer_labels(labels, where: str = "") -> np.ndarray:
@@ -370,7 +365,7 @@ def _loss_labels(labels, b: int, c: int, where: str = "") -> np.ndarray:
 
     A ValueError names c < 2 classes or b = 0 rows first, as
     :func:`cross_entropy_mean` names them. An entry point checks its labels
-    here once, and its steps hand them to the loss node as they are.
+    here once, and its steps hand them to the loss as they are.
     """
     if c < 2:
         raise ValueError(f"expected (b, C) logits with C >= 2, got shape {(b, c)}")
@@ -383,42 +378,38 @@ def cross_entropy_mean(logits, labels):
     """Mean categorical cross-entropy over a (b, C) batch of logits rows.
 
     ``labels`` must be b >= 1 integers in ``[0, C)``; this wrapper checks
-    them and the logits' shape, then runs the loss node
-    (:func:`_cross_entropy`), which training steps call with labels checked
-    once per call. The forward subtracts each row's maximum and takes ``log
-    sum exp`` minus the picked entry, with the same numpy operations for
-    arrays and tensors; the row maximum and row sum run column by column,
-    bit-identical to numpy's. Arrays in give a float out; tensor logits give
-    one tape node whose backward is ``(softmax(logits) - onehot(labels)) * g
-    / b``.
+    them and the logits' shape, then runs the loss (:func:`_cross_entropy`),
+    which training steps call with labels checked once per call. The
+    forward subtracts each row's maximum and takes ``log sum exp`` minus the
+    picked entry; the row maximum and row sum run column by column,
+    bit-identical to numpy's. The value is a float.
     """
-    vals = ad.value_of(logits)
+    vals = np.asarray(logits, dtype=np.float64)
     if vals.ndim != 2:
         raise ValueError(f"expected (b, C) logits with C >= 2, got shape {vals.shape}")
-    return _cross_entropy(logits, _loss_labels(labels, *vals.shape))
+    return _cross_entropy(vals, _loss_labels(labels, *vals.shape))[0]
 
 
 def _cross_entropy(logits, labels):
-    """:func:`cross_entropy_mean` on labels that :func:`_loss_labels` returned."""
-    vals = ad.value_of(logits)
-    b = vals.shape[0]
+    """:func:`cross_entropy_mean` on labels that :func:`_loss_labels` returned,
+    and its backward: ``(loss, back)``, with ``back(g) = (softmax(logits) -
+    onehot(labels)) * g / b``."""
+    b = logits.shape[0]
     rows = np.arange(b)
-    z = vals - _row_max(vals)
+    z = logits - _row_max(logits)
     e = np.exp(z)
     total = _row_sum(e)[:, 0]
     loss = np.sum(np.log(total) - z[rows, labels]) / float(b)
-    if not ad.is_tensor(logits):
-        return loss
 
-    def bw(g):
+    def back(g):
         d = e / total[:, None]
         d[rows, labels] -= 1.0
-        logits._accumulate(d * (g / b))
+        return d * (g / b)
 
-    return ad.Tensor(loss, (logits,), bw)
+    return loss, back
 
 
-# -- objective graph ---------------------------------------------------------
+# -- the objective -----------------------------------------------------------
 
 
 def _trained_part(model, train_mode: str, *inputs) -> tuple:
@@ -464,67 +455,92 @@ def _set_slot(owner, key, value):
 
 
 def trainable_arrays(model, train_mode: str) -> dict:
-    """Name -> live parameter array for every tensor trained in this mode."""
+    """Name -> live parameter array for every block trained in this mode."""
     (part,) = _trained_part(model, train_mode)
     return {name: _get_slot(owner, key) for name, owner, key in _parameter_slots(part)}
 
 
-def _holder_copy(model):
-    """A copy of ``model`` that shares its blocks but not the objects holding them.
-
-    Only the objects that hold a trained block are copied, shallowly; their
-    other fields, already validated on ``model``, are shared. Rebinding a
-    block of the copy leaves ``model`` as it is.
-    """
-    model = copy.copy(model)
-    if model.fe is not None:
-        model.fe = copy.copy(model.fe)
-        model.fe.weights, model.fe.biases = list(model.fe.weights), list(model.fe.biases)
-    model.layer = copy.copy(model.layer)
-    return model
+def _gradient_layout(part) -> tuple:
+    """``(grad, views)``: a zeroed gradient vector for the blocks of ``part``
+    and each block's view of it, by name, in :func:`trainable_arrays` order."""
+    shapes = {name: np.shape(_get_slot(owner, key)) for name, owner, key in _parameter_slots(part)}
+    grad = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[name] = grad[start:stop].reshape(shape)
+        start = stop
+    return grad, views
 
 
-def _lay_out(part):
+def _lay_out(part) -> tuple:
     """Lay the blocks of ``part`` out in one parameter and one gradient vector.
 
     Copies the blocks, in :func:`trainable_arrays` order, into a new
-    contiguous float64 vector, rebinds each parameter attribute of ``part``
-    to its view of it, and allocates a zeroed gradient vector in the same
-    layout. Returns ``(params, grad, graph, leaves)``: the two vectors, a
-    :func:`_holder_copy` of ``part`` whose blocks are tape leaves, and the
-    leaves by name. Each leaf's ``data`` is its view of ``params``, so an
-    in-place update shows in it, and its ``grad`` is its view of ``grad``,
-    so a backward adds straight into that vector.
+    contiguous float64 vector and rebinds each parameter attribute of
+    ``part`` to its view of it, so an in-place update of the vector is an
+    update of the model. Returns ``(params, grad, views)``: the parameter
+    vector and :func:`_gradient_layout` of ``part``.
     """
-    graph = _holder_copy(part)
     slots = _parameter_slots(part)
     arrays = [_get_slot(owner, key) for _, owner, key in slots]
     params = np.concatenate([np.ravel(arr) for arr in arrays], dtype=np.float64)
-    grad = np.zeros_like(params)
-    leaves, start = {}, 0
-    for (name, owner, key), (_, holder, _), arr in zip(slots, _parameter_slots(graph), arrays):
+    start = 0
+    for (_, owner, key), arr in zip(slots, arrays):
         stop = start + np.size(arr)
-        leaf = leaves[name] = ad.tensor(params[start:stop].reshape(np.shape(arr)))
-        leaf.grad = grad[start:stop].reshape(np.shape(arr))
-        _set_slot(owner, key, leaf.data)
-        _set_slot(holder, key, leaf)
+        _set_slot(owner, key, params[start:stop].reshape(np.shape(arr)))
         start = stop
-    return params, grad, graph, leaves
+    return (params, *_gradient_layout(part))
 
 
-def _build_objective(graph, X, y, reg: RegConfig):
-    """The objective on the batch ``(X, y)``: a tape node for the graph copy of
-    :func:`_lay_out` and, by the same operations, a float for a model.
+def _objective(part, X, y, reg: RegConfig) -> tuple:
+    """The objective of ``part`` on the batch ``(X, y)`` and its backward.
 
-    ``y`` holds labels that :func:`_loss_labels` checked for this model."""
-    layer = graph.layer
-    feats = fe_forward(X, graph.fe)
+    ``y`` holds labels that :func:`_loss_labels` checked for this model.
+    Returns ``(value, back)``; ``back(g)`` runs the chain in reverse and
+    returns the gradient of every block, in :func:`trainable_arrays` order.
+    """
+    layer, fe = part.layer, part.fe
+    feats, fe_back = (X, None) if fe is None else _extract(X, fe)
     # The gate's statistics, and the basis Gram when a term reads it, come
-    # from one kernel node and are shared with the regularizers. A UNIFORM
+    # from one kernel call and are shared with the regularizers. A UNIFORM
     # layer's gate is None: the ensemble weights its heads itself.
-    a, beta, k_bases = _inners_and_gate(feats, layer, _reads_basis_gram(layer.mode, reg))
-    logits = forward_batch(feats, layer, beta=beta)
-    return _add_regularizers(_cross_entropy(logits, y), a, beta, k_bases, reg)
+    a, beta, k_bases, gate_back = _inners_and_gate(
+        feats, layer, _reads_basis_gram(layer.mode, reg))
+    logits, ensemble_back = _ensemble(feats, layer, beta)
+    loss, loss_back = _cross_entropy(logits, y)
+    value, reg_back = _add_regularizers(loss, a, beta, k_bases, reg)
+
+    def back(g):
+        # The features are a block's input only through an extractor.
+        grad_x = fe is not None
+        g_feats, g_weights, g_bias, g_beta = ensemble_back(loss_back(g), grad_x)
+        blocks = [g_weights, g_bias]
+        if gate_back is not None:
+            g_a, g_beta, g_k = reg_back(g, g_beta)
+            g_gate, g_bases = gate_back(g_beta, g_a, g_k, grad_x)
+            blocks.insert(0, g_bases)
+            if grad_x:
+                g_feats = g_feats + g_gate
+        return fe_back(g_feats) + blocks if grad_x else blocks
+
+    return value, back
+
+
+def _build_objective(part, X, y, reg: RegConfig, grads: dict):
+    """The step's objective on ``(X, y)``: one tape node with no parents.
+
+    Its value is :func:`_objective`'s, and its backward adds the gradient
+    of each block of ``part`` into that block's view in ``grads``, the
+    views of :func:`_gradient_layout`.
+    """
+    value, back = _objective(part, X, y, reg)
+
+    def backward(g):
+        for view, block in zip(grads.values(), back(g)):
+            view += block
+
+    return ad.Tensor(value, (), backward)
 
 
 def _checked_batch(batch, model):
@@ -542,38 +558,38 @@ def objective(batch, model, reg: RegConfig) -> float:
     The labels are checked on entry, as :func:`cross_entropy_mean` checks them.
     """
     X, y = _checked_batch(batch, model)
-    return float(_build_objective(model, X, y, reg))
+    return float(_objective(model, X, y, reg)[0])
 
 
 def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
-    """Gradient of the objective for every trainable tensor, by name.
+    """Gradient of the objective for every trainable block, by name.
 
     The labels are checked on entry, as :func:`cross_entropy_mean` checks
-    them. The blocks are laid out as :func:`train` lays them out, on a copy
-    of the trained part, so ``model`` and its arrays stay as they are; the
-    result holds the views of one gradient vector, in
-    :func:`trainable_arrays` order. In FT mode the extractor is frozen and
+    them. The blocks are laid out as :func:`train` lays their gradients
+    out, and ``model`` and its arrays stay as they are; the result holds
+    the views of one new gradient vector, in :func:`trainable_arrays`
+    order. In FT mode the extractor is frozen and
     its blocks are absent. Non-finite entries raise, naming the offending
     block.
     """
     X, y = _checked_batch(batch, model)
     part, X = _trained_part(model, train_mode, X)
-    _, grad, graph, leaves = _lay_out(_holder_copy(part))
-    _backprop(_build_objective(graph, X, y, reg), leaves, grad)
-    return {name: leaf.grad for name, leaf in leaves.items()}
+    grad, views = _gradient_layout(part)
+    _backprop(_build_objective(part, X, y, reg, views), views, grad)
+    return views
 
 
-def _backprop(obj, leaves: dict, grad: np.ndarray, where: str = ""):
-    """Backpropagate ``obj`` into ``grad``, the leaves' gradient vector.
+def _backprop(obj, views: dict, grad: np.ndarray, where: str = ""):
+    """Backpropagate ``obj`` into ``grad``, whose blocks ``views`` holds by name.
 
-    The vector is zeroed first, so leaves reused across steps start each
-    backward from zero. A non-finite entry raises, naming the first leaf
-    whose ``grad`` holds one, with ``where`` appended to the message.
+    The vector is zeroed first, so a vector reused across steps starts each
+    backward from zero. A non-finite entry raises, naming the first block
+    that holds one, with ``where`` appended to the message.
     """
     grad[...] = 0.0
     obj.backward()
     if not np.all(np.isfinite(grad)):
-        name = next(n for n, t in leaves.items() if not np.all(np.isfinite(t.grad)))
+        name = next(n for n, view in views.items() if not np.all(np.isfinite(view)))
         raise NonFiniteGradientError(f"non-finite gradient in block {name!r}{where}")
 
 
@@ -670,9 +686,9 @@ def _epoch_metrics(model, feats_train, y_train):
     """
     layer = model.layer
     # One pass of kernel statistics feeds the gate and every regularizer.
-    a, beta, _ = _inners_and_gate(feats_train, layer)
-    logits = np.asarray(forward_batch(feats_train, layer, beta=beta))
-    ce = float(_cross_entropy(logits, y_train))
+    a, beta = _inners_and_gate(feats_train, layer)[:2]
+    logits = forward_batch(feats_train, layer, beta=beta)
+    ce = float(_cross_entropy(logits, y_train)[0])
     if layer.mode == UNIFORM:
         return ce, 0.0, 0.0, 0.0
     k_bases = basis_gram_matrix(layer)
@@ -704,7 +720,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     # Validation is scored every epoch on rows and labels checked once,
     # here; in FT the rows are the frozen extractor's fixed features.
     val_x = _finite_batch(val_x, "val_x")
-    params, grad, graph, leaves = _lay_out(part)
+    params, grad, views = _lay_out(part)
     opt = _Adam(params, config.learning_rate)
     rng = np.random.default_rng(config.seed)
     n = len(train_x)
@@ -717,10 +733,10 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            obj = _build_objective(graph, train_x[idx], train_y[idx], config.reg)
+            obj = _build_objective(part, train_x[idx], train_y[idx], config.reg, views)
             if not np.isfinite(float(obj.data)):
                 raise TrainingDivergedError(epoch)
-            _backprop(obj, leaves, grad, f" at epoch {epoch}")
+            _backprop(obj, views, grad, f" at epoch {epoch}")
             opt.step(params, grad)
 
         feats_train = np.asarray(fe_forward(train_x, part.fe))

@@ -4,7 +4,7 @@ Most of this is written with explicit Python loops and scalar math,
 independent of the package's vectorized code paths, so tests can compare
 two genuinely different routes to the same quantity. The ``*_chain``
 functions are the exception: they are the per-op autodiff chains that the
-package's fused tape nodes replaced, kept as references, from the loss, the
+package's hand-written backwards replaced, kept as references, from the loss, the
 gate and the ensemble to the extractor (``mlp_chain``) and the regularizers
 (``ols_chain``, ``l1_chain``, ``orth_chain``). They are built from the
 generic reverse-mode ops (``add``, ``mul``, ``summation``, ``amax``,
@@ -27,27 +27,27 @@ the package's distance loops lay out in other ways, and
 exact reference of ``gdu.kernel._upper_squared_distances``.
 ``train_loop`` is the training loop that made its state fresh on every
 step, kept as the bit-exact reference of
-``gdu.training.train``. ``three_node_gradients`` builds the objective with
-a separate kernel node for the gate's inner products, the basis norms and
-the basis Gram (``block_means_node`` and ``diagonal_block_means_node``,
-the package's tensor paths before one ``gdu.kernel._kernel_statistics``
-node gave a step all three), the inner products basis-major, as that node
-lays them out. It is the exact reference of a step that
-does not read the basis Gram, and one within rounding of a step that
-does. ``bayes_accuracy_loop`` scores the Bayes classifier row by row in
+``gdu.training.train``. ``three_node_gradients`` builds a step's objective
+on the tape from the chains alone, with a separate kernel node for the
+gate's inner products, the basis norms and the basis Gram
+(``block_means_node`` and ``diagonal_block_means_node``, the package's
+tensor paths before one ``gdu.kernel._kernel_statistics`` call gave a step
+all three), the inner products basis-major, as that call lays them out.
+The two kernel nodes without the basis Gram are the exact reference of the
+kernel statistics' backward; the whole step agrees with the package's
+within rounding, as the chains' derivatives round otherwise.
+``bayes_accuracy_loop`` scores the Bayes classifier row by row in
 scalar math.
 """
 
-import copy
 import math
 
 import numpy as np
 
 from gdu.autodiff import Tensor, is_tensor, value_of
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _distances_to
-from gdu.kernel import _augmented_forms, _check_feature_dims, _gaussian_gram, _rows
-from gdu.layer import UNIFORM, _gate_from_inners, forward_batch
-from gdu.regularization import _add_regularizers, _reads_basis_gram
+from gdu.kernel import _augmented_forms, _check_feature_dims, _gaussian_gram
+from gdu.layer import UNIFORM
 from gdu.training import (
     _ADAM_BETA1,
     _ADAM_BETA2,
@@ -61,8 +61,8 @@ from gdu.training import (
     _lay_out,
     _trained_part,
     accuracy,
-    cross_entropy_mean,
     fe_forward,
+    trainable_arrays,
 )
 
 
@@ -419,7 +419,7 @@ def row_block_pairs(X, block_rows):
     return np.array(pairs)
 
 
-# -- op chains replaced by fused tape nodes ------------------------------------
+# -- op chains replaced by hand-written backwards --------------------------------
 
 
 def gaussian_gram_chain(X, Y, sigma):
@@ -428,11 +428,16 @@ def gaussian_gram_chain(X, Y, sigma):
 
 
 def cross_entropy_chain(logits, labels):
-    """Mean cross-entropy of (b, C) logits rows (arrays), one op per step."""
+    """Mean cross-entropy of (b, C) logits rows, one op per step.
+
+    The picked entry of each row is the row's sum against the one-hot
+    labels: its only nonzero term, so the same value.
+    """
     labels = np.asarray(labels, dtype=np.int64)
+    onehot = np.eye(value_of(logits).shape[1])[labels]
     z = sub(logits, amax(logits, axis=1, keepdims=True))
     lse = log(summation(exp(z), axis=1))
-    return mean(sub(lse, z[np.arange(len(z)), labels]))
+    return mean(sub(lse, summation(mul(z, onehot), axis=1)))
 
 
 def _kernel_softmax_chain(scores, kappa):
@@ -580,8 +585,8 @@ def train_loop(data, config, model):
     """The training loop with fresh state on every step.
 
     Each step lays the parameters out afresh (``_lay_out``: a new
-    parameter vector, tape leaves and graph copy), concatenates the leaves'
-    gradients into a new vector and runs Adam's update out of place.
+    parameter vector and a fresh ``_gradient_layout``), concatenates the
+    blocks' gradients into a new vector and runs Adam's update out of place.
     Everything else is ``gdu.training.train``'s: the same batches, epoch
     metrics, early stopping and snapshot. For the same arguments both
     return the same parameters and trace bit for bit.
@@ -600,15 +605,15 @@ def train_loop(data, config, model):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            params, _, graph, leaves = _lay_out(part)
-            obj = _build_objective(graph, train_x[idx], train_y[idx], config.reg)
+            params, _, views = _lay_out(part)
+            obj = _build_objective(part, train_x[idx], train_y[idx], config.reg, views)
             if not np.isfinite(float(obj.data)):
                 raise TrainingDivergedError(epoch)
             obj.backward()
-            blocks = [leaf.grad for leaf in leaves.values()]
+            blocks = list(views.values())
             grad = np.concatenate([np.ravel(g) for g in blocks])
             if not np.all(np.isfinite(grad)):
-                name = next(k for k, g in zip(leaves, blocks) if not np.all(np.isfinite(g)))
+                name = next(k for k, g in zip(views, blocks) if not np.all(np.isfinite(g)))
                 raise NonFiniteGradientError(
                     f"non-finite gradient in block {name!r} at epoch {epoch}"
                 )
@@ -656,7 +661,7 @@ def block_means_node(X, Y, cfg, n_x, n_y):
     layout that node replaced, which rounds its entries and sums its runs
     of N otherwise.
     """
-    Xs, Ys = _rows(X), _rows(Y)
+    Xs, Ys = value_of(X), value_of(Y)
     _check_feature_dims("X", Xs.shape[-1], "Y", Ys.shape[-1])
     Xv, Yv = Xs.reshape(-1, Xs.shape[-1]), Ys.reshape(-1, Ys.shape[-1])
     G = _gaussian_gram(*_augmented_forms(cfg.sigma, (Xv, "l"), (Yv, "r")))
@@ -692,7 +697,7 @@ def diagonal_block_means_node(X, cfg, n):
     matmul over those blocks only. A tensor's backward is ``S_p [X_p | 1]``
     per block, with ``S_p = 2 g_p G_p / (n^2 sigma^2)``.
     """
-    Xs = _rows(X)
+    Xs = value_of(X)
     rows, e = math.prod(Xs.shape[:-1]), Xs.shape[-1]
     Xb = Xs.reshape(rows // n, n, e)
     G = _gaussian_gram(*_augmented_forms(cfg.sigma, (Xb, "l"), (Xb, "r")))
@@ -715,30 +720,41 @@ def _transposed(x):
 
 
 def three_node_gradients(batch, model, reg, train_mode):
-    """``gdu.training.gradients`` with one kernel node per statistic.
+    """``gdu.training.gradients`` from the op chains, one kernel node per statistic.
 
-    The gate reads the basis-major ``block_means_node(V, feats, N, 1)``,
-    transposed to (b, M), and ``diagonal_block_means_node(V, N)``, and a
-    step whose regularizers read the basis Gram builds it as
-    ``block_means_node(V, V, N, N)``, a third node with its own Gram.
-    Everything else is the package's. Returns the leaves' gradients by name.
+    The extractor is ``mlp_chain``; the gate reads the basis-major
+    ``block_means_node(V, feats, N, 1)``, transposed to (b, M), and
+    ``diagonal_block_means_node(V, N)`` through ``gate_chain``; a step
+    whose regularizers read the basis Gram builds it as
+    ``block_means_node(V, V, N, N)``, a third node with its own Gram. The
+    ensemble, the loss and each weighted term are ``ensemble_chain``,
+    ``cross_entropy_chain``, ``ols_chain``, ``orth_chain`` and ``l1_chain``.
+    Returns the leaves' gradients by name, in ``trainable_arrays`` order.
     """
     X, y = batch
     part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
-    _, _, graph, leaves = _lay_out(copy.deepcopy(part))
-    layer = graph.layer
-    feats = fe_forward(X, graph.fe)
+    leaves = {name: Tensor(arr.copy()) for name, arr in trainable_arrays(part, "E2E").items()}
+    feats, layer = X, part.layer
+    if part.fe is not None:
+        depth = range(len(part.fe.weights))
+        feats = mlp_chain(X, [leaves[f"fe.w{i}"] for i in depth],
+                          [leaves[f"fe.b{i}"] for i in depth], part.fe.nonlinearity)
     a = k_bases = None
     if layer.mode == UNIFORM:
         beta = np.full((len(X), layer.num_bases), 1.0 / layer.num_bases)
     else:
-        V, n, cfg = layer.bases, layer.basis_size, layer.kernel
+        V, n, cfg = leaves["layer.bases"], layer.basis_size, layer.kernel
         a = _transposed(block_means_node(V, feats, cfg, n, 1))
-        beta = _gate_from_inners(a, diagonal_block_means_node(V, cfg, n), layer.mode, layer.kappa)
-    if _reads_basis_gram(layer.mode, reg):
-        k_bases = block_means_node(V, V, cfg, n, n)
-    logits = forward_batch(feats, layer, beta=beta)
-    obj = _add_regularizers(cross_entropy_mean(logits, y), a, beta, k_bases, reg)
+        beta = gate_chain(a, diagonal_block_means_node(V, cfg, n), layer.mode, layer.kappa)
+        if reg.lambda_ols or reg.lambda_orth:
+            k_bases = block_means_node(V, V, cfg, n, n)
+    logits = ensemble_chain(feats, leaves["layer.weights"], leaves["layer.bias"], beta)
+    obj = cross_entropy_chain(logits, y)
+    for weight, term in ((reg.lambda_ols, lambda: ols_chain(a, k_bases, beta)),
+                         (reg.lambda_orth, lambda: orth_chain(k_bases)),
+                         (reg.lambda_l1, lambda: l1_chain(beta))):
+        if weight:
+            obj = add(obj, mul(term(), weight))
     obj.backward()
     return {name: leaf.grad for name, leaf in leaves.items()}
 

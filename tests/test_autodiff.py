@@ -206,27 +206,6 @@ def test_constant_operands_are_not_tape_parents():
     np.testing.assert_allclose(x.grad, expected, rtol=1e-12)
 
 
-def test_split_parts_add_into_one_packed_gradient():
-    # A node with two outputs: its backward runs once, after the consumers
-    # of both parts, on their gradients packed into its own.
-    x = ad.tensor(np.array([1.0, 2.0]))
-    calls = []
-
-    def bw(g):
-        calls.append(g.copy())
-        x._accumulate(g[:2] + g[2:].sum())
-
-    node = ad.Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), (x,), bw)
-    head, tail = node.split((2,), (1, 3))
-    assert head.data.base is node.data and tail.data.base is node.data
-    assert head._parents == tail._parents == (node,)
-    out = add(summation(mul(head, 2.0)), add(summation(mul(tail, tail)), summation(head)))
-    out.backward()
-    assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], [3.0, 3.0, 6.0, 8.0, 10.0])
-    np.testing.assert_array_equal(x.grad, [27.0, 27.0])
-
-
 def test_first_gradient_is_an_owned_copy():
     # ``add`` hands the same output gradient to both operands; each leaf
     # must still own its gradient, or a later contribution to one would

@@ -205,8 +205,9 @@ def test_traced_spans_resolve():
 
 def test_traced_training_spans_run_once_per_step():
     # The benchmark divides its per-step counts by the objective builds. A
-    # train loop that stopped calling a traced name on every step, or
-    # changed what one step puts on the tape, would skew them silently.
+    # train loop that stopped calling a traced name on every step, or put
+    # more than the step's one parentless objective node on the tape, would
+    # skew them silently.
     from gdu.kernel import KernelConfig
     from gdu.layer import init_layer
     from gdu.regularization import RegConfig
@@ -216,14 +217,10 @@ def test_traced_training_spans_run_once_per_step():
     rng = np.random.default_rng(0)
     data = DatasetSplits(rng.normal(size=(40, 4)), rng.integers(0, 3, size=40),
                          rng.normal(size=(10, 4)), rng.integers(0, 3, size=10))
-    # E2E: seven parameter leaves per step, and operation nodes: the
-    # extractor, the kernel statistics and its parts, the gate, the ensemble
-    # and the loss; a step that reads the basis Gram gets a third part, the
-    # OLS term and the weighted sum. FT trains the layer alone on extracted
-    # features: three leaves and no extractor node.
+    # Whatever the step reads, its objective is one node with no parents,
+    # built once and backpropagated once.
     ols = RegConfig(lambda_ols=0.5)
-    cases = (("E2E", RegConfig(), 14), ("E2E", ols, 17), ("FT", RegConfig(), 9), ("FT", ols, 12))
-    for train_mode, reg, nodes in cases:
+    for train_mode, reg in (("E2E", RegConfig()), ("E2E", ols), ("FT", RegConfig()), ("FT", ols)):
         model = GduModel(init_feature_extractor([4, 6, 4], 0),
                          init_layer(3, 5, 4, 3, 1, "CS", KernelConfig(2.0), 20.0))
         tracer = _load_tracer().Tracer()
@@ -236,7 +233,7 @@ def test_traced_training_spans_run_once_per_step():
         steps = 2 * 3  # 2 epochs of 3 batches of at most 16 rows
         for span in ("training.build_objective", "autodiff.backward", "training.optimizer_step"):
             assert tracer.calls(span) == steps, (train_mode, reg, span)
-        assert tracer.counts["tape_nodes"] == nodes * steps, (train_mode, reg)
+        assert tracer.counts["tape_nodes"] == steps, (train_mode, reg)
         # One gradients call is one step's build and backward.
         tracer = _load_tracer().Tracer()
         tracer.install()
@@ -246,7 +243,7 @@ def test_traced_training_spans_run_once_per_step():
             tracer.uninstall()
         for span in ("training.build_objective", "autodiff.backward"):
             assert tracer.calls(span) == 1, (train_mode, reg, span)
-        assert tracer.counts["tape_nodes"] == nodes, (train_mode, reg)
+        assert tracer.counts["tape_nodes"] == 1, (train_mode, reg)
 
 
 def test_every_module_export_resolves():
@@ -443,17 +440,37 @@ def _autodiff_reads(tree):
     return reads
 
 
+# The tape's bookkeeping, which only gdu.autodiff itself may name.
+_TAPE_INTERNALS = {"is_tensor", "value_of", "_accumulate"}
+
+
+def _names(tree):
+    """Every identifier and attribute name that a module's code reads."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def test_every_autodiff_name_a_module_reads_exists():
     # A path no test runs would otherwise fail only in use once an op it
-    # reads has left gdu.autodiff.
+    # reads has left gdu.autodiff. No gdu function takes a tensor: the
+    # package reads only autodiff.Tensor, in training.py, for a step's one
+    # objective node, and no module but autodiff.py names the tape's
+    # bookkeeping.
     import gdu
     from gdu import autodiff
 
     for path in sorted(Path(gdu.__file__).parent.glob("*.py")):
-        for line, name in _autodiff_reads(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for line, name in _autodiff_reads(tree):
             assert hasattr(autodiff, name), f"{path.name}:{line} reads autodiff.{name}"
+            assert (path.name, name) == ("training.py", "Tensor"), \
+                f"{path.name}:{line} reads autodiff.{name}"
+        if path.name != "autodiff.py":
+            assert not _names(tree) & _TAPE_INTERNALS, path.name
     reads = _autodiff_reads(ast.parse("from . import autodiff as ad\nad.exp(ad.Tensor)"))
     assert sorted(reads) == [(2, "Tensor"), (2, "exp")]
+    assert _names(ast.parse("x._accumulate(value_of(y))")) & _TAPE_INTERNALS == {
+        "_accumulate", "value_of"}
 
 
 # Modules whose row reductions must go through the column helpers; kernel.py

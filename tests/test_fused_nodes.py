@@ -1,11 +1,10 @@
-"""The fused tape nodes against the op chains they replaced.
+"""The array nodes of a training step against the op chains they replaced.
 
 The extractor, cross-entropy, the gate, the ensemble and each regularizer
-(OLS, L1 and ORTH) are each one tape node. On arrays
-each must equal its chain in ``oracles.py`` bit for bit, a tensor operand
-must not change the forward value, and each backward must agree with
-central finite differences and, where the chain is differentiable, with
-the chain's gradient.
+(OLS, L1 and ORTH) are each one array forward that returns its backward.
+Each value must equal its chain in ``oracles.py`` bit for bit, and each
+backward must agree with central finite differences and, where the chain
+is differentiable, with the chain's gradient.
 """
 
 from dataclasses import replace
@@ -15,23 +14,20 @@ import pytest
 
 from gdu import autodiff as ad
 from gdu.kernel import KernelConfig
-from gdu.layer import _basis_inners, _gate_from_inners, basis_gram_matrix, forward_batch, init_layer
-from gdu.regularization import omega_l1, omega_ols, omega_orth
-from gdu.training import FeatureExtractor, cross_entropy_mean, fe_forward
+from gdu.layer import _basis_inners, _ensemble, _gate_from_inners, basis_gram_matrix, init_layer
+from gdu.regularization import _l1, _ols, _orth, omega_l1, omega_ols, omega_orth
+from gdu.training import FeatureExtractor, _cross_entropy, _extract, cross_entropy_mean
 
 from oracles import (
-    add,
     cross_entropy_chain,
     ensemble_chain,
     fd_gradient,
     gate_chain,
     l1_chain,
-    matmul,
     max_relative_error,
     mlp_chain,
     ols_chain,
     orth_chain,
-    reshape,
     mul,
     summation,
 )
@@ -41,35 +37,32 @@ FD_TOL = 1e-4
 CHAIN_TOL = 1e-12
 
 
-def backward_error(node, inputs, wrt, one_node=True, seed=0):
+def backward_error(node, inputs, wrt, seed=0):
     """Worst relative error of ``node``'s backward against central FD.
 
-    ``node(**inputs)`` is contracted with a fixed random array to a scalar;
-    the names in ``wrt`` become tensors, the other inputs stay constants.
-    With ``one_node`` the output's tape parents must be exactly those tensors.
+    ``node(**inputs)`` returns ``(value, grads)``, ``grads(g)`` the
+    gradients by input name for the output gradient g. The value is
+    contracted with a fixed random array to a scalar, and the gradients of
+    the inputs in ``wrt`` are compared.
     """
-    weights = np.random.default_rng(seed).normal(size=np.shape(node(**inputs)))
-    tensors = {k: ad.tensor(v) if k in wrt else v for k, v in inputs.items()}
-    out = node(**tensors)
-    if one_node:
-        assert {id(t) for t in out._parents} == {id(tensors[k]) for k in wrt}
-    summation(mul(out, weights)).backward()
-    analytic = {k: tensors[k].grad for k in wrt}
+    value, grads = node(**inputs)
+    weights = np.random.default_rng(seed).normal(size=np.shape(value))
+    analytic = {k: g for k, g in grads(weights).items() if k in wrt}
+    assert set(analytic) == set(wrt)
     numeric = fd_gradient(
-        lambda: float(np.sum(node(**inputs) * weights)), {k: inputs[k] for k in wrt}, FD_STEP
+        lambda: float(np.sum(node(**inputs)[0] * weights)), {k: inputs[k] for k in wrt}, FD_STEP
     )
     return max_relative_error(analytic, numeric)
 
 
 def node_and_chain_gradients(node, chain, inputs, wrt, seed=0):
     """The gradients of ``node`` and of ``chain`` for the same contraction."""
-    weights = np.random.default_rng(seed).normal(size=np.shape(node(**inputs)))
-    grads = []
-    for fn in (node, chain):
-        tensors = {k: ad.tensor(v) if k in wrt else v for k, v in inputs.items()}
-        summation(mul(fn(**tensors), weights)).backward()
-        grads.append({k: tensors[k].grad for k in wrt})
-    return grads
+    value, grads = node(**inputs)
+    weights = np.random.default_rng(seed).normal(size=np.shape(value))
+    tensors = {k: ad.tensor(v) if k in wrt else v for k, v in inputs.items()}
+    summation(mul(chain(**tensors), weights)).backward()
+    node_grads = {k: g for k, g in grads(weights).items() if k in wrt}
+    return node_grads, {k: tensors[k].grad for k in wrt}
 
 
 def chain_gradient_error(node, chain, inputs, wrt):
@@ -78,22 +71,21 @@ def chain_gradient_error(node, chain, inputs, wrt):
 
 
 def assert_forward_equals_chain(node, chain, inputs):
-    """Arrays in: the node's value is the chain's bit for bit, also via tensors."""
-    expected = chain(**inputs)
-    got = node(**inputs)
+    """The node's value is the chain's bit for bit."""
+    got = node(**inputs)[0]
     assert not ad.is_tensor(got)
-    np.testing.assert_array_equal(got, expected)
-    assert_tensor_forward_equal(node, inputs)
-
-
-def assert_tensor_forward_equal(node, inputs):
-    """The value through tensors equals the array result bit for bit."""
-    expected = node(**inputs)
-    got = node(**{k: ad.tensor(v) for k, v in inputs.items()})
-    np.testing.assert_array_equal(ad.value_of(got), expected)
+    np.testing.assert_array_equal(got, chain(**inputs))
 
 
 # -- cross-entropy ---------------------------------------------------------------
+
+
+def cross_entropy_node(labels):
+    def node(logits):
+        loss, back = _cross_entropy(logits, labels)
+        return loss, lambda g: {"logits": back(g)}
+
+    return node
 
 
 def test_cross_entropy_forward_is_bit_identical_to_the_chain():
@@ -103,8 +95,7 @@ def test_cross_entropy_forward_is_bit_identical_to_the_chain():
         labels = rng.integers(0, 4, size=9)
         got = cross_entropy_mean(logits, labels)
         assert got == cross_entropy_chain(logits, labels)
-        assert_tensor_forward_equal(lambda logits: cross_entropy_mean(logits, labels),
-                                    {"logits": logits})
+        assert got == cross_entropy_node(labels)(logits)[0]
 
 
 def test_cross_entropy_backward_matches_finite_differences():
@@ -112,8 +103,11 @@ def test_cross_entropy_backward_matches_finite_differences():
     for b, c in ((1, 2), (7, 3), (12, 5)):
         labels = rng.integers(0, c, size=b)
         inputs = {"logits": rng.normal(scale=2.0, size=(b, c))}
-        err = backward_error(lambda logits: cross_entropy_mean(logits, labels), inputs, {"logits"})
+        node = cross_entropy_node(labels)
+        err = backward_error(node, inputs, {"logits"})
         assert err < FD_TOL, (b, c, err)
+        chain = lambda logits: cross_entropy_chain(logits, labels)
+        assert chain_gradient_error(node, chain, inputs, {"logits"}) < CHAIN_TOL
 
 
 @pytest.mark.parametrize(
@@ -128,10 +122,8 @@ def test_cross_entropy_backward_matches_finite_differences():
 def test_cross_entropy_rejects_bad_labels(labels, match):
     # A negative label used to wrap to the last class: for logits [0, 0, 5],
     # label -1 gave the loss of label 2.
-    logits = np.array([[0.0, 0.0, 5.0]])
-    for x in (logits, ad.tensor(logits)):
-        with pytest.raises(ValueError, match=match):
-            cross_entropy_mean(x, labels)
+    with pytest.raises(ValueError, match=match):
+        cross_entropy_mean(np.array([[0.0, 0.0, 5.0]]), labels)
 
 
 def test_cross_entropy_names_the_first_bad_label():
@@ -151,26 +143,35 @@ def gate_inputs(rng, b=6, m=4):
     return {"a": rng.uniform(0.05, 0.9, size=(b, m)), "norms": rng.uniform(0.2, 1.0, size=m)}
 
 
+def gate_node(mode, kappa):
+    def node(a, norms):
+        beta, back = _gate_from_inners(a, norms, mode, kappa)
+        return beta, lambda g: dict(zip(("a", "norms"), back(g)))
+
+    return node
+
+
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
 def test_gate_forward_is_bit_identical_to_the_chain(mode):
     rng = np.random.default_rng(2)
     kappa = None if mode == "PROJECTION" else 3.0
     inputs = gate_inputs(rng)
-    node = lambda **kw: _gate_from_inners(mode=mode, kappa=kappa, **kw)
-    out = node(**inputs)
+    out = gate_node(mode, kappa)(**inputs)[0]
     assert isinstance(out, np.ndarray)
     np.testing.assert_array_equal(out, gate_chain(inputs["a"], inputs["norms"], mode, kappa))
-    assert_tensor_forward_equal(node, inputs)
 
 
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
 def test_gate_backward_matches_finite_differences(mode):
     rng = np.random.default_rng(3)
     kappa = None if mode == "PROJECTION" else 3.0
-    node = lambda **kw: _gate_from_inners(mode=mode, kappa=kappa, **kw)
+    node = gate_node(mode, kappa)
+    chain = lambda a, norms: gate_chain(a, norms, mode, kappa)
     for wrt in ({"a"}, {"norms"}, {"a", "norms"}):
-        err = backward_error(node, gate_inputs(rng), wrt)
+        inputs = gate_inputs(rng)
+        err = backward_error(node, inputs, wrt)
         assert err < FD_TOL, (wrt, err)
+        assert chain_gradient_error(node, chain, inputs, wrt) < CHAIN_TOL, wrt
 
 
 # -- the ensemble ----------------------------------------------------------------------
@@ -189,7 +190,8 @@ def ensemble_node():
     layer = init_layer(3, 2, 3, 2, 0, "CS", KernelConfig(1.0), 2.0)
 
     def node(X, weights, bias, beta):
-        return forward_batch(X, replace(layer, weights=weights, bias=bias), beta=beta)
+        y, back = _ensemble(X, replace(layer, weights=weights, bias=bias), beta=beta)
+        return y, lambda g: dict(zip(("X", "weights", "bias", "beta"), back(g, True)))
 
     return node
 
@@ -197,17 +199,17 @@ def ensemble_node():
 def test_ensemble_forward_is_bit_identical_to_the_chain():
     rng = np.random.default_rng(7)
     inputs = ensemble_inputs(rng)
-    node = ensemble_node()
-    np.testing.assert_array_equal(node(**inputs), ensemble_chain(**inputs))
-    assert_tensor_forward_equal(node, inputs)
+    np.testing.assert_array_equal(ensemble_node()(**inputs)[0], ensemble_chain(**inputs))
 
 
 def test_ensemble_backward_matches_finite_differences():
     rng = np.random.default_rng(8)
     node = ensemble_node()
     for wrt in ({"X", "weights", "bias"}, {"X", "weights", "bias", "beta"}, {"beta"}):
-        err = backward_error(node, ensemble_inputs(rng), wrt)
+        inputs = ensemble_inputs(rng)
+        err = backward_error(node, inputs, wrt)
         assert err < FD_TOL, (wrt, err)
+        assert chain_gradient_error(node, ensemble_chain, inputs, wrt) < CHAIN_TOL, wrt
 
 
 # -- the extractor ---------------------------------------------------------------
@@ -229,7 +231,9 @@ def mlp_params(params):
 def mlp_node(nonlinearity):
     def node(X, **params):
         weights, biases = mlp_params(params)
-        return fe_forward(X, FeatureExtractor(weights, biases, nonlinearity))
+        F, back = _extract(X, FeatureExtractor(weights, biases, nonlinearity))
+        names = [f"{kind}{i}" for i in range(len(weights)) for kind in "wb"]
+        return F, lambda g: dict(zip(names, back(g)))
 
     return node
 
@@ -255,7 +259,7 @@ def test_extractor_backward_matches_finite_differences_and_the_chain(nonlinearit
     node, chain = mlp_node(nonlinearity), mlp_reference(nonlinearity)
     inputs = mlp_inputs(rng)
     params = set(inputs) - {"X"}
-    for wrt in (params, params | {"X"}, {"w1"}, {"b2"}):
+    for wrt in (params, {"w1"}, {"b2"}):
         assert backward_error(node, inputs, wrt) < FD_TOL, wrt
         assert chain_gradient_error(node, chain, inputs, wrt) < CHAIN_TOL, wrt
 
@@ -285,38 +289,54 @@ def kernel_stats(seed, m=3, n=4, e=3, b=6):
     return {"a": a, "k_bases": basis_gram_matrix(layer), "beta": beta}
 
 
+def ols_node(a, k_bases, beta):
+    value, back = _ols(a, k_bases, beta)
+    return value, lambda g: dict(zip(("a", "k_bases", "beta"), back(g)))
+
+
 def test_ols_node_against_the_chain_and_finite_differences():
     inputs = kernel_stats(40)
-    assert_forward_equals_chain(omega_ols, ols_chain, inputs)
+    assert_forward_equals_chain(ols_node, ols_chain, inputs)
     assert isinstance(omega_ols(**inputs), float)
+    assert omega_ols(**inputs) == ols_node(**inputs)[0]
     for wrt in ({"a"}, {"k_bases"}, {"beta"}, {"a", "k_bases", "beta"}):
-        assert backward_error(omega_ols, inputs, wrt) < FD_TOL, wrt
-        assert chain_gradient_error(omega_ols, ols_chain, inputs, wrt) < CHAIN_TOL
+        assert backward_error(ols_node, inputs, wrt) < FD_TOL, wrt
+        assert chain_gradient_error(ols_node, ols_chain, inputs, wrt) < CHAIN_TOL
 
 
 def test_ols_node_gradient_is_zero_where_the_clamp_fires():
     # 1 - 2 * 1 + (1 - 1e-12): a roundoff-sized negative error, clamped to 0.
     inputs = {"a": np.ones((2, 1)), "k_bases": np.array([[1.0 - 1e-12]]), "beta": np.ones((2, 1))}
-    assert_forward_equals_chain(omega_ols, ols_chain, inputs)
+    assert_forward_equals_chain(ols_node, ols_chain, inputs)
     assert omega_ols(**inputs) == 0.0
     wrt = set(inputs)
-    node, chain = node_and_chain_gradients(omega_ols, ols_chain, inputs, wrt)
+    node, chain = node_and_chain_gradients(ols_node, ols_chain, inputs, wrt)
     for name in wrt:
         np.testing.assert_array_equal(node[name], np.zeros_like(inputs[name]))
         np.testing.assert_array_equal(chain[name], node[name])
     inputs["k_bases"] = np.array([[1.0 - 1e-9]])
     with pytest.raises(ValueError, match="reconstruction error evaluated to"):
-        omega_ols(**{k: ad.tensor(v) for k, v in inputs.items()})
+        omega_ols(**inputs)
+
+
+def l1_node(beta):
+    value, back = _l1(beta)
+    return value, lambda g: {"beta": back(g)}
 
 
 def test_l1_node_against_the_chain_and_finite_differences():
     beta = kernel_stats(41)["beta"]
-    node = lambda beta: omega_l1(beta)
     chain = lambda beta: l1_chain(beta)
-    assert_forward_equals_chain(node, chain, {"beta": beta})
+    assert_forward_equals_chain(l1_node, chain, {"beta": beta})
     assert isinstance(omega_l1(beta), float)
-    assert backward_error(node, {"beta": beta}, {"beta"}) < FD_TOL
-    assert chain_gradient_error(node, chain, {"beta": beta}, {"beta"}) < CHAIN_TOL
+    assert omega_l1(beta) == l1_node(beta)[0]
+    assert backward_error(l1_node, {"beta": beta}, {"beta"}) < FD_TOL
+    assert chain_gradient_error(l1_node, chain, {"beta": beta}, {"beta"}) < CHAIN_TOL
+
+
+def orth_node(K):
+    value, back = _orth(K)
+    return value, lambda g: {"K": back(g)}
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
@@ -325,15 +345,21 @@ def test_orth_node_against_the_chain(m):
     # parameterization: see the test below.
     for seed in (42, 43):
         K = kernel_stats(seed, m=m)["k_bases"]
-        assert_forward_equals_chain(omega_orth, orth_chain, {"K": K})
+        assert_forward_equals_chain(orth_node, orth_chain, {"K": K})
         assert isinstance(omega_orth(K), float)
-        assert chain_gradient_error(omega_orth, orth_chain, {"K": K}, {"K"}) < CHAIN_TOL
+        assert omega_orth(K) == orth_node(K)[0]
+        assert chain_gradient_error(orth_node, orth_chain, {"K": K}, {"K"}) < CHAIN_TOL
 
 
-def symmetric_from(S, v):
-    """``S + v v^T`` as a tape chain, so that one coordinate moves both triangles."""
-    m = len(S)
-    return add(S, matmul(reshape(v, (m, 1)), reshape(v, (1, m))))
+def symmetric_orth_node(S):
+    """SRIP of ``S + v v^T`` as a function of v, so that one coordinate moves
+    both triangles: the gradient of K goes to v as ``(G + G^T) v``."""
+
+    def node(v):
+        value, back = _orth(S + np.outer(v, v))
+        return value, lambda g: {"v": (back(g) + back(g).T) @ v}
+
+    return node
 
 
 @pytest.mark.parametrize("dominant", ["positive", "negative"])
@@ -347,7 +373,6 @@ def test_srip_node_backward_through_a_symmetric_matrix(dominant):
     v = rng.normal(scale=scale, size=4)
     eigvals = np.linalg.eigvalsh(S + np.outer(v, v) - np.eye(4))
     assert (eigvals[np.argmax(np.abs(eigvals))] > 0) == (dominant == "positive")
-    node = lambda v: omega_orth(symmetric_from(S, v))
-    assert backward_error(node, {"v": v}, {"v"}, one_node=False) < FD_TOL
+    assert backward_error(symmetric_orth_node(S), {"v": v}, {"v"}) < FD_TOL
     K = S + np.outer(v, v)
-    assert chain_gradient_error(omega_orth, orth_chain, {"K": K}, {"K"}) < CHAIN_TOL
+    assert chain_gradient_error(orth_node, orth_chain, {"K": K}, {"K"}) < CHAIN_TOL

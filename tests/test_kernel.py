@@ -3,7 +3,6 @@
 import math
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +20,8 @@ from gdu.kernel import (
     gram,
     median_heuristic,
 )
-from gdu.layer import basis_gram_matrix, init_layer
-from gdu.training import fe_forward, init_feature_extractor
+from gdu.layer import basis_gram_matrix, forward_batch, gate_matrix, init_layer
+from gdu.training import GduModel, fe_forward, init_feature_extractor, predict_logits
 
 from helpers import traced_peak_bytes
 from oracles import (
@@ -159,15 +158,14 @@ def test_gram_names_a_sigma_whose_exponent_overflows_on_finite_rows(X, Y, larges
 
 @pytest.mark.parametrize("side", ["V", "X"])
 @pytest.mark.parametrize("gram", [False, True])
-@pytest.mark.parametrize("tensors", [False, True])
-def test_kernel_statistics_name_an_overflow_in_one_right_form(side, gram, tensors):
+def test_kernel_statistics_name_an_overflow_in_one_right_form(side, gram):
     # At c = 5e307 a coordinate of 1.85 keeps -c ||x||^2 = -1.7e308 finite,
     # so the left forms hold, but 2c x overflows: only the right form of the
     # basis rows (read by the diagonal blocks, or the stacked right operand
     # with the basis Gram), or of the batch, overflows.
     rows = {"X": np.zeros((2, 1)), "V": np.zeros((2, 2, 1))}
     rows[side] = np.full(rows[side].shape, 1.85)
-    X, V = (ad.tensor(rows[k]) if tensors else rows[k] for k in ("X", "V"))
+    X, V = rows["X"], rows["V"]
     message = ("the Gaussian kernel's exponent overflows at sigma=1e-154 on rows with "
                "squared norms up to 3.423")
     with warnings.catch_warnings():
@@ -176,23 +174,29 @@ def test_kernel_statistics_name_an_overflow_in_one_right_form(side, gram, tensor
             _kernel_statistics(X, V, KernelConfig(1e-154), 2, gram)
 
 
-def test_array_only_kernel_functions_refuse_a_tape_tensor():
-    # Only the kernel statistics node builds tape nodes; a tensor elsewhere
-    # is named, not read as a 0-d object array.
+def _tensor_calls():
+    """Each array entry point, called on a tape tensor."""
     rng = np.random.default_rng(13)
     x, Y = ad.tensor(rng.normal(size=(3, 2))), rng.normal(size=(4, 2))
     layer = init_layer(2, 3, 2, 2, 0, "CS", CFG, 2.0)
-    calls = {
+    tensor_bases = init_layer(2, 3, 2, 2, 0, "CS", CFG, 2.0)
+    tensor_bases.bases = ad.tensor(tensor_bases.bases)
+    return {
         "gram": lambda: gram(x, Y, CFG),
         "gram on the right": lambda: gram(Y, x, CFG),
-        "basis_gram_matrix": lambda: basis_gram_matrix(
-            replace(layer, bases=ad.tensor(layer.bases))
-        ),
+        "basis_gram_matrix": lambda: basis_gram_matrix(tensor_bases),
+        "gate_matrix": lambda: gate_matrix(x, layer),
+        "forward_batch": lambda: forward_batch(x, layer),
+        "predict_logits": lambda: predict_logits(GduModel(None, layer), x),
     }
-    for call in calls.values():
-        with pytest.raises(TypeError, match="not tape tensors.*_kernel_statistics"):
-            call()
-    assert isinstance(gram(x.data, Y, CFG), np.ndarray)
+
+
+@pytest.mark.parametrize("name", list(_tensor_calls()))
+def test_array_functions_refuse_a_tape_tensor(name):
+    # No gdu function takes a tensor: each fails at numpy's float
+    # conversion, and none reads it as a 0-d object array.
+    with pytest.raises(TypeError, match="not 'Tensor'"):
+        _tensor_calls()[name]()
 
 
 def test_basis_gram_matrix_is_bit_identical_to_mean_chain():
@@ -207,44 +211,52 @@ def test_basis_gram_matrix_is_bit_identical_to_mean_chain():
         np.testing.assert_array_equal(got, mean(mean(blocks, axis=3), axis=1))
 
 
-def _weighted(parts, weights):
-    """``sum_k sum(parts[k] * weights[k])`` over the statistics that are not None."""
-    terms = [summation(mul(p, w)) for p, w in zip(parts, weights) if p is not None]
-    total = terms[0]
-    for term in terms[1:]:
-        total = add(total, term)
-    return total
+def _weighted(stats, weights):
+    """``sum_k sum(stats[k] * weights[k])`` over the statistics that are not None."""
+    return sum(float(np.sum(p * w)) for p, w in zip(stats, weights) if p is not None)
 
 
 def _check_kernel_statistics(arrays, n, gram, sigma=1.1, step=1e-5):
-    """Central FD of a weighted sum of the node's outputs, X constant and X a tensor.
+    """The backward against central FD of a weighted sum of the statistics,
+    with X's gradient (E2E) and without it (FT).
 
-    Checks the node's shape on the tape and, for the gram route, that a
-    second backward raises.
+    A gram route's second backward raises.
     """
     cfg = KernelConfig(sigma)
     stats = _kernel_statistics(arrays["X"], arrays["V"], cfg, n, gram)
     assert (stats[2] is None) != gram
     rng = np.random.default_rng(98)
-    weights = [None if s is None else rng.normal(size=s.shape) for s in stats]
+    weights = [None if s is None else rng.normal(size=s.shape) for s in stats[:3]]
     numeric = fd_gradient(
-        lambda: float(_weighted(_kernel_statistics(arrays["X"], arrays["V"], cfg, n, gram), weights)),
+        lambda: _weighted(_kernel_statistics(arrays["X"], arrays["V"], cfg, n, gram), weights),
         arrays,
         step,
     )
-    for constant in ("X", None):  # FT, then E2E
-        ts = {k: v if k == constant else ad.tensor(v) for k, v in arrays.items()}
-        parts = _kernel_statistics(ts["X"], ts["V"], cfg, n, gram)
-        node = parts[0]._parents[0]
-        assert all(p._parents == (node,) for p in parts if p is not None)
-        assert node._parents == tuple(t for t in ts.values() if ad.is_tensor(t))
-        _weighted(parts, weights).backward()
-        analytic = {k: t.grad for k, t in ts.items() if ad.is_tensor(t)}
-        assert max_relative_error(analytic, {k: numeric[k] for k in analytic}) < 5e-6, constant
+    for grad_x in (False, True):  # FT, then E2E
+        back = _kernel_statistics(arrays["X"], arrays["V"], cfg, n, gram)[3]
+        g_x, g_v = back(*weights, grad_x)
+        assert (g_x is None) != grad_x
+        analytic = {"V": g_v} if g_x is None else {"X": g_x, "V": g_v}
+        assert max_relative_error(analytic, {k: numeric[k] for k in analytic}) < 5e-6, grad_x
         if gram:
             # The backward overwrites the Gram it reads, so it runs once.
             with pytest.raises(RuntimeError, match="backpropagated only once"):
-                node._backward(node.grad)
+                back(*weights, grad_x)
+
+
+def _separate_node_gradients(X, V, cfg, n, gram, weights):
+    """The gradients of X and V through the separate kernel nodes of
+    ``tests/oracles.py``, for the output gradients ``weights``."""
+    x, v = ad.tensor(X), ad.tensor(V)
+    a = block_means_node(v, x, cfg, n, 1)
+    parts = [(a, weights[0].T), (diagonal_block_means_node(v, cfg, n), weights[1])]
+    if gram:
+        parts.append((block_means_node(v, v, cfg, n, n), weights[2]))
+    total = summation(mul(parts[0][0], parts[0][1]))
+    for node, w in parts[1:]:
+        total = add(total, summation(mul(node, w)))
+    total.backward()
+    return x.grad, v.grad
 
 
 @pytest.mark.parametrize("gram", [False, True])
@@ -270,58 +282,57 @@ def test_kernel_statistics_gradient_where_the_distance_clamp_fires(gram):
     _check_kernel_statistics({"X": X, "V": V}, 3, gram, sigma=1.3)
 
 
-@pytest.mark.parametrize("gram", [False, True])
-@pytest.mark.parametrize("m, n", [(3, 4), (1, 4), (3, 1)])
-def test_kernel_statistics_forward_is_bit_identical_on_arrays_and_tensors(m, n, gram):
-    rng = np.random.default_rng(27)
-    X, V = rng.normal(size=(5, 3)), rng.normal(size=(m, n, 3))
-    cfg = KernelConfig(1.1)
-    arrays = _kernel_statistics(X, V, cfg, n, gram)
-    assert all(isinstance(s, np.ndarray) for s in arrays if s is not None)
-    for x in (X, ad.tensor(X)):
-        parts = _kernel_statistics(x, ad.tensor(V), cfg, n, gram)
-        for got, want in zip(parts, arrays):
-            if want is None:
-                assert got is None
-            else:
-                np.testing.assert_array_equal(got.data, want)
-    # Separate nodes, basis-major: the same arithmetic without the basis
-    # Gram, and within the rounding of one matmul against three with it.
-    separate = (block_means_node(V, X, cfg, n, 1).T, diagonal_block_means_node(V, cfg, n))
-    for got, want in zip(arrays, separate):
+def _assert_separate_nodes(X, V, cfg, n, gram):
+    """The statistics and their backward against the separate kernel nodes:
+    bit for bit without the basis Gram, and within the rounding of one
+    matmul against three with it."""
+    a, norms, K, back = _kernel_statistics(X, V, cfg, n, gram)
+    separate = [block_means_node(V, X, cfg, n, 1).T, diagonal_block_means_node(V, cfg, n)]
+    if gram:
+        separate.append(block_means_node(V, V, cfg, n, n))
+    for got, want in zip((a, norms, K), separate):
         if gram:
             np.testing.assert_allclose(got, want, rtol=1e-14)
         else:
             np.testing.assert_array_equal(got, want)
-    if gram:
-        np.testing.assert_allclose(arrays[2], block_means_node(V, V, cfg, n, n), rtol=1e-14)
+    rng = np.random.default_rng(len(X))
+    weights = [rng.normal(size=s.shape) for s in (a, norms, K) if s is not None]
+    got = back(*weights, *([] if gram else [None]), True)
+    for g, want in zip(got, _separate_node_gradients(X, V, cfg, n, gram, weights)):
+        if gram:
+            np.testing.assert_allclose(g, want, rtol=1e-11, atol=1e-13 * np.abs(want).max())
+        else:
+            np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("gram", [False, True])
+@pytest.mark.parametrize("m, n", [(3, 4), (1, 4), (3, 1)])
+def test_kernel_statistics_and_their_backward_are_the_separate_nodes(m, n, gram):
+    rng = np.random.default_rng(27)
+    X, V = rng.normal(size=(5, 3)), rng.normal(size=(m, n, 3))
+    cfg = KernelConfig(1.1)
+    _assert_separate_nodes(X, V, cfg, n, gram)
     # The batch-major Gram rounds its entries and sums its runs otherwise.
-    np.testing.assert_allclose(arrays[0], block_means_node(X, V, cfg, 1, n), rtol=1e-14)
+    a = _kernel_statistics(X, V, cfg, n, gram)[0]
+    np.testing.assert_allclose(a, block_means_node(X, V, cfg, 1, n), rtol=1e-14)
 
 
 # (b, M, N, e) of the benchmark's serving batches on select-serve, its
-# training steps on train-wide, and its training steps on train-small.
-BENCH_SHAPES = [(1000, 6, 16, 16), (256, 10, 50, 64), (64, 4, 10, 16)]
+# training steps on train-wide, on train-small and on select-serve.
+BENCH_SHAPES = [(1000, 6, 16, 16), (256, 10, 50, 64), (64, 4, 10, 16), (256, 6, 16, 16)]
 
 
 @pytest.mark.parametrize("gram", [False, True])
 @pytest.mark.parametrize("b, m, n, e", BENCH_SHAPES)
-def test_kernel_statistics_inners_are_c_ordered_and_alike_on_arrays_and_tensors_at_bench_shapes(
+def test_kernel_statistics_inners_are_c_ordered_and_the_separate_nodes_at_bench_shapes(
     b, m, n, e, gram
 ):
     rng = np.random.default_rng(b + m)
     X, V = rng.normal(size=(b, e)), rng.normal(size=(m, n, e))
     cfg = KernelConfig(math.sqrt(e))
-    arrays = _kernel_statistics(X, V, cfg, n, gram)
-    assert arrays[0].shape == (b, m) and arrays[0].flags.c_contiguous
-    for x in (X, ad.tensor(X)):
-        parts = _kernel_statistics(x, ad.tensor(V), cfg, n, gram)
-        assert parts[0].data.flags.c_contiguous
-        for got, want in zip(parts, arrays):
-            if want is not None:
-                np.testing.assert_array_equal(got.data, want)
-    if not gram:
-        np.testing.assert_array_equal(arrays[0], block_means_node(V, X, cfg, n, 1).T)
+    a = _kernel_statistics(X, V, cfg, n, gram)[0]
+    assert a.shape == (b, m) and a.flags.c_contiguous
+    _assert_separate_nodes(X, V, cfg, n, gram)
 
 
 # The same M with b, N and e cut down, for central differences. Their
@@ -343,13 +354,12 @@ def test_kernel_statistics_values_are_not_the_arrays_the_backward_reads(gram):
     X, V = rng.normal(size=(3, 2)), rng.normal(size=(2, 2, 2))
 
     def grads(overwrite_values):
-        x, v = ad.tensor(X), ad.tensor(V)
-        parts = [p for p in _kernel_statistics(x, v, CFG, 2, gram) if p is not None]
+        *stats, back = _kernel_statistics(X, V, CFG, 2, gram)
         if overwrite_values:
-            for p in parts:
-                p.data[...] = 0.0
-        _weighted(parts, [np.ones(p.shape) for p in parts]).backward()
-        return x.grad, v.grad
+            for p in stats:
+                if p is not None:
+                    p[...] = 0.0
+        return back(*(None if p is None else np.ones(p.shape) for p in stats), True)
 
     for got, want in zip(grads(True), grads(False)):
         np.testing.assert_array_equal(got, want)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdu import autodiff as ad
 from gdu.kernel import KernelConfig
 from gdu.layer import (
     GATING_MODES,
@@ -20,6 +19,7 @@ from gdu.layer import (
     LearningMachine,
     _NUMPY_PAIRWISE_BLOCK,
     _basis_inners,
+    _ensemble,
     _row_max,
     _row_sum,
     basis_gram_matrix,
@@ -110,8 +110,8 @@ def test_gate_softmax_shift_invariance():
     norms = rng.uniform(0.5, 1.5, size=4)
     c = np.array([[7.3], [-7.3], [0.5], [3.0], [-1.25]])
     np.testing.assert_allclose(
-        _gate_from_inners(a, norms, "MMD", 2.0),
-        _gate_from_inners(a + c / 2.0, norms, "MMD", 2.0),
+        _gate_from_inners(a, norms, "MMD", 2.0)[0],
+        _gate_from_inners(a + c / 2.0, norms, "MMD", 2.0)[0],
         atol=1e-12,
     )
 
@@ -248,10 +248,11 @@ def test_kernel_statistics_match_brute_force_block_by_block():
     for mode in ("CS", "PROJECTION"):
         layer = random_layer(rng, mode, m=3, n=4, e=3, sigma=1.3)
         X = rng.normal(size=(5, 3))
-        a, norms, none = _basis_inners(X, layer)
+        a, norms, none, _ = _basis_inners(X, layer)
         assert none is None
         # One Gram gives the same statistics with the basis Gram.
-        for a, norms, K in ((a, norms, basis_gram_matrix(layer)), _basis_inners(X, layer, True)):
+        with_gram = _basis_inners(X, layer, True)[:3]
+        for a, norms, K in ((a, norms, basis_gram_matrix(layer)), with_gram):
             sigma = layer.kernel.sigma
             vecs = list(layer.bases)
             for j, vj in enumerate(vecs):
@@ -446,12 +447,9 @@ def test_a_one_head_uniform_layer_is_its_head_bit_for_bit():
     g = rng.normal(size=(6, 4))
 
     def run(beta):
-        leaves = [ad.tensor(a.copy()) for a in (X, weights, bias)]
-        layer = GduLayer(None, leaves[1], leaves[2], None, UNIFORM)
-        out = forward_batch(leaves[0], layer, beta=beta)
-        # sum(out * g): the output gradient g reaches the node as it is.
-        ad.Tensor(0.0, (out,), lambda _: out._accumulate(g)).backward()
-        return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+        layer = GduLayer(None, weights, bias, None, UNIFORM)
+        out, back = _ensemble(X, layer, beta=beta)
+        return [out.tobytes()] + [grad.tobytes() for grad in back(g, True)[:3]]
 
     head = run(None)
     assert head == run(np.ones((6, 1)))

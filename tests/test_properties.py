@@ -186,7 +186,7 @@ def test_gram_blocks_match_the_distance_chain_and_lie_in_unit_interval(case):
     for A, B, n_b in ((X, Y, n_y), (X, X, n_x), (Y, X, n_x)):
         G = gram(A, B, cfg)
         assert np.all((G >= 0.0) & (G <= 1.0))
-        a, _, K = _kernel_statistics(A, B, cfg, n_b, True)
+        a, _, K, _ = _kernel_statistics(A, B, cfg, n_b, True)
         for got, want in ((a, _chain_block_means(A, B, sigma, 1, n_b)),
                           (K, _chain_block_means(B, B, sigma, n_b, n_b))):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
