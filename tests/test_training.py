@@ -385,8 +385,8 @@ def test_machine_views_write_through_to_the_layer():
 
 
 def test_gradients_leave_no_cyclic_garbage():
-    # Tape nodes must not reference themselves, or every graph (with its
-    # gradients) outlives the step until the cyclic collector runs.
+    # A backward closure must not reference itself, or every step's
+    # arrays (with its gradients) outlive it until the cyclic collector runs.
     gc.collect()
     gc.disable()
     try:
@@ -724,7 +724,7 @@ def _fresh_model(mode, seed):
 @pytest.mark.parametrize("train_mode", ["E2E", "FT"])
 @pytest.mark.parametrize("mode", list(_ALL_REGULARIZERS))
 def test_train_matches_the_reference_loop(mode, train_mode):
-    # train keeps its tape leaves, gradient vector and Adam buffers for the
+    # train keeps its parameter and gradient vectors and Adam buffers for the
     # whole call; the loop that makes them fresh on every step must give
     # the same run to the last bit. Patience 2 of 6 epochs stops early.
     data = separable_splits(18)
@@ -791,8 +791,8 @@ def test_train_and_gradients_lay_the_blocks_out_alike(train_mode, mode, monkeypa
 
 @pytest.mark.parametrize("train_mode", ["E2E", "FT"])
 def test_train_leaves_no_cyclic_garbage(train_mode):
-    # The leaves and buffers that train keeps across steps must not tie a
-    # step's graph into a cycle, or every step's graph outlives the call.
+    # The buffers that train keeps across steps must not tie a step's
+    # closures into a cycle, or every step's arrays outlive the call.
     data = separable_splits(20)
     gc.collect()
     gc.disable()
