@@ -318,8 +318,8 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
     / sigma^2`` from one matmul ``W [A | 1]`` (:func:`_row_gradient`).
     Where the exponent clamp fires, ``y - x`` is already ~0, so no clamp
     mask is needed. Each ``[A | 1]`` is a view of the first e + 1 columns
-    of A's left form; without ``gram`` the backward writes X's, which
-    inference never reads. Without ``gram``, the weights ``W = G *
+    of A's left form; without ``gram`` the backward writes ``[X | 1]``
+    itself, as inference never reads X's left form. Without ``gram``, the weights ``W = G *
     E(g_a^T) / (n sigma^2)`` (M*N, b) give X ``W^T [V | 1]`` and V ``W [X
     | 1]`` plus, per diagonal block, ``S_p [V_p | 1]`` with ``S_p = 2 g_p
     G_p / (n^2 sigma^2)``. With ``gram`` the
@@ -367,7 +367,9 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
             if grad_x:
                 g_x = _row_gradient(W.T @ ones_v, Xv)
             S = diagonal * (g_norms * (2.0 / (n * n * cfg.sigma**2)))[:, None, None]
-            ones_x = _augmented_forms(cfg.sigma, (Xv, "l"))[0][:, : e + 1]
+            ones_x = np.empty((b, e + 1))  # [X | 1]
+            ones_x[:, :e] = Xv
+            ones_x[:, e] = 1.0
             g_v = _row_gradient(W @ ones_x, Vv).reshape(m, n, e)
             g_v += _row_gradient(S @ ones_v.reshape(m, n, e + 1), Vv.reshape(m, n, e))
             return g_x, g_v.reshape(Vs.shape)

@@ -537,7 +537,7 @@ def _build_objective(part, X, y, reg: RegConfig, grads: dict):
     value, back = _objective(part, X, y, reg)
 
     def backward(g):
-        for view, block in zip(grads.values(), back(g)):
+        for view, block in zip(grads.values(), back(g), strict=True):
             view += block
 
     return ad.Tensor(value, (), backward)

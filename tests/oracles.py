@@ -28,14 +28,16 @@ exact reference of ``gdu.kernel._upper_squared_distances``.
 ``train_loop`` is the training loop that made its state fresh on every
 step, kept as the bit-exact reference of
 ``gdu.training.train``. ``three_node_gradients`` builds a step's objective
-on the tape from the chains alone, with a separate kernel node for the
-gate's inner products, the basis norms and the basis Gram
-(``block_means_node`` and ``diagonal_block_means_node``, the package's
-tensor paths before one ``gdu.kernel._kernel_statistics`` call gave a step
-all three), the inner products basis-major, as that call lays them out.
-The two kernel nodes without the basis Gram are the exact reference of the
-kernel statistics' backward; the whole step agrees with the package's
-within rounding, as the chains' derivatives round otherwise.
+on the tape, with a separate kernel node for the gate's inner products,
+the basis norms and the basis Gram (``block_means_node`` and
+``diagonal_block_means_node``, the package's tensor paths before one
+``gdu.kernel._kernel_statistics`` call gave a step all three), the inner
+products basis-major, as that call lays them out. Around them it chains
+either the package's own array nodes, each wrapped as one tape node, or
+the op chains. With the package's nodes it is the exact reference of a
+step that does not read the basis Gram, and one within rounding of a step
+that does; with the op chains the whole step agrees within rounding, as
+the chains' derivatives round otherwise.
 ``bayes_accuracy_loop`` scores the Bayes classifier row by row in
 scalar math.
 """
@@ -47,7 +49,8 @@ import numpy as np
 from gdu.autodiff import Tensor, is_tensor, value_of
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _distances_to
 from gdu.kernel import _augmented_forms, _check_feature_dims, _gaussian_gram
-from gdu.layer import UNIFORM
+from gdu.layer import UNIFORM, _ensemble, _gate_from_inners
+from gdu.regularization import _l1, _ols, _orth
 from gdu.training import (
     _ADAM_BETA1,
     _ADAM_BETA2,
@@ -57,7 +60,9 @@ from gdu.training import (
     TrainingDivergedError,
     TrainTrace,
     _build_objective,
+    _cross_entropy,
     _epoch_metrics,
+    _extract,
     _lay_out,
     _trained_part,
     accuracy,
@@ -719,40 +724,94 @@ def _transposed(x):
     return Tensor(x.data.T, (x,), lambda g: x._accumulate(g.T))
 
 
-def three_node_gradients(batch, model, reg, train_mode):
-    """``gdu.training.gradients`` from the op chains, one kernel node per statistic.
+def _node(parents, value, back):
+    """A package array node ``(value, back)`` as one tape node over ``parents``.
 
-    The extractor is ``mlp_chain``; the gate reads the basis-major
-    ``block_means_node(V, feats, N, 1)``, transposed to (b, M), and
-    ``diagonal_block_means_node(V, N)`` through ``gate_chain``; a step
+    ``back(g)`` gives one gradient per parent, or, for a lone parent, its
+    gradient itself; a parent that is no tensor, or whose gradient is None,
+    gets none.
+    """
+    def bw(g):
+        grads = back(g)
+        for parent, grad in zip(parents, (grads,) if len(parents) == 1 else grads):
+            if is_tensor(parent) and grad is not None:
+                parent._accumulate(grad)
+
+    return Tensor(value, tuple(p for p in parents if is_tensor(p)), bw)
+
+
+def _package_ensemble(feats, weights, bias, beta, layer):
+    y, back = _ensemble(value_of(feats), layer, None if beta is None else beta.data)
+    return _node((feats, weights, bias, beta), y, lambda g: back(g, is_tensor(feats)))
+
+
+def _chain_ensemble(feats, weights, bias, beta, layer):
+    if beta is None:
+        beta = np.full((value_of(feats).shape[0], layer.num_bases), 1.0 / layer.num_bases)
+    return ensemble_chain(feats, weights, bias, beta)
+
+
+# A step's nodes: the package's array nodes, each one tape node, and the op
+# chains they replaced. Each takes tensors, and the layer or extractor for
+# its settings; the package's read the blocks' values from those, which the
+# leaves copy.
+PACKAGE_NODES = dict(
+    extract=lambda X, params, fe: _node(params, *_extract(X, fe)),
+    gate=lambda a, norms, layer: _node(
+        (a, norms), *_gate_from_inners(a.data, norms.data, layer.mode, layer.kappa)),
+    ensemble=_package_ensemble,
+    loss=lambda logits, y: _node((logits,), *_cross_entropy(logits.data, y)),
+    ols=lambda a, k, beta: _node((a, k, beta), *_ols(a.data, k.data, beta.data)),
+    orth=lambda k: _node((k,), *_orth(k.data)),
+    l1=lambda beta: _node((beta,), *_l1(beta.data)),
+)
+OP_CHAINS = dict(
+    extract=lambda X, params, fe: mlp_chain(X, params[::2], params[1::2], fe.nonlinearity),
+    gate=lambda a, norms, layer: gate_chain(a, norms, layer.mode, layer.kappa),
+    ensemble=_chain_ensemble,
+    loss=cross_entropy_chain,
+    ols=ols_chain,
+    orth=orth_chain,
+    l1=l1_chain,
+)
+
+
+def three_node_gradients(batch, model, reg, train_mode, nodes=PACKAGE_NODES):
+    """``gdu.training.gradients`` on the tape, one kernel node per statistic.
+
+    The gate reads the basis-major ``block_means_node(V, feats, N, 1)``,
+    transposed to (b, M), and ``diagonal_block_means_node(V, N)``; a step
     whose regularizers read the basis Gram builds it as
     ``block_means_node(V, V, N, N)``, a third node with its own Gram. The
-    ensemble, the loss and each weighted term are ``ensemble_chain``,
-    ``cross_entropy_chain``, ``ols_chain``, ``orth_chain`` and ``l1_chain``.
+    tape chains them with the extractor, the gate, the ensemble, the loss
+    and each term, and sums ``loss + w t`` term by term. By default those
+    are the package's own array nodes (``PACKAGE_NODES``), each one tape
+    node, so the tape, not ``gdu.training._objective``, routes and adds up
+    every gradient; ``nodes=OP_CHAINS`` takes the op chains instead
+    (``mlp_chain``, ``gate_chain``, ``ensemble_chain``,
+    ``cross_entropy_chain``, ``ols_chain``, ``orth_chain``, ``l1_chain``).
     Returns the leaves' gradients by name, in ``trainable_arrays`` order.
     """
     X, y = batch
     part, X = _trained_part(model, train_mode, np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.int64)
     leaves = {name: Tensor(arr.copy()) for name, arr in trainable_arrays(part, "E2E").items()}
     feats, layer = X, part.layer
     if part.fe is not None:
-        depth = range(len(part.fe.weights))
-        feats = mlp_chain(X, [leaves[f"fe.w{i}"] for i in depth],
-                          [leaves[f"fe.b{i}"] for i in depth], part.fe.nonlinearity)
-    a = k_bases = None
-    if layer.mode == UNIFORM:
-        beta = np.full((len(X), layer.num_bases), 1.0 / layer.num_bases)
-    else:
+        params = [leaf for name, leaf in leaves.items() if name.startswith("fe.")]
+        feats = nodes["extract"](X, params, part.fe)
+    a = beta = k_bases = None
+    if layer.mode != UNIFORM:
         V, n, cfg = leaves["layer.bases"], layer.basis_size, layer.kernel
         a = _transposed(block_means_node(V, feats, cfg, n, 1))
-        beta = gate_chain(a, diagonal_block_means_node(V, cfg, n), layer.mode, layer.kappa)
+        beta = nodes["gate"](a, diagonal_block_means_node(V, cfg, n), layer)
         if reg.lambda_ols or reg.lambda_orth:
             k_bases = block_means_node(V, V, cfg, n, n)
-    logits = ensemble_chain(feats, leaves["layer.weights"], leaves["layer.bias"], beta)
-    obj = cross_entropy_chain(logits, y)
-    for weight, term in ((reg.lambda_ols, lambda: ols_chain(a, k_bases, beta)),
-                         (reg.lambda_orth, lambda: orth_chain(k_bases)),
-                         (reg.lambda_l1, lambda: l1_chain(beta))):
+    logits = nodes["ensemble"](feats, leaves["layer.weights"], leaves["layer.bias"], beta, layer)
+    obj = nodes["loss"](logits, y)
+    for weight, term in ((reg.lambda_ols, lambda: nodes["ols"](a, k_bases, beta)),
+                         (reg.lambda_orth, lambda: nodes["orth"](k_bases)),
+                         (reg.lambda_l1, lambda: nodes["l1"](beta))):
         if weight:
             obj = add(obj, mul(term(), weight))
     obj.backward()

@@ -49,7 +49,7 @@ from gdu.training import (
 )
 
 from helpers import SMALL_DIMS, build_small_gdu, gradient_max_rel_error, layer_ols, reg_toggles
-from oracles import mlp_forward_brute, three_node_gradients, train_loop
+from oracles import OP_CHAINS, mlp_forward_brute, three_node_gradients, train_loop
 
 
 # -- feature extractor ---------------------------------------------------------
@@ -242,50 +242,54 @@ def test_basis_gram_steps_match_finite_differences_and_three_kernel_nodes(
     assert gradient_max_rel_error(model, X, y, reg, train_mode) < 1e-4
     got = gradients((X, y), model, reg, train_mode)
     expected = three_node_gradients((X, y), model, reg, train_mode)
-    assert list(got) == list(expected)
+    chains = three_node_gradients((X, y), model, reg, train_mode, nodes=OP_CHAINS)
+    assert list(got) == list(expected) == list(chains)
     for name, block in expected.items():
         np.testing.assert_allclose(got[name], block, rtol=1e-12, atol=0.0, err_msg=name)
+        np.testing.assert_allclose(got[name], chains[name], rtol=1e-12, atol=0.0, err_msg=name)
 
 
 @pytest.mark.parametrize("train_mode", ["E2E", "FT"])
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION", "ERM"])
-def test_steps_without_the_basis_gram_match_the_op_chains(mode, train_mode):
+def test_steps_without_the_basis_gram_keep_three_kernel_nodes_exactly(mode, train_mode):
     if mode == "ERM":
         model = init_erm_model([4, 4], 3, n_heads=3, seed=8)
         X, y = np.random.default_rng(32).normal(size=(5, 4)), np.array([0, 2, 1, 1, 0])
     else:
         model, X, y = build_small_gdu(32, mode)
-    _assert_the_op_chains(model, X, y, mode, train_mode)
+    _assert_three_kernel_nodes_exactly(model, X, y, mode, train_mode)
 
 
 # (b, M, N, e) of the benchmark's training steps on train-small and select-serve.
 @pytest.mark.parametrize("b, m, n, e", [(64, 4, 10, 16), (256, 6, 16, 16)])
 @pytest.mark.parametrize("train_mode", ["E2E", "FT"])
 @pytest.mark.parametrize("mode", ["CS", "MMD", "PROJECTION"])
-def test_steps_without_the_basis_gram_match_the_op_chains_at_bench_shapes(
+def test_steps_without_the_basis_gram_keep_three_kernel_nodes_exactly_at_bench_shapes(
     mode, train_mode, b, m, n, e
 ):
     dims = dict(e=e, m=m, n=n, c=3, b=b)
     model, X, y = build_small_gdu(34, mode, sigma=math.sqrt(e), dims=dims)
-    _assert_the_op_chains(model, X, y, mode, train_mode)
+    _assert_three_kernel_nodes_exactly(model, X, y, mode, train_mode)
 
 
-def _assert_the_op_chains(model, X, y, mode, train_mode):
-    """``gradients`` equals ``three_node_gradients`` within rounding, without the basis Gram.
+def _assert_three_kernel_nodes_exactly(model, X, y, mode, train_mode):
+    """``gradients`` equals ``three_node_gradients`` bit for bit, without the basis Gram.
 
-    The chains' op-by-op derivatives round otherwise than the hand-written
-    backwards, so each block is compared at 1e-12 of its largest entry; the
-    kernel statistics' backward themselves equal the two kernel nodes bit
-    for bit (test_kernel.py).
+    The op chains agree within rounding only, as their op-by-op
+    derivatives round otherwise than the hand-written backwards: each block
+    within 1e-12 of its largest entry.
     """
     regs = [RegConfig()] + ([RegConfig(lambda_l1=0.5)] if mode in ("CS", "MMD") else [])
     for reg in regs:
         got = gradients((X, y), model, reg, train_mode)
         expected = three_node_gradients((X, y), model, reg, train_mode)
-        assert list(got) == list(expected)
+        chains = three_node_gradients((X, y), model, reg, train_mode, nodes=OP_CHAINS)
+        assert list(got) == list(expected) == list(chains)
         for name, block in expected.items():
+            np.testing.assert_array_equal(got[name], block, err_msg=name)
             atol = 1e-12 * np.abs(block).max()
-            np.testing.assert_allclose(got[name], block, rtol=1e-12, atol=atol, err_msg=name)
+            np.testing.assert_allclose(got[name], chains[name], rtol=1e-12, atol=atol,
+                                       err_msg=name)
 
 
 # (b, M, N, e) of the benchmark's serving batches on select-serve, its
