@@ -2,7 +2,7 @@
 
 from .kernel import KernelConfig, gram, median_heuristic
 from .rkhs import EmpiricalKme, kme_inner, kme_norm_sq, mmd_sq, rkhs_cosine
-from .layer import GduLayer, LearningMachine, forward_batch, gate_matrix, init_layer
+from .layer import GduLayer, forward_batch, gate_matrix, init_layer
 from .regularization import RegConfig, omega_l1, omega_ols, omega_orth
 from .training import (
     DatasetSplits,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "tensor", "value_of", "is_tensor"]
+__all__ = ["Tensor"]
 
 
 class Tensor:
@@ -82,19 +82,3 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-
-def tensor(data):
-    """Wrap ``data`` in a fresh leaf :class:`Tensor`."""
-    return Tensor(data)
-
-
-def is_tensor(x):
-    return isinstance(x, Tensor)
-
-
-def value_of(x):
-    """Return the underlying numpy value of ``x`` (tensor or array-like)."""
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)

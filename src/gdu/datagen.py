@@ -59,14 +59,16 @@ def _check_simplex(name: str, p: np.ndarray):
 @dataclass
 class ElementarySpec:
     """K invariant components, each a unit-covariance Gaussian per class
-    with C equally likely classes: only the class means vary."""
+    with C equally likely classes: only the class means vary. They are held
+    as a float64 array, converted once, here."""
 
     class_means: np.ndarray  # (K, C, d)
 
     def __post_init__(self):
-        if np.ndim(self.class_means) != 3:
+        self.class_means = np.asarray(self.class_means, dtype=np.float64)
+        if self.class_means.ndim != 3:
             raise ValueError(
-                f"class_means must be a (K, C, d) array, got shape {np.shape(self.class_means)}"
+                f"class_means must be a (K, C, d) array, got shape {self.class_means.shape}"
             )
 
     @property

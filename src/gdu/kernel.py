@@ -30,12 +30,12 @@ Every Gram is built with one matmul of augmented rows: with
 the kernel's exponent, which is then clamped at 0 and exponentiated in
 place (:func:`_gaussian_gram`). One helper, :func:`_augmented_forms`,
 writes these left and right forms for every caller: :func:`gram`,
-:func:`_gaussian_exponent`, :func:`_kernel_statistics` and the oracles
-in ``tests/oracles.py``. Per call it sums each row set's squared norms
-once, writes each of its forms once under one overflow guard, and stacks
-several row sets into one form without a copy of the rows. A left form's
-first e + 1 columns are ``[x | 1]``, so a backward's products ``W [x |
-1]`` read a column view of it. Floating-point cancellation can leave the
+:func:`_kernel_statistics` and the oracles in ``tests/oracles.py``. Per
+call it sums each row set's squared norms once, writes each of its forms
+once under one overflow guard, and stacks several row sets into one form
+without a copy of the rows. A left form's first e + 1 columns are ``[x
+| 1]``, so a backward's products ``W [x | 1]`` read a column view of it.
+Floating-point cancellation can leave the
 exponent slightly above 0 where two rows nearly coincide; the clamp keeps
 every kernel value in [0, 1]. The products ``x_k (2c y_k)`` round
 differently from ``y_k (2c x_k)``, so ``gram(X, X)`` is symmetric only up
@@ -221,17 +221,6 @@ def _augmented_forms(sigma, *row_sets):
             f"squared norms up to {largest:.4g}"
         ) from None
     return left, right
-
-
-def _gaussian_exponent(X, Y, sigma):
-    """``-||x - y||^2 / (2 sigma^2)`` for rows of X and Y, before the clamp.
-
-    One matmul of X's left and Y's right augmented forms
-    (:func:`_augmented_forms`). Leading axes batch: (..., n, e) and
-    (..., m, e) give (..., n, m). Arrays only.
-    """
-    left, right = _augmented_forms(sigma, (X, "l"), (Y, "r"))
-    return left @ np.swapaxes(right, -1, -2)
 
 
 def _gaussian_gram(left, right):

@@ -3,9 +3,10 @@
 A layer holds M elementary domain bases (each a set of N vectors whose
 empirical kernel mean embedding stands in for one latent elementary
 distribution), M affine learning machines, and a gating rule. The bases and the
-machines are stored as stacked arrays, one per parameter kind (see
-:class:`GduLayer`). Gating compares a sample's feature map against each basis
-embedding:
+machines are stored as stacked float64 arrays, one per parameter kind, from
+construction on (see :class:`GduLayer`): machine j is the column
+``weights[:, j]`` with ``bias[j]``. Gating compares a sample's feature map
+against each basis embedding:
 
 * ``CS``   - RKHS cosine similarity, passed through a kernel softmax,
 * ``MMD``  - negative squared RKHS distance, passed through a kernel softmax,
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,7 +73,6 @@ __all__ = [
     "GATING_MODES",
     "UNIFORM",
     "GEOMETRY_MODES",
-    "LearningMachine",
     "GduLayer",
     "gate_matrix",
     "forward_batch",
@@ -125,30 +126,11 @@ def _row_sum(a):
 
 
 @dataclass
-class LearningMachine:
-    """The weights (e, C) and bias (C,) of the affine head ``x @ weights + bias``.
-
-    :attr:`GduLayer.machines` gives views into the layer; :func:`forward_batch`
-    computes every machine's output.
-    """
-
-    weights: object
-    bias: object
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
-            raise ValueError(
-                f"inconsistent machine shapes: weights {w.shape}, bias {b.shape}"
-            )
-
-
-@dataclass
 class GduLayer:
     """M domain bases, M learning machines, and the gating configuration.
 
-    The parameters are three stacked arrays:
+    The parameters are three stacked float64 arrays, converted once, here,
+    with ``np.asarray``, so a float64 array given keeps its identity:
 
     * ``bases``, shape (M, N, e): ``bases[j]`` holds the N vectors of basis j.
       A ``UNIFORM`` layer has none (``bases=None``) and needs no kernel;
@@ -159,9 +141,9 @@ class GduLayer:
     * ``bias``, shape (M, C).
     """
 
-    bases: object
-    weights: object
-    bias: object
+    bases: np.ndarray | None
+    weights: np.ndarray
+    bias: np.ndarray
     kernel: KernelConfig | None
     mode: str
     kappa: float | None = None
@@ -173,7 +155,9 @@ class GduLayer:
             self.kappa = _check_float("kappa", self.kappa)
             if self.mode not in GEOMETRY_MODES:
                 raise ValueError(f"a {self.mode} layer takes no kappa, got kappa={self.kappa}")
-        w, b = (np.asarray(t, dtype=np.float64).shape for t in (self.weights, self.bias))
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.bias = np.asarray(self.bias, dtype=np.float64)
+        w, b = self.weights.shape, self.bias.shape
         if len(w) != 3 or min(w) < 1 or b != w[1:]:
             raise ValueError(
                 f"weights must be a nonempty (e, M, C) array and bias (M, C); "
@@ -188,7 +172,7 @@ class GduLayer:
             return
         if self.kernel is None:
             raise ValueError(f"a {self.mode} layer needs a kernel, got kernel=None")
-        v = np.asarray(self.bases, dtype=np.float64)
+        v = self.bases = np.asarray(self.bases, dtype=np.float64)
         if v.ndim != 3 or min(v.shape) < 1:
             raise ValueError(f"bases must form a nonempty (M, N, e) array, got {v.shape}")
         if (v.shape[0], v.shape[2]) != (m, e):
@@ -202,27 +186,31 @@ class GduLayer:
 
     @property
     def num_bases(self) -> int:
-        return np.shape(self.weights)[1]
+        return self.weights.shape[1]
 
     @property
     def basis_size(self) -> int:
-        return np.shape(self.bases)[1]
+        return self.bases.shape[1]
 
     @property
     def feature_dim(self) -> int:
-        return np.shape(self.weights)[0]
+        return self.weights.shape[0]
 
     @property
     def n_outputs(self) -> int:
-        return np.shape(self.bias)[1]
+        return self.bias.shape[1]
 
     @property
     def machines(self) -> tuple:
-        """The M machines, whose weights and bias are views into the layer.
+        """Machine j as the writable views ``weights[:, j]`` and ``bias[j]``.
 
-        Writing into a machine's arrays in place writes into the layer.
+        Writing into a machine's arrays in place writes into the layer. Only
+        the benchmark's gradient probe reads this; it goes when the probe
+        writes ``layer.bias`` itself, with the bench re-declaration that
+        deletes the tape and ``rkhs.py``.
         """
-        return tuple(LearningMachine(self.weights[:, j], self.bias[j]) for j in range(self.num_bases))
+        return tuple(SimpleNamespace(weights=self.weights[:, j], bias=self.bias[j])
+                     for j in range(self.num_bases))
 
 
 def _check_width(X, layer: GduLayer):
@@ -376,15 +364,13 @@ def _ensemble(X, layer: GduLayer, beta=None):
     gated = beta is not None
     if beta is None and not head:
         beta = gate_matrix(X, layer)
-    Wv = np.asarray(layer.weights, dtype=np.float64)
-    bv = np.asarray(layer.bias, dtype=np.float64)
     b, m = X.shape[0], layer.num_bases
     if not head:
         beta = np.asarray(beta, dtype=np.float64)
         if beta.shape != (b, m):
             raise ValueError(f"beta shape {beta.shape} does not match batch {b} x {m} bases")
-    W = Wv.reshape(layer.feature_dim, -1)
-    out = X @ W + bv.reshape(-1)
+    W = layer.weights.reshape(layer.feature_dim, -1)
+    out = X @ W + layer.bias.reshape(-1)
     if head:
         y = out
     else:
@@ -401,7 +387,7 @@ def _ensemble(X, layer: GduLayer, beta=None):
                 g_beta = _row_sum(out * g_row).reshape(b, m)
             P = (beta[:, :, None] * g_row).reshape(b, -1)
         g_x = P @ W.T if grad_x else None
-        return g_x, (X.T @ P).reshape(Wv.shape), np.sum(P, axis=0).reshape(bv.shape), g_beta
+        return g_x, (X.T @ P).reshape(W.shape[0], m, -1), np.sum(P, axis=0).reshape(m, -1), g_beta
 
     return y, back
 

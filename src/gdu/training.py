@@ -119,11 +119,13 @@ class FeatureExtractor:
     """Multi-layer perceptron mapping raw inputs to e-dim features.
 
     The nonlinearity applies between layers only; the final layer is
-    affine, so a single identity-weight layer is the identity map.
+    affine, so a single identity-weight layer is the identity map. The
+    blocks are held as two lists of float64 arrays, converted once, here,
+    with ``np.asarray``, so a float64 array given keeps its identity.
     """
 
-    weights: list
-    biases: list
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
     nonlinearity: str = "relu"
 
     def __post_init__(self):
@@ -131,22 +133,21 @@ class FeatureExtractor:
             raise ValueError("need one bias per weight matrix")
         if self.nonlinearity not in FE_NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
+        self.weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            wv, bv = (np.asarray(t, dtype=np.float64) for t in (w, b))
-            if wv.ndim != 2 or bv.shape != (wv.shape[1],):
+            if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ValueError("inconsistent extractor layer shapes")
-            if i and wv.shape[0] != d_out:
+            if i and w.shape[0] != d_out:
                 raise ValueError(
-                    f"extractor layer {i} takes {wv.shape[0]} inputs, "
+                    f"extractor layer {i} takes {w.shape[0]} inputs, "
                     f"but layer {i - 1} gives {d_out}"
                 )
-            d_out = wv.shape[1]
+            d_out = w.shape[1]
 
     @property
     def layer_sizes(self) -> list:
-        sizes = [np.shape(self.weights[0])[0]]
-        sizes += [np.shape(w)[1] for w in self.weights]
-        return sizes
+        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
 
 @dataclass
@@ -301,8 +302,7 @@ def _extract(x, fe: FeatureExtractor):
     layer's input ``a``. It returns the blocks' gradients in
     :func:`trainable_arrays` order, ``[w0, b0, w1, b1, ...]``.
     """
-    weights = [np.asarray(w, dtype=np.float64) for w in fe.weights]
-    biases = [np.asarray(b, dtype=np.float64) for b in fe.biases]
+    weights, biases = fe.weights, fe.biases
     last = len(weights) - 1
     relu = fe.nonlinearity == "relu"
     acts = [np.asarray(x, dtype=np.float64)]
@@ -424,7 +424,7 @@ def _trained_part(model, train_mode: str, *inputs) -> tuple:
         raise ValueError(f"unknown training mode {train_mode!r}")
     if train_mode == "E2E":
         return (model, *inputs)
-    return (replace(model, fe=None), *(np.asarray(fe_forward(x, model.fe)) for x in inputs))
+    return (replace(model, fe=None), *(fe_forward(x, model.fe) for x in inputs))
 
 
 def _parameter_slots(model) -> list:
@@ -463,7 +463,7 @@ def trainable_arrays(model, train_mode: str) -> dict:
 def _gradient_layout(part) -> tuple:
     """``(grad, views)``: a zeroed gradient vector for the blocks of ``part``
     and each block's view of it, by name, in :func:`trainable_arrays` order."""
-    shapes = {name: np.shape(_get_slot(owner, key)) for name, owner, key in _parameter_slots(part)}
+    shapes = {name: _get_slot(owner, key).shape for name, owner, key in _parameter_slots(part)}
     grad = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
     views, start = {}, 0
     for name, shape in shapes.items():
@@ -484,11 +484,11 @@ def _lay_out(part) -> tuple:
     """
     slots = _parameter_slots(part)
     arrays = [_get_slot(owner, key) for _, owner, key in slots]
-    params = np.concatenate([np.ravel(arr) for arr in arrays], dtype=np.float64)
+    params = np.concatenate([arr.ravel() for arr in arrays])
     start = 0
     for (_, owner, key), arr in zip(slots, arrays):
-        stop = start + np.size(arr)
-        _set_slot(owner, key, params[start:stop].reshape(np.shape(arr)))
+        stop = start + arr.size
+        _set_slot(owner, key, params[start:stop].reshape(arr.shape))
         start = stop
     return (params, *_gradient_layout(part))
 
@@ -612,7 +612,7 @@ def _finite_batch(X, where: str) -> np.ndarray:
 
 def _logits(model, X) -> np.ndarray:
     """:func:`predict_logits` on a batch that :func:`_finite_batch` returned."""
-    return np.asarray(forward_batch(fe_forward(X, model.fe), model.layer))
+    return forward_batch(fe_forward(X, model.fe), model.layer)
 
 
 def _hit_rate(logits, y) -> float:
@@ -739,7 +739,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
             _backprop(obj, views, grad, f" at epoch {epoch}")
             opt.step(params, grad)
 
-        feats_train = np.asarray(fe_forward(train_x, part.fe))
+        feats_train = fe_forward(train_x, part.fe)
         ce, ols, orth, l1 = _epoch_metrics(part, feats_train, train_y)
         if not np.isfinite(ce):
             raise TrainingDivergedError(epoch)

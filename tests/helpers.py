@@ -34,8 +34,7 @@ def build_small_gdu(seed, mode, kappa=2.0, sigma=1.5, fe_nonlinearity="tanh", di
         kappa if mode != "PROJECTION" else None,
     )
     # Break the zero-bias symmetry so every block has nontrivial gradients.
-    for machine in layer.machines:
-        machine.bias += rng.normal(scale=0.3, size=c)
+    layer.bias += rng.normal(scale=0.3, size=(m, c))
     model = GduModel(fe, layer)
     X = rng.normal(size=(b, e))
     y = rng.integers(0, c, size=b)

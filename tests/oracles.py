@@ -9,7 +9,8 @@ gate and the ensemble to the extractor (``mlp_chain``) and the regularizers
 (``ols_chain``, ``l1_chain``, ``orth_chain``). They are built from the
 generic reverse-mode ops (``add``, ``mul``, ``summation``, ``amax``,
 ``spectral_norm_sym``, ...), which live here since no package code needs
-them: ``gdu.autodiff`` keeps only the tape. On arrays the chains run the
+them, with ``is_tensor`` and ``value_of``, which they read: ``gdu.autodiff``
+keeps only the tape. On arrays the chains run the
 numpy operations of the fused forwards in the same order, so the two must
 agree bit for bit. ``gaussian_gram_chain`` is the one chain that
 agrees only up to rounding: the package builds the Gram from another
@@ -46,7 +47,7 @@ import math
 
 import numpy as np
 
-from gdu.autodiff import Tensor, is_tensor, value_of
+from gdu.autodiff import Tensor
 from gdu.heuristics import _MAX_LLOYD_ITER, ClusteringResult, _distances_to
 from gdu.kernel import _augmented_forms, _check_feature_dims, _gaussian_gram
 from gdu.layer import UNIFORM, _ensemble, _gate_from_inners
@@ -214,6 +215,17 @@ def srip_power_iteration(A):
 # records one tape node whose backward is the op's own derivative. Binary
 # ops broadcast, and ``_unbroadcast`` sums a gradient back to its operand's
 # shape.
+
+
+def is_tensor(x):
+    return isinstance(x, Tensor)
+
+
+def value_of(x):
+    """The numpy value of ``x``: a tensor's data, or x as a float64 array."""
+    if isinstance(x, Tensor):
+        return x.data
+    return np.asarray(x, dtype=np.float64)
 
 
 def _unbroadcast(g, shape):

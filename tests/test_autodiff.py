@@ -19,6 +19,7 @@ from oracles import (
     div,
     exp,
     fd_gradient,
+    is_tensor,
     log,
     matmul,
     max_relative_error,
@@ -33,6 +34,7 @@ from oracles import (
     sub,
     summation,
     tanh,
+    value_of,
 )
 
 
@@ -40,10 +42,10 @@ def check_gradient(build, arrays, tol=5e-6):
     """Compare backward() gradients against central finite differences."""
 
     def value():
-        ts = {k: ad.tensor(v) for k, v in arrays.items()}
-        return float(ad.value_of(build(ts)))
+        ts = {k: ad.Tensor(v) for k, v in arrays.items()}
+        return float(value_of(build(ts)))
 
-    ts = {k: ad.tensor(v) for k, v in arrays.items()}
+    ts = {k: ad.Tensor(v) for k, v in arrays.items()}
     out = build(ts)
     out.backward()
     analytic = {
@@ -123,7 +125,7 @@ def test_maximum_and_detach():
     arrays = {"x": rng.normal(size=(6,)), "y": rng.normal(size=(6,))}
     check_gradient(lambda t: summation(maximum(t["x"], t["y"])), arrays)
 
-    x = ad.tensor(np.array([1.0, 2.0]))
+    x = ad.Tensor(np.array([1.0, 2.0]))
     out = summation(mul(x, detach(x)))
     out.backward()
     np.testing.assert_allclose(x.grad, np.array([1.0, 2.0]))
@@ -152,17 +154,17 @@ def test_plain_arrays_pass_through():
     assert isinstance(exp(x), np.ndarray)
     assert isinstance(summation(x, axis=1), np.ndarray)
     assert float(mean(x)) == pytest.approx(1.5)
-    assert not ad.is_tensor(x)
+    assert not is_tensor(x)
 
 
 def test_backward_requires_scalar():
-    x = ad.tensor(np.ones(3))
+    x = ad.Tensor(np.ones(3))
     with pytest.raises(ValueError):
         mul(x, 2.0).backward()
 
 
 def test_tensor_defines_no_arithmetic_operators():
-    x = ad.tensor(np.ones((2, 3)))
+    x = ad.Tensor(np.ones((2, 3)))
     for other in (x, np.ones((2, 3)), 2.0):
         for op in (operator.add, operator.mul):
             with pytest.raises(TypeError):
@@ -175,7 +177,7 @@ def test_tensor_defines_no_arithmetic_operators():
 
 
 def test_grad_accumulates_across_shared_subexpressions():
-    x = ad.tensor(np.array(3.0))
+    x = ad.Tensor(np.array(3.0))
     y = add(mul(x, x), mul(x, x))  # 2x^2 -> grad 4x
     y.backward()
     assert float(x.grad) == pytest.approx(12.0)
@@ -185,7 +187,7 @@ def test_numpy_left_operand_defers_to_tensor():
     # ``__array_ufunc__ = None`` makes numpy hand the whole operation to the
     # tensor, which has no operators, instead of trying it entry by entry.
     assert ad.Tensor.__array_ufunc__ is None
-    x = ad.tensor(np.ones((2, 2)))
+    x = ad.Tensor(np.ones((2, 2)))
     for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.matmul):
         with pytest.raises(TypeError):
             op(np.full((2, 2), 3.0), x)
@@ -193,7 +195,7 @@ def test_numpy_left_operand_defers_to_tensor():
 
 def test_constant_operands_are_not_tape_parents():
     rng = np.random.default_rng(8)
-    x = ad.tensor(rng.normal(size=(3, 3)))
+    x = ad.Tensor(rng.normal(size=(3, 3)))
     c = rng.normal(size=(3, 3))
     for out in (add(x, c), add(c, x), mul(2.0, x), mul(x, 2.0), mul(x, c), mul(c, x),
                 matmul(x, c), matmul(c, x), sub(x, 1.0)):
@@ -211,7 +213,7 @@ def test_first_gradient_is_an_owned_copy():
     # must still own its gradient, or a later contribution to one would
     # leak into the other.
     for x_last in (False, True):
-        x, y = ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3)))
+        x, y = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3)))
         terms = [summation(add(x, y)), summation(mul(x, 3.0))]
         out = add(terms[1], terms[0]) if x_last else add(terms[0], terms[1])
         out.backward()

@@ -400,7 +400,7 @@ def awkward_layer():
     # Values that expose lossy decimal formatting.
     layer.bases[0][0, 0] = 1.0 / 3.0
     layer.bases[1][2, 3] = 1e-300
-    layer.machines[0].weights[0, 0] = -0.1
+    layer.weights[0, 0, 0] = -0.1
     return layer
 
 
@@ -412,9 +412,8 @@ def test_layer_round_trip_bit_exact():
     assert restored.kappa is None
     for a, b in zip(layer.bases, restored.bases):
         np.testing.assert_array_equal(a, b)
-    for a, b in zip(layer.machines, restored.machines):
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.bias, b.bias)
+    np.testing.assert_array_equal(layer.weights, restored.weights)
+    np.testing.assert_array_equal(layer.bias, restored.bias)
 
 
 def test_layer_text_stable_across_round_trips():

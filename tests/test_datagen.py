@@ -201,6 +201,20 @@ def test_specs_reject_nan_weights_and_flat_means_by_name():
         ElementarySpec(np.zeros((2, 3)))
 
 
+def test_an_elementary_spec_from_nested_lists_draws_as_one_from_an_array():
+    # Its class means are held as a float64 array, so a spec built from
+    # lists serves every property and draws the same rows.
+    means = small_elem().class_means
+    elem = ElementarySpec(means.astype(int).tolist())
+    assert isinstance(elem.class_means, np.ndarray) and elem.class_means.dtype == np.float64
+    assert (elem.n_components, elem.n_classes, elem.input_dim) == (2, 2, 3)
+    spec = DomainSpec(np.array([0.4, 0.6]), 30, "source")
+    got, want = sample_domain(spec, elem, seed=3), sample_domain(spec, small_elem(), seed=3)
+    for field in ("x", "y", "tags"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert ElementarySpec(means).class_means is means
+
+
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
 def test_domain_spec_requires_an_integer_sample_count(bad):
     # These used to construct and fail in sample_domain with numpy's TypeError.

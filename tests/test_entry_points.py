@@ -9,8 +9,10 @@ function that takes a seed names a negative one; the exports of the
 package and of each of its modules are pinned, and so are the fields of
 its config and model dataclasses, the benchmark's ElementarySpec, and the
 parameters of the regularizers, make_benchmark and init_erm_model; the
-package imports nothing beyond the standard library and numpy, and the
-training path reduces short rows only through its column helpers."""
+package imports nothing beyond the standard library and numpy, every
+private function, method and class of the package is read by package or
+benchmark code, and the training path reduces short rows only through its
+column helpers."""
 
 import ast
 import dataclasses
@@ -273,7 +275,6 @@ def test_public_surface_is_pinned():
         "GduLayer",
         "GduModel",
         "KernelConfig",
-        "LearningMachine",
         "RegConfig",
         "TrainConfig",
         "TrainTrace",
@@ -300,7 +301,7 @@ def test_public_surface_is_pinned():
 
 
 MODULE_EXPORTS = {
-    "autodiff": ["Tensor", "tensor", "value_of", "is_tensor"],
+    "autodiff": ["Tensor"],
     "checkpoint": ["CheckpointError", "save_model", "load_model", "model_to_text", "model_from_text"],
     "datagen": [
         "ElementarySpec",
@@ -324,7 +325,6 @@ MODULE_EXPORTS = {
         "GATING_MODES",
         "UNIFORM",
         "GEOMETRY_MODES",
-        "LearningMachine",
         "GduLayer",
         "gate_matrix",
         "forward_batch",
@@ -417,14 +417,6 @@ def test_function_parameters_are_pinned():
         assert list(inspect.signature(_public(name)).parameters) == params, name
 
 
-def test_autodiff_surface_is_pinned():
-    # The tape only: every training term builds its own node. The generic
-    # ops live in tests/oracles.py.
-    from gdu import autodiff
-
-    assert autodiff.__all__ == ["Tensor", "tensor", "value_of", "is_tensor"]
-
-
 def _autodiff_reads(tree):
     """``(line, name)`` for every ``gdu.autodiff`` attribute a module reads."""
     aliases, reads = set(), []
@@ -440,7 +432,8 @@ def _autodiff_reads(tree):
     return reads
 
 
-# The tape's bookkeeping, which only gdu.autodiff itself may name.
+# The tape's bookkeeping, which only gdu.autodiff itself may name, and the
+# tensor helpers of tests/oracles.py, which no package module names.
 _TAPE_INTERNALS = {"is_tensor", "value_of", "_accumulate"}
 
 
@@ -592,3 +585,48 @@ def test_every_public_oracle_is_read_by_a_test():
     assert not unread, f"tests/oracles.py defines {unread}, which no test reads"
     snippet = "import oracles\nfrom oracles import a, b\noracles.c(np.d)\nfrom gdu import e\n"
     assert _oracle_names_read(ast.parse(snippet)) == {"a", "b", "c"}
+
+
+def _private_definitions(tree):
+    """The ``_``-prefixed functions, methods and classes a module defines, dunders aside."""
+    return sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    )
+
+
+def _span_path_names():
+    """Every name on the attribute paths of ``bench/tracer.py::SPANS``."""
+    tree = ast.parse(TRACER.read_text())
+    (spans,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["SPANS"]
+    ]
+    return {name for _, _, path in ast.literal_eval(spans) for name in path.split(".")}
+
+
+def test_every_private_package_name_is_read_by_package_or_bench_code():
+    # A private helper that only tests call is dead code that the tests
+    # keep alive. The tracer reaches its spans by name, so a SPANS path
+    # counts as a read; the bench's own tests do not.
+    import gdu
+
+    package = sorted(Path(gdu.__file__).parent.glob("*.py"))
+    bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    read = _span_path_names()
+    for path in package + bench:
+        read |= _names(ast.parse(path.read_text()))
+    unread = [
+        f"{path.stem}.{name}"
+        for path in package
+        for name in _private_definitions(ast.parse(path.read_text()))
+        if name not in read
+    ]
+    assert not unread, f"src/gdu defines {unread}, which no package or bench code reads"
+    assert {"_Adam", "step", "_basis_inners"} <= _span_path_names()
+    snippet = "class _A:\n    def _b(self): pass\n    def __init__(self): pass\ndef _c(): pass\n"
+    assert _private_definitions(ast.parse(snippet + "def d(): pass\n")) == ["_A", "_b", "_c"]

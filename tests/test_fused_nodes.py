@@ -23,6 +23,7 @@ from oracles import (
     ensemble_chain,
     fd_gradient,
     gate_chain,
+    is_tensor,
     l1_chain,
     max_relative_error,
     mlp_chain,
@@ -59,7 +60,7 @@ def node_and_chain_gradients(node, chain, inputs, wrt, seed=0):
     """The gradients of ``node`` and of ``chain`` for the same contraction."""
     value, grads = node(**inputs)
     weights = np.random.default_rng(seed).normal(size=np.shape(value))
-    tensors = {k: ad.tensor(v) if k in wrt else v for k, v in inputs.items()}
+    tensors = {k: ad.Tensor(v) if k in wrt else v for k, v in inputs.items()}
     summation(mul(chain(**tensors), weights)).backward()
     node_grads = {k: g for k, g in grads(weights).items() if k in wrt}
     return node_grads, {k: tensors[k].grad for k in wrt}
@@ -73,7 +74,7 @@ def chain_gradient_error(node, chain, inputs, wrt):
 def assert_forward_equals_chain(node, chain, inputs):
     """The node's value is the chain's bit for bit."""
     got = node(**inputs)[0]
-    assert not ad.is_tensor(got)
+    assert not is_tensor(got)
     np.testing.assert_array_equal(got, chain(**inputs))
 
 

@@ -14,7 +14,7 @@ from gdu.kernel import (
     DimensionMismatchError,
     _PAIR_BLOCK_ROWS,
     KernelConfig,
-    _gaussian_exponent,
+    _augmented_forms,
     _kernel_statistics,
     _upper_squared_distances,
     gram,
@@ -177,10 +177,10 @@ def test_kernel_statistics_name_an_overflow_in_one_right_form(side, gram):
 def _tensor_calls():
     """Each array entry point, called on a tape tensor."""
     rng = np.random.default_rng(13)
-    x, Y = ad.tensor(rng.normal(size=(3, 2))), rng.normal(size=(4, 2))
+    x, Y = ad.Tensor(rng.normal(size=(3, 2))), rng.normal(size=(4, 2))
     layer = init_layer(2, 3, 2, 2, 0, "CS", CFG, 2.0)
     tensor_bases = init_layer(2, 3, 2, 2, 0, "CS", CFG, 2.0)
-    tensor_bases.bases = ad.tensor(tensor_bases.bases)
+    tensor_bases.bases = ad.Tensor(tensor_bases.bases)
     return {
         "gram": lambda: gram(x, Y, CFG),
         "gram on the right": lambda: gram(Y, x, CFG),
@@ -247,7 +247,7 @@ def _check_kernel_statistics(arrays, n, gram, sigma=1.1, step=1e-5):
 def _separate_node_gradients(X, V, cfg, n, gram, weights):
     """The gradients of X and V through the separate kernel nodes of
     ``tests/oracles.py``, for the output gradients ``weights``."""
-    x, v = ad.tensor(X), ad.tensor(V)
+    x, v = ad.Tensor(X), ad.Tensor(V)
     a = block_means_node(v, x, cfg, n, 1)
     parts = [(a, weights[0].T), (diagonal_block_means_node(v, cfg, n), weights[1])]
     if gram:
@@ -274,11 +274,16 @@ def test_kernel_statistics_gradient_where_the_distance_clamp_fires(gram):
     V[1, 2] = V[0, 0]
     X = np.concatenate((V[0, :2], rng.normal(size=(2, 3))))
     # The clamp fires on both routes: in the batch's Gram, in a diagonal
-    # block and in the one Gram of the stacked rows [X; V].
+    # block and in the one Gram of the stacked rows [X; V]. The exponent
+    # before the clamp is the product of the augmented forms.
+    def exponent(X, Y):
+        left, right = _augmented_forms(1.3, (X, "l"), (Y, "r"))
+        return left @ right.T
+
     rows = V.reshape(-1, 3)
-    assert np.any(_gaussian_exponent(X, rows, 1.3) > 0.0)
-    assert np.any(_gaussian_exponent(V[0], V[0], 1.3) > 0.0)
-    assert np.any(_gaussian_exponent(np.concatenate((X, rows)), rows, 1.3)[4:] > 0.0)
+    assert np.any(exponent(X, rows) > 0.0)
+    assert np.any(exponent(V[0], V[0]) > 0.0)
+    assert np.any(exponent(np.concatenate((X, rows)), rows)[4:] > 0.0)
     _check_kernel_statistics({"X": X, "V": V}, 3, gram, sigma=1.3)
 
 

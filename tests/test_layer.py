@@ -16,7 +16,6 @@ from gdu.layer import (
     GEOMETRY_MODES,
     UNIFORM,
     GduLayer,
-    LearningMachine,
     _NUMPY_PAIRWISE_BLOCK,
     _basis_inners,
     _ensemble,
@@ -36,17 +35,15 @@ from oracles import kme_inner_brute
 CFG = KernelConfig(sigma=1.0)
 
 
-def make_layer(bases, mode, kappa=None, machines=None, cfg=CFG, n_outputs=2):
+def make_layer(bases, mode, kappa=None, head=None, cfg=CFG, n_outputs=2):
+    """A layer on ``bases`` whose every head is ``head``, a (weights, bias)
+    pair, or by default draws its own."""
     bases = np.asarray(bases, dtype=float)
     e = bases.shape[2]
-    if machines is None:
-        rng = np.random.default_rng(99)
-        machines = [
-            LearningMachine(rng.normal(size=(e, n_outputs)), rng.normal(size=n_outputs))
-            for _ in bases
-        ]
-    weights = np.stack([m.weights for m in machines], axis=1)
-    bias = np.stack([m.bias for m in machines])
+    rng = np.random.default_rng(99)
+    heads = [head or (rng.normal(size=(e, n_outputs)), rng.normal(size=n_outputs)) for _ in bases]
+    weights = np.stack([w for w, _ in heads], axis=1)
+    bias = np.stack([b for _, b in heads])
     return GduLayer(bases, weights, bias, cfg, mode, kappa)
 
 
@@ -164,8 +161,8 @@ def test_forward_single_machine_equals_machine_output():
     rng = np.random.default_rng(7)
     layer = random_layer(rng, "CS", m=1)
     x = rng.normal(size=3)
-    (m,) = layer.machines
-    np.testing.assert_allclose(forward_batch(x[None], layer)[0], x @ m.weights + m.bias, atol=1e-12)
+    head = x @ layer.weights[:, 0] + layer.bias[0]
+    np.testing.assert_allclose(forward_batch(x[None], layer)[0], head, atol=1e-12)
 
 
 def test_a_one_basis_projection_layer_weights_its_machine_by_its_gate():
@@ -176,32 +173,29 @@ def test_a_one_basis_projection_layer_weights_its_machine_by_its_gate():
     X = rng.normal(size=(5, 3))
     beta = gate_matrix(X, layer)
     assert np.all(np.abs(beta - 1.0) > 1e-3)
-    (m,) = layer.machines
-    np.testing.assert_allclose(forward_batch(X, layer), beta * (X @ m.weights + m.bias),
-                               rtol=1e-13, atol=1e-14)
+    head = X @ layer.weights[:, 0] + layer.bias[0]
+    np.testing.assert_allclose(forward_batch(X, layer), beta * head, rtol=1e-13, atol=1e-14)
 
 
 def test_forward_identical_machines_in_geometry_mode():
     rng = np.random.default_rng(8)
-    machine = LearningMachine(rng.normal(size=(2, 3)), rng.normal(size=3))
+    weights, bias = rng.normal(size=(2, 3)), rng.normal(size=3)
     layer = make_layer(
         [[[0.0, 0.0]], [[2.0, 1.0]]],
         "MMD",
         kappa=2.0,
-        machines=[machine, machine],
+        head=(weights, bias),
         n_outputs=3,
     )
     x = rng.normal(size=2)
-    np.testing.assert_allclose(
-        forward_batch(x[None], layer)[0], x @ machine.weights + machine.bias, atol=1e-12
-    )
+    np.testing.assert_allclose(forward_batch(x[None], layer)[0], x @ weights + bias, atol=1e-12)
 
 
 def test_forward_composes_gate_with_machine_outputs():
     layer = make_layer([[[0.0]], [[2.0]]], "MMD", kappa=2.0, n_outputs=2)
     x = np.array([0.0])
     beta = gate_matrix(x[None], layer)[0]
-    o1, o2 = (x @ m.weights + m.bias for m in layer.machines)
+    o1, o2 = x @ layer.weights[:, 0] + layer.bias[0], x @ layer.weights[:, 1] + layer.bias[1]
     np.testing.assert_allclose(
         forward_batch(x[None], layer)[0], beta[0] * o1 + beta[1] * o2, atol=1e-12
     )
@@ -217,8 +211,7 @@ def test_forward_affine_in_machine_outputs():
     layer.weights[:, 0] *= 2.0
     layer.bias[0] *= 2.0
     doubled = forward_batch(x[None], layer, beta=beta)[0]
-    m = layer.machines[0]
-    share = beta[0, 0] * (x @ m.weights + m.bias)
+    share = beta[0, 0] * (x @ layer.weights[:, 0] + layer.bias[0])
     np.testing.assert_allclose(doubled, base - share / 2.0 + share, atol=1e-12)
 
 
@@ -227,7 +220,7 @@ def test_forward_batch_with_constant_gate_override():
     layer = random_layer(rng, "CS", m=4)
     X = rng.normal(size=(6, 3))
     uniform = np.full((6, 4), 0.25)
-    expected = np.mean([X @ m.weights + m.bias for m in layer.machines], axis=0)
+    expected = np.mean([X @ layer.weights[:, j] + layer.bias[j] for j in range(4)], axis=0)
     np.testing.assert_allclose(forward_batch(X, layer, beta=uniform), expected, atol=1e-12)
 
 
@@ -266,12 +259,11 @@ def test_kernel_statistics_match_brute_force_block_by_block():
 def test_forward_batch_matches_per_machine_loop():
     rng = np.random.default_rng(13)
     layer = init_layer(4, 3, 3, 2, 5, "MMD", CFG, kappa=2.0)
-    for machine in layer.machines:
-        machine.bias += rng.normal(size=2)
+    layer.bias += rng.normal(size=(4, 2))
     X = rng.normal(size=(6, 3))
     beta = gate_matrix(X, layer)
     expected = sum(
-        beta[:, j : j + 1] * (X @ m.weights + m.bias) for j, m in enumerate(layer.machines)
+        beta[:, j : j + 1] * (X @ layer.weights[:, j] + layer.bias[j]) for j in range(4)
     )
     np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)
 
@@ -281,9 +273,8 @@ def test_init_layer_deterministic():
     b = init_layer(3, 4, 5, 2, seed=42, mode="MMD", kernel=CFG, kappa=2.0)
     for ba, bb in zip(a.bases, b.bases):
         np.testing.assert_array_equal(ba, bb)
-    for ma, mb in zip(a.machines, b.machines):
-        np.testing.assert_array_equal(ma.weights, mb.weights)
-        np.testing.assert_array_equal(ma.bias, mb.bias)
+    np.testing.assert_array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(a.bias, b.bias)
 
 
 def test_init_layer_keeps_the_per_basis_random_stream():
@@ -435,7 +426,7 @@ def test_uniform_layer_gates_every_row_at_one_over_m():
     assert isinstance(beta, np.ndarray)
     np.testing.assert_array_equal(beta, np.full((5, 4), 0.25))
     np.testing.assert_array_equal(gate_matrix(X[:1], layer)[0], np.full(4, 0.25))
-    mean = sum(X @ m.weights + m.bias for m in layer.machines) / 4.0
+    mean = sum(X @ layer.weights[:, j] + layer.bias[j] for j in range(4)) / 4.0
     np.testing.assert_allclose(forward_batch(X, layer), mean, rtol=1e-13, atol=1e-14)
 
 

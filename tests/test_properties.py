@@ -116,8 +116,8 @@ def test_forward_batch_equals_the_per_machine_loop(case):
     layer, X = case
     beta = np.asarray(gate_matrix(X, layer))
     expected = sum(
-        beta[:, j : j + 1] * (X @ machine.weights + machine.bias)
-        for j, machine in enumerate(layer.machines)
+        beta[:, j : j + 1] * (X @ layer.weights[:, j] + layer.bias[j])
+        for j in range(layer.num_bases)
     )
     np.testing.assert_allclose(forward_batch(X, layer), expected, rtol=1e-13, atol=1e-14)
 

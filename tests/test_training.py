@@ -15,6 +15,7 @@ import gdu
 from gdu.checkpoint import model_from_text, model_to_text
 from gdu.kernel import DimensionMismatchError, KernelConfig
 from gdu.layer import (
+    GduLayer,
     basis_gram_matrix,
     forward_batch,
     gate_matrix,
@@ -369,8 +370,8 @@ def test_unknown_train_mode_is_rejected():
 
 
 def test_machine_views_write_through_to_the_layer():
-    # build_small_gdu and the benchmark's gradient probe perturb the biases
-    # through ``layer.machines``; copies would leave the layer unchanged.
+    # The benchmark's gradient probe perturbs the biases through
+    # ``layer.machines``; copies would leave the layer unchanged.
     rng = np.random.default_rng(16)
     layer = init_layer(3, 2, 4, 3, 8, "CS", KernelConfig(1.5), kappa=2.0)
     model = GduModel(None, layer)
@@ -386,6 +387,38 @@ def test_machine_views_write_through_to_the_layer():
     assert np.all(layer.bias != 0.0)
     assert not np.allclose(np.asarray(forward_batch(X, layer)), logits)
     assert not np.allclose(gradients((X, y), model, RegConfig())["layer.bias"], grad)
+
+
+def test_a_model_built_from_nested_lists_holds_float64_arrays():
+    # The layer and the extractor convert their blocks once, on
+    # construction, so every reader gets arrays: live blocks that an
+    # in-place edit moves, machine views that write through, and the
+    # gradients of the same model built from arrays, bit for bit.
+    model, X, y = build_small_gdu(17, "CS")
+    reg = RegConfig(lambda_ols=0.5, lambda_l1=0.5)
+    fe, layer = model.fe, model.layer
+    listed = GduModel(
+        FeatureExtractor([w.tolist() for w in fe.weights], [b.tolist() for b in fe.biases],
+                         fe.nonlinearity),
+        GduLayer(layer.bases.tolist(), layer.weights.tolist(), layer.bias.tolist(),
+                 layer.kernel, layer.mode, layer.kappa),
+    )
+    for name, block in trainable_arrays(listed, "E2E").items():
+        assert type(block) is np.ndarray and block.dtype == np.float64, name
+    want = gradients((X, y), model, reg)
+    got = gradients((X, y), listed, reg)
+    assert list(got) == list(want)
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], strict=True)
+    for j, machine in enumerate(listed.layer.machines):
+        machine.bias += 1.0
+        np.testing.assert_array_equal(listed.layer.bias[j], layer.bias[j] + 1.0)
+    before = objective((X, y), listed, reg)
+    trainable_arrays(listed, "E2E")["fe.w0"][0, 0] += 0.25
+    assert objective((X, y), listed, reg) != before
+    # A float64 array is kept as it is, not copied.
+    assert GduLayer(None, layer.weights, layer.bias, None, "UNIFORM").weights is layer.weights
+    assert FeatureExtractor(fe.weights, fe.biases).weights[0] is fe.weights[0]
 
 
 def test_gradients_leave_no_cyclic_garbage():
@@ -620,9 +653,8 @@ def test_trained_blocks_are_views_of_one_buffer(train_mode, kind):
             np.testing.assert_array_equal(after, before)
     logits = predict_logits(model, data.val_x)
     bias_before = model.layer.bias.copy()
-    machine = model.layer.machines[1]
-    assert np.shares_memory(machine.bias, buffer)
-    machine.bias += 0.5
+    assert np.shares_memory(model.layer.bias[1], buffer)
+    model.layer.bias[1] += 0.5
     np.testing.assert_array_equal(model.layer.bias[1], bias_before[1] + 0.5)
     assert not np.array_equal(predict_logits(model, data.val_x), logits)
     back = model_from_text(model_to_text(model))
