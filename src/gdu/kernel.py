@@ -343,9 +343,10 @@ def _kernel_statistics(X, V, cfg: KernelConfig, n: int, gram: bool):
         G = _gaussian_gram(left_v, right[:b])
         G_x = G.reshape(m, n, b)
         diagonal = _gaussian_gram(left_v.reshape(m, n, e + 2), right[b:].reshape(m, n, e + 2))
-    # Each basis's n rows of length b add in row order.
-    a = (G_x.sum(axis=1) / n).T.copy()
-    norms = diagonal.reshape(m, n * n).sum(axis=1) / float(n * n)
+    # Each basis's n rows of length b add in row order; np.add.reduce is
+    # the reduction that ndarray.sum wraps, without the wrapper's cost.
+    a = (np.add.reduce(G_x, axis=1) / n).T.copy()
+    norms = np.add.reduce(diagonal.reshape(m, n * n), axis=1) / float(n * n)
     ones_v = left_v[:, : e + 1]  # [V | 1]
 
     def back(g_a, g_norms, g_k, grad_x):

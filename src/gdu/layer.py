@@ -46,7 +46,14 @@ ERM) is its head alone.
 
 There is one path in: :func:`gate_matrix` gates a (b, e) feature batch
 sample by sample, and :func:`forward_batch` runs the ensemble on it. A
-single sample is a batch of one row.
+single sample is a batch of one row. These two are the layer's entry
+points, and each checks its input once per call (:func:`_check_width`;
+:func:`forward_batch` checks a ``beta`` it is given as well). The nodes
+(:func:`_inners_and_gate`, :func:`_ensemble` and the unchecked gate
+:func:`_gate`) check nothing: they take X as a float64 (b, e) batch of
+the layer's width, as an entry point here or in :mod:`gdu.training`
+checked it. :func:`gdu.kernel._kernel_statistics` keeps its own cheap
+checks of shape and tiling.
 """
 
 from __future__ import annotations
@@ -114,11 +121,11 @@ def _row_sum(a):
 
     Below ``_NUMPY_PAIRWISE_BLOCK`` terms numpy sums left to right from +0.0;
     starting from ``a[..., 0] + 0.0`` keeps the sign of a zero sum as numpy
-    has it. Wider rows go to ``np.sum``. Neither fixes which NaN a row with
-    several sums to.
+    has it. Wider rows go to ``np.add.reduce``, the reduction ``np.sum``
+    wraps. Neither fixes which NaN a row with several sums to.
     """
     if a.shape[-1] >= _NUMPY_PAIRWISE_BLOCK:
-        return np.sum(a, axis=-1, keepdims=True)
+        return np.add.reduce(a, axis=-1, keepdims=True)
     out = a[..., 0] + 0.0
     for j in range(1, a.shape[-1]):
         out += a[..., j]
@@ -190,6 +197,9 @@ class GduLayer:
 
     @property
     def basis_size(self) -> int:
+        """N, the vectors per basis; a UNIFORM layer has no bases and raises."""
+        if self.bases is None:
+            raise ValueError(f"a {self.mode} layer has no bases, so no basis size")
         return self.bases.shape[1]
 
     @property
@@ -215,7 +225,11 @@ class GduLayer:
 
 def _check_width(X, layer: GduLayer):
     """X as a float64 (b, e) batch: a ValueError names the shape of an X that
-    is not 2-D, :class:`gdu.kernel.DimensionMismatchError` another e."""
+    is not 2-D, :class:`gdu.kernel.DimensionMismatchError` another e.
+
+    The entry points :func:`gate_matrix` and :func:`forward_batch` call it
+    once per call; the nodes below them take X as checked.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be a (b, e) feature batch, got shape {X.shape}")
@@ -296,11 +310,11 @@ def _gate_from_inners(a, norms, mode, kappa):
     def back(g):
         if mode == "PROJECTION":
             ga = g / n_row
-            return ga, -np.sum(ga * out, axis=0)
+            return ga, -np.add.reduce(ga * out, axis=0)
         gh = kappa * out * (g - _row_sum(out * g))
         if mode == "CS":
-            return gh / denom, -np.sum(gh * h, axis=0) / (2.0 * norms)
-        return 2.0 * gh, -np.sum(gh, axis=0)
+            return gh / denom, -np.add.reduce(gh * h, axis=0) / (2.0 * norms)
+        return 2.0 * gh, -np.add.reduce(gh, axis=0)
 
     return out, back
 
@@ -316,9 +330,9 @@ def _inners_and_gate(X, layer: GduLayer, gram: bool = False):
     a is the terms' plus the gate's, in that order. A UNIFORM layer's gate
     is a constant that a training step never materialises: all four are
     None, and :func:`forward_batch` given ``beta=None`` weights the heads by
-    1/M itself.
+    1/M itself. X must be a float64 (b, e) batch that an entry point
+    checked (:func:`_check_width`).
     """
-    X = _check_width(X, layer)
     if layer.mode == UNIFORM:
         return None, None, None, None
     a, norms, k_bases, stats_back = _basis_inners(X, layer, gram)
@@ -341,6 +355,11 @@ def gate_matrix(X, layer: GduLayer):
     projection coefficients. ``||phi(x)||^2 = k(x, x) = 1`` for the Gaussian
     kernel, so no per-sample norm is needed.
     """
+    return _gate(_check_width(X, layer), layer)
+
+
+def _gate(X, layer: GduLayer):
+    """:func:`gate_matrix` on a batch that :func:`_check_width` returned."""
     beta = _inners_and_gate(X, layer)[1]
     if beta is None:
         m = layer.num_bases
@@ -357,18 +376,15 @@ def _ensemble(X, layer: GduLayer, beta=None):
     W^T``, ``X^T P`` and ``sum_i P``, and ``g_beta[i, j] = <O[i, j], g[i]>``
     for the (b, M, C) machine outputs O; the sums over the C outputs run
     column by column, bit-identical to numpy's. g_X is None unless
-    ``grad_x``, and g_beta None unless the caller passed ``beta``.
+    ``grad_x``, and g_beta None unless the caller passed ``beta``. X must
+    be a float64 (b, e) batch and ``beta`` a float64 (b, M) array, as an
+    entry point checked them.
     """
-    X = _check_width(X, layer)
     head = beta is None and layer.mode == UNIFORM and layer.num_bases == 1
     gated = beta is not None
     if beta is None and not head:
-        beta = gate_matrix(X, layer)
+        beta = _gate(X, layer)
     b, m = X.shape[0], layer.num_bases
-    if not head:
-        beta = np.asarray(beta, dtype=np.float64)
-        if beta.shape != (b, m):
-            raise ValueError(f"beta shape {beta.shape} does not match batch {b} x {m} bases")
     W = layer.weights.reshape(layer.feature_dim, -1)
     out = X @ W + layer.bias.reshape(-1)
     if head:
@@ -387,7 +403,8 @@ def _ensemble(X, layer: GduLayer, beta=None):
                 g_beta = _row_sum(out * g_row).reshape(b, m)
             P = (beta[:, :, None] * g_row).reshape(b, -1)
         g_x = P @ W.T if grad_x else None
-        return g_x, (X.T @ P).reshape(W.shape[0], m, -1), np.sum(P, axis=0).reshape(m, -1), g_beta
+        g_bias = np.add.reduce(P, axis=0).reshape(m, -1)
+        return g_x, (X.T @ P).reshape(W.shape[0], m, -1), g_bias, g_beta
 
     return y, back
 
@@ -404,8 +421,14 @@ def forward_batch(X, layer: GduLayer, beta=None):
     are then summed with weights ``beta`` by one ``einsum`` over the machine
     axis. A one-head UNIFORM layer without ``beta`` (one-head ERM) has the
     constant gate 1: its output is the head ``X @ W + b`` itself, and no
-    gate is built or multiplied in.
+    gate is built or multiplied in. X and ``beta`` are checked here, once.
     """
+    X = _check_width(X, layer)
+    if beta is not None:
+        beta = np.asarray(beta, dtype=np.float64)
+        b, m = X.shape[0], layer.num_bases
+        if beta.shape != (b, m):
+            raise ValueError(f"beta shape {beta.shape} does not match batch {b} x {m} bases")
     return _ensemble(X, layer, beta)[0]
 
 

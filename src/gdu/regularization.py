@@ -22,11 +22,13 @@ UNIFORM         none (the layer has no bases)
 ==============  ==============================
 
 A nonzero weight outside its mode's row raises a ValueError that names the
-weight and the mode. The objective adds them through ``_add_regularizers``,
-which reads the gate's inner products and, when OLS or ORTH is on, the
-basis Gram from the one call that also gives the gate its statistics, so
-no kernel block is evaluated twice. The training trace still reports all
-three raw terms for every mode with bases.
+weight and the mode (``_check_mode_weights``). The training entry points
+check the weights once per call; a step only asks ``_reads_basis_gram``
+whether OLS or ORTH is on. The objective adds the terms through
+``_add_regularizers``, which reads the gate's inner products and, when
+OLS or ORTH is on, the basis Gram from the one call that also gives the
+gate its statistics, so no kernel block is evaluated twice. The training
+trace still reports all three raw terms for every mode with bases.
 
 Each term is a float. Under each ``omega_*`` sits one array function
 (``_ols``, ``_orth``, ``_l1``) that returns the value and its closed-form
@@ -101,8 +103,8 @@ def _ols(a, k_bases, beta):
         raise ValueError(f"basis Gram shape {kv.shape} does not match {m} bases")
     b = float(_batch_rows("omega_ols", bv))
     bk = bv @ kv
-    cross = np.sum(_row_sum(bv * av)) / b
-    quad = np.sum(_row_sum(bk * bv)) / b
+    cross = np.add.reduce(_row_sum(bv * av), axis=None) / b
+    quad = np.add.reduce(_row_sum(bk * bv), axis=None) / b
     val = float(1.0 - 2.0 * cross + quad)
     if val < -_OLS_CLAMP_TOL:
         raise ValueError(f"reconstruction error evaluated to {val}; expected >= 0")
@@ -166,7 +168,7 @@ def _l1(beta):
     if bv.ndim != 2:
         raise ValueError(f"expected (b, M) gates, got beta of shape {bv.shape}")
     b = float(_batch_rows("omega_l1", bv))
-    val = np.sum(_row_sum(np.abs(bv))) / b
+    val = np.add.reduce(_row_sum(np.abs(bv)), axis=None) / b
     return float(val), lambda g: np.sign(bv) * (g / b)
 
 
@@ -181,7 +183,10 @@ def omega_l1(beta):
 
 
 def _check_mode_weights(mode: str, cfg: RegConfig):
-    """Raise a ValueError naming every nonzero weight that ``mode`` does not take."""
+    """Raise a ValueError naming every nonzero weight that ``mode`` does not take.
+
+    The training entry points call it once per call, before any step.
+    """
     allowed = _MODE_WEIGHTS[mode]
     bad = [f"{n}={getattr(cfg, n)}" for n in _WEIGHTS if n not in allowed and getattr(cfg, n)]
     if bad:
@@ -189,22 +194,25 @@ def _check_mode_weights(mode: str, cfg: RegConfig):
         raise ValueError(f"a {mode} layer takes {takes}; got {', '.join(bad)}")
 
 
-def _reads_basis_gram(mode: str, cfg: RegConfig) -> bool:
+def _reads_basis_gram(cfg: RegConfig) -> bool:
     """Whether the weighted terms read the basis Gram: OLS or ORTH is on.
 
-    A nonzero weight the mode does not take raises a ValueError that names it.
+    It checks nothing: ``cfg`` must have passed :func:`_check_mode_weights`
+    for the layer's mode, so a UNIFORM layer's weights are all zero.
     """
-    _check_mode_weights(mode, cfg)
     return cfg.lambda_ols > 0.0 or cfg.lambda_orth > 0.0
 
 
 def _add_regularizers(obj, a, beta, k_bases, cfg: RegConfig):
     """``obj`` plus the weighted regularization terms, and their backward.
 
-    ``cfg`` must have passed :func:`_reads_basis_gram` for the layer's mode.
-    ``a`` holds the inner products ``<phi(x_i), mu_j>`` that produced
-    ``beta`` and is read only by OLS; ``k_bases`` is the basis Gram, read by
-    OLS and ORTH and None when neither is on. The training step takes both
+    ``cfg`` must have passed :func:`_check_mode_weights` for the layer's
+    mode, and ``a``, ``beta`` and ``k_bases`` must come from one call of
+    :func:`gdu.layer._inners_and_gate`, with the basis Gram exactly when
+    :func:`_reads_basis_gram`; nothing here checks either. ``a`` holds the
+    inner products ``<phi(x_i), mu_j>`` that produced ``beta`` and is read
+    only by OLS; ``k_bases`` is the basis Gram, read by OLS and ORTH and
+    None when neither is on. The training step takes both
     from the call that made the gate's statistics, so one Gaussian Gram
     serves the gate and every term. The sum runs left to right, ``obj + w1
     t1 + w2 t2``. Returns ``(total, back)``; ``obj``'s gradient is the

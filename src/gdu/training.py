@@ -26,12 +26,21 @@ or ORTH on) takes the gate's inner products, the basis norms and the basis
 Gram from one Gaussian Gram; every other step, and inference, evaluate
 only the inner products and the norms, with the arithmetic of
 :func:`gdu.layer.gate_matrix`.
-Labels are checked once per call, by the entry points: :func:`train`
-(both splits, before the first step), :func:`objective`,
-:func:`gradients`, :func:`cross_entropy_mean` and :func:`accuracy` each
-name float, bool, out-of-range and mis-shaped labels and an empty batch.
-A step's loss (``_cross_entropy``) and :func:`train`'s per-epoch
-metrics and validation scoring take the checked int64 labels as they are.
+Inputs are checked once per call, by the entry points, and a step's
+nodes (``_extract``, the layer's ``_inners_and_gate`` and ``_ensemble``,
+and ``_objective``) trust what they get. Labels: :func:`train` (both
+splits, before the first step), :func:`objective`, :func:`gradients`,
+:func:`cross_entropy_mean` and :func:`accuracy` each name float, bool,
+out-of-range and mis-shaped labels and an empty batch. Input widths:
+:func:`train`, :func:`objective` and :func:`gradients` check the raw
+rows against the model's input, the extractor's or, without one, the
+layer's, and :func:`fe_forward`, :func:`predict_logits` and the layer's
+:func:`gdu.layer.gate_matrix` and :func:`gdu.layer.forward_batch` check
+what they are given. The mode's weights: :func:`train`,
+:func:`objective` and :func:`gradients` check that ``reg`` weights only
+the terms the layer's mode takes (``_check_step_inputs``). A step's loss
+(``_cross_entropy``) and :func:`train`'s per-epoch metrics and
+validation scoring take the checked int64 labels as they are.
 Training modes: ``E2E`` updates every parameter; ``FT`` freezes the feature
 extractor. :func:`_trained_part` alone tells them apart: FT trains the
 model without its extractor on features extracted once.
@@ -73,6 +82,7 @@ from .layer import (
 from .regularization import (
     RegConfig,
     _add_regularizers,
+    _check_mode_weights,
     _reads_basis_gram,
     omega_l1,
     omega_ols,
@@ -290,7 +300,11 @@ def fe_forward(x, fe: FeatureExtractor | None):
     :class:`gdu.kernel.DimensionMismatchError`. Without an extractor X
     comes back as it is.
     """
-    return x if fe is None else _extract(x, fe)[0]
+    if fe is None:
+        return x
+    x = np.asarray(x, dtype=np.float64)
+    _check_feature_dims("X", x.shape[-1], "the extractor's input", fe.weights[0].shape[0])
+    return _extract(x, fe)[0]
 
 
 def _extract(x, fe: FeatureExtractor):
@@ -300,13 +314,14 @@ def _extract(x, fe: FeatureExtractor):
     through the nonlinearity, ``* (out > 0)`` or ``* (1 - out^2)``, then
     ``a^T g`` for the weight, ``sum_i g`` for the bias and ``g w^T`` for the
     layer's input ``a``. It returns the blocks' gradients in
-    :func:`trainable_arrays` order, ``[w0, b0, w1, b1, ...]``.
+    :func:`trainable_arrays` order, ``[w0, b0, w1, b1, ...]``. x must be a
+    float64 array as wide as the extractor's input, as an entry point
+    checked it.
     """
     weights, biases = fe.weights, fe.biases
     last = len(weights) - 1
     relu = fe.nonlinearity == "relu"
-    acts = [np.asarray(x, dtype=np.float64)]
-    _check_feature_dims("X", acts[0].shape[-1], "the extractor's input", weights[0].shape[0])
+    acts = [x]
     for i, (w, b) in enumerate(zip(weights, biases)):
         out = acts[-1] @ w + b
         if i < last:
@@ -319,7 +334,7 @@ def _extract(x, fe: FeatureExtractor):
             if i < last:
                 out = acts[i + 1]
                 g = g * (out > 0.0) if relu else g * (1.0 - out * out)
-            blocks[2 * i + 1] = g.sum(axis=0)
+            blocks[2 * i + 1] = np.add.reduce(g, axis=0)
             blocks[2 * i] = acts[i].T @ g
             if i:
                 g = g @ weights[i].T
@@ -399,7 +414,7 @@ def _cross_entropy(logits, labels):
     z = logits - _row_max(logits)
     e = np.exp(z)
     total = _row_sum(e)[:, 0]
-    loss = np.sum(np.log(total) - z[rows, labels]) / float(b)
+    loss = np.add.reduce(np.log(total) - z[rows, labels]) / float(b)
 
     def back(g):
         d = e / total[:, None]
@@ -496,7 +511,10 @@ def _lay_out(part) -> tuple:
 def _objective(part, X, y, reg: RegConfig) -> tuple:
     """The objective of ``part`` on the batch ``(X, y)`` and its backward.
 
-    ``y`` holds labels that :func:`_loss_labels` checked for this model.
+    X is a float64 (b, d) batch of the part's input width, ``y`` holds
+    labels that :func:`_loss_labels` checked for this model, and ``reg``
+    passed :func:`gdu.regularization._check_mode_weights` for its layer
+    (:func:`_check_step_inputs`); nothing here checks them again.
     Returns ``(value, back)``; ``back(g)`` runs the chain in reverse and
     returns the gradient of every block, in :func:`trainable_arrays` order.
     """
@@ -505,13 +523,14 @@ def _objective(part, X, y, reg: RegConfig) -> tuple:
     # The gate's statistics, and the basis Gram when a term reads it, come
     # from one kernel call and are shared with the regularizers. A UNIFORM
     # layer's gate is None: the ensemble weights its heads itself.
-    a, beta, k_bases, gate_back = _inners_and_gate(
-        feats, layer, _reads_basis_gram(layer.mode, reg))
+    a, beta, k_bases, gate_back = _inners_and_gate(feats, layer, _reads_basis_gram(reg))
     logits, ensemble_back = _ensemble(feats, layer, beta)
     loss, loss_back = _cross_entropy(logits, y)
     value, reg_back = _add_regularizers(loss, a, beta, k_bases, reg)
 
     def back(g):
+        # The seed is a 0-d array; each term scales by it as a Python float.
+        g = float(g)
         # The features are a block's input only through an extractor.
         grad_x = fe is not None
         g_feats, g_weights, g_bias, g_beta = ensemble_back(loss_back(g), grad_x)
@@ -543,13 +562,33 @@ def _build_objective(part, X, y, reg: RegConfig, grads: dict):
     return ad.Tensor(value, (), backward)
 
 
-def _checked_batch(batch, model):
-    """``batch = (X, y)`` as a float64 (b, d) X and the labels of its loss."""
+def _check_step_inputs(X, model, reg: RegConfig):
+    """Raise unless the steps of ``model`` can take X and ``reg`` as they are.
+
+    X's rows must be as wide as the model's input, the extractor's or,
+    without one, the layer's (a :class:`gdu.kernel.DimensionMismatchError`
+    names it), and ``reg`` may weight only the terms the layer's mode takes
+    (:func:`gdu.regularization._check_mode_weights`). Each entry point that
+    runs steps calls it once, so no step checks either again.
+    """
+    fe, layer = model.fe, model.layer
+    if fe is None:
+        _check_feature_dims("X", X.shape[-1], "the layer's input", layer.feature_dim)
+    else:
+        _check_feature_dims("X", X.shape[-1], "the extractor's input", fe.weights[0].shape[0])
+    _check_mode_weights(layer.mode, reg)
+
+
+def _checked_batch(batch, model, reg: RegConfig):
+    """``batch = (X, y)`` as a float64 (b, d) X and the labels of its loss,
+    checked with ``reg`` for the steps of ``model``."""
     X, y = batch
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"a batch needs (b, d) inputs, got shape {X.shape}")
-    return X, _loss_labels(y, len(X), model.layer.n_outputs)
+    y = _loss_labels(y, len(X), model.layer.n_outputs)
+    _check_step_inputs(X, model, reg)
+    return X, y
 
 
 def objective(batch, model, reg: RegConfig) -> float:
@@ -557,7 +596,7 @@ def objective(batch, model, reg: RegConfig) -> float:
 
     The labels are checked on entry, as :func:`cross_entropy_mean` checks them.
     """
-    X, y = _checked_batch(batch, model)
+    X, y = _checked_batch(batch, model, reg)
     return float(_objective(model, X, y, reg)[0])
 
 
@@ -572,7 +611,7 @@ def gradients(batch, model, reg: RegConfig, train_mode: str = "E2E") -> dict:
     its blocks are absent. Non-finite entries raise, naming the offending
     block.
     """
-    X, y = _checked_batch(batch, model)
+    X, y = _checked_batch(batch, model, reg)
     part, X = _trained_part(model, train_mode, X)
     grad, views = _gradient_layout(part)
     _backprop(_build_objective(part, X, y, reg, views), views, grad)
@@ -588,8 +627,8 @@ def _backprop(obj, views: dict, grad: np.ndarray, where: str = ""):
     """
     grad[...] = 0.0
     obj.backward()
-    if not np.all(np.isfinite(grad)):
-        name = next(n for n, view in views.items() if not np.all(np.isfinite(view)))
+    if not np.isfinite(grad).all():
+        name = next(n for n, view in views.items() if not np.isfinite(view).all())
         raise NonFiniteGradientError(f"non-finite gradient in block {name!r}{where}")
 
 
@@ -714,9 +753,11 @@ def train(data: DatasetSplits, config: TrainConfig, model):
     c = model.layer.n_outputs
     train_y = _loss_labels(data.train_y, len(data.train_x), c, "train_y: ")
     val_y = _checked_labels(data.val_y, len(data.val_x), c, "val_y: ")
-    part, train_x, val_x = _trained_part(
-        model, config.mode, np.asarray(data.train_x, dtype=np.float64), data.val_x
-    )
+    train_x = np.asarray(data.train_x, dtype=np.float64)
+    # The raw rows and the weights are checked once, here; in FT without an
+    # extractor nothing else would see the rows' width.
+    _check_step_inputs(train_x, model, config.reg)
+    part, train_x, val_x = _trained_part(model, config.mode, train_x, data.val_x)
     # Validation is scored every epoch on rows and labels checked once,
     # here; in FT the rows are the frozen extractor's fixed features.
     val_x = _finite_batch(val_x, "val_x")
@@ -734,7 +775,7 @@ def train(data: DatasetSplits, config: TrainConfig, model):
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             obj = _build_objective(part, train_x[idx], train_y[idx], config.reg, views)
-            if not np.isfinite(float(obj.data)):
+            if not math.isfinite(obj.data):
                 raise TrainingDivergedError(epoch)
             _backprop(obj, views, grad, f" at epoch {epoch}")
             opt.step(params, grad)

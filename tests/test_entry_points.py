@@ -4,8 +4,9 @@ and every ``gdu.autodiff`` attribute a module reads; a training step calls
 each traced per-step function once, the benchmark's gradient probe passes,
 its set-up round-trips every model through checkpoint text, each
 workload's result line holds every metric BENCHMARK.json declares and so
-does the last line that a traced ``bench/run.py`` prints; every
-function that takes a seed names a negative one; the exports of the
+does the last line that a traced ``bench/run.py`` prints; the fit-digest
+script ``tests/fit_digests.py`` runs; every function that takes a seed
+names a negative one; the exports of the
 package and of each of its modules are pinned, and so are the fields of
 its config and model dataclasses, the benchmark's ElementarySpec, and the
 parameters of the regularizers, make_benchmark and init_erm_model; the
@@ -167,6 +168,26 @@ def test_a_traced_bench_run_prints_every_per_layer_metric(tmp_path):
     result = json.loads(run.stdout.splitlines()[-1], parse_constant=_reject_constant)
     declared = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
     assert sorted(result["metrics"]) == sorted(declared)
+
+
+def test_the_fit_digest_script_digests_a_two_fit_subset(tmp_path):
+    # tests/fit_digests.py compares two trees' fits bit for bit. Run as a
+    # script on two fits, one GDU with regularizers and one ERM-3, it must
+    # write one digest per fit, the digests fit_digest gives in process.
+    spec = importlib.util.spec_from_file_location("fit_digests", ROOT / "tests" / "fit_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    grid = [name for name, *_ in digests.fits()]
+    assert len(grid) == len(set(grid)) == 168
+    out = tmp_path / "digests.txt"
+    cmd = [sys.executable, str(ROOT / "tests" / "fit_digests.py"), "--out", str(out),
+           "--match", r"^seed1-shallow-(E2E-CS-ols\+l1|FT-ERM-3)$"]
+    run = subprocess.run(cmd, capture_output=True, text=True, timeout=300, check=False)
+    assert run.returncode == 0, run.stderr
+    expected = [f"{name} {digests.fit_digest(*spec)}" for name, *spec in digests.fits()
+                if name in ("seed1-shallow-E2E-CS-ols+l1", "seed1-shallow-FT-ERM-3")]
+    assert out.read_text().splitlines() == expected
+
 
 def _negative_seed_calls():
     from gdu.datagen import make_benchmark
@@ -474,7 +495,8 @@ _ROW_AXES = {1, 2, -1}
 
 
 def _row_reductions(tree):
-    """``(line, call)`` for every ``max``/``sum`` call along axis 1, 2 or -1.
+    """``(line, call)`` for every ``max``/``sum`` call, and every ufunc
+    ``reduce`` such as ``np.add.reduce``, along axis 1, 2 or -1.
 
     Calls inside ``_row_max`` and ``_row_sum`` are skipped. An axis that is
     not a literal counts as a row axis.
@@ -490,11 +512,16 @@ def _row_reductions(tree):
         if id(node) in inside or not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in ("max", "sum")):
+        if not isinstance(func, ast.Attribute):
+            continue
+        owner = func.value
+        ufunc = (func.attr == "reduce" and isinstance(owner, ast.Attribute)
+                 and isinstance(owner.value, ast.Name) and owner.value.id in ("np", "numpy"))
+        if not (ufunc or func.attr in ("max", "sum")):
             continue
         axis = [kw.value for kw in node.keywords if kw.arg == "axis"]
-        # np.sum(a, 1) takes the axis second, a.sum(1) first.
-        position = 1 if isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy") else 0
+        # np.sum(a, 1) and np.add.reduce(a, 1) take the axis second, a.sum(1) first.
+        position = 1 if ufunc or isinstance(owner, ast.Name) and owner.id in ("np", "numpy") else 0
         if not axis and len(node.args) > position:
             axis = [node.args[position]]
         if not axis:
@@ -523,9 +550,12 @@ def test_short_row_reductions_go_through_the_column_helpers():
         "def _row_sum(a):\n    return np.sum(a, axis=-1)\n"
         "np.max(z, axis=1); z.sum(-1); np.sum(z, 2); x.max(axis=(0, 2)); z.sum(axis=k)\n"
         "np.sum(z, axis=0); z.max(0); np.max(z); np.sum(z)\n"
+        "np.add.reduce(z, axis=-1); np.maximum.reduce(z, 1); np.add.reduce(z, axis=0)\n"
+        "np.add.reduce(z, axis=None); functools.reduce(f, z)\n"
     )
     assert _row_reductions(ast.parse(snippet)) == [
         (4, "np.max"), (4, "z.sum"), (4, "np.sum"), (4, "x.max"), (4, "z.sum"),
+        (6, "np.add.reduce"), (6, "np.maximum.reduce"),
     ]
 
 

@@ -527,6 +527,13 @@ def test_uniform_layer_kernel_statistics_raise_a_named_error():
             stat()
 
 
+def test_a_uniform_layer_has_no_basis_size():
+    # It read the shape of bases=None and raised an unnamed AttributeError.
+    layer = init_erm_model([3, 4], 2, 2, 0).layer
+    with pytest.raises(ValueError, match="^a UNIFORM layer has no bases, so no basis size$"):
+        layer.basis_size
+
+
 # -- the per-row reductions ------------------------------------------------------------
 
 # Signed zeros, infinities, NaN and both ends of the magnitude range.

@@ -1323,20 +1323,66 @@ _WIDTH_CALLS = {
     "accuracy": lambda model: accuracy(model, _WIDE_X, _WIDE_Y),
     "objective": lambda model: objective((_WIDE_X, _WIDE_Y), model, RegConfig()),
     "gradients": lambda model: gradients((_WIDE_X, _WIDE_Y), model, RegConfig()),
+    "gradients-FT": lambda model: gradients((_WIDE_X, _WIDE_Y), model, RegConfig(), "FT"),
     "train": lambda model: train(DatasetSplits(_WIDE_X, _WIDE_Y, _WIDE_X, _WIDE_Y),
                                  TrainConfig(max_epochs=1, patience=1), model),
+    "fe_forward": lambda model: fe_forward(_WIDE_X, model.fe),
+    "gate_matrix": lambda model: gate_matrix(_WIDE_X, model.layer),
+    "forward_batch": lambda model: forward_batch(_WIDE_X, model.layer),
 }
+# The part whose input a call reads, where it is not the model's first part.
+_WIDTH_PARTS = {"fe_forward": "extractor", "gate_matrix": "layer", "forward_batch": "layer"}
+# fe_forward without an extractor hands X back unread.
+_WIDTH_CASES = [(call, name) for call in sorted(_WIDTH_CALLS)
+                for name in sorted(_models_taking_four_columns())
+                if not (call == "fe_forward" and name.endswith("-without-extractor"))]
 
 
-@pytest.mark.parametrize("model_name", sorted(_models_taking_four_columns()))
-@pytest.mark.parametrize("call", sorted(_WIDTH_CALLS))
+@pytest.mark.parametrize("call, model_name", _WIDTH_CASES,
+                         ids=[f"{call}-{name}" for call, name in _WIDTH_CASES])
 def test_inputs_of_the_wrong_width_are_named(call, model_name):
     # Unchecked, numpy's matmul raises a bare core-dimension error instead.
+    # Each entry point checks the width itself, as no step checks it again.
     model = _models_taking_four_columns()[model_name]
-    part = "layer" if model.fe is None else "extractor"
+    part = _WIDTH_PARTS.get(call, "layer" if model.fe is None else "extractor")
     with pytest.raises(DimensionMismatchError,
                        match=f"^X has dimension 7 but the {part}'s input has dimension 4$"):
         _WIDTH_CALLS[call](model)
+
+
+# The input checks of the layer and training modules; the kernel's own
+# checks of its operands are not among them.
+_INPUT_CHECKS = ("_check_width", "_check_feature_dims", "_check_mode_weights")
+
+
+@pytest.mark.parametrize("train_mode", ["E2E", "FT"])
+@pytest.mark.parametrize("mode", ["CS", "ERM"])
+def test_a_step_runs_no_input_check(mode, train_mode, monkeypatch):
+    # train checks its rows' width and the mode's weights once per call;
+    # a run of 8 steps per epoch makes as many checks as a run of 1.
+    calls = []
+    for module in (gdu.layer, gdu.regularization, gdu.training):
+        for name in _INPUT_CHECKS:
+            if hasattr(module, name):
+                def counted(*args, _check=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _check(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    data = separable_splits(24)
+    n = len(data.train_x)
+
+    def checks(batch_size):
+        calls.clear()
+        config = TrainConfig(mode=train_mode, batch_size=batch_size, max_epochs=2, patience=2,
+                             seed=25, reg=_ALL_REGULARIZERS[mode])
+        train(data, config, _fresh_model(mode, 24))
+        return sorted(calls)
+
+    assert -(-n // 12) == 8
+    one_step = checks(n)
+    assert "_check_mode_weights" in one_step
+    assert checks(12) == one_step
 
 
 _BOOL_FLOATS = {
